@@ -25,11 +25,12 @@ from .metric import (
     MultiGraphSolution,
     RequestRecord,
     RunTrace,
+    exceeds,
     floor_log2,
     pow2,
 )
-
-_RTOL = 1e-9
+from .rentorbuy import cost_share
+from .steiner import _nearest, same_class_closer
 
 
 class OflState:
@@ -51,13 +52,7 @@ class OflState:
         self.assign = []    # virtual assignment per client
 
     def _nearest_open(self, i: int):
-        best, best_d = None, None
-        for p in self.points:
-            if p in self.is_open:
-                d = self.m.dist(i, p)
-                if best_d is None or d < best_d:
-                    best, best_d = p, d
-        return best, best_d
+        return _nearest(self.m, i, [p for p in self.points if p in self.is_open])
 
     def arrive(self, i: int) -> int:
         _, b = self._nearest_open(i)
@@ -121,73 +116,45 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
     rents = {}  # class j -> [(request idx, point)]
     for idx, i in enumerate(clients):
         sigma_hat = ofl.arrive(i)
-        x, a = min(
-            ((p, m.dist(i, p)) for p in open_set),
-            key=lambda pd: (pd[1], facility_order[pd[0]]),
-        )
+        x, a = _nearest(m, i, sorted(open_set, key=facility_order.get))
         d_hat = m.dist(i, sigma_hat)
+        witnesses, opened, edges = (), None, ()
         if a <= 4 * d_hat:
-            sol.assignments[idx] = x
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="virtual",
-                    points=(i,),
-                    a=a,
-                    klass=floor_log2(a) if a > 0 else None,
-                    cost=a,
-                    attach=x,
-                    sigma_hat=sigma_hat,
-                    sigma=x,
-                )
-            )
-            continue
-        j = floor_log2(a)
-        radius = pow2(j - 2)
-        witnesses = tuple(
-            ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius
-        )
-        if len(witnesses) >= M:
-            opened = None
-            if sigma_hat not in sol.opened:
-                sol.opened.add(sigma_hat)
-                open_set.append(sigma_hat)
-                sol.buy(sigma_hat, x)
-                opened = sigma_hat
-            sol.assignments[idx] = sigma_hat
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="buy",
-                    points=(i,),
-                    a=a,
-                    klass=j,
-                    cost=d_hat,
-                    witnesses=witnesses,
-                    attach=x,
-                    sigma_hat=sigma_hat,
-                    sigma=sigma_hat,
-                    opened=opened,
-                    edges=((sigma_hat, x, None),) if opened is not None else (),
-                )
-            )
+            j = floor_log2(a) if a > 0 else None
+            decision, cost, sigma = "virtual", a, x
         else:
-            rents.setdefault(j, []).append((idx, i))
-            sol.assignments[idx] = x
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="rent",
-                    points=(i,),
-                    a=a,
-                    klass=j,
-                    cost=a,
-                    witnesses=witnesses,
-                    attach=x,
-                    sigma_hat=sigma_hat,
-                    sigma=x,
-                )
+            j = floor_log2(a)
+            radius = pow2(j - 2)
+            witnesses = tuple(
+                ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius
             )
+            if len(witnesses) >= M:
+                decision, cost, sigma = "buy", d_hat, sigma_hat
+                if sigma_hat not in sol.opened:
+                    sol.opened.add(sigma_hat)
+                    open_set.append(sigma_hat)
+                    sol.buy(sigma_hat, x)
+                    opened, edges = sigma_hat, ((sigma_hat, x, None),)
+            else:
+                decision, cost, sigma = "rent", a, x
+                rents.setdefault(j, []).append((idx, i))
+        sol.assignments[idx] = sigma
+        trace.add(
+            RequestRecord(
+                idx=idx,
+                decision=decision,
+                points=(i,),
+                a=a,
+                klass=j,
+                cost=cost,
+                witnesses=witnesses,
+                attach=x,
+                sigma_hat=sigma_hat,
+                sigma=sigma,
+                opened=opened,
+                edges=edges,
+            )
+        )
     trace.summary = {
         "f_hat": list(ofl.open_order),
         "virtual_assign": list(ofl.assign),
@@ -208,28 +175,19 @@ def check_cfl_invariants(trace: RunTrace, m: MetricSpace):
     (3) sum M a_z <= sum_j 2^(j+1) |R_j|; (4) F' subset of F_hat; (5) every buy
     client z has d(z, sigma_hat(z)) < a_z / 4.
     """
-    out = []
     buys = [r for r in trace.records if r.decision == "buy"]
-    by_class = {}
-    for rec in buys:
-        by_class.setdefault(rec.klass, []).append(rec)
-    for j, recs in sorted(by_class.items()):
-        bound = pow2(j - 1)
-        for i, ra in enumerate(recs):
-            for rb in recs[i + 1:]:
-                d = m.dist(ra.points[0], rb.points[0])
-                if d < bound:
-                    out.append(f"class {j}: buy clients {ra.idx},{rb.idx} at {d:g} < 2^{j - 1}")
-    c_h = sum(m.dist(rec.edges[0][0], rec.edges[0][1]) for rec in buys if rec.edges)
+    out = [
+        f"class {j}: buy clients {ra.idx},{rb.idx} at {d:g} < 2^{j - 1}"
+        for j, ra, rb, d in same_class_closer(buys, m, -1)
+    ]
+    c_h = _bought_length(trace, m)
     budget = sum(2 * rec.a for rec in buys)
-    if c_h > budget * (1 + _RTOL) + 1e-12:
+    if exceeds(c_h, budget):
         out.append(f"c(H)={c_h:g} > sum 2 a_z = {budget:g}")
     M = trace.M or 0.0
-    share = sum(
-        pow2(rec.klass + 1) for rec in trace.records if rec.decision == "rent"
-    )
+    share = cost_share(trace)
     buy_mass = sum(M * rec.a for rec in buys)
-    if buy_mass > share * (1 + _RTOL) + 1e-12:
+    if exceeds(buy_mass, share):
         out.append(f"sum M a_z = {buy_mass:g} > share {share:g}")
     f_hat = set(trace.summary.get("f_hat", ()))
     opened = {trace.root} | {rec.opened for rec in buys if rec.opened is not None}
@@ -262,7 +220,7 @@ def check_cfl_cost_split(trace: RunTrace, m: MetricSpace):
         for rec in trace.records
         if rec.sigma_hat is not None
     )
-    if lhs > rhs * (1 + _RTOL) + 1e-12:
+    if exceeds(lhs, rhs):
         return [f"cost split: {lhs:g} > virtual budget {rhs:g}"]
     return []
 
@@ -270,10 +228,14 @@ def check_cfl_cost_split(trace: RunTrace, m: MetricSpace):
 def cfl_buy_rent_cost(trace: RunTrace, m: MetricSpace) -> float:
     """M c(H) + rent assignment costs: the part charged to the tree optimum."""
     M = trace.M or 0.0
-    c_h = sum(
+    rents = sum(rec.cost for rec in trace.records if rec.decision == "rent")
+    return M * _bought_length(trace, m) + rents
+
+
+def _bought_length(trace: RunTrace, m: MetricSpace) -> float:
+    """c(H): the length of the edges the buy clients bought."""
+    return sum(
         m.dist(rec.edges[0][0], rec.edges[0][1])
         for rec in trace.records
         if rec.decision == "buy" and rec.edges
     )
-    rents = sum(rec.cost for rec in trace.records if rec.decision == "rent")
-    return M * c_h + rents

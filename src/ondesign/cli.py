@@ -16,11 +16,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import OndesignError, SchemaError, TooLarge
 from .generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
 from .metric import (
+    PROBLEMS,
     RunTrace,
     check_feasible,
     instance_to_dict,
@@ -42,37 +41,37 @@ def _json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _params(args) -> dict:
+    return {"M": args.M, "R_max": args.rmax, "n_facilities": args.facilities}
+
+
+def _load(args):
+    """The instance of args, as a SchemaError (exit 2) if unreadable or not --algo's."""
+    try:
+        m, seq = load_instance(args.instance)
+    except (OndesignError, OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(str(exc)) from exc
+    algo = getattr(args, "algo", None)
+    if algo is not None and algo != seq.problem:
+        raise SchemaError(f"algo {algo} does not match instance problem {seq.problem}")
+    return m, seq
+
+
 def cmd_gen(args) -> int:
-    if args.family == "euclidean":
-        m, pts = gen_euclidean(args.n, seed=args.seed)
-        seq = gen_requests(
-            args.problem, m, args.count, args.seed,
-            {"M": args.M, "R_max": args.rmax, "n_facilities": args.facilities},
-        )
-        doc = instance_to_dict(m, seq)
-    elif args.family == "graph":
-        m = gen_graph_metric(args.n, density=args.density, seed=args.seed)
-        seq = gen_requests(
-            args.problem, m, args.count, args.seed,
-            {"M": args.M, "R_max": args.rmax, "n_facilities": args.facilities},
-        )
-        doc = instance_to_dict(m, seq)
-    else:
+    if args.family == "diamond":
         m, seq, _ = gen_diamond_lb(args.depth)
-        doc = instance_to_dict(m, seq)
-    _write(args.out, _json(doc))
+    else:
+        if args.family == "euclidean":
+            m, _ = gen_euclidean(args.n, seed=args.seed)
+        else:
+            m = gen_graph_metric(args.n, density=args.density, seed=args.seed)
+        seq = gen_requests(args.problem, m, args.count, args.seed, _params(args))
+    _write(args.out, _json(instance_to_dict(m, seq)))
     return 0
 
 
 def cmd_run(args) -> int:
-    try:
-        m, seq = load_instance(args.instance)
-    except (OndesignError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.algo != seq.problem:
-        print(f"error: algo {args.algo} does not match instance problem {seq.problem}", file=sys.stderr)
-        return 2
+    m, seq = _load(args)
     sol, trace = run_problem(m, seq)
     cost = solution_cost(sol, seq, m)
     feas = check_feasible(sol, seq, m)
@@ -83,13 +82,7 @@ def cmd_run(args) -> int:
         trace.to_jsonl(trace_path)
     doc = {
         "problem": seq.problem,
-        "cost": {
-            "buy": cost.buy,
-            "rent": cost.rent,
-            "penalty": cost.penalty,
-            "opening": cost.opening,
-            "total": cost.total,
-        },
+        "cost": cost.as_dict(),
         "feasible_per_request": feas,
         "feasible": prefix_ok,
         "trace": trace_path,
@@ -100,14 +93,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        m, seq = load_instance(args.instance)
-    except (OndesignError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.algo is not None and args.algo != seq.problem:
-        print(f"error: algo {args.algo} does not match instance problem {seq.problem}", file=sys.stderr)
-        return 2
+    m, seq = _load(args)
     forged = None
     if args.trace:
         forged = RunTrace.from_jsonl(args.trace, problem=seq.problem, root=seq.root, M=seq.M)
@@ -122,60 +108,43 @@ def _fit_log_constant(rows):
     return num / den if den else 0.0
 
 
+def _ratio_row(m, seq, k, opt, seed) -> dict:
+    sol, _ = run_problem(m, seq)
+    cost = solution_cost(sol, seq, m).total
+    return {
+        "problem": seq.problem,
+        "k": k,
+        "n": m.n,
+        "M": seq.M if seq.M is not None else "",
+        "alg_cost": cost,
+        "opt_cost": opt,
+        "ratio": cost / opt if opt > 0 else (0.0 if cost <= 1e-12 else math.inf),
+        "seed": seed,
+    }
+
+
 def cmd_ratio(args) -> int:
     rows = []
     try:
         if args.family == "diamond":
             for depth in args.sizes:
                 m, seq, info = gen_diamond_lb(depth)
-                sol, trace = run_problem(m, seq)
-                cost = solution_cost(sol, seq, m).total
-                rows.append(
-                    {
-                        "problem": "SteinerTree",
-                        "k": info["k"],
-                        "n": m.n,
-                        "M": "",
-                        "alg_cost": cost,
-                        "opt_cost": info["opt"],
-                        "ratio": cost / info["opt"],
-                        "seed": depth,
-                    }
-                )
+                rows.append(_ratio_row(m, seq, info["k"], info["opt"], depth))
         else:
             for k in args.sizes:
                 for trial in range(args.trials):
                     seed = args.seed * 100003 + k * 1009 + trial
-                    count = k if args.problem not in ("SteinerForest", "SteinerNetwork", "MROB") else max(1, k // 2)
-                    n = max(k + 1, args.n)
-                    m, _ = gen_euclidean(n, seed=seed)
-                    seq = gen_requests(
-                        args.problem, m, count, seed,
-                        {"M": args.M, "R_max": args.rmax, "n_facilities": args.facilities},
-                    )
-                    sol, trace = run_problem(m, seq)
-                    cost = solution_cost(sol, seq, m).total
-                    opt = exact_optimum(m, seq)
-                    rows.append(
-                        {
-                            "problem": args.problem,
-                            "k": seq.k,
-                            "n": m.n,
-                            "M": seq.M if seq.M is not None else "",
-                            "alg_cost": cost,
-                            "opt_cost": opt,
-                            "ratio": cost / opt if opt > 0 else (0.0 if cost <= 1e-12 else math.inf),
-                            "seed": seed,
-                        }
-                    )
+                    count = max(1, k // 2) if PROBLEMS[args.problem].paired else k
+                    m, _ = gen_euclidean(max(k + 1, args.n), seed=seed)
+                    seq = gen_requests(args.problem, m, count, seed, _params(args))
+                    rows.append(_ratio_row(m, seq, seq.k, exact_optimum(m, seq), seed))
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["problem", "k", "n", "M", "alg_cost", "opt_cost", "ratio", "seed"])
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     per_size = {}
     for row in rows:
         per_size[row["k"]] = max(per_size.get(row["k"], 0.0), row["ratio"])
@@ -189,14 +158,8 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        m, seq = load_instance(args.instance)
-    except (OndesignError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reps, _, _ = tree_points(m, seq)
-    if not reps:
-        reps = list(range(m.n))
+    m, seq = _load(args)
+    reps = tree_points(m, seq)[0] or list(range(m.n))
     report = embed_report(m, reps, trials=args.trials, seed=args.seed, jobs=args.jobs)
     _write(args.out, _json(report))
     return 4 if report["invalid_trees"] else 0
@@ -215,7 +178,7 @@ def build_parser():
     g = sub.add_parser("gen", help="generate an instance JSON")
     common(g)
     g.add_argument("--family", choices=["euclidean", "graph", "diamond"], default="euclidean")
-    g.add_argument("--problem", default="SteinerTree")
+    g.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
     g.add_argument("--n", type=int, default=16)
     g.add_argument("--count", type=int, default=8)
     g.add_argument("--density", type=float, default=0.3)
@@ -241,7 +204,7 @@ def build_parser():
     c = sub.add_parser("ratio", help="empirical competitive ratios vs exact optima")
     common(c)
     c.add_argument("--family", choices=["euclidean", "diamond"], default="euclidean")
-    c.add_argument("--problem", default="SteinerTree")
+    c.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
     c.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")], default=[4, 6, 8, 10])
     c.add_argument("--n", type=int, default=0)
     c.add_argument("--M", type=float, default=2.0)

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import DepthTooLarge
-from .metric import MetricSpace, RequestSequence, build_metric
+from .metric import MetricSpace, RequestSequence, build_metric, problem_format
 
 _DIAMOND_CAP = 10
 
@@ -106,6 +106,7 @@ def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=Non
     params: root (default 0), M, R_max (log-uniform requirements), n_facilities
     and f_max for CFL.  Penalties are uniform in [0, 2 * diameter].
     """
+    fmt = problem_format(problem)
     params = dict(params or {})
     rng = _rng(seed, 3)
     root = int(params.get("root", 0))
@@ -118,48 +119,34 @@ def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=Non
         s = pick()
         t = pick()
         while t == s:
-            t = int(rng.integers(0, m.n))
+            t = pick()
         return s, t
 
-    if problem == "SteinerTree":
-        return RequestSequence(problem=problem, requests=tuple(pick() for _ in range(count)), root=root)
-    if problem == "SteinerForest":
-        return RequestSequence(problem=problem, requests=tuple(pick_pair() for _ in range(count)))
-    if problem == "SteinerNetwork":
+    def requirement():
         r_max = max(1, int(params.get("R_max", 8)))
-        reqs = []
-        for _ in range(count):
-            s, t = pick_pair()
-            r = int(round(2.0 ** (rng.random() * np.log2(r_max)))) if r_max > 1 else 1
-            reqs.append((s, t, min(max(r, 1), r_max)))
-        return RequestSequence(problem=problem, requests=tuple(reqs))
-    if problem == "SROB":
-        return RequestSequence(
-            problem=problem,
-            requests=tuple(pick() for _ in range(count)),
-            root=root,
-            M=float(params.get("M", 2.0)),
-        )
-    if problem == "MROB":
-        return RequestSequence(
-            problem=problem,
-            requests=tuple(pick_pair() for _ in range(count)),
-            M=float(params.get("M", 2.0)),
-        )
-    if problem == "PCST":
-        reqs = tuple((pick(), float(rng.uniform(0, 2 * diam))) for _ in range(count))
-        return RequestSequence(problem=problem, requests=reqs, root=root)
-    if problem == "CFL":
+        r = int(round(2.0 ** (rng.random() * np.log2(r_max)))) if r_max > 1 else 1
+        return min(max(r, 1), r_max)
+
+    draw = {"R": requirement, "pi": lambda: float(rng.uniform(0, 2 * diam))}
+    extra = [draw[name] for name in list(fmt.fields)[2 if fmt.paired else 1:]]
+
+    def request():
+        req = pick_pair() if fmt.paired else (pick(),)
+        for f in extra:  # the fields after the points, in order
+            req += (f(),)
+        return req if len(req) > 1 else req[0]
+
+    facilities = None
+    if fmt.facilities:  # drawn before the requests
         n_fac = min(m.n, int(params.get("n_facilities", 4)))
         f_max = float(params.get("f_max", diam))
         others = [p for p in range(m.n) if p != root]
         chosen = list(rng.choice(others, size=max(0, n_fac - 1), replace=False)) if n_fac > 1 else []
-        facilities = [(root, 0.0)] + [(int(p), float(rng.uniform(0, f_max))) for p in chosen]
-        return RequestSequence(
-            problem=problem,
-            requests=tuple(pick() for _ in range(count)),
-            root=root,
-            M=float(params.get("M", 2.0)),
-            facilities=tuple(facilities),
-        )
-    raise ValueError(f"unknown problem {problem!r}")
+        facilities = ((root, 0.0),) + tuple((int(p), float(rng.uniform(0, f_max))) for p in chosen)
+    return RequestSequence(
+        problem=problem,
+        requests=tuple(request() for _ in range(count)),
+        root=root if fmt.rooted else None,
+        M=float(params.get("M", 2.0)) if fmt.needs_M else None,
+        facilities=facilities,
+    )

@@ -63,10 +63,6 @@ class Hst:
         return len(self.parent)
 
     @property
-    def root(self) -> int:
-        return 0
-
-    @property
     def terminals(self) -> tuple:
         return tuple(sorted(self.point_leaf))
 
@@ -76,12 +72,6 @@ class Hst:
         if not self.children[0]:
             return 0
         return self.edge_level[self.children[0][0]]
-
-    @property
-    def min_edge_level(self) -> int:
-        if self.n_nodes == 1:
-            return 0
-        return min(lv for lv in self.edge_level if lv is not None)
 
     def edge_length(self, nid: int) -> float:
         return pow2(self.edge_level[nid] - 1)
@@ -109,13 +99,6 @@ class Hst:
 
     def total_length(self) -> float:
         return sum(self.edge_length(nid) for nid in range(1, self.n_nodes))
-
-    def depth_path(self, nid: int):
-        path = []
-        while nid != 0:
-            path.append(nid)
-            nid = self.parent[nid]
-        return path
 
     def to_json_dict(self) -> dict:
         nodes = [{"id": 0, "level": self.root_level, "parent": None, "edge_len": None}]
@@ -167,9 +150,9 @@ def cuts_at_level(t: Hst, j: int):
     to be a singleton), and a leaf whose path skips a level sits alone in its
     implicit cut.
     """
-    lo = t.extended_to if t.extended_to is not None else 0
-    if j > t.root_level or j < lo:
-        raise LevelOutOfRange(f"level {j} outside [{lo}, {t.root_level}]")
+    levels = check_levels(t)
+    if j not in levels:
+        raise LevelOutOfRange(f"level {j} outside [{levels[0]}, {t.root_level}]")
     cuts = [t.cut(nid) for nid in t.edges_at_level(j)]
     covered = {p for c in cuts for p in c}
     cuts.extend(frozenset([p]) for p in t.terminals if p not in covered)
@@ -296,13 +279,19 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
 
 def _promote_one_level(t: Hst) -> Hst:
     """Double every edge length and re-hang each terminal by a level-1 edge."""
-    out = Hst()
-    out.add_node(-1, None)
-    for nid in range(1, t.n_nodes):
-        out.add_node(t.parent[nid], t.edge_level[nid] + 1)
+    out = _copy_inner_nodes(t, 1)
     for nid, p in t.leaf_point.items():
         leaf = out.add_node(nid, 1)
         out.set_leaf(leaf, p)
+    return out
+
+
+def _copy_inner_nodes(t: Hst, shift: int) -> Hst:
+    """t's nodes, every edge level raised by shift, without leaf terminals."""
+    out = Hst()
+    out.add_node(-1, None)
+    for nid in range(1, t.n_nodes):
+        out.add_node(t.parent[nid], t.edge_level[nid] + shift)
     return out
 
 
@@ -317,10 +306,7 @@ def extend_singleton_levels(t: Hst, down_to: int) -> Hst:
         raise LevelOutOfRange("down_to must be -1 or -2")
     if t.extended_to is not None:
         raise AlreadyExtended(f"tree already extended to {t.extended_to}")
-    out = Hst()
-    out.add_node(-1, None)
-    for nid in range(1, t.n_nodes):
-        out.add_node(t.parent[nid], t.edge_level[nid])
+    out = _copy_inner_nodes(t, 0)
     for nid, p in sorted(t.leaf_point.items()):
         cur = nid
         for j in range(-1, down_to - 1, -1):

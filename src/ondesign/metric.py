@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,11 +27,14 @@ from .errors import (
     TriangleViolation,
 )
 
-PROBLEMS = ("SteinerTree", "SteinerForest", "SteinerNetwork", "SROB", "MROB", "CFL", "PCST")
-ROOTED = frozenset({"SteinerTree", "SROB", "CFL", "PCST"})
-PAIRED = frozenset({"SteinerForest", "SteinerNetwork", "MROB"})
+# Relative and absolute float slack of every bound check.
+RTOL = 1e-9
+ATOL = 1e-12
 
-_TRI_RTOL = 1e-9
+
+def exceeds(lhs: float, bound: float, atol: float = ATOL) -> bool:
+    """True when lhs is over bound beyond float slack; NaN on either side is over."""
+    return not lhs <= bound * (1 + RTOL) + atol
 
 
 def floor_log2(x: float) -> int:
@@ -91,20 +94,16 @@ def max_flow(capacity: dict, s: int, t: int, limit: float = math.inf) -> float:
                     queue.append(v)
         if t not in pred:
             break
-        # bottleneck
-        aug = math.inf
+        path = []
         v = t
         while pred[v] is not None:
-            u = pred[v]
-            aug = min(aug, cap[u][v])
-            v = u
-        v = t
-        while pred[v] is not None:
-            u = pred[v]
+            path.append((pred[v], v))
+            v = pred[v]
+        aug = min(cap[u][v] for u, v in path)  # the bottleneck
+        for u, v in path:
             cap[u][v] -= aug
             cap.setdefault(v, {}).setdefault(u, 0)
             cap[v][u] += aug
-            v = u
         flow += aug
     return flow
 
@@ -120,7 +119,6 @@ class MetricSpace:
 
     d: np.ndarray
     scale: float = 1.0
-    labels: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -148,7 +146,7 @@ def _validate_matrix(d: np.ndarray) -> None:
         u, v = map(int, np.argwhere(d != d.T)[0])
         raise AsymmetricInput(f"d({u},{v}) != d({v},{u})")
     n = d.shape[0]
-    tol = _TRI_RTOL * max(1.0, float(d.max(initial=0.0)))
+    tol = RTOL * max(1.0, float(d.max(initial=0.0)))
     # O(n^3) scan with a reused buffer; instances are desk scale.
     buf = np.empty_like(d)
     for v in range(n):
@@ -159,7 +157,7 @@ def _validate_matrix(d: np.ndarray) -> None:
             raise TriangleViolation(u, v, w, float(buf[u, w]))
 
 
-def build_metric(raw, labels=None) -> MetricSpace:
+def build_metric(raw) -> MetricSpace:
     """Build a MetricSpace from a square distance matrix or a 2-D point list.
 
     Square symmetric nonnegative zero-diagonal input is taken as a matrix;
@@ -190,20 +188,107 @@ def build_metric(raw, labels=None) -> MetricSpace:
     else:
         scale = 1.0
     d.setflags(write=False)
-    return MetricSpace(d=d, scale=scale, labels=tuple(labels) if labels else None)
+    return MetricSpace(d=d, scale=scale)
+
+
+# ---------------------------------------------------------------------------
+# Problems: one request format each
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RequestFormat:
+    """What one problem's requests look like and need; one entry of PROBLEMS.
+
+    `fields` maps each request field's name to its parser; a one-field
+    request is a bare value, a longer one a tuple.  `feasible(sol, seq, m,
+    base, idx)` says whether the final solution serves request idx, `base`
+    being the components of the bought edges.
+    """
+
+    fields: dict
+    feasible: Callable
+    rooted: bool = False      # every request is served from seq.root
+    paired: bool = False      # a request is an (s, t, ...) pair
+    needs_M: bool = False     # bought edges cost M times their length
+    facilities: bool = False  # clients are assigned to opened facilities
+
+    def parse(self, raw):
+        """One request from its JSON form; TypeError/ValueError if malformed."""
+        parsers = list(self.fields.values())
+        if len(parsers) == 1:
+            return parsers[0](raw)
+        values = tuple(raw)
+        if len(values) != len(parsers):
+            raise ValueError(f"expected {len(parsers)} fields")
+        return tuple(parse(v) for parse, v in zip(parsers, values))
+
+
+def _connected(sol, seq, m, base, idx):
+    """Bought plus this request's rented edges join its pair, or it to the root."""
+    ends = seq.request_points(idx)
+    a, b = ends if len(ends) == 2 else (ends[0], seq.root)
+    if a == b or base.connected(a, b):
+        return True
+    # rents are per-request direct edges; splice them on top of the bought components
+    reach = {base.find(a)}
+    changed = True
+    while changed:
+        changed = False
+        for (u, v) in sol.rented.get(idx, ()):
+            ru, rv = base.find(u), base.find(v)
+            if (ru in reach) != (rv in reach):
+                reach.update((ru, rv))
+                changed = True
+    return base.find(b) in reach
+
+
+def _has_flow(sol, seq, m, base, idx):
+    """R edge-disjoint s-t paths, bought copies counted."""
+    s, t, r = seq.requests[idx]
+    if s == t or m.coincident(s, t):
+        return True
+    return max_flow(sol.capacity(), s, t, limit=r) >= r
+
+
+def _paid_or_joined(sol, seq, m, base, idx):
+    i = seq.requests[idx][0]
+    return idx in sol.penalties_paid or base.connected(i, seq.root) or m.coincident(i, seq.root)
+
+
+def _served(sol, seq, m, base, idx):
+    """Assigned to an opened facility that bought edges join to the root."""
+    x = sol.assignments.get(idx)
+    ok = x is not None and (x in sol.opened or x == seq.root)
+    if ok and x != seq.root:
+        ok = base.connected(x, seq.root) or m.coincident(x, seq.root)
+    return ok
+
+
+_POINT = {"point": int}
+_PAIR = {"s": int, "t": int}
+
+PROBLEMS = {
+    "SteinerTree": RequestFormat(_POINT, _connected, rooted=True),
+    "SteinerForest": RequestFormat(_PAIR, _connected, paired=True),
+    "SteinerNetwork": RequestFormat({**_PAIR, "R": int}, _has_flow, paired=True),
+    "SROB": RequestFormat(_POINT, _connected, rooted=True, needs_M=True),
+    "MROB": RequestFormat(_PAIR, _connected, paired=True, needs_M=True),
+    "CFL": RequestFormat(_POINT, _served, rooted=True, needs_M=True, facilities=True),
+    "PCST": RequestFormat({**_POINT, "pi": float}, _paid_or_joined, rooted=True),
+}
+
+
+def problem_format(name) -> RequestFormat:
+    """PROBLEMS[name]; SchemaError for anything else."""
+    fmt = PROBLEMS.get(name) if isinstance(name, str) else None
+    if fmt is None:
+        raise SchemaError(f"unknown problem {name!r}")
+    return fmt
 
 
 @dataclass(frozen=True)
 class RequestSequence:
-    """Problem-tagged ordered requests plus per-sequence parameters.
-
-    Request shapes by problem:
-      SteinerTree / SROB      -> int terminal
-      SteinerForest / MROB    -> (s, t)
-      SteinerNetwork          -> (s, t, R)  with integer R >= 1
-      CFL                     -> int client
-      PCST                    -> (i, pi)    with pi >= 0
-    """
+    """Problem-tagged ordered requests (shaped as `PROBLEMS` says) plus parameters."""
 
     problem: str
     requests: tuple
@@ -212,14 +297,13 @@ class RequestSequence:
     facilities: Optional[tuple] = None  # ((point, cost), ...)
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise SchemaError(f"unknown problem {self.problem!r}")
-        if (self.root is not None) != (self.problem in ROOTED):
-            raise SchemaError(f"root must be present exactly for {sorted(ROOTED)}")
-        if self.problem in ("SROB", "MROB", "CFL"):
-            if self.M is None or self.M < 0:
-                raise SchemaError("M must be a nonnegative real for ROB/CFL")
-        if self.problem == "CFL":
+        fmt = problem_format(self.problem)
+        if (self.root is not None) != fmt.rooted:
+            rooted = sorted(name for name, f in PROBLEMS.items() if f.rooted)
+            raise SchemaError(f"root must be present exactly for {rooted}")
+        if fmt.needs_M and (self.M is None or self.M < 0):
+            raise SchemaError("M must be a nonnegative real for ROB/CFL")
+        if fmt.facilities:
             if not self.facilities:
                 raise SchemaError("CFL needs a facilities list")
             costs = dict(self.facilities)
@@ -239,29 +323,25 @@ class RequestSequence:
             for p, _ in self.facilities:
                 if not (0 <= p < n):
                     raise SchemaError(f"facility point {p} >= n={n}")
-        if self.problem == "SteinerNetwork":
+        fields = PROBLEMS[self.problem].fields
+        if "R" in fields:
             for idx, (_, _, r) in enumerate(self.requests):
                 if int(r) != r or r < 1:
                     raise SchemaError(f"request {idx}: R must be an integer >= 1")
+        if "pi" in fields and any(pi < 0 for _, pi in self.requests):
+            raise SchemaError("penalties must be >= 0")
 
     def request_points(self, idx: int):
         req = self.requests[idx]
-        if self.problem in ("SteinerTree", "SROB", "CFL"):
+        fmt = PROBLEMS[self.problem]
+        if len(fmt.fields) == 1:
             return (req,)
-        if self.problem in ("SteinerForest", "MROB"):
-            return (req[0], req[1])
-        if self.problem == "SteinerNetwork":
-            return (req[0], req[1])
-        if self.problem == "PCST":
-            return (req[0],)
-        raise AssertionError
+        return (req[0], req[1]) if fmt.paired else (req[0],)
 
     @property
     def k(self) -> int:
         """Number of terminals/clients that arrive online."""
-        if self.problem in PAIRED:
-            return 2 * len(self.requests)
-        return len(self.requests)
+        return 2 * len(self.requests) if PROBLEMS[self.problem].paired else len(self.requests)
 
 
 class MultiGraphSolution:
@@ -296,6 +376,14 @@ class MultiGraphSolution:
             uf.union(u, v)
         return uf
 
+    def capacity(self) -> dict:
+        """Bought multiplicities as the symmetric {u: {v: cap}} of max_flow."""
+        cap = {}
+        for (u, v), mult in self.bought.items():
+            cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + mult
+            cap.setdefault(v, {})[u] = cap.get(v, {}).get(u, 0) + mult
+        return cap
+
 
 @dataclass
 class CostBreakdown:
@@ -308,21 +396,23 @@ class CostBreakdown:
     def total(self) -> float:
         return self.buy + self.rent + self.penalty + self.opening
 
+    def as_dict(self) -> dict:
+        return {**asdict(self), "total": self.total}
+
 
 def solution_cost(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace) -> CostBreakdown:
     """Cost decomposition per the problem's objective.
 
-    The buy term is multiplied by M for rent-or-buy/CFL and by 1 for the
-    Steiner problems; every term is nonnegative by construction.
+    The buy term is multiplied by M where the problem needs M and by 1
+    otherwise; every term is nonnegative by construction.
     """
-    buy_weight = seq.M if seq.problem in ("SROB", "MROB", "CFL") else 1.0
+    fmt = PROBLEMS[seq.problem]
     out = CostBreakdown()
-    out.buy = buy_weight * sol.bought_cost(m)
+    out.buy = (seq.M if fmt.needs_M else 1.0) * sol.bought_cost(m)
     out.rent = sol.rent_cost(m)
-    if seq.problem == "PCST":
-        pi = {i: seq.requests[i][1] for i in range(len(seq.requests))}
-        out.penalty = sum(pi[i] for i in sol.penalties_paid)
-    if seq.problem == "CFL":
+    if "pi" in fmt.fields:
+        out.penalty = sum(seq.requests[i][1] for i in sol.penalties_paid)
+    if fmt.facilities:
         costs = dict(seq.facilities)
         out.opening = sum(costs[x] for x in sol.opened)
         out.rent = sum(
@@ -333,52 +423,9 @@ def solution_cost(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace)
 
 def check_feasible(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace):
     """Per-request feasibility booleans against the final solution state."""
-    n = m.n
-    base = sol.bought_components(n)
-    out = []
-    for idx in range(len(seq.requests)):
-        req = seq.requests[idx]
-        if seq.problem in ("SteinerTree", "SROB"):
-            out.append(_connected_with_rents(base, sol.rented.get(idx, ()), req, seq.root))
-        elif seq.problem in ("SteinerForest", "MROB"):
-            out.append(_connected_with_rents(base, sol.rented.get(idx, ()), req[0], req[1]))
-        elif seq.problem == "SteinerNetwork":
-            s, t, r = req
-            if s == t or m.coincident(s, t):
-                out.append(True)
-            else:
-                cap = {}
-                for (u, v), mult in sol.bought.items():
-                    cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + mult
-                    cap.setdefault(v, {})[u] = cap.get(v, {}).get(u, 0) + mult
-                out.append(max_flow(cap, s, t, limit=r) >= r)
-        elif seq.problem == "PCST":
-            i = req[0]
-            ok = idx in sol.penalties_paid or base.connected(i, seq.root) or m.coincident(i, seq.root)
-            out.append(ok)
-        elif seq.problem == "CFL":
-            x = sol.assignments.get(idx)
-            ok = x is not None and (x in sol.opened or x == seq.root)
-            if ok and x != seq.root:
-                ok = base.connected(x, seq.root) or m.coincident(x, seq.root)
-            out.append(ok)
-    return out
-
-
-def _connected_with_rents(base: UnionFind, rents, a: int, b: int) -> bool:
-    if a == b or base.connected(a, b):
-        return True
-    # rents are per-request direct edges; splice them on top of the bought components
-    reach = {base.find(a)}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in rents:
-            ru, rv = base.find(u), base.find(v)
-            if (ru in reach) != (rv in reach):
-                reach.update((ru, rv))
-                changed = True
-    return base.find(b) in reach
+    base = sol.bought_components(m.n)
+    feasible = PROBLEMS[seq.problem].feasible
+    return [feasible(sol, seq, m, base, idx) for idx in range(len(seq.requests))]
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +470,6 @@ class RunTrace:
     def add(self, rec: RequestRecord) -> None:
         self.records.append(rec)
 
-    def by_class(self, decision=None):
-        """Map class j -> list of records, optionally filtered by decision tag."""
-        out = {}
-        for rec in self.records:
-            if rec.klass is None:
-                continue
-            if decision is not None and rec.decision != decision:
-                continue
-            out.setdefault(rec.klass, []).append(rec)
-        return out
-
     def total_cost(self) -> float:
         return sum(rec.cost for rec in self.records)
 
@@ -471,23 +507,11 @@ def instance_from_dict(doc: dict):
     if "problem" not in doc or "requests" not in doc:
         raise SchemaError("instance needs 'problem' and 'requests'")
     m = build_metric(doc.get("points", doc.get("matrix")))
-    problem = doc["problem"]
+    fmt = problem_format(doc["problem"])
     reqs = []
     for i, raw in enumerate(doc["requests"]):
         try:
-            if problem in ("SteinerTree", "SROB", "CFL"):
-                reqs.append(int(raw))
-            elif problem in ("SteinerForest", "MROB"):
-                s, t = raw
-                reqs.append((int(s), int(t)))
-            elif problem == "SteinerNetwork":
-                s, t, r = raw
-                reqs.append((int(s), int(t), int(r)))
-            elif problem == "PCST":
-                p, pi = raw
-                reqs.append((int(p), float(pi)))
-            else:
-                raise SchemaError(f"unknown problem {problem!r}")
+            reqs.append(fmt.parse(raw))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed request {i}: {raw!r}") from exc
     facilities = None
@@ -499,15 +523,13 @@ def instance_from_dict(doc: dict):
             facilities.append((int(f["point"]), float(f["cost"])))
         facilities = tuple(facilities)
     seq = RequestSequence(
-        problem=problem,
+        problem=doc["problem"],
         requests=tuple(reqs),
         root=doc.get("root"),
         M=doc.get("M"),
         facilities=facilities,
     )
     seq.validate_points(m.n)
-    if problem == "PCST" and any(pi < 0 for _, pi in seq.requests):
-        raise SchemaError("penalties must be >= 0")
     return m, seq
 
 
@@ -530,8 +552,3 @@ def instance_to_dict(m: MetricSpace, seq: RequestSequence, points=None) -> dict:
         doc["facilities"] = [{"point": p, "cost": c} for p, c in seq.facilities]
     return doc
 
-
-def dump_instance(path, m: MetricSpace, seq: RequestSequence, points=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(m, seq, points), fh, sort_keys=True)
-        fh.write("\n")

@@ -17,12 +17,11 @@ from .metric import (
     MultiGraphSolution,
     RequestRecord,
     RunTrace,
+    exceeds,
     floor_log2,
     pow2,
 )
-from .steiner import _nearest
-
-_RTOL = 1e-9
+from .steiner import _nearest, check_class_separation
 
 
 def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
@@ -48,51 +47,32 @@ def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
         near = [(ridx, p, rho) for ridx, p, rho in pool if m.dist(i, p) < radius]
         have = sum(rho for _, _, rho in near)
         deficit = pow2(j + 1) - have
-        if deficit <= 0:
-            rho = 0.0
-            buying = True
-        elif pi >= deficit:
-            rho = deficit
-            buying = True
-        else:
-            rho = pi
-            buying = False
+        buying = deficit <= 0 or pi >= deficit
+        rho = 0.0 if deficit <= 0 else min(pi, deficit)
         pool.append((idx, i, rho))
         witnesses = tuple(ridx for ridx, _, _ in near) + (idx,)
         if buying:
             sol.buy(i, z)
             buys.append(i)
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="buy",
-                    points=(i,),
-                    a=a,
-                    klass=j,
-                    cost=a,
-                    witnesses=witnesses,
-                    attach=z,
-                    rho=rho,
-                    pi=pi,
-                    edges=((i, z, None),),
-                )
-            )
+            decision, cost, edges = "buy", a, ((i, z, None),)
         else:
             sol.penalties_paid.add(idx)
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="penalty",
-                    points=(i,),
-                    a=a,
-                    klass=j,
-                    cost=pi,
-                    witnesses=witnesses,
-                    attach=z,
-                    rho=rho,
-                    pi=pi,
-                )
+            decision, cost, edges = "penalty", pi, ()
+        trace.add(
+            RequestRecord(
+                idx=idx,
+                decision=decision,
+                points=(i,),
+                a=a,
+                klass=j,
+                cost=cost,
+                witnesses=witnesses,
+                attach=z,
+                rho=rho,
+                pi=pi,
+                edges=edges,
             )
+        )
     return sol, trace
 
 
@@ -120,22 +100,20 @@ def check_pcst_invariants(trace: RunTrace, m: MetricSpace, t_ext: Hst = None, po
     out, flags = [], []
     shares = total_share(trace)
     total = trace.total_cost()
-    if total > 2 * shares * (1 + _RTOL) + 1e-12:
+    if exceeds(total, 2 * shares):
         out.append(f"total cost {total:g} > 2 * sum(rho) = {2 * shares:g}")
     for rec in trace.records:
         if rec.rho is not None and rec.pi is not None and rec.rho > rec.pi:
             out.append(f"request {rec.idx}: rho {rec.rho:g} > pi {rec.pi:g}")
-    from .steiner import check_class_separation
-
     out += check_class_separation(trace, m)
 
     if t_ext is not None:
         rep = point_rep or (lambda p: p)
         root_rep = rep(trace.root)
-        rows_by_class = {}
-        for rec in trace.records:
-            if rec.klass is not None and (rec.rho or 0.0) > 0:
-                rows_by_class.setdefault(rec.klass, []).append((rep(rec.points[0]), rec.rho))
+        rows_by_class = {
+            c: [(rep(p), rho) for p, rho, _ in rows]
+            for c, rows in positive_share_rows(trace).items()
+        }
         for j in check_levels(t_ext):
             rows = rows_by_class.get(j + 1)
             if not rows:
@@ -147,8 +125,8 @@ def check_pcst_invariants(trace: RunTrace, m: MetricSpace, t_ext: Hst = None, po
                     continue
                 if root_rep in cut:
                     out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
-                elif inside > hard * (1 + _RTOL):
+                elif exceeds(inside, hard, atol=0.0):
                     out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")
-                elif inside > soft * (1 + _RTOL):
+                elif exceeds(inside, soft, atol=0.0):
                     flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
     return out, flags

@@ -27,7 +27,7 @@ from .metric import (
     floor_log2,
     pow2,
 )
-from .steiner import BcForest, _nearest
+from .steiner import BcForest, _nearest, run_greedy_st
 
 
 def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
@@ -88,38 +88,23 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
             endpoint = "s" if len(ws) < M else "t"
             rents.setdefault(j, []).append((idx, s if endpoint == "s" else t))
             sol.rent(idx, s, t)
-            trace.add(
-                RequestRecord(
-                    idx=idx,
-                    decision="rent",
-                    points=(s, t),
-                    a=d,
-                    klass=j,
-                    cost=d,
-                    witnesses=ws,
-                    witnesses_t=wt,
-                    rent_endpoint=endpoint,
-                    feasible_now=True,
-                )
-            )
-            continue
-        _, added = bc.add_pair(s, t)
-        cost = 0.0
-        for u, v, _ in added:
-            sol.buy(u, v)
-            cost += M * m.dist(u, v)
+            decision, cost, edges, feasible = "rent", d, (), True
+        else:
+            _, cost, edges = bc.buy_pair(sol, s, t, weight=M)
+            decision, endpoint, feasible = "buy", None, bc.uf.connected(s, t)
         trace.add(
             RequestRecord(
                 idx=idx,
-                decision="buy",
+                decision=decision,
                 points=(s, t),
                 a=d,
                 klass=j,
                 cost=cost,
                 witnesses=ws,
                 witnesses_t=wt,
-                edges=tuple(e for e in added if e[2] is not None),
-                feasible_now=bc.uf.connected(s, t),
+                rent_endpoint=endpoint,
+                edges=edges,
+                feasible_now=feasible,
             )
         )
     trace.summary = {"bc": bc.summary()}
@@ -259,8 +244,6 @@ def check_greedy_replay(trace: RunTrace, m: MetricSpace, sol: MultiGraphSolution
     Zero-length edges (coincident auto-connects) are excluded on both sides;
     they carry no cost and their attachment point is representation detail.
     """
-    from .steiner import run_greedy_st
-
     if trace.problem not in ("SROB", "PCST"):
         return []
     buy_points = [rec.points[0] for rec in trace.records if rec.decision == "buy"]

@@ -71,6 +71,15 @@ class BcForest:
                             added.append((x, v, None))
         return klass, added
 
+    def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, copies: int = 1, weight=1):
+        """add_pair, buying `copies` of each edge: (class, weight * length, leveled edges)."""
+        klass, added = self.add_pair(s, t)
+        cost = 0.0
+        for u, v, _ in added:
+            sol.buy(u, v, copies=copies)
+            cost += weight * self.m.dist(u, v)
+        return klass, cost, tuple(e for e in added if e[2] is not None)
+
     def summary(self) -> dict:
         return {
             "A": {j: list(edges) for j, edges in sorted(self.levels.items())},
@@ -81,12 +90,8 @@ class BcForest:
 
 def _nearest(m: MetricSpace, i: int, candidates):
     """Nearest candidate point; ties to the earliest list position."""
-    best, best_d = None, None
-    for p in candidates:
-        d = m.dist(i, p)
-        if best_d is None or d < best_d:
-            best, best_d = p, d
-    return best, best_d
+    best = candidates[int(m.d[i, candidates].argmin())]
+    return best, m.dist(i, best)
 
 
 def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
@@ -127,11 +132,7 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
     trace = RunTrace(problem="SteinerForest")
     bc = BcForest(m)
     for idx, (s, t) in enumerate(pairs):
-        klass, added = bc.add_pair(s, t)
-        cost = 0.0
-        for u, v, _ in added:
-            sol.buy(u, v)
-            cost += m.dist(u, v)
+        klass, cost, edges = bc.buy_pair(sol, s, t)
         if klass is None:
             trace.add(RequestRecord(idx=idx, decision="auto", points=(s, t), a=0.0))
             continue
@@ -143,7 +144,7 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
                 a=m.dist(s, t),
                 klass=klass,
                 cost=cost,
-                edges=tuple(e for e in added if e[2] is not None),
+                edges=edges,
                 feasible_now=bc.uf.connected(s, t),
             )
         )
@@ -170,15 +171,7 @@ def run_sn(m: MetricSpace, requests) -> tuple:
         lev = floor_log2(float(req))
         copies = 2 ** (lev + 1)
         bc = instances.setdefault(lev, BcForest(m))
-        klass, added = bc.add_pair(s, t)
-        cost = 0.0
-        for u, v, _ in added:
-            sol.buy(u, v, copies=copies)
-            cost += copies * m.dist(u, v)
-        cap = {}
-        for (u, v), mult in sol.bought.items():
-            cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + mult
-            cap.setdefault(v, {})[u] = cap.get(v, {}).get(u, 0) + mult
+        klass, cost, edges = bc.buy_pair(sol, s, t, copies=copies, weight=copies)
         trace.add(
             RequestRecord(
                 idx=idx,
@@ -187,10 +180,10 @@ def run_sn(m: MetricSpace, requests) -> tuple:
                 a=m.dist(s, t),
                 klass=klass,
                 cost=cost,
-                edges=tuple(e for e in added if e[2] is not None),
+                edges=edges,
                 level=lev,
                 copies=copies,
-                feasible_now=max_flow(cap, s, t, limit=req) >= req,
+                feasible_now=max_flow(sol.capacity(), s, t, limit=req) >= req,
             )
         )
     trace.summary = {
@@ -213,18 +206,24 @@ def check_class_separation(trace: RunTrace, m: MetricSpace):
         entries = [r for r in trace.records if r.decision == "buy" and r.klass is not None]
     else:
         entries = [r for r in trace.records if r.klass is not None]
+    return [
+        f"class {j}: requests {a.idx},{b.idx} at distance {d:g} < 2^{j}"
+        for j, a, b, d in same_class_closer(entries, m, 0)
+    ]
+
+
+def same_class_closer(records, m: MetricSpace, shift: int):
+    """(j, a, b, d) for records a before b of class j at distance d < 2^(j+shift)."""
     by_class = {}
-    for rec in entries:
+    for rec in records:
         by_class.setdefault(rec.klass, []).append(rec)
-    out = []
     for j, recs in sorted(by_class.items()):
-        bound = pow2(j)
+        bound = pow2(j + shift)
         for i, a in enumerate(recs):
             for b in recs[i + 1:]:
                 d = m.dist(a.points[0], b.points[0])
                 if d < bound:
-                    out.append(f"class {j}: requests {a.idx},{b.idx} at distance {d:g} < 2^{j}")
-    return out
+                    yield j, a, b, d
 
 
 def _bc_summaries(trace: RunTrace):

@@ -13,7 +13,7 @@ requested w times forces w rents across each unbought edge on its root path.
 from __future__ import annotations
 
 from .errors import RootNotLeaf
-from .hst import Hst
+from .hst import Hst, check_levels, cuts_at_level
 from .metric import pow2
 
 
@@ -133,8 +133,6 @@ def pcst_cut_lower_bound(t: Hst, r: int, class_rho_pi) -> float:
     Levels run over the extended tree's charge range including the conventional
     singleton level 0.
     """
-    from .hst import check_levels, cuts_at_level
-
     total = 0.0
     for j in check_levels(t):
         rows = class_rho_pi.get(j + 1)

@@ -1,12 +1,11 @@
 """Runs algorithms, samples HSTs, and evaluates every charging-scheme
 guarantee as an executable check.
 
-Per-tree constants (per run, against the matching tree oracle):
-  Steiner tree 4, Steiner forest 4, Steiner network 16;
-  SROB cost 16 and share 8; MROB cost 32 and share 16;
-  PCST cost 16 and sum(rho) 8; CFL buy+rent 48 via share 16 and the
-  3x per-run bound.  Shares are sums of 2^(j+1) over rent terminals
-  (rho for PCST).
+`SPECS` holds one entry per problem: runner, per-run checks (names in
+`RUN_CHECKS`), per-tree checks with the constants of their bounds, and exact
+offline oracle.  Entries reach this module's functions through lambdas, so a
+call resolves each name when it happens.  Shares are sums of 2^(j+1) over
+rent terminals (rho for PCST).
 
 Trees are sampled over the distinct positions of the arrived terminals
 (coincident request points collapse onto a representative; oracles see their
@@ -16,9 +15,12 @@ rent-or-buy style checks.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
 
+from . import exact
 from .errors import OndesignError
 from .cfl import (
     cfl_buy_rent_cost,
@@ -27,7 +29,15 @@ from .cfl import (
     run_cfl,
 )
 from .hst import extend_singleton_levels, sample_frt, tree_distance, validate_hst
-from .metric import MetricSpace, RequestSequence, check_feasible, solution_cost
+from .metric import (
+    RTOL,
+    MetricSpace,
+    RequestSequence,
+    check_feasible,
+    exceeds,
+    pow2,
+    solution_cost,
+)
 from .prize import check_pcst_invariants, positive_share_rows, run_pcst, total_share
 from .rentorbuy import (
     check_cut_capacity,
@@ -57,69 +67,230 @@ from .tree_opt import (
     pcst_cut_lower_bound,
 )
 
-_RTOL = 1e-9
 
-PER_TREE_CONSTANTS = {
-    "SteinerTree": {"cost_vs_tree": 4.0},
-    "SteinerForest": {"cost_vs_tree": 4.0},
-    "SteinerNetwork": {"cost_vs_tree": 16.0},
-    "SROB": {"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
-    "MROB": {"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
-    "PCST": {"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
-    "CFL": {"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
+# ---------------------------------------------------------------------------
+# Per-run checks: name -> check(m, seq, sol, trace) -> violations.  A forged
+# trace has no solution, so the checks it gets must not read `sol`.
+# ---------------------------------------------------------------------------
+
+def _share_identity(m, seq, sol, trace):
+    lhs = trace.total_cost()
+    rhs = sum(pow2(r.klass + 1) for r in trace.records if r.klass is not None)
+    return [f"sum a_i = {lhs:g} > share {rhs:g}"] if exceeds(lhs, rhs, atol=0.0) else []
+
+
+def _vs_share(label, factor, cost):
+    """The check cost(trace, m) <= factor * the rent share."""
+
+    def check(m, seq, sol, trace):
+        lhs, share = cost(trace, m), cost_share(trace)
+        if exceeds(lhs, factor * share):
+            return [f"{label} {lhs:g} > {factor} * share {share:g}"]
+        return []
+
+    return check
+
+
+RUN_CHECKS = {
+    "class_separation": lambda m, seq, sol, trace: check_class_separation(trace, m),
+    "share_identity": _share_identity,
+    "bc_edge_property": lambda m, seq, sol, trace: check_bc_edge_property(trace, m),
+    "sn_decomposition": lambda m, seq, sol, trace: check_sn_decomposition(trace, sol),
+    "cost_vs_share": _vs_share("cost", 2, lambda trace, m: trace.total_cost()),
+    "witness_disjointness": lambda m, seq, sol, trace: check_witness_disjointness(trace, m),
+    "greedy_replay": lambda m, seq, sol, trace: check_greedy_replay(trace, m, sol),
+    "pcst_run_invariants": lambda m, seq, sol, trace: check_pcst_invariants(trace, m)[0],
+    "cfl_invariants": lambda m, seq, sol, trace: check_cfl_invariants(trace, m),
+    "cfl_cost_split": lambda m, seq, sol, trace: check_cfl_cost_split(trace, m),
+    "buyrent_vs_share": _vs_share("M c(H) + rents =", 3, cfl_buy_rent_cost),
+}
+
+
+# ---------------------------------------------------------------------------
+# Per-tree checks: check(tally, m, seq, trace, tree, rep, weights), where rep
+# maps a point to its representative leaf and weights counts requests per leaf.
+# ---------------------------------------------------------------------------
+
+class _Tally:
+    """One sampled tree's violations, flags and ratio per bound."""
+
+    def __init__(self, constants):
+        self.constants = constants
+        self.out, self.flags, self.ratios = [], [], {}
+
+    def bound(self, name, lhs, rhs, constant=None):
+        """lhs <= factor * rhs, the factor being constants[constant or name]."""
+        factor = self.constants[constant or name]
+        self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
+        if exceeds(lhs, factor * rhs):
+            self.out.append(f"{name}: {lhs:g} > {factor:g} * {rhs:g}")
+
+
+def _pairs(trace, rep):
+    return [(rep(s), rep(u)) for s, u in (r.points for r in trace.records)]
+
+
+def _metagraph(m, trace, t, rep):
+    return check_metagraph_acyclic(trace, covers_from_tree(t, trace, rep), m, rep)
+
+
+def _tree_st(tally, m, seq, trace, t, rep, weights):
+    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_tree(t))
+
+
+def _tree_sf(tally, m, seq, trace, t, rep, weights):
+    opt = opt_tree_steiner_forest(t, _pairs(trace, rep))
+    tally.bound("cost_vs_tree", trace.total_cost(), opt)
+    tally.out += _metagraph(m, trace, t, rep)
+
+
+def _tree_sn(tally, m, seq, trace, t, rep, weights):
+    reqs = [seq.requests[r.idx][2] for r in trace.records]
+    opt = opt_tree_steiner_network(t, _pairs(trace, rep), reqs)
+    tally.bound("cost_vs_tree", trace.total_cost(), opt)
+    tally.out += _metagraph(m, trace, t, rep)
+
+
+def _tree_rob_single(cost_name, cost):
+    """SROB and CFL: share and cost(trace, m) against the rent-or-buy tree optimum."""
+
+    def check(tally, m, seq, trace, t, rep, weights):
+        t_ext = extend_singleton_levels(t, -2)
+        opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
+        tally.bound("share_vs_tree", cost_share(trace), opt)
+        tally.bound(cost_name, cost(trace, m), opt)
+        tally.out += check_cut_capacity(trace, t_ext, root=seq.root, point_rep=rep)
+
+    return check
+
+
+_tree_srob = _tree_rob_single("cost_vs_tree", lambda trace, m: trace.total_cost())
+_tree_cfl = _tree_rob_single("buyrent_vs_tree", cfl_buy_rent_cost)
+
+
+def _tree_mrob(tally, m, seq, trace, t, rep, weights):
+    t_ext = extend_singleton_levels(t, -2)
+    opt = opt_tree_rob_multi(t_ext, _pairs(trace, rep), seq.M)
+    tally.bound("share_vs_tree", cost_share(trace), opt)
+    tally.bound("cost_vs_tree", trace.total_cost(), opt)
+    tally.out += check_cut_capacity(trace, t_ext, point_rep=rep)
+    tally.out += _metagraph(m, trace, t_ext, rep)
+
+
+def _tree_pcst(tally, m, seq, trace, t, rep, weights):
+    t_ext = extend_singleton_levels(t, -2)
+    tree_viol, tree_flags = check_pcst_invariants(trace, m, t_ext, rep)
+    tally.out += tree_viol
+    tally.flags += tree_flags
+    rows = {
+        c: [(rep(p), rho, pi) for p, rho, pi in lst]
+        for c, lst in positive_share_rows(trace).items()
+    }
+    share = total_share(trace)
+    lb = pcst_cut_lower_bound(t_ext, rep(seq.root), rows)
+    opt = opt_tree_pcst(t_ext, rep(seq.root), [(rep(p), pi) for p, pi in seq.requests])
+    # the cut lower bound is held to the share constant
+    tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
+    tally.bound("share_vs_tree", share, opt)
+    tally.bound("cost_vs_tree", trace.total_cost(), opt)
+
+
+# ---------------------------------------------------------------------------
+# The problem table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    run: Callable            # (m, seq) -> (solution, trace)
+    run_checks: tuple        # RUN_CHECKS names, after cost and feasibility
+    tree_checks: Callable    # see _Tally
+    constants: dict          # per-tree bound name -> factor
+    optimum: Callable        # (m, seq) -> exact offline optimum
+    forged_checks: tuple = ()  # RUN_CHECKS names a forged trace gets after class_separation
+    trace_cost: Callable = lambda m, seq, sol, trace: trace.total_cost()
+
+
+def _cfl_trace_cost(m, seq, sol, trace):
+    """The trace carries assignment costs; buying and opening come from sol."""
+    costs = dict(seq.facilities)
+    return (
+        trace.total_cost()
+        + (seq.M or 0.0) * sol.bought_cost(m)
+        + sum(costs[x] for x in sol.opened)
+    )
+
+
+SPECS = {
+    "SteinerTree": ProblemSpec(
+        run=lambda m, seq: run_greedy_st(m, seq.root, seq.requests),
+        run_checks=("class_separation", "share_identity"),
+        tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
+        optimum=lambda m, seq: exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root}),
+    ),
+    "SteinerForest": ProblemSpec(
+        run=lambda m, seq: run_bc_sf(m, seq.requests),
+        run_checks=("bc_edge_property",),
+        tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
+        optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
+    ),
+    "SteinerNetwork": ProblemSpec(
+        run=lambda m, seq: run_sn(m, seq.requests),
+        run_checks=("bc_edge_property", "sn_decomposition"),
+        tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
+        optimum=lambda m, seq: exact.exact_sn_tiny(
+            m, [(s, t) for s, t, _ in seq.requests], [r for _, _, r in seq.requests]
+        ),
+    ),
+    "SROB": ProblemSpec(
+        run=lambda m, seq: run_srob(m, seq.root, seq.requests, seq.M),
+        run_checks=("cost_vs_share", "witness_disjointness", "class_separation", "greedy_replay"),
+        forged_checks=("witness_disjointness",),
+        tree_checks=_tree_srob, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
+        optimum=lambda m, seq: exact.exact_srob(m, seq.root, seq.requests, seq.M),
+    ),
+    "MROB": ProblemSpec(
+        run=lambda m, seq: run_mrob(m, seq.requests, seq.M),
+        run_checks=("cost_vs_share", "witness_disjointness", "bc_edge_property"),
+        forged_checks=("witness_disjointness",),
+        tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
+        optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
+    ),
+    "CFL": ProblemSpec(
+        run=lambda m, seq: run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M),
+        run_checks=("cfl_invariants", "cfl_cost_split", "buyrent_vs_share"),
+        forged_checks=("cfl_invariants",),
+        tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
+        optimum=lambda m, seq: exact.exact_cfl(
+            m, list(seq.facilities), seq.requests, seq.M, seq.root
+        ),
+        trace_cost=_cfl_trace_cost,
+    ),
+    "PCST": ProblemSpec(
+        run=lambda m, seq: run_pcst(m, seq.root, seq.requests),
+        run_checks=("pcst_run_invariants", "greedy_replay"),
+        forged_checks=("pcst_run_invariants",),
+        tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
+        optimum=lambda m, seq: exact.exact_pcst(m, seq.root, seq.requests),
+    ),
 }
 
 
 def run_problem(m: MetricSpace, seq: RequestSequence):
-    p = seq.problem
-    if p == "SteinerTree":
-        return run_greedy_st(m, seq.root, seq.requests)
-    if p == "SteinerForest":
-        return run_bc_sf(m, seq.requests)
-    if p == "SteinerNetwork":
-        return run_sn(m, seq.requests)
-    if p == "SROB":
-        return run_srob(m, seq.root, seq.requests, seq.M)
-    if p == "MROB":
-        return run_mrob(m, seq.requests, seq.M)
-    if p == "CFL":
-        return run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M)
-    if p == "PCST":
-        return run_pcst(m, seq.root, seq.requests)
-    raise ValueError(f"no algorithm for problem {p!r}")
+    return SPECS[seq.problem].run(m, seq)
 
 
 def position_reps(m: MetricSpace, points):
     """Collapse coincident positions: point -> lowest-index representative."""
     pts = sorted(set(points))
-    rep = {}
-    for p in pts:
-        for q in pts:
-            if m.dist(p, q) == 0.0:
-                rep[p] = q
-                break
-    return rep
+    return {p: next(q for q in pts if m.dist(p, q) == 0.0) for p in pts}
 
 
 def tree_points(m: MetricSpace, seq: RequestSequence):
     """(representatives, rep map, per-rep request multiplicities)."""
-    pts = []
-    for idx in range(len(seq.requests)):
-        pts.extend(seq.request_points(idx))
-    base = list(pts)
-    if seq.root is not None:
-        base.append(seq.root)
-    rep = position_reps(m, base)
-    weights = {}
-    for p in pts:
-        weights[rep[p]] = weights.get(rep[p], 0) + 1
+    pts = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
+    rep = position_reps(m, pts + ([] if seq.root is None else [seq.root]))
+    weights = Counter(rep[p] for p in pts)
     return sorted(set(rep.values())), rep, weights
-
-
-def _bounded(name, lhs, factor, rhs, violations, ratios):
-    ratios[name] = max(ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
-    if lhs > factor * rhs * (1 + _RTOL) + 1e-12:
-        violations.append(f"{name}: {lhs:g} > {factor:g} * {rhs:g}")
 
 
 def check_tree_bounds(m, seq, trace, tree_seed):
@@ -127,146 +298,41 @@ def check_tree_bounds(m, seq, trace, tree_seed):
 
     Returns (violations, flags, ratios) for this tree.
     """
-    problem = seq.problem
     reps, rep, weights = tree_points(m, seq)
-    out, flags, ratios = [], [], {}
     if not reps:
-        return out, flags, ratios
+        return [], [], {}
     t = sample_frt(m, reps, tree_seed)
     bad = validate_hst(t, m)
     if bad:
-        return [f"invalid tree: {bad[0]}"] + bad[1:], flags, ratios
-    rfun = rep.get
-
-    if problem == "SteinerTree":
-        _bounded("cost_vs_tree", trace.total_cost(), 4.0, opt_tree_steiner_tree(t), out, ratios)
-    elif problem in ("SteinerForest", "SteinerNetwork"):
-        pairs = [(rfun(s), rfun(u)) for s, u in (r.points for r in trace.records)]
-        if problem == "SteinerForest":
-            opt = opt_tree_steiner_forest(t, pairs)
-            _bounded("cost_vs_tree", trace.total_cost(), 4.0, opt, out, ratios)
-        else:
-            reqs = [seq.requests[r.idx][2] for r in trace.records]
-            opt = opt_tree_steiner_network(t, pairs, reqs)
-            _bounded("cost_vs_tree", trace.total_cost(), 16.0, opt, out, ratios)
-        covers = covers_from_tree(t, trace, rfun)
-        out += check_metagraph_acyclic(trace, covers, m, rfun)
-    elif problem == "SROB":
-        t_ext = extend_singleton_levels(t, -2)
-        opt = opt_tree_rob_single(t_ext, rfun(seq.root), seq.M, weights)
-        share = cost_share(trace)
-        _bounded("share_vs_tree", share, 8.0, opt, out, ratios)
-        _bounded("cost_vs_tree", trace.total_cost(), 16.0, opt, out, ratios)
-        out += check_cut_capacity(trace, t_ext, root=seq.root, point_rep=rfun)
-    elif problem == "MROB":
-        t_ext = extend_singleton_levels(t, -2)
-        pairs = [(rfun(s), rfun(u)) for s, u in (r.points for r in trace.records)]
-        opt = opt_tree_rob_multi(t_ext, pairs, seq.M)
-        share = cost_share(trace)
-        _bounded("share_vs_tree", share, 16.0, opt, out, ratios)
-        _bounded("cost_vs_tree", trace.total_cost(), 32.0, opt, out, ratios)
-        out += check_cut_capacity(trace, t_ext, point_rep=rfun)
-        covers = covers_from_tree(t_ext, trace, rfun)
-        out += check_metagraph_acyclic(trace, covers, m, rfun)
-    elif problem == "PCST":
-        t_ext = extend_singleton_levels(t, -2)
-        tree_viol, tree_flags = check_pcst_invariants(trace, m, t_ext, rfun)
-        out += tree_viol
-        flags += tree_flags
-        rows = {
-            c: [(rfun(p), rho, pi) for p, rho, pi in lst]
-            for c, lst in positive_share_rows(trace).items()
-        }
-        share = total_share(trace)
-        lb = pcst_cut_lower_bound(t_ext, rfun(seq.root), rows)
-        opt = opt_tree_pcst(
-            t_ext,
-            rfun(seq.root),
-            [(rfun(p), pi) for p, pi in seq.requests],
-        )
-        _bounded("share_vs_cut_lb", share, 8.0, lb, out, ratios)
-        _bounded("share_vs_tree", share, 8.0, opt, out, ratios)
-        _bounded("cost_vs_tree", trace.total_cost(), 16.0, opt, out, ratios)
-    elif problem == "CFL":
-        t_ext = extend_singleton_levels(t, -2)
-        opt = opt_tree_rob_single(t_ext, rfun(seq.root), seq.M, weights)
-        share = sum(
-            math.ldexp(1.0, rec.klass + 1)
-            for rec in trace.records
-            if rec.decision == "rent"
-        )
-        buyrent = cfl_buy_rent_cost(trace, m)
-        _bounded("share_vs_tree", share, 16.0, opt, out, ratios)
-        _bounded("buyrent_vs_tree", buyrent, 48.0, opt, out, ratios)
-        out += check_cut_capacity(trace, t_ext, root=seq.root, point_rep=rfun)
-    return out, flags, ratios
+        return [f"invalid tree: {bad[0]}"] + bad[1:], [], {}
+    spec = SPECS[seq.problem]
+    tally = _Tally(spec.constants)
+    spec.tree_checks(tally, m, seq, trace, t, rep.get, weights)
+    return tally.out, tally.flags, tally.ratios
 
 
 def per_run_checks(m, seq, sol, trace):
     """Each entry: (check name, list of violations)."""
-    checks = []
-    problem = seq.problem
-    breakdown = solution_cost(sol, seq, m)
-
-    def near(a, b):
-        return abs(a - b) <= _RTOL * max(1.0, abs(a), abs(b))
-
-    if problem == "CFL":
-        costs = dict(seq.facilities)
-        derived = (
-            trace.total_cost()
-            + (seq.M or 0.0) * sol.bought_cost(m)
-            + sum(costs[x] for x in sol.opened)
-        )
-    else:
-        derived = trace.total_cost()
-    checks.append(
-        ("cost_consistency", [] if near(breakdown.total, derived) else
-         [f"solution cost {breakdown.total:g} != trace cost {derived:g}"])
-    )
+    spec = SPECS[seq.problem]
+    total = solution_cost(sol, seq, m).total
+    derived = spec.trace_cost(m, seq, sol, trace)
+    near = abs(total - derived) <= RTOL * max(1.0, abs(total), abs(derived))
+    checks = [("cost_consistency", [] if near else
+               [f"solution cost {total:g} != trace cost {derived:g}"])]
     feas = check_feasible(sol, seq, m)
     prefix_bad = [
         f"request {rec.idx} infeasible at arrival" for rec in trace.records if not rec.feasible_now
     ] + [f"request {i} infeasible in final state" for i, ok in enumerate(feas) if not ok]
     checks.append(("online_feasibility", prefix_bad))
+    return checks + [(name, RUN_CHECKS[name](m, seq, sol, trace)) for name in spec.run_checks]
 
-    if problem == "SteinerTree":
-        checks.append(("class_separation", check_class_separation(trace, m)))
-        lhs = trace.total_cost()
-        rhs = sum(math.ldexp(1.0, r.klass + 1) for r in trace.records if r.klass is not None)
-        checks.append(("share_identity", [] if lhs <= rhs * (1 + _RTOL) else
-                       [f"sum a_i = {lhs:g} > share {rhs:g}"]))
-    elif problem in ("SteinerForest", "SteinerNetwork"):
-        checks.append(("bc_edge_property", check_bc_edge_property(trace, m)))
-        if problem == "SteinerNetwork":
-            checks.append(("sn_decomposition", check_sn_decomposition(trace, sol)))
-    elif problem in ("SROB", "MROB"):
-        share = cost_share(trace)
-        lhs = trace.total_cost()
-        checks.append(("cost_vs_share", [] if lhs <= 2 * share * (1 + _RTOL) + 1e-12 else
-                       [f"cost {lhs:g} > 2 * share {share:g}"]))
-        checks.append(("witness_disjointness", check_witness_disjointness(trace, m)))
-        if problem == "SROB":
-            checks.append(("class_separation", check_class_separation(trace, m)))
-            checks.append(("greedy_replay", check_greedy_replay(trace, m, sol)))
-        else:
-            checks.append(("bc_edge_property", check_bc_edge_property(trace, m)))
-    elif problem == "PCST":
-        viol, _ = check_pcst_invariants(trace, m)
-        checks.append(("pcst_run_invariants", viol))
-        checks.append(("greedy_replay", check_greedy_replay(trace, m, sol)))
-    elif problem == "CFL":
-        checks.append(("cfl_invariants", check_cfl_invariants(trace, m)))
-        checks.append(("cfl_cost_split", check_cfl_cost_split(trace, m)))
-        share = sum(
-            math.ldexp(1.0, rec.klass + 1)
-            for rec in trace.records
-            if rec.decision == "rent"
-        )
-        buyrent = cfl_buy_rent_cost(trace, m)
-        checks.append(("buyrent_vs_share", [] if buyrent <= 3 * share * (1 + _RTOL) + 1e-12 else
-                       [f"M c(H) + rents = {buyrent:g} > 3 * share {share:g}"]))
-    return checks
+
+def _map_trials(fn, trials, jobs):
+    """[fn(0), ..., fn(trials - 1)], on `jobs` threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, range(trials)))
+    return [fn(trial) for trial in range(trials)]
 
 
 def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
@@ -276,27 +342,15 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
     passed.  A forged trace replaces the algorithm's own run (solution-level
     checks are skipped for it).
     """
+    spec = SPECS[seq.problem]
     if forged_trace is None:
         sol, trace = run_problem(m, seq)
         checks = per_run_checks(m, seq, sol, trace)
-        cost = solution_cost(sol, seq, m)
-        cost_doc = {
-            "buy": cost.buy,
-            "rent": cost.rent,
-            "penalty": cost.penalty,
-            "opening": cost.opening,
-            "total": cost.total,
-        }
+        cost_doc = solution_cost(sol, seq, m).as_dict()
     else:
         trace = forged_trace
-        checks = [("class_separation", check_class_separation(trace, m))]
-        if trace.problem in ("SROB", "MROB"):
-            checks.append(("witness_disjointness", check_witness_disjointness(trace, m)))
-        if trace.problem == "PCST":
-            viol, _ = check_pcst_invariants(trace, m)
-            checks.append(("pcst_run_invariants", viol))
-        if trace.problem == "CFL":
-            checks.append(("cfl_invariants", check_cfl_invariants(trace, m)))
+        names = ("class_separation",) + spec.forged_checks
+        checks = [(name, RUN_CHECKS[name](m, seq, None, trace)) for name in names]
         cost_doc = {"total": trace.total_cost()}
 
     def one_trial(trial):
@@ -306,12 +360,7 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
             # malformed (e.g. forged) traces surface as violations, not crashes
             return [f"check error: {exc}"], [], {}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trial_results = list(pool.map(one_trial, range(trials)))
-    else:
-        trial_results = [one_trial(tr) for tr in range(trials)]
-
+    trial_results = _map_trials(one_trial, trials, jobs)
     ratios = {}
     flags = []
     tree_violations = []
@@ -330,7 +379,7 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
         "n": m.n,
         "seed": seed,
         "trials": trials,
-        "constants": PER_TREE_CONSTANTS[seq.problem],
+        "constants": spec.constants,
         "cost": cost_doc,
         "checks": {
             name: {"fail": len(viol), "violations": viol[:10]} for name, viol in checks
@@ -363,12 +412,7 @@ def embed_report(m, terminals, trials=200, seed=0, jobs=1):
                     stretch[(u, v)] = tree_distance(t, u, v) / d
         return bad, stretch
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(tr) for tr in range(trials)]
-
+    results = _map_trials(one, trials, jobs)
     invalid = sum(1 for bad, _ in results if bad)
     sums = {}
     for _, stretch in results:
@@ -388,24 +432,5 @@ def embed_report(m, terminals, trials=200, seed=0, jobs=1):
 
 
 def exact_optimum(m, seq):
-    """Dispatch to the matching offline oracle (raises TooLarge beyond caps)."""
-    from . import exact
-
-    p = seq.problem
-    if p == "SteinerTree":
-        return exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root})
-    if p == "SteinerForest":
-        return exact.exact_sf(m, seq.requests)
-    if p == "SteinerNetwork":
-        pairs = [(s, t) for s, t, _ in seq.requests]
-        reqs = [r for _, _, r in seq.requests]
-        return exact.exact_sn_tiny(m, pairs, reqs)
-    if p == "SROB":
-        return exact.exact_srob(m, seq.root, seq.requests, seq.M)
-    if p == "MROB":
-        return exact.exact_mrob(m, seq.requests, seq.M)
-    if p == "PCST":
-        return exact.exact_pcst(m, seq.root, seq.requests)
-    if p == "CFL":
-        return exact.exact_cfl(m, list(seq.facilities), seq.requests, seq.M, seq.root)
-    raise ValueError(p)
+    """The problem's exact offline optimum (raises TooLarge beyond caps)."""
+    return SPECS[seq.problem].optimum(m, seq)

@@ -170,3 +170,32 @@ def test_embed_single_point(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["pairs"] == 0 and rep["valid_rate"] == 1.0
+
+
+def test_verify_forged_cfl_rent_without_class_reports(tmp_path):
+    # a rent row with "klass": null is skipped by the share sum instead of crashing it
+    inst = write_instance(
+        tmp_path,
+        {"matrix": [[0, 4, 5], [4, 0, 1], [5, 1, 0]], "problem": "CFL", "root": 0, "M": 2.0,
+         "facilities": [{"point": 0, "cost": 0.0}, {"point": 2, "cost": 1.0}], "requests": [1, 2]},
+    )
+    base = {"witnesses": [], "witnesses_t": [], "edges": [], "rho": None, "pi": None,
+            "opened": None, "rent_endpoint": None, "level": None, "copies": None,
+            "feasible_now": True, "decision": "rent", "attach": 0, "sigma_hat": 0, "sigma": 0}
+    rows = [dict(base, idx=0, points=[1], a=4.0, klass=None, cost=4.0),
+            dict(base, idx=1, points=[2], a=5.0, klass=2, cost=5.0)]
+    trace_path = tmp_path / "forged.jsonl"
+    trace_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    out = tmp_path / "rep.json"
+    rc = main(["verify", inst, "--trace", str(trace_path), "--trials", "2", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads(out.read_text())
+    assert rep["problem"] == "CFL" and rep["violations"] > 0
+
+
+@pytest.mark.parametrize("command", ["gen", "ratio"])
+def test_unknown_problem_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", "Nope"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
