@@ -35,7 +35,7 @@ from .steiner import (
     run_greedy_st,
     run_sn,
 )
-from .rentorbuy import check_cut_capacity, check_witness_disjointness, run_mrob, run_srob
+from .rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses, run_mrob, run_srob
 from .cfl import check_cfl_invariants, run_cfl, run_ofl
 from .prize import check_pcst_invariants, run_pcst
 from .exact import (

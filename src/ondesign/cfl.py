@@ -13,6 +13,10 @@ opened.  With x the nearest open facility and a_i = d(i, x): a client is
 virtual when a_i <= 4 d(i, sigma_hat(i)) (assign to x, charge the virtual
 solution later); otherwise it buys when M same-class rent clients sit within
 2^(j-2) (open sigma_hat(i), buy the edge to x) and rents otherwise.
+
+The checks read each client's trace record (decision, a_i, class, witnesses,
+sigma_hat, the facility it opened) and the summary's F_hat (`f_hat`, opened
+virtual facilities in order); root, M and facility costs come from the instance.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def run_ofl(m: MetricSpace, facilities, clients, root: int) -> VirtualSolution:
 
 def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="CFL", root=root, M=M)
+    trace = RunTrace()
     ofl = OflState(m, facilities, root)
     facility_order = {p: k for k, (p, _) in enumerate(facilities)}
     open_set = [root]
@@ -155,12 +159,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                 edges=edges,
             )
         )
-    trace.summary = {
-        "f_hat": list(ofl.open_order),
-        "virtual_assign": list(ofl.assign),
-        "virtual_cost": ofl.cost(),
-        "facility_costs": {p: c for p, c in facilities},
-    }
+    trace.summary = {"f_hat": list(ofl.open_order)}
     return sol, trace
 
 
@@ -168,7 +167,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
 # Guarantee checks
 # ---------------------------------------------------------------------------
 
-def check_cfl_invariants(trace: RunTrace, m: MetricSpace):
+def check_cfl_invariants(trace: RunTrace, m: MetricSpace, root: int, M: float):
     """The five per-run facts of the buy/rent layer.
 
     (1) class-j buy clients pairwise >= 2^(j-1) apart; (2) c(H) <= sum 2 a_z;
@@ -184,13 +183,12 @@ def check_cfl_invariants(trace: RunTrace, m: MetricSpace):
     budget = sum(2 * rec.a for rec in buys)
     if exceeds(c_h, budget):
         out.append(f"c(H)={c_h:g} > sum 2 a_z = {budget:g}")
-    M = trace.M or 0.0
     share = cost_share(trace)
     buy_mass = sum(M * rec.a for rec in buys)
     if exceeds(buy_mass, share):
         out.append(f"sum M a_z = {buy_mass:g} > share {share:g}")
     f_hat = set(trace.summary.get("f_hat", ()))
-    opened = {trace.root} | {rec.opened for rec in buys if rec.opened is not None}
+    opened = {root} | {rec.opened for rec in buys if rec.opened is not None}
     if not opened <= f_hat:
         out.append(f"opened facilities {sorted(opened - f_hat)} outside F_hat")
     for rec in buys:
@@ -200,42 +198,31 @@ def check_cfl_invariants(trace: RunTrace, m: MetricSpace):
     return out
 
 
-def check_cfl_cost_split(trace: RunTrace, m: MetricSpace):
-    """Opening + virtual/buy assignment cost is covered by the virtual solution."""
-    costs = trace.summary.get("facility_costs", {})
-    f_hat = trace.summary.get("f_hat", ())
-    opened = {trace.root} | {
-        rec.opened for rec in trace.records if rec.decision == "buy" and rec.opened is not None
-    }
-    lhs = sum(costs.get(x, 0.0) for x in opened)
+def check_cfl_cost_split(trace: RunTrace, m: MetricSpace, facilities):
+    """Opening + virtual/buy assignment cost is covered by the virtual solution.
+
+    `facilities` are the instance's (point, cost) pairs; the root's cost is 0.
+    """
+    costs = dict(facilities)
+    buys = [rec for rec in trace.records if rec.decision == "buy"]
+    lhs = sum(costs.get(x, 0.0) for x in {rec.opened for rec in buys if rec.opened is not None})
     lhs += sum(rec.cost for rec in trace.records if rec.decision == "virtual")
-    lhs += sum(
-        m.dist(rec.points[0], rec.sigma_hat)
-        for rec in trace.records
-        if rec.decision == "buy"
-    )
-    rhs = sum(costs.get(x, 0.0) for x in f_hat)
+    lhs += sum(m.dist(rec.points[0], rec.sigma_hat) for rec in buys)
+    rhs = sum(costs.get(x, 0.0) for x in trace.summary.get("f_hat", ()))
     rhs += 4 * sum(
-        m.dist(rec.points[0], rec.sigma_hat)
-        for rec in trace.records
-        if rec.sigma_hat is not None
+        m.dist(rec.points[0], rec.sigma_hat) for rec in trace.records if rec.sigma_hat is not None
     )
     if exceeds(lhs, rhs):
         return [f"cost split: {lhs:g} > virtual budget {rhs:g}"]
     return []
 
 
-def cfl_buy_rent_cost(trace: RunTrace, m: MetricSpace) -> float:
+def cfl_buy_rent_cost(trace: RunTrace, m: MetricSpace, M: float) -> float:
     """M c(H) + rent assignment costs: the part charged to the tree optimum."""
-    M = trace.M or 0.0
     rents = sum(rec.cost for rec in trace.records if rec.decision == "rent")
     return M * _bought_length(trace, m) + rents
 
 
 def _bought_length(trace: RunTrace, m: MetricSpace) -> float:
     """c(H): the length of the edges the buy clients bought."""
-    return sum(
-        m.dist(rec.edges[0][0], rec.edges[0][1])
-        for rec in trace.records
-        if rec.decision == "buy" and rec.edges
-    )
+    return sum(m.dist(*rec.edges[0][:2]) for rec in trace.records if rec.decision == "buy" and rec.edges)

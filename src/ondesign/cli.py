@@ -94,9 +94,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     m, seq = _load(args)
-    forged = None
-    if args.trace:
-        forged = RunTrace.from_jsonl(args.trace, problem=seq.problem, root=seq.root, M=seq.M)
+    forged = RunTrace.from_jsonl(args.trace) if args.trace else None
     report = verify_run(m, seq, trials=args.trials, seed=args.seed, jobs=args.jobs, forged_trace=forged)
     _write(args.out, _json(report))
     return 4 if report["violations"] else 0
@@ -165,6 +163,17 @@ def cmd_embed(args) -> int:
     return 4 if report["invalid_trees"] else 0
 
 
+def _at_least(low):
+    """An argparse type: an integer >= low."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return int(text)
+
+    return integer
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="ondesign", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -172,8 +181,8 @@ def build_parser():
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--trials", type=_at_least(0), default=20)
+        p.add_argument("--jobs", type=_at_least(1), default=1)
 
     g = sub.add_parser("gen", help="generate an instance JSON")
     common(g)

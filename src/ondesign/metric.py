@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -356,10 +356,14 @@ class MultiGraphSolution:
         self.penalties_paid = set()
         self.opened = set()
         self.assignments = {}  # request idx -> facility point
+        self._capacity = {}  # bought multiplicities as symmetric {u: {v: cap}}
 
     def buy(self, u: int, v: int, copies: int = 1) -> None:
         key = (u, v) if u <= v else (v, u)
         self.bought[key] = self.bought.get(key, 0) + copies
+        for x, y in (key, key[::-1]):
+            row = self._capacity.setdefault(x, {})
+            row[y] = row.get(y, 0) + copies
 
     def rent(self, idx: int, u: int, v: int) -> None:
         self.rented.setdefault(idx, []).append((u, v) if u <= v else (v, u))
@@ -377,12 +381,8 @@ class MultiGraphSolution:
         return uf
 
     def capacity(self) -> dict:
-        """Bought multiplicities as the symmetric {u: {v: cap}} of max_flow."""
-        cap = {}
-        for (u, v), mult in self.bought.items():
-            cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + mult
-            cap.setdefault(v, {})[u] = cap.get(v, {}).get(u, 0) + mult
-        return cap
+        """Bought multiplicities as max_flow's symmetric {u: {v: cap}}; kept by `buy`, read-only."""
+        return self._capacity
 
 
 @dataclass
@@ -459,12 +459,11 @@ class RequestRecord:
 
 @dataclass
 class RunTrace:
-    """Per-request decisions plus end-of-run summaries; raw material for checks."""
+    """What a run decided: one record per request plus JSON-native end-of-run
+    summaries.  The instance (problem, root, M, ...) stays in the RequestSequence.
+    A JSONL file holds the records, then one line {"summary": ...}."""
 
-    problem: str
     records: list = field(default_factory=list)
-    root: Optional[int] = None
-    M: Optional[float] = None
     summary: dict = field(default_factory=dict)
 
     def add(self, rec: RequestRecord) -> None:
@@ -477,17 +476,27 @@ class RunTrace:
         with open(path, "w") as fh:
             for rec in self.records:
                 fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
+            fh.write(json.dumps({"summary": self.summary}, sort_keys=True) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path, problem="?", root=None, M=None) -> "RunTrace":
-        trace = cls(problem=problem, root=root, M=M)
-        with open(path) as fh:
-            for line in fh:
-                row = json.loads(line)
-                for key in ("points", "witnesses", "witnesses_t"):
-                    row[key] = tuple(row[key])
-                row["edges"] = tuple(tuple(e) for e in row["edges"])
-                trace.add(RequestRecord(**row))
+    def from_jsonl(cls, path) -> "RunTrace":
+        """The trace `to_jsonl` wrote; SchemaError if unreadable or malformed."""
+        trace = cls()
+        try:
+            with open(path) as fh:
+                for line, row in enumerate(map(json.loads, fh), 1):
+                    keys = set(row) if isinstance(row, dict) else None
+                    if keys == {"summary"} and isinstance(row["summary"], dict):
+                        trace.summary = row["summary"]
+                    elif keys == {f.name for f in fields(RequestRecord)}:
+                        trace.add(RequestRecord(**dict(
+                            row, points=tuple(row["points"]), witnesses=tuple(row["witnesses"]),
+                            witnesses_t=tuple(row["witnesses_t"]), edges=tuple(map(tuple, row["edges"])),
+                        )))
+                    else:
+                        raise ValueError(f"line {line} is neither a record nor the summary")
+        except (OSError, ValueError, TypeError) as exc:
+            raise SchemaError(f"trace {path}: {exc}") from exc
         return trace
 
 

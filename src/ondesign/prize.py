@@ -27,7 +27,7 @@ from .steiner import _nearest, check_class_separation
 def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
     """`requests` is a sequence of (terminal point, penalty >= 0)."""
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="PCST", root=root)
+    trace = RunTrace()
     buys = [root]
     classes = {}  # class j -> [(request idx, point, rho)]
     for idx, (i, pi) in enumerate(requests):
@@ -89,12 +89,12 @@ def positive_share_rows(trace: RunTrace) -> dict:
     return rows
 
 
-def check_pcst_invariants(trace: RunTrace, m: MetricSpace, t_ext: Hst = None, point_rep=None):
+def check_pcst_invariants(trace: RunTrace, m: MetricSpace, root: int, t_ext: Hst = None, point_rep=None):
     """Returns (violations, flags).
 
     Violations: total cost > 2 * sum(rho); same-class buys closer than 2^j;
     rho > pi; on the extended tree, a level-j cut whose class-(j+1) share sum
-    exceeds 2^(j+2) or is nonzero in the root's cut.  Flags (non-fatal): cut
+    exceeds 2^(j+2) or is nonzero in the cut holding `root`.  Flags (non-fatal): cut
     sums in (2^(j+1), 2^(j+2)], recorded for inspection.
     """
     out, flags = [], []
@@ -109,7 +109,7 @@ def check_pcst_invariants(trace: RunTrace, m: MetricSpace, t_ext: Hst = None, po
 
     if t_ext is not None:
         rep = point_rep or (lambda p: p)
-        root_rep = rep(trace.root)
+        root_rep = rep(root)
         rows_by_class = {
             c: [(rep(p), rho) for p, rho, _ in rows]
             for c, rows in positive_share_rows(trace).items()

@@ -32,7 +32,7 @@ from .steiner import BcForest, _nearest, run_greedy_st
 
 def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="SROB", root=root, M=M)
+    trace = RunTrace()
     buys = [root]                 # Z, arrival order, root first
     rents = {}                    # class j -> [(request idx, point)]
     for idx, i in enumerate(terminals):
@@ -71,8 +71,8 @@ def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
 
 def run_mrob(m: MetricSpace, pairs, M) -> tuple:
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="MROB", M=M)
-    bc = BcForest(m)
+    trace = RunTrace()
+    bc = BcForest(m, 1)
     rents = {}  # class j -> [(request idx, point)]
     for idx, (s, t) in enumerate(pairs):
         d = m.dist(s, t)
@@ -107,7 +107,7 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
                 feasible_now=feasible,
             )
         )
-    trace.summary = {"bc": bc.summary()}
+    trace.summary = {"forests": [bc.summary()]}
     return sol, trace
 
 
@@ -124,44 +124,42 @@ def cost_share(trace: RunTrace) -> float:
     return total
 
 
-def check_witness_disjointness(trace: RunTrace, m: MetricSpace):
-    """Buy terminals' recorded witness sets must be disjoint subsets of R_j.
-
-    SROB: class-j buy terminals are pairwise >= 2^j apart (greedy separation)
-    and their witness sets are disjoint with |W| >= M.  MROB: per class j, the
-    greedy maximal 2^(j-1)-separated subset Z'_j of the class-j buy endpoints
-    (arrival order, s before t) must have disjoint witness sets, each a size->=M
-    subset of R_j.
-    """
-    out = []
-    M = trace.M if trace.M is not None else 0.0
-    rent_class = {
-        rec.idx: rec.klass for rec in trace.records if rec.decision == "rent"
-    }
-    if trace.problem == "SROB":
-        groups = {}
-        for rec in trace.records:
-            if rec.decision == "buy":
-                groups.setdefault(rec.klass, []).append(
-                    (rec.idx, rec.points[0], set(rec.witnesses))
-                )
-        for j, rows in sorted(groups.items()):
-            out += _witness_rows(rows, j, pow2(j), M, rent_class, m)
-    elif trace.problem == "MROB":
-        groups = {}
-        for rec in trace.records:
-            if rec.decision == "buy":
-                s, t = rec.points
-                groups.setdefault(rec.klass, []).append((rec.idx, s, set(rec.witnesses)))
-                groups.setdefault(rec.klass, []).append((rec.idx, t, set(rec.witnesses_t)))
-        for j, rows in sorted(groups.items()):
-            sep = pow2(j - 1)
-            kept = []
-            for row in rows:
-                if all(m.dist(row[1], prev[1]) >= sep for prev in kept):
-                    kept.append(row)
-            out += _witness_rows(kept, j, None, M, rent_class, m)
+def check_srob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
+    """SROB: class-j buy terminals are pairwise >= 2^j apart (greedy
+    separation); their witness sets are disjoint size->=M subsets of R_j."""
+    out, rent_class = [], _rent_classes(trace)
+    for j, rows in _buy_rows(trace, (0,)):
+        out += _witness_rows(rows, j, pow2(j), M, rent_class, m)
     return out
+
+
+def check_mrob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
+    """MROB: per class j, the greedy maximal 2^(j-1)-separated subset Z'_j of
+    the class-j buy endpoints (arrival order, s before t) must have disjoint
+    witness sets, each a size->=M subset of R_j."""
+    out, rent_class = [], _rent_classes(trace)
+    for j, rows in _buy_rows(trace, (0, 1)):
+        kept = []
+        for row in rows:
+            if all(m.dist(row[1], prev[1]) >= pow2(j - 1) for prev in kept):
+                kept.append(row)
+        out += _witness_rows(kept, j, None, M, rent_class, m)
+    return out
+
+
+def _buy_rows(trace: RunTrace, ends):
+    """[(j, [(idx, point, witness set)])] over the buy records' endpoints `ends`."""
+    groups = {}
+    for rec in trace.records:
+        if rec.decision == "buy":
+            for e in ends:
+                wit = (rec.witnesses, rec.witnesses_t)[e]
+                groups.setdefault(rec.klass, []).append((rec.idx, rec.points[e], set(wit)))
+    return sorted(groups.items())
+
+
+def _rent_classes(trace: RunTrace) -> dict:
+    return {rec.idx: rec.klass for rec in trace.records if rec.decision == "rent"}
 
 
 def _witness_rows(rows, j, pairwise_bound, M, rent_class, m):
@@ -182,35 +180,23 @@ def _witness_rows(rows, j, pairwise_bound, M, rent_class, m):
     return out
 
 
-def check_cut_capacity(trace: RunTrace, t: Hst, root=None, point_rep=None):
+def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, root=None, point_rep=None):
     """Per-level rent caps on an extended tree's cuts.
 
-    For a level-j cut C: SROB/CFL rents of class j+1 / j+2 containing the root
-    must be absent, otherwise at most ceil(M) rent occurrences and at most |C|
-    distinct rent points; MROB rents of class j+2 are capped by ceil(M) and by
-    the number of separated pairs |D(C)|.  Occurrence counts handle coincident
-    repeats; cuts at conventional level 0 (terminal singletons) participate.
+    Reads the classified rent records' rent points (points[1] if rent_endpoint
+    is "t", else points[0]).  A level-j cut C holding `root` must hold no
+    class-(j + shift) rent (shift 1 for SROB, 2 for CFL and MROB); any other
+    at most ceil(M) occurrences, and at most |C| distinct points or, given
+    leaf `pairs`, at most the |D(C)| pairs it separates.  Cuts at level 0
+    (terminal singletons) participate.
     """
     rep = point_rep or (lambda p: p)
-    M = trace.M if trace.M is not None else 0.0
     cap_m = math.ceil(M)
-    shift = 1 if trace.problem == "SROB" else 2
     rents = {}
     for rec in trace.records:
-        if rec.decision != "rent" or rec.klass is None:
-            continue
-        if trace.problem == "MROB":
-            p = rec.points[0] if rec.rent_endpoint == "s" else rec.points[1]
-        else:
-            p = rec.points[0]
-        rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
-    pairs = None
-    if trace.problem == "MROB":
-        pairs = [
-            (rep(rec.points[0]), rep(rec.points[1]))
-            for rec in trace.records
-            if rec.klass is not None
-        ]
+        if rec.decision == "rent" and rec.klass is not None:
+            p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
+            rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
     out = []
     root_rep = rep(root) if root is not None else None
     for j in check_levels(t):
@@ -238,16 +224,14 @@ def check_cut_capacity(trace: RunTrace, t: Hst, root=None, point_rep=None):
     return out
 
 
-def check_greedy_replay(trace: RunTrace, m: MetricSpace, sol: MultiGraphSolution):
-    """H must equal the greedy Steiner tree replayed on the buy subsequence.
+def check_greedy_replay(trace: RunTrace, m: MetricSpace, sol: MultiGraphSolution, root: int):
+    """H must equal the greedy Steiner tree from `root` replayed on the buy subsequence.
 
     Zero-length edges (coincident auto-connects) are excluded on both sides;
     they carry no cost and their attachment point is representation detail.
     """
-    if trace.problem not in ("SROB", "PCST"):
-        return []
     buy_points = [rec.points[0] for rec in trace.records if rec.decision == "buy"]
-    replay_sol, _ = run_greedy_st(m, trace.root, buy_points)
+    replay_sol, _ = run_greedy_st(m, root, buy_points)
 
     def positive(bought):
         return {e: c for e, c in bought.items() if m.dist(*e) > 0}

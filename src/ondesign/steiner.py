@@ -31,10 +31,11 @@ from .metric import (
 
 
 class BcForest:
-    """Incremental Berman-Coulston state; reused by MROB and the SN wrapper."""
+    """Incremental Berman-Coulston state buying `copies` of each edge; reused by MROB and SN."""
 
-    def __init__(self, m: MetricSpace):
+    def __init__(self, m: MetricSpace, copies: int):
         self.m = m
+        self.copies = copies
         self.uf = UnionFind(m.n)
         self.occ = []      # (point, class) per classified endpoint, arrival order
         self.levels = {}   # j -> [(u, v)] positive-length edges added at level j
@@ -71,20 +72,22 @@ class BcForest:
                             added.append((x, v, None))
         return klass, added
 
-    def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, copies: int = 1, weight=1):
-        """add_pair, buying `copies` of each edge: (class, weight * length, leveled edges)."""
+    def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, weight):
+        """add_pair, buying each edge: (class, weight * length, leveled edges)."""
         klass, added = self.add_pair(s, t)
         cost = 0.0
         for u, v, _ in added:
-            sol.buy(u, v, copies=copies)
+            sol.buy(u, v, copies=self.copies)
             cost += weight * self.m.dist(u, v)
         return klass, cost, tuple(e for e in added if e[2] is not None)
 
     def summary(self) -> dict:
+        """One entry of a trace's summary["forests"], in JSON-native lists."""
         return {
-            "A": {j: list(edges) for j, edges in sorted(self.levels.items())},
-            "occ": list(self.occ),
-            "zero_merges": list(self.zero_merges),
+            "copies": self.copies,
+            "A": [[j, [list(e) for e in edges]] for j, edges in sorted(self.levels.items())],
+            "occ": [list(o) for o in self.occ],
+            "zero_merges": [list(e) for e in self.zero_merges],
         }
 
 
@@ -101,7 +104,7 @@ def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
     terminal coincident with an earlier one auto-connects at cost zero.
     """
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="SteinerTree", root=root)
+    trace = RunTrace()
     arrived = [root]
     for idx, i in enumerate(terminals):
         z, a = _nearest(m, i, arrived)
@@ -129,10 +132,10 @@ def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
 
 def run_bc_sf(m: MetricSpace, pairs) -> tuple:
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="SteinerForest")
-    bc = BcForest(m)
+    trace = RunTrace()
+    bc = BcForest(m, 1)
     for idx, (s, t) in enumerate(pairs):
-        klass, cost, edges = bc.buy_pair(sol, s, t)
+        klass, cost, edges = bc.buy_pair(sol, s, t, 1)
         if klass is None:
             trace.add(RequestRecord(idx=idx, decision="auto", points=(s, t), a=0.0))
             continue
@@ -148,7 +151,7 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
                 feasible_now=bc.uf.connected(s, t),
             )
         )
-    trace.summary = bc.summary()
+    trace.summary = {"forests": [bc.summary()]}
     return sol, trace
 
 
@@ -159,7 +162,7 @@ def run_sn(m: MetricSpace, requests) -> tuple:
     are created lazily on the first requirement in [2^l, 2^(l+1)).
     """
     sol = MultiGraphSolution()
-    trace = RunTrace(problem="SteinerNetwork")
+    trace = RunTrace()
     instances = {}
     for idx, (s, t, req) in enumerate(requests):
         if int(req) != req or req < 1:
@@ -170,8 +173,8 @@ def run_sn(m: MetricSpace, requests) -> tuple:
             continue
         lev = floor_log2(float(req))
         copies = 2 ** (lev + 1)
-        bc = instances.setdefault(lev, BcForest(m))
-        klass, cost, edges = bc.buy_pair(sol, s, t, copies=copies, weight=copies)
+        bc = instances.get(lev) or instances.setdefault(lev, BcForest(m, copies))
+        klass, cost, edges = bc.buy_pair(sol, s, t, copies)
         trace.add(
             RequestRecord(
                 idx=idx,
@@ -186,9 +189,7 @@ def run_sn(m: MetricSpace, requests) -> tuple:
                 feasible_now=max_flow(sol.capacity(), s, t, limit=req) >= req,
             )
         )
-    trace.summary = {
-        "instances": {lev: bc.summary() for lev, bc in sorted(instances.items())}
-    }
+    trace.summary = {"forests": [bc.summary() for _, bc in sorted(instances.items())]}
     return sol, trace
 
 
@@ -199,13 +200,11 @@ def run_sn(m: MetricSpace, requests) -> tuple:
 def check_class_separation(trace: RunTrace, m: MetricSpace):
     """Same-class terminals of a greedy run must be >= 2^j apart.
 
-    Applies to every classified arrival for Steiner tree traces and to the buy
-    subsequence for SROB/PCST traces (their bought subgraph is a greedy run).
+    Reads the records with decision "buy" and a class, and their first point:
+    every classified arrival of a Steiner tree run, and the buy subsequence of
+    an SROB or PCST run (its bought subgraph is a greedy run).
     """
-    if trace.problem in ("SROB", "PCST"):
-        entries = [r for r in trace.records if r.decision == "buy" and r.klass is not None]
-    else:
-        entries = [r for r in trace.records if r.klass is not None]
+    entries = [r for r in trace.records if r.decision == "buy" and r.klass is not None]
     return [
         f"class {j}: requests {a.idx},{b.idx} at distance {d:g} < 2^{j}"
         for j, a, b, d in same_class_closer(entries, m, 0)
@@ -226,12 +225,9 @@ def same_class_closer(records, m: MetricSpace, shift: int):
                     yield j, a, b, d
 
 
-def _bc_summaries(trace: RunTrace):
-    if trace.problem == "SteinerNetwork":
-        return list(trace.summary.get("instances", {}).values())
-    if trace.problem == "MROB":
-        return [trace.summary["bc"]] if "bc" in trace.summary else []
-    return [trace.summary] if trace.summary else []
+def _forests(trace: RunTrace):
+    """Each Berman-Coulston forest's {"copies", "A": [[j, A_j], ...], "occ", "zero_merges"}."""
+    return trace.summary.get("forests", [])
 
 
 def check_metagraph_acyclic(trace: RunTrace, covers: dict, m: MetricSpace, point_rep=None):
@@ -243,9 +239,9 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict, m: MetricSpace, point
     """
     rep = point_rep or (lambda p: p)
     out = []
-    for summ in _bc_summaries(trace):
-        occ = summ.get("occ", [])
-        for j, edges in sorted(summ.get("A", {}).items()):
+    for forest in _forests(trace):
+        occ = forest["occ"]
+        for j, edges in forest["A"]:
             family = covers.get(j)
             if family is None:
                 raise InvalidCover(f"no cover supplied for level {j}")
@@ -283,9 +279,9 @@ def _validate_cover(family, xj, j, m: MetricSpace):
 def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
     """Level-j covers from an HST's cuts, filtered to cuts meeting X_j."""
     rep = point_rep or (lambda p: p)
-    occs = [o for s in _bc_summaries(trace) for o in s.get("occ", [])]
+    occs = [o for forest in _forests(trace) for o in forest["occ"]]
     out = {}
-    levels = {j for s in _bc_summaries(trace) for j in s.get("A", {})}
+    levels = {j for forest in _forests(trace) for j, _ in forest["A"]}
     for j in sorted(levels):
         xj = {rep(p) for p, c in occs if c >= j}
         out[j] = [set(c) for c in cuts_at_level(t, j) if set(c) & xj]
@@ -293,15 +289,13 @@ def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
 
 
 def check_sn_decomposition(trace: RunTrace, sol: MultiGraphSolution):
-    """Every bought multiplicity must be exactly sum of 2^(l+1) over instances."""
+    """Every bought multiplicity must be the sum of `copies` over the forests holding the edge."""
     expect = {}
-    for lev, summ in trace.summary.get("instances", {}).items():
-        copies = 2 ** (int(lev) + 1)
-        edges = [e for lst in summ["A"].values() for e in lst]
-        edges += list(summ.get("zero_merges", []))
+    for forest in _forests(trace):
+        edges = [e for _, edges in forest["A"] for e in edges] + forest["zero_merges"]
         for u, v in edges:
             key = (u, v) if u <= v else (v, u)
-            expect[key] = expect.get(key, 0) + copies
+            expect[key] = expect.get(key, 0) + forest["copies"]
     out = []
     for key, mult in sol.bought.items():
         if expect.get(key) != mult:
@@ -315,11 +309,11 @@ def check_sn_decomposition(trace: RunTrace, sol: MultiGraphSolution):
 def check_bc_edge_property(trace: RunTrace, m: MetricSpace):
     """A_j edges have length < 2^(j+1) and endpoint classes >= j."""
     out = []
-    for summ in _bc_summaries(trace):
+    for forest in _forests(trace):
         best = {}
-        for p, c in summ.get("occ", []):
+        for p, c in forest["occ"]:
             best[p] = max(best.get(p, c), c)
-        for j, edges in summ.get("A", {}).items():
+        for j, edges in forest["A"]:
             for u, v in edges:
                 if m.dist(u, v) >= pow2(j + 1):
                     out.append(f"level {j}: edge ({u},{v}) too long")

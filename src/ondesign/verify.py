@@ -1,11 +1,12 @@
 """Runs algorithms, samples HSTs, and evaluates every charging-scheme
 guarantee as an executable check.
 
-`SPECS` holds one entry per problem: runner, per-run checks (names in
-`RUN_CHECKS`), per-tree checks with the constants of their bounds, and exact
-offline oracle.  Entries reach this module's functions through lambdas, so a
-call resolves each name when it happens.  Shares are sums of 2^(j+1) over
-rent terminals (rho for PCST).
+`SPECS` holds one entry per problem: runner, per-run checks, per-tree checks
+with the constants of their bounds, and exact offline oracle.  Checks read the
+run's decisions from its trace and the instance's parameters (root, M,
+requests, facilities) from the RequestSequence.  Entries reach this module's
+functions through lambdas, so a call resolves each name when it happens.
+Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
 Trees are sampled over the distinct positions of the arrived terminals
 (coincident request points collapse onto a representative; oracles see their
@@ -42,7 +43,8 @@ from .prize import check_pcst_invariants, positive_share_rows, run_pcst, total_s
 from .rentorbuy import (
     check_cut_capacity,
     check_greedy_replay,
-    check_witness_disjointness,
+    check_mrob_witnesses,
+    check_srob_witnesses,
     cost_share,
     run_mrob,
     run_srob,
@@ -69,21 +71,22 @@ from .tree_opt import (
 
 
 # ---------------------------------------------------------------------------
-# Per-run checks: name -> check(m, seq, sol, trace) -> violations.  A forged
-# trace has no solution, so the checks it gets must not read `sol`.
+# Per-run checks: (report name, check(m, seq, trace) -> violations).  They
+# read the trace only, so a replayed trace gets them too; the solution checks
+# at the end also compare it with the run's solution.
 # ---------------------------------------------------------------------------
 
-def _share_identity(m, seq, sol, trace):
+def _share_identity(m, seq, trace):
     lhs = trace.total_cost()
     rhs = sum(pow2(r.klass + 1) for r in trace.records if r.klass is not None)
     return [f"sum a_i = {lhs:g} > share {rhs:g}"] if exceeds(lhs, rhs, atol=0.0) else []
 
 
 def _vs_share(label, factor, cost):
-    """The check cost(trace, m) <= factor * the rent share."""
+    """The check cost(m, seq, trace) <= factor * the rent share."""
 
-    def check(m, seq, sol, trace):
-        lhs, share = cost(trace, m), cost_share(trace)
+    def check(m, seq, trace):
+        lhs, share = cost(m, seq, trace), cost_share(trace)
         if exceeds(lhs, factor * share):
             return [f"{label} {lhs:g} > {factor} * share {share:g}"]
         return []
@@ -91,19 +94,27 @@ def _vs_share(label, factor, cost):
     return check
 
 
-RUN_CHECKS = {
-    "class_separation": lambda m, seq, sol, trace: check_class_separation(trace, m),
-    "share_identity": _share_identity,
-    "bc_edge_property": lambda m, seq, sol, trace: check_bc_edge_property(trace, m),
-    "sn_decomposition": lambda m, seq, sol, trace: check_sn_decomposition(trace, sol),
-    "cost_vs_share": _vs_share("cost", 2, lambda trace, m: trace.total_cost()),
-    "witness_disjointness": lambda m, seq, sol, trace: check_witness_disjointness(trace, m),
-    "greedy_replay": lambda m, seq, sol, trace: check_greedy_replay(trace, m, sol),
-    "pcst_run_invariants": lambda m, seq, sol, trace: check_pcst_invariants(trace, m)[0],
-    "cfl_invariants": lambda m, seq, sol, trace: check_cfl_invariants(trace, m),
-    "cfl_cost_split": lambda m, seq, sol, trace: check_cfl_cost_split(trace, m),
-    "buyrent_vs_share": _vs_share("M c(H) + rents =", 3, cfl_buy_rent_cost),
-}
+def _trace_cost(m, seq, trace):
+    return trace.total_cost()
+
+
+def _cfl_buy_rent_cost(m, seq, trace):
+    return cfl_buy_rent_cost(trace, m, seq.M)
+
+
+SHARE_IDENTITY = ("share_identity", _share_identity)
+CLASS_SEPARATION = ("class_separation", lambda m, seq, trace: check_class_separation(trace, m))
+BC_EDGE_PROPERTY = ("bc_edge_property", lambda m, seq, trace: check_bc_edge_property(trace, m))
+COST_VS_SHARE = ("cost_vs_share", _vs_share("cost", 2, _trace_cost))
+SROB_WITNESSES = ("witness_disjointness", lambda m, seq, trace: check_srob_witnesses(trace, m, seq.M))
+MROB_WITNESSES = ("witness_disjointness", lambda m, seq, trace: check_mrob_witnesses(trace, m, seq.M))
+CFL_INVARIANTS = ("cfl_invariants", lambda m, seq, trace: check_cfl_invariants(trace, m, seq.root, seq.M))
+CFL_COST_SPLIT = ("cfl_cost_split", lambda m, seq, trace: check_cfl_cost_split(trace, m, seq.facilities))
+BUYRENT_VS_SHARE = ("buyrent_vs_share", _vs_share("M c(H) + rents =", 3, _cfl_buy_rent_cost))
+PCST_INVARIANTS = ("pcst_run_invariants", lambda m, seq, trace: check_pcst_invariants(trace, m, seq.root)[0])
+# Solution checks: (report name, check(m, seq, sol, trace) -> violations).
+SN_DECOMPOSITION = ("sn_decomposition", lambda m, seq, sol, trace: check_sn_decomposition(trace, sol))
+GREEDY_REPLAY = ("greedy_replay", lambda m, seq, sol, trace: check_greedy_replay(trace, m, sol, seq.root))
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +162,37 @@ def _tree_sn(tally, m, seq, trace, t, rep, weights):
     tally.out += _metagraph(m, trace, t, rep)
 
 
-def _tree_rob_single(cost_name, cost):
-    """SROB and CFL: share and cost(trace, m) against the rent-or-buy tree optimum."""
+def _tree_rob_single(cost_name, cost, shift):
+    """SROB and CFL: share and cost(m, seq, trace) against the rent-or-buy tree
+    optimum; cut caps on class-(j + shift) rents."""
 
     def check(tally, m, seq, trace, t, rep, weights):
         t_ext = extend_singleton_levels(t, -2)
         opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
         tally.bound("share_vs_tree", cost_share(trace), opt)
-        tally.bound(cost_name, cost(trace, m), opt)
-        tally.out += check_cut_capacity(trace, t_ext, root=seq.root, point_rep=rep)
+        tally.bound(cost_name, cost(m, seq, trace), opt)
+        tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep)
 
     return check
 
 
-_tree_srob = _tree_rob_single("cost_vs_tree", lambda trace, m: trace.total_cost())
-_tree_cfl = _tree_rob_single("buyrent_vs_tree", cfl_buy_rent_cost)
+_tree_srob = _tree_rob_single("cost_vs_tree", _trace_cost, 1)
+_tree_cfl = _tree_rob_single("buyrent_vs_tree", _cfl_buy_rent_cost, 2)
 
 
 def _tree_mrob(tally, m, seq, trace, t, rep, weights):
     t_ext = extend_singleton_levels(t, -2)
-    opt = opt_tree_rob_multi(t_ext, _pairs(trace, rep), seq.M)
+    pairs = _pairs(trace, rep)
+    opt = opt_tree_rob_multi(t_ext, pairs, seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += check_cut_capacity(trace, t_ext, point_rep=rep)
+    tally.out += check_cut_capacity(trace, t_ext, seq.M, 2, pairs, None, rep)
     tally.out += _metagraph(m, trace, t_ext, rep)
 
 
 def _tree_pcst(tally, m, seq, trace, t, rep, weights):
     t_ext = extend_singleton_levels(t, -2)
-    tree_viol, tree_flags = check_pcst_invariants(trace, m, t_ext, rep)
+    tree_viol, tree_flags = check_pcst_invariants(trace, m, seq.root, t_ext, rep)
     tally.out += tree_viol
     tally.flags += tree_flags
     rows = {
@@ -202,11 +215,11 @@ def _tree_pcst(tally, m, seq, trace, t, rep, weights):
 @dataclass(frozen=True)
 class ProblemSpec:
     run: Callable            # (m, seq) -> (solution, trace)
-    run_checks: tuple        # RUN_CHECKS names, after cost and feasibility
+    run_checks: tuple        # (name, check(m, seq, trace)), after cost and feasibility
     tree_checks: Callable    # see _Tally
     constants: dict          # per-tree bound name -> factor
     optimum: Callable        # (m, seq) -> exact offline optimum
-    forged_checks: tuple = ()  # RUN_CHECKS names a forged trace gets after class_separation
+    solution_checks: tuple = ()  # (name, check(m, seq, sol, trace)); own runs only
     trace_cost: Callable = lambda m, seq, sol, trace: trace.total_cost()
 
 
@@ -215,7 +228,7 @@ def _cfl_trace_cost(m, seq, sol, trace):
     costs = dict(seq.facilities)
     return (
         trace.total_cost()
-        + (seq.M or 0.0) * sol.bought_cost(m)
+        + seq.M * sol.bought_cost(m)
         + sum(costs[x] for x in sol.opened)
     )
 
@@ -223,19 +236,20 @@ def _cfl_trace_cost(m, seq, sol, trace):
 SPECS = {
     "SteinerTree": ProblemSpec(
         run=lambda m, seq: run_greedy_st(m, seq.root, seq.requests),
-        run_checks=("class_separation", "share_identity"),
+        run_checks=(CLASS_SEPARATION, SHARE_IDENTITY),
         tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root}),
     ),
     "SteinerForest": ProblemSpec(
         run=lambda m, seq: run_bc_sf(m, seq.requests),
-        run_checks=("bc_edge_property",),
+        run_checks=(BC_EDGE_PROPERTY,),
         tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
     ),
     "SteinerNetwork": ProblemSpec(
         run=lambda m, seq: run_sn(m, seq.requests),
-        run_checks=("bc_edge_property", "sn_decomposition"),
+        run_checks=(BC_EDGE_PROPERTY,),
+        solution_checks=(SN_DECOMPOSITION,),
         tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_sn_tiny(
             m, [(s, t) for s, t, _ in seq.requests], [r for _, _, r in seq.requests]
@@ -243,22 +257,20 @@ SPECS = {
     ),
     "SROB": ProblemSpec(
         run=lambda m, seq: run_srob(m, seq.root, seq.requests, seq.M),
-        run_checks=("cost_vs_share", "witness_disjointness", "class_separation", "greedy_replay"),
-        forged_checks=("witness_disjointness",),
+        run_checks=(COST_VS_SHARE, SROB_WITNESSES, CLASS_SEPARATION),
+        solution_checks=(GREEDY_REPLAY,),
         tree_checks=_tree_srob, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_srob(m, seq.root, seq.requests, seq.M),
     ),
     "MROB": ProblemSpec(
         run=lambda m, seq: run_mrob(m, seq.requests, seq.M),
-        run_checks=("cost_vs_share", "witness_disjointness", "bc_edge_property"),
-        forged_checks=("witness_disjointness",),
+        run_checks=(COST_VS_SHARE, MROB_WITNESSES, BC_EDGE_PROPERTY),
         tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
     ),
     "CFL": ProblemSpec(
         run=lambda m, seq: run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M),
-        run_checks=("cfl_invariants", "cfl_cost_split", "buyrent_vs_share"),
-        forged_checks=("cfl_invariants",),
+        run_checks=(CFL_INVARIANTS, CFL_COST_SPLIT, BUYRENT_VS_SHARE),
         tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_cfl(
             m, list(seq.facilities), seq.requests, seq.M, seq.root
@@ -267,8 +279,8 @@ SPECS = {
     ),
     "PCST": ProblemSpec(
         run=lambda m, seq: run_pcst(m, seq.root, seq.requests),
-        run_checks=("pcst_run_invariants", "greedy_replay"),
-        forged_checks=("pcst_run_invariants",),
+        run_checks=(PCST_INVARIANTS,),
+        solution_checks=(GREEDY_REPLAY,),
         tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_pcst(m, seq.root, seq.requests),
     ),
@@ -324,7 +336,8 @@ def per_run_checks(m, seq, sol, trace):
         f"request {rec.idx} infeasible at arrival" for rec in trace.records if not rec.feasible_now
     ] + [f"request {i} infeasible in final state" for i, ok in enumerate(feas) if not ok]
     checks.append(("online_feasibility", prefix_bad))
-    return checks + [(name, RUN_CHECKS[name](m, seq, sol, trace)) for name in spec.run_checks]
+    checks += [(name, check(m, seq, trace)) for name, check in spec.run_checks]
+    return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks]
 
 
 def _map_trials(fn, trials, jobs):
@@ -339,8 +352,9 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
     """Full verification of one instance: run, per-run checks, per-tree checks.
 
     Returns a deterministic report dict; `violations` empty iff everything
-    passed.  A forged trace replaces the algorithm's own run (solution-level
-    checks are skipped for it).
+    passed.  A forged (replayed) trace replaces the algorithm's own run: it
+    has no solution, so it gets the spec's run checks but neither the cost,
+    feasibility nor solution checks.
     """
     spec = SPECS[seq.problem]
     if forged_trace is None:
@@ -349,8 +363,7 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
         cost_doc = solution_cost(sol, seq, m).as_dict()
     else:
         trace = forged_trace
-        names = ("class_separation",) + spec.forged_checks
-        checks = [(name, RUN_CHECKS[name](m, seq, None, trace)) for name in names]
+        checks = [(name, check(m, seq, trace)) for name, check in spec.run_checks]
         cost_doc = {"total": trace.total_cost()}
 
     def one_trial(trial):

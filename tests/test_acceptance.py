@@ -30,7 +30,7 @@ from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric,
 from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, solution_cost
 from ondesign.prize import check_pcst_invariants
-from ondesign.rentorbuy import check_cut_capacity, check_witness_disjointness
+from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
 from ondesign.cfl import check_cfl_invariants
 from ondesign.steiner import check_class_separation, check_metagraph_acyclic, run_greedy_st
 from ondesign.tree_opt import (
@@ -133,58 +133,59 @@ def test_criterion_2_structural_lemmas(battery):
 def _forged_controls():
     out = []
     m = line_metric([0, 5, 6])
-    forged = RunTrace(problem="SteinerTree", root=0)
+    forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.1, klass=1))
     forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.2, klass=1))
     out.append(("r-sep", bool(check_class_separation(forged, m))))
 
     m3 = line_metric([0, 1, 2])
-    tri = RunTrace(problem="SteinerForest")
-    tri.summary = {"A": {1: [(0, 1), (1, 2), (0, 2)]}, "occ": [(0, 1), (1, 1), (2, 1)], "zero_merges": []}
+    tri = RunTrace()
+    tri.summary = {"forests": [{"copies": 1, "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
+                                "occ": [[0, 1], [1, 1], [2, 1]], "zero_merges": []}]}
     out.append(
         ("metagraph", bool(check_metagraph_acyclic(tri, {1: [{0}, {1}, {2}]}, m3)))
     )
 
     m4 = line_metric([0, 4, 5, 6])
-    shared = RunTrace(problem="SROB", root=0, M=1.0)
+    shared = RunTrace()
     shared.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2))
     shared.add(RequestRecord(idx=1, decision="buy", points=(2,), a=5.0, klass=2, witnesses=(0,)))
     shared.add(RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, witnesses=(0,)))
-    out.append(("witness-disjoint", bool(check_witness_disjointness(shared, m4))))
+    out.append(("witness-disjoint", bool(check_srob_witnesses(shared, m4, 1.0))))
 
     m5 = line_metric([0, 8])
-    packed = RunTrace(problem="SROB", root=0, M=3.0)
+    packed = RunTrace()
     for i in range(4):
         packed.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2))
     t5 = extend_singleton_levels(sample_frt(m5, [0, 1], seed=1), -2)
-    out.append(("cut-capacity", bool(check_cut_capacity(packed, t5, root=0))))
+    out.append(("cut-capacity", bool(check_cut_capacity(packed, t5, 3.0, 1, None, root=0))))
 
-    mrob = RunTrace(problem="MROB", M=2.0)
+    mrob = RunTrace()
     mrob.add(RequestRecord(idx=0, decision="buy", points=(0, 1), a=4.0, klass=2,
                            witnesses=(9,), witnesses_t=()))
-    out.append(("mrob-witness", bool(check_witness_disjointness(mrob, m5))))
+    out.append(("mrob-witness", bool(check_mrob_witnesses(mrob, m5, 2.0))))
 
-    cfl = RunTrace(problem="CFL", root=0, M=1.0)
-    cfl.summary = {"f_hat": [0], "virtual_assign": [], "virtual_cost": 0.0, "facility_costs": {0: 0.0, 1: 1.0}}
+    cfl = RunTrace()
+    cfl.summary = {"f_hat": [0]}
     cfl.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
                           sigma_hat=1, sigma=1, opened=1, edges=((1, 0, None),), witnesses=()))
     m7 = line_metric([0, 8, 16])
-    bad_open = RunTrace(problem="CFL", root=0, M=1.0)
-    bad_open.summary = {"f_hat": [0], "virtual_assign": [], "virtual_cost": 0.0, "facility_costs": {0: 0.0, 2: 1.0}}
+    bad_open = RunTrace()
+    bad_open.summary = {"f_hat": [0]}
     bad_open.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
                                sigma_hat=2, sigma=2, opened=2, edges=((2, 0, None),), witnesses=()))
-    out.append(("cfl-foreign-facility", any("outside F_hat" in v for v in check_cfl_invariants(bad_open, m7))))
+    out.append(("cfl-foreign-facility", any("outside F_hat" in v for v in check_cfl_invariants(bad_open, m7, 0, 1.0))))
 
-    close = RunTrace(problem="CFL", root=0, M=0.0)
-    close.summary = {"f_hat": [0, 1], "virtual_assign": [], "virtual_cost": 0.0, "facility_costs": {0: 0.0}}
+    close = RunTrace()
+    close.summary = {"f_hat": [0, 1]}
     close.add(RequestRecord(idx=0, decision="buy", points=(0,), a=8.0, klass=3, sigma_hat=0, sigma=0, witnesses=()))
     close.add(RequestRecord(idx=1, decision="buy", points=(1,), a=8.0, klass=3, sigma_hat=0, sigma=0, witnesses=()))
     m6 = line_metric([0, 1])
-    out.append(("cfl-sep", any("buy clients" in v for v in check_cfl_invariants(close, m6))))
+    out.append(("cfl-sep", any("buy clients" in v for v in check_cfl_invariants(close, m6, 0, 0.0))))
 
-    rho = RunTrace(problem="PCST", root=0)
+    rho = RunTrace()
     rho.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, rho=5.0, pi=1.0))
-    viol, _ = check_pcst_invariants(rho, m5)
+    viol, _ = check_pcst_invariants(rho, m5, 0)
     out.append(("pcst-rho", bool(viol)))
     return out
 

@@ -70,8 +70,8 @@ def test_cfl_rent_then_buy_on_coincident_witness():
     assert second.decision == "buy" and second.opened == 3
     assert sol.assignments == {0: 0, 1: 3}
     assert (0, 3) in sol.bought or (3, 0) in sol.bought
-    assert check_cfl_invariants(trace, m) == []
-    assert check_cfl_cost_split(trace, m) == []
+    assert check_cfl_invariants(trace, m, 0, 1.0) == []
+    assert check_cfl_cost_split(trace, m, facilities) == []
 
 
 def test_cfl_invariants_forged_foreign_facility():
@@ -81,7 +81,7 @@ def test_cfl_invariants_forged_foreign_facility():
     for rec in trace.records:
         if rec.decision == "buy":
             break
-    out = check_cfl_invariants(trace, m)
+    out = check_cfl_invariants(trace, m, 0, 0.0)
     if any(r.decision == "buy" and r.opened is not None for r in trace.records):
         assert any("outside F_hat" in v for v in out)
 
@@ -109,8 +109,8 @@ def test_cfl_feasibility_and_cost():
         trace.total_cost() + 2.0 * sol.bought_cost(m) + sum(dict(facs)[x] for x in sol.opened)
     )
     assert cost.total == pytest.approx(derived)
-    assert check_cfl_invariants(trace, m) == []
-    assert check_cfl_cost_split(trace, m) == []
+    assert check_cfl_invariants(trace, m, 0, 2.0) == []
+    assert check_cfl_cost_split(trace, m, facs) == []
 
 
 def test_cfl_sharetree_prestudy_constant_16():
@@ -138,7 +138,7 @@ def test_cfl_sharetree_prestudy_constant_16():
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(trace, t, root=0, point_rep=rep.get)
+        out = check_cut_capacity(trace, t, M, 2, None, root=0, point_rep=rep.get)
         assert out == []
     assert worst <= 16.0
 
@@ -146,7 +146,7 @@ def test_cfl_sharetree_prestudy_constant_16():
 def test_cfl_buy_rent_cost_helper():
     m = line_metric([0, 32, 33])
     sol, trace = run_cfl(m, [(0, 0.0), (2, 0.0)], 0, [1, 1], M=1.0)
-    val = cfl_buy_rent_cost(trace, m)
+    val = cfl_buy_rent_cost(trace, m, 1.0)
     assert val >= 0.0
 
 

@@ -1,8 +1,14 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from ondesign.cli import main
+from ondesign.generators import gen_euclidean, gen_requests
+from ondesign.metric import PROBLEMS, RequestRecord, instance_to_dict
+from ondesign.verify import run_problem, verify_run
+
+RECORD_FIELDS = [f.name for f in fields(RequestRecord)]
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -199,3 +205,81 @@ def test_unknown_problem_is_a_usage_error(command, capsys):
         main([command, "--problem", "Nope"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def _generated_instance(tmp_path, problem):
+    m, _ = gen_euclidean(14, seed=23)
+    seq = gen_requests(problem, m, 10, 5, {"M": 1.0, "R_max": 6, "n_facilities": 4})
+    return write_instance(tmp_path, instance_to_dict(m, seq)), m, seq
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+def test_verify_replays_own_trace_clean(tmp_path, problem):
+    inst, m, seq = _generated_instance(tmp_path, problem)
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", problem, "--out", str(res)]) == 0
+    trace_path = json.loads(res.read_text())["trace"]
+    out = tmp_path / "rep.json"
+    rc = main(["verify", inst, "--trace", trace_path, "--trials", "6", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    assert rc == 0 and rep["violations"] == 0, rep
+    # the file holds all the run decided: it replays like the trace in memory
+    _, trace = run_problem(m, seq)
+    mem = verify_run(m, seq, trials=6, forged_trace=trace)
+    for key in ("checks", "tree_checks", "max_ratios"):
+        assert rep[key] == mem[key]
+
+
+def test_verify_forged_forest_summary_cycle_exit_4(tmp_path):
+    # the run's own trace, with its one level-1 edge duplicated in the summary line
+    inst = write_instance(
+        tmp_path,
+        {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "problem": "SteinerForest",
+         "requests": [[0, 2]]},
+    )
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "SteinerForest", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert summary["forests"][0]["A"] == [[1, [[0, 2]]]]
+    summary["forests"][0]["A"][0][1].append([2, 0])
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join(lines[:-1] + [json.dumps({"summary": summary})]) + "\n")
+    out = tmp_path / "rep.json"
+    rc = main(["verify", inst, "--trace", str(forged), "--trials", "3", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads(out.read_text())
+    assert all(c["fail"] == 0 for c in rep["checks"].values())
+    assert rep["tree_checks"]["fail"] == 3
+    assert all("meta-cycle via edge (2,0)" in v for v in rep["tree_checks"]["violations"])
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    '{"idx": 0, "decision": "buy"\n',
+    '{"idx": 0}\n',
+    json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "points": [1], "junk": 1}) + "\n",
+], ids=["missing-file", "not-json", "missing-fields", "unknown-field"])
+def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
+    inst = write_instance(
+        tmp_path,
+        {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
+    )
+    trace_path = tmp_path / "trace.jsonl"
+    if content is not None:
+        trace_path.write_text(content)
+    rc = main(["verify", inst, "--trace", str(trace_path), "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    assert "error: trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-1")])
+def test_negative_trials_and_jobs_below_one_exit_2(tmp_path, flag, value, capsys):
+    inst = write_instance(
+        tmp_path,
+        {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", inst, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

@@ -26,7 +26,7 @@ def test_pcst_penalty_then_buy():
     assert first.decision == "penalty" and first.rho == 1.0
     assert second.decision == "buy" and second.rho == 7.0
     assert trace.total_cost() == 5.0
-    viol, flags = check_pcst_invariants(trace, m)
+    viol, flags = check_pcst_invariants(trace, m, 0)
     assert viol == []
 
 
@@ -51,7 +51,7 @@ def test_pcst_feasibility():
     sol, trace = run_pcst(m, 0, reqs)
     seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
     assert all(check_feasible(sol, seq, m))
-    assert check_greedy_replay(trace, m, sol) == []
+    assert check_greedy_replay(trace, m, sol, 0) == []
 
 
 def test_pcst_cost_vs_shares():
@@ -63,11 +63,11 @@ def test_pcst_cost_vs_shares():
 
 def test_pcst_forged_rho_exceeds_pi():
     m = line_metric([0, 4])
-    forged = RunTrace(problem="PCST", root=0)
+    forged = RunTrace()
     forged.add(
         RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, cost=1.0, rho=5.0, pi=1.0)
     )
-    viol, _ = check_pcst_invariants(forged, m)
+    viol, _ = check_pcst_invariants(forged, m, 0)
     assert any("rho" in v for v in viol)
 
 
@@ -84,7 +84,7 @@ def test_pcst_tree_invariants_and_bounds():
         rep = position_reps(m, [p for p, _ in reqs] + [0])
         reps = sorted(set(rep.values()))
         t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial), -2)
-        viol, flags = check_pcst_invariants(trace, m, t_ext, rep.get)
+        viol, flags = check_pcst_invariants(trace, m, 0, t_ext, rep.get)
         assert viol == []
         share = total_share(trace)
         rows = {
@@ -111,6 +111,6 @@ def test_pcst_flags_soft_range():
     _, trace = run_pcst(m, 0, reqs)
     rep = position_reps(m, list(range(8)))
     t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0), -2)
-    viol, flags = check_pcst_invariants(trace, m, t_ext, rep.get)
+    viol, flags = check_pcst_invariants(trace, m, 0, t_ext, rep.get)
     assert viol == []
     assert isinstance(flags, list)

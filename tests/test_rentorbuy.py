@@ -6,7 +6,8 @@ from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feas
 from ondesign.rentorbuy import (
     check_cut_capacity,
     check_greedy_replay,
-    check_witness_disjointness,
+    check_mrob_witnesses,
+    check_srob_witnesses,
     cost_share,
     run_mrob,
     run_srob,
@@ -27,7 +28,7 @@ def test_srob_m_zero_always_buys():
     assert all(r.decision == "buy" for r in trace.records)
     assert trace.total_cost() == 0.0
     # H is the greedy Steiner tree over all terminals
-    assert check_greedy_replay(trace, m, sol) == []
+    assert check_greedy_replay(trace, m, sol, 0) == []
 
 
 def test_srob_single_rent():
@@ -68,9 +69,9 @@ def test_mrob_single_pair_rents(two_point_metric):
 def test_witness_disjointness_srob_and_forged():
     m = line_metric([0, 4, 5, 6])
     _, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
-    assert check_witness_disjointness(trace, m) == []
+    assert check_srob_witnesses(trace, m, 1.0) == []
 
-    forged = RunTrace(problem="SROB", root=0, M=1.0)
+    forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2, cost=4.0))
     forged.add(
         RequestRecord(idx=1, decision="buy", points=(2,), a=5.0, klass=2, cost=5.0, witnesses=(0,))
@@ -78,25 +79,25 @@ def test_witness_disjointness_srob_and_forged():
     forged.add(
         RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, cost=6.0, witnesses=(0,))
     )
-    out = check_witness_disjointness(forged, m)
+    out = check_srob_witnesses(forged, m, 1.0)
     assert any("share witnesses" in v for v in out)
 
 
 def test_witness_disjointness_mrob():
     m = line_metric([0, 1])
     _, trace = run_mrob(m, [(0, 1)] * 3, M=1.0)
-    assert check_witness_disjointness(trace, m) == []
+    assert check_mrob_witnesses(trace, m, 1.0) == []
 
 
 def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
-    forged = RunTrace(problem="MROB", M=2.0)
+    forged = RunTrace()
     forged.add(
         RequestRecord(
             idx=0, decision="buy", points=(0, 1), a=1.0, klass=0,
             witnesses=(7,), witnesses_t=(8,),
         )
     )
-    out = check_witness_disjointness(forged, two_point_metric)
+    out = check_mrob_witnesses(forged, two_point_metric, 2.0)
     assert any("|W|" in v for v in out)
 
 
@@ -104,18 +105,18 @@ def test_cut_capacity_srob():
     m = line_metric([0, 4, 5, 6])
     _, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
     t = extend_singleton_levels(sample_frt(m, [0, 1, 2, 3], seed=2), -2)
-    assert check_cut_capacity(trace, t, root=0) == []
+    assert check_cut_capacity(trace, t, 1.0, 1, None, root=0) == []
 
 
 def test_cut_capacity_forged_packing():
     # four class-2 rent occurrences forged at one point with M=3: the level-1
     # singleton cut can hold at most ceil(M)=3 of them in a real run
     m = line_metric([0, 8])
-    forged = RunTrace(problem="SROB", root=0, M=3.0)
+    forged = RunTrace()
     for i in range(4):
         forged.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2, cost=8.0))
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1), -2)
-    out = check_cut_capacity(forged, t, root=0)
+    out = check_cut_capacity(forged, t, 3.0, 1, None, root=0)
     assert any("ceil(M)" in v for v in out)
 
 
@@ -123,7 +124,7 @@ def test_cut_capacity_empty_rents():
     m = line_metric([0, 4])
     _, trace = run_srob(m, 0, [1], M=0.0)
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=0), -2)
-    assert check_cut_capacity(trace, t, root=0) == []
+    assert check_cut_capacity(trace, t, 0.0, 1, None, root=0) == []
 
 
 def test_cut_capacity_mrob_random():
@@ -133,7 +134,7 @@ def test_cut_capacity_mrob_random():
     _, trace = run_mrob(m, pairs, M=2.0)
     pts = sorted({p for pr in pairs for p in pr})
     t = extend_singleton_levels(sample_frt(m, pts, seed=3), -2)
-    assert check_cut_capacity(trace, t) == []
+    assert check_cut_capacity(trace, t, 2.0, 2, pairs) == []
 
 
 def test_greedy_replay_structural_equality():
@@ -141,7 +142,7 @@ def test_greedy_replay_structural_equality():
     m = euclid(rng.random((14, 2)) * 15)
     terms = [int(x) for x in rng.integers(1, 14, size=12)]
     sol, trace = run_srob(m, 0, terms, M=1.5)
-    assert check_greedy_replay(trace, m, sol) == []
+    assert check_greedy_replay(trace, m, sol, 0) == []
 
 
 def test_share_bound_exact_arithmetic():

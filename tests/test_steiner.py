@@ -52,7 +52,7 @@ def test_bc_single_pair():
     m = line_metric([0, 1])
     sol, trace = run_bc_sf(m, [(0, 1)])
     assert trace.total_cost() == 1.0
-    assert trace.summary["A"] == {0: [(0, 1)]}
+    assert trace.summary["forests"][0]["A"] == [[0, [[0, 1]]]]
 
 
 def test_bc_far_pairs():
@@ -118,7 +118,7 @@ def test_class_separation_pass_and_forged():
     m = line_metric([0, 1, 3])
     _, trace = run_greedy_st(m, 0, [1, 2])
     assert check_class_separation(trace, m) == []
-    forged = RunTrace(problem="SteinerTree", root=0)
+    forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.0, klass=1, cost=2.0))
     forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.0, klass=1, cost=2.0))
     # points 1 and 2 are at distance 2 in this metric: fine; forge closer ones
@@ -127,7 +127,7 @@ def test_class_separation_pass_and_forged():
 
 
 def test_class_separation_empty():
-    trace = RunTrace(problem="SteinerTree", root=0)
+    trace = RunTrace()
     m = line_metric([0, 1])
     assert check_class_separation(trace, m) == []
 
@@ -149,12 +149,13 @@ def test_metagraph_two_far_pairs():
 
 def test_metagraph_forged_triangle():
     m = line_metric([0, 1, 2])
-    forged = RunTrace(problem="SteinerForest")
-    forged.summary = {
-        "A": {1: [(0, 1), (1, 2), (0, 2)]},
-        "occ": [(0, 1), (1, 1), (2, 1)],
+    forged = RunTrace()
+    forged.summary = {"forests": [{
+        "copies": 1,
+        "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
+        "occ": [[0, 1], [1, 1], [2, 1]],
         "zero_merges": [],
-    }
+    }]}
     covers = {1: [{0}, {1}, {2}]}
     out = check_metagraph_acyclic(forged, covers, m)
     assert any("meta-cycle" in v for v in out)
@@ -162,8 +163,10 @@ def test_metagraph_forged_triangle():
 
 def test_metagraph_invalid_cover():
     m = line_metric([0, 1, 2])
-    forged = RunTrace(problem="SteinerForest")
-    forged.summary = {"A": {1: [(0, 1)]}, "occ": [(0, 1), (1, 1)], "zero_merges": []}
+    forged = RunTrace()
+    forged.summary = {"forests": [
+        {"copies": 1, "A": [[1, [[0, 1]]]], "occ": [[0, 1], [1, 1]], "zero_merges": []}
+    ]}
     with pytest.raises(InvalidCover):
         check_metagraph_acyclic(forged, {1: [{0, 2}, {1}]}, m)  # diam 2 >= 2^1
     with pytest.raises(InvalidCover):
