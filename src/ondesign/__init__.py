@@ -37,7 +37,7 @@ from .steiner import (
 )
 from .rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses, run_mrob, run_srob
 from .cfl import check_cfl_invariants, run_cfl, run_ofl
-from .prize import check_pcst_invariants, run_pcst
+from .prize import check_pcst_invariants, check_pcst_run_invariants, run_pcst
 from .exact import (
     dreyfus_wagner_st,
     exact_cfl,

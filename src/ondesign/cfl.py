@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import NoFacilities
 from .metric import (
+    POINT,
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
@@ -161,6 +162,10 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
         )
     trace.summary = {"f_hat": list(ofl.open_order)}
     return sol, trace
+
+
+# The shape (see metric._fits) of run_cfl's trace summary.
+CFL_SUMMARY_SHAPE = {"f_hat": [POINT]}
 
 
 # ---------------------------------------------------------------------------

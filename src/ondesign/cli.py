@@ -26,7 +26,7 @@ from .metric import (
     load_instance,
     solution_cost,
 )
-from .verify import embed_report, exact_optimum, run_problem, tree_points, verify_run
+from .verify import SPECS, embed_report, exact_optimum, run_problem, tree_points, verify_run
 
 
 def _write(path, text):
@@ -94,7 +94,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     m, seq = _load(args)
-    forged = RunTrace.from_jsonl(args.trace) if args.trace else None
+    forged = None
+    if args.trace:
+        shape = SPECS[seq.problem].summary_shape
+        forged = RunTrace.from_jsonl(args.trace, shape, m.n, len(seq.requests))
     report = verify_run(m, seq, trials=args.trials, seed=args.seed, jobs=args.jobs, forged_trace=forged)
     _write(args.out, _json(report))
     return 4 if report["violations"] else 0

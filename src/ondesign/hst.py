@@ -8,11 +8,23 @@ and 1/8 below each leaf); level 0 never carries edges, but its cuts are the
 terminal singletons by convention (forced by the min-distance-1 normalization),
 and `cuts_at_level` serves them for any j <= 0 in range.
 
-Sampling draws beta log-uniformly from [1,2) and a uniform permutation, carves
-nested balls of radius beta*2^(j-2) per level (first permutation element within
-the radius wins), and promotes the whole tree one level if the expanding
-property would otherwise fail ("rescale one level up").  Promotion appends a
-level-1 singleton edge below each leaf so the bottom level stays 1.
+Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
+carves nested balls of radius beta*2^(j-2) per level: a point joins the first
+permutation element within the radius.  All levels come from one pass over the
+terminals' distance submatrix (Cohen's least-element lists, as Blelloch, Gupta
+and Tangwongsan use them for FRT): sort each row by distance and take the
+prefix-min of permutation rank, so a point's center at any radius is one
+lookup.  Points sorted by their centers from the top level down list every
+level's nodes in the order carving them one by one creates.  Two points whose
+nodes differ at L levels are 2(2^L - 1) apart in the tree, which gives the
+expanding test T >= d for all pairs at once; when it fails, the whole tree is
+promoted one level ("rescale one level up"), with a level-1 singleton edge
+appended below each leaf so the bottom level stays 1.
+
+`validate_hst` does not trust the sampler: it walks every leaf up through
+`parent` and checks the cuts, levels and distances with pairwise arrays against
+the metric; `validated_distances` also returns the pairwise tree distances it
+measured.  `tree_distance` is the scalar path walk that defines them.
 """
 
 from __future__ import annotations
@@ -165,54 +177,128 @@ def check_levels(t: Hst) -> list:
     return list(range(lo, t.root_level + 1))
 
 
+def _pairwise(t: Hst, leaves):
+    """Walk every leaf in `leaves` up to the root at once, from t.parent alone.
+
+    Returns (ancestors, T, cap): ancestors[depth] holds each leaf's ancestor at
+    that depth below the root (-1 past the leaf); T[a, b] is the leaf-to-leaf
+    path length, each side summed leaf first as tree_distance sums it; cap[a, b]
+    is 2^(lowest edge level over the common ancestors below the root), inf when
+    only the root is common.  Arrays are depth x len(leaves) or len(leaves)^2.
+    """
+    parent = np.asarray([0] + t.parent[1:])  # a walk that reaches the root stays there
+    level = np.asarray([0] + t.edge_level[1:])
+    length = np.ldexp(1.0, level - 1)
+    length[0] = 0.0  # the root has no edge; adding 0.0 keeps finished walks exact
+    n = len(leaves)
+    walk = [np.asarray(leaves, dtype=np.intp)]
+    while walk[-1].any():
+        walk.append(parent[walk[-1]])
+    up = np.array(walk)
+    dist = np.zeros(up.shape)
+    np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
+    cols = np.arange(n)
+    steps = (up > 0).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
+    ancestors = np.where(steps >= 0, up[steps.clip(0), cols], -1)
+    to_ancestor = dist[steps.clip(0), cols]
+    # Shared ancestors form a prefix of both root paths, so counting the
+    # shared depths below the root gives the depth of the lowest common one.
+    apart = np.where(ancestors >= 0, ancestors, -1 - cols)  # padding matches nothing
+    lca = np.zeros((n, n), dtype=np.intp)
+    for a in apart[1:]:
+        lca += a[:, None] == a[None, :]
+    T = to_ancestor[lca, cols[:, None]] + to_ancestor[lca, cols]
+    lowest = np.minimum.accumulate(level[ancestors[1:]], axis=0)  # down each root path
+    cap = np.vstack([np.full(n, np.inf), np.ldexp(1.0, lowest)])[lca, cols]
+    return ancestors, T, cap
+
+
 def validate_hst(t: Hst, m: MetricSpace) -> list:
-    """Exhaustive check of the Definition-2 invariants; empty list iff valid."""
+    """Exhaustive check of the Definition-2 invariants; empty list iff valid.
+
+    Independent of the sampler: everything is derived from t.parent,
+    t.edge_level and the leaf maps, and compared with m.d.
+    """
+    return validated_distances(t, m)[0]
+
+
+def validated_distances(t: Hst, m: MetricSpace):
+    """(validate_hst(t, m), T) from one walk of the tree.
+
+    T[i, j] = tree_distance(t, u, v) for u, v the i-th and j-th terminals in
+    sorted order, on a tree whose leaf maps are a bijection.
+    """
     out = []
-    pts = t.terminals
+    n = t.n_nodes
+    parent = np.asarray(t.parent)
+    level = np.asarray([0] + t.edge_level[1:])
+    kids = np.bincount(parent[1:], minlength=n)
+    is_leaf = np.zeros(n, dtype=bool)
+    is_leaf[list(t.leaf_point)] = True
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
-    for nid in range(t.n_nodes):
-        is_leaf = not t.children[nid]
-        if is_leaf and nid not in t.leaf_point and t.n_nodes > 1:
-            out.append(f"leaves: childless node {nid} maps to no terminal")
-        if nid in t.leaf_point and t.children[nid]:
-            out.append(f"leaves: node {nid} is both internal and a terminal leaf")
+    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (n > 1) | is_leaf & (kids > 0)):
+        out.append(f"leaves: node {nid} is both internal and a terminal leaf" if kids[nid]
+                   else f"leaves: childless node {nid} maps to no terminal")
     if len(t.leaf_point) != len(set(t.leaf_point.values())):
         out.append("leaves: terminal-to-leaf map is not a bijection")
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
     #    length = 2^(level-1) holds by construction of edge_length
-    for nid in range(t.n_nodes):
-        kids = t.children[nid]
-        if kids and len({t.edge_level[c] for c in kids}) != 1:
-            out.append(f"levels: children of node {nid} at differing edge lengths")
-        for c in kids:
-            if nid != 0 and t.edge_level[c] >= t.edge_level[nid]:
-                out.append(f"levels: edge level does not decrease at node {c}")
-    # 3. cut diameter: a level-j edge separates a set of diameter < 2^j
-    for nid in range(1, t.n_nodes):
-        j = t.edge_level[nid]
-        cut = sorted(t.cut(nid))
-        bound = pow2(j)
-        for i, u in enumerate(cut):
-            for v in cut[i + 1:]:
-                if m.dist(u, v) >= bound:
-                    out.append(f"cut diameter: d({u},{v})={m.dist(u, v):g} >= 2^{j} under a level-{j} edge")
-    # 4. expanding: T(u,v) >= d(u,v)
-    for i, u in enumerate(pts):
-        for v in pts[i + 1:]:
-            tv = tree_distance(t, u, v)
-            if tv < m.dist(u, v):
-                out.append(f"expanding: T({u},{v})={tv:g} < d={m.dist(u, v):g}")
+    above = parent[1:]
+    lo, hi = np.full(n, level.max()), np.full(n, level.min())
+    np.minimum.at(lo, above, level[1:])
+    np.maximum.at(hi, above, level[1:])
+    found = [((nid, 0, 0), f"levels: children of node {nid} at differing edge lengths")
+             for nid in np.flatnonzero((kids > 0) & (lo != hi))]
+    no_drop = (above != 0) & (level[1:] >= level[above])
+    found += [((above[c - 1], 1, c), f"levels: edge level does not decrease at node {c}")
+              for c in np.flatnonzero(no_drop) + 1]
+    out += [msg for _, msg in sorted(found)]
+    # One entry per leaf-map item, sorted by point: the leaves point_leaf names
+    # are the terminals, any other item still counts in the cuts.
+    entries = sorted(t.leaf_point.items(), key=lambda item: (item[1], item[0]))
+    nodes = np.array([nid for nid, _ in entries], dtype=np.intp)
+    pts = np.array([p for _, p in entries], dtype=np.intp)
+    terminal = np.array([t.point_leaf.get(p) == nid for nid, p in entries], dtype=bool)
+    ancestors, T, cap = _pairwise(t, nodes)
+    d = m.d[np.ix_(pts, pts)]
+    # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
+    #    breaks some cut iff it breaks the cut of its lowest-level common edge
+    bad = set()
+    for a, b in np.argwhere(np.triu(d >= cap, 1)):
+        x, y = ancestors[1:, a], ancestors[1:, b]
+        for anc in x[(x == y) & (x >= 0)]:
+            if d[a, b] >= pow2(int(level[anc])):
+                bad.add((int(anc), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
+    out += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
+            for _, u, v, j, duv in sorted(bad)]
+    # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
+    #    that pair is measured again by the path walk that defines T.
+    pair = np.triu(terminal[:, None] & terminal, 1)
+    if pair.any():
+        a, b = divmod(int(np.where(pair, T - d, np.inf).argmin()), len(pts))
+        T[a, b] = T[b, a] = tree_distance(t, int(pts[a]), int(pts[b]))
+    for a, b in np.argwhere(pair & (T < d)):
+        out.append(f"expanding: T({pts[a]},{pts[b]})={T[a, b]:g} < d={d[a, b]:g}")
     # 5. per-level cuts partition the terminals (implicit singletons complete
-    #    any level a leaf's path skips); levels <= 0 are singletons
-    for j in range(1, t.root_level + 1):
-        cuts = cuts_at_level(t, j)
-        seen = [p for c in cuts for p in c]
-        if len(seen) != len(set(seen)) or set(seen) != set(pts):
-            out.append(f"partition: level-{j} cuts do not partition the terminals")
-    for nid in range(1, t.n_nodes):
-        if t.edge_level[nid] <= 0 and len(t.cut(nid)) != 1:
-            out.append(f"singletons: level-{t.edge_level[nid]} cut has {len(t.cut(nid))} terminals")
-    return out
+    #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
+    #    the set of points whose leaf walks pass its node.
+    on_walk = ancestors > 0
+    members = np.unique(ancestors[on_walk] * m.n + np.broadcast_to(pts, ancestors.shape)[on_walk])
+    member_node, member_pt = members // m.n, members % m.n
+    size = np.bincount(member_node, minlength=n)
+    lowest, width = int(level.min()), int(level.max() - level.min()) + 1
+    count = np.bincount(member_pt * width + level[member_node] - lowest)
+    is_terminal = np.zeros(m.n, dtype=bool)
+    is_terminal[list(t.point_leaf)] = True
+    foreign = ~is_terminal[member_pt]
+    # a level breaks when a point sits in two of its cuts or a cut holds a non-terminal
+    broken = set((np.flatnonzero(count > 1) % width + lowest).tolist())
+    broken |= set(level[member_node[foreign]].tolist())
+    out += [f"partition: level-{j} cuts do not partition the terminals"
+            for j in range(1, t.root_level + 1) if j in broken]
+    for nid in np.flatnonzero((level[1:] <= 0) & (size[1:] != 1)) + 1:
+        out.append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
+    return out, T
 
 
 def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
@@ -229,50 +315,54 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
     if len(pts) == 1:
         t.set_leaf(root, pts[0])
         return t
-    for i, u in enumerate(pts):
-        for v in pts[i + 1:]:
-            if m.coincident(u, v):
-                raise CoincidentTerminals(f"terminals {u} and {v} share a position")
-            if m.dist(u, v) < 1.0:
-                raise ValueError(
-                    f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1"
-                )
+    k = len(pts)
+    d = m.d[np.ix_(pts, pts)]
+    close = d < 1.0
+    np.fill_diagonal(close, False)
+    if close.any():
+        u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
+        if m.coincident(u, v):
+            raise CoincidentTerminals(f"terminals {u} and {v} share a position")
+        raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     beta = 2.0 ** rng.random()
-    order = [pts[i] for i in rng.permutation(len(pts))]
-    rank = {p: i for i, p in enumerate(order)}
+    rank = np.empty(k, dtype=np.intp)
+    rank[rng.permutation(k)] = np.arange(k)
+    top = floor_log2(float(d.max())) + 1
 
-    diam = max(m.dist(u, v) for i, u in enumerate(pts) for v in pts[i + 1:])
-    top = floor_log2(diam) + 1
+    # Least-element lists: along each row sorted by distance, the prefix-min
+    # of permutation rank is the first permutation element within any radius
+    # (a radius takes in all or none of a run of equal distances, so the order
+    # of ties does not matter).
+    by_dist = np.argsort(d, axis=1)
+    row_d = np.take_along_axis(d, by_dist, axis=1)
+    least = np.minimum.accumulate(rank[by_dist], axis=1)
+    rows = np.arange(k)
+    levels = np.arange(top, 0, -1)
+    center = np.array([least[rows, (row_d <= beta * pow2(j - 2)).sum(axis=1) - 1] for j in levels.tolist()])
+    # A level-j node holds the points whose centers agree from the top level
+    # down to j.  Sorted by that path, the points list each level's nodes in
+    # (parent id, center rank) order, the order carving them one by one gives.
+    order = np.lexsort(center[::-1])
+    path = center[:, order]
+    starts = np.ones(path.shape, dtype=bool)  # sorted point i opens a node at this level
+    starts[:, 1:] = np.logical_or.accumulate(path[:, 1:] != path[:, :-1], axis=0)
+    assert starts[-1].all()
+    node = np.cumsum(starts).reshape(path.shape)  # node ids, level by level
+    above = np.zeros_like(node)
+    above[1:] = node[:-1]
+    for p, j in zip(above[starts].tolist(), np.repeat(levels, starts.sum(axis=1)).tolist()):
+        t.add_node(p, j)
+    for nid, i in zip(node[-1].tolist(), order.tolist()):
+        t.set_leaf(nid, pts[i])
 
-    # Ball carving: at level j a point joins the first permutation element
-    # within beta * 2^(j-2); children refine their parent's cluster.
-    def center(p, radius):
-        return min((q for q in pts if m.dist(p, q) <= radius), key=rank.get)
-
-    frontier = {root: pts}
-    for j in range(top, 0, -1):
-        radius = beta * pow2(j - 2)
-        nxt = {}
-        for nid, members in frontier.items():
-            groups = {}
-            for p in members:
-                groups.setdefault(center(p, radius), []).append(p)
-            for c in sorted(groups, key=rank.get):
-                child = t.add_node(nid, j)
-                nxt[child] = groups[c]
-        frontier = nxt
-    for nid, members in frontier.items():
-        assert len(members) == 1
-        t.set_leaf(nid, members[0])
-
-    expanding = all(
-        tree_distance(t, u, v) >= m.dist(u, v)
-        for i, u in enumerate(pts)
-        for v in pts[i + 1:]
-    )
-    if not expanding:
+    # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
+    by_point = np.empty_like(node)
+    by_point[:, order] = node
+    gap = sum(row[:, None] != row[None, :] for row in by_point)
+    span = 2.0 * (np.ldexp(1.0, np.arange(len(levels) + 1)) - 1.0)  # T for L = 0, 1, ...
+    if not np.all(span[gap] >= d):
         t = _promote_one_level(t)
     return t
 

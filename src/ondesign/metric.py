@@ -457,6 +457,52 @@ class RequestRecord:
     feasible_now: bool = True
 
 
+# Index shapes for _fits: an int naming one of the instance's points or requests.
+POINT, REQUEST = "point", "request"
+
+
+def _fits(value, shape, bounds) -> bool:
+    """Whether JSON `value` has `shape`: a type (float admits ints, int and
+    float refuse bools), POINT or REQUEST (an int in [0, bounds[shape])), None,
+    a tuple of alternatives, [shape] for a list of it, [s1, s2, ...] for a list
+    of that length, or {key: shape} for an object with exactly those keys."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, s, bounds) for s in shape)
+    if isinstance(shape, list):
+        if not isinstance(value, list):
+            return False
+        if len(shape) == 1:
+            return all(_fits(v, shape[0], bounds) for v in value)
+        return len(value) == len(shape) and all(_fits(v, s, bounds) for v, s in zip(value, shape))
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and set(value) == set(shape) and all(
+            _fits(value[key], s, bounds) for key, s in shape.items()
+        )
+    if shape is None:
+        return value is None
+    if isinstance(shape, str):
+        return type(value) is int and 0 <= value < bounds[shape]
+    if isinstance(value, bool):
+        return shape is bool
+    return isinstance(value, (int, float) if shape is float else shape)
+
+
+# A record field's shape: the fields naming points or requests, every other
+# field by its annotation (a new tuple field needs an entry here).
+_RECORD_INDICES = {
+    "idx": REQUEST, "points": [POINT], "witnesses": [REQUEST], "witnesses_t": [REQUEST],
+    "attach": (POINT, None), "edges": [[POINT, POINT, (int, None)]],
+    "sigma_hat": (POINT, None), "sigma": (POINT, None), "opened": (POINT, None),
+}
+_ANNOTATED = {
+    "int": int, "str": str, "float": float, "bool": bool,
+    "Optional[int]": (int, None), "Optional[str]": (str, None), "Optional[float]": (float, None),
+}
+RECORD_SHAPE = {
+    f.name: _RECORD_INDICES.get(f.name) or _ANNOTATED[f.type] for f in fields(RequestRecord)
+}
+
+
 @dataclass
 class RunTrace:
     """What a run decided: one record per request plus JSON-native end-of-run
@@ -479,16 +525,24 @@ class RunTrace:
             fh.write(json.dumps({"summary": self.summary}, sort_keys=True) + "\n")
 
     @classmethod
-    def from_jsonl(cls, path) -> "RunTrace":
-        """The trace `to_jsonl` wrote; SchemaError if unreadable or malformed."""
+    def from_jsonl(cls, path, summary_shape, n_points, n_requests) -> "RunTrace":
+        """The trace `to_jsonl` wrote for an instance of n_points points and
+        n_requests requests, its summary of `summary_shape` (see _fits);
+        SchemaError if unreadable or malformed, or if an index is out of range."""
         trace = cls()
+        bounds = {POINT: n_points, REQUEST: n_requests}
         try:
             with open(path) as fh:
                 for line, row in enumerate(map(json.loads, fh), 1):
                     keys = set(row) if isinstance(row, dict) else None
-                    if keys == {"summary"} and isinstance(row["summary"], dict):
+                    if keys == {"summary"}:
+                        if not _fits(row["summary"], summary_shape, bounds):
+                            raise ValueError(f"line {line}: malformed summary")
                         trace.summary = row["summary"]
-                    elif keys == {f.name for f in fields(RequestRecord)}:
+                    elif keys == set(RECORD_SHAPE):
+                        wrong = [key for key, shape in RECORD_SHAPE.items() if not _fits(row[key], shape, bounds)]
+                        if wrong:
+                            raise ValueError(f"line {line}: field {wrong[0]} has the wrong type or range")
                         trace.add(RequestRecord(**dict(
                             row, points=tuple(row["points"]), witnesses=tuple(row["witnesses"]),
                             witnesses_t=tuple(row["witnesses_t"]), edges=tuple(map(tuple, row["edges"])),

@@ -89,15 +89,10 @@ def positive_share_rows(trace: RunTrace) -> dict:
     return rows
 
 
-def check_pcst_invariants(trace: RunTrace, m: MetricSpace, root: int, t_ext: Hst = None, point_rep=None):
-    """Returns (violations, flags).
-
-    Violations: total cost > 2 * sum(rho); same-class buys closer than 2^j;
-    rho > pi; on the extended tree, a level-j cut whose class-(j+1) share sum
-    exceeds 2^(j+2) or is nonzero in the cut holding `root`.  Flags (non-fatal): cut
-    sums in (2^(j+1), 2^(j+2)], recorded for inspection.
-    """
-    out, flags = [], []
+def check_pcst_run_invariants(trace: RunTrace, m: MetricSpace):
+    """Per-run violations: total cost > 2 * sum(rho); rho > pi; same-class buys
+    closer than 2^j."""
+    out = []
     shares = total_share(trace)
     total = trace.total_cost()
     if exceeds(total, 2 * shares):
@@ -105,28 +100,36 @@ def check_pcst_invariants(trace: RunTrace, m: MetricSpace, root: int, t_ext: Hst
     for rec in trace.records:
         if rec.rho is not None and rec.pi is not None and rec.rho > rec.pi:
             out.append(f"request {rec.idx}: rho {rec.rho:g} > pi {rec.pi:g}")
-    out += check_class_separation(trace, m)
+    return out + check_class_separation(trace, m)
 
-    if t_ext is not None:
-        rep = point_rep or (lambda p: p)
-        root_rep = rep(root)
-        rows_by_class = {
-            c: [(rep(p), rho) for p, rho, _ in rows]
-            for c, rows in positive_share_rows(trace).items()
-        }
-        for j in check_levels(t_ext):
-            rows = rows_by_class.get(j + 1)
-            if not rows:
+
+def check_pcst_invariants(trace: RunTrace, root: int, t_ext: Hst, point_rep=None):
+    """Per-tree cut shares on the extended tree; returns (violations, flags).
+
+    Violations: a level-j cut whose class-(j+1) share sum exceeds 2^(j+2) or is
+    nonzero in the cut holding `root`.  Flags (non-fatal): cut sums in
+    (2^(j+1), 2^(j+2)], recorded for inspection.
+    """
+    out, flags = [], []
+    rep = point_rep or (lambda p: p)
+    root_rep = rep(root)
+    rows_by_class = {
+        c: [(rep(p), rho) for p, rho, _ in rows]
+        for c, rows in positive_share_rows(trace).items()
+    }
+    for j in check_levels(t_ext):
+        rows = rows_by_class.get(j + 1)
+        if not rows:
+            continue
+        soft, hard = pow2(j + 1), pow2(j + 2)
+        for cut in cuts_at_level(t_ext, j):
+            inside = sum(rho for p, rho in rows if p in cut)
+            if inside <= 0:
                 continue
-            soft, hard = pow2(j + 1), pow2(j + 2)
-            for cut in cuts_at_level(t_ext, j):
-                inside = sum(rho for p, rho in rows if p in cut)
-                if inside <= 0:
-                    continue
-                if root_rep in cut:
-                    out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
-                elif exceeds(inside, hard, atol=0.0):
-                    out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")
-                elif exceeds(inside, soft, atol=0.0):
-                    flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
+            if root_rep in cut:
+                out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
+            elif exceeds(inside, hard, atol=0.0):
+                out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")
+            elif exceeds(inside, soft, atol=0.0):
+                flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
     return out, flags

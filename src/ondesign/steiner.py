@@ -19,6 +19,7 @@ from __future__ import annotations
 from .errors import InvalidCover, InvalidRequirement
 from .hst import Hst, cuts_at_level
 from .metric import (
+    POINT,
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
@@ -80,6 +81,11 @@ class BcForest:
             sol.buy(u, v, copies=self.copies)
             cost += weight * self.m.dist(u, v)
         return klass, cost, tuple(e for e in added if e[2] is not None)
+
+    # The shape (see metric._fits) of a trace summary {"forests": [summary(), ...]}.
+    SUMMARY_SHAPE = {"forests": [{
+        "copies": int, "A": [[int, [[POINT, POINT]]]], "occ": [[POINT, int]], "zero_merges": [[POINT, POINT]],
+    }]}
 
     def summary(self) -> dict:
         """One entry of a trace's summary["forests"], in JSON-native lists."""

@@ -18,18 +18,21 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import exact
 from .errors import OndesignError
 from .cfl import (
+    CFL_SUMMARY_SHAPE,
     cfl_buy_rent_cost,
     check_cfl_cost_split,
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import extend_singleton_levels, sample_frt, tree_distance, validate_hst
+from .hst import extend_singleton_levels, sample_frt, validate_hst, validated_distances
 from .metric import (
     RTOL,
     MetricSpace,
@@ -39,7 +42,13 @@ from .metric import (
     pow2,
     solution_cost,
 )
-from .prize import check_pcst_invariants, positive_share_rows, run_pcst, total_share
+from .prize import (
+    check_pcst_invariants,
+    check_pcst_run_invariants,
+    positive_share_rows,
+    run_pcst,
+    total_share,
+)
 from .rentorbuy import (
     check_cut_capacity,
     check_greedy_replay,
@@ -50,6 +59,7 @@ from .rentorbuy import (
     run_srob,
 )
 from .steiner import (
+    BcForest,
     check_bc_edge_property,
     check_class_separation,
     check_metagraph_acyclic,
@@ -111,7 +121,7 @@ MROB_WITNESSES = ("witness_disjointness", lambda m, seq, trace: check_mrob_witne
 CFL_INVARIANTS = ("cfl_invariants", lambda m, seq, trace: check_cfl_invariants(trace, m, seq.root, seq.M))
 CFL_COST_SPLIT = ("cfl_cost_split", lambda m, seq, trace: check_cfl_cost_split(trace, m, seq.facilities))
 BUYRENT_VS_SHARE = ("buyrent_vs_share", _vs_share("M c(H) + rents =", 3, _cfl_buy_rent_cost))
-PCST_INVARIANTS = ("pcst_run_invariants", lambda m, seq, trace: check_pcst_invariants(trace, m, seq.root)[0])
+PCST_INVARIANTS = ("pcst_run_invariants", lambda m, seq, trace: check_pcst_run_invariants(trace, m))
 # Solution checks: (report name, check(m, seq, sol, trace) -> violations).
 SN_DECOMPOSITION = ("sn_decomposition", lambda m, seq, sol, trace: check_sn_decomposition(trace, sol))
 GREEDY_REPLAY = ("greedy_replay", lambda m, seq, sol, trace: check_greedy_replay(trace, m, sol, seq.root))
@@ -192,7 +202,7 @@ def _tree_mrob(tally, m, seq, trace, t, rep, weights):
 
 def _tree_pcst(tally, m, seq, trace, t, rep, weights):
     t_ext = extend_singleton_levels(t, -2)
-    tree_viol, tree_flags = check_pcst_invariants(trace, m, seq.root, t_ext, rep)
+    tree_viol, tree_flags = check_pcst_invariants(trace, seq.root, t_ext, rep)
     tally.out += tree_viol
     tally.flags += tree_flags
     rows = {
@@ -220,6 +230,7 @@ class ProblemSpec:
     constants: dict          # per-tree bound name -> factor
     optimum: Callable        # (m, seq) -> exact offline optimum
     solution_checks: tuple = ()  # (name, check(m, seq, sol, trace)); own runs only
+    summary_shape: dict = field(default_factory=dict)  # of trace.summary, see metric._fits
     trace_cost: Callable = lambda m, seq, sol, trace: trace.total_cost()
 
 
@@ -243,6 +254,7 @@ SPECS = {
     "SteinerForest": ProblemSpec(
         run=lambda m, seq: run_bc_sf(m, seq.requests),
         run_checks=(BC_EDGE_PROPERTY,),
+        summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
     ),
@@ -250,6 +262,7 @@ SPECS = {
         run=lambda m, seq: run_sn(m, seq.requests),
         run_checks=(BC_EDGE_PROPERTY,),
         solution_checks=(SN_DECOMPOSITION,),
+        summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_sn_tiny(
             m, [(s, t) for s, t, _ in seq.requests], [r for _, _, r in seq.requests]
@@ -265,12 +278,14 @@ SPECS = {
     "MROB": ProblemSpec(
         run=lambda m, seq: run_mrob(m, seq.requests, seq.M),
         run_checks=(COST_VS_SHARE, MROB_WITNESSES, BC_EDGE_PROPERTY),
+        summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
     ),
     "CFL": ProblemSpec(
         run=lambda m, seq: run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M),
         run_checks=(CFL_INVARIANTS, CFL_COST_SPLIT, BUYRENT_VS_SHARE),
+        summary_shape=CFL_SUMMARY_SHAPE,
         tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_cfl(
             m, list(seq.facilities), seq.requests, seq.M, seq.root
@@ -294,7 +309,10 @@ def run_problem(m: MetricSpace, seq: RequestSequence):
 def position_reps(m: MetricSpace, points):
     """Collapse coincident positions: point -> lowest-index representative."""
     pts = sorted(set(points))
-    return {p: next(q for q in pts if m.dist(p, q) == 0.0) for p in pts}
+    if not pts:
+        return {}
+    first = (m.d[np.ix_(pts, pts)] == 0.0).argmax(axis=1)
+    return {p: pts[i] for p, i in zip(pts, first.tolist())}
 
 
 def tree_points(m: MetricSpace, seq: RequestSequence):
@@ -305,12 +323,13 @@ def tree_points(m: MetricSpace, seq: RequestSequence):
     return sorted(set(rep.values())), rep, weights
 
 
-def check_tree_bounds(m, seq, trace, tree_seed):
+def check_tree_bounds(m, seq, trace, points, tree_seed):
     """Sample one HST (and its extension) and run every per-tree check.
 
-    Returns (violations, flags, ratios) for this tree.
+    `points` is tree_points(m, seq).  Returns (violations, flags, ratios) for
+    this tree.
     """
-    reps, rep, weights = tree_points(m, seq)
+    reps, rep, weights = points
     if not reps:
         return [], [], {}
     t = sample_frt(m, reps, tree_seed)
@@ -366,9 +385,11 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
         checks = [(name, check(m, seq, trace)) for name, check in spec.run_checks]
         cost_doc = {"total": trace.total_cost()}
 
+    points = tree_points(m, seq)
+
     def one_trial(trial):
         try:
-            return check_tree_bounds(m, seq, trace, _tree_seed(seed, trial))
+            return check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
         except (OndesignError, ValueError) as exc:
             # malformed (e.g. forged) traces surface as violations, not crashes
             return [f"check error: {exc}"], [], {}
@@ -415,31 +436,26 @@ def embed_report(m, terminals, trials=200, seed=0, jobs=1):
     reps = sorted(set(terminals))
 
     def one(trial):
-        t = sample_frt(m, reps, _tree_seed(seed, trial))
-        bad = validate_hst(t, m)
-        stretch = {}
-        for i, u in enumerate(reps):
-            for v in reps[i + 1:]:
-                d = m.dist(u, v)
-                if d > 0:
-                    stretch[(u, v)] = tree_distance(t, u, v) / d
-        return bad, stretch
+        return validated_distances(sample_frt(m, reps, _tree_seed(seed, trial)), m)
 
     results = _map_trials(one, trials, jobs)
     invalid = sum(1 for bad, _ in results if bad)
-    sums = {}
-    for _, stretch in results:
-        for key, val in stretch.items():
-            sums[key] = sums.get(key, 0.0) + val
-    means = {key: val / trials for key, val in sums.items()}
+    # pairs u < v at positive distance, accumulated trial by trial
+    d = m.d[np.ix_(reps, reps)]
+    u, v = np.triu_indices(len(reps), 1)
+    u, v = u[d[u, v] > 0], v[d[u, v] > 0]
+    sums = np.zeros(len(u))
+    for _, T in results:
+        sums += T[u, v] / d[u, v]
+    means = (sums / trials).tolist() if results else []
     return {
         "k": len(reps),
         "trials": trials,
         "seed": seed,
         "invalid_trees": invalid,
         "valid_rate": 1.0 - (invalid / trials if trials else 0.0),
-        "max_mean_stretch": max(means.values()) if means else 0.0,
-        "mean_stretch": (sum(means.values()) / len(means)) if means else 0.0,
+        "max_mean_stretch": max(means) if means else 0.0,
+        "mean_stretch": (sum(means) / len(means)) if means else 0.0,
         "pairs": len(means),
     }
 

@@ -133,3 +133,54 @@ def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
     if rng.random() < extended_chance:
         t = extend_singleton_levels(t, -2 if rng.random() < 0.5 else -1)
     return m, t
+
+
+def brute_validate_hst(t, m):
+    """Reference for hst.validate_hst: the per-node, per-pair loop validator."""
+    from ondesign.hst import cuts_at_level, tree_distance
+    from ondesign.metric import pow2
+
+    out = []
+    pts = t.terminals
+    # 1. leaves are exactly the terminals (bijection, childless leaves only)
+    for nid in range(t.n_nodes):
+        is_leaf = not t.children[nid]
+        if is_leaf and nid not in t.leaf_point and t.n_nodes > 1:
+            out.append(f"leaves: childless node {nid} maps to no terminal")
+        if nid in t.leaf_point and t.children[nid]:
+            out.append(f"leaves: node {nid} is both internal and a terminal leaf")
+    if len(t.leaf_point) != len(set(t.leaf_point.values())):
+        out.append("leaves: terminal-to-leaf map is not a bijection")
+    # 2. siblings share an edge level; levels drop strictly toward the leaves
+    for nid in range(t.n_nodes):
+        kids = t.children[nid]
+        if kids and len({t.edge_level[c] for c in kids}) != 1:
+            out.append(f"levels: children of node {nid} at differing edge lengths")
+        for c in kids:
+            if nid != 0 and t.edge_level[c] >= t.edge_level[nid]:
+                out.append(f"levels: edge level does not decrease at node {c}")
+    # 3. cut diameter: a level-j edge separates a set of diameter < 2^j
+    for nid in range(1, t.n_nodes):
+        j = t.edge_level[nid]
+        cut = sorted(t.cut(nid))
+        bound = pow2(j)
+        for i, u in enumerate(cut):
+            for v in cut[i + 1:]:
+                if m.dist(u, v) >= bound:
+                    out.append(f"cut diameter: d({u},{v})={m.dist(u, v):g} >= 2^{j} under a level-{j} edge")
+    # 4. expanding: T(u,v) >= d(u,v)
+    for i, u in enumerate(pts):
+        for v in pts[i + 1:]:
+            tv = tree_distance(t, u, v)
+            if tv < m.dist(u, v):
+                out.append(f"expanding: T({u},{v})={tv:g} < d={m.dist(u, v):g}")
+    # 5. per-level cuts partition the terminals; levels <= 0 are singletons
+    for j in range(1, t.root_level + 1):
+        cuts = cuts_at_level(t, j)
+        seen = [p for c in cuts for p in c]
+        if len(seen) != len(set(seen)) or set(seen) != set(pts):
+            out.append(f"partition: level-{j} cuts do not partition the terminals")
+    for nid in range(1, t.n_nodes):
+        if t.edge_level[nid] <= 0 and len(t.cut(nid)) != 1:
+            out.append(f"singletons: level-{t.edge_level[nid]} cut has {len(t.cut(nid))} terminals")
+    return out

@@ -29,7 +29,7 @@ from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
 from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, solution_cost
-from ondesign.prize import check_pcst_invariants
+from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
 from ondesign.cfl import check_cfl_invariants
 from ondesign.steiner import check_class_separation, check_metagraph_acyclic, run_greedy_st
@@ -185,7 +185,7 @@ def _forged_controls():
 
     rho = RunTrace()
     rho.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, rho=5.0, pi=1.0))
-    viol, _ = check_pcst_invariants(rho, m5, 0)
+    viol = check_pcst_run_invariants(rho, m5)
     out.append(("pcst-rho", bool(viol)))
     return out
 

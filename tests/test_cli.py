@@ -9,6 +9,12 @@ from ondesign.metric import PROBLEMS, RequestRecord, instance_to_dict
 from ondesign.verify import run_problem, verify_run
 
 RECORD_FIELDS = [f.name for f in fields(RequestRecord)]
+# the SteinerTree record of request 0 in a matrix [[0, 1], [1, 0]], root 0, requests [1]
+OWN_ST_RECORD = {
+    **dict.fromkeys(RECORD_FIELDS), "idx": 0, "decision": "buy", "points": [1], "a": 1.0,
+    "klass": 0, "cost": 1.0, "witnesses": [], "witnesses_t": [], "attach": 0,
+    "edges": [[1, 0, None]], "feasible_now": True,
+}
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -259,7 +265,17 @@ def test_verify_forged_forest_summary_cycle_exit_4(tmp_path):
     '{"idx": 0, "decision": "buy"\n',
     '{"idx": 0}\n',
     json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "points": [1], "junk": 1}) + "\n",
-], ids=["missing-file", "not-json", "missing-fields", "unknown-field"])
+    json.dumps({"summary": {"forests": 5}}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "klass": "1"}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "points": [7]}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "points": [-1]}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "edges": [[1, 2, None]]}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "attach": -1}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "idx": 1}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "witnesses": [-1]}) + "\n",
+], ids=["missing-file", "not-json", "missing-fields", "unknown-field", "summary-type", "field-type",
+        "point-out-of-range", "negative-point", "edge-out-of-range", "negative-attach",
+        "request-out-of-range", "negative-witness"])
 def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
     inst = write_instance(
         tmp_path,
@@ -283,3 +299,62 @@ def test_negative_trials_and_jobs_below_one_exit_2(tmp_path, flag, value, capsys
         main(["verify", inst, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("summary", [
+    {"forests": 5},
+    {"forests": [{"copies": 1, "A": [], "occ": [[-1, 1]], "zero_merges": []}]},
+    {"forests": [{"copies": 1, "A": [[1, [[0, 3]]]], "occ": [], "zero_merges": []}]},
+    {"f_hat": [0]},
+], ids=["forests-number", "negative-point", "point-out-of-range", "other-problem"])
+def test_verify_forest_summary_malformed_exit_2(tmp_path, summary, capsys):
+    # a SteinerForest run's own records, then a summary of the wrong shape
+    inst = write_instance(
+        tmp_path,
+        {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "problem": "SteinerForest",
+         "requests": [[0, 2]]},
+    )
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "SteinerForest", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join(lines[:-1] + [json.dumps({"summary": summary})]) + "\n")
+    rc = main(["verify", inst, "--trace", str(forged), "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    assert "malformed summary" in capsys.readouterr().err
+
+
+def test_verify_pcst_run_violation_reported_once(tmp_path):
+    inst = write_instance(
+        tmp_path,
+        {"matrix": [[0, 4], [4, 0]], "problem": "PCST", "root": 0, "requests": [[1, 1.0]]},
+    )
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "PCST", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    row = json.loads(lines[0])
+    assert row["decision"] == "penalty" and row["rho"] == 1.0 and row["pi"] == 1.0
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join([json.dumps({**row, "rho": 5.0})] + lines[1:]) + "\n")
+    out = tmp_path / "rep.json"
+    rc = main(["verify", inst, "--trace", str(forged), "--trials", "5", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads(out.read_text())
+    assert rep["checks"]["pcst_run_invariants"] == {"fail": 1, "violations": ["request 0: rho 5 > pi 1"]}
+    # each tree still fails its own cut-share checks, two per tree
+    assert rep["tree_checks"]["fail"] == 10
+    assert not any("rho" in v for v in rep["tree_checks"]["violations"])
+
+
+def test_embed_report_pinned(tmp_path):
+    _, pts = gen_euclidean(24, seed=5)
+    inst = write_instance(
+        tmp_path,
+        {"points": pts.tolist(), "problem": "SteinerTree", "root": 0, "requests": list(range(1, 24, 2))},
+    )
+    out = tmp_path / "emb.json"
+    assert main(["embed", inst, "--trials", "30", "--seed", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "invalid_trees": 0, "k": 13, "max_mean_stretch": 9.221641668299164,
+        "mean_stretch": 4.197733268445467, "pairs": 78, "seed": 2, "trials": 30, "valid_rate": 1.0,
+    }

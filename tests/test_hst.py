@@ -1,9 +1,11 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import euclid, line_metric, path_edges, random_small_hst
+from conftest import brute_validate_hst, euclid, line_metric, path_edges, random_small_hst
 from ondesign.errors import (
     AlreadyExtended,
     CoincidentTerminals,
@@ -12,13 +14,16 @@ from ondesign.errors import (
 )
 from ondesign.hst import (
     Hst,
+    _promote_one_level,
     cuts_at_level,
     extend_singleton_levels,
     sample_frt,
     tree_distance,
     validate_hst,
+    validated_distances,
 )
-from ondesign.metric import build_metric
+from ondesign.generators import gen_euclidean, gen_graph_metric
+from ondesign.metric import build_metric, floor_log2
 
 
 def test_two_terminal_minimal_shape(two_point_metric):
@@ -47,6 +52,14 @@ def test_coincident_terminals_rejected():
     m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     with pytest.raises(CoincidentTerminals):
         sample_frt(m, [0, 1, 2], seed=0)
+
+
+def test_first_bad_pair_is_named():
+    # pairs are scanned in (u, v) order: a closer pair further on is not named
+    with pytest.raises(ValueError, match=r"d\(0,1\)=0.5 < 1"):
+        sample_frt(line_metric([0, 0.5, 3, 3]), range(4), seed=0)
+    with pytest.raises(CoincidentTerminals, match="terminals 1 and 2"):
+        sample_frt(line_metric([0, 2, 2, 2.5]), range(4), seed=0)
 
 
 def test_line_four_points_valid():
@@ -211,3 +224,94 @@ def test_json_schema_fields(two_point_metric):
     assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
     assert set(doc["nodes"][1]) == {"id", "level", "parent", "edge_len"}
     assert doc["leaf_map"] == {"0": 1, "1": 2}
+
+
+# (family, k, metric seed, promoted, SHA-256 prefix of to_json() followed by
+# the leaf_point order), recorded from the one-ball-at-a-time sampler; the tree
+# is sample_frt(metric, range(k), 1000 * k + metric seed).
+PINNED_TREES = [
+    ("euclid", 2, 0, False, "12d1f24338418c57c6908151461978db"),
+    ("euclid", 3, 1, False, "472ec3fa21ebe170639e3f7c7271d7b0"),
+    ("euclid", 4, 0, False, "625bf131e1bc1d4690813702b974a307"),
+    ("euclid", 5, 2, False, "9069d99a1773a239c537ef3901f66901"),
+    ("euclid", 6, 4, True, "30abdfd5680e6a64f852b23247bb4409"),
+    ("euclid", 8, 3, False, "2bd0dd034cfb5b7b1c6055eab900c950"),
+    ("euclid", 8, 11, True, "60ff7db2ea1353f226656cdaa56325e4"),
+    ("euclid", 10, 7, True, "9f590c02d00bd107b65cad03c5bedfef"),
+    ("euclid", 13, 4, False, "e40f1afd0f47b4d169e7f15ff92de211"),
+    ("euclid", 21, 5, False, "6fc9a0901632cf9ac8fbffc3a06231d3"),
+    ("euclid", 30, 6, False, "5709489b562067953ce67e6843618a5f"),
+    ("euclid", 40, 7, True, "6b7ff2d7baaca151cf29325601aae545"),
+    ("euclid", 64, 8, False, "97bd6c3345dea9bec1d9c067771851d9"),
+    ("euclid", 100, 9, False, "4c1f46aee9adc7a6fd35142c9ef095d9"),
+    ("euclid", 160, 10, False, "b52b0ac6002765faa224bc8565d534d9"),
+    ("euclid", 200, 11, False, "b848baf6e97bee7765e82ab0f9e3cb8f"),
+    ("graph", 6, 12, True, "cc8d8045a70870a1c34745694988b5fa"),
+    ("graph", 17, 13, False, "17163b5aa74cb51318a76b8af02b3b95"),
+    ("graph", 40, 14, True, "b1dad9616d1983eeb67cbd24cf45e435"),
+    ("graph", 90, 15, True, "f9e599550fe9b4c78b462a4109e77a6e"),
+]
+
+
+@pytest.mark.parametrize("family, k, seed, promoted, digest", PINNED_TREES)
+def test_sample_frt_pinned(family, k, seed, promoted, digest):
+    m = gen_euclidean(k, seed=seed)[0] if family == "euclid" else gen_graph_metric(k, seed=seed)
+    t = sample_frt(m, range(k), 1000 * k + seed)
+    text = t.to_json() + json.dumps(list(t.leaf_point.items()))
+    assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
+    assert (t.root_level == floor_log2(m.diameter()) + 2) == promoted
+
+
+def _corrupt(t, rng, kind):
+    """A copy of t with one defect: a leaf edge shrunk, a level raised, a leaf
+    re-hung below an earlier node, or a leaf's terminal dropped."""
+    t = copy.deepcopy(t)
+    t.__dict__.pop("_cut_cache", None)
+    leaf = sorted(t.leaf_point)[int(rng.integers(len(t.leaf_point)))]
+    if kind == "shrink" and leaf:
+        t.edge_level[leaf] -= int(rng.integers(1, 4))
+    elif kind == "raise" and t.n_nodes > 1:
+        t.edge_level[int(rng.integers(1, t.n_nodes))] += int(rng.integers(1, 3))
+    elif kind == "rehang" and leaf:
+        new = int(rng.integers(0, leaf))  # ids grow toward the leaves
+        t.children[t.parent[leaf]].remove(leaf)
+        t.parent[leaf] = new
+        t.children[new].append(leaf)
+    elif kind == "drop":
+        del t.point_leaf[t.leaf_point.pop(leaf)]
+    return t
+
+
+def test_validate_matches_reference_on_sampled_and_corrupted_trees():
+    rng = np.random.default_rng(5)
+    checked = flagged = 0
+    for trial in range(60):
+        k = int(rng.integers(1, 24))
+        if trial % 3 == 0:
+            m = gen_graph_metric(max(k, 2), seed=trial)
+        elif trial % 3 == 1:  # integer distances: ties with 2^j on every level
+            m = line_metric(np.sort(rng.choice(3 * k, size=k, replace=False)))
+        else:
+            m = gen_euclidean(k, seed=trial)[0]
+        t = sample_frt(m, range(m.n), int(rng.integers(0, 2**40)))
+        trees = [t, extend_singleton_levels(t, -2 if trial % 2 else -1)]
+        if m.n > 1:
+            trees.append(_promote_one_level(t))
+        for tree in list(trees):
+            trees += [_corrupt(tree, rng, kind) for kind in ("shrink", "raise", "rehang", "drop")]
+        for tree in trees:
+            got = validate_hst(copy.deepcopy(tree), m)
+            assert sorted(got) == sorted(brute_validate_hst(copy.deepcopy(tree), m))
+            checked += 1
+            flagged += bool(got)
+    assert checked > 500 and flagged > 100
+
+
+def test_validated_distances_match_path_walk():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        m, t = random_small_hst(rng)
+        pts = t.terminals
+        bad, T = validated_distances(t, m)
+        assert bad == validate_hst(t, m)
+        assert [[tree_distance(t, u, v) for v in pts] for u in pts] == T.tolist()

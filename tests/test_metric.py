@@ -201,5 +201,5 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert back["decision"] == "buy" and back["a"] == 1.0
     from ondesign.metric import RunTrace
 
-    again = RunTrace.from_jsonl(path)
+    again = RunTrace.from_jsonl(path, {}, m.n, 2)
     assert [r.cost for r in again.records] == [r.cost for r in trace.records]

@@ -5,6 +5,7 @@ from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
     check_pcst_invariants,
+    check_pcst_run_invariants,
     positive_share_rows,
     run_pcst,
     total_share,
@@ -26,8 +27,7 @@ def test_pcst_penalty_then_buy():
     assert first.decision == "penalty" and first.rho == 1.0
     assert second.decision == "buy" and second.rho == 7.0
     assert trace.total_cost() == 5.0
-    viol, flags = check_pcst_invariants(trace, m, 0)
-    assert viol == []
+    assert check_pcst_run_invariants(trace, m) == []
 
 
 def test_pcst_zero_penalty():
@@ -67,7 +67,7 @@ def test_pcst_forged_rho_exceeds_pi():
     forged.add(
         RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, cost=1.0, rho=5.0, pi=1.0)
     )
-    viol, _ = check_pcst_invariants(forged, m, 0)
+    viol = check_pcst_run_invariants(forged, m)
     assert any("rho" in v for v in viol)
 
 
@@ -84,8 +84,8 @@ def test_pcst_tree_invariants_and_bounds():
         rep = position_reps(m, [p for p, _ in reqs] + [0])
         reps = sorted(set(rep.values()))
         t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial), -2)
-        viol, flags = check_pcst_invariants(trace, m, 0, t_ext, rep.get)
-        assert viol == []
+        viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
+        assert check_pcst_run_invariants(trace, m) + viol == []
         share = total_share(trace)
         rows = {
             c: [(rep[p], rho, pi) for p, rho, pi in lst]
@@ -111,6 +111,6 @@ def test_pcst_flags_soft_range():
     _, trace = run_pcst(m, 0, reqs)
     rep = position_reps(m, list(range(8)))
     t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0), -2)
-    viol, flags = check_pcst_invariants(trace, m, 0, t_ext, rep.get)
-    assert viol == []
+    viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
+    assert check_pcst_run_invariants(trace, m) + viol == []
     assert isinstance(flags, list)
