@@ -1,7 +1,7 @@
 """Command-line harness: gen | run | verify | ratio | embed.
 
 Every command is a deterministic function of its inputs and --seed; reports
-carry no timestamps so repeated runs are byte-identical (also under --jobs).
+carry no timestamps so repeated runs are byte-identical.
 
 Exit codes: 0 ok; 2 schema/usage error; 3 infeasible run; 4 bound or embedding
 violation; 5 offline-oracle cap exceeded.
@@ -26,7 +26,7 @@ from .metric import (
     load_instance,
     solution_cost,
 )
-from .verify import SPECS, embed_report, exact_optimum, run_problem, tree_points, verify_run
+from .verify import SPECS, embed_report, exact_optimum, position_reps, run_problem, tree_points, verify_run
 
 
 def _write(path, text):
@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     if args.trace:
         shape = SPECS[seq.problem].summary_shape
         forged = RunTrace.from_jsonl(args.trace, shape, m.n, len(seq.requests))
-    report = verify_run(m, seq, trials=args.trials, seed=args.seed, jobs=args.jobs, forged_trace=forged)
+    report = verify_run(m, seq, trials=args.trials, seed=args.seed, forged_trace=forged)
     _write(args.out, _json(report))
     return 4 if report["violations"] else 0
 
@@ -160,35 +160,31 @@ def cmd_ratio(args) -> int:
 
 def cmd_embed(args) -> int:
     m, seq = _load(args)
-    reps = tree_points(m, seq)[0] or list(range(m.n))
-    report = embed_report(m, reps, trials=args.trials, seed=args.seed, jobs=args.jobs)
+    reps = tree_points(m, seq)[0] or position_reps(m, range(m.n)).values()
+    report = embed_report(m, reps, trials=args.trials, seed=args.seed)
     _write(args.out, _json(report))
     return 4 if report["invalid_trees"] else 0
 
 
-def _at_least(low):
-    """An argparse type: an integer >= low."""
-
-    def integer(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"{text} is below {low}")
-        return int(text)
-
-    return integer
+def _count(text):
+    """An argparse type: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is below 0")
+    return int(text)
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="ondesign", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, trials=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--trials", type=_at_least(0), default=20)
-        p.add_argument("--jobs", type=_at_least(1), default=1)
+        if trials:
+            p.add_argument("--trials", type=_count, default=20)
 
     g = sub.add_parser("gen", help="generate an instance JSON")
-    common(g)
+    common(g, trials=False)
     g.add_argument("--family", choices=["euclidean", "graph", "diamond"], default="euclidean")
     g.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
     g.add_argument("--n", type=int, default=16)
@@ -201,7 +197,7 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="run an algorithm on an instance")
-    common(r)
+    common(r, trials=False)
     r.add_argument("instance")
     r.add_argument("--algo", required=True)
     r.set_defaults(func=cmd_run)

@@ -1,12 +1,13 @@
-"""HST embeddings: FRT-style sampling, validation, cut accessors.
+"""HST embeddings: FRT-style sampling, validation, the cut-id matrix.
 
 A tree here is leveled: a level-j edge has length 2^(j-1), the cut below it
 (the terminals it separates from the root) has metric diameter < 2^j, and every
 root-to-leaf path passes one edge per level from the top level down to level 1.
 Levels -1 and -2 exist only on extended trees (singleton chains of lengths 1/4
 and 1/8 below each leaf); level 0 never carries edges, but its cuts are the
-terminal singletons by convention (forced by the min-distance-1 normalization),
-and `cuts_at_level` serves them for any j <= 0 in range.
+terminal singletons by convention (forced by the min-distance-1 normalization).
+`Hst.cut_ids` names the cut holding each terminal at each level; the tree
+oracles and per-tree checks group its rows, as `cuts_at_level` does.
 
 Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
@@ -21,15 +22,17 @@ expanding test T >= d for all pairs at once; when it fails, the whole tree is
 promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
-`validate_hst` does not trust the sampler: it walks every leaf up through
-`parent` and checks the cuts, levels and distances with pairwise arrays against
-the metric; `validated_distances` also returns the pairwise tree distances it
-measured.  `tree_distance` is the scalar path walk that defines them.
+`validate_hst` trusts neither the sampler nor `cut_ids`: it walks every leaf
+up through `parent` and checks the cuts, levels and distances with pairwise
+arrays against the metric; `validated_distances` also returns the pairwise
+tree distances it measured.  `tree_distance` is the scalar path walk that
+defines them.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -50,7 +53,6 @@ class Hst:
     def __init__(self):
         self.parent = []       # node -> parent node id (root: -1)
         self.edge_level = []   # node -> level of the edge to its parent (root: None)
-        self.children = []     # node -> [child ids]
         self.leaf_point = {}   # leaf node id -> terminal point
         self.point_leaf = {}   # terminal point -> leaf node id
         self.extended_to = None
@@ -60,9 +62,6 @@ class Hst:
         nid = len(self.parent)
         self.parent.append(parent)
         self.edge_level.append(edge_level)
-        self.children.append([])
-        if parent >= 0:
-            self.children[parent].append(nid)
         return nid
 
     def set_leaf(self, nid: int, point: int) -> None:
@@ -81,33 +80,34 @@ class Hst:
     @property
     def root_level(self) -> int:
         """Level of the edges below the root (0 for a single-leaf tree)."""
-        if not self.children[0]:
-            return 0
-        return self.edge_level[self.children[0][0]]
+        return next((lv for above, lv in zip(self.parent, self.edge_level) if above == 0), 0)
 
     def edge_length(self, nid: int) -> float:
         return pow2(self.edge_level[nid] - 1)
 
-    def cut(self, nid: int) -> frozenset:
-        """Terminal points below node `nid` (the cut of its parent edge)."""
-        return self._cuts()[nid]
+    @cached_property
+    def cut_ids(self) -> np.ndarray:
+        """Rows check_levels(self), columns self.terminals: entry (j, q) is the
+        node whose parent edge is q's level-j edge, or n_nodes + q's column if
+        q's path has none (an implicit singleton).  Read once the tree is built
+        and valid; sorted, a row lists real nodes by id, then singletons."""
+        levels = check_levels(self)
+        cols = np.arange(len(self.point_leaf))
+        ids = np.tile(self.n_nodes + cols, (len(levels), 1))
+        up = _walk_up(self, [self.point_leaf[p] for p in self.terminals])
+        row = np.asarray([0] + self.edge_level[1:])[up] - (levels[0] if levels else 0)
+        on = (up > 0) & (row >= 0) & (row < len(levels))
+        ids[row[on], np.broadcast_to(cols, up.shape)[on]] = up[on]
+        return ids
 
-    def _cuts(self):
-        if not hasattr(self, "_cut_cache"):
-            cache = [None] * self.n_nodes
-            for nid in reversed(range(self.n_nodes)):  # children have larger ids
-                acc = set()
-                if nid in self.leaf_point:
-                    acc.add(self.leaf_point[nid])
-                for c in self.children[nid]:
-                    acc |= cache[c]
-                cache[nid] = frozenset(acc)
-            self._cut_cache = cache
-        return self._cut_cache
+    def cut_ids_at(self, points) -> np.ndarray:
+        """cut_ids columns of `points`; a non-terminal is in no cut (id -1)."""
+        cols = np.array([self._column.get(p, -1) for p in points], dtype=np.intp)
+        return np.where(cols >= 0, self.cut_ids[:, cols], -1)
 
-    def edges_at_level(self, j: int):
-        """Node ids whose parent edge sits at level j, in creation order."""
-        return [nid for nid in range(1, self.n_nodes) if self.edge_level[nid] == j]
+    @cached_property
+    def _column(self) -> dict:
+        return {p: i for i, p in enumerate(self.terminals)}
 
     def total_length(self) -> float:
         return sum(self.edge_length(nid) for nid in range(1, self.n_nodes))
@@ -154,27 +154,38 @@ def tree_distance(t: Hst, u: int, v: int) -> float:
     return dist + ancestors[b]
 
 
-def cuts_at_level(t: Hst, j: int):
-    """The level-j cuts, as a list of frozensets partitioning the terminals.
+def cuts_at_level(t: Hst, j: int, meeting=None):
+    """The level-j cuts, as a list of frozensets partitioning the terminals;
+    given `meeting`, only the cuts holding one of those points.
 
     Terminals not under any level-j edge count as singletons: level 0 never
     carries edges (minimum distance 1 forces any diameter-<2^j cut with j <= 0
     to be a singleton), and a leaf whose path skips a level sits alone in its
-    implicit cut.
+    implicit cut.  Cuts come in the order of their ids in `Hst.cut_ids`.
     """
     levels = check_levels(t)
     if j not in levels:
         raise LevelOutOfRange(f"level {j} outside [{levels[0]}, {t.root_level}]")
-    cuts = [t.cut(nid) for nid in t.edges_at_level(j)]
-    covered = {p for c in cuts for p in c}
-    cuts.extend(frozenset([p]) for p in t.terminals if p not in covered)
-    return cuts
+    cuts = {}
+    for p, cut in zip(t.terminals, t.cut_ids[j - levels[0]].tolist()):
+        cuts.setdefault(cut, []).append(p)
+    hit = cuts if meeting is None else set(t.cut_ids_at(meeting)[j - levels[0]].tolist())
+    return [frozenset(cuts[cut]) for cut in sorted(cuts) if cut in hit]
 
 
 def check_levels(t: Hst) -> list:
     """Level range [min charge level, root level] for the charging checks."""
     lo = t.extended_to if t.extended_to is not None else 0
     return list(range(lo, t.root_level + 1))
+
+
+def _walk_up(t: Hst, leaves):
+    """Row s: each leaf's node s steps up (0 from the root on), from t.parent alone."""
+    parent = np.asarray([0] + t.parent[1:])  # a walk that reaches the root stays there
+    walk = [np.asarray(leaves, dtype=np.intp)]
+    while walk[-1].any():
+        walk.append(parent[walk[-1]])
+    return np.array(walk)
 
 
 def _pairwise(t: Hst, leaves):
@@ -186,15 +197,11 @@ def _pairwise(t: Hst, leaves):
     is 2^(lowest edge level over the common ancestors below the root), inf when
     only the root is common.  Arrays are depth x len(leaves) or len(leaves)^2.
     """
-    parent = np.asarray([0] + t.parent[1:])  # a walk that reaches the root stays there
     level = np.asarray([0] + t.edge_level[1:])
     length = np.ldexp(1.0, level - 1)
     length[0] = 0.0  # the root has no edge; adding 0.0 keeps finished walks exact
     n = len(leaves)
-    walk = [np.asarray(leaves, dtype=np.intp)]
-    while walk[-1].any():
-        walk.append(parent[walk[-1]])
-    up = np.array(walk)
+    up = _walk_up(t, leaves)
     dist = np.zeros(up.shape)
     np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
     cols = np.arange(n)

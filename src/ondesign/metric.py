@@ -199,10 +199,10 @@ def build_metric(raw) -> MetricSpace:
 class RequestFormat:
     """What one problem's requests look like and need; one entry of PROBLEMS.
 
-    `fields` maps each request field's name to its parser; a one-field
-    request is a bare value, a longer one a tuple.  `feasible(sol, seq, m,
-    base, idx)` says whether the final solution serves request idx, `base`
-    being the components of the bought edges.
+    `fields` maps each request field's name to its JSON shape (see _fits);
+    a one-field request is a bare value, a longer one a tuple.  `feasible(sol,
+    seq, m, base, idx)` says whether the final solution serves request idx,
+    `base` being the components of the bought edges.
     """
 
     fields: dict
@@ -212,15 +212,17 @@ class RequestFormat:
     needs_M: bool = False     # bought edges cost M times their length
     facilities: bool = False  # clients are assigned to opened facilities
 
+    @property
+    def shape(self):
+        """A request's JSON shape: the one field's, or the list of all fields'."""
+        shapes = list(self.fields.values())
+        return shapes[0] if len(shapes) == 1 else shapes
+
     def parse(self, raw):
-        """One request from its JSON form; TypeError/ValueError if malformed."""
-        parsers = list(self.fields.values())
-        if len(parsers) == 1:
-            return parsers[0](raw)
-        values = tuple(raw)
-        if len(values) != len(parsers):
-            raise ValueError(f"expected {len(parsers)} fields")
-        return tuple(parse(v) for parse, v in zip(parsers, values))
+        """The request of JSON `raw`, which has `shape`; float fields as floats."""
+        if len(self.fields) == 1:
+            return raw
+        return tuple(float(v) if shape is float else v for shape, v in zip(self.fields.values(), raw))
 
 
 def _connected(sol, seq, m, base, idx):
@@ -264,8 +266,10 @@ def _served(sol, seq, m, base, idx):
     return ok
 
 
-_POINT = {"point": int}
-_PAIR = {"s": int, "t": int}
+# Index shapes for _fits: an int naming one of the instance's points or requests.
+POINT, REQUEST = "point", "request"
+_POINT = {"point": POINT}
+_PAIR = {"s": POINT, "t": POINT}
 
 PROBLEMS = {
     "SteinerTree": RequestFormat(_POINT, _connected, rooted=True),
@@ -307,6 +311,8 @@ class RequestSequence:
             if not self.facilities:
                 raise SchemaError("CFL needs a facilities list")
             costs = dict(self.facilities)
+            if len(costs) != len(self.facilities):
+                raise SchemaError("facility points must be distinct")
             if self.root not in costs or costs[self.root] != 0:
                 raise SchemaError("CFL root facility must be present with cost 0")
             if any(c < 0 for _, c in self.facilities):
@@ -457,10 +463,6 @@ class RequestRecord:
     feasible_now: bool = True
 
 
-# Index shapes for _fits: an int naming one of the instance's points or requests.
-POINT, REQUEST = "point", "request"
-
-
 def _fits(value, shape, bounds) -> bool:
     """Whether JSON `value` has `shape`: a type (float admits ints, int and
     float refuse bools), POINT or REQUEST (an int in [0, bounds[shape])), None,
@@ -571,26 +573,22 @@ def instance_from_dict(doc: dict):
         raise SchemaError("instance needs 'problem' and 'requests'")
     m = build_metric(doc.get("points", doc.get("matrix")))
     fmt = problem_format(doc["problem"])
-    reqs = []
+    bounds = {POINT: m.n}
+    shapes = {"root": (POINT, None), "M": (float, None), "requests": list,
+              "facilities": ([{"point": POINT, "cost": float}], None)}
+    for key, shape in shapes.items():
+        if not _fits(doc.get(key), shape, bounds):
+            raise SchemaError(f"instance field {key} has the wrong type or range")
     for i, raw in enumerate(doc["requests"]):
-        try:
-            reqs.append(fmt.parse(raw))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed request {i}: {raw!r}") from exc
-    facilities = None
-    if doc.get("facilities") is not None:
-        facilities = []
-        for f in doc["facilities"]:
-            if set(f) != {"point", "cost"}:
-                raise SchemaError(f"malformed facility entry {f!r}")
-            facilities.append((int(f["point"]), float(f["cost"])))
-        facilities = tuple(facilities)
+        if not _fits(raw, fmt.shape, bounds):
+            raise SchemaError(f"malformed request {i}: {raw!r}")
+    facilities = doc.get("facilities")
     seq = RequestSequence(
         problem=doc["problem"],
-        requests=tuple(reqs),
+        requests=tuple(map(fmt.parse, doc["requests"])),
         root=doc.get("root"),
         M=doc.get("M"),
-        facilities=facilities,
+        facilities=None if facilities is None else tuple((f["point"], float(f["cost"])) for f in facilities),
     )
     seq.validate_points(m.n)
     return m, seq

@@ -11,7 +11,7 @@ the greedy Steiner tree over the buy subsequence.
 
 from __future__ import annotations
 
-from .hst import Hst, check_levels, cuts_at_level
+from .hst import Hst, check_levels
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -117,16 +117,20 @@ def check_pcst_invariants(trace: RunTrace, root: int, t_ext: Hst, point_rep=None
         c: [(rep(p), rho) for p, rho, _ in rows]
         for c, rows in positive_share_rows(trace).items()
     }
-    for j in check_levels(t_ext):
+    root_ids = t_ext.cut_ids_at([root_rep])[:, 0]
+    for row, j in enumerate(check_levels(t_ext)):
         rows = rows_by_class.get(j + 1)
         if not rows:
             continue
         soft, hard = pow2(j + 1), pow2(j + 2)
-        for cut in cuts_at_level(t_ext, j):
-            inside = sum(rho for p, rho in rows if p in cut)
+        shares = {}
+        for (_, rho), cut in zip(rows, t_ext.cut_ids_at([p for p, _ in rows])[row].tolist()):
+            if cut >= 0:
+                shares[cut] = shares.get(cut, 0) + rho
+        for cut, inside in sorted(shares.items()):
             if inside <= 0:
                 continue
-            if root_rep in cut:
+            if cut == root_ids[row]:
                 out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
             elif exceeds(inside, hard, atol=0.0):
                 out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")

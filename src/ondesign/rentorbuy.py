@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .hst import Hst, check_levels, cuts_at_level
+import numpy as np
+
+from .hst import Hst, check_levels
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -198,16 +200,24 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
             p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
             rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
     out = []
-    root_rep = rep(root) if root is not None else None
-    for j in check_levels(t):
+    root_ids = t.cut_ids_at([rep(root) if root is not None else None])[:, 0]
+    if pairs is not None:
+        ends = t.cut_ids_at([p for pair in pairs for p in pair])
+    for row, j in enumerate(check_levels(t)):
         rows = rents.get(j + shift)
         if not rows:
             continue
-        for cut in cuts_at_level(t, j):
-            inside = [(ridx, p) for ridx, p in rows if p in cut]
-            if not inside:
-                continue
-            if root_rep is not None and root_rep in cut:
+        by_cut = {}
+        for rent, cut in zip(rows, t.cut_ids_at([p for _, p in rows])[row].tolist()):
+            if cut >= 0:
+                by_cut.setdefault(cut, []).append(rent)
+        cut_size = np.bincount(t.cut_ids[row]).tolist()
+        if pairs is not None:  # |D(C)|: the pairs with exactly one end in C
+            a, b = ends[row, 0::2], ends[row, 1::2]
+            crossing = np.concatenate([a[a != b], b[a != b]])
+            crossing = np.bincount(crossing[crossing >= 0], minlength=len(cut_size)).tolist()
+        for cut, inside in sorted(by_cut.items()):
+            if cut == root_ids[row]:
                 out.append(
                     f"level {j}: cut with root holds class-{j + shift} rents {sorted(r for r, _ in inside)}"
                 )
@@ -215,12 +225,10 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
             if len(inside) > cap_m:
                 out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
             if pairs is None:
-                if len({p for _, p in inside}) > len(cut):
-                    out.append(f"level {j}: more rent points than |C|={len(cut)}")
-            else:
-                crossing = sum(1 for s, t_ in pairs if (s in cut) != (t_ in cut))
-                if len(inside) > crossing:
-                    out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing}")
+                if len({p for _, p in inside}) > cut_size[cut]:
+                    out.append(f"level {j}: more rent points than |C|={cut_size[cut]}")
+            elif len(inside) > crossing[cut]:
+                out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing[cut]}")
     return out
 
 

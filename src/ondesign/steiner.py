@@ -290,7 +290,7 @@ def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
     levels = {j for forest in _forests(trace) for j, _ in forest["A"]}
     for j in sorted(levels):
         xj = {rep(p) for p, c in occs if c >= j}
-        out[j] = [set(c) for c in cuts_at_level(t, j) if set(c) & xj]
+        out[j] = cuts_at_level(t, j, meeting=xj)
     return out
 
 

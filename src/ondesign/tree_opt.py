@@ -6,24 +6,39 @@ edge's cut.  The single-source rent-or-buy value follows the root-relative
 form (edges whose cut contains the root are skipped); the prize-collecting
 value is the true tree optimum, computed by a DP on the tree re-rooted at r.
 
+What crosses an edge is read off `Hst.cut_ids`: a pair's ends sit in
+different level-j cuts exactly where their level-j edges lie on the path
+between them.  Edge terms are added one at a time in node-id order.
+
 Rent-or-buy cut sizes accept per-leaf request multiplicities: a terminal
 requested w times forces w rents across each unbought edge on its root path.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import RootNotLeaf
-from .hst import Hst, check_levels, cuts_at_level
+from .hst import Hst, check_levels
 from .metric import pow2
 
 
-def _edges(t: Hst):
-    for nid in range(1, t.n_nodes):
-        yield t.edge_length(nid), t.cut(nid)
+def _path_edges(t: Hst, pairs):
+    """(node, pair index) for every edge on each pair's tree path: where the
+    ends' level-j cuts differ, each end's level-j edge (if any) is on it."""
+    ends = t.cut_ids_at([p for pair in pairs for p in pair])
+    a, b = ends[:, 0::2], ends[:, 1::2]
+    which = np.broadcast_to(np.arange(len(pairs)), a.shape)[a != b]
+    node, which = np.concatenate([a[a != b], b[a != b]]), np.concatenate([which, which])
+    real = (node >= 0) & (node < t.n_nodes)
+    return node[real], which[real]
 
 
-def _sep(cut, s, u) -> bool:
-    return (s in cut) != (u in cut)
+def _edge_sum(t: Hst, factor) -> float:
+    """Sum over the edges with a nonzero factor of length * factor, in node-id order."""
+    nodes = np.flatnonzero(factor)
+    length = np.ldexp(1.0, np.asarray([0] + t.edge_level[1:])[nodes] - 1)
+    return sum((length * factor[nodes]).tolist(), 0.0)
 
 
 def opt_tree_steiner_tree(t: Hst) -> float:
@@ -32,28 +47,21 @@ def opt_tree_steiner_tree(t: Hst) -> float:
 
 
 def opt_tree_steiner_forest(t: Hst, pairs) -> float:
-    total = 0.0
-    for length, cut in _edges(t):
-        if any(_sep(cut, s, u) for s, u in pairs):
-            total += length
-    return total
+    used = np.zeros(t.n_nodes, dtype=np.intp)
+    used[_path_edges(t, pairs)[0]] = 1
+    return _edge_sum(t, used)
 
 
 def opt_tree_steiner_network(t: Hst, pairs, reqs) -> float:
-    total = 0.0
-    for length, cut in _edges(t):
-        need = max((r for (s, u), r in zip(pairs, reqs) if _sep(cut, s, u)), default=0)
-        total += length * need
-    return total
+    node, which = _path_edges(t, pairs)
+    need = np.zeros(t.n_nodes, dtype=np.asarray(reqs).dtype)
+    np.maximum.at(need, node, np.asarray(reqs)[which])
+    return _edge_sum(t, need)
 
 
 def opt_tree_rob_multi(t: Hst, pairs, M) -> float:
     """Per edge: min of buying (M) vs renting for every separated pair."""
-    total = 0.0
-    for length, cut in _edges(t):
-        crossing = sum(1 for s, u in pairs if _sep(cut, s, u))
-        total += length * min(M, crossing)
-    return total
+    return _edge_sum(t, np.minimum(M, np.bincount(_path_edges(t, pairs)[0], minlength=t.n_nodes)))
 
 
 def opt_tree_rob_single(t: Hst, r: int, M, weights=None) -> float:
@@ -65,14 +73,10 @@ def opt_tree_rob_single(t: Hst, r: int, M, weights=None) -> float:
     """
     if r not in t.point_leaf:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    total = 0.0
-    for length, cut in _edges(t):
-        if r in cut:
-            continue
-        w = sum((weights or {}).get(p, 1) for p in cut) if weights is not None else len(cut)
-        if w:
-            total += length * min(M, w)
-    return total
+    ids, per_leaf = t.cut_ids, [(weights or {}).get(p, 1) for p in t.terminals]
+    load = np.bincount(ids.ravel(), weights=np.tile(per_leaf, len(ids)), minlength=t.n_nodes)
+    load[ids[:, t.terminals.index(r)]] = 0  # the edges above r
+    return _edge_sum(t, np.where(load != 0, np.minimum(M, load), 0)[:t.n_nodes])
 
 
 def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
@@ -99,28 +103,17 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
         adj[t.parent[nid]].append((nid, ln))
     root = t.point_leaf[r]
     order, par, par_len = [root], {root: None}, {root: 0.0}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:  # breadth first: the loop visits what it appends
         for w, ln in adj[v]:
             if w not in par:
-                par[w] = v
-                par_len[w] = ln
+                par[w], par_len[w] = v, ln
                 order.append(w)
-
-    pen_sub = {v: 0.0 for v in order}
-    h = {}
+    pen_sub, h = {}, {}
     for v in reversed(order):
-        if v in t.leaf_point:
-            pen_sub[v] += pen_at.get(t.leaf_point[v], 0.0)
         kids = [w for w, _ in adj[v] if par.get(w) == v]
-        sub = pen_sub[v] + sum(pen_sub[w] for w in kids)
-        pen_sub[v] = sub
-        if v == root:
-            h[v] = sum(h[w] for w in kids)
-        else:
-            h[v] = min(sub, par_len[v] + sum(h[w] for w in kids))
+        pen_sub[v] = pen_at.get(t.leaf_point.get(v), 0.0) + sum(pen_sub[w] for w in kids)
+        keep = sum(h[w] for w in kids)
+        h[v] = keep if v == root else min(pen_sub[v], par_len[v] + keep)
     return h[root]
 
 
@@ -133,15 +126,14 @@ def pcst_cut_lower_bound(t: Hst, r: int, class_rho_pi) -> float:
     Levels run over the extended tree's charge range including the conventional
     singleton level 0.
     """
-    total = 0.0
-    for j in check_levels(t):
+    terms = []
+    root = t.cut_ids_at([r])[:, 0]
+    for row, j in enumerate(check_levels(t)):
         rows = class_rho_pi.get(j + 1)
         if not rows:
             continue
-        for cut in cuts_at_level(t, j):
-            if r in cut:
-                continue
-            pi_sum = sum(pi for p, _, pi in rows if p in cut)
-            if pi_sum:
-                total += min(pi_sum, pow2(j - 1))
-    return total
+        ids = t.cut_ids_at([p for p, _, _ in rows])[row]
+        keep = (ids >= 0) & (ids != root[row])
+        pi_sum = np.bincount(ids[keep], weights=np.array([pi for _, _, pi in rows])[keep])
+        terms += np.minimum(pi_sum[pi_sum != 0], pow2(j - 1)).tolist()
+    return sum(terms, 0.0)

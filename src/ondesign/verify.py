@@ -17,7 +17,6 @@ rent-or-buy style checks.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -359,15 +358,7 @@ def per_run_checks(m, seq, sol, trace):
     return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks]
 
 
-def _map_trials(fn, trials, jobs):
-    """[fn(0), ..., fn(trials - 1)], on `jobs` threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(trial) for trial in range(trials)]
-
-
-def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
+def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
     """Full verification of one instance: run, per-run checks, per-tree checks.
 
     Returns a deterministic report dict; `violations` empty iff everything
@@ -386,20 +377,16 @@ def verify_run(m, seq, trials=20, seed=0, jobs=1, forged_trace=None):
         cost_doc = {"total": trace.total_cost()}
 
     points = tree_points(m, seq)
-
-    def one_trial(trial):
-        try:
-            return check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
-        except (OndesignError, ValueError) as exc:
-            # malformed (e.g. forged) traces surface as violations, not crashes
-            return [f"check error: {exc}"], [], {}
-
-    trial_results = _map_trials(one_trial, trials, jobs)
     ratios = {}
     flags = []
     tree_violations = []
     witness_seed = None
-    for trial, (viol, fl, rat) in enumerate(trial_results):
+    for trial in range(trials):
+        try:
+            viol, fl, rat = check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
+        except (OndesignError, ValueError) as exc:
+            # malformed (e.g. forged) traces surface as violations, not crashes
+            viol, fl, rat = [f"check error: {exc}"], [], {}
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)
         flags += [f"trial {trial}: {f}" for f in fl]
@@ -431,14 +418,10 @@ def _tree_seed(seed, trial):
     return (int(seed) * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % (2**63)
 
 
-def embed_report(m, terminals, trials=200, seed=0, jobs=1):
+def embed_report(m, terminals, trials=200, seed=0):
     """Sample `trials` HSTs; report validity rate and per-pair mean stretch."""
     reps = sorted(set(terminals))
-
-    def one(trial):
-        return validated_distances(sample_frt(m, reps, _tree_seed(seed, trial)), m)
-
-    results = _map_trials(one, trials, jobs)
+    results = [validated_distances(sample_frt(m, reps, _tree_seed(seed, trial)), m) for trial in range(trials)]
     invalid = sum(1 for bad, _ in results if bad)
     # pairs u < v at positive distance, accumulated trial by trial
     d = m.d[np.ix_(reps, reps)]

@@ -135,25 +135,59 @@ def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
     return m, t
 
 
+def brute_cut(t, nid):
+    """Terminal points below node nid: the leaves whose parent walk passes it."""
+    out = set()
+    for leaf, p in t.leaf_point.items():
+        x = leaf
+        while x >= 0 and x != nid:
+            x = t.parent[x]
+        if x == nid:
+            out.add(p)
+    return frozenset(out)
+
+
+def brute_cuts_at_level(t, j):
+    """The level-j cuts: each level-j edge's cut by node id, then a singleton
+    for every terminal under no level-j edge, by point."""
+    cuts = [brute_cut(t, nid) for nid in range(1, t.n_nodes) if t.edge_level[nid] == j]
+    covered = {p for c in cuts for p in c}
+    return cuts + [frozenset([p]) for p in sorted(t.point_leaf) if p not in covered]
+
+
+def brute_pcst_cut_lower_bound(t, r, class_rho_pi, levels):
+    """Reference for tree_opt.pcst_cut_lower_bound over the given levels."""
+    from ondesign.metric import pow2
+
+    total = 0.0
+    for j in levels:
+        for cut in brute_cuts_at_level(t, j):
+            pi_sum = sum(pi for p, _, pi in class_rho_pi.get(j + 1, []) if p in cut)
+            if r not in cut and pi_sum:
+                total += min(pi_sum, pow2(j - 1))
+    return total
+
+
 def brute_validate_hst(t, m):
     """Reference for hst.validate_hst: the per-node, per-pair loop validator."""
-    from ondesign.hst import cuts_at_level, tree_distance
+    from ondesign.hst import tree_distance
     from ondesign.metric import pow2
 
     out = []
     pts = t.terminals
+    children = {nid: [c for c in range(1, t.n_nodes) if t.parent[c] == nid] for nid in range(t.n_nodes)}
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
     for nid in range(t.n_nodes):
-        is_leaf = not t.children[nid]
+        is_leaf = not children[nid]
         if is_leaf and nid not in t.leaf_point and t.n_nodes > 1:
             out.append(f"leaves: childless node {nid} maps to no terminal")
-        if nid in t.leaf_point and t.children[nid]:
+        if nid in t.leaf_point and children[nid]:
             out.append(f"leaves: node {nid} is both internal and a terminal leaf")
     if len(t.leaf_point) != len(set(t.leaf_point.values())):
         out.append("leaves: terminal-to-leaf map is not a bijection")
     # 2. siblings share an edge level; levels drop strictly toward the leaves
     for nid in range(t.n_nodes):
-        kids = t.children[nid]
+        kids = children[nid]
         if kids and len({t.edge_level[c] for c in kids}) != 1:
             out.append(f"levels: children of node {nid} at differing edge lengths")
         for c in kids:
@@ -162,7 +196,7 @@ def brute_validate_hst(t, m):
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j
     for nid in range(1, t.n_nodes):
         j = t.edge_level[nid]
-        cut = sorted(t.cut(nid))
+        cut = sorted(brute_cut(t, nid))
         bound = pow2(j)
         for i, u in enumerate(cut):
             for v in cut[i + 1:]:
@@ -176,11 +210,64 @@ def brute_validate_hst(t, m):
                 out.append(f"expanding: T({u},{v})={tv:g} < d={m.dist(u, v):g}")
     # 5. per-level cuts partition the terminals; levels <= 0 are singletons
     for j in range(1, t.root_level + 1):
-        cuts = cuts_at_level(t, j)
-        seen = [p for c in cuts for p in c]
+        seen = [p for c in brute_cuts_at_level(t, j) for p in c]
         if len(seen) != len(set(seen)) or set(seen) != set(pts):
             out.append(f"partition: level-{j} cuts do not partition the terminals")
     for nid in range(1, t.n_nodes):
-        if t.edge_level[nid] <= 0 and len(t.cut(nid)) != 1:
-            out.append(f"singletons: level-{t.edge_level[nid]} cut has {len(t.cut(nid))} terminals")
+        size = len(brute_cut(t, nid))
+        if t.edge_level[nid] <= 0 and size != 1:
+            out.append(f"singletons: level-{t.edge_level[nid]} cut has {size} terminals")
     return out
+
+
+def _levels(t):
+    lo = t.extended_to if t.extended_to is not None else 0
+    return range(lo, t.root_level + 1)
+
+
+def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p: p):
+    """Reference for rentorbuy.check_cut_capacity: membership tests on brute cuts."""
+    import math
+
+    rents = {}
+    for rec in trace.records:
+        if rec.decision == "rent" and rec.klass is not None:
+            p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
+            rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
+    out = []
+    for j in _levels(t):
+        rows = rents.get(j + shift, [])
+        for cut in brute_cuts_at_level(t, j) if rows else []:
+            inside = [(ridx, p) for ridx, p in rows if p in cut]
+            if not inside:
+                continue
+            if root is not None and rep(root) in cut:
+                out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(r for r, _ in inside)}")
+                continue
+            if len(inside) > math.ceil(M):
+                out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={math.ceil(M)}")
+            if pairs is None and len({p for _, p in inside}) > len(cut):
+                out.append(f"level {j}: more rent points than |C|={len(cut)}")
+            crossing = sum(1 for s, u in pairs or () if (s in cut) != (u in cut))
+            if pairs is not None and len(inside) > crossing:
+                out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing}")
+    return out
+
+
+def brute_check_pcst_invariants(trace, root, t, rep=lambda p: p):
+    """Reference for prize.check_pcst_invariants: membership tests on brute cuts."""
+    from ondesign.metric import exceeds, pow2
+    from ondesign.prize import positive_share_rows
+
+    out, flags = [], []
+    by_class = {c: [(rep(p), rho) for p, rho, _ in rows] for c, rows in positive_share_rows(trace).items()}
+    for j in _levels(t):
+        for cut in brute_cuts_at_level(t, j) if by_class.get(j + 1) else []:
+            inside = sum(rho for p, rho in by_class[j + 1] if p in cut)
+            if inside > 0 and rep(root) in cut:
+                out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
+            elif inside > 0 and exceeds(inside, pow2(j + 2), atol=0.0):
+                out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")
+            elif inside > 0 and exceeds(inside, pow2(j + 1), atol=0.0):
+                flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
+    return out, flags

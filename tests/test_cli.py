@@ -56,12 +56,23 @@ def test_run_wrong_algo_exit_2(tmp_path):
     assert main(["run", inst, "--algo", "SteinerTree", "--out", str(tmp_path / "x.json")]) == 2
 
 
-def test_run_schema_error_exit_2(tmp_path):
-    inst = write_instance(
-        tmp_path,
-        {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1], "junk": 0},
-    )
-    assert main(["run", inst, "--algo", "SteinerTree", "--out", str(tmp_path / "x.json")]) == 2
+CFL_TWO_FACILITIES_AT_1 = {
+    "matrix": [[0, 1], [1, 0]], "problem": "CFL", "root": 0, "M": 1.0, "requests": [1],
+    "facilities": [{"point": 0, "cost": 0}, {"point": 1, "cost": 3}, {"point": 1, "cost": 5}],
+}
+
+
+@pytest.mark.parametrize("doc", [
+    {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1], "junk": 0},
+    {"matrix": [[0, 1], [1, 0]], "problem": "SROB", "root": 0, "M": "x", "requests": [1]},
+    {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": "0", "requests": [1]},
+    {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1.7, True]},
+    CFL_TWO_FACILITIES_AT_1,
+], ids=["unknown-field", "M-string", "root-string", "request-float-bool", "facility-twice"])
+def test_run_schema_error_exit_2(tmp_path, doc, capsys):
+    inst = write_instance(tmp_path, doc)
+    assert main(["run", inst, "--algo", doc["problem"], "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gen_then_verify_roundtrip(tmp_path):
@@ -134,17 +145,16 @@ def test_embed_two_point_exact_stretch(tmp_path):
     assert rep["max_mean_stretch"] == pytest.approx(2.0)
 
 
-def test_determinism_across_jobs(tmp_path):
+def test_determinism_repeated_runs(tmp_path):
     inst = tmp_path / "gen.json"
     main([
         "gen", "--family", "euclidean", "--problem", "MROB", "--n", "14",
         "--count", "7", "--M", "2", "--seed", "9", "--out", str(inst),
     ])
     outs = []
-    for jobs in (1, 4, 1):
-        out = tmp_path / f"rep{jobs}{len(outs)}.json"
-        rc = main(["verify", str(inst), "--trials", "8", "--seed", "3",
-                   "--jobs", str(jobs), "--out", str(out)])
+    for run in range(3):
+        out = tmp_path / f"rep{run}.json"
+        rc = main(["verify", str(inst), "--trials", "8", "--seed", "3", "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
@@ -182,6 +192,17 @@ def test_embed_single_point(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["pairs"] == 0 and rep["valid_rate"] == 1.0
+
+
+def test_embed_without_requests_collapses_coincident_points(tmp_path):
+    # no requests: every point is embedded, coincident ones as one terminal
+    inst = write_instance(
+        tmp_path,
+        {"points": [[0, 0], [0, 0], [1, 0]], "problem": "SteinerForest", "requests": []},
+    )
+    out = tmp_path / "emb.json"
+    assert main(["embed", inst, "--trials", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 2
 
 
 def test_verify_forged_cfl_rent_without_class_reports(tmp_path):
@@ -289,7 +310,7 @@ def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
     assert "error: trace" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-1")])
+@pytest.mark.parametrize("flag, value", [("--trials", "-3")])
 def test_negative_trials_and_jobs_below_one_exit_2(tmp_path, flag, value, capsys):
     inst = write_instance(
         tmp_path,

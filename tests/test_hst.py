@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import brute_validate_hst, euclid, line_metric, path_edges, random_small_hst
+from conftest import (
+    brute_cut,
+    brute_cuts_at_level,
+    brute_validate_hst,
+    euclid,
+    line_metric,
+    path_edges,
+    random_small_hst,
+)
 from ondesign.errors import (
     AlreadyExtended,
     CoincidentTerminals,
@@ -15,6 +23,7 @@ from ondesign.errors import (
 from ondesign.hst import (
     Hst,
     _promote_one_level,
+    check_levels,
     cuts_at_level,
     extend_singleton_levels,
     sample_frt,
@@ -173,6 +182,42 @@ def test_unknown_leaf():
         tree_distance(t, 0, 7)
 
 
+def _skipped_level_tree():
+    """Hand-built: leaves 0 and 1 under a level-3 node, 2 straight below the
+    root at level 3, 3 under a level-3 node by a level-1 edge (level 2 skipped)."""
+    t = Hst()
+    root = t.add_node(-1, None)
+    y = t.add_node(root, 3)
+    for p in (0, 1):
+        t.set_leaf(t.add_node(y, 2), p)
+    t.set_leaf(t.add_node(root, 3), 2)
+    t.set_leaf(t.add_node(t.add_node(root, 3), 1), 3)
+    return t
+
+
+def test_cut_ids_group_into_the_reference_cuts():
+    # sampled, extended to -1 and -2, promoted and hand-built skipped-level trees
+    rng = np.random.default_rng(13)
+    trees = [_skipped_level_tree()]
+    for k in (2, 3, 5, 8, 13, 21, 30):
+        m = gen_euclidean(k, seed=k)[0]
+        t = sample_frt(m, range(k), int(rng.integers(0, 2**40)))
+        trees += [t, extend_singleton_levels(t, -1), extend_singleton_levels(t, -2), _promote_one_level(t)]
+    for t in trees:
+        pts = t.terminals
+        assert t.cut_ids.shape == (len(check_levels(t)), len(pts))
+        for row, j in enumerate(check_levels(t)):
+            assert cuts_at_level(t, j) == brute_cuts_at_level(t, j)
+            for q, (p, cut) in enumerate(zip(pts, t.cut_ids[row].tolist())):
+                if cut < t.n_nodes:
+                    assert t.edge_level[cut] == j and p in brute_cut(t, cut)
+                else:
+                    assert cut == t.n_nodes + q
+    skipped = trees[0]
+    assert cuts_at_level(skipped, 2) == [frozenset([0]), frozenset([1]), frozenset([2]), frozenset([3])]
+    assert cuts_at_level(skipped, 1) == [frozenset([3]), frozenset([0]), frozenset([1]), frozenset([2])]
+
+
 def test_path_decomposition_consistency():
     # T(u,v) equals twice the geometric sum over levels up to the separation
     # level, plus the extension tail when present.
@@ -200,7 +245,7 @@ def test_delta_cut_iff_on_path():
         m, t = random_small_hst(rng)
         pts = t.terminals
         for e in range(1, t.n_nodes):
-            cut = t.cut(e)
+            cut = brute_cut(t, e)
             for i, u in enumerate(pts):
                 for v in pts[i + 1:]:
                     on_path = e in path_edges(t, u, v)
@@ -266,17 +311,13 @@ def _corrupt(t, rng, kind):
     """A copy of t with one defect: a leaf edge shrunk, a level raised, a leaf
     re-hung below an earlier node, or a leaf's terminal dropped."""
     t = copy.deepcopy(t)
-    t.__dict__.pop("_cut_cache", None)
     leaf = sorted(t.leaf_point)[int(rng.integers(len(t.leaf_point)))]
     if kind == "shrink" and leaf:
         t.edge_level[leaf] -= int(rng.integers(1, 4))
     elif kind == "raise" and t.n_nodes > 1:
         t.edge_level[int(rng.integers(1, t.n_nodes))] += int(rng.integers(1, 3))
     elif kind == "rehang" and leaf:
-        new = int(rng.integers(0, leaf))  # ids grow toward the leaves
-        t.children[t.parent[leaf]].remove(leaf)
-        t.parent[leaf] = new
-        t.children[new].append(leaf)
+        t.parent[leaf] = int(rng.integers(0, leaf))  # ids grow toward the leaves
     elif kind == "drop":
         del t.point_leaf[t.leaf_point.pop(leaf)]
     return t

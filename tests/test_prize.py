@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import euclid, line_metric
+from conftest import brute_check_pcst_invariants, euclid, line_metric, random_small_hst
 from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
@@ -96,6 +96,26 @@ def test_pcst_tree_invariants_and_bounds():
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
         assert trace.total_cost() <= 16 * opt * (1 + 1e-9) + 1e-12
+
+
+def test_pcst_tree_invariants_match_reference_on_forged_shares():
+    # shares at random classes and leaves, some at a point that is no terminal
+    rng = np.random.default_rng(14)
+    flagged = 0
+    for _ in range(60):
+        m, t = random_small_hst(rng, max_leaves=10, extended_chance=1.0)
+        pts = list(t.terminals)
+        trace = RunTrace()
+        for idx in range(int(rng.integers(1, 12))):
+            trace.add(RequestRecord(
+                idx=idx, decision="buy", points=(int(rng.choice(pts + [len(pts)])),),
+                klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])), pi=50.0,
+            ))
+        root = int(rng.choice(pts))
+        got = check_pcst_invariants(trace, root, t)
+        assert got == brute_check_pcst_invariants(trace, root, t)
+        flagged += bool(got[0] or got[1])
+    assert flagged > 20
 
 
 def test_pcst_all_zero_penalties():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from conftest import euclid, line_metric
+from conftest import brute_check_cut_capacity, euclid, line_metric, random_small_hst
 from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.rentorbuy import (
@@ -135,6 +135,29 @@ def test_cut_capacity_mrob_random():
     pts = sorted({p for pr in pairs for p in pr})
     t = extend_singleton_levels(sample_frt(m, pts, seed=3), -2)
     assert check_cut_capacity(trace, t, 2.0, 2, pairs) == []
+
+
+def test_cut_capacity_matches_reference_on_forged_rents():
+    # rents at random classes and leaves, some at a point that is no terminal
+    rng = np.random.default_rng(12)
+    flagged = 0
+    for trial in range(60):
+        m, t = random_small_hst(rng, max_leaves=10, extended_chance=1.0)
+        pts = list(t.terminals)
+        off = pts + [len(pts)]
+        trace = RunTrace()
+        for idx in range(int(rng.integers(1, 12))):
+            trace.add(RequestRecord(
+                idx=idx, decision="rent", points=(int(rng.choice(off)), int(rng.choice(off))),
+                klass=int(rng.integers(-2, 5)), rent_endpoint=str(rng.choice(["s", "t"])),
+            ))
+        pairs = [(int(rng.choice(pts)), int(rng.choice(off))) for _ in range(6)] if trial % 2 else None
+        root = None if pairs else int(rng.choice(pts))
+        M, shift = float(rng.choice([0.3, 1.0, 2.7])), int(rng.integers(1, 3))
+        got = check_cut_capacity(trace, t, M, shift, pairs, root)
+        assert got == brute_check_cut_capacity(trace, t, M, shift, pairs, root)
+        flagged += bool(got)
+    assert flagged > 20
 
 
 def test_greedy_replay_structural_equality():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import euclid, line_metric
+from conftest import brute_cuts_at_level, euclid, line_metric
 from ondesign.errors import InvalidCover, InvalidRequirement
 from ondesign.hst import sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
@@ -186,4 +186,7 @@ def test_bc_metagraph_many_random():
         pts = sorted({p for pr in pairs for p in pr})
         t = sample_frt(m, pts, seed=trial)
         covers = covers_from_tree(t, trace)
+        for j, family in covers.items():  # the level-j cuts meeting X_j, in order
+            xj = {p for forest in trace.summary["forests"] for p, c in forest["occ"] if c >= j}
+            assert family == [cut for cut in brute_cuts_at_level(t, j) if cut & xj]
         assert check_metagraph_acyclic(trace, covers, m) == []

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    brute_cut,
+    brute_pcst_cut_lower_bound,
     brute_tree_pcst,
     brute_tree_rob_multi,
     brute_tree_rob_single,
@@ -12,7 +14,7 @@ from conftest import (
     random_small_hst,
 )
 from ondesign.errors import RootNotLeaf
-from ondesign.hst import Hst, extend_singleton_levels, sample_frt
+from ondesign.hst import Hst, check_levels, extend_singleton_levels, sample_frt
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -20,6 +22,7 @@ from ondesign.tree_opt import (
     opt_tree_steiner_forest,
     opt_tree_steiner_network,
     opt_tree_steiner_tree,
+    pcst_cut_lower_bound,
 )
 
 
@@ -122,17 +125,14 @@ def test_oracles_match_brute_force_on_random_trees():
         ]
         pairs = [(int(a), int(b)) for a, b in pairs]
         reqs = [int(rng.integers(1, 9)) for _ in pairs]
-        M = float(rng.choice([0.0, 1.0, 2.0, 3.5, 100.0]))
+        M = float(rng.choice([0.0, 0.3, 1.0, 2.0, 2.7, 3.5, 100.0]))
         r = int(pts[0])
         pen = [(int(p), float(rng.uniform(0, 8))) for p in pts if p != r]
 
-        assert opt_tree_steiner_forest(t, pairs) == pytest.approx(brute_tree_sf(t, pairs))
-        assert opt_tree_steiner_network(t, pairs, reqs) == pytest.approx(
-            brute_tree_sn(t, pairs, reqs)
-        )
-        assert opt_tree_rob_multi(t, pairs, M) == pytest.approx(
-            brute_tree_rob_multi(t, pairs, M)
-        )
+        # the references add the same edge terms in node-id order: equal to the bit
+        assert opt_tree_steiner_forest(t, pairs) == brute_tree_sf(t, pairs)
+        assert opt_tree_steiner_network(t, pairs, reqs) == brute_tree_sn(t, pairs, reqs)
+        assert opt_tree_rob_multi(t, pairs, M) == brute_tree_rob_multi(t, pairs, M)
         assert opt_tree_rob_single(t, r, M) == pytest.approx(brute_tree_rob_single(t, r, M))
         assert opt_tree_pcst(t, r, pen) == pytest.approx(brute_tree_pcst(t, r, pen))
 
@@ -160,7 +160,7 @@ def test_rob_multi_sentinels():
         ind = sum(
             t.edge_length(e)
             for e in range(1, t.n_nodes)
-            if any((s in t.cut(e)) != (u in t.cut(e)) for s, u in pairs)
+            if any((s in brute_cut(t, e)) != (u in brute_cut(t, e)) for s, u in pairs)
         )
         assert opt_tree_rob_multi(t, pairs, 1) == pytest.approx(ind)
         assert opt_tree_rob_multi(t, pairs, 1) == pytest.approx(
@@ -168,7 +168,7 @@ def test_rob_multi_sentinels():
         )
         rent_all = sum(
             t.edge_length(e)
-            * sum(1 for s, u in pairs if (s in t.cut(e)) != (u in t.cut(e)))
+            * sum(1 for s, u in pairs if (s in brute_cut(t, e)) != (u in brute_cut(t, e)))
             for e in range(1, t.n_nodes)
         )
         assert opt_tree_rob_multi(t, pairs, math.inf) == pytest.approx(rent_all)
@@ -185,9 +185,23 @@ def test_rob_single_vs_multi_cross_check():
         pairs = [(p, r) for p in terms]
         multi = 0.0
         for e in range(1, t.n_nodes):
-            cut = t.cut(e)
+            cut = brute_cut(t, e)
             if r in cut:
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
             multi += t.edge_length(e) * min(M, crossing)
         assert opt_tree_rob_single(t, r, M) == pytest.approx(multi)
+
+
+def test_pcst_cut_lower_bound_matches_reference():
+    # non-dyadic penalties: the per-cut sums and the total keep their order
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m, t = random_small_hst(rng, max_leaves=12, extended_chance=0.8)
+        pts = list(t.terminals)
+        r = pts[int(rng.integers(len(pts)))]
+        rows = {}
+        for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
+            klass = int(rng.integers(-1, t.root_level + 2))
+            rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
+        assert pcst_cut_lower_bound(t, r, rows) == brute_pcst_cut_lower_bound(t, r, rows, check_levels(t))
