@@ -71,6 +71,20 @@ def test_first_bad_pair_is_named():
         sample_frt(line_metric([0, 2, 2, 2.5]), range(4), seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_carving_radius_is_closed(seed, j):
+    # beta drawn as sample_frt draws it; points 0 and 1 sit exactly at the
+    # level-j radius beta * 2^(j-2), point 2 outside every ball below the top
+    beta = 2.0 ** np.random.default_rng(np.random.SeedSequence(seed)).random()
+    radius = beta * 2.0 ** (j - 2)
+    m = line_metric([0.0, radius, 3.5 * radius])
+    t = sample_frt(m, range(3), seed)
+    assert validate_hst(t, m) == []
+    assert frozenset({0, 1}) in cuts_at_level(t, j)
+    assert frozenset({0, 1}) not in cuts_at_level(t, j - 1)
+
+
 def test_line_four_points_valid():
     m = line_metric([0, 1, 2, 3])
     for seed in range(30):
