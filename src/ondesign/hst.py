@@ -6,8 +6,14 @@ root-to-leaf path passes one edge per level from the top level down to level 1.
 Levels -1 and -2 exist only on extended trees (singleton chains of lengths 1/4
 and 1/8 below each leaf); level 0 never carries edges, but its cuts are the
 terminal singletons by convention (forced by the min-distance-1 normalization).
-`Hst.cut_ids` names the cut holding each terminal at each level; the tree
-oracles and per-tree checks group its rows, as `cuts_at_level` does.
+
+`Hst` holds a tree once, as arrays: `parent` and `edge_level` per node,
+`terminals` and `leaf` per terminal column.  Every tree is built whole by
+`Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
+carving computes, and promotion and extension concatenate new chain nodes onto
+a tree's arrays.  `Hst.cut_ids` names the cut holding each terminal at each
+level; the tree oracles and per-tree checks group its rows, as `cuts_at_level`
+does.
 
 Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
@@ -23,17 +29,16 @@ promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
 `validate_hst` trusts neither the sampler nor `cut_ids`: it walks every leaf
-up through `parent` and checks the cuts, levels and distances with pairwise
-arrays against the metric; `validated_distances` also returns the pairwise
-tree distances it measured.  `tree_distance` is the scalar path walk that
-defines them.
+up through `parent` and checks the leaf map, levels, cuts and distances with
+pairwise arrays against the metric; `validated_distances` also returns the
+pairwise tree distances it measured.  `tree_distance` is the scalar path walk
+that defines them.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -48,42 +53,43 @@ from .metric import MetricSpace, floor_log2, pow2
 
 
 class Hst:
-    """Rooted leveled tree over a terminal set (point indices of a metric)."""
+    """Rooted leveled tree over a terminal set (point indices of a metric).
 
-    def __init__(self):
-        self.parent = []       # node -> parent node id (root: -1)
-        self.edge_level = []   # node -> level of the edge to its parent (root: None)
-        self.leaf_point = {}   # leaf node id -> terminal point
-        self.point_leaf = {}   # terminal point -> leaf node id
-        self.extended_to = None
+    The tree is stored once, as read-only intp arrays.  Per node id (root 0):
+    `parent` (root -1) and `edge_level`, the level of the edge to the parent
+    (root 0).  Per terminal column: `terminals`, the points in ascending
+    order, and `leaf`, each terminal's leaf node.  The constructor checks
+    nothing, so a malformed tree reaches validate_hst as built.
+    """
 
-    # -- construction ------------------------------------------------------
-    def add_node(self, parent: int, edge_level: Optional[int]) -> int:
-        nid = len(self.parent)
-        self.parent.append(parent)
-        self.edge_level.append(edge_level)
-        return nid
+    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None):
+        self.parent = _frozen(parent)
+        self.edge_level = _frozen(edge_level)
+        self.terminals = tuple(terminals)
+        self.leaf = _frozen(leaf)
+        self.extended_to = extended_to
 
-    def set_leaf(self, nid: int, point: int) -> None:
-        self.leaf_point[nid] = point
-        self.point_leaf[point] = nid
-
-    # -- basic accessors -----------------------------------------------------
     @property
     def n_nodes(self) -> int:
         return len(self.parent)
 
     @property
-    def terminals(self) -> tuple:
-        return tuple(sorted(self.point_leaf))
-
-    @property
     def root_level(self) -> int:
         """Level of the edges below the root (0 for a single-leaf tree)."""
-        return next((lv for above, lv in zip(self.parent, self.edge_level) if above == 0), 0)
+        below = np.flatnonzero(self.parent == 0)
+        return int(self.edge_level[below[0]]) if len(below) else 0
 
-    def edge_length(self, nid: int) -> float:
-        return pow2(self.edge_level[nid] - 1)
+    @cached_property
+    def length(self) -> np.ndarray:
+        """Edge length per node, 2^(level-1); 0.0 at the root, which has no edge."""
+        out = np.ldexp(1.0, self.edge_level - 1)
+        out[0] = 0.0
+        return out
+
+    @cached_property
+    def lists(self) -> tuple:
+        """(parent, length, leaf) as Python lists, for per-node loops."""
+        return self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
 
     @cached_property
     def cut_ids(self) -> np.ndarray:
@@ -92,10 +98,10 @@ class Hst:
         q's path has none (an implicit singleton).  Read once the tree is built
         and valid; sorted, a row lists real nodes by id, then singletons."""
         levels = check_levels(self)
-        cols = np.arange(len(self.point_leaf))
+        cols = np.arange(len(self.leaf))
         ids = np.tile(self.n_nodes + cols, (len(levels), 1))
-        up = _walk_up(self, [self.point_leaf[p] for p in self.terminals])
-        row = np.asarray([0] + self.edge_level[1:])[up] - (levels[0] if levels else 0)
+        up = _walk_up(self, self.leaf)
+        row = self.edge_level[up] - (levels[0] if levels else 0)
         on = (up > 0) & (row >= 0) & (row < len(levels))
         ids[row[on], np.broadcast_to(cols, up.shape)[on]] = up[on]
         return ids
@@ -110,47 +116,48 @@ class Hst:
         return {p: i for i, p in enumerate(self.terminals)}
 
     def total_length(self) -> float:
-        return sum(self.edge_length(nid) for nid in range(1, self.n_nodes))
+        return sum(self.lists[1][1:])
 
     def to_json_dict(self) -> dict:
+        parent, length, leaf = self.lists
         nodes = [{"id": 0, "level": self.root_level, "parent": None, "edge_len": None}]
-        for nid in range(1, self.n_nodes):
-            nodes.append(
-                {
-                    "id": nid,
-                    "level": self.edge_level[nid],
-                    "parent": self.parent[nid],
-                    "edge_len": self.edge_length(nid),
-                }
-            )
+        nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
+                  for nid, level in enumerate(self.edge_level.tolist()) if nid]
         return {
             "levels": self.root_level,
             "nodes": nodes,
-            "leaf_map": {str(p): nid for p, nid in sorted(self.point_leaf.items())},
+            "leaf_map": {str(p): nid for p, nid in zip(self.terminals, leaf)},
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False  # so what the cached properties derive stays true
+    return out
+
+
 def tree_distance(t: Hst, u: int, v: int) -> float:
     """Sum of edge lengths on the unique leaf-to-leaf path; T(u,u) = 0."""
-    if u not in t.point_leaf or v not in t.point_leaf:
+    if u not in t._column or v not in t._column:
         raise UnknownLeaf(f"{u} or {v} is not a leaf terminal")
     if u == v:
         return 0.0
-    a, b = t.point_leaf[u], t.point_leaf[v]
+    parent, length, leaf = t.lists
+    a, b = leaf[t._column[u]], leaf[t._column[v]]
     ancestors = {}
     dist = 0.0
     while a != 0:
         ancestors[a] = dist
-        dist += t.edge_length(a)
-        a = t.parent[a]
+        dist += length[a]
+        a = parent[a]
     ancestors[0] = dist
     dist = 0.0
     while b not in ancestors:
-        dist += t.edge_length(b)
-        b = t.parent[b]
+        dist += length[b]
+        b = parent[b]
     return dist + ancestors[b]
 
 
@@ -181,7 +188,7 @@ def check_levels(t: Hst) -> list:
 
 def _walk_up(t: Hst, leaves):
     """Row s: each leaf's node s steps up (0 from the root on), from t.parent alone."""
-    parent = np.asarray([0] + t.parent[1:])  # a walk that reaches the root stays there
+    parent = np.maximum(t.parent, 0)  # a walk that reaches the root stays there
     walk = [np.asarray(leaves, dtype=np.intp)]
     while walk[-1].any():
         walk.append(parent[walk[-1]])
@@ -197,9 +204,7 @@ def _pairwise(t: Hst, leaves):
     is 2^(lowest edge level over the common ancestors below the root), inf when
     only the root is common.  Arrays are depth x len(leaves) or len(leaves)^2.
     """
-    level = np.asarray([0] + t.edge_level[1:])
-    length = np.ldexp(1.0, level - 1)
-    length[0] = 0.0  # the root has no edge; adding 0.0 keeps finished walks exact
+    level, length = t.edge_level, t.length
     n = len(leaves)
     up = _walk_up(t, leaves)
     dist = np.zeros(up.shape)
@@ -224,7 +229,7 @@ def validate_hst(t: Hst, m: MetricSpace) -> list:
     """Exhaustive check of the Definition-2 invariants; empty list iff valid.
 
     Independent of the sampler: everything is derived from t.parent,
-    t.edge_level and the leaf maps, and compared with m.d.
+    t.edge_level, t.terminals and t.leaf, and compared with m.d.
     """
     return validated_distances(t, m)[0]
 
@@ -232,24 +237,22 @@ def validate_hst(t: Hst, m: MetricSpace) -> list:
 def validated_distances(t: Hst, m: MetricSpace):
     """(validate_hst(t, m), T) from one walk of the tree.
 
-    T[i, j] = tree_distance(t, u, v) for u, v the i-th and j-th terminals in
-    sorted order, on a tree whose leaf maps are a bijection.
+    T[i, j] = tree_distance(t, u, v) for u, v the i-th and j-th terminals, on
+    a tree whose leaf map is a bijection.
     """
     out = []
-    n = t.n_nodes
-    parent = np.asarray(t.parent)
-    level = np.asarray([0] + t.edge_level[1:])
+    n, parent, level = t.n_nodes, t.parent, t.edge_level
     kids = np.bincount(parent[1:], minlength=n)
     is_leaf = np.zeros(n, dtype=bool)
-    is_leaf[list(t.leaf_point)] = True
+    is_leaf[t.leaf] = True
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
     for nid in np.flatnonzero((kids == 0) & ~is_leaf & (n > 1) | is_leaf & (kids > 0)):
         out.append(f"leaves: node {nid} is both internal and a terminal leaf" if kids[nid]
                    else f"leaves: childless node {nid} maps to no terminal")
-    if len(t.leaf_point) != len(set(t.leaf_point.values())):
+    if len(set(t.leaf.tolist())) != len(t.leaf) or len(set(t.terminals)) != len(t.terminals):
         out.append("leaves: terminal-to-leaf map is not a bijection")
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
-    #    length = 2^(level-1) holds by construction of edge_length
+    #    length = 2^(level-1) holds by construction of Hst.length
     above = parent[1:]
     lo, hi = np.full(n, level.max()), np.full(n, level.min())
     np.minimum.at(lo, above, level[1:])
@@ -260,13 +263,8 @@ def validated_distances(t: Hst, m: MetricSpace):
     found += [((above[c - 1], 1, c), f"levels: edge level does not decrease at node {c}")
               for c in np.flatnonzero(no_drop) + 1]
     out += [msg for _, msg in sorted(found)]
-    # One entry per leaf-map item, sorted by point: the leaves point_leaf names
-    # are the terminals, any other item still counts in the cuts.
-    entries = sorted(t.leaf_point.items(), key=lambda item: (item[1], item[0]))
-    nodes = np.array([nid for nid, _ in entries], dtype=np.intp)
-    pts = np.array([p for _, p in entries], dtype=np.intp)
-    terminal = np.array([t.point_leaf.get(p) == nid for nid, p in entries], dtype=bool)
-    ancestors, T, cap = _pairwise(t, nodes)
+    pts = np.asarray(t.terminals, dtype=np.intp)
+    ancestors, T, cap = _pairwise(t, t.leaf)
     d = m.d[np.ix_(pts, pts)]
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
     #    breaks some cut iff it breaks the cut of its lowest-level common edge
@@ -280,7 +278,7 @@ def validated_distances(t: Hst, m: MetricSpace):
             for _, u, v, j, duv in sorted(bad)]
     # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
     #    that pair is measured again by the path walk that defines T.
-    pair = np.triu(terminal[:, None] & terminal, 1)
+    pair = np.triu(np.ones(d.shape, dtype=bool), 1)
     if pair.any():
         a, b = divmod(int(np.where(pair, T - d, np.inf).argmin()), len(pts))
         T[a, b] = T[b, a] = tree_distance(t, int(pts[a]), int(pts[b]))
@@ -295,12 +293,8 @@ def validated_distances(t: Hst, m: MetricSpace):
     size = np.bincount(member_node, minlength=n)
     lowest, width = int(level.min()), int(level.max() - level.min()) + 1
     count = np.bincount(member_pt * width + level[member_node] - lowest)
-    is_terminal = np.zeros(m.n, dtype=bool)
-    is_terminal[list(t.point_leaf)] = True
-    foreign = ~is_terminal[member_pt]
-    # a level breaks when a point sits in two of its cuts or a cut holds a non-terminal
+    # a level breaks when a terminal sits in two of its cuts
     broken = set((np.flatnonzero(count > 1) % width + lowest).tolist())
-    broken |= set(level[member_node[foreign]].tolist())
     out += [f"partition: level-{j} cuts do not partition the terminals"
             for j in range(1, t.root_level + 1) if j in broken]
     for nid in np.flatnonzero((level[1:] <= 0) & (size[1:] != 1)) + 1:
@@ -317,11 +311,8 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
     pts = sorted(set(int(p) for p in terminals))
     if not pts:
         raise EmptyTerminalSet("need at least one terminal")
-    t = Hst()
-    root = t.add_node(-1, None)
     if len(pts) == 1:
-        t.set_leaf(root, pts[0])
-        return t
+        return Hst([-1], [0], pts, [0])
     k = len(pts)
     d = m.d[np.ix_(pts, pts)]
     close = d < 1.0
@@ -359,14 +350,12 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
     node = np.cumsum(starts).reshape(path.shape)  # node ids, level by level
     above = np.zeros_like(node)
     above[1:] = node[:-1]
-    for p, j in zip(above[starts].tolist(), np.repeat(levels, starts.sum(axis=1)).tolist()):
-        t.add_node(p, j)
-    for nid, i in zip(node[-1].tolist(), order.tolist()):
-        t.set_leaf(nid, pts[i])
-
-    # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
     by_point = np.empty_like(node)
     by_point[:, order] = node
+    t = Hst(np.concatenate([[-1], above[starts]]),
+            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1])
+
+    # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
     gap = sum(row[:, None] != row[None, :] for row in by_point)
     span = 2.0 * (np.ldexp(1.0, np.arange(len(levels) + 1)) - 1.0)  # T for L = 0, 1, ...
     if not np.all(span[gap] >= d):
@@ -376,20 +365,20 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
 
 def _promote_one_level(t: Hst) -> Hst:
     """Double every edge length and re-hang each terminal by a level-1 edge."""
-    out = _copy_inner_nodes(t, 1)
-    for nid, p in t.leaf_point.items():
-        leaf = out.add_node(nid, 1)
-        out.set_leaf(leaf, p)
-    return out
+    return _hang_chains(t, 1, [1])
 
 
-def _copy_inner_nodes(t: Hst, shift: int) -> Hst:
-    """t's nodes, every edge level raised by shift, without leaf terminals."""
-    out = Hst()
-    out.add_node(-1, None)
-    for nid in range(1, t.n_nodes):
-        out.add_node(t.parent[nid], t.edge_level[nid] + shift)
-    return out
+def _hang_chains(t: Hst, shift: int, chain_levels, extended_to=None) -> Hst:
+    """t with every edge level raised by shift and, below each leaf in node
+    order, a new chain of edges at chain_levels with the terminal at its end."""
+    n, k, depth = t.n_nodes, len(t.leaf), len(chain_levels)
+    by_node = np.argsort(t.leaf)
+    chain = np.arange(n, n + k * depth).reshape(k, depth)
+    leaf = np.empty(k, dtype=np.intp)
+    leaf[by_node] = chain[:, -1]
+    return Hst(np.concatenate([t.parent, np.column_stack([t.leaf[by_node], chain[:, :-1]]).ravel()]),
+               np.concatenate([t.edge_level + shift * (t.parent >= 0), np.tile(chain_levels, k)]),
+               t.terminals, leaf, extended_to)
 
 
 def extend_singleton_levels(t: Hst, down_to: int) -> Hst:
@@ -403,11 +392,4 @@ def extend_singleton_levels(t: Hst, down_to: int) -> Hst:
         raise LevelOutOfRange("down_to must be -1 or -2")
     if t.extended_to is not None:
         raise AlreadyExtended(f"tree already extended to {t.extended_to}")
-    out = _copy_inner_nodes(t, 0)
-    for nid, p in sorted(t.leaf_point.items()):
-        cur = nid
-        for j in range(-1, down_to - 1, -1):
-            cur = out.add_node(cur, j)
-        out.set_leaf(cur, p)
-    out.extended_to = down_to
-    return out
+    return _hang_chains(t, 0, range(-1, down_to - 1, -1), extended_to=down_to)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
@@ -165,7 +166,12 @@ def build_metric(raw) -> MetricSpace:
     divided by the minimum distinct-pair distance so that it becomes exactly 1
     (coincident points stay at 0).  Idempotent on already-normalized input.
     """
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"not an array of numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"entry {tuple(np.argwhere(~np.isfinite(arr))[0].tolist())} is not finite")
     # Square input with a zero diagonal is taken as a matrix; asymmetry or
     # negative entries in that shape are input errors, not point coordinates.
     as_matrix = (
@@ -464,10 +470,11 @@ class RequestRecord:
 
 
 def _fits(value, shape, bounds) -> bool:
-    """Whether JSON `value` has `shape`: a type (float admits ints, int and
-    float refuse bools), POINT or REQUEST (an int in [0, bounds[shape])), None,
-    a tuple of alternatives, [shape] for a list of it, [s1, s2, ...] for a list
-    of that length, or {key: shape} for an object with exactly those keys."""
+    """Whether JSON `value` has `shape`: a type (float admits ints and refuses
+    NaN, +-inf and ints past the float range; int and float refuse bools),
+    POINT or REQUEST (an int in [0, bounds[shape])), None, a tuple of
+    alternatives, [shape] for a list of it, [s1, s2, ...] for a list of that
+    length, or {key: shape} for an object with exactly those keys."""
     if isinstance(shape, tuple):
         return any(_fits(value, s, bounds) for s in shape)
     if isinstance(shape, list):
@@ -486,7 +493,9 @@ def _fits(value, shape, bounds) -> bool:
         return type(value) is int and 0 <= value < bounds[shape]
     if isinstance(value, bool):
         return shape is bool
-    return isinstance(value, (int, float) if shape is float else shape)
+    if shape is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, shape)
 
 
 # A record field's shape: the fields naming points or requests, every other

@@ -182,18 +182,21 @@ def _witness_rows(rows, j, pairwise_bound, M, rent_class, m):
     return out
 
 
-def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, root=None, point_rep=None):
+def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, root=None, point_rep=None,
+                       weights=None):
     """Per-level rent caps on an extended tree's cuts.
 
     Reads the classified rent records' rent points (points[1] if rent_endpoint
     is "t", else points[0]).  A level-j cut C holding `root` must hold no
     class-(j + shift) rent (shift 1 for SROB, 2 for CFL and MROB); any other
-    at most ceil(M) occurrences, and at most |C| distinct points or, given
-    leaf `pairs`, at most the |D(C)| pairs it separates.  Cuts at level 0
-    (terminal singletons) participate.
+    at most ceil(M) occurrences, and at most w(C) of them, the requests whose
+    leaves C holds (`weights` maps terminal point -> request multiplicity,
+    default 1 each) or, given leaf `pairs`, at most the |D(C)| pairs it
+    separates.  Cuts at level 0 (terminal singletons) participate.
     """
     rep = point_rep or (lambda p: p)
     cap_m = math.ceil(M)
+    per_leaf = [(weights or {}).get(p, 1) for p in t.terminals]
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
@@ -211,11 +214,11 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
         for rent, cut in zip(rows, t.cut_ids_at([p for _, p in rows])[row].tolist()):
             if cut >= 0:
                 by_cut.setdefault(cut, []).append(rent)
-        cut_size = np.bincount(t.cut_ids[row]).tolist()
+        load = np.bincount(t.cut_ids[row], weights=per_leaf).tolist()  # w(C)
         if pairs is not None:  # |D(C)|: the pairs with exactly one end in C
             a, b = ends[row, 0::2], ends[row, 1::2]
             crossing = np.concatenate([a[a != b], b[a != b]])
-            crossing = np.bincount(crossing[crossing >= 0], minlength=len(cut_size)).tolist()
+            crossing = np.bincount(crossing[crossing >= 0], minlength=len(load)).tolist()
         for cut, inside in sorted(by_cut.items()):
             if cut == root_ids[row]:
                 out.append(
@@ -225,8 +228,8 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
             if len(inside) > cap_m:
                 out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
             if pairs is None:
-                if len({p for _, p in inside}) > cut_size[cut]:
-                    out.append(f"level {j}: more rent points than |C|={cut_size[cut]}")
+                if len(inside) > load[cut]:
+                    out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={load[cut]:g}")
             elif len(inside) > crossing[cut]:
                 out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing[cut]}")
     return out

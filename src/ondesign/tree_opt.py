@@ -37,8 +37,7 @@ def _path_edges(t: Hst, pairs):
 def _edge_sum(t: Hst, factor) -> float:
     """Sum over the edges with a nonzero factor of length * factor, in node-id order."""
     nodes = np.flatnonzero(factor)
-    length = np.ldexp(1.0, np.asarray([0] + t.edge_level[1:])[nodes] - 1)
-    return sum((length * factor[nodes]).tolist(), 0.0)
+    return sum((t.length[nodes] * factor[nodes]).tolist(), 0.0)
 
 
 def opt_tree_steiner_tree(t: Hst) -> float:
@@ -71,7 +70,7 @@ def opt_tree_rob_single(t: Hst, r: int, M, weights=None) -> float:
     Edges on r's own root path are excluded: the charging argument only
     spends on cuts that separate terminals from r.
     """
-    if r not in t.point_leaf:
+    if r not in t.terminals:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
     ids, per_leaf = t.cut_ids, [(weights or {}).get(p, 1) for p in t.terminals]
     load = np.bincount(ids.ravel(), weights=np.tile(per_leaf, len(ids)), minlength=t.n_nodes)
@@ -87,7 +86,7 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     re-rooted at leaf r: cutting a subtree pays its total penalty, keeping it
     pays its parent edge plus its children's optima.
     """
-    if r not in t.point_leaf:
+    if r not in t.terminals:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
     pen_at = {}
     for p, pi in penalties:
@@ -96,12 +95,13 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
         pen_at[p] = pen_at.get(p, 0.0) + pi
 
     # adjacency with lengths, then orient away from r's leaf
-    adj = {nid: [] for nid in range(t.n_nodes)}
+    parent, length, leaf = t.lists
+    adj = [[] for _ in parent]
     for nid in range(1, t.n_nodes):
-        ln = t.edge_length(nid)
-        adj[nid].append((t.parent[nid], ln))
-        adj[t.parent[nid]].append((nid, ln))
-    root = t.point_leaf[r]
+        adj[nid].append((parent[nid], length[nid]))
+        adj[parent[nid]].append((nid, length[nid]))
+    point_at = dict(zip(leaf, t.terminals))
+    root = leaf[t.terminals.index(r)]
     order, par, par_len = [root], {root: None}, {root: 0.0}
     for v in order:  # breadth first: the loop visits what it appends
         for w, ln in adj[v]:
@@ -111,7 +111,7 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     pen_sub, h = {}, {}
     for v in reversed(order):
         kids = [w for w, _ in adj[v] if par.get(w) == v]
-        pen_sub[v] = pen_at.get(t.leaf_point.get(v), 0.0) + sum(pen_sub[w] for w in kids)
+        pen_sub[v] = pen_at.get(point_at.get(v), 0.0) + sum(pen_sub[w] for w in kids)
         keep = sum(h[w] for w in kids)
         h[v] = keep if v == root else min(pen_sub[v], par_len[v] + keep)
     return h[root]

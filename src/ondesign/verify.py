@@ -180,7 +180,7 @@ def _tree_rob_single(cost_name, cost, shift):
         opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
         tally.bound("share_vs_tree", cost_share(trace), opt)
         tally.bound(cost_name, cost(m, seq, trace), opt)
-        tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep)
+        tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep, weights)
 
     return check
 

@@ -29,20 +29,30 @@ def edge_list(t):
     return list(range(1, t.n_nodes))
 
 
+def edge_len(t, nid):
+    """Length of node nid's parent edge, 2^(level-1), from t.edge_level."""
+    return 2.0 ** (int(t.edge_level[nid]) - 1)
+
+
+def leaf_of(t):
+    """Terminal point -> leaf node, from the column pair t.terminals / t.leaf."""
+    return dict(zip(t.terminals, t.leaf.tolist()))
+
+
 def path_edges(t, u, v):
     """Edge node-ids on the leaf-to-leaf path, computed by ancestor walks."""
-    a, b = t.point_leaf[u], t.point_leaf[v]
+    parent, leaf = t.parent.tolist(), leaf_of(t)
     up_a = []
-    x = a
+    x = leaf[u]
     while x != 0:
         up_a.append(x)
-        x = t.parent[x]
+        x = parent[x]
     seen = {n: i for i, n in enumerate(up_a)}
     up_b = []
-    x = b
+    x = leaf[v]
     while x != 0 and x not in seen:
         up_b.append(x)
-        x = t.parent[x]
+        x = parent[x]
     if x == 0:
         return set(up_a) | set(up_b)
     return set(up_a[: seen[x]]) | set(up_b)
@@ -57,14 +67,14 @@ def brute_tree_sf(t, pairs):
     for s, u in pairs:
         if s != u:
             used |= path_edges(t, s, u)
-    return sum(t.edge_length(e) for e in used)
+    return sum(edge_len(t, e) for e in used)
 
 
 def brute_tree_sn(t, pairs, reqs):
     total = 0.0
     for e in edge_list(t):
         need = max((r for (s, u), r in zip(pairs, reqs) if s != u and e in path_edges(t, s, u)), default=0)
-        total += t.edge_length(e) * need
+        total += edge_len(t, e) * need
     return total
 
 
@@ -72,7 +82,7 @@ def brute_tree_rob_multi(t, pairs, M):
     total = 0.0
     for e in edge_list(t):
         count = sum(1 for s, u in pairs if s != u and e in path_edges(t, s, u))
-        total += t.edge_length(e) * min(M, count)
+        total += edge_len(t, e) * min(M, count)
     return total
 
 
@@ -81,13 +91,13 @@ def brute_tree_rob_single(t, r, M, weights=None):
     import itertools
 
     chain = set()
-    x = t.point_leaf[r]
+    x = leaf_of(t)[r]
     while x != 0:
         chain.add(x)
-        x = t.parent[x]
+        x = int(t.parent[x])
     edges = [e for e in edge_list(t) if e not in chain]
     usage = {e: 0 for e in edges}
-    for p in t.point_leaf:
+    for p in t.terminals:
         w = (weights or {}).get(p, 1) if weights is not None else 1
         if p == r:
             continue
@@ -98,11 +108,11 @@ def brute_tree_rob_single(t, r, M, weights=None):
     if len(edges) <= 13:
         for buys in itertools.product((False, True), repeat=len(edges)):
             cost = sum(
-                (M if b else usage[e]) * t.edge_length(e) for e, b in zip(edges, buys)
+                (M if b else usage[e]) * edge_len(t, e) for e, b in zip(edges, buys)
             )
             best = cost if best is None else min(best, cost)
         return best
-    return sum(min(M, usage[e]) * t.edge_length(e) for e in edges)
+    return sum(min(M, usage[e]) * edge_len(t, e) for e in edges)
 
 
 def brute_tree_pcst(t, r, penalties):
@@ -117,7 +127,7 @@ def brute_tree_pcst(t, r, penalties):
         for (p, pi), k in zip(rows, keep):
             if k and p != r:
                 used |= path_edges(t, r, p)
-        cost = pay + sum(t.edge_length(e) for e in used)
+        cost = pay + sum(edge_len(t, e) for e in used)
         best = cost if best is None else min(best, cost)
     return best
 
@@ -138,10 +148,11 @@ def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
 def brute_cut(t, nid):
     """Terminal points below node nid: the leaves whose parent walk passes it."""
     out = set()
-    for leaf, p in t.leaf_point.items():
+    parent = t.parent.tolist()
+    for p, leaf in zip(t.terminals, t.leaf.tolist()):
         x = leaf
         while x >= 0 and x != nid:
-            x = t.parent[x]
+            x = parent[x]
         if x == nid:
             out.add(p)
     return frozenset(out)
@@ -152,7 +163,7 @@ def brute_cuts_at_level(t, j):
     for every terminal under no level-j edge, by point."""
     cuts = [brute_cut(t, nid) for nid in range(1, t.n_nodes) if t.edge_level[nid] == j]
     covered = {p for c in cuts for p in c}
-    return cuts + [frozenset([p]) for p in sorted(t.point_leaf) if p not in covered]
+    return cuts + [frozenset([p]) for p in sorted(t.terminals) if p not in covered]
 
 
 def brute_pcst_cut_lower_bound(t, r, class_rho_pi, levels):
@@ -170,42 +181,43 @@ def brute_pcst_cut_lower_bound(t, r, class_rho_pi, levels):
 
 def brute_validate_hst(t, m):
     """Reference for hst.validate_hst: the per-node, per-pair loop validator."""
-    from ondesign.hst import tree_distance
     from ondesign.metric import pow2
 
     out = []
     pts = t.terminals
-    children = {nid: [c for c in range(1, t.n_nodes) if t.parent[c] == nid] for nid in range(t.n_nodes)}
+    parent, level, leaves = t.parent.tolist(), t.edge_level.tolist(), t.leaf.tolist()
+    children = {nid: [c for c in range(1, t.n_nodes) if parent[c] == nid] for nid in range(t.n_nodes)}
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
     for nid in range(t.n_nodes):
         is_leaf = not children[nid]
-        if is_leaf and nid not in t.leaf_point and t.n_nodes > 1:
+        if is_leaf and nid not in leaves and t.n_nodes > 1:
             out.append(f"leaves: childless node {nid} maps to no terminal")
-        if nid in t.leaf_point and children[nid]:
+        if nid in leaves and children[nid]:
             out.append(f"leaves: node {nid} is both internal and a terminal leaf")
-    if len(t.leaf_point) != len(set(t.leaf_point.values())):
+    if len(set(leaves)) != len(leaves) or len(set(pts)) != len(pts):
         out.append("leaves: terminal-to-leaf map is not a bijection")
     # 2. siblings share an edge level; levels drop strictly toward the leaves
     for nid in range(t.n_nodes):
         kids = children[nid]
-        if kids and len({t.edge_level[c] for c in kids}) != 1:
+        if kids and len({level[c] for c in kids}) != 1:
             out.append(f"levels: children of node {nid} at differing edge lengths")
         for c in kids:
-            if nid != 0 and t.edge_level[c] >= t.edge_level[nid]:
+            if nid != 0 and level[c] >= level[nid]:
                 out.append(f"levels: edge level does not decrease at node {c}")
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j
     for nid in range(1, t.n_nodes):
-        j = t.edge_level[nid]
+        j = level[nid]
         cut = sorted(brute_cut(t, nid))
         bound = pow2(j)
         for i, u in enumerate(cut):
             for v in cut[i + 1:]:
                 if m.dist(u, v) >= bound:
                     out.append(f"cut diameter: d({u},{v})={m.dist(u, v):g} >= 2^{j} under a level-{j} edge")
-    # 4. expanding: T(u,v) >= d(u,v)
+    # 4. expanding: T(u,v) >= d(u,v); lengths are powers of two, so any
+    #    summation order gives the same T
     for i, u in enumerate(pts):
         for v in pts[i + 1:]:
-            tv = tree_distance(t, u, v)
+            tv = sum(edge_len(t, e) for e in path_edges(t, u, v))
             if tv < m.dist(u, v):
                 out.append(f"expanding: T({u},{v})={tv:g} < d={m.dist(u, v):g}")
     # 5. per-level cuts partition the terminals; levels <= 0 are singletons
@@ -215,8 +227,8 @@ def brute_validate_hst(t, m):
             out.append(f"partition: level-{j} cuts do not partition the terminals")
     for nid in range(1, t.n_nodes):
         size = len(brute_cut(t, nid))
-        if t.edge_level[nid] <= 0 and size != 1:
-            out.append(f"singletons: level-{t.edge_level[nid]} cut has {size} terminals")
+        if level[nid] <= 0 and size != 1:
+            out.append(f"singletons: level-{level[nid]} cut has {size} terminals")
     return out
 
 
@@ -225,7 +237,7 @@ def _levels(t):
     return range(lo, t.root_level + 1)
 
 
-def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p: p):
+def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p: p, weights=None):
     """Reference for rentorbuy.check_cut_capacity: membership tests on brute cuts."""
     import math
 
@@ -246,8 +258,9 @@ def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p:
                 continue
             if len(inside) > math.ceil(M):
                 out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={math.ceil(M)}")
-            if pairs is None and len({p for _, p in inside}) > len(cut):
-                out.append(f"level {j}: more rent points than |C|={len(cut)}")
+            load = sum((weights or {}).get(p, 1) for p in cut)
+            if pairs is None and len(inside) > load:
+                out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={load:g}")
             crossing = sum(1 for s, u in pairs or () if (s in cut) != (u in cut))
             if pairs is not None and len(inside) > crossing:
                 out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing}")

@@ -138,7 +138,7 @@ def test_cfl_sharetree_prestudy_constant_16():
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(trace, t, M, 2, None, root=0, point_rep=rep.get)
+        out = check_cut_capacity(trace, t, M, 2, None, root=0, point_rep=rep.get, weights=weights)
         assert out == []
     assert worst <= 16.0
 

@@ -68,7 +68,15 @@ CFL_TWO_FACILITIES_AT_1 = {
     {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": "0", "requests": [1]},
     {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1.7, True]},
     CFL_TWO_FACILITIES_AT_1,
-], ids=["unknown-field", "M-string", "root-string", "request-float-bool", "facility-twice"])
+    {"matrix": [[0, 1], [1, 0]], "problem": "SROB", "root": 0, "M": float("nan"), "requests": [1]},
+    {"matrix": [[0, 1], [1, 0]], "problem": "PCST", "root": 0, "requests": [[1, float("nan")]]},
+    {"matrix": [[0, float("inf")], [float("inf"), 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
+    {"matrix": [[0, 1], [1, 0]], "problem": "PCST", "root": 0, "requests": [[1, 10**400]]},
+    {"matrix": [[0, 10**400], [10**400, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
+    {"points": [[0, "a"], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
+], ids=["unknown-field", "M-string", "root-string", "request-float-bool", "facility-twice",
+        "M-nan", "pi-nan", "matrix-infinity", "pi-past-float-range", "matrix-past-float-range",
+        "points-string"])
 def test_run_schema_error_exit_2(tmp_path, doc, capsys):
     inst = write_instance(tmp_path, doc)
     assert main(["run", inst, "--algo", doc["problem"], "--out", str(tmp_path / "x.json")]) == 2
@@ -279,6 +287,27 @@ def test_verify_forged_forest_summary_cycle_exit_4(tmp_path):
     assert all(c["fail"] == 0 for c in rep["checks"].values())
     assert rep["tree_checks"]["fail"] == 3
     assert all("meta-cycle via edge (2,0)" in v for v in rep["tree_checks"]["violations"])
+
+
+def test_verify_forged_srob_repeated_rent_exit_4(tmp_path):
+    # the run's one rent row, repeated: two rents at the leaf of one request
+    inst = write_instance(
+        tmp_path, {"matrix": [[0, 1], [1, 0]], "problem": "SROB", "root": 0, "M": 4.0, "requests": [1]},
+    )
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "SROB", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["decision"] == "rent" and json.loads(lines[0])["klass"] == 0
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("\n".join(lines[:1] + lines) + "\n")
+    out = tmp_path / "rep.json"
+    rc = main(["verify", inst, "--trace", str(forged), "--trials", "3", "--out", str(out)])
+    assert rc == 4
+    rep = json.loads(out.read_text())
+    assert all(c["fail"] == 0 for c in rep["checks"].values())
+    assert rep["tree_checks"]["violations"] == [
+        f"trial {i}: level -1: 2 class-0 rent occurrences > w(C)=1" for i in range(3)
+    ]
 
 
 @pytest.mark.parametrize("content", [

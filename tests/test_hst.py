@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 
@@ -102,12 +101,7 @@ def test_sampler_deterministic(two_point_metric):
 
 
 def test_validate_flags_shrunk_leaf_edges(two_point_metric):
-    t = Hst()
-    root = t.add_node(-1, None)
-    a = t.add_node(root, -1)  # length 1/4 edges: tree distance 0.5 < d = 1
-    b = t.add_node(root, -1)
-    t.set_leaf(a, 0)
-    t.set_leaf(b, 1)
+    t = Hst([-1, 0, 0], [0, -1, -1], (0, 1), [1, 2])  # length 1/4 edges: T = 0.5 < d = 1
     bad = validate_hst(t, two_point_metric)
     assert any("expanding" in v for v in bad)
 
@@ -115,15 +109,26 @@ def test_validate_flags_shrunk_leaf_edges(two_point_metric):
 def test_validate_flags_cut_diameter():
     # two terminals at distance 3 below one level-1 edge: 3 >= 2^1
     m = line_metric([0, 3])
-    t = Hst()
-    root = t.add_node(-1, None)
-    y = t.add_node(root, 1)
-    a = t.add_node(y, 0)
-    b = t.add_node(y, 0)
-    t.set_leaf(a, 0)
-    t.set_leaf(b, 1)
+    t = Hst([-1, 0, 1, 1], [0, 1, 0, 0], (0, 1), [2, 3])
     bad = validate_hst(t, m)
     assert any("cut diameter" in v for v in bad)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    # a third level-1 node under the root with no terminal
+    (([-1, 0, 0, 0], [0, 1, 1, 1], (0, 1), [1, 2]), "leaves: childless node 3 maps to no terminal"),
+    # terminal 0 sits on node 1, the parent of terminal 1's leaf
+    (([-1, 0, 1], [0, 2, 1], (0, 1), [1, 2]), "leaves: node 1 is both internal and a terminal leaf"),
+    # two terminals on one leaf, and one terminal on two leaves
+    (([-1, 0, 0], [0, 1, 1], (0, 1), [1, 1]), "leaves: terminal-to-leaf map is not a bijection"),
+    (([-1, 0, 0], [0, 1, 1], (0, 0), [1, 2]), "leaves: terminal-to-leaf map is not a bijection"),
+])
+def test_validate_flags_leaf_map(arrays, message):
+    m = line_metric([0, 1])
+    t = Hst(*arrays)
+    bad = validate_hst(t, m)
+    assert message in bad
+    assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
 
 def test_cuts_at_level_examples(two_point_metric):
@@ -175,12 +180,7 @@ def test_extension_down_to_minus_one(two_point_metric):
 
 def test_tree_distance_siblings_level2():
     m = line_metric([0, 3])
-    t = Hst()
-    root = t.add_node(-1, None)
-    a = t.add_node(root, 2)
-    b = t.add_node(root, 2)
-    t.set_leaf(a, 0)
-    t.set_leaf(b, 1)
+    t = Hst([-1, 0, 0], [0, 2, 2], (0, 1), [1, 2])
     assert tree_distance(t, 0, 1) == 4.0
     # leaves hang at level 2 directly; the level-1 cuts are implicit singletons
     assert sorted(map(set, cuts_at_level(t, 1))) == [{0}, {1}]
@@ -199,14 +199,7 @@ def test_unknown_leaf():
 def _skipped_level_tree():
     """Hand-built: leaves 0 and 1 under a level-3 node, 2 straight below the
     root at level 3, 3 under a level-3 node by a level-1 edge (level 2 skipped)."""
-    t = Hst()
-    root = t.add_node(-1, None)
-    y = t.add_node(root, 3)
-    for p in (0, 1):
-        t.set_leaf(t.add_node(y, 2), p)
-    t.set_leaf(t.add_node(root, 3), 2)
-    t.set_leaf(t.add_node(t.add_node(root, 3), 1), 3)
-    return t
+    return Hst([-1, 0, 1, 1, 0, 0, 5], [0, 3, 2, 2, 3, 3, 1], (0, 1, 2, 3), [2, 3, 4, 6])
 
 
 def test_cut_ids_group_into_the_reference_cuts():
@@ -286,8 +279,9 @@ def test_json_schema_fields(two_point_metric):
 
 
 # (family, k, metric seed, promoted, SHA-256 prefix of to_json() followed by
-# the leaf_point order), recorded from the one-ball-at-a-time sampler; the tree
-# is sample_frt(metric, range(k), 1000 * k + metric seed).
+# the (leaf node, point) pairs in node order), recorded from the
+# one-ball-at-a-time sampler; the tree is sample_frt(metric, range(k),
+# 1000 * k + metric seed).
 PINNED_TREES = [
     ("euclid", 2, 0, False, "12d1f24338418c57c6908151461978db"),
     ("euclid", 3, 1, False, "472ec3fa21ebe170639e3f7c7271d7b0"),
@@ -316,25 +310,26 @@ PINNED_TREES = [
 def test_sample_frt_pinned(family, k, seed, promoted, digest):
     m = gen_euclidean(k, seed=seed)[0] if family == "euclid" else gen_graph_metric(k, seed=seed)
     t = sample_frt(m, range(k), 1000 * k + seed)
-    text = t.to_json() + json.dumps(list(t.leaf_point.items()))
+    text = t.to_json() + json.dumps(sorted(zip(t.leaf.tolist(), t.terminals)))
     assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
     assert (t.root_level == floor_log2(m.diameter()) + 2) == promoted
 
 
 def _corrupt(t, rng, kind):
-    """A copy of t with one defect: a leaf edge shrunk, a level raised, a leaf
+    """t rebuilt with one defect: a leaf edge shrunk, a level raised, a leaf
     re-hung below an earlier node, or a leaf's terminal dropped."""
-    t = copy.deepcopy(t)
-    leaf = sorted(t.leaf_point)[int(rng.integers(len(t.leaf_point)))]
+    parent, level, terminals, leaves = t.parent.copy(), t.edge_level.copy(), t.terminals, t.leaf
+    leaf = sorted(leaves.tolist())[int(rng.integers(len(leaves)))]
     if kind == "shrink" and leaf:
-        t.edge_level[leaf] -= int(rng.integers(1, 4))
+        level[leaf] -= int(rng.integers(1, 4))
     elif kind == "raise" and t.n_nodes > 1:
-        t.edge_level[int(rng.integers(1, t.n_nodes))] += int(rng.integers(1, 3))
+        level[int(rng.integers(1, t.n_nodes))] += int(rng.integers(1, 3))
     elif kind == "rehang" and leaf:
-        t.parent[leaf] = int(rng.integers(0, leaf))  # ids grow toward the leaves
+        parent[leaf] = int(rng.integers(0, leaf))  # ids grow toward the leaves
     elif kind == "drop":
-        del t.point_leaf[t.leaf_point.pop(leaf)]
-    return t
+        keep = leaves != leaf
+        terminals, leaves = [p for p, kept in zip(terminals, keep) if kept], leaves[keep]
+    return Hst(parent, level, terminals, leaves, t.extended_to)
 
 
 def test_validate_matches_reference_on_sampled_and_corrupted_trees():
@@ -355,8 +350,8 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
         for tree in list(trees):
             trees += [_corrupt(tree, rng, kind) for kind in ("shrink", "raise", "rehang", "drop")]
         for tree in trees:
-            got = validate_hst(copy.deepcopy(tree), m)
-            assert sorted(got) == sorted(brute_validate_hst(copy.deepcopy(tree), m))
+            got = validate_hst(tree, m)
+            assert sorted(got) == sorted(brute_validate_hst(tree, m))
             checked += 1
             flagged += bool(got)
     assert checked > 500 and flagged > 100

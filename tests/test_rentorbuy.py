@@ -120,6 +120,20 @@ def test_cut_capacity_forged_packing():
     assert any("ceil(M)" in v for v in out)
 
 
+def test_cut_capacity_forged_repeated_request():
+    # one request at point 1 rented twice (a forged trace repeating its idx
+    # row): the level-(-1) cut {1} holds 2 class-0 rents but w(C) = 1 request
+    m = line_metric([0, 8])
+    forged = RunTrace()
+    for _ in range(2):
+        forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=8.0, klass=0, cost=8.0))
+    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1), -2)
+    out = check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
+    assert out == ["level -1: 2 class-0 rent occurrences > w(C)=1"]
+    assert out == brute_check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
+    assert check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 2}) == []
+
+
 def test_cut_capacity_empty_rents():
     m = line_metric([0, 4])
     _, trace = run_srob(m, 0, [1], M=0.0)
@@ -154,8 +168,9 @@ def test_cut_capacity_matches_reference_on_forged_rents():
         pairs = [(int(rng.choice(pts)), int(rng.choice(off))) for _ in range(6)] if trial % 2 else None
         root = None if pairs else int(rng.choice(pts))
         M, shift = float(rng.choice([0.3, 1.0, 2.7])), int(rng.integers(1, 3))
-        got = check_cut_capacity(trace, t, M, shift, pairs, root)
-        assert got == brute_check_cut_capacity(trace, t, M, shift, pairs, root)
+        weights = None if pairs else {p: int(rng.integers(0, 3)) for p in pts}
+        got = check_cut_capacity(trace, t, M, shift, pairs, root, weights=weights)
+        assert got == brute_check_cut_capacity(trace, t, M, shift, pairs, root, weights=weights)
         flagged += bool(got)
     assert flagged > 20
 

@@ -11,6 +11,7 @@ from conftest import (
     brute_tree_rob_single,
     brute_tree_sf,
     brute_tree_sn,
+    edge_len,
     random_small_hst,
 )
 from ondesign.errors import RootNotLeaf
@@ -32,14 +33,12 @@ def minimal_tree(m):
 
 def four_leaf_binary():
     """Root, two level-2 children, two level-1 leaves each: 4*1 + 2*2 = 8."""
-    t = Hst()
-    root = t.add_node(-1, None)
-    x = t.add_node(root, 2)
-    y = t.add_node(root, 2)
-    leaves = [t.add_node(x, 1), t.add_node(x, 1), t.add_node(y, 1), t.add_node(y, 1)]
-    for p, nid in enumerate(leaves):
-        t.set_leaf(nid, p)
-    return t
+    return Hst([-1, 0, 0, 1, 1, 2, 2], [0, 2, 2, 1, 1, 1, 1], range(4), [3, 4, 5, 6])
+
+
+def three_leaf_star():
+    """Root with three level-1 leaves 0, 1, 2."""
+    return Hst([-1, 0, 0, 0], [0, 1, 1, 1], range(3), [1, 2, 3])
 
 
 def test_opt_st_examples(two_point_metric):
@@ -79,10 +78,7 @@ def test_opt_rob_single_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
     assert opt_tree_rob_single(t, 0, 4) == 1.0  # root chain excluded
     assert opt_tree_rob_single(t, 0, 0.5) == 0.5
-    t3 = Hst()
-    root = t3.add_node(-1, None)
-    for p in range(3):
-        t3.set_leaf(t3.add_node(root, 1), p)
+    t3 = three_leaf_star()
     assert opt_tree_rob_single(t3, 0, 10) == 2.0
     with pytest.raises(RootNotLeaf):
         opt_tree_rob_single(t3, 9, 1)
@@ -98,10 +94,7 @@ def test_opt_pcst_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
     assert opt_tree_pcst(t, 0, [(1, 0.5)]) == 0.5
     assert opt_tree_pcst(t, 0, [(1, 3.0)]) == 2.0
-    t3 = Hst()
-    root = t3.add_node(-1, None)
-    for p in range(3):
-        t3.set_leaf(t3.add_node(root, 1), p)
+    t3 = three_leaf_star()
     assert opt_tree_pcst(t3, 0, [(1, 1.5), (2, 1.5)]) == 3.0
     with pytest.raises(RootNotLeaf):
         opt_tree_pcst(t3, 9, [])
@@ -158,7 +151,7 @@ def test_rob_multi_sentinels():
         pts = list(t.terminals)
         pairs = [tuple(map(int, rng.choice(pts, size=2, replace=False))) for _ in range(4)]
         ind = sum(
-            t.edge_length(e)
+            edge_len(t, e)
             for e in range(1, t.n_nodes)
             if any((s in brute_cut(t, e)) != (u in brute_cut(t, e)) for s, u in pairs)
         )
@@ -167,7 +160,7 @@ def test_rob_multi_sentinels():
             opt_tree_steiner_forest(t, pairs)
         )
         rent_all = sum(
-            t.edge_length(e)
+            edge_len(t, e)
             * sum(1 for s, u in pairs if (s in brute_cut(t, e)) != (u in brute_cut(t, e)))
             for e in range(1, t.n_nodes)
         )
@@ -189,7 +182,7 @@ def test_rob_single_vs_multi_cross_check():
             if r in cut:
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
-            multi += t.edge_length(e) * min(M, crossing)
+            multi += edge_len(t, e) * min(M, crossing)
         assert opt_tree_rob_single(t, r, M) == pytest.approx(multi)
 
 
