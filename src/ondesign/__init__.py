@@ -14,7 +14,6 @@ from .metric import (
 )
 from .hst import (
     Hst,
-    cuts_at_level,
     extend_singleton_levels,
     sample_frt,
     tree_distance,

@@ -25,7 +25,7 @@ def gen_euclidean(count: int, dimension: int = 2, seed: int = 0):
     """Uniform points in the unit cube, normalized; returns (metric, points)."""
     rng = _rng(seed, 1)
     pts = rng.random((count, dimension))
-    return build_metric(pts), pts
+    return build_metric(pts, "points"), pts
 
 
 def gen_graph_metric(vertices: int, density: float = 0.3, seed: int = 0) -> MetricSpace:
@@ -42,7 +42,7 @@ def gen_graph_metric(vertices: int, density: float = 0.3, seed: int = 0) -> Metr
                 w[u, v] = w[v, u] = rng.uniform(0.5, 2.0)
     closure = shortest_path(csr_matrix(w), method="D", directed=False)
     closure = (closure + closure.T) / 2.0  # Dijkstra runs are not bit-symmetric
-    return build_metric(closure)
+    return build_metric(closure, "matrix")
 
 
 def gen_diamond_lb(depth: int):

@@ -12,8 +12,10 @@ terminal singletons by convention (forced by the min-distance-1 normalization).
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
 a tree's arrays.  `Hst.cut_ids` names the cut holding each terminal at each
-level; the tree oracles and per-tree checks group its rows, as `cuts_at_level`
-does.
+level; it is the only form a cut takes.  `cut_row` reads one level's row at
+any points, and `class_cuts` groups the class-(j + shift) entries of a check
+by level-j cut, which is how the per-tree cut checks and the PCST cut lower
+bound read the tree.  The tree oracles group whole rows.
 
 Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
@@ -73,7 +75,7 @@ class Hst:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    @property
+    @cached_property
     def root_level(self) -> int:
         """Level of the edges below the root (0 for a single-leaf tree)."""
         below = np.flatnonzero(self.parent == 0)
@@ -108,8 +110,12 @@ class Hst:
 
     def cut_ids_at(self, points) -> np.ndarray:
         """cut_ids columns of `points`; a non-terminal is in no cut (id -1)."""
-        cols = np.array([self._column.get(p, -1) for p in points], dtype=np.intp)
+        cols = self.columns(points)
         return np.where(cols >= 0, self.cut_ids[:, cols], -1)
+
+    def columns(self, points) -> np.ndarray:
+        """Each point's column in self.terminals, -1 for a non-terminal."""
+        return np.array([self._column.get(p, -1) for p in points], dtype=np.intp)
 
     @cached_property
     def _column(self) -> dict:
@@ -161,29 +167,45 @@ def tree_distance(t: Hst, u: int, v: int) -> float:
     return dist + ancestors[b]
 
 
-def cuts_at_level(t: Hst, j: int, meeting=None):
-    """The level-j cuts, as a list of frozensets partitioning the terminals;
-    given `meeting`, only the cuts holding one of those points.
-
-    Terminals not under any level-j edge count as singletons: level 0 never
-    carries edges (minimum distance 1 forces any diameter-<2^j cut with j <= 0
-    to be a singleton), and a leaf whose path skips a level sits alone in its
-    implicit cut.  Cuts come in the order of their ids in `Hst.cut_ids`.
-    """
-    levels = check_levels(t)
-    if j not in levels:
-        raise LevelOutOfRange(f"level {j} outside [{levels[0]}, {t.root_level}]")
-    cuts = {}
-    for p, cut in zip(t.terminals, t.cut_ids[j - levels[0]].tolist()):
-        cuts.setdefault(cut, []).append(p)
-    hit = cuts if meeting is None else set(t.cut_ids_at(meeting)[j - levels[0]].tolist())
-    return [frozenset(cuts[cut]) for cut in sorted(cuts) if cut in hit]
-
-
 def check_levels(t: Hst) -> list:
     """Level range [min charge level, root level] for the charging checks."""
     lo = t.extended_to if t.extended_to is not None else 0
     return list(range(lo, t.root_level + 1))
+
+
+def cut_row(t: Hst, j: int, points=None) -> np.ndarray:
+    """The level-j row of t.cut_ids, at `points` if given (a non-terminal is
+    in no cut, id -1), else at every terminal column."""
+    levels = check_levels(t)
+    if j not in levels:
+        raise LevelOutOfRange(f"level {j} outside [{levels[0]}, {t.root_level}]")
+    row = t.cut_ids[j - levels[0]]
+    if points is None:
+        return row
+    cols = t.columns(points)
+    return np.where(cols >= 0, row[cols], -1)
+
+
+def class_cuts(t: Hst, by_class: dict, shift: int, root=None):
+    """Yield (j, cut id, holds root, entries) for every level-j cut holding an
+    entry of by_class[j + shift], by level and then by cut id.
+
+    An entry is a tuple whose first item is a point; the entries of a
+    cut keep their input order, and entries at non-terminals are dropped.
+    `root` is a point (or None): "holds root" says the cut contains it.
+    """
+    for j in check_levels(t):
+        entries = by_class.get(j + shift)
+        if not entries:
+            continue
+        row = cut_row(t, j, [e[0] for e in entries] + [root]).tolist()
+        root_cut = row.pop()
+        inside = {}
+        for entry, cut in zip(entries, row):
+            if cut >= 0:
+                inside.setdefault(cut, []).append(entry)
+        for cut in sorted(inside):
+            yield j, cut, cut == root_cut, inside[cut]
 
 
 def _walk_up(t: Hst, leaves):
@@ -381,15 +403,13 @@ def _hang_chains(t: Hst, shift: int, chain_levels, extended_to=None) -> Hst:
                t.terminals, leaf, extended_to)
 
 
-def extend_singleton_levels(t: Hst, down_to: int) -> Hst:
-    """Append singleton chains (levels -1 .. down_to) below every leaf.
+def extend_singleton_levels(t: Hst) -> Hst:
+    """Append singleton chains (levels -1 and -2) below every leaf.
 
     Edge lengths are 2^-2 and 2^-3; the terminal moves to the chain bottom, so
     the new levels' cuts are exactly the singletons and every tree optimum
-    grows by at most (#leaves) * (sum of added lengths).
+    grows by at most (#leaves) * 3/8.
     """
-    if down_to not in (-1, -2):
-        raise LevelOutOfRange("down_to must be -1 or -2")
     if t.extended_to is not None:
         raise AlreadyExtended(f"tree already extended to {t.extended_to}")
-    return _hang_chains(t, 0, range(-1, down_to - 1, -1), extended_to=down_to)
+    return _hang_chains(t, 0, [-1, -2], extended_to=-2)

@@ -158,13 +158,13 @@ def _validate_matrix(d: np.ndarray) -> None:
             raise TriangleViolation(u, v, w, float(buf[u, w]))
 
 
-def build_metric(raw) -> MetricSpace:
-    """Build a MetricSpace from a square distance matrix or a 2-D point list.
+def build_metric(raw, kind: str) -> MetricSpace:
+    """Build a MetricSpace from `raw`, a square distance matrix if kind is
+    "matrix" or a point list inducing Euclidean distances if kind is "points".
 
-    Square symmetric nonnegative zero-diagonal input is taken as a matrix;
-    anything else is a point list inducing Euclidean distances.  Distances are
-    divided by the minimum distinct-pair distance so that it becomes exactly 1
-    (coincident points stay at 0).  Idempotent on already-normalized input.
+    Distances are divided by the minimum distinct-pair distance so that it
+    becomes exactly 1 (coincident points stay at 0).  Idempotent on
+    already-normalized input.
     """
     try:
         arr = np.asarray(raw, dtype=float)
@@ -172,12 +172,7 @@ def build_metric(raw) -> MetricSpace:
         raise SchemaError(f"not an array of numbers: {exc}") from exc
     if not np.isfinite(arr).all():
         raise SchemaError(f"entry {tuple(np.argwhere(~np.isfinite(arr))[0].tolist())} is not finite")
-    # Square input with a zero diagonal is taken as a matrix; asymmetry or
-    # negative entries in that shape are input errors, not point coordinates.
-    as_matrix = (
-        arr.ndim == 2 and arr.shape[0] == arr.shape[1] and not np.any(np.diag(arr))
-    )
-    if as_matrix:
+    if kind == "matrix":
         d = arr.copy()
     else:
         if arr.ndim != 2:
@@ -323,24 +318,11 @@ class RequestSequence:
                 raise SchemaError("CFL root facility must be present with cost 0")
             if any(c < 0 for _, c in self.facilities):
                 raise SchemaError("facility costs must be >= 0")
-
-    def validate_points(self, n: int) -> None:
-        for idx, req in enumerate(self.requests):
-            for p in self.request_points(idx):
-                if not (0 <= p < n):
-                    raise SchemaError(f"request {idx} references point {p} >= n={n}")
-        if self.root is not None and not (0 <= self.root < n):
-            raise SchemaError("root index out of range")
-        if self.facilities:
-            for p, _ in self.facilities:
-                if not (0 <= p < n):
-                    raise SchemaError(f"facility point {p} >= n={n}")
-        fields = PROBLEMS[self.problem].fields
-        if "R" in fields:
+        if "R" in fmt.fields:
             for idx, (_, _, r) in enumerate(self.requests):
                 if int(r) != r or r < 1:
                     raise SchemaError(f"request {idx}: R must be an integer >= 1")
-        if "pi" in fields and any(pi < 0 for _, pi in self.requests):
+        if "pi" in fmt.fields and any(pi < 0 for _, pi in self.requests):
             raise SchemaError("penalties must be >= 0")
 
     def request_points(self, idx: int):
@@ -580,7 +562,8 @@ def instance_from_dict(doc: dict):
         raise SchemaError("exactly one of 'points' or 'matrix' is required")
     if "problem" not in doc or "requests" not in doc:
         raise SchemaError("instance needs 'problem' and 'requests'")
-    m = build_metric(doc.get("points", doc.get("matrix")))
+    kind = "points" if "points" in doc else "matrix"
+    m = build_metric(doc[kind], kind)
     fmt = problem_format(doc["problem"])
     bounds = {POINT: m.n}
     shapes = {"root": (POINT, None), "M": (float, None), "requests": list,
@@ -592,15 +575,13 @@ def instance_from_dict(doc: dict):
         if not _fits(raw, fmt.shape, bounds):
             raise SchemaError(f"malformed request {i}: {raw!r}")
     facilities = doc.get("facilities")
-    seq = RequestSequence(
+    return m, RequestSequence(
         problem=doc["problem"],
         requests=tuple(map(fmt.parse, doc["requests"])),
         root=doc.get("root"),
         M=doc.get("M"),
         facilities=None if facilities is None else tuple((f["point"], float(f["cost"])) for f in facilities),
     )
-    seq.validate_points(m.n)
-    return m, seq
 
 
 def load_instance(path):

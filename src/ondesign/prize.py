@@ -11,7 +11,7 @@ the greedy Steiner tree over the buy subsequence.
 
 from __future__ import annotations
 
-from .hst import Hst, check_levels
+from .hst import Hst, class_cuts
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -112,28 +112,18 @@ def check_pcst_invariants(trace: RunTrace, root: int, t_ext: Hst, point_rep=None
     """
     out, flags = [], []
     rep = point_rep or (lambda p: p)
-    root_rep = rep(root)
     rows_by_class = {
         c: [(rep(p), rho) for p, rho, _ in rows]
         for c, rows in positive_share_rows(trace).items()
     }
-    root_ids = t_ext.cut_ids_at([root_rep])[:, 0]
-    for row, j in enumerate(check_levels(t_ext)):
-        rows = rows_by_class.get(j + 1)
-        if not rows:
+    for j, _, holds_root, inside in class_cuts(t_ext, rows_by_class, 1, rep(root)):
+        share = sum(rho for _, rho in inside)
+        if share <= 0:
             continue
-        soft, hard = pow2(j + 1), pow2(j + 2)
-        shares = {}
-        for (_, rho), cut in zip(rows, t_ext.cut_ids_at([p for p, _ in rows])[row].tolist()):
-            if cut >= 0:
-                shares[cut] = shares.get(cut, 0) + rho
-        for cut, inside in sorted(shares.items()):
-            if inside <= 0:
-                continue
-            if cut == root_ids[row]:
-                out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
-            elif exceeds(inside, hard, atol=0.0):
-                out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")
-            elif exceeds(inside, soft, atol=0.0):
-                flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
+        if holds_root:
+            out.append(f"level {j}: root cut carries class-{j + 1} share {share:g}")
+        elif exceeds(share, pow2(j + 2), atol=0.0):
+            out.append(f"level {j}: cut share sum {share:g} > 2^{j + 2}")
+        elif exceeds(share, pow2(j + 1), atol=0.0):
+            flags.append(f"level {j}: cut share sum {share:g} in (2^{j + 1}, 2^{j + 2}]")
     return out, flags

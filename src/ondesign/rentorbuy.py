@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .hst import Hst, check_levels
+from .hst import Hst, class_cuts, cut_row
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -201,37 +201,27 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
             p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
-            rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
-    out = []
-    root_ids = t.cut_ids_at([rep(root) if root is not None else None])[:, 0]
-    if pairs is not None:
-        ends = t.cut_ids_at([p for pair in pairs for p in pair])
-    for row, j in enumerate(check_levels(t)):
-        rows = rents.get(j + shift)
-        if not rows:
+            rents.setdefault(rec.klass, []).append((rep(p), rec.idx))
+    ends = None if pairs is None else [p for pair in pairs for p in pair]
+    out, level = [], None
+    for j, cut, holds_root, inside in class_cuts(t, rents, shift, rep(root)):
+        if holds_root:
+            out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
             continue
-        by_cut = {}
-        for rent, cut in zip(rows, t.cut_ids_at([p for _, p in rows])[row].tolist()):
-            if cut >= 0:
-                by_cut.setdefault(cut, []).append(rent)
-        load = np.bincount(t.cut_ids[row], weights=per_leaf).tolist()  # w(C)
-        if pairs is not None:  # |D(C)|: the pairs with exactly one end in C
-            a, b = ends[row, 0::2], ends[row, 1::2]
-            crossing = np.concatenate([a[a != b], b[a != b]])
-            crossing = np.bincount(crossing[crossing >= 0], minlength=len(load)).tolist()
-        for cut, inside in sorted(by_cut.items()):
-            if cut == root_ids[row]:
-                out.append(
-                    f"level {j}: cut with root holds class-{j + shift} rents {sorted(r for r, _ in inside)}"
-                )
-                continue
-            if len(inside) > cap_m:
-                out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
-            if pairs is None:
-                if len(inside) > load[cut]:
-                    out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={load[cut]:g}")
-            elif len(inside) > crossing[cut]:
-                out.append(f"level {j}: {len(inside)} rents > |D(C)|={crossing[cut]}")
+        if j != level:  # every level-j cut's w(C) or |D(C)|, once per level
+            level = j
+            if ends is None:
+                size = np.bincount(cut_row(t, j), weights=per_leaf).tolist()
+            else:  # the pairs with exactly one end in C
+                row = cut_row(t, j, ends)
+                a, b = row[0::2], row[1::2]
+                crossing = np.concatenate([a[a != b], b[a != b]])
+                size = np.bincount(crossing[crossing >= 0], minlength=t.n_nodes + len(t.terminals)).tolist()
+        if len(inside) > cap_m:
+            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
+        if len(inside) > size[cut]:
+            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={size[cut]:g}"
+                       if ends is None else f"level {j}: {len(inside)} rents > |D(C)|={size[cut]}")
     return out
 
 

@@ -17,7 +17,7 @@ change connectivity and stay out of the per-level edge sets A_j.
 from __future__ import annotations
 
 from .errors import InvalidCover, InvalidRequirement
-from .hst import Hst, cuts_at_level
+from .hst import Hst, cut_row
 from .metric import (
     POINT,
     MetricSpace,
@@ -236,61 +236,45 @@ def _forests(trace: RunTrace):
     return trace.summary.get("forests", [])
 
 
-def check_metagraph_acyclic(trace: RunTrace, covers: dict, m: MetricSpace, point_rep=None):
-    """Meta-graph acyclicity per level: |A_j| <= |S_j| for any eligible cover.
+def check_metagraph_acyclic(trace: RunTrace, covers: dict, point_rep=None):
+    """Meta-graph acyclicity per level: |A_j| <= |S_j| for the cover by level-j cuts.
 
-    `covers` maps level j to a family of disjoint terminal-point sets covering
-    the class->=j terminals, each of metric diameter < 2^j.  Raises
-    InvalidCover when that precondition fails; returns cycle violations.
+    `covers` maps level j to {terminal point: cut id}, as covers_from_tree
+    builds it.  Its validity (disjoint cuts of metric diameter < 2^j) comes
+    from validate_hst, which passes every tree before a per-tree check runs;
+    what a forged trace can still break is raised as InvalidCover: an X_j
+    point or an A_j endpoint outside the cover.  Returns cycle violations.
     """
     rep = point_rep or (lambda p: p)
     out = []
     for forest in _forests(trace):
         occ = forest["occ"]
         for j, edges in forest["A"]:
-            family = covers.get(j)
-            if family is None:
+            cover = covers.get(j)
+            if cover is None:
                 raise InvalidCover(f"no cover supplied for level {j}")
-            xj = {rep(p) for p, c in occ if c >= j}
-            _validate_cover(family, xj, j, m)
-            where = {}
-            for si, members in enumerate(family):
-                for p in members:
-                    where.setdefault(p, si)
-            uf = UnionFind(len(family))
+            missed = {rep(p) for p, c in occ if c >= j} - cover.keys()
+            if missed:
+                raise InvalidCover(f"level {j}: cover misses {sorted(missed)}")
+            uf = UnionFind(max(cover.values(), default=-1) + 1)
             for u, v in edges:
-                su, sv = where.get(rep(u)), where.get(rep(v))
+                su, sv = cover.get(rep(u)), cover.get(rep(v))
                 if su is None or sv is None:
                     raise InvalidCover(f"level {j}: edge endpoint outside the cover")
-                if su == sv or not uf.union(su, sv):
+                if not uf.union(su, sv):
                     out.append(f"level {j}: meta-cycle via edge ({u},{v})")
     return out
 
 
-def _validate_cover(family, xj, j, m: MetricSpace):
-    seen = set()
-    for members in family:
-        mm = list(members)
-        for i, u in enumerate(mm):
-            if u in seen:
-                raise InvalidCover(f"level {j}: cover sets are not disjoint at {u}")
-            seen.add(u)
-            for v in mm[i + 1:]:
-                if m.dist(u, v) >= pow2(j):
-                    raise InvalidCover(f"level {j}: cover set diameter >= 2^{j}")
-    if not xj <= seen:
-        raise InvalidCover(f"level {j}: cover misses {sorted(xj - seen)}")
-
-
 def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
-    """Level-j covers from an HST's cuts, filtered to cuts meeting X_j."""
+    """{j: {terminal: level-j cut id}} over the level-j cuts meeting X_j, for
+    every level j holding Berman-Coulston edges."""
     rep = point_rep or (lambda p: p)
     occs = [o for forest in _forests(trace) for o in forest["occ"]]
     out = {}
-    levels = {j for forest in _forests(trace) for j, _ in forest["A"]}
-    for j in sorted(levels):
-        xj = {rep(p) for p, c in occs if c >= j}
-        out[j] = cuts_at_level(t, j, meeting=xj)
+    for j in sorted({j for forest in _forests(trace) for j, _ in forest["A"]}):
+        hit = set(cut_row(t, j, [rep(p) for p, c in occs if c >= j]).tolist())
+        out[j] = {p: cut for p, cut in zip(t.terminals, cut_row(t, j).tolist()) if cut in hit}
     return out
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RootNotLeaf
-from .hst import Hst, check_levels
+from .hst import Hst, class_cuts
 from .metric import pow2
 
 
@@ -127,13 +127,8 @@ def pcst_cut_lower_bound(t: Hst, r: int, class_rho_pi) -> float:
     singleton level 0.
     """
     terms = []
-    root = t.cut_ids_at([r])[:, 0]
-    for row, j in enumerate(check_levels(t)):
-        rows = class_rho_pi.get(j + 1)
-        if not rows:
-            continue
-        ids = t.cut_ids_at([p for p, _, _ in rows])[row]
-        keep = (ids >= 0) & (ids != root[row])
-        pi_sum = np.bincount(ids[keep], weights=np.array([pi for _, _, pi in rows])[keep])
-        terms += np.minimum(pi_sum[pi_sum != 0], pow2(j - 1)).tolist()
+    for j, _, holds_root, inside in class_cuts(t, class_rho_pi, 1, r):
+        pi_sum = sum((pi for _, _, pi in inside), 0.0)
+        if not holds_root and pi_sum != 0:
+            terms.append(min(pi_sum, pow2(j - 1)))
     return sum(terms, 0.0)

@@ -150,8 +150,8 @@ def _pairs(trace, rep):
     return [(rep(s), rep(u)) for s, u in (r.points for r in trace.records)]
 
 
-def _metagraph(m, trace, t, rep):
-    return check_metagraph_acyclic(trace, covers_from_tree(t, trace, rep), m, rep)
+def _metagraph(trace, t, rep):
+    return check_metagraph_acyclic(trace, covers_from_tree(t, trace, rep), rep)
 
 
 def _tree_st(tally, m, seq, trace, t, rep, weights):
@@ -161,14 +161,14 @@ def _tree_st(tally, m, seq, trace, t, rep, weights):
 def _tree_sf(tally, m, seq, trace, t, rep, weights):
     opt = opt_tree_steiner_forest(t, _pairs(trace, rep))
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += _metagraph(m, trace, t, rep)
+    tally.out += _metagraph(trace, t, rep)
 
 
 def _tree_sn(tally, m, seq, trace, t, rep, weights):
     reqs = [seq.requests[r.idx][2] for r in trace.records]
     opt = opt_tree_steiner_network(t, _pairs(trace, rep), reqs)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += _metagraph(m, trace, t, rep)
+    tally.out += _metagraph(trace, t, rep)
 
 
 def _tree_rob_single(cost_name, cost, shift):
@@ -176,7 +176,7 @@ def _tree_rob_single(cost_name, cost, shift):
     optimum; cut caps on class-(j + shift) rents."""
 
     def check(tally, m, seq, trace, t, rep, weights):
-        t_ext = extend_singleton_levels(t, -2)
+        t_ext = extend_singleton_levels(t)
         opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
         tally.bound("share_vs_tree", cost_share(trace), opt)
         tally.bound(cost_name, cost(m, seq, trace), opt)
@@ -190,17 +190,17 @@ _tree_cfl = _tree_rob_single("buyrent_vs_tree", _cfl_buy_rent_cost, 2)
 
 
 def _tree_mrob(tally, m, seq, trace, t, rep, weights):
-    t_ext = extend_singleton_levels(t, -2)
+    t_ext = extend_singleton_levels(t)
     pairs = _pairs(trace, rep)
     opt = opt_tree_rob_multi(t_ext, pairs, seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += check_cut_capacity(trace, t_ext, seq.M, 2, pairs, None, rep)
-    tally.out += _metagraph(m, trace, t_ext, rep)
+    tally.out += _metagraph(trace, t_ext, rep)
 
 
 def _tree_pcst(tally, m, seq, trace, t, rep, weights):
-    t_ext = extend_singleton_levels(t, -2)
+    t_ext = extend_singleton_levels(t)
     tree_viol, tree_flags = check_pcst_invariants(trace, seq.root, t_ext, rep)
     tally.out += tree_viol
     tally.flags += tree_flags

@@ -13,12 +13,12 @@ def line_metric(positions):
 
 
 def euclid(points):
-    return build_metric(np.asarray(points, dtype=float))
+    return build_metric(np.asarray(points, dtype=float), "points")
 
 
 @pytest.fixture
 def two_point_metric():
-    return build_metric([[0.0, 1.0], [1.0, 0.0]])
+    return build_metric([[0.0, 1.0], [1.0, 0.0]], "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +138,10 @@ def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
 
     k = int(rng.integers(2, max_leaves + 1))
     pts = rng.random((k, 2)) * rng.uniform(1.0, 40.0)
-    m = build_metric(pts)
+    m = build_metric(pts, "points")
     t = sample_frt(m, range(k), int(rng.integers(0, 2**31)))
     if rng.random() < extended_chance:
-        t = extend_singleton_levels(t, -2 if rng.random() < 0.5 else -1)
+        t = extend_singleton_levels(t)
     return m, t
 
 
@@ -164,6 +164,16 @@ def brute_cuts_at_level(t, j):
     cuts = [brute_cut(t, nid) for nid in range(1, t.n_nodes) if t.edge_level[nid] == j]
     covered = {p for c in cuts for p in c}
     return cuts + [frozenset([p]) for p in sorted(t.terminals) if p not in covered]
+
+
+def id_cuts(t, j):
+    """The level-j cuts as terminal sets, grouped from hst.cut_row in cut-id order."""
+    from ondesign.hst import cut_row
+
+    cuts = {}
+    for p, cut in zip(t.terminals, cut_row(t, j).tolist()):
+        cuts.setdefault(cut, set()).add(p)
+    return [frozenset(cuts[cut]) for cut in sorted(cuts)]
 
 
 def brute_pcst_cut_lower_bound(t, r, class_rho_pi, levels):

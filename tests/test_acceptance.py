@@ -32,7 +32,7 @@ from ondesign.metric import RequestRecord, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
 from ondesign.cfl import check_cfl_invariants
-from ondesign.steiner import check_class_separation, check_metagraph_acyclic, run_greedy_st
+from ondesign.steiner import check_class_separation, check_metagraph_acyclic, covers_from_tree, run_greedy_st
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -142,9 +142,9 @@ def _forged_controls():
     tri = RunTrace()
     tri.summary = {"forests": [{"copies": 1, "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
                                 "occ": [[0, 1], [1, 1], [2, 1]], "zero_merges": []}]}
-    out.append(
-        ("metagraph", bool(check_metagraph_acyclic(tri, {1: [{0}, {1}, {2}]}, m3)))
-    )
+    # level-1 carving radii are below 1: the level-1 cover is three singletons
+    covers = covers_from_tree(sample_frt(m3, [0, 1, 2], seed=0), tri)
+    out.append(("metagraph", bool(check_metagraph_acyclic(tri, covers))))
 
     m4 = line_metric([0, 4, 5, 6])
     shared = RunTrace()
@@ -157,7 +157,7 @@ def _forged_controls():
     packed = RunTrace()
     for i in range(4):
         packed.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2))
-    t5 = extend_singleton_levels(sample_frt(m5, [0, 1], seed=1), -2)
+    t5 = extend_singleton_levels(sample_frt(m5, [0, 1], seed=1))
     out.append(("cut-capacity", bool(check_cut_capacity(packed, t5, 3.0, 1, None, root=0))))
 
     mrob = RunTrace()

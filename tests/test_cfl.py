@@ -132,7 +132,7 @@ def test_cfl_sharetree_prestudy_constant_16():
         weights = {}
         for c in clients:
             weights[rep[c]] = weights.get(rep[c], 0) + 1
-        t = extend_singleton_levels(sample_frt(m, reps, seed=trial), -2)
+        t = extend_singleton_levels(sample_frt(m, reps, seed=trial))
         opt = opt_tree_rob_single(t, rep[0], M, weights)
         if share > 0:
             assert opt > 0

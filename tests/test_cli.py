@@ -83,6 +83,17 @@ def test_run_schema_error_exit_2(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("points, far", [
+    ([[0, 3], [4, 0]], 1.0),  # 2-D, zero diagonal: read as a matrix it was asymmetric
+    ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 8 ** 0.5 / 3 ** 0.5),  # in R^3: read as a matrix, d(0,2) = 2
+])
+def test_run_square_point_list_is_euclidean(tmp_path, points, far):
+    doc = {"points": points, "problem": "SteinerTree", "root": 0, "requests": [len(points) - 1]}
+    out = tmp_path / "res.json"
+    assert main(["run", write_instance(tmp_path, doc), "--algo", "SteinerTree", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["cost"]["total"] == pytest.approx(far)
+
+
 def test_gen_then_verify_roundtrip(tmp_path):
     inst = tmp_path / "gen.json"
     rc = main([

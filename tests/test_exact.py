@@ -30,7 +30,7 @@ def test_dreyfus_unit_square_with_center():
     # corners of a unit square plus the free center; distances normalized so
     # corner-center = 1, making the center tree cost exactly 4 (2*sqrt2 raw)
     pts = [[0, 0], [0, 1], [1, 0], [1, 1], [0.5, 0.5]]
-    m = build_metric(pts)
+    m = build_metric(pts, "points")
     got = dreyfus_wagner_st(m, [0, 1, 2, 3])
     assert got == pytest.approx(4.0)
     # independent brute force: MST over terminals plus optional Steiner vertex
@@ -42,7 +42,7 @@ def test_dreyfus_unit_square_with_center():
 
 def test_dreyfus_uses_steiner_vertices():
     pts = [[0, 0], [2, 0], [1, 0.05]]
-    m = build_metric(pts)
+    m = build_metric(pts, "points")
     assert dreyfus_wagner_st(m, [0, 1]) <= m.dist(0, 1)
 
 
@@ -105,7 +105,7 @@ def test_exact_cfl_examples():
 
 def test_exact_sn_examples(two_point_metric):
     assert exact_sn_tiny(two_point_metric, [(0, 1)], [2]) == 2.0
-    tri = build_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    tri = build_metric([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "matrix")
     assert exact_sn_tiny(tri, [(0, 1)], [2]) == 2.0
     # R=1 reduces to exact_sf
     m3 = euclid(np.random.default_rng(4).random((4, 2)) * 3)

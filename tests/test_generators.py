@@ -23,7 +23,7 @@ def test_gen_euclidean_normalized():
         pos = m.d[m.d > 0]
         assert pos.min() == pytest.approx(1.0)
         # round-trips through build_metric untouched
-        again = build_metric(m.d)
+        again = build_metric(m.d, "matrix")
         assert np.allclose(again.d, m.d)
 
 
@@ -38,7 +38,7 @@ def test_gen_graph_metric_valid():
     for seed in range(4):
         m = gen_graph_metric(12, density=0.2, seed=seed)
         assert np.isfinite(m.d).all()  # connected
-        again = build_metric(m.d)
+        again = build_metric(m.d, "matrix")
         assert np.allclose(again.d, m.d)
 
 
@@ -48,7 +48,13 @@ def test_gen_requests_determinism_and_shapes():
         a = gen_requests(problem, m, 6, 7, {"M": 2.0, "R_max": 4, "n_facilities": 3})
         b = gen_requests(problem, m, 6, 7, {"M": 2.0, "R_max": 4, "n_facilities": 3})
         assert a.requests == b.requests
-        a.validate_points(m.n)
+        points = [p for idx in range(len(a.requests)) for p in a.request_points(idx)]
+        points += [p for p, _ in a.facilities or ()] + ([] if a.root is None else [a.root])
+        assert all(0 <= p < m.n for p in points)
+        if problem == "SteinerNetwork":
+            assert all(1 <= r <= 4 for _, _, r in a.requests)
+        if problem == "PCST":
+            assert all(0 <= pi <= 2 * m.diameter() for _, pi in a.requests)
         sol, trace = run_problem(m, a)
         assert solution_cost(sol, a, m).total >= 0.0
 
@@ -102,7 +108,7 @@ def test_diamond_closure_passes_build_metric():
     # generated metrics revalidate unchanged (triangle, symmetry, min = 1)
     for depth in (2, 4):
         m, _, _ = gen_diamond_lb(depth)
-        again = build_metric(m.d)
+        again = build_metric(m.d, "matrix")
         assert np.array_equal(again.d, m.d) and again.scale == 1.0
 
 

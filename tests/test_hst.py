@@ -9,6 +9,7 @@ from conftest import (
     brute_cuts_at_level,
     brute_validate_hst,
     euclid,
+    id_cuts,
     line_metric,
     path_edges,
     random_small_hst,
@@ -23,7 +24,8 @@ from ondesign.hst import (
     Hst,
     _promote_one_level,
     check_levels,
-    cuts_at_level,
+    class_cuts,
+    cut_row,
     extend_singleton_levels,
     sample_frt,
     tree_distance,
@@ -57,7 +59,7 @@ def test_empty_terminals_rejected(two_point_metric):
 
 
 def test_coincident_terminals_rejected():
-    m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "matrix")
     with pytest.raises(CoincidentTerminals):
         sample_frt(m, [0, 1, 2], seed=0)
 
@@ -80,8 +82,8 @@ def test_carving_radius_is_closed(seed, j):
     m = line_metric([0.0, radius, 3.5 * radius])
     t = sample_frt(m, range(3), seed)
     assert validate_hst(t, m) == []
-    assert frozenset({0, 1}) in cuts_at_level(t, j)
-    assert frozenset({0, 1}) not in cuts_at_level(t, j - 1)
+    assert frozenset({0, 1}) in id_cuts(t, j)
+    assert frozenset({0, 1}) not in id_cuts(t, j - 1)
 
 
 def test_line_four_points_valid():
@@ -131,17 +133,37 @@ def test_validate_flags_leaf_map(arrays, message):
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
 
-def test_cuts_at_level_examples(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)
-    assert sorted(map(set, cuts_at_level(t, 1))) == [{0}, {1}]
-    assert sorted(map(set, cuts_at_level(t, 0))) == [{0}, {1}]
-    ext = extend_singleton_levels(t, -2)
-    assert sorted(map(set, cuts_at_level(ext, -1))) == [{0}, {1}]
-    assert sorted(map(set, cuts_at_level(ext, -2))) == [{0}, {1}]
-    with pytest.raises(LevelOutOfRange):
-        cuts_at_level(t, -1)
-    with pytest.raises(LevelOutOfRange):
-        cuts_at_level(t, t.root_level + 1)
+def test_cut_row_examples(two_point_metric):
+    t = sample_frt(two_point_metric, [0, 1], seed=0)  # root, then leaves 1 and 2 at level 1
+    assert cut_row(t, 1).tolist() == [1, 2]
+    assert cut_row(t, 0).tolist() == [3, 4]  # implicit singletons: n_nodes + column
+    assert cut_row(t, 1, [1, 7, None, 0, 1]).tolist() == [2, -1, -1, 1, 2]
+    ext = extend_singleton_levels(t)
+    assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
+    assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
+    with pytest.raises(LevelOutOfRange, match=r"^level -1 outside \[0, 1\]$"):
+        cut_row(t, -1, [0])
+    with pytest.raises(LevelOutOfRange, match=r"^level -3 outside \[-2, 1\]$"):
+        cut_row(ext, -3)
+    with pytest.raises(LevelOutOfRange, match=r"^level 2 outside \[0, 1\]$"):
+        cut_row(t, t.root_level + 1)
+
+
+def test_class_cuts_group_entries_by_reference_cut():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        m, t = random_small_hst(rng)
+        points = list(t.terminals) + [m.n + 1, None]  # two points in no cut
+        by_class = {c: [(points[int(i)], n) for n, i in enumerate(rng.integers(0, len(points), 6))]
+                    for c in range(-2, t.root_level + 3) if rng.random() < 0.7}
+        shift, root = int(rng.integers(0, 3)), points[int(rng.integers(0, len(points)))]
+        expect = []
+        for j in check_levels(t):
+            for cut in brute_cuts_at_level(t, j):
+                inside = [e for e in by_class.get(j + shift, []) if e[0] in cut]
+                if inside:
+                    expect.append((j, root in cut, inside))
+        assert [(j, held, inside) for j, _, held, inside in class_cuts(t, by_class, shift, root)] == expect
 
 
 def test_cuts_partition_random_trees():
@@ -149,33 +171,26 @@ def test_cuts_partition_random_trees():
     for _ in range(20):
         m, t = random_small_hst(rng)
         for j in range(t.extended_to if t.extended_to else 0, t.root_level + 1):
-            cuts = cuts_at_level(t, j)
+            cuts = id_cuts(t, j)
             pts = [p for c in cuts for p in c]
             assert sorted(pts) == sorted(t.terminals)
 
 
 def test_extension_arithmetic(two_point_metric):
     t = sample_frt(two_point_metric, [0, 1], seed=0)
-    ext = extend_singleton_levels(t, -2)
+    ext = extend_singleton_levels(t)
     assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst(ext, two_point_metric) == []
     with pytest.raises(AlreadyExtended):
-        extend_singleton_levels(ext, -1)
+        extend_singleton_levels(ext)
 
 
 def test_extension_single_leaf(two_point_metric):
     t = sample_frt(two_point_metric, [0], seed=0)
-    ext = extend_singleton_levels(t, -2)
+    ext = extend_singleton_levels(t)
     assert ext.n_nodes == 3  # chain of two edges below the root leaf
     assert ext.total_length() == pytest.approx(0.375)
-
-
-def test_extension_down_to_minus_one(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)
-    ext = extend_singleton_levels(t, -1)
-    assert ext.total_length() == pytest.approx(2.5)
-    assert sorted(map(set, cuts_at_level(ext, -1))) == [{0}, {1}]
 
 
 def test_tree_distance_siblings_level2():
@@ -183,7 +198,7 @@ def test_tree_distance_siblings_level2():
     t = Hst([-1, 0, 0], [0, 2, 2], (0, 1), [1, 2])
     assert tree_distance(t, 0, 1) == 4.0
     # leaves hang at level 2 directly; the level-1 cuts are implicit singletons
-    assert sorted(map(set, cuts_at_level(t, 1))) == [{0}, {1}]
+    assert sorted(map(set, id_cuts(t, 1))) == [{0}, {1}]
     assert validate_hst(t, m) == []
 
 
@@ -203,26 +218,26 @@ def _skipped_level_tree():
 
 
 def test_cut_ids_group_into_the_reference_cuts():
-    # sampled, extended to -1 and -2, promoted and hand-built skipped-level trees
+    # sampled, extended, promoted and hand-built skipped-level trees
     rng = np.random.default_rng(13)
     trees = [_skipped_level_tree()]
     for k in (2, 3, 5, 8, 13, 21, 30):
         m = gen_euclidean(k, seed=k)[0]
         t = sample_frt(m, range(k), int(rng.integers(0, 2**40)))
-        trees += [t, extend_singleton_levels(t, -1), extend_singleton_levels(t, -2), _promote_one_level(t)]
+        trees += [t, extend_singleton_levels(t), _promote_one_level(t)]
     for t in trees:
         pts = t.terminals
         assert t.cut_ids.shape == (len(check_levels(t)), len(pts))
         for row, j in enumerate(check_levels(t)):
-            assert cuts_at_level(t, j) == brute_cuts_at_level(t, j)
+            assert id_cuts(t, j) == brute_cuts_at_level(t, j)
             for q, (p, cut) in enumerate(zip(pts, t.cut_ids[row].tolist())):
                 if cut < t.n_nodes:
                     assert t.edge_level[cut] == j and p in brute_cut(t, cut)
                 else:
                     assert cut == t.n_nodes + q
     skipped = trees[0]
-    assert cuts_at_level(skipped, 2) == [frozenset([0]), frozenset([1]), frozenset([2]), frozenset([3])]
-    assert cuts_at_level(skipped, 1) == [frozenset([3]), frozenset([0]), frozenset([1]), frozenset([2])]
+    assert id_cuts(skipped, 2) == [frozenset([0]), frozenset([1]), frozenset([2]), frozenset([3])]
+    assert id_cuts(skipped, 1) == [frozenset([3]), frozenset([0]), frozenset([1]), frozenset([2])]
 
 
 def test_path_decomposition_consistency():
@@ -239,7 +254,7 @@ def test_path_decomposition_consistency():
                 sep = max(
                     j
                     for j in range(1, t.root_level + 1)
-                    for cut in cuts_at_level(t, j)
+                    for cut in id_cuts(t, j)
                     if (u in cut) != (v in cut)
                 )
                 expect = 2 * ((2.0**sep - 1.0) + tail)
@@ -263,7 +278,7 @@ def test_expanding_and_diameter_many_random_instances():
     rng = np.random.default_rng(42)
     for _ in range(60):
         k = int(rng.integers(2, 12))
-        m = build_metric(rng.random((k, 2)) * rng.uniform(1, 30))
+        m = build_metric(rng.random((k, 2)) * rng.uniform(1, 30), "points")
         t = sample_frt(m, range(k), int(rng.integers(0, 2**40)))
         assert validate_hst(t, m) == []
 
@@ -344,7 +359,7 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
         else:
             m = gen_euclidean(k, seed=trial)[0]
         t = sample_frt(m, range(m.n), int(rng.integers(0, 2**40)))
-        trees = [t, extend_singleton_levels(t, -2 if trial % 2 else -1)]
+        trees = [t, extend_singleton_levels(t)]
         if m.n > 1:
             trees.append(_promote_one_level(t))
         for tree in list(trees):

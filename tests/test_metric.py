@@ -20,60 +20,70 @@ from ondesign.metric import (
 
 
 def test_build_metric_scales_min_distance_to_one():
-    m = build_metric([[0.0, 3.0], [3.0, 0.0]])
+    m = build_metric([[0.0, 3.0], [3.0, 0.0]], "matrix")
     assert m.dist(0, 1) == 1.0
     assert m.scale == pytest.approx(1 / 3)
 
 
 def test_build_metric_identity_case():
-    m = build_metric([[0, 1], [1, 0]])
+    m = build_metric([[0, 1], [1, 0]], "matrix")
     assert m.dist(0, 1) == 1.0
     assert m.scale == 1.0
 
 
 def test_build_metric_triangle_violation():
     with pytest.raises(TriangleViolation):
-        build_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+        build_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "matrix")
 
 
 def test_build_metric_asymmetric_and_negative():
     with pytest.raises(AsymmetricInput):
-        build_metric(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        build_metric(np.array([[0.0, 1.0], [2.0, 0.0]]), "matrix")
     from ondesign.errors import NegativeDistance
 
     with pytest.raises(NegativeDistance):
-        build_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        build_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]), "matrix")
 
 
 def test_build_metric_points_input():
-    m = build_metric([[0.0, 0.0], [0.0, 2.0], [0.0, 3.0]])
+    m = build_metric([[0.0, 0.0], [0.0, 2.0], [0.0, 3.0]], "points")
     assert m.dist(1, 2) == 1.0  # min distance normalized
     assert m.dist(0, 1) == 2.0
 
 
+def test_build_metric_reads_the_kind_it_is_given():
+    # square point lists with a zero diagonal are points, not matrices
+    two = build_metric([[0, 3], [4, 0]], "points")
+    assert two.n == 2 and two.dist(0, 1) == 1.0 and two.scale == pytest.approx(1 / 5)
+    cube = build_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], "points")
+    assert cube.dist(0, 1) == cube.dist(1, 2) == 1.0 and cube.dist(0, 2) == pytest.approx(np.sqrt(8 / 3))
+    with pytest.raises(SchemaError, match="square"):
+        build_metric([[0, 1, 2], [1, 0, 1]], "matrix")
+
+
 def test_build_metric_idempotent_on_normalized():
-    m1 = build_metric(np.random.default_rng(5).random((6, 2)))
-    m2 = build_metric(m1.d)
+    m1 = build_metric(np.random.default_rng(5).random((6, 2)), "points")
+    m2 = build_metric(m1.d, "matrix")
     assert np.array_equal(m1.d, m2.d)
     assert m2.scale == 1.0
 
 
 def test_coincident_points_allowed():
-    m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+    m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "matrix")
     assert m.coincident(0, 1)
     assert m.dist(0, 2) == 1.0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(
-    # strictly positive coordinates: a 2x2 point list with zero diagonal would
-    # be indistinguishable from a (malformed) distance matrix, which raises
-    st.tuples(st.floats(0.001, 100, allow_nan=False), st.floats(0.001, 100, allow_nan=False)),
+    # zero coordinates included: a 2x2 point list with a zero diagonal is still
+    # read as points, because the caller names the kind
+    st.tuples(st.floats(0, 100, allow_nan=False), st.floats(0, 100, allow_nan=False)),
     min_size=2, max_size=10,
 ))
 def test_normalization_property(points):
     arr = np.asarray(points)
-    m = build_metric(arr)
+    m = build_metric(arr, "points")
     pos = m.d[m.d > 0]
     if pos.size:
         assert pos.min() == pytest.approx(1.0, abs=1e-12)
@@ -102,7 +112,7 @@ def test_solution_cost_srob_example():
 
 
 def test_solution_cost_sn_multiplicity():
-    m = build_metric([[0, 1], [1, 0]])
+    m = build_metric([[0, 1], [1, 0]], "matrix")
     seq = RequestSequence(problem="SteinerNetwork", requests=((0, 1, 5),))
     sol = MultiGraphSolution()
     sol.buy(0, 1, copies=8)
@@ -110,7 +120,7 @@ def test_solution_cost_sn_multiplicity():
 
 
 def test_solution_cost_pcst_penalty_only():
-    m = build_metric([[0, 1], [1, 0]])
+    m = build_metric([[0, 1], [1, 0]], "matrix")
     seq = RequestSequence(problem="PCST", requests=((1, 2.5),), root=0)
     sol = MultiGraphSolution()
     sol.penalties_paid.add(0)
@@ -118,7 +128,7 @@ def test_solution_cost_pcst_penalty_only():
 
 
 def test_check_feasible_sn_flow():
-    m = build_metric([[0, 1], [1, 0]])
+    m = build_metric([[0, 1], [1, 0]], "matrix")
     seq = RequestSequence(problem="SteinerNetwork", requests=((0, 1, 5),))
     sol = MultiGraphSolution()
     sol.buy(0, 1, copies=8)
@@ -129,7 +139,7 @@ def test_check_feasible_sn_flow():
 
 
 def test_check_feasible_pcst_penalty_satisfies():
-    m = build_metric([[0, 1], [1, 0]])
+    m = build_metric([[0, 1], [1, 0]], "matrix")
     seq = RequestSequence(problem="PCST", requests=((1, 1.0),), root=0)
     sol = MultiGraphSolution()
     sol.penalties_paid.add(0)
@@ -193,7 +203,7 @@ def test_instance_bad_point_index():
 def test_trace_jsonl_roundtrip(tmp_path):
     from ondesign.steiner import run_greedy_st
 
-    m = build_metric([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+    m = build_metric([[0, 1, 3], [1, 0, 2], [3, 2, 0]], "matrix")
     _, trace = run_greedy_st(m, 0, [1, 2])
     path = tmp_path / "t.jsonl"
     trace.to_jsonl(path)

@@ -83,7 +83,7 @@ def test_pcst_tree_invariants_and_bounds():
         sol, trace = run_pcst(m, 0, reqs)
         rep = position_reps(m, [p for p, _ in reqs] + [0])
         reps = sorted(set(rep.values()))
-        t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial), -2)
+        t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial))
         viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
         assert check_pcst_run_invariants(trace, m) + viol == []
         share = total_share(trace)
@@ -130,7 +130,7 @@ def test_pcst_flags_soft_range():
     reqs = [(int(p), 50.0) for p in range(1, 8)]
     _, trace = run_pcst(m, 0, reqs)
     rep = position_reps(m, list(range(8)))
-    t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0), -2)
+    t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0))
     viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
     assert check_pcst_run_invariants(trace, m) + viol == []
     assert isinstance(flags, list)

@@ -104,7 +104,7 @@ def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
 def test_cut_capacity_srob():
     m = line_metric([0, 4, 5, 6])
     _, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
-    t = extend_singleton_levels(sample_frt(m, [0, 1, 2, 3], seed=2), -2)
+    t = extend_singleton_levels(sample_frt(m, [0, 1, 2, 3], seed=2))
     assert check_cut_capacity(trace, t, 1.0, 1, None, root=0) == []
 
 
@@ -115,7 +115,7 @@ def test_cut_capacity_forged_packing():
     forged = RunTrace()
     for i in range(4):
         forged.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2, cost=8.0))
-    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1), -2)
+    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
     out = check_cut_capacity(forged, t, 3.0, 1, None, root=0)
     assert any("ceil(M)" in v for v in out)
 
@@ -127,7 +127,7 @@ def test_cut_capacity_forged_repeated_request():
     forged = RunTrace()
     for _ in range(2):
         forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=8.0, klass=0, cost=8.0))
-    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1), -2)
+    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
     out = check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
     assert out == ["level -1: 2 class-0 rent occurrences > w(C)=1"]
     assert out == brute_check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
@@ -137,7 +137,7 @@ def test_cut_capacity_forged_repeated_request():
 def test_cut_capacity_empty_rents():
     m = line_metric([0, 4])
     _, trace = run_srob(m, 0, [1], M=0.0)
-    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=0), -2)
+    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=0))
     assert check_cut_capacity(trace, t, 0.0, 1, None, root=0) == []
 
 
@@ -147,7 +147,7 @@ def test_cut_capacity_mrob_random():
     pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(10)]
     _, trace = run_mrob(m, pairs, M=2.0)
     pts = sorted({p for pr in pairs for p in pr})
-    t = extend_singleton_levels(sample_frt(m, pts, seed=3), -2)
+    t = extend_singleton_levels(sample_frt(m, pts, seed=3))
     assert check_cut_capacity(trace, t, 2.0, 2, pairs) == []
 
 

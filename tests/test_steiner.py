@@ -136,7 +136,7 @@ def test_metagraph_single_pair(two_point_metric):
     _, trace = run_bc_sf(two_point_metric, [(0, 1)])
     t = sample_frt(two_point_metric, [0, 1], seed=1)
     covers = covers_from_tree(t, trace)
-    assert check_metagraph_acyclic(trace, covers, two_point_metric) == []
+    assert check_metagraph_acyclic(trace, covers) == []
 
 
 def test_metagraph_two_far_pairs():
@@ -144,33 +144,37 @@ def test_metagraph_two_far_pairs():
     _, trace = run_bc_sf(m, [(0, 1), (2, 3)])
     t = sample_frt(m, [0, 1, 2, 3], seed=5)
     covers = covers_from_tree(t, trace)
-    assert check_metagraph_acyclic(trace, covers, m) == []
+    assert check_metagraph_acyclic(trace, covers) == []
+
+
+def _forged_forest(edges, occ):
+    forged = RunTrace()
+    forged.summary = {"forests": [{"copies": 1, "A": [[1, edges]], "occ": occ, "zero_merges": []}]}
+    return forged
 
 
 def test_metagraph_forged_triangle():
+    # level-1 carving radii are below 1, so every level-1 cut is a singleton
     m = line_metric([0, 1, 2])
-    forged = RunTrace()
-    forged.summary = {"forests": [{
-        "copies": 1,
-        "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
-        "occ": [[0, 1], [1, 1], [2, 1]],
-        "zero_merges": [],
-    }]}
-    covers = {1: [{0}, {1}, {2}]}
-    out = check_metagraph_acyclic(forged, covers, m)
-    assert any("meta-cycle" in v for v in out)
+    forged = _forged_forest([[0, 1], [1, 2], [0, 2]], [[0, 1], [1, 1], [2, 1]])
+    for seed in range(5):
+        covers = covers_from_tree(sample_frt(m, [0, 1, 2], seed), forged)
+        assert sorted(covers) == [1] and len(set(covers[1].values())) == 3
+        assert check_metagraph_acyclic(forged, covers) == ["level 1: meta-cycle via edge (0,2)"]
 
 
 def test_metagraph_invalid_cover():
     m = line_metric([0, 1, 2])
-    forged = RunTrace()
-    forged.summary = {"forests": [
-        {"copies": 1, "A": [[1, [[0, 1]]]], "occ": [[0, 1], [1, 1]], "zero_merges": []}
-    ]}
-    with pytest.raises(InvalidCover):
-        check_metagraph_acyclic(forged, {1: [{0, 2}, {1}]}, m)  # diam 2 >= 2^1
-    with pytest.raises(InvalidCover):
-        check_metagraph_acyclic(forged, {1: [{0}]}, m)  # misses terminal 1
+    forged = _forged_forest([[0, 1]], [[0, 1], [1, 1]])
+    covers = covers_from_tree(sample_frt(m, [0, 1, 2], seed=0), forged)
+    assert sorted(covers[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
+    with pytest.raises(InvalidCover, match=r"^level 1: cover misses \[1\]$"):
+        check_metagraph_acyclic(forged, {1: {0: covers[1][0]}})
+    with pytest.raises(InvalidCover, match="^no cover supplied for level 1$"):
+        check_metagraph_acyclic(forged, {})
+    outside = _forged_forest([[0, 1], [1, 2]], [[0, 1], [1, 1]])  # 2 is in no cut meeting X_1
+    with pytest.raises(InvalidCover, match="^level 1: edge endpoint outside the cover$"):
+        check_metagraph_acyclic(outside, covers)
 
 
 def test_bc_metagraph_many_random():
@@ -186,7 +190,10 @@ def test_bc_metagraph_many_random():
         pts = sorted({p for pr in pairs for p in pr})
         t = sample_frt(m, pts, seed=trial)
         covers = covers_from_tree(t, trace)
-        for j, family in covers.items():  # the level-j cuts meeting X_j, in order
+        for j, cover in covers.items():  # the level-j cuts meeting X_j, by cut id
             xj = {p for forest in trace.summary["forests"] for p, c in forest["occ"] if c >= j}
-            assert family == [cut for cut in brute_cuts_at_level(t, j) if cut & xj]
-        assert check_metagraph_acyclic(trace, covers, m) == []
+            cuts = {}
+            for p, cut in cover.items():
+                cuts.setdefault(cut, set()).add(p)
+            assert [cuts[cut] for cut in sorted(cuts)] == [cut for cut in brute_cuts_at_level(t, j) if cut & xj]
+        assert check_metagraph_acyclic(trace, covers) == []

@@ -44,7 +44,7 @@ def three_leaf_star():
 def test_opt_st_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
     assert opt_tree_steiner_tree(t) == 2.0
-    assert opt_tree_steiner_tree(extend_singleton_levels(t, -2)) == pytest.approx(2.75)
+    assert opt_tree_steiner_tree(extend_singleton_levels(t)) == pytest.approx(2.75)
     assert opt_tree_steiner_tree(four_leaf_binary()) == 8.0
 
 
