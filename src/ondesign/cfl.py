@@ -8,6 +8,14 @@ sum_v max(0, b_v - d(v, x)) covers f_x, consuming the used budgets
 virtual facility.  Any substitute meeting the O(log k) contract can be dropped
 in behind `run_ofl`'s interface.
 
+The state keeps each client's distance row to the facilities.  All closed
+facilities' surpluses come from one clients x facilities matrix
+max(0, b_v - d(v, x)), summed down each column with a cumulative sum: that
+adds the clients in arrival order, as the scalar sum does, so a surplus that
+equals f_x exactly rounds the same way (a pairwise sum could differ in the
+last bit and flip the tie).  The first closed facility in `facilities` order
+whose surplus covers its cost opens, and one np.minimum cuts every budget.
+
 The connected layer only ever opens a facility the virtual layer has already
 opened.  With x the nearest open facility and a_i = d(i, x): a client is
 virtual when a_i <= 4 d(i, sigma_hat(i)) (assign to x, charge the virtual
@@ -22,6 +30,8 @@ virtual facilities in order); root, M and facility costs come from the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoFacilities
 from .metric import (
@@ -53,37 +63,46 @@ class OflState:
         self.open_order = [root]
         self.is_open = {root}
         self.clients = []   # client points in arrival order
-        self.budgets = []
         self.assign = []    # virtual assignment per client
+        # per entry of `points`: its point, its cost and whether it is open
+        self._fac = np.array(self.points, dtype=np.intp)
+        self._cost = np.array([costs[p] for p in self.points], dtype=float)
+        self._open = self._fac == root
+        # per client in arrival order, grown by doubling: its distance to
+        # every entry of `points`, and its budget
+        self._rows = np.empty((16, len(self.points)))
+        self._budget = np.empty(16)
 
-    def _nearest_open(self, i: int):
-        return _nearest(self.m, i, [p for p in self.points if p in self.is_open])
+    @property
+    def budgets(self) -> np.ndarray:
+        return self._budget[:len(self.clients)]
+
+    def _nearest_open(self, row) -> int:
+        """The index in `points` of the open entry nearest in `row`; ties to the first."""
+        return int(np.where(self._open, row, np.inf).argmin())
 
     def arrive(self, i: int) -> int:
-        _, b = self._nearest_open(i)
+        k = len(self.clients)
+        if k == len(self._budget):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._budget = np.concatenate([self._budget, np.empty_like(self._budget)])
+        row = self._rows[k] = self.m.d[i, self._fac]
+        self._budget[k] = row[self._nearest_open(row)]
         self.clients.append(i)
-        self.budgets.append(b)
-        while True:
-            opened = None
-            for x in self.points:
-                if x in self.is_open:
-                    continue
-                surplus = sum(
-                    max(0.0, bv - self.m.dist(v, x))
-                    for v, bv in zip(self.clients, self.budgets)
-                )
-                if surplus >= self.costs[x]:
-                    opened = x
-                    break
-            if opened is None:
+        rows, budget = self._rows[:k + 1], self._budget[:k + 1]
+        while not self._open.all():
+            # cumsum adds in client order, as a Python sum would; a pairwise
+            # .sum() may round differently and flip a surplus == cost tie
+            surplus = np.cumsum(np.maximum(0.0, budget[:, None] - rows), axis=0)[-1]
+            hits = np.flatnonzero((surplus >= self._cost) & ~self._open)
+            if not hits.size:
                 break
+            opened = self.points[hits[0]]
+            self._open |= self._fac == opened
             self.is_open.add(opened)
             self.open_order.append(opened)
-            self.budgets = [
-                min(bv, self.m.dist(v, opened))
-                for v, bv in zip(self.clients, self.budgets)
-            ]
-        sigma, _ = self._nearest_open(i)
+            np.minimum(budget, rows[:, hits[0]], out=budget)
+        sigma = self.points[self._nearest_open(row)]
         self.assign.append(sigma)
         return sigma
 

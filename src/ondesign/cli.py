@@ -187,8 +187,8 @@ def build_parser():
     common(g, trials=False)
     g.add_argument("--family", choices=["euclidean", "graph", "diamond"], default="euclidean")
     g.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
-    g.add_argument("--n", type=int, default=16)
-    g.add_argument("--count", type=int, default=8)
+    g.add_argument("--n", type=_count, default=16)
+    g.add_argument("--count", type=_count, default=8)
     g.add_argument("--density", type=float, default=0.3)
     g.add_argument("--depth", type=int, default=3)
     g.add_argument("--M", type=float, default=2.0)
@@ -214,7 +214,7 @@ def build_parser():
     c.add_argument("--family", choices=["euclidean", "diamond"], default="euclidean")
     c.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
     c.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")], default=[4, 6, 8, 10])
-    c.add_argument("--n", type=int, default=0)
+    c.add_argument("--n", type=_count, default=0)
     c.add_argument("--M", type=float, default=2.0)
     c.add_argument("--rmax", type=int, default=3)
     c.add_argument("--facilities", type=int, default=4)

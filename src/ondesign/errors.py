@@ -67,5 +67,5 @@ class TooLarge(OndesignError):
         super().__init__(f"{what}={got} exceeds exact-oracle cap {cap}")
 
 
-class DepthTooLarge(OndesignError):
-    pass
+class DepthTooLarge(SchemaError):
+    """A diamond depth outside [0, cap]: a usage error (exit 2)."""

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import DepthTooLarge
+from .errors import DepthTooLarge, SchemaError
 from .metric import MetricSpace, RequestSequence, build_metric, problem_format
 
 _DIAMOND_CAP = 10
@@ -108,6 +108,9 @@ def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=Non
     """
     fmt = problem_format(problem)
     params = dict(params or {})
+    ends = 2 if fmt.paired else 1
+    if count > 0 and m.n < ends:
+        raise SchemaError(f"{problem} requests need {ends} distinct points; the metric has {m.n}")
     rng = _rng(seed, 3)
     root = int(params.get("root", 0))
     diam = m.diameter()

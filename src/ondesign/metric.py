@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
@@ -50,7 +51,7 @@ def pow2(j: int) -> float:
 
 
 class UnionFind:
-    """Array-based union-find with path halving; used by every online run."""
+    """Array-based union-find with path halving: bought components and meta-graph cycles."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -78,19 +79,24 @@ def max_flow(capacity: dict, s: int, t: int, limit: float = math.inf) -> float:
 
     Capacities are edge multiplicities here, so integer arithmetic throughout.
     Stops early once `limit` is reached (feasibility checks only need >= R_i).
+    `capacity` is read only: the residual capacity of (u, v) is
+    capacity[u][v] - used[u][v], with `used` the net flow pushed from u to v.
+    Every v -> u entry exists beside its u -> v one, so the residual graph
+    has exactly `capacity`'s arcs, in its neighbour order.
     """
     if s == t:
         return math.inf
-    cap = {u: dict(nbrs) for u, nbrs in capacity.items()}
+    used = {}
     flow = 0
     while flow < limit:
         # BFS for an augmenting path
         pred = {s: None}
-        queue = [s]
+        queue = deque([s])
         while queue and t not in pred:
-            u = queue.pop(0)
-            for v, c in cap.get(u, {}).items():
-                if c > 0 and v not in pred:
+            u = queue.popleft()
+            out = used.get(u, {})
+            for v, c in capacity.get(u, {}).items():
+                if c > out.get(v, 0) and v not in pred:
                     pred[v] = u
                     queue.append(v)
         if t not in pred:
@@ -100,11 +106,11 @@ def max_flow(capacity: dict, s: int, t: int, limit: float = math.inf) -> float:
         while pred[v] is not None:
             path.append((pred[v], v))
             v = pred[v]
-        aug = min(cap[u][v] for u, v in path)  # the bottleneck
+        aug = min(capacity[u][v] - used.get(u, {}).get(v, 0) for u, v in path)  # the bottleneck
         for u, v in path:
-            cap[u][v] -= aug
-            cap.setdefault(v, {}).setdefault(u, 0)
-            cap[v][u] += aug
+            out, back = used.setdefault(u, {}), used.setdefault(v, {})
+            out[v] = out.get(v, 0) + aug
+            back[u] = back.get(u, 0) - aug
         flow += aug
     return flow
 
@@ -306,7 +312,7 @@ class RequestSequence:
         if (self.root is not None) != fmt.rooted:
             rooted = sorted(name for name, f in PROBLEMS.items() if f.rooted)
             raise SchemaError(f"root must be present exactly for {rooted}")
-        if fmt.needs_M and (self.M is None or self.M < 0):
+        if fmt.needs_M and (self.M is None or not 0 <= self.M < math.inf):
             raise SchemaError("M must be a nonnegative real for ROB/CFL")
         if fmt.facilities:
             if not self.facilities:
@@ -555,6 +561,8 @@ _INSTANCE_FIELDS = {"points", "matrix", "problem", "root", "M", "facilities", "r
 
 
 def instance_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise SchemaError("an instance is a JSON object")
     unknown = set(doc) - _INSTANCE_FIELDS
     if unknown:
         raise SchemaError(f"unknown instance fields: {sorted(unknown)}")

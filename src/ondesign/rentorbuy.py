@@ -93,7 +93,7 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
             decision, cost, edges, feasible = "rent", d, (), True
         else:
             _, cost, edges = bc.buy_pair(sol, s, t, weight=M)
-            decision, endpoint, feasible = "buy", None, bc.uf.connected(s, t)
+            decision, endpoint, feasible = "buy", None, bc.connected(s, t)
         trace.add(
             RequestRecord(
                 idx=idx,

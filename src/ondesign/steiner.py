@@ -12,9 +12,21 @@ terminals are scanned in arrival order, s_i's sweep before t_i's.
 A pair with coincident endpoints is vacuous: it gets no class and adds nothing.
 Zero-length edges (distinct indices, same position) are bought only when they
 change connectivity and stay out of the per-level edge sets A_j.
+
+The scan is array-native.  A pair reads one distance row per endpoint over
+the classified endpoints, and one mask picks each endpoint's candidates: the
+entries in another component that some level reaches (class c, d < 2^(c+1)).
+A candidate is within reach from level max(0, floor(log2 d)) up to c; at its
+first such level x's sweep joins it, so later levels would only retry a
+union that fails, and each candidate is tried once, at that level, in
+arrival order, s's sweep before t's.  Skipping only failing unions keeps the
+edges and their order those of the per-level rescan.  Components are a
+label per point; a union relabels one of them, at most n - 1 times in all.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import InvalidCover, InvalidRequirement
 from .hst import Hst, cut_row
@@ -37,10 +49,33 @@ class BcForest:
     def __init__(self, m: MetricSpace, copies: int):
         self.m = m
         self.copies = copies
-        self.uf = UnionFind(m.n)
+        self.comp = np.arange(m.n)  # component label per point
         self.occ = []      # (point, class) per classified endpoint, arrival order
+        # occ again as arrays grown by doubling: the point, and 2^(class+1),
+        # the reach of its top level (0 for a negative class, which has none)
+        self._pts = np.empty(16, dtype=np.intp)
+        self._reach = np.empty(16)
         self.levels = {}   # j -> [(u, v)] positive-length edges added at level j
         self.zero_merges = []
+
+    def connected(self, u: int, v: int) -> bool:
+        return bool(self.comp[u] == self.comp[v])
+
+    def _union(self, u: int, v: int) -> bool:
+        """Join v's component to u's; False if they were already one."""
+        cu, cv = self.comp[u], self.comp[v]
+        if cu == cv:
+            return False
+        self.comp[self.comp == cv] = cu
+        return True
+
+    def _classify(self, p: int, klass: int) -> None:
+        k = len(self.occ)
+        if k == len(self._pts):
+            self._pts = np.resize(self._pts, 2 * k)
+            self._reach = np.resize(self._reach, 2 * k)
+        self._pts[k], self._reach[k] = p, pow2(klass + 1) if klass >= 0 else 0.0
+        self.occ.append((p, klass))
 
     def add_pair(self, s: int, t: int):
         """Process one pair.
@@ -50,27 +85,32 @@ class BcForest:
         """
         added = []
         if self.m.dist(s, t) == 0.0:
-            if s != t and self.uf.union(s, t):
+            if s != t and self._union(s, t):
                 self.zero_merges.append((s, t))
                 added.append((s, t, None))
             return None, added
         klass = floor_log2(self.m.dist(s, t))
-        self.occ.append((s, klass))
-        self.occ.append((t, klass))
+        self._classify(s, klass)
+        self._classify(t, klass)
+        n = len(self.occ)
+        pts, ends = self._pts[:n], np.array([[s], [t]])
+        rows = self.m.d[ends, pts]
+        # entries some level j <= c reaches (d < 2^(j+1)) in another component
+        side, ks = np.nonzero((rows < self._reach[:n]) & (self.comp[pts] != self.comp[ends]))
+        sweeps = ({}, {})  # per endpoint: first level -> candidate points, in arrival order
+        for e, k, dv in zip(side.tolist(), ks.tolist(), rows[side, ks].tolist()):
+            sweeps[e].setdefault(0 if dv < 2.0 else floor_log2(dv), []).append(self.occ[k][0])
         for level in range(0, klass + 1):
-            reach = pow2(level + 1)
-            for x in (s, t):
-                for v, cv in self.occ:
-                    if cv < level or v == x:
+            for x, by_level in zip((s, t), sweeps):
+                for v in by_level.get(level, ()):
+                    if not self._union(x, v):
                         continue
-                    dv = self.m.dist(x, v)
-                    if dv < reach and self.uf.union(x, v):
-                        if dv > 0.0:
-                            added.append((x, v, level))
-                            self.levels.setdefault(level, []).append((x, v))
-                        else:
-                            self.zero_merges.append((x, v))
-                            added.append((x, v, None))
+                    if self.m.dist(x, v) > 0.0:
+                        added.append((x, v, level))
+                        self.levels.setdefault(level, []).append((x, v))
+                    else:
+                        self.zero_merges.append((x, v))
+                        added.append((x, v, None))
         return klass, added
 
     def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, weight):
@@ -154,7 +194,7 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
                 klass=klass,
                 cost=cost,
                 edges=edges,
-                feasible_now=bc.uf.connected(s, t),
+                feasible_now=bc.connected(s, t),
             )
         )
     trace.summary = {"forests": [bc.summary()]}

@@ -1,5 +1,9 @@
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ondesign.metric import MetricSpace, build_metric
 
@@ -294,3 +298,150 @@ def brute_check_pcst_invariants(trace, root, t, rep=lambda p: p):
             elif inside > 0 and exceeds(inside, pow2(j + 1), atol=0.0):
                 flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
     return out, flags
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the online layers (one m.dist at a time)
+# ---------------------------------------------------------------------------
+
+class RefBcForest:
+    """Reference for steiner.BcForest.add_pair: rescans every classified
+    endpoint per level and per endpoint, joining through a UnionFind."""
+
+    def __init__(self, m, copies=1):
+        from ondesign.metric import UnionFind
+
+        self.m = m
+        self.copies = copies
+        self.uf = UnionFind(m.n)
+        self.occ = []
+        self.levels = {}
+        self.zero_merges = []
+
+    def add_pair(self, s, t):
+        from ondesign.metric import floor_log2, pow2
+
+        added = []
+        if self.m.dist(s, t) == 0.0:
+            if s != t and self.uf.union(s, t):
+                self.zero_merges.append((s, t))
+                added.append((s, t, None))
+            return None, added
+        klass = floor_log2(self.m.dist(s, t))
+        self.occ.append((s, klass))
+        self.occ.append((t, klass))
+        for level in range(0, klass + 1):
+            reach = pow2(level + 1)
+            for x in (s, t):
+                for v, cv in self.occ:
+                    if cv < level or v == x:
+                        continue
+                    dv = self.m.dist(x, v)
+                    if dv < reach and self.uf.union(x, v):
+                        if dv > 0.0:
+                            added.append((x, v, level))
+                            self.levels.setdefault(level, []).append((x, v))
+                        else:
+                            self.zero_merges.append((x, v))
+                            added.append((x, v, None))
+        return klass, added
+
+    def summary(self):
+        return {
+            "copies": self.copies,
+            "A": [[j, [list(e) for e in edges]] for j, edges in sorted(self.levels.items())],
+            "occ": [list(o) for o in self.occ],
+            "zero_merges": [list(e) for e in self.zero_merges],
+        }
+
+
+class RefOflState:
+    """Reference for cfl.OflState.arrive: each closed facility's surplus as a
+    Python sum over the clients, facilities tried in `points` order."""
+
+    def __init__(self, m, facilities, root):
+        self.m = m
+        self.points = [p for p, _ in facilities]
+        self.costs = dict(facilities)
+        self.open_order = [root]
+        self.is_open = {root}
+        self.clients = []
+        self.budgets = []
+        self.assign = []
+
+    def _nearest_open(self, i):
+        cands = [p for p in self.points if p in self.is_open]
+        best = cands[int(self.m.d[i, cands].argmin())]
+        return best, self.m.dist(i, best)
+
+    def arrive(self, i):
+        _, b = self._nearest_open(i)
+        self.clients.append(i)
+        self.budgets.append(b)
+        while True:
+            opened = None
+            for x in self.points:
+                if x in self.is_open:
+                    continue
+                surplus = sum(
+                    max(0.0, bv - self.m.dist(v, x))
+                    for v, bv in zip(self.clients, self.budgets)
+                )
+                if surplus >= self.costs[x]:
+                    opened = x
+                    break
+            if opened is None:
+                break
+            self.is_open.add(opened)
+            self.open_order.append(opened)
+            self.budgets = [
+                min(bv, self.m.dist(v, opened))
+                for v, bv in zip(self.clients, self.budgets)
+            ]
+        sigma, _ = self._nearest_open(i)
+        self.assign.append(sigma)
+        return sigma
+
+
+def ref_max_flow(capacity, s, t, limit=math.inf):
+    """Reference for metric.max_flow: Edmonds-Karp on a residual copy of `capacity`."""
+    if s == t:
+        return math.inf
+    cap = {u: dict(nbrs) for u, nbrs in capacity.items()}
+    flow = 0
+    while flow < limit:
+        pred = {s: None}
+        queue = deque([s])
+        while queue and t not in pred:
+            u = queue.popleft()
+            for v, c in cap.get(u, {}).items():
+                if c > 0 and v not in pred:
+                    pred[v] = u
+                    queue.append(v)
+        if t not in pred:
+            break
+        path = []
+        v = t
+        while pred[v] is not None:
+            path.append((pred[v], v))
+            v = pred[v]
+        aug = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= aug
+            cap.setdefault(v, {}).setdefault(u, 0)
+            cap[v][u] += aug
+        flow += aug
+    return flow
+
+
+@st.composite
+def tie_metrics(draw, max_n=10):
+    """Small metrics rich in coincident points and equal distances: L1 or
+    Euclidean distances between points of a 5 x 5 integer grid, times a scale
+    that moves them across the class thresholds 2^j."""
+    n = draw(st.integers(2, max_n))
+    cell = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pts = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    d = diff.sum(axis=-1) if draw(st.booleans()) else np.sqrt((diff * diff).sum(axis=-1))
+    return MetricSpace(d=d * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0])))

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import euclid, line_metric
+from conftest import RefOflState, euclid, line_metric, tie_metrics
 from ondesign.cfl import (
+    OflState,
     cfl_buy_rent_cost,
     check_cfl_cost_split,
     check_cfl_invariants,
@@ -43,6 +46,53 @@ def test_ofl_requires_zero_cost_root():
         run_ofl(m, [(0, 1.0)], [1], root=0)
     with pytest.raises(NoFacilities):
         run_ofl(m, [], [1], root=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ofl_arrive_matches_scalar_reference(data):
+    """The clients x closed surplus matrix opens what the per-facility Python
+    sums open, in the same order, and leaves the same budgets, on metrics and
+    costs where a surplus often equals a cost or another surplus exactly."""
+    m = data.draw(tie_metrics())
+    point = st.integers(0, m.n - 1)
+    root = data.draw(point)
+    others = data.draw(st.lists(point.filter(lambda p: p != root), unique=True, max_size=6))
+    cost = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0])
+    facilities = [(p, data.draw(cost)) for p in others]
+    facilities.insert(data.draw(st.integers(0, len(facilities))), (root, 0.0))
+    clients = data.draw(st.lists(point, max_size=16))
+    state, ref = OflState(m, facilities, root), RefOflState(m, facilities, root)
+    for i in clients:
+        sigma = state.arrive(i)
+        assert sigma == ref.arrive(i) and type(sigma) is int
+        assert state.open_order == ref.open_order
+        assert all(type(x) is int for x in state.open_order)
+        assert state.budgets.tolist() == ref.budgets
+
+
+def test_ofl_surplus_equal_to_cost_opens():
+    # the client at 4 has budget d(client, root) = 4 and surplus 4 - 0 at the
+    # coincident facility 1, whose cost is exactly 4
+    m = line_metric([0, 4, 4])
+    state = OflState(m, [(0, 0.0), (1, 4.0)], root=0)
+    assert state.arrive(2) == 1
+    assert state.open_order == [0, 1]
+    assert state.budgets.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("facilities, opened", [
+    ([(0, 0.0), (2, 5.0), (1, 5.0)], 2),
+    ([(0, 0.0), (1, 5.0), (2, 5.0)], 1),
+])
+def test_ofl_tied_facilities_open_first_in_points_order(facilities, opened):
+    # a client at 6 with budget 6: facilities at 5 and 7 both reach surplus
+    # 5 = their cost; the first listed opens, and its budget cut keeps the other shut
+    m = line_metric([0, 5, 7, 6])
+    state = OflState(m, facilities, root=0)
+    assert state.arrive(3) == opened
+    assert state.open_order == [0, opened]
+    assert state.budgets.tolist() == [1.0]
 
 
 def test_cfl_virtual_when_near_root():

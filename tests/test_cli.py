@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ondesign.cli import main
 from ondesign.generators import gen_euclidean, gen_requests
-from ondesign.metric import PROBLEMS, RequestRecord, instance_to_dict
+from ondesign.metric import POINT, PROBLEMS, RequestRecord, instance_to_dict
 from ondesign.verify import run_problem, verify_run
 
 RECORD_FIELDS = [f.name for f in fields(RequestRecord)]
@@ -419,3 +423,162 @@ def test_embed_report_pinned(tmp_path):
         "invalid_trees": 0, "k": 13, "max_mean_stretch": 9.221641668299164,
         "mean_stretch": 4.197733268445467, "pairs": 78, "seed": 2, "trials": 30, "valid_rate": 1.0,
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "0"],
+    ["gen", "--n", "1", "--problem", "SteinerForest"],  # drew pairs forever
+    ["gen", "--n", "-2"],
+    ["gen", "--count", "-1"],
+    ["gen", "--family", "diamond", "--depth", "11"],
+    ["ratio", "--family", "diamond", "--sizes", "-1", "--trials", "1"],
+    ["ratio", "--problem", "SROB", "--M", "nan", "--sizes", "2", "--trials", "1"],
+    ["gen", "--problem", "CFL", "--M", "inf"],
+])
+def test_generator_arguments_out_of_range_exit_2(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(("error: ", "usage: "))
+
+
+@pytest.mark.parametrize("doc", [None, [], 3, "x"])
+def test_instance_not_an_object_exit_2(tmp_path, doc, capsys):
+    inst = write_instance(tmp_path, doc)
+    assert main(["run", inst, "--algo", "SteinerTree"]) == 2
+    assert capsys.readouterr().err == "error: an instance is a JSON object\n"
+
+
+# ---------------------------------------------------------------------------
+# Property: any instance document and any argv end in a documented exit code
+# ---------------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Hypothesis leans to the first entry of a sampled_from: a valid value, here
+_MOSTLY = st.sampled_from([True] * 7 + [False])
+_ODD = st.sampled_from([-1, 7, 2.5, float("nan"), float("inf"), 10**400, True, "1", None])
+_FIELD_VALUES = {POINT: lambda n: st.integers(0, n - 1), int: lambda n: st.integers(1, 4),
+                 float: lambda n: st.floats(0, 8) | st.integers(0, 8)}
+
+
+@st.composite
+def _instance_docs(draw):
+    """(problem, document): a valid instance of the problem on 1..5 points
+    with up to two fields dropped or replaced by odd values, or any JSON."""
+    problem = draw(st.sampled_from(list(PROBLEMS)))
+    if not draw(_MOSTLY):
+        return problem, draw(_JSON)
+    fmt = PROBLEMS[problem]
+    n = draw(st.integers(1, 5))
+    xs = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    doc = {"problem": problem}
+    if draw(st.booleans()):
+        doc["points"] = [[x, draw(st.integers(0, 3))] for x in xs]
+    else:
+        doc["matrix"] = [[abs(a - b) for b in xs] for a in xs]
+    shapes = [_FIELD_VALUES[shape](n) for shape in fmt.fields.values()]
+    request = shapes[0] if len(shapes) == 1 else st.tuples(*shapes).map(list)
+    doc["requests"] = draw(st.lists(request, max_size=5))
+    if fmt.rooted:
+        doc["root"] = draw(st.integers(0, n - 1))
+    if fmt.needs_M:
+        doc["M"] = draw(st.floats(0, 4) | st.integers(0, 3))
+    if fmt.facilities:
+        others = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3))
+        doc["facilities"] = [{"point": doc["root"], "cost": 0}] + [
+            {"point": p, "cost": draw(st.floats(0, 5))} for p in others if p != doc["root"]]
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["points", "matrix", "problem", "root", "M", "facilities", "requests", "junk"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        elif key == "requests" and doc.get("requests"):
+            doc["requests"][0] = draw(_ODD | _JSON)
+        else:
+            doc[key] = draw(_ODD | _JSON)
+    return problem, doc
+
+
+_FLAG_VALUES = {
+    "--seed": ["0", "3", "-1", "x"],
+    "--trials": ["0", "1", "2", "-1", "x"],
+    "--algo": [*PROBLEMS, "Nope"],
+    "--family": ["euclidean", "graph", "diamond", "x"],
+    "--problem": [*PROBLEMS, "Nope"],
+    "--n": ["3", "0", "1", "6", "-2", "x"],
+    "--count": ["0", "1", "3", "-1"],
+    "--depth": ["2", "0", "-1", "11"],
+    "--density": ["0", "0.5", "2", "-1", "nan"],
+    "--M": ["0", "1.5", "-1", "nan", "inf"],
+    "--rmax": ["0", "1", "3", "-1"],
+    "--facilities": ["0", "1", "3", "-1"],
+    "--sizes": ["0", "1", "2", "1,3", "-1", "x", ""],
+}
+# each command's flags beyond the instance path and the ones _argvs always sets
+_COMMAND_FLAGS = {
+    "run": ["--seed", "--out"],
+    "verify": ["--algo", "--trace", "--seed", "--out"],
+    "embed": ["--seed", "--out"],
+    "gen": ["--family", "--problem", "--n", "--count", "--density", "--depth", "--M", "--rmax",
+            "--facilities", "--seed", "--out"],
+    "ratio": ["--family", "--problem", "--n", "--M", "--rmax", "--facilities", "--seed", "--out"],
+}
+
+
+@st.composite
+def _argvs(draw, problem, paths):
+    """A command with its instance path, --algo, --trials and --sizes set as
+    it needs them (most of the time), then a few more flags, now and then a
+    flag of another command."""
+    instance, trace, out = paths
+    command = draw(st.sampled_from([*_COMMAND_FLAGS, "nope"]))
+    needs = {"run": ["PATH", "--algo"], "verify": ["PATH", "--trials"], "embed": ["PATH", "--trials"],
+             "ratio": ["--sizes", "--trials"]}.get(command, [])
+    extra = draw(st.lists(st.sampled_from(_COMMAND_FLAGS.get(command, ["--out"])), max_size=3, unique=True))
+    if not draw(_MOSTLY):
+        extra.append(draw(st.sampled_from([*_FLAG_VALUES, "PATH"])))
+    argv = [command]
+    for flag in [f for f in needs if draw(_MOSTLY)] + [f for f in extra if f not in needs]:
+        if flag == "PATH":
+            argv.append(instance)
+        elif flag == "--algo":
+            argv += [flag, draw(st.just(problem) | st.sampled_from(_FLAG_VALUES[flag]))]
+        elif flag == "--trace":
+            argv += [flag, draw(st.sampled_from([trace, out + ".trace.jsonl", instance, out + ".missing"]))]
+        elif flag == "--out":
+            argv += [flag, out]
+        else:
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_codes_on_arbitrary_input(fuzz_dir, data):
+    """Whatever the instance document and the arguments, `main` returns (or
+    argparse exits with) 0, 2, 3, 4 or 5, and prints no traceback."""
+    paths = instance, trace, out = [str(fuzz_dir / name) for name in ("inst.json", "trace.jsonl", "out.json")]
+    problem, doc = data.draw(_instance_docs())
+    with open(instance, "w") as fh:
+        json.dump(doc, fh)
+    with open(trace, "w") as fh:
+        fh.writelines(json.dumps(row) + "\n" for row in data.draw(st.lists(_JSON, max_size=3)))
+    argv = data.draw(_argvs(problem, paths))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 2, 3, 4, 5), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_max_flow
 from ondesign.errors import AsymmetricInput, SchemaError, TriangleViolation
 from ondesign.metric import (
     MetricSpace,
@@ -151,6 +153,34 @@ def test_max_flow_parallel_edges():
     assert max_flow(cap, 0, 1) == 3
     cap2 = {0: {1: 1, 2: 2}, 1: {0: 1, 2: 1}, 2: {0: 2, 1: 1}}
     assert max_flow(cap2, 0, 1) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_max_flow_matches_residual_copy_reference(data):
+    """The residual overlay on the read-only capacity dict returns what
+    Edmonds-Karp on a residual copy returns, limit overshoot included."""
+    n = data.draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    cap = {}
+    for u, v, k in data.draw(st.lists(st.tuples(node, node, st.integers(1, 4)), max_size=14)):
+        if u != v:
+            cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + k
+            cap.setdefault(v, {})[u] = cap[u][v]
+    frozen = json.dumps(cap)
+    s, t = data.draw(node), data.draw(node)
+    limit = data.draw(st.sampled_from([math.inf, 1, 2, 3, 5]))
+    assert max_flow(cap, s, t, limit=limit) == ref_max_flow(cap, s, t, limit=limit)
+    assert json.dumps(cap) == frozen
+
+
+def test_max_flow_reroutes_through_a_reverse_arc():
+    # the first augmenting path 0-4-3-8 sends a unit over 4->3; the last two
+    # units go 0-2-3-4-7-5-8 over 3->4, whose capacity 1 only fits them once
+    # the residual of 3->4 counts the unit on 4->3 as cancellable
+    cap = {4: {0: 1, 7: 2, 3: 1}, 0: {4: 1, 2: 9}, 5: {6: 2, 8: 3, 7: 3}, 6: {5: 2},
+           3: {2: 3, 8: 2, 4: 1}, 2: {3: 3, 0: 9, 1: 3}, 7: {4: 2, 5: 3}, 8: {3: 2, 5: 3}, 1: {2: 3}}
+    assert max_flow(cap, 0, 8) == ref_max_flow(cap, 0, 8) == 4
 
 
 def test_request_sequence_root_rules():

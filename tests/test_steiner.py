@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_cuts_at_level, euclid, line_metric
+from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, tie_metrics
 from ondesign.errors import InvalidCover, InvalidRequirement
 from ondesign.hst import sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
+    BcForest,
     check_bc_edge_property,
     check_class_separation,
     check_metagraph_acyclic,
@@ -84,6 +89,27 @@ def test_bc_edge_property_random():
     pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(7)]
     _, trace = run_bc_sf(m, pairs)
     assert check_bc_edge_property(trace, m) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bc_add_pair_matches_scalar_reference(data):
+    """The candidate scan over component labels buys what the per-endpoint
+    rescan through a union-find buys, edge for edge and in the same order, on
+    metrics with coincident points, repeated pairs and equal distances."""
+    m = data.draw(tie_metrics())
+    point = st.integers(0, m.n - 1)
+    pairs = data.draw(st.lists(st.tuples(point, point), max_size=14))
+    pairs += pairs[:data.draw(st.integers(0, len(pairs)))]
+    bc, ref = BcForest(m, 2), RefBcForest(m, 2)
+    for s, t in pairs:
+        got = bc.add_pair(s, t)
+        assert got == ref.add_pair(s, t)
+        assert all(type(u) is int and type(v) is int for u, v, _ in got[1])
+        assert bc.connected(s, t) is ref.uf.connected(s, t)
+    assert json.dumps(bc.summary()) == json.dumps(ref.summary())
+    for u in range(m.n):
+        assert [bc.connected(u, v) for v in range(m.n)] == [ref.uf.connected(u, v) for v in range(m.n)]
 
 
 def test_sn_examples(two_point_metric):
