@@ -5,8 +5,8 @@ black box: every arriving client gets budget b_i = d(i, open virtual
 facilities); a closed facility x opens once the accumulated surplus
 sum_v max(0, b_v - d(v, x)) covers f_x, consuming the used budgets
 (b_v := min(b_v, d(v, x))).  Clients virtually assign to the nearest open
-virtual facility.  Any substitute meeting the O(log k) contract can be dropped
-in behind `run_ofl`'s interface.
+virtual facility.  `run_cfl` drives an `OflState` directly; `run_ofl` runs
+the same state on its own, so the layer can be tested alone.
 
 The state keeps each client's distance row to the facilities.  All closed
 facilities' surpluses come from one clients x facilities matrix
@@ -20,11 +20,16 @@ The connected layer only ever opens a facility the virtual layer has already
 opened.  With x the nearest open facility and a_i = d(i, x): a client is
 virtual when a_i <= 4 d(i, sigma_hat(i)) (assign to x, charge the virtual
 solution later); otherwise it buys when M same-class rent clients sit within
-2^(j-2) (open sigma_hat(i), buy the edge to x) and rents otherwise.
+2^(j-2) (open sigma_hat(i), buy the edge to x) and rents otherwise.  The
+connected layer's open set F' is a mask over the virtual layer's facility
+entries, and x is read from the distance row the virtual layer stored.
 
-The checks read each client's trace record (decision, a_i, class, witnesses,
-sigma_hat, the facility it opened) and the summary's F_hat (`f_hat`, opened
-virtual facilities in order); root, M and facility costs come from the instance.
+A record's `cost` is what its client paid: a_i when virtual or renting;
+d(i, sigma_hat) when buying, plus f(sigma_hat) + M d(sigma_hat, x) when it
+opens sigma_hat.  The checks read each client's trace record (decision, a_i,
+class, witnesses, sigma_hat, the facility it opened) and the summary's F_hat
+(`f_hat`, opened virtual facilities in order); root, M and facility costs
+come from the instance.
 """
 
 from __future__ import annotations
@@ -45,7 +50,12 @@ from .metric import (
     pow2,
 )
 from .rentorbuy import cost_share
-from .steiner import _nearest, same_class_closer
+from .steiner import same_class_closer
+
+
+def _nearest_in(mask, row) -> int:
+    """The index of the `mask` entry nearest in `row`; ties to the first."""
+    return int(np.where(mask, row, np.inf).argmin())
 
 
 class OflState:
@@ -61,7 +71,6 @@ class OflState:
         self.points = [p for p, _ in facilities]
         self.costs = costs
         self.open_order = [root]
-        self.is_open = {root}
         self.clients = []   # client points in arrival order
         self.assign = []    # virtual assignment per client
         # per entry of `points`: its point, its cost and whether it is open
@@ -77,17 +86,13 @@ class OflState:
     def budgets(self) -> np.ndarray:
         return self._budget[:len(self.clients)]
 
-    def _nearest_open(self, row) -> int:
-        """The index in `points` of the open entry nearest in `row`; ties to the first."""
-        return int(np.where(self._open, row, np.inf).argmin())
-
     def arrive(self, i: int) -> int:
         k = len(self.clients)
         if k == len(self._budget):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
             self._budget = np.concatenate([self._budget, np.empty_like(self._budget)])
         row = self._rows[k] = self.m.d[i, self._fac]
-        self._budget[k] = row[self._nearest_open(row)]
+        self._budget[k] = row[_nearest_in(self._open, row)]
         self.clients.append(i)
         rows, budget = self._rows[:k + 1], self._budget[:k + 1]
         while not self._open.all():
@@ -99,15 +104,14 @@ class OflState:
                 break
             opened = self.points[hits[0]]
             self._open |= self._fac == opened
-            self.is_open.add(opened)
             self.open_order.append(opened)
             np.minimum(budget, rows[:, hits[0]], out=budget)
-        sigma = self.points[self._nearest_open(row)]
+        sigma = self.points[_nearest_in(self._open, row)]
         self.assign.append(sigma)
         return sigma
 
     def cost(self) -> float:
-        opening = sum(self.costs[x] for x in self.is_open)
+        opening = sum(self.costs[x] for x in self.open_order)
         service = sum(self.m.dist(v, s) for v, s in zip(self.clients, self.assign))
         return opening + service
 
@@ -134,13 +138,14 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     ofl = OflState(m, facilities, root)
-    facility_order = {p: k for k, (p, _) in enumerate(facilities)}
-    open_set = [root]
+    built = ofl._fac == root  # F' over the entries of ofl.points
     sol.opened.add(root)
     rents = {}  # class j -> [(request idx, point)]
     for idx, i in enumerate(clients):
         sigma_hat = ofl.arrive(i)
-        x, a = _nearest(m, i, sorted(open_set, key=facility_order.get))
+        row = ofl._rows[idx]  # d(i, .) over the entries of ofl.points
+        near = _nearest_in(built, row)
+        x, a = ofl.points[near], float(row[near])
         d_hat = m.dist(i, sigma_hat)
         witnesses, opened, edges = (), None, ()
         if a <= 4 * d_hat:
@@ -156,9 +161,10 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                 decision, cost, sigma = "buy", d_hat, sigma_hat
                 if sigma_hat not in sol.opened:
                     sol.opened.add(sigma_hat)
-                    open_set.append(sigma_hat)
+                    built |= ofl._fac == sigma_hat
                     sol.buy(sigma_hat, x)
                     opened, edges = sigma_hat, ((sigma_hat, x, None),)
+                    cost += ofl.costs[sigma_hat] + M * m.dist(sigma_hat, x)
             else:
                 decision, cost, sigma = "rent", a, x
                 rents.setdefault(j, []).append((idx, i))

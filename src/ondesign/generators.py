@@ -149,7 +149,7 @@ def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=Non
     return RequestSequence(
         problem=problem,
         requests=tuple(request() for _ in range(count)),
-        root=root if fmt.rooted else None,
+        root=None if fmt.paired else root,
         M=float(params.get("M", 2.0)) if fmt.needs_M else None,
         facilities=facilities,
     )

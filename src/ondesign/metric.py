@@ -214,8 +214,7 @@ class RequestFormat:
 
     fields: dict
     feasible: Callable
-    rooted: bool = False      # every request is served from seq.root
-    paired: bool = False      # a request is an (s, t, ...) pair
+    paired: bool = False      # a request is an (s, t, ...) pair; any other is served from seq.root
     needs_M: bool = False     # bought edges cost M times their length
     facilities: bool = False  # clients are assigned to opened facilities
 
@@ -233,10 +232,11 @@ class RequestFormat:
 
 
 def _connected(sol, seq, m, base, idx):
-    """Bought plus this request's rented edges join its pair, or it to the root."""
+    """Bought plus this request's rented edges join its pair, or it to the root;
+    coincident endpoints are joined already."""
     ends = seq.request_points(idx)
     a, b = ends if len(ends) == 2 else (ends[0], seq.root)
-    if a == b or base.connected(a, b):
+    if m.coincident(a, b) or base.connected(a, b):
         return True
     # rents are per-request direct edges; splice them on top of the bought components
     reach = {base.find(a)}
@@ -254,7 +254,7 @@ def _connected(sol, seq, m, base, idx):
 def _has_flow(sol, seq, m, base, idx):
     """R edge-disjoint s-t paths, bought copies counted."""
     s, t, r = seq.requests[idx]
-    if s == t or m.coincident(s, t):
+    if m.coincident(s, t):
         return True
     return max_flow(sol.capacity(), s, t, limit=r) >= r
 
@@ -279,13 +279,13 @@ _POINT = {"point": POINT}
 _PAIR = {"s": POINT, "t": POINT}
 
 PROBLEMS = {
-    "SteinerTree": RequestFormat(_POINT, _connected, rooted=True),
+    "SteinerTree": RequestFormat(_POINT, _connected),
     "SteinerForest": RequestFormat(_PAIR, _connected, paired=True),
     "SteinerNetwork": RequestFormat({**_PAIR, "R": int}, _has_flow, paired=True),
-    "SROB": RequestFormat(_POINT, _connected, rooted=True, needs_M=True),
+    "SROB": RequestFormat(_POINT, _connected, needs_M=True),
     "MROB": RequestFormat(_PAIR, _connected, paired=True, needs_M=True),
-    "CFL": RequestFormat(_POINT, _served, rooted=True, needs_M=True, facilities=True),
-    "PCST": RequestFormat({**_POINT, "pi": float}, _paid_or_joined, rooted=True),
+    "CFL": RequestFormat(_POINT, _served, needs_M=True, facilities=True),
+    "PCST": RequestFormat({**_POINT, "pi": float}, _paid_or_joined),
 }
 
 
@@ -309,8 +309,8 @@ class RequestSequence:
 
     def __post_init__(self):
         fmt = problem_format(self.problem)
-        if (self.root is not None) != fmt.rooted:
-            rooted = sorted(name for name, f in PROBLEMS.items() if f.rooted)
+        if (self.root is not None) == fmt.paired:
+            rooted = sorted(name for name, f in PROBLEMS.items() if not f.paired)
             raise SchemaError(f"root must be present exactly for {rooted}")
         if fmt.needs_M and (self.M is None or not 0 <= self.M < math.inf):
             raise SchemaError("M must be a nonnegative real for ROB/CFL")

@@ -127,11 +127,11 @@ def cost_share(trace: RunTrace) -> float:
 
 
 def check_srob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
-    """SROB: class-j buy terminals are pairwise >= 2^j apart (greedy
-    separation); their witness sets are disjoint size->=M subsets of R_j."""
+    """SROB: the class-j buy terminals' witness sets are disjoint size->=M
+    subsets of R_j.  (Their pairwise 2^j separation is check_class_separation.)"""
     out, rent_class = [], _rent_classes(trace)
     for j, rows in _buy_rows(trace, (0,)):
-        out += _witness_rows(rows, j, pow2(j), M, rent_class, m)
+        out += _witness_rows(rows, j, M, rent_class)
     return out
 
 
@@ -145,7 +145,7 @@ def check_mrob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
         for row in rows:
             if all(m.dist(row[1], prev[1]) >= pow2(j - 1) for prev in kept):
                 kept.append(row)
-        out += _witness_rows(kept, j, None, M, rent_class, m)
+        out += _witness_rows(kept, j, M, rent_class)
     return out
 
 
@@ -164,18 +164,16 @@ def _rent_classes(trace: RunTrace) -> dict:
     return {rec.idx: rec.klass for rec in trace.records if rec.decision == "rent"}
 
 
-def _witness_rows(rows, j, pairwise_bound, M, rent_class, m):
+def _witness_rows(rows, j, M, rent_class):
     out = []
-    for idx, p, wit in rows:
+    for idx, _, wit in rows:
         if len(wit) < M:
             out.append(f"class {j}: buy request {idx} has |W|={len(wit)} < M={M}")
         for w in wit:
             if rent_class.get(w) != j:
                 out.append(f"class {j}: witness {w} of request {idx} is not a class-{j} rent")
-    for i, (idx_a, pa, wa) in enumerate(rows):
-        for idx_b, pb, wb in rows[i + 1:]:
-            if pairwise_bound is not None and m.dist(pa, pb) < pairwise_bound:
-                out.append(f"class {j}: buys {idx_a},{idx_b} at distance {m.dist(pa, pb):g} < {pairwise_bound:g}")
+    for i, (idx_a, _, wa) in enumerate(rows):
+        for idx_b, _, wb in rows[i + 1:]:
             shared = wa & wb
             if shared:
                 out.append(f"class {j}: buys {idx_a},{idx_b} share witnesses {sorted(shared)}")

@@ -50,11 +50,9 @@ class BcForest:
         self.m = m
         self.copies = copies
         self.comp = np.arange(m.n)  # component label per point
-        self.occ = []      # (point, class) per classified endpoint, arrival order
-        # occ again as arrays grown by doubling: the point, and 2^(class+1),
-        # the reach of its top level (0 for a negative class, which has none)
-        self._pts = np.empty(16, dtype=np.intp)
-        self._reach = np.empty(16)
+        # the classified endpoints in arrival order: point and class
+        self.ends = np.empty(0, dtype=np.intp)
+        self.classes = np.empty(0, dtype=np.intp)
         self.levels = {}   # j -> [(u, v)] positive-length edges added at level j
         self.zero_merges = []
 
@@ -69,14 +67,6 @@ class BcForest:
         self.comp[self.comp == cv] = cu
         return True
 
-    def _classify(self, p: int, klass: int) -> None:
-        k = len(self.occ)
-        if k == len(self._pts):
-            self._pts = np.resize(self._pts, 2 * k)
-            self._reach = np.resize(self._reach, 2 * k)
-        self._pts[k], self._reach[k] = p, pow2(klass + 1) if klass >= 0 else 0.0
-        self.occ.append((p, klass))
-
     def add_pair(self, s: int, t: int):
         """Process one pair.
 
@@ -90,16 +80,17 @@ class BcForest:
                 added.append((s, t, None))
             return None, added
         klass = floor_log2(self.m.dist(s, t))
-        self._classify(s, klass)
-        self._classify(t, klass)
-        n = len(self.occ)
-        pts, ends = self._pts[:n], np.array([[s], [t]])
-        rows = self.m.d[ends, pts]
+        self.ends = pts = np.append(self.ends, (s, t))
+        self.classes = np.append(self.classes, (klass, klass))
+        pair = np.array([[s], [t]])
+        rows = self.m.d[pair, pts]
+        # 2^(c+1), the reach of an entry's top level c (none for c < 0)
+        reach = np.where(self.classes >= 0, np.ldexp(1.0, self.classes + 1), 0.0)
         # entries some level j <= c reaches (d < 2^(j+1)) in another component
-        side, ks = np.nonzero((rows < self._reach[:n]) & (self.comp[pts] != self.comp[ends]))
+        side, ks = np.nonzero((rows < reach) & (self.comp[pts] != self.comp[pair]))
         sweeps = ({}, {})  # per endpoint: first level -> candidate points, in arrival order
-        for e, k, dv in zip(side.tolist(), ks.tolist(), rows[side, ks].tolist()):
-            sweeps[e].setdefault(0 if dv < 2.0 else floor_log2(dv), []).append(self.occ[k][0])
+        for e, v, dv in zip(side.tolist(), pts[ks].tolist(), rows[side, ks].tolist()):
+            sweeps[e].setdefault(0 if dv < 2.0 else floor_log2(dv), []).append(v)
         for level in range(0, klass + 1):
             for x, by_level in zip((s, t), sweeps):
                 for v in by_level.get(level, ()):
@@ -132,7 +123,7 @@ class BcForest:
         return {
             "copies": self.copies,
             "A": [[j, [list(e) for e in edges]] for j, edges in sorted(self.levels.items())],
-            "occ": [list(o) for o in self.occ],
+            "occ": [list(o) for o in zip(self.ends.tolist(), self.classes.tolist())],
             "zero_merges": [list(e) for e in self.zero_merges],
         }
 

@@ -230,17 +230,6 @@ class ProblemSpec:
     optimum: Callable        # (m, seq) -> exact offline optimum
     solution_checks: tuple = ()  # (name, check(m, seq, sol, trace)); own runs only
     summary_shape: dict = field(default_factory=dict)  # of trace.summary, see metric._fits
-    trace_cost: Callable = lambda m, seq, sol, trace: trace.total_cost()
-
-
-def _cfl_trace_cost(m, seq, sol, trace):
-    """The trace carries assignment costs; buying and opening come from sol."""
-    costs = dict(seq.facilities)
-    return (
-        trace.total_cost()
-        + seq.M * sol.bought_cost(m)
-        + sum(costs[x] for x in sol.opened)
-    )
 
 
 SPECS = {
@@ -289,7 +278,6 @@ SPECS = {
         optimum=lambda m, seq: exact.exact_cfl(
             m, list(seq.facilities), seq.requests, seq.M, seq.root
         ),
-        trace_cost=_cfl_trace_cost,
     ),
     "PCST": ProblemSpec(
         run=lambda m, seq: run_pcst(m, seq.root, seq.requests),
@@ -345,7 +333,7 @@ def per_run_checks(m, seq, sol, trace):
     """Each entry: (check name, list of violations)."""
     spec = SPECS[seq.problem]
     total = solution_cost(sol, seq, m).total
-    derived = spec.trace_cost(m, seq, sol, trace)
+    derived = trace.total_cost()
     near = abs(total - derived) <= RTOL * max(1.0, abs(total), abs(derived))
     checks = [("cost_consistency", [] if near else
                [f"solution cost {total:g} != trace cost {derived:g}"])]
@@ -358,13 +346,25 @@ def per_run_checks(m, seq, sol, trace):
     return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks]
 
 
+# What a malformed (e.g. forged) trace can make a check raise: such a check
+# reports "check error: ..." as its violation instead of crashing the run.
+_CHECK_ERRORS = (OndesignError, TypeError, ValueError)
+
+
+def _guarded_run_check(check, m, seq, trace):
+    try:
+        return check(m, seq, trace)
+    except _CHECK_ERRORS as exc:
+        return [f"check error: {exc}"]
+
+
 def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
     """Full verification of one instance: run, per-run checks, per-tree checks.
 
     Returns a deterministic report dict; `violations` empty iff everything
     passed.  A forged (replayed) trace replaces the algorithm's own run: it
-    has no solution, so it gets the spec's run checks but neither the cost,
-    feasibility nor solution checks.
+    has no solution, so it gets the spec's run checks, guarded as the
+    per-tree checks are, but neither the cost, feasibility nor solution checks.
     """
     spec = SPECS[seq.problem]
     if forged_trace is None:
@@ -373,7 +373,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         cost_doc = solution_cost(sol, seq, m).as_dict()
     else:
         trace = forged_trace
-        checks = [(name, check(m, seq, trace)) for name, check in spec.run_checks]
+        checks = [(name, _guarded_run_check(check, m, seq, trace)) for name, check in spec.run_checks]
         cost_doc = {"total": trace.total_cost()}
 
     points = tree_points(m, seq)
@@ -384,8 +384,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
     for trial in range(trials):
         try:
             viol, fl, rat = check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
-        except (OndesignError, ValueError) as exc:
-            # malformed (e.g. forged) traces surface as violations, not crashes
+        except _CHECK_ERRORS as exc:
             viol, fl, rat = [f"check error: {exc}"], [], {}
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)

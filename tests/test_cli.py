@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 from dataclasses import fields
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from ondesign.cli import main
 from ondesign.generators import gen_euclidean, gen_requests
-from ondesign.metric import POINT, PROBLEMS, RequestRecord, instance_to_dict
+from ondesign.metric import POINT, PROBLEMS, RequestRecord, RunTrace, instance_from_dict, instance_to_dict
 from ondesign.verify import run_problem, verify_run
 
 RECORD_FIELDS = [f.name for f in fields(RequestRecord)]
@@ -411,6 +412,31 @@ def test_verify_pcst_run_violation_reported_once(tmp_path):
     assert not any("rho" in v for v in rep["tree_checks"]["violations"])
 
 
+@pytest.mark.parametrize("doc, check, violation", [
+    ({"points": [[0, 0], [3, 0], [7, 0]], "problem": "SROB", "root": 0, "M": 1.0, "requests": [1, 2]},
+     "witness_disjointness", "class None: buy request 0 has |W|=0 < M=1.0"),
+    ({"points": [[0, 0], [3, 0], [7, 0], [8, 0]], "problem": "MROB", "M": 1.0, "requests": [[1, 2], [0, 3]]},
+     "witness_disjointness", "check error: "),
+    ({"points": [[0, 0], [3, 0], [7, 0]], "problem": "CFL", "root": 0, "M": 1.0, "requests": [1, 2],
+      "facilities": [{"point": 0, "cost": 0}, {"point": 1, "cost": 1}]},
+     "cfl_invariants", "check error: "),
+], ids=["SROB", "MROB", "CFL"])
+def test_verify_forged_buys_without_class_exit_4(tmp_path, doc, check, violation, capsys):
+    # every record of the run's own trace made a buy with "klass": null
+    inst = write_instance(tmp_path, doc)
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", doc["problem"], "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines[:-1]]
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("".join(json.dumps({**row, "decision": "buy", "klass": None}) + "\n" for row in rows)
+                      + lines[-1] + "\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", inst, "--trace", str(forged), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ""
+    assert any(v.startswith(violation) for v in json.loads(out.read_text())["checks"][check]["violations"])
+
+
 def test_embed_report_pinned(tmp_path):
     _, pts = gen_euclidean(24, seed=5)
     inst = write_instance(
@@ -485,7 +511,7 @@ def _instance_docs(draw):
     shapes = [_FIELD_VALUES[shape](n) for shape in fmt.fields.values()]
     request = shapes[0] if len(shapes) == 1 else st.tuples(*shapes).map(list)
     doc["requests"] = draw(st.lists(request, max_size=5))
-    if fmt.rooted:
+    if not fmt.paired:
         doc["root"] = draw(st.integers(0, n - 1))
     if fmt.needs_M:
         doc["M"] = draw(st.floats(0, 4) | st.integers(0, 3))
@@ -581,4 +607,57 @@ def test_cli_exit_codes_on_arbitrary_input(fuzz_dir, data):
         except SystemExit as exc:
             rc = exc.code
     assert rc in (0, 2, 3, 4, 5), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Property: a schema-valid forged trace replays to a documented exit code
+# ---------------------------------------------------------------------------
+
+_DECISIONS = ["buy", "rent", "penalty", "virtual", "bc", "auto"]
+
+
+@st.composite
+def _forged_records(draw, trace, n_points, n_requests):
+    """The own run's records, each of its decision, class, witnesses and
+    points redrawn (within range) or kept."""
+    point, request = st.integers(0, n_points - 1), st.integers(0, n_requests - 1)
+    out = []
+    for rec in trace.records:
+        change = {}
+        if draw(st.booleans()):
+            change["decision"] = draw(st.sampled_from(_DECISIONS))
+        if draw(st.booleans()):
+            change["klass"] = draw(st.none() | st.integers(-3, 6))
+        for name in ("witnesses", "witnesses_t"):
+            if draw(st.booleans()):
+                change[name] = tuple(draw(st.lists(request, max_size=3)))
+        if draw(st.booleans()):
+            change["points"] = tuple(draw(point) for _ in rec.points)
+        out.append(dataclasses.replace(rec, **change))
+    return out
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_verify_forged_trace_exit_codes(fuzz_dir, data):
+    """`verify --trace` on an own run's trace with records redrawn within
+    their schema returns 0, 2, 3, 4 or 5 and prints no traceback."""
+    problem = data.draw(st.sampled_from(list(PROBLEMS)))
+    n = data.draw(st.integers(3, 6))
+    m, pts = gen_euclidean(n, seed=data.draw(st.integers(0, 50)))
+    params = {"M": data.draw(st.sampled_from([0.0, 1.0, 2.0])), "R_max": 3, "n_facilities": 3}
+    seq = gen_requests(problem, m, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 50)), params)
+    doc = instance_to_dict(m, seq, points=pts)
+    instance, trace_path, out = (str(fuzz_dir / name) for name in ("finst.json", "ftrace.jsonl", "fout.json"))
+    with open(instance, "w") as fh:
+        json.dump(doc, fh)
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    records = data.draw(_forged_records(trace, m.n, len(seq.requests)))
+    RunTrace(records, trace.summary).to_jsonl(trace_path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["verify", instance, "--trace", trace_path, "--trials", "2", "--out", out])
+    assert rc in (0, 2, 3, 4, 5), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()

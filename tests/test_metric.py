@@ -243,3 +243,13 @@ def test_trace_jsonl_roundtrip(tmp_path):
 
     again = RunTrace.from_jsonl(path, {}, m.n, 2)
     assert [r.cost for r in again.records] == [r.cost for r in trace.records]
+
+
+def test_coincident_pair_is_served_without_an_edge():
+    # MROB records a pair of distinct coincident points "auto", buying nothing
+    m = build_metric([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "points")
+    seq = RequestSequence(problem="MROB", requests=((0, 1), (1, 2)), M=1.0)
+    sol = MultiGraphSolution()
+    sol.rent(1, 1, 2)
+    assert check_feasible(sol, seq, m) == [True, True]
+    assert check_feasible(MultiGraphSolution(), seq, m) == [True, False]

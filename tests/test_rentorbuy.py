@@ -12,6 +12,7 @@ from ondesign.rentorbuy import (
     run_mrob,
     run_srob,
 )
+from ondesign.verify import verify_run
 
 
 def test_srob_line_example():
@@ -195,3 +196,19 @@ def test_share_bound_exact_arithmetic():
         pairs = [tuple(map(int, rng.choice(10, size=2, replace=False))) for _ in range(6)]
         _, trace2 = run_mrob(m, pairs, M=M)
         assert trace2.total_cost() <= 2 * cost_share(trace2) * (1 + 1e-9) + 1e-12
+
+
+def test_close_same_class_buys_reported_once_by_class_separation():
+    # buys at 5 and 6 are class 2 and 1 < 2^2 apart; their witnesses are
+    # distinct class-2 rents, so only the separation check has a finding
+    m = line_metric([0, 4, 4.5, 5, 6])
+    seq = RequestSequence(problem="SROB", requests=(1, 2, 3, 4), root=0, M=1.0)
+    forged = RunTrace()
+    for idx, a in enumerate([4.0, 4.5]):
+        forged.add(RequestRecord(idx=idx, decision="rent", points=(idx + 1,), a=a, klass=2, cost=a, attach=0))
+    for idx, a, w in [(2, 5.0, 0), (3, 6.0, 1)]:
+        forged.add(RequestRecord(idx=idx, decision="buy", points=(idx + 1,), a=a, klass=2, cost=a,
+                                 witnesses=(w,), attach=0, edges=((idx + 1, 0, None),)))
+    checks = verify_run(m, seq, trials=1, forged_trace=forged)["checks"]
+    assert checks["class_separation"]["violations"] == ["class 2: requests 2,3 at distance 1 < 2^2"]
+    assert checks["witness_disjointness"]["fail"] == 0

@@ -6,9 +6,10 @@ occ/A/zero_merges, F_hat).  The instances sit on a 8 x 8 integer grid, so
 coincident points (zero-length merges, auto requests) and equal distances
 (scan-order ties) occur in every run.
 
-The exit code is pinned with the bytes.  The MROB run exits 3: its request 13
-is a pair of distinct coincident points, recorded "auto" with no edge, which
-`check_feasible` then reports unserved (a known defect; see CHANGES.md).
+The exit code is pinned with the bytes; every run exits 0.  The MROB run's
+request 13 is a pair of distinct coincident points, recorded "auto" with no
+edge, and served because its endpoints coincide.  A record's `cost` is what
+its request paid, so each run's trace cost is its solution cost.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ import pytest
 
 from ondesign.cli import main
 from ondesign.generators import gen_requests
-from ondesign.metric import PROBLEMS, build_metric, instance_to_dict
+from ondesign.metric import PROBLEMS, RTOL, build_metric, instance_from_dict, instance_to_dict, solution_cost
+from ondesign.verify import run_problem
 
 N_POINTS = 60
 PARAMS = {"M": 1.0, "R_max": 8, "n_facilities": 12}
@@ -51,8 +53,8 @@ DIGESTS = {
     "SteinerForest": "87ca9151193601d13ec9dcf9266cc73005a071b8f917f706e39cd590d168993a",
     "SteinerNetwork": "a8de0ff9885c9de14e7eb9eb0873583a7984b55043f26d5f840829579a31edde",
     "SROB": "7b214fcc0b6694add764563b081c043204abc87cd75ba42b9e6f210b2df00e78",
-    "MROB": "9c182af9cf9a4fd85eb88b353c26362bd2335c3e2dcca6f111ff0e34b785e761",
-    "CFL": "9bab0890ca625bf23924dab2db58dc7824b821e8ff2128dd80a69a3ff266cadb",
+    "MROB": "d973ae15928fcc64be6b83cead8cf0e0dfc1f27e79aec21352e0459c11615f2e",
+    "CFL": "e4330e5a1f11e881f4fda9dd13f1b61b06a3d232f44530ab3ae19bf3492f9834",
     "PCST": "79bf0c4e35d819d88526505fc89283addab1708802b8dc48c87d5a0d044b66f6",
 }
 
@@ -60,3 +62,10 @@ DIGESTS = {
 @pytest.mark.parametrize("pidx, problem", list(enumerate(PROBLEMS)))
 def test_run_trace_bytes_pinned(tmp_path, pidx, problem):
     assert hashlib.sha256(_run_bytes(tmp_path, pidx, problem)).hexdigest() == DIGESTS[problem]
+
+
+@pytest.mark.parametrize("pidx, problem", list(enumerate(PROBLEMS)))
+def test_trace_cost_is_solution_cost(pidx, problem):
+    m, seq = instance_from_dict(_instance(pidx, problem))
+    sol, trace = run_problem(m, seq)
+    assert trace.total_cost() == pytest.approx(solution_cost(sol, seq, m).total, rel=RTOL)
