@@ -26,10 +26,11 @@ entries, and x is read from the distance row the virtual layer stored.
 
 A record's `cost` is what its client paid: a_i when virtual or renting;
 d(i, sigma_hat) when buying, plus f(sigma_hat) + M d(sigma_hat, x) when it
-opens sigma_hat.  The checks read each client's trace record (decision, a_i,
-class, witnesses, sigma_hat, the facility it opened) and the summary's F_hat
-(`f_hat`, opened virtual facilities in order); root, M and facility costs
-come from the instance.
+opens sigma_hat.  A client's actual assignment is sigma_hat when it buys and
+x (`attach`) otherwise.  The checks read each client's trace record
+(decision, a_i, class, witnesses, sigma_hat, the facility it opened) and the
+summary's F_hat (`f_hat`, opened virtual facilities in order); root, M and
+facility costs come from the RequestSequence.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .metric import (
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
+    RequestSequence,
     RunTrace,
     exceeds,
     floor_log2,
@@ -150,7 +152,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
         witnesses, opened, edges = (), None, ()
         if a <= 4 * d_hat:
             j = floor_log2(a) if a > 0 else None
-            decision, cost, sigma = "virtual", a, x
+            decision, cost = "virtual", a
         else:
             j = floor_log2(a)
             radius = pow2(j - 2)
@@ -158,7 +160,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                 ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius
             )
             if len(witnesses) >= M:
-                decision, cost, sigma = "buy", d_hat, sigma_hat
+                decision, cost = "buy", d_hat
                 if sigma_hat not in sol.opened:
                     sol.opened.add(sigma_hat)
                     built |= ofl._fac == sigma_hat
@@ -166,9 +168,9 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                     opened, edges = sigma_hat, ((sigma_hat, x, None),)
                     cost += ofl.costs[sigma_hat] + M * m.dist(sigma_hat, x)
             else:
-                decision, cost, sigma = "rent", a, x
+                decision, cost = "rent", a
                 rents.setdefault(j, []).append((idx, i))
-        sol.assignments[idx] = sigma
+        sol.assignments[idx] = sigma_hat if decision == "buy" else x
         trace.add(
             RequestRecord(
                 idx=idx,
@@ -180,7 +182,6 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                 witnesses=witnesses,
                 attach=x,
                 sigma_hat=sigma_hat,
-                sigma=sigma,
                 opened=opened,
                 edges=edges,
             )
@@ -194,10 +195,10 @@ CFL_SUMMARY_SHAPE = {"f_hat": [POINT]}
 
 
 # ---------------------------------------------------------------------------
-# Guarantee checks
+# Guarantee checks: check(m, seq, trace) -> violations
 # ---------------------------------------------------------------------------
 
-def check_cfl_invariants(trace: RunTrace, m: MetricSpace, root: int, M: float):
+def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """The five per-run facts of the buy/rent layer.
 
     (1) class-j buy clients pairwise >= 2^(j-1) apart; (2) c(H) <= sum 2 a_z;
@@ -214,11 +215,11 @@ def check_cfl_invariants(trace: RunTrace, m: MetricSpace, root: int, M: float):
     if exceeds(c_h, budget):
         out.append(f"c(H)={c_h:g} > sum 2 a_z = {budget:g}")
     share = cost_share(trace)
-    buy_mass = sum(M * rec.a for rec in buys)
+    buy_mass = sum(seq.M * rec.a for rec in buys)
     if exceeds(buy_mass, share):
         out.append(f"sum M a_z = {buy_mass:g} > share {share:g}")
     f_hat = set(trace.summary.get("f_hat", ()))
-    opened = {root} | {rec.opened for rec in buys if rec.opened is not None}
+    opened = {seq.root} | {rec.opened for rec in buys if rec.opened is not None}
     if not opened <= f_hat:
         out.append(f"opened facilities {sorted(opened - f_hat)} outside F_hat")
     for rec in buys:
@@ -228,12 +229,10 @@ def check_cfl_invariants(trace: RunTrace, m: MetricSpace, root: int, M: float):
     return out
 
 
-def check_cfl_cost_split(trace: RunTrace, m: MetricSpace, facilities):
-    """Opening + virtual/buy assignment cost is covered by the virtual solution.
-
-    `facilities` are the instance's (point, cost) pairs; the root's cost is 0.
-    """
-    costs = dict(facilities)
+def check_cfl_cost_split(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
+    """Opening + virtual/buy assignment cost is covered by the virtual solution,
+    at the instance's facility costs (the root's is 0)."""
+    costs = dict(seq.facilities)
     buys = [rec for rec in trace.records if rec.decision == "buy"]
     lhs = sum(costs.get(x, 0.0) for x in {rec.opened for rec in buys if rec.opened is not None})
     lhs += sum(rec.cost for rec in trace.records if rec.decision == "virtual")
@@ -247,10 +246,16 @@ def check_cfl_cost_split(trace: RunTrace, m: MetricSpace, facilities):
     return []
 
 
-def cfl_buy_rent_cost(trace: RunTrace, m: MetricSpace, M: float) -> float:
+def cfl_buy_rent_cost(m: MetricSpace, seq: RequestSequence, trace: RunTrace) -> float:
     """M c(H) + rent assignment costs: the part charged to the tree optimum."""
     rents = sum(rec.cost for rec in trace.records if rec.decision == "rent")
-    return M * _bought_length(trace, m) + rents
+    return seq.M * _bought_length(trace, m) + rents
+
+
+def check_buyrent_vs_share(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
+    """M c(H) + rents is at most three times the rent share."""
+    lhs, share = cfl_buy_rent_cost(m, seq, trace), cost_share(trace)
+    return [f"M c(H) + rents = {lhs:g} > 3 * share {share:g}"] if exceeds(lhs, 3 * share) else []
 
 
 def _bought_length(trace: RunTrace, m: MetricSpace) -> float:

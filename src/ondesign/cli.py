@@ -4,7 +4,7 @@ Every command is a deterministic function of its inputs and --seed; reports
 carry no timestamps so repeated runs are byte-identical.
 
 Exit codes: 0 ok; 2 schema/usage error; 3 infeasible run; 4 bound or embedding
-violation; 5 offline-oracle cap exceeded.
+violation; 5 offline-oracle cap exceeded.  A traceback (exit 1) is a program fault.
 """
 
 from __future__ import annotations

@@ -434,7 +434,9 @@ def check_feasible(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace
 
 @dataclass
 class RequestRecord:
-    """One trace row per request; problem-specific fields stay None when unused."""
+    """One trace row per request: what the run decided for it, never a fact of
+    the instance (its penalty, requirement or facility costs, which checks read
+    from the RequestSequence).  Problem-specific fields stay None when unused."""
 
     idx: int
     decision: str                      # buy | rent | penalty | virtual | bc | auto
@@ -447,13 +449,9 @@ class RequestRecord:
     attach: Optional[int] = None       # z / x: the point we connected or assigned to
     edges: tuple = ()                  # ((u, v, level), ...) for BC-style buys
     rho: Optional[float] = None        # PCST cost share
-    pi: Optional[float] = None
-    sigma_hat: Optional[int] = None    # CFL virtual assignment
-    sigma: Optional[int] = None        # CFL actual assignment
+    sigma_hat: Optional[int] = None    # CFL virtual assignment (a buy's actual one; else attach)
     opened: Optional[int] = None       # CFL facility opened by this request
     rent_endpoint: Optional[str] = None  # MROB: which endpoint entered R_j
-    level: Optional[int] = None        # SN: instantiation index l
-    copies: Optional[int] = None       # SN: 2^(l+1)
     feasible_now: bool = True
 
 
@@ -491,7 +489,7 @@ def _fits(value, shape, bounds) -> bool:
 _RECORD_INDICES = {
     "idx": REQUEST, "points": [POINT], "witnesses": [REQUEST], "witnesses_t": [REQUEST],
     "attach": (POINT, None), "edges": [[POINT, POINT, (int, None)]],
-    "sigma_hat": (POINT, None), "sigma": (POINT, None), "opened": (POINT, None),
+    "sigma_hat": (POINT, None), "opened": (POINT, None),
 }
 _ANNOTATED = {
     "int": int, "str": str, "float": float, "bool": bool,

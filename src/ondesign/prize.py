@@ -16,6 +16,7 @@ from .metric import (
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
+    RequestSequence,
     RunTrace,
     exceeds,
     floor_log2,
@@ -38,7 +39,7 @@ def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
             if i != z:
                 sol.buy(i, z)
             trace.add(
-                RequestRecord(idx=idx, decision="auto", points=(i,), a=0.0, attach=z, pi=pi, rho=0.0)
+                RequestRecord(idx=idx, decision="auto", points=(i,), a=0.0, attach=z, rho=0.0)
             )
             continue
         j = floor_log2(a)
@@ -69,7 +70,6 @@ def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
                 witnesses=witnesses,
                 attach=z,
                 rho=rho,
-                pi=pi,
                 edges=edges,
             )
         )
@@ -80,16 +80,17 @@ def total_share(trace: RunTrace) -> float:
     return sum(rec.rho or 0.0 for rec in trace.records)
 
 
-def positive_share_rows(trace: RunTrace) -> dict:
-    """Class c -> [(point, rho, pi)] over terminals with rho > 0."""
+def positive_share_rows(seq: RequestSequence, trace: RunTrace) -> dict:
+    """Class c -> [(point, rho, pi)] over terminals with rho > 0, pi the
+    instance's penalty of the record's request."""
     rows = {}
     for rec in trace.records:
         if rec.klass is not None and (rec.rho or 0.0) > 0:
-            rows.setdefault(rec.klass, []).append((rec.points[0], rec.rho, rec.pi))
+            rows.setdefault(rec.klass, []).append((rec.points[0], rec.rho, seq.requests[rec.idx][1]))
     return rows
 
 
-def check_pcst_run_invariants(trace: RunTrace, m: MetricSpace):
+def check_pcst_run_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """Per-run violations: total cost > 2 * sum(rho); rho > pi; same-class buys
     closer than 2^j."""
     out = []
@@ -98,25 +99,26 @@ def check_pcst_run_invariants(trace: RunTrace, m: MetricSpace):
     if exceeds(total, 2 * shares):
         out.append(f"total cost {total:g} > 2 * sum(rho) = {2 * shares:g}")
     for rec in trace.records:
-        if rec.rho is not None and rec.pi is not None and rec.rho > rec.pi:
-            out.append(f"request {rec.idx}: rho {rec.rho:g} > pi {rec.pi:g}")
-    return out + check_class_separation(trace, m)
+        pi = seq.requests[rec.idx][1]
+        if rec.rho is not None and rec.rho > pi:
+            out.append(f"request {rec.idx}: rho {rec.rho:g} > pi {pi:g}")
+    return out + check_class_separation(m, seq, trace)
 
 
-def check_pcst_invariants(trace: RunTrace, root: int, t_ext: Hst, point_rep=None):
+def check_pcst_invariants(seq: RequestSequence, trace: RunTrace, t_ext: Hst, point_rep=None):
     """Per-tree cut shares on the extended tree; returns (violations, flags).
 
     Violations: a level-j cut whose class-(j+1) share sum exceeds 2^(j+2) or is
-    nonzero in the cut holding `root`.  Flags (non-fatal): cut sums in
+    nonzero in the cut holding the root.  Flags (non-fatal): cut sums in
     (2^(j+1), 2^(j+2)], recorded for inspection.
     """
     out, flags = [], []
     rep = point_rep or (lambda p: p)
     rows_by_class = {
         c: [(rep(p), rho) for p, rho, _ in rows]
-        for c, rows in positive_share_rows(trace).items()
+        for c, rows in positive_share_rows(seq, trace).items()
     }
-    for j, _, holds_root, inside in class_cuts(t_ext, rows_by_class, 1, rep(root)):
+    for j, _, holds_root, inside in class_cuts(t_ext, rows_by_class, 1, rep(seq.root)):
         share = sum(rho for _, rho in inside)
         if share <= 0:
             continue

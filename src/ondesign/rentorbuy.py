@@ -25,7 +25,9 @@ from .metric import (
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
+    RequestSequence,
     RunTrace,
+    exceeds,
     floor_log2,
     pow2,
 )
@@ -114,7 +116,8 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Guarantee checks
+# Guarantee checks: check(m, seq, trace) -> violations, M and root read from
+# seq; check_greedy_replay also reads the run's solution
 # ---------------------------------------------------------------------------
 
 def cost_share(trace: RunTrace) -> float:
@@ -126,16 +129,22 @@ def cost_share(trace: RunTrace) -> float:
     return total
 
 
-def check_srob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
+def check_cost_vs_share(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
+    """SROB and MROB: the run's cost is at most twice the rent share."""
+    lhs, share = trace.total_cost(), cost_share(trace)
+    return [f"cost {lhs:g} > 2 * share {share:g}"] if exceeds(lhs, 2 * share) else []
+
+
+def check_srob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """SROB: the class-j buy terminals' witness sets are disjoint size->=M
     subsets of R_j.  (Their pairwise 2^j separation is check_class_separation.)"""
     out, rent_class = [], _rent_classes(trace)
     for j, rows in _buy_rows(trace, (0,)):
-        out += _witness_rows(rows, j, M, rent_class)
+        out += _witness_rows(rows, j, seq.M, rent_class)
     return out
 
 
-def check_mrob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
+def check_mrob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """MROB: per class j, the greedy maximal 2^(j-1)-separated subset Z'_j of
     the class-j buy endpoints (arrival order, s before t) must have disjoint
     witness sets, each a size->=M subset of R_j."""
@@ -145,7 +154,7 @@ def check_mrob_witnesses(trace: RunTrace, m: MetricSpace, M: float):
         for row in rows:
             if all(m.dist(row[1], prev[1]) >= pow2(j - 1) for prev in kept):
                 kept.append(row)
-        out += _witness_rows(kept, j, M, rent_class)
+        out += _witness_rows(kept, j, seq.M, rent_class)
     return out
 
 
@@ -223,14 +232,14 @@ def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, roo
     return out
 
 
-def check_greedy_replay(trace: RunTrace, m: MetricSpace, sol: MultiGraphSolution, root: int):
-    """H must equal the greedy Steiner tree from `root` replayed on the buy subsequence.
+def check_greedy_replay(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSolution, trace: RunTrace):
+    """H must equal the greedy Steiner tree from the root replayed on the buy subsequence.
 
     Zero-length edges (coincident auto-connects) are excluded on both sides;
     they carry no cost and their attachment point is representation detail.
     """
     buy_points = [rec.points[0] for rec in trace.records if rec.decision == "buy"]
-    replay_sol, _ = run_greedy_st(m, root, buy_points)
+    replay_sol, _ = run_greedy_st(m, seq.root, buy_points)
 
     def positive(bought):
         return {e: c for e, c in bought.items() if m.dist(*e) > 0}

@@ -35,8 +35,10 @@ from .metric import (
     MetricSpace,
     MultiGraphSolution,
     RequestRecord,
+    RequestSequence,
     RunTrace,
     UnionFind,
+    exceeds,
     floor_log2,
     max_flow,
     pow2,
@@ -221,8 +223,6 @@ def run_sn(m: MetricSpace, requests) -> tuple:
                 klass=klass,
                 cost=cost,
                 edges=edges,
-                level=lev,
-                copies=copies,
                 feasible_now=max_flow(sol.capacity(), s, t, limit=req) >= req,
             )
         )
@@ -231,10 +231,18 @@ def run_sn(m: MetricSpace, requests) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Structural guarantee checks
+# Structural guarantee checks: check(m, seq, trace) -> violations, or
+# check(m, seq, sol, trace) for those that also read the run's solution
 # ---------------------------------------------------------------------------
 
-def check_class_separation(trace: RunTrace, m: MetricSpace):
+def check_share_identity(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
+    """Greedy Steiner tree: sum a_i <= sum over classified arrivals of 2^(j+1)."""
+    lhs = trace.total_cost()
+    rhs = sum(pow2(r.klass + 1) for r in trace.records if r.klass is not None)
+    return [f"sum a_i = {lhs:g} > share {rhs:g}"] if exceeds(lhs, rhs, atol=0.0) else []
+
+
+def check_class_separation(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """Same-class terminals of a greedy run must be >= 2^j apart.
 
     Reads the records with decision "buy" and a class, and their first point:
@@ -309,7 +317,7 @@ def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
     return out
 
 
-def check_sn_decomposition(trace: RunTrace, sol: MultiGraphSolution):
+def check_sn_decomposition(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSolution, trace: RunTrace):
     """Every bought multiplicity must be the sum of `copies` over the forests holding the edge."""
     expect = {}
     for forest in _forests(trace):
@@ -327,7 +335,7 @@ def check_sn_decomposition(trace: RunTrace, sol: MultiGraphSolution):
     return out
 
 
-def check_bc_edge_property(trace: RunTrace, m: MetricSpace):
+def check_bc_edge_property(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """A_j edges have length < 2^(j+1) and endpoint classes >= j."""
     out = []
     for forest in _forests(trace):

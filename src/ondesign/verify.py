@@ -2,10 +2,11 @@
 guarantee as an executable check.
 
 `SPECS` holds one entry per problem: runner, per-run checks, per-tree checks
-with the constants of their bounds, and exact offline oracle.  Checks read the
-run's decisions from its trace and the instance's parameters (root, M,
-requests, facilities) from the RequestSequence.  Entries reach this module's
-functions through lambdas, so a call resolves each name when it happens.
+with the constants of their bounds, and exact offline oracle.  A per-run check
+is check(m, seq, trace), a solution check check(m, seq, sol, trace), each named
+by its report name; it reads the run's decisions from the trace and the
+instance (root, M, requests, facilities) only from the RequestSequence.
+Runners and oracles are lambdas, so a call resolves each name when it happens.
 Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
 Trees are sampled over the distinct positions of the arrived terminals
@@ -27,6 +28,7 @@ from .errors import OndesignError
 from .cfl import (
     CFL_SUMMARY_SHAPE,
     cfl_buy_rent_cost,
+    check_buyrent_vs_share,
     check_cfl_cost_split,
     check_cfl_invariants,
     run_cfl,
@@ -38,7 +40,6 @@ from .metric import (
     RequestSequence,
     check_feasible,
     exceeds,
-    pow2,
     solution_cost,
 )
 from .prize import (
@@ -49,6 +50,7 @@ from .prize import (
     total_share,
 )
 from .rentorbuy import (
+    check_cost_vs_share,
     check_cut_capacity,
     check_greedy_replay,
     check_mrob_witnesses,
@@ -62,6 +64,7 @@ from .steiner import (
     check_bc_edge_property,
     check_class_separation,
     check_metagraph_acyclic,
+    check_share_identity,
     check_sn_decomposition,
     covers_from_tree,
     run_bc_sf,
@@ -77,53 +80,6 @@ from .tree_opt import (
     opt_tree_steiner_tree,
     pcst_cut_lower_bound,
 )
-
-
-# ---------------------------------------------------------------------------
-# Per-run checks: (report name, check(m, seq, trace) -> violations).  They
-# read the trace only, so a replayed trace gets them too; the solution checks
-# at the end also compare it with the run's solution.
-# ---------------------------------------------------------------------------
-
-def _share_identity(m, seq, trace):
-    lhs = trace.total_cost()
-    rhs = sum(pow2(r.klass + 1) for r in trace.records if r.klass is not None)
-    return [f"sum a_i = {lhs:g} > share {rhs:g}"] if exceeds(lhs, rhs, atol=0.0) else []
-
-
-def _vs_share(label, factor, cost):
-    """The check cost(m, seq, trace) <= factor * the rent share."""
-
-    def check(m, seq, trace):
-        lhs, share = cost(m, seq, trace), cost_share(trace)
-        if exceeds(lhs, factor * share):
-            return [f"{label} {lhs:g} > {factor} * share {share:g}"]
-        return []
-
-    return check
-
-
-def _trace_cost(m, seq, trace):
-    return trace.total_cost()
-
-
-def _cfl_buy_rent_cost(m, seq, trace):
-    return cfl_buy_rent_cost(trace, m, seq.M)
-
-
-SHARE_IDENTITY = ("share_identity", _share_identity)
-CLASS_SEPARATION = ("class_separation", lambda m, seq, trace: check_class_separation(trace, m))
-BC_EDGE_PROPERTY = ("bc_edge_property", lambda m, seq, trace: check_bc_edge_property(trace, m))
-COST_VS_SHARE = ("cost_vs_share", _vs_share("cost", 2, _trace_cost))
-SROB_WITNESSES = ("witness_disjointness", lambda m, seq, trace: check_srob_witnesses(trace, m, seq.M))
-MROB_WITNESSES = ("witness_disjointness", lambda m, seq, trace: check_mrob_witnesses(trace, m, seq.M))
-CFL_INVARIANTS = ("cfl_invariants", lambda m, seq, trace: check_cfl_invariants(trace, m, seq.root, seq.M))
-CFL_COST_SPLIT = ("cfl_cost_split", lambda m, seq, trace: check_cfl_cost_split(trace, m, seq.facilities))
-BUYRENT_VS_SHARE = ("buyrent_vs_share", _vs_share("M c(H) + rents =", 3, _cfl_buy_rent_cost))
-PCST_INVARIANTS = ("pcst_run_invariants", lambda m, seq, trace: check_pcst_run_invariants(trace, m))
-# Solution checks: (report name, check(m, seq, sol, trace) -> violations).
-SN_DECOMPOSITION = ("sn_decomposition", lambda m, seq, sol, trace: check_sn_decomposition(trace, sol))
-GREEDY_REPLAY = ("greedy_replay", lambda m, seq, sol, trace: check_greedy_replay(trace, m, sol, seq.root))
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +127,23 @@ def _tree_sn(tally, m, seq, trace, t, rep, weights):
     tally.out += _metagraph(trace, t, rep)
 
 
-def _tree_rob_single(cost_name, cost, shift):
-    """SROB and CFL: share and cost(m, seq, trace) against the rent-or-buy tree
-    optimum; cut caps on class-(j + shift) rents."""
-
-    def check(tally, m, seq, trace, t, rep, weights):
-        t_ext = extend_singleton_levels(t)
-        opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
-        tally.bound("share_vs_tree", cost_share(trace), opt)
-        tally.bound(cost_name, cost(m, seq, trace), opt)
-        tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep, weights)
-
-    return check
+def _tree_rob_single(tally, seq, trace, t, rep, weights, cost_name, cost, shift):
+    """SROB and CFL: share and `cost` against the rent-or-buy tree optimum;
+    cut caps on class-(j + shift) rents."""
+    t_ext = extend_singleton_levels(t)
+    opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
+    tally.bound("share_vs_tree", cost_share(trace), opt)
+    tally.bound(cost_name, cost, opt)
+    tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep, weights)
 
 
-_tree_srob = _tree_rob_single("cost_vs_tree", _trace_cost, 1)
-_tree_cfl = _tree_rob_single("buyrent_vs_tree", _cfl_buy_rent_cost, 2)
+def _tree_srob(tally, m, seq, trace, t, rep, weights):
+    _tree_rob_single(tally, seq, trace, t, rep, weights, "cost_vs_tree", trace.total_cost(), 1)
+
+
+def _tree_cfl(tally, m, seq, trace, t, rep, weights):
+    cost = cfl_buy_rent_cost(m, seq, trace)
+    _tree_rob_single(tally, seq, trace, t, rep, weights, "buyrent_vs_tree", cost, 2)
 
 
 def _tree_mrob(tally, m, seq, trace, t, rep, weights):
@@ -201,12 +158,12 @@ def _tree_mrob(tally, m, seq, trace, t, rep, weights):
 
 def _tree_pcst(tally, m, seq, trace, t, rep, weights):
     t_ext = extend_singleton_levels(t)
-    tree_viol, tree_flags = check_pcst_invariants(trace, seq.root, t_ext, rep)
+    tree_viol, tree_flags = check_pcst_invariants(seq, trace, t_ext, rep)
     tally.out += tree_viol
     tally.flags += tree_flags
     rows = {
         c: [(rep(p), rho, pi) for p, rho, pi in lst]
-        for c, lst in positive_share_rows(trace).items()
+        for c, lst in positive_share_rows(seq, trace).items()
     }
     share = total_share(trace)
     lb = pcst_cut_lower_bound(t_ext, rep(seq.root), rows)
@@ -224,32 +181,32 @@ def _tree_pcst(tally, m, seq, trace, t, rep, weights):
 @dataclass(frozen=True)
 class ProblemSpec:
     run: Callable            # (m, seq) -> (solution, trace)
-    run_checks: tuple        # (name, check(m, seq, trace)), after cost and feasibility
+    run_checks: dict         # report name -> check(m, seq, trace), after cost and feasibility
     tree_checks: Callable    # see _Tally
     constants: dict          # per-tree bound name -> factor
     optimum: Callable        # (m, seq) -> exact offline optimum
-    solution_checks: tuple = ()  # (name, check(m, seq, sol, trace)); own runs only
+    solution_checks: dict = field(default_factory=dict)  # name -> check(m, seq, sol, trace); own runs only
     summary_shape: dict = field(default_factory=dict)  # of trace.summary, see metric._fits
 
 
 SPECS = {
     "SteinerTree": ProblemSpec(
         run=lambda m, seq: run_greedy_st(m, seq.root, seq.requests),
-        run_checks=(CLASS_SEPARATION, SHARE_IDENTITY),
+        run_checks={"class_separation": check_class_separation, "share_identity": check_share_identity},
         tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root}),
     ),
     "SteinerForest": ProblemSpec(
         run=lambda m, seq: run_bc_sf(m, seq.requests),
-        run_checks=(BC_EDGE_PROPERTY,),
+        run_checks={"bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
     ),
     "SteinerNetwork": ProblemSpec(
         run=lambda m, seq: run_sn(m, seq.requests),
-        run_checks=(BC_EDGE_PROPERTY,),
-        solution_checks=(SN_DECOMPOSITION,),
+        run_checks={"bc_edge_property": check_bc_edge_property},
+        solution_checks={"sn_decomposition": check_sn_decomposition},
         summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_sn_tiny(
@@ -258,21 +215,24 @@ SPECS = {
     ),
     "SROB": ProblemSpec(
         run=lambda m, seq: run_srob(m, seq.root, seq.requests, seq.M),
-        run_checks=(COST_VS_SHARE, SROB_WITNESSES, CLASS_SEPARATION),
-        solution_checks=(GREEDY_REPLAY,),
+        run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_srob_witnesses,
+                    "class_separation": check_class_separation},
+        solution_checks={"greedy_replay": check_greedy_replay},
         tree_checks=_tree_srob, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_srob(m, seq.root, seq.requests, seq.M),
     ),
     "MROB": ProblemSpec(
         run=lambda m, seq: run_mrob(m, seq.requests, seq.M),
-        run_checks=(COST_VS_SHARE, MROB_WITNESSES, BC_EDGE_PROPERTY),
+        run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_mrob_witnesses,
+                    "bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
     ),
     "CFL": ProblemSpec(
         run=lambda m, seq: run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M),
-        run_checks=(CFL_INVARIANTS, CFL_COST_SPLIT, BUYRENT_VS_SHARE),
+        run_checks={"cfl_invariants": check_cfl_invariants, "cfl_cost_split": check_cfl_cost_split,
+                    "buyrent_vs_share": check_buyrent_vs_share},
         summary_shape=CFL_SUMMARY_SHAPE,
         tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_cfl(
@@ -281,8 +241,8 @@ SPECS = {
     ),
     "PCST": ProblemSpec(
         run=lambda m, seq: run_pcst(m, seq.root, seq.requests),
-        run_checks=(PCST_INVARIANTS,),
-        solution_checks=(GREEDY_REPLAY,),
+        run_checks={"pcst_run_invariants": check_pcst_run_invariants},
+        solution_checks={"greedy_replay": check_greedy_replay},
         tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_pcst(m, seq.root, seq.requests),
     ),
@@ -342,12 +302,12 @@ def per_run_checks(m, seq, sol, trace):
         f"request {rec.idx} infeasible at arrival" for rec in trace.records if not rec.feasible_now
     ] + [f"request {i} infeasible in final state" for i, ok in enumerate(feas) if not ok]
     checks.append(("online_feasibility", prefix_bad))
-    checks += [(name, check(m, seq, trace)) for name, check in spec.run_checks]
-    return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks]
+    checks += [(name, check(m, seq, trace)) for name, check in spec.run_checks.items()]
+    return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks.items()]
 
 
-# What a malformed (e.g. forged) trace can make a check raise: such a check
-# reports "check error: ..." as its violation instead of crashing the run.
+# What a malformed forged trace can make a check raise: such a check reports
+# "check error: ..." as its violation instead of crashing the replay.
 _CHECK_ERRORS = (OndesignError, TypeError, ValueError)
 
 
@@ -363,17 +323,20 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
 
     Returns a deterministic report dict; `violations` empty iff everything
     passed.  A forged (replayed) trace replaces the algorithm's own run: it
-    has no solution, so it gets the spec's run checks, guarded as the
-    per-tree checks are, but neither the cost, feasibility nor solution checks.
+    has no solution, so it gets the spec's run checks but neither the cost,
+    feasibility nor solution checks.  Its checks, per-run and per-tree, are
+    guarded by _CHECK_ERRORS; on the own run a check that raises is a program
+    fault, and the exception propagates.
     """
     spec = SPECS[seq.problem]
     if forged_trace is None:
         sol, trace = run_problem(m, seq)
         checks = per_run_checks(m, seq, sol, trace)
         cost_doc = solution_cost(sol, seq, m).as_dict()
+        guard = ()  # an exception in a check of the own run is a program fault
     else:
-        trace = forged_trace
-        checks = [(name, _guarded_run_check(check, m, seq, trace)) for name, check in spec.run_checks]
+        trace, guard = forged_trace, _CHECK_ERRORS
+        checks = [(name, _guarded_run_check(check, m, seq, trace)) for name, check in spec.run_checks.items()]
         cost_doc = {"total": trace.total_cost()}
 
     points = tree_points(m, seq)
@@ -384,7 +347,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
     for trial in range(trials):
         try:
             viol, fl, rat = check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
-        except _CHECK_ERRORS as exc:
+        except guard as exc:
             viol, fl, rat = [f"check error: {exc}"], [], {}
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)

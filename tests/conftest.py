@@ -281,17 +281,17 @@ def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p:
     return out
 
 
-def brute_check_pcst_invariants(trace, root, t, rep=lambda p: p):
+def brute_check_pcst_invariants(seq, trace, t, rep=lambda p: p):
     """Reference for prize.check_pcst_invariants: membership tests on brute cuts."""
     from ondesign.metric import exceeds, pow2
     from ondesign.prize import positive_share_rows
 
     out, flags = [], []
-    by_class = {c: [(rep(p), rho) for p, rho, _ in rows] for c, rows in positive_share_rows(trace).items()}
+    by_class = {c: [(rep(p), rho) for p, rho, _ in rows] for c, rows in positive_share_rows(seq, trace).items()}
     for j in _levels(t):
         for cut in brute_cuts_at_level(t, j) if by_class.get(j + 1) else []:
             inside = sum(rho for p, rho in by_class[j + 1] if p in cut)
-            if inside > 0 and rep(root) in cut:
+            if inside > 0 and rep(seq.root) in cut:
                 out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
             elif inside > 0 and exceeds(inside, pow2(j + 2), atol=0.0):
                 out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")

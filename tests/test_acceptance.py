@@ -28,7 +28,7 @@ from conftest import (
 from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
 from ondesign.hst import extend_singleton_levels, sample_frt
-from ondesign.metric import RequestRecord, RunTrace, solution_cost
+from ondesign.metric import RequestRecord, RequestSequence, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
 from ondesign.cfl import check_cfl_invariants
@@ -136,7 +136,8 @@ def _forged_controls():
     forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.1, klass=1))
     forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.2, klass=1))
-    out.append(("r-sep", bool(check_class_separation(forged, m))))
+    tree_seq = RequestSequence(problem="SteinerTree", requests=(1, 2), root=0)
+    out.append(("r-sep", bool(check_class_separation(m, tree_seq, forged))))
 
     m3 = line_metric([0, 1, 2])
     tri = RunTrace()
@@ -151,7 +152,8 @@ def _forged_controls():
     shared.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2))
     shared.add(RequestRecord(idx=1, decision="buy", points=(2,), a=5.0, klass=2, witnesses=(0,)))
     shared.add(RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, witnesses=(0,)))
-    out.append(("witness-disjoint", bool(check_srob_witnesses(shared, m4, 1.0))))
+    srob = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
+    out.append(("witness-disjoint", bool(check_srob_witnesses(m4, srob, shared))))
 
     m5 = line_metric([0, 8])
     packed = RunTrace()
@@ -163,29 +165,33 @@ def _forged_controls():
     mrob = RunTrace()
     mrob.add(RequestRecord(idx=0, decision="buy", points=(0, 1), a=4.0, klass=2,
                            witnesses=(9,), witnesses_t=()))
-    out.append(("mrob-witness", bool(check_mrob_witnesses(mrob, m5, 2.0))))
+    mrob_seq = RequestSequence(problem="MROB", requests=((0, 1),), M=2.0)
+    out.append(("mrob-witness", bool(check_mrob_witnesses(m5, mrob_seq, mrob))))
 
     cfl = RunTrace()
     cfl.summary = {"f_hat": [0]}
     cfl.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
-                          sigma_hat=1, sigma=1, opened=1, edges=((1, 0, None),), witnesses=()))
+                          sigma_hat=1, opened=1, edges=((1, 0, None),), witnesses=()))
     m7 = line_metric([0, 8, 16])
     bad_open = RunTrace()
     bad_open.summary = {"f_hat": [0]}
     bad_open.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
-                               sigma_hat=2, sigma=2, opened=2, edges=((2, 0, None),), witnesses=()))
-    out.append(("cfl-foreign-facility", any("outside F_hat" in v for v in check_cfl_invariants(bad_open, m7, 0, 1.0))))
+                               sigma_hat=2, opened=2, edges=((2, 0, None),), witnesses=()))
+    cfl7 = RequestSequence(problem="CFL", requests=(1,), root=0, M=1.0, facilities=((0, 0.0), (2, 1.0)))
+    out.append(("cfl-foreign-facility", any("outside F_hat" in v for v in check_cfl_invariants(m7, cfl7, bad_open))))
 
     close = RunTrace()
     close.summary = {"f_hat": [0, 1]}
-    close.add(RequestRecord(idx=0, decision="buy", points=(0,), a=8.0, klass=3, sigma_hat=0, sigma=0, witnesses=()))
-    close.add(RequestRecord(idx=1, decision="buy", points=(1,), a=8.0, klass=3, sigma_hat=0, sigma=0, witnesses=()))
+    close.add(RequestRecord(idx=0, decision="buy", points=(0,), a=8.0, klass=3, sigma_hat=0, witnesses=()))
+    close.add(RequestRecord(idx=1, decision="buy", points=(1,), a=8.0, klass=3, sigma_hat=0, witnesses=()))
     m6 = line_metric([0, 1])
-    out.append(("cfl-sep", any("buy clients" in v for v in check_cfl_invariants(close, m6, 0, 0.0))))
+    cfl6 = RequestSequence(problem="CFL", requests=(0, 1), root=0, M=0.0, facilities=((0, 0.0), (1, 0.0)))
+    out.append(("cfl-sep", any("buy clients" in v for v in check_cfl_invariants(m6, cfl6, close))))
 
     rho = RunTrace()
-    rho.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, rho=5.0, pi=1.0))
-    viol = check_pcst_run_invariants(rho, m5)
+    rho.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, rho=5.0))
+    pcst = RequestSequence(problem="PCST", requests=((1, 1.0),), root=0)
+    viol = check_pcst_run_invariants(m5, pcst, rho)
     out.append(("pcst-rho", bool(viol)))
     return out
 

@@ -99,7 +99,8 @@ def test_cfl_virtual_when_near_root():
     m = line_metric([0, 1])
     sol, trace = run_cfl(m, [(0, 0.0)], 0, [1], M=1.0)
     rec = trace.records[0]
-    assert rec.decision == "virtual" and rec.cost == 1.0 and rec.sigma == 0
+    assert rec.decision == "virtual" and rec.cost == 1.0 and rec.attach == 0
+    assert sol.assignments == {0: 0}
 
 
 def test_cfl_rent_then_buy_on_coincident_witness():
@@ -114,24 +115,23 @@ def test_cfl_rent_then_buy_on_coincident_witness():
         ]
     ))
     facilities = [(0, 0.0), (3, 0.5)]
+    seq = RequestSequence(problem="CFL", requests=(1, 2), root=0, M=1.0, facilities=tuple(facilities))
     sol, trace = run_cfl(m, facilities, 0, [1, 2], M=1.0)
     first, second = trace.records
     assert first.decision == "rent" and first.cost == 32.0
     assert second.decision == "buy" and second.opened == 3
     assert sol.assignments == {0: 0, 1: 3}
     assert (0, 3) in sol.bought or (3, 0) in sol.bought
-    assert check_cfl_invariants(trace, m, 0, 1.0) == []
-    assert check_cfl_cost_split(trace, m, facilities) == []
+    assert check_cfl_invariants(m, seq, trace) == []
+    assert check_cfl_cost_split(m, seq, trace) == []
 
 
 def test_cfl_invariants_forged_foreign_facility():
     m = line_metric([0, 32, 33])
-    sol, trace = run_cfl(m, [(0, 0.0), (2, 1.0)], 0, [1], M=0.0)
+    seq = RequestSequence(problem="CFL", requests=(1,), root=0, M=0.0, facilities=((0, 0.0), (2, 1.0)))
+    sol, trace = run_cfl(m, list(seq.facilities), 0, seq.requests, M=0.0)
     trace.summary["f_hat"] = [0]  # pretend OFL never opened anything else
-    for rec in trace.records:
-        if rec.decision == "buy":
-            break
-    out = check_cfl_invariants(trace, m, 0, 0.0)
+    out = check_cfl_invariants(m, seq, trace)
     if any(r.decision == "buy" and r.opened is not None for r in trace.records):
         assert any("outside F_hat" in v for v in out)
 
@@ -155,8 +155,8 @@ def test_cfl_feasibility_and_cost():
     )
     assert all(check_feasible(sol, seq, m))
     assert solution_cost(sol, seq, m).total == pytest.approx(trace.total_cost())
-    assert check_cfl_invariants(trace, m, 0, 2.0) == []
-    assert check_cfl_cost_split(trace, m, facs) == []
+    assert check_cfl_invariants(m, seq, trace) == []
+    assert check_cfl_cost_split(m, seq, trace) == []
 
 
 def test_cfl_sharetree_prestudy_constant_16():
@@ -191,8 +191,9 @@ def test_cfl_sharetree_prestudy_constant_16():
 
 def test_cfl_buy_rent_cost_helper():
     m = line_metric([0, 32, 33])
-    sol, trace = run_cfl(m, [(0, 0.0), (2, 0.0)], 0, [1, 1], M=1.0)
-    val = cfl_buy_rent_cost(trace, m, 1.0)
+    seq = RequestSequence(problem="CFL", requests=(1, 1), root=0, M=1.0, facilities=((0, 0.0), (2, 0.0)))
+    sol, trace = run_cfl(m, list(seq.facilities), 0, seq.requests, M=1.0)
+    val = cfl_buy_rent_cost(m, seq, trace)
     assert val >= 0.0
 
 

@@ -1,0 +1,159 @@
+"""Every violation message of the per-run and solution checks fires.
+
+Each case builds a small instance, takes the algorithm's own run and tampers
+with it in one place: a forged trace replayed through verify_run (run checks
+only, no trees), or a tampered trace or solution passed to per_run_checks
+(cost consistency, feasibility and the solution checks, which only an own
+run gets).  The case's check must then report a message matching its
+template.  The per-tree cut and cover messages are fired in
+test_forged_replays.py.
+"""
+
+import dataclasses
+import re
+
+import pytest
+
+from ondesign.metric import MultiGraphSolution, RequestRecord, RunTrace, instance_from_dict
+from ondesign.verify import per_run_checks, run_problem, verify_run
+
+
+def _line(*xs):
+    return [[float(x), 0.0] for x in xs]
+
+
+ST = {"points": _line(0, 5, 6), "problem": "SteinerTree", "root": 0, "requests": [1, 2]}
+SF = {"points": _line(0, 1, 2), "problem": "SteinerForest", "requests": [[0, 2]]}
+SN = {"points": _line(0, 1, 3), "problem": "SteinerNetwork", "requests": [[0, 1, 2], [1, 2, 1]]}
+SROB = {"points": _line(0, 4, 5, 6), "problem": "SROB", "root": 0, "M": 1.0, "requests": [1, 2, 3]}
+# point 2 at 32 is a client, facility 3 at 33 costs 1; the root facility is point 0
+CFL = {"points": _line(0, 1, 32, 33), "problem": "CFL", "root": 0, "M": 1.0, "requests": [2, 3],
+       "facilities": [{"point": 0, "cost": 0.0}, {"point": 3, "cost": 1.0}]}
+PCST = {"points": _line(0, 1, 5, 9), "problem": "PCST", "root": 0, "requests": [[1, 0.5], [2, 0.5], [3, 0.5]]}
+
+
+def _records(trace, **change_by_idx):
+    """trace's records, record i updated with change_by_idx[f"r{i}"]."""
+    return [dataclasses.replace(r, **change_by_idx.get(f"r{r.idx}", {})) for r in trace.records]
+
+
+def _forest(trace, **change):
+    return {"forests": [{**trace.summary["forests"][0], **change}]}
+
+
+def _cfl_buy(idx, point, a, klass, **kw):
+    return RequestRecord(idx=idx, decision="buy", points=(point,), a=a, klass=klass, cost=a, **kw)
+
+
+# (doc, check, forge(trace) -> forged RunTrace, message pattern)
+FORGED = {
+    "share_identity": (
+        ST, "share_identity", lambda tr: RunTrace(_records(tr, r0={"cost": 50.0})),
+        r"sum a_i = 51 > share 10"),
+    "class_separation": (
+        ST, "class_separation",
+        lambda tr: RunTrace(_records(tr, r0={"klass": 1, "decision": "buy"}, r1={"klass": 1, "decision": "buy"})),
+        r"class 1: requests 0,1 at distance 1 < 2\^1"),
+    "edge too long": (
+        SF, "bc_edge_property", lambda tr: RunTrace(tr.records, _forest(tr, A=[[0, [[0, 2]]]])),
+        r"level 0: edge \(0,2\) too long"),
+    "endpoint class below": (
+        SF, "bc_edge_property", lambda tr: RunTrace(tr.records, _forest(tr, occ=[[0, 0], [2, 0]])),
+        r"level 1: edge \(0,2\) endpoint class below 1"),
+    "cost vs share": (
+        SROB, "cost_vs_share", lambda tr: RunTrace(_records(tr, r0={"cost": 40.0})),
+        r"cost 46 > 2 \* share 10"),
+    "witnesses too few": (
+        SROB, "witness_disjointness", lambda tr: RunTrace(_records(tr, r1={"witnesses": ()})),
+        r"class 2: buy request 1 has \|W\|=0 < M=1\.0"),
+    "witness not a rent": (
+        SROB, "witness_disjointness", lambda tr: RunTrace(_records(tr, r1={"witnesses": (2,)})),
+        r"class 2: witness 2 of request 1 is not a class-2 rent"),
+    "shared witnesses": (
+        SROB, "witness_disjointness",
+        lambda tr: RunTrace(_records(tr, r2={"decision": "buy", "klass": 2, "witnesses": (0,)})),
+        r"class 2: buys 1,2 share witnesses \[0\]"),
+    "cfl buy clients close": (
+        CFL, "cfl_invariants",
+        lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3), _cfl_buy(1, 3, 33.0, 5, sigma_hat=3)],
+                            {"f_hat": [0, 3]}),
+        r"class 5: buy clients 0,1 at 1 < 2\^4"),
+    "cfl c(H)": (
+        CFL, "cfl_invariants",
+        lambda tr: RunTrace([_cfl_buy(0, 2, 8.0, 3, sigma_hat=3, opened=3, edges=((3, 0, None),))],
+                            {"f_hat": [0, 3]}),
+        r"c\(H\)=33 > sum 2 a_z = 16"),
+    "cfl buy mass": (
+        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3)], {"f_hat": [0, 3]}),
+        r"sum M a_z = 32 > share 0"),
+    "cfl opened outside F_hat": (
+        CFL, "cfl_invariants",
+        lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3, opened=3, edges=((3, 0, None),))],
+                            {"f_hat": [0]}),
+        r"opened facilities \[3\] outside F_hat"),
+    "cfl sigma_hat far": (
+        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=0)], {"f_hat": [0]}),
+        r"buy client 0: d\(z, sigma_hat\)=32 >= a/4=8"),
+    "cfl cost split": (
+        CFL, "cfl_cost_split",
+        lambda tr: RunTrace(_records(tr, r0={"decision": "virtual", "cost": 100.0}), tr.summary),
+        r"cost split: 101 > virtual budget 5"),
+    "buyrent vs share": (
+        CFL, "buyrent_vs_share",
+        lambda tr: RunTrace([RequestRecord(idx=0, decision="rent", points=(2,), a=32.0, klass=0, cost=100.0)],
+                            tr.summary),
+        r"M c\(H\) \+ rents = 100 > 3 \* share 2"),
+    "pcst total cost": (
+        PCST, "pcst_run_invariants", lambda tr: RunTrace(_records(tr, r0={"cost": 10.0})),
+        r"total cost 11 > 2 \* sum\(rho\) = 3"),
+    "pcst rho over pi": (
+        PCST, "pcst_run_invariants", lambda tr: RunTrace(_records(tr, r2={"rho": 4.0})),
+        r"request 2: rho 4 > pi 0\.5"),
+}
+
+
+@pytest.mark.parametrize("doc, check, forge, pattern", FORGED.values(), ids=FORGED.keys())
+def test_forged_trace_fires(doc, check, forge, pattern):
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    assert verify_run(m, seq, trials=0, forged_trace=trace)["violations"] == 0
+    found = verify_run(m, seq, trials=0, forged_trace=forge(trace))["checks"][check]["violations"]
+    assert any(re.fullmatch(pattern, v) for v in found), found
+
+
+def _bought(sol, u, v):
+    """sol with one more copy of (u, v) bought."""
+    sol.buy(u, v)
+    return sol
+
+
+# (doc, check, tamper(sol, trace) -> (sol, trace), message pattern)
+TAMPERED = {
+    "cost consistency": (
+        SROB, "cost_consistency", lambda sol, tr: (_bought(sol, 0, 2), tr),
+        r"solution cost 15 != trace cost 10"),
+    "infeasible at arrival": (
+        ST, "online_feasibility", lambda sol, tr: (sol, RunTrace(_records(tr, r1={"feasible_now": False}))),
+        r"request 1 infeasible at arrival"),
+    "infeasible in final state": (
+        ST, "online_feasibility", lambda sol, tr: (MultiGraphSolution(), tr),
+        r"request 0 infeasible in final state"),
+    "sn multiplicity": (
+        SN, "sn_decomposition", lambda sol, tr: (_bought(sol, 0, 1), tr),
+        r"edge \(0, 1\): multiplicity 5 != decomposition 4"),
+    "sn not bought": (
+        SN, "sn_decomposition", lambda sol, tr: (MultiGraphSolution(), tr),
+        r"edge \(0, 1\): in decomposition but not bought"),
+    "greedy replay": (
+        SROB, "greedy_replay", lambda sol, tr: (_bought(sol, 1, 3), tr),
+        r"bought subgraph \[\(0, 2\), \(1, 3\)\] != greedy replay \[\(0, 2\)\]"),
+}
+
+
+@pytest.mark.parametrize("doc, check, tamper, pattern", TAMPERED.values(), ids=TAMPERED.keys())
+def test_tampered_run_fires(doc, check, tamper, pattern):
+    m, seq = instance_from_dict(doc)
+    sol, trace = run_problem(m, seq)
+    assert all(viol == [] for _, viol in per_run_checks(m, seq, sol, trace))
+    found = dict(per_run_checks(m, seq, *tamper(sol, trace)))[check]
+    assert any(re.fullmatch(pattern, v) for v in found), found

@@ -20,6 +20,9 @@ OWN_ST_RECORD = {
     "klass": 0, "cost": 1.0, "witnesses": [], "witnesses_t": [], "attach": 0,
     "edges": [[1, 0, None]], "feasible_now": True,
 }
+# record keys of older trace files: instance facts (pi; SN's level and copies,
+# computed from R) and CFL's sigma, which decision, attach and sigma_hat give
+DROPPED_KEYS = ("pi", "sigma", "level", "copies")
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -124,12 +127,10 @@ def test_verify_forged_trace_exit_4(tmp_path):
     rows = [
         {"idx": 0, "decision": "buy", "points": [1], "a": 2.1, "klass": 1, "cost": 2.1,
          "witnesses": [], "witnesses_t": [], "attach": 0, "edges": [[1, 0, None]],
-         "rho": None, "pi": None, "sigma_hat": None, "sigma": None, "opened": None,
-         "rent_endpoint": None, "level": None, "copies": None, "feasible_now": True},
+         "rho": None, "sigma_hat": None, "opened": None, "rent_endpoint": None, "feasible_now": True},
         {"idx": 1, "decision": "buy", "points": [2], "a": 2.2, "klass": 1, "cost": 2.2,
          "witnesses": [], "witnesses_t": [], "attach": 0, "edges": [[2, 0, None]],
-         "rho": None, "pi": None, "sigma_hat": None, "sigma": None, "opened": None,
-         "rent_endpoint": None, "level": None, "copies": None, "feasible_now": True},
+         "rho": None, "sigma_hat": None, "opened": None, "rent_endpoint": None, "feasible_now": True},
     ]
     trace_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     rc = main([
@@ -236,9 +237,8 @@ def test_verify_forged_cfl_rent_without_class_reports(tmp_path):
         {"matrix": [[0, 4, 5], [4, 0, 1], [5, 1, 0]], "problem": "CFL", "root": 0, "M": 2.0,
          "facilities": [{"point": 0, "cost": 0.0}, {"point": 2, "cost": 1.0}], "requests": [1, 2]},
     )
-    base = {"witnesses": [], "witnesses_t": [], "edges": [], "rho": None, "pi": None,
-            "opened": None, "rent_endpoint": None, "level": None, "copies": None,
-            "feasible_now": True, "decision": "rent", "attach": 0, "sigma_hat": 0, "sigma": 0}
+    base = {"witnesses": [], "witnesses_t": [], "edges": [], "rho": None, "opened": None,
+            "rent_endpoint": None, "feasible_now": True, "decision": "rent", "attach": 0, "sigma_hat": 0}
     rows = [dict(base, idx=0, points=[1], a=4.0, klass=None, cost=4.0),
             dict(base, idx=1, points=[2], a=5.0, klass=2, cost=5.0)]
     trace_path = tmp_path / "forged.jsonl"
@@ -339,9 +339,10 @@ def test_verify_forged_srob_repeated_rent_exit_4(tmp_path):
     json.dumps({**OWN_ST_RECORD, "attach": -1}) + "\n",
     json.dumps({**OWN_ST_RECORD, "idx": 1}) + "\n",
     json.dumps({**OWN_ST_RECORD, "witnesses": [-1]}) + "\n",
+    *(json.dumps({**OWN_ST_RECORD, key: None}) + "\n" for key in DROPPED_KEYS),
 ], ids=["missing-file", "not-json", "missing-fields", "unknown-field", "summary-type", "field-type",
         "point-out-of-range", "negative-point", "edge-out-of-range", "negative-attach",
-        "request-out-of-range", "negative-witness"])
+        "request-out-of-range", "negative-witness", *(f"dropped-{key}" for key in DROPPED_KEYS)])
 def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
     inst = write_instance(
         tmp_path,
@@ -399,7 +400,7 @@ def test_verify_pcst_run_violation_reported_once(tmp_path):
     assert main(["run", inst, "--algo", "PCST", "--out", str(res)]) == 0
     lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
     row = json.loads(lines[0])
-    assert row["decision"] == "penalty" and row["rho"] == 1.0 and row["pi"] == 1.0
+    assert row["decision"] == "penalty" and row["rho"] == 1.0
     forged = tmp_path / "forged.jsonl"
     forged.write_text("\n".join([json.dumps({**row, "rho": 5.0})] + lines[1:]) + "\n")
     out = tmp_path / "rep.json"
@@ -410,6 +411,55 @@ def test_verify_pcst_run_violation_reported_once(tmp_path):
     # each tree still fails its own cut-share checks, two per tree
     assert rep["tree_checks"]["fail"] == 10
     assert not any("rho" in v for v in rep["tree_checks"]["violations"])
+
+
+def test_verify_pcst_rho_over_instance_pi_exit_4(tmp_path):
+    # every record a buy whose share rho = 2^(klass+1) exceeds the instance's
+    # pi 0.5; the file has no field that could claim another pi
+    inst = write_instance(
+        tmp_path,
+        {"points": [[0, 0], [1, 0], [5, 0], [9, 0]], "problem": "PCST", "root": 0,
+         "requests": [[1, 0.5], [2, 0.5], [3, 0.5]]},
+    )
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "PCST", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines[:-1]]
+    assert [row["klass"] for row in rows] == [0, 2, 3]
+    forged = tmp_path / "forged.jsonl"
+    forged.write_text("".join(
+        json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": row["idx"], "decision": "buy",
+                    "points": row["points"], "a": row["a"], "klass": row["klass"], "cost": row["cost"],
+                    "rho": 2.0 ** (row["klass"] + 1), "witnesses": [], "witnesses_t": [], "edges": [],
+                    "feasible_now": True}) + "\n"
+        for row in rows
+    ) + lines[-1] + "\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", inst, "--trace", str(forged), "--trials", "2", "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["checks"]["pcst_run_invariants"] == {"fail": 3, "violations": [
+        "request 0: rho 2 > pi 0.5", "request 1: rho 8 > pi 0.5", "request 2: rho 16 > pi 0.5",
+    ]}
+
+
+def _raise_type_error(*args, **kwargs):
+    raise TypeError("boom")
+
+
+def test_check_exception_is_a_program_fault_on_own_runs_only(tmp_path, monkeypatch):
+    # an exception in a check of the algorithm's own run propagates (exit 1 from
+    # the command line); a forged replay reports it as a "check error" violation
+    doc = {"points": [[0, 0], [4, 0], [5, 0], [6, 0]], "problem": "SROB", "root": 0, "M": 1.0,
+           "requests": [1, 2, 3]}
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    monkeypatch.setattr("ondesign.verify.check_cut_capacity", _raise_type_error)
+    with pytest.raises(TypeError, match="boom"):
+        verify_run(m, seq, trials=2)
+    with pytest.raises(TypeError, match="boom"):
+        main(["verify", write_instance(tmp_path, doc), "--trials", "2", "--out", str(tmp_path / "rep.json")])
+    report = verify_run(m, seq, trials=2, forged_trace=trace)
+    assert report["tree_checks"] == {"fail": 2, "violations": [f"trial {i}: check error: boom" for i in range(2)]}
+    assert all(c["fail"] == 0 for c in report["checks"].values())
 
 
 @pytest.mark.parametrize("doc, check, violation", [

@@ -22,12 +22,13 @@ def pcst_metric():
 
 def test_pcst_penalty_then_buy():
     m = pcst_metric()
-    sol, trace = run_pcst(m, 0, [(2, 1.0), (3, 10.0)])
+    seq = RequestSequence(problem="PCST", requests=((2, 1.0), (3, 10.0)), root=0)
+    sol, trace = run_pcst(m, 0, seq.requests)
     first, second = trace.records
     assert first.decision == "penalty" and first.rho == 1.0
     assert second.decision == "buy" and second.rho == 7.0
     assert trace.total_cost() == 5.0
-    assert check_pcst_run_invariants(trace, m) == []
+    assert check_pcst_run_invariants(m, seq, trace) == []
 
 
 def test_pcst_zero_penalty():
@@ -51,7 +52,7 @@ def test_pcst_feasibility():
     sol, trace = run_pcst(m, 0, reqs)
     seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
     assert all(check_feasible(sol, seq, m))
-    assert check_greedy_replay(trace, m, sol, 0) == []
+    assert check_greedy_replay(m, seq, sol, trace) == []
 
 
 def test_pcst_cost_vs_shares():
@@ -63,12 +64,11 @@ def test_pcst_cost_vs_shares():
 
 def test_pcst_forged_rho_exceeds_pi():
     m = line_metric([0, 4])
+    seq = RequestSequence(problem="PCST", requests=((1, 1.0),), root=0)
     forged = RunTrace()
-    forged.add(
-        RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, cost=1.0, rho=5.0, pi=1.0)
-    )
-    viol = check_pcst_run_invariants(forged, m)
-    assert any("rho" in v for v in viol)
+    forged.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, cost=1.0, rho=5.0))
+    viol = check_pcst_run_invariants(m, seq, forged)
+    assert "request 0: rho 5 > pi 1" in viol
 
 
 def test_pcst_tree_invariants_and_bounds():
@@ -80,16 +80,17 @@ def test_pcst_tree_invariants_and_bounds():
             (int(p), float(rng.uniform(0, 2 * m.diameter())))
             for p in rng.integers(0, n, size=int(rng.integers(2, 9)))
         ]
+        seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
         sol, trace = run_pcst(m, 0, reqs)
         rep = position_reps(m, [p for p, _ in reqs] + [0])
         reps = sorted(set(rep.values()))
         t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial))
-        viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
-        assert check_pcst_run_invariants(trace, m) + viol == []
+        viol, flags = check_pcst_invariants(seq, trace, t_ext, rep.get)
+        assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
         rows = {
             c: [(rep[p], rho, pi) for p, rho, pi in lst]
-            for c, lst in positive_share_rows(trace).items()
+            for c, lst in positive_share_rows(seq, trace).items()
         }
         lb = pcst_cut_lower_bound(t_ext, rep[0], rows)
         opt = opt_tree_pcst(t_ext, rep[0], [(rep[p], pi) for p, pi in reqs])
@@ -109,11 +110,12 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
         for idx in range(int(rng.integers(1, 12))):
             trace.add(RequestRecord(
                 idx=idx, decision="buy", points=(int(rng.choice(pts + [len(pts)])),),
-                klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])), pi=50.0,
+                klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])),
             ))
-        root = int(rng.choice(pts))
-        got = check_pcst_invariants(trace, root, t)
-        assert got == brute_check_pcst_invariants(trace, root, t)
+        requests = tuple((rec.points[0], 50.0) for rec in trace.records)
+        seq = RequestSequence(problem="PCST", requests=requests, root=int(rng.choice(pts)))
+        got = check_pcst_invariants(seq, trace, t)
+        assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])
     assert flagged > 20
 
@@ -127,10 +129,10 @@ def test_pcst_all_zero_penalties():
 def test_pcst_flags_soft_range():
     # flags (not violations) may appear for cut sums in (2^(j+1), 2^(j+2)]
     m = euclid(np.random.default_rng(3).random((8, 2)) * 12)
-    reqs = [(int(p), 50.0) for p in range(1, 8)]
-    _, trace = run_pcst(m, 0, reqs)
+    seq = RequestSequence(problem="PCST", requests=tuple((p, 50.0) for p in range(1, 8)), root=0)
+    _, trace = run_pcst(m, 0, seq.requests)
     rep = position_reps(m, list(range(8)))
     t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0))
-    viol, flags = check_pcst_invariants(trace, 0, t_ext, rep.get)
-    assert check_pcst_run_invariants(trace, m) + viol == []
+    viol, flags = check_pcst_invariants(seq, trace, t_ext, rep.get)
+    assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)

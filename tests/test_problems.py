@@ -2,6 +2,7 @@
 `verify.SPECS` (analysis).  Every problem must round-trip through the instance
 JSON and keep its per-tree constants."""
 
+import inspect
 import json
 import math
 
@@ -45,6 +46,18 @@ def test_verify_constants_are_pinned(problem):
     report = verify_run(m, seq, trials=2, seed=1)
     assert report["constants"] == CONSTANTS[problem]
     assert report["violations"] == 0
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+def test_checks_share_one_signature(problem):
+    # each spec names its checks directly: check(m, seq, trace), or
+    # check(m, seq, sol, trace) for a solution check; no adapter in between
+    spec = SPECS[problem]
+    for checks, params in ((spec.run_checks, ["m", "seq", "trace"]),
+                           (spec.solution_checks, ["m", "seq", "sol", "trace"])):
+        for check in checks.values():
+            assert check.__name__.startswith("check_"), check
+            assert list(inspect.signature(check).parameters) == params, check.__name__
 
 
 def test_exceeds_tolerances():

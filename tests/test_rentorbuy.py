@@ -25,11 +25,12 @@ def test_srob_line_example():
 
 def test_srob_m_zero_always_buys():
     m = line_metric([0, 4, 5, 6])
-    sol, trace = run_srob(m, 0, [1, 2, 3], M=0.0)
+    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=0.0)
+    sol, trace = run_srob(m, 0, seq.requests, M=0.0)
     assert all(r.decision == "buy" for r in trace.records)
     assert trace.total_cost() == 0.0
     # H is the greedy Steiner tree over all terminals
-    assert check_greedy_replay(trace, m, sol, 0) == []
+    assert check_greedy_replay(m, seq, sol, trace) == []
 
 
 def test_srob_single_rent():
@@ -69,8 +70,9 @@ def test_mrob_single_pair_rents(two_point_metric):
 
 def test_witness_disjointness_srob_and_forged():
     m = line_metric([0, 4, 5, 6])
-    _, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
-    assert check_srob_witnesses(trace, m, 1.0) == []
+    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
+    _, trace = run_srob(m, 0, seq.requests, M=1.0)
+    assert check_srob_witnesses(m, seq, trace) == []
 
     forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2, cost=4.0))
@@ -80,14 +82,15 @@ def test_witness_disjointness_srob_and_forged():
     forged.add(
         RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, cost=6.0, witnesses=(0,))
     )
-    out = check_srob_witnesses(forged, m, 1.0)
+    out = check_srob_witnesses(m, seq, forged)
     assert any("share witnesses" in v for v in out)
 
 
 def test_witness_disjointness_mrob():
     m = line_metric([0, 1])
-    _, trace = run_mrob(m, [(0, 1)] * 3, M=1.0)
-    assert check_mrob_witnesses(trace, m, 1.0) == []
+    seq = RequestSequence(problem="MROB", requests=((0, 1),) * 3, M=1.0)
+    _, trace = run_mrob(m, seq.requests, M=1.0)
+    assert check_mrob_witnesses(m, seq, trace) == []
 
 
 def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
@@ -98,7 +101,8 @@ def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
             witnesses=(7,), witnesses_t=(8,),
         )
     )
-    out = check_mrob_witnesses(forged, two_point_metric, 2.0)
+    seq = RequestSequence(problem="MROB", requests=((0, 1),), M=2.0)
+    out = check_mrob_witnesses(two_point_metric, seq, forged)
     assert any("|W|" in v for v in out)
 
 
@@ -180,8 +184,9 @@ def test_greedy_replay_structural_equality():
     rng = np.random.default_rng(12)
     m = euclid(rng.random((14, 2)) * 15)
     terms = [int(x) for x in rng.integers(1, 14, size=12)]
+    seq = RequestSequence(problem="SROB", requests=tuple(terms), root=0, M=1.5)
     sol, trace = run_srob(m, 0, terms, M=1.5)
-    assert check_greedy_replay(trace, m, sol, 0) == []
+    assert check_greedy_replay(m, seq, sol, trace) == []
 
 
 def test_share_bound_exact_arithmetic():

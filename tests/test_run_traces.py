@@ -49,13 +49,13 @@ def _run_bytes(tmp_path, pidx, problem):
 
 # SHA-256 of each problem's _run_bytes.
 DIGESTS = {
-    "SteinerTree": "1d15d117d11fe5b6a9c4cbb622fb943bd3e920795c3cf349c703169ea4e376dd",
-    "SteinerForest": "87ca9151193601d13ec9dcf9266cc73005a071b8f917f706e39cd590d168993a",
-    "SteinerNetwork": "a8de0ff9885c9de14e7eb9eb0873583a7984b55043f26d5f840829579a31edde",
-    "SROB": "7b214fcc0b6694add764563b081c043204abc87cd75ba42b9e6f210b2df00e78",
-    "MROB": "d973ae15928fcc64be6b83cead8cf0e0dfc1f27e79aec21352e0459c11615f2e",
-    "CFL": "e4330e5a1f11e881f4fda9dd13f1b61b06a3d232f44530ab3ae19bf3492f9834",
-    "PCST": "79bf0c4e35d819d88526505fc89283addab1708802b8dc48c87d5a0d044b66f6",
+    "SteinerTree": "ea2fc5b0d0db5d3af989267b4cd3a478ef6b13a85270290d1fee71ce0544000e",
+    "SteinerForest": "b9188b6067474ca4599e9be3da9ac73d50fc79764e49423a1e10ceb960026a55",
+    "SteinerNetwork": "63ab1527ac966bfa1337b50858774882e212295490abf96b1e16d14c75c795a0",
+    "SROB": "c0321892a923977f5f7194cc57e291c2b6217b9322bde8fbab9de4fe8ecd5325",
+    "MROB": "fe7598584abc3ec4afdbd3ad269f699f1b4d2c51a85d35559a10a9a18559ff51",
+    "CFL": "8d0f7f8a55baba90b4fb5447ecb4409e1e81bf96b18d9fa5fa402fcd8fa08d0f",
+    "PCST": "8836d5db89c897ff97c65fe1abd8afd18aeff4aff8df428ba1ac342d4a05cb52",
 }
 
 

@@ -88,7 +88,8 @@ def test_bc_edge_property_random():
     m = euclid(rng.random((12, 2)) * 9)
     pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(7)]
     _, trace = run_bc_sf(m, pairs)
-    assert check_bc_edge_property(trace, m) == []
+    seq = RequestSequence(problem="SteinerForest", requests=tuple(pairs))
+    assert check_bc_edge_property(m, seq, trace) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,25 +138,25 @@ def test_sn_feasibility_and_decomposition():
     assert all(r.feasible_now for r in trace.records)
     seq = RequestSequence(problem="SteinerNetwork", requests=tuple(reqs))
     assert all(check_feasible(sol, seq, m))
-    assert check_sn_decomposition(trace, sol) == []
+    assert check_sn_decomposition(m, seq, sol, trace) == []
 
 
 def test_class_separation_pass_and_forged():
     m = line_metric([0, 1, 3])
-    _, trace = run_greedy_st(m, 0, [1, 2])
-    assert check_class_separation(trace, m) == []
+    seq = RequestSequence(problem="SteinerTree", requests=(1, 2), root=0)
+    _, trace = run_greedy_st(m, 0, seq.requests)
+    assert check_class_separation(m, seq, trace) == []
     forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.0, klass=1, cost=2.0))
     forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.0, klass=1, cost=2.0))
     # points 1 and 2 are at distance 2 in this metric: fine; forge closer ones
     m2 = line_metric([0, 5, 6])
-    assert check_class_separation(forged, m2) != []  # d(1,2)=1 < 2^1
+    assert check_class_separation(m2, seq, forged) != []  # d(1,2)=1 < 2^1
 
 
 def test_class_separation_empty():
-    trace = RunTrace()
-    m = line_metric([0, 1])
-    assert check_class_separation(trace, m) == []
+    seq = RequestSequence(problem="SteinerTree", requests=(), root=0)
+    assert check_class_separation(line_metric([0, 1]), seq, RunTrace()) == []
 
 
 def test_metagraph_single_pair(two_point_metric):
