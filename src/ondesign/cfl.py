@@ -28,9 +28,10 @@ A record's `cost` is what its client paid: a_i when virtual or renting;
 d(i, sigma_hat) when buying, plus f(sigma_hat) + M d(sigma_hat, x) when it
 opens sigma_hat.  A client's actual assignment is sigma_hat when it buys and
 x (`attach`) otherwise.  The checks read each client's trace record
-(decision, a_i, class, witnesses, sigma_hat, the facility it opened) and the
-summary's F_hat (`f_hat`, opened virtual facilities in order); root, M and
-facility costs come from the RequestSequence.
+(decision, class, witnesses, x, sigma_hat, the facility it opened) and the
+summary's F_hat (`f_hat`, opened virtual facilities in order); the client's
+point, root, M and facility costs come from the RequestSequence.  A buy's
+a_z is d(z, x), and the edge it bought is (opened, x).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
         near = _nearest_in(built, row)
         x, a = ofl.points[near], float(row[near])
         d_hat = m.dist(i, sigma_hat)
-        witnesses, opened, edges = (), None, ()
+        witnesses, opened = (), None
         if a <= 4 * d_hat:
             j = floor_log2(a) if a > 0 else None
             decision, cost = "virtual", a
@@ -165,7 +166,7 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
                     sol.opened.add(sigma_hat)
                     built |= ofl._fac == sigma_hat
                     sol.buy(sigma_hat, x)
-                    opened, edges = sigma_hat, ((sigma_hat, x, None),)
+                    opened = sigma_hat
                     cost += ofl.costs[sigma_hat] + M * m.dist(sigma_hat, x)
             else:
                 decision, cost = "rent", a
@@ -175,15 +176,12 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
             RequestRecord(
                 idx=idx,
                 decision=decision,
-                points=(i,),
-                a=a,
                 klass=j,
                 cost=cost,
                 witnesses=witnesses,
                 attach=x,
                 sigma_hat=sigma_hat,
                 opened=opened,
-                edges=edges,
             )
         )
     trace.summary = {"f_hat": list(ofl.open_order)}
@@ -208,24 +206,25 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     buys = [r for r in trace.records if r.decision == "buy"]
     out = [
         f"class {j}: buy clients {ra.idx},{rb.idx} at {d:g} < 2^{j - 1}"
-        for j, ra, rb, d in same_class_closer(buys, m, -1)
+        for j, ra, rb, d in same_class_closer(buys, m, seq, -1)
     ]
+    a_z = [m.dist(seq.requests[rec.idx], rec.attach) for rec in buys]
     c_h = _bought_length(trace, m)
-    budget = sum(2 * rec.a for rec in buys)
+    budget = sum(2 * a for a in a_z)
     if exceeds(c_h, budget):
         out.append(f"c(H)={c_h:g} > sum 2 a_z = {budget:g}")
     share = cost_share(trace)
-    buy_mass = sum(seq.M * rec.a for rec in buys)
+    buy_mass = sum(seq.M * a for a in a_z)
     if exceeds(buy_mass, share):
         out.append(f"sum M a_z = {buy_mass:g} > share {share:g}")
     f_hat = set(trace.summary.get("f_hat", ()))
     opened = {seq.root} | {rec.opened for rec in buys if rec.opened is not None}
     if not opened <= f_hat:
         out.append(f"opened facilities {sorted(opened - f_hat)} outside F_hat")
-    for rec in buys:
-        d_hat = m.dist(rec.points[0], rec.sigma_hat)
-        if not d_hat < rec.a / 4:
-            out.append(f"buy client {rec.idx}: d(z, sigma_hat)={d_hat:g} >= a/4={rec.a / 4:g}")
+    for rec, a in zip(buys, a_z):
+        d_hat = m.dist(seq.requests[rec.idx], rec.sigma_hat)
+        if not d_hat < a / 4:
+            out.append(f"buy client {rec.idx}: d(z, sigma_hat)={d_hat:g} >= a/4={a / 4:g}")
     return out
 
 
@@ -236,10 +235,10 @@ def check_cfl_cost_split(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     buys = [rec for rec in trace.records if rec.decision == "buy"]
     lhs = sum(costs.get(x, 0.0) for x in {rec.opened for rec in buys if rec.opened is not None})
     lhs += sum(rec.cost for rec in trace.records if rec.decision == "virtual")
-    lhs += sum(m.dist(rec.points[0], rec.sigma_hat) for rec in buys)
+    lhs += sum(m.dist(seq.requests[rec.idx], rec.sigma_hat) for rec in buys)
     rhs = sum(costs.get(x, 0.0) for x in trace.summary.get("f_hat", ()))
     rhs += 4 * sum(
-        m.dist(rec.points[0], rec.sigma_hat) for rec in trace.records if rec.sigma_hat is not None
+        m.dist(seq.requests[rec.idx], rec.sigma_hat) for rec in trace.records if rec.sigma_hat is not None
     )
     if exceeds(lhs, rhs):
         return [f"cost split: {lhs:g} > virtual budget {rhs:g}"]
@@ -259,5 +258,7 @@ def check_buyrent_vs_share(m: MetricSpace, seq: RequestSequence, trace: RunTrace
 
 
 def _bought_length(trace: RunTrace, m: MetricSpace) -> float:
-    """c(H): the length of the edges the buy clients bought."""
-    return sum(m.dist(*rec.edges[0][:2]) for rec in trace.records if rec.decision == "buy" and rec.edges)
+    """c(H): the length of the edges (opened, x) the buy clients bought."""
+    return sum(
+        m.dist(rec.opened, rec.attach) for rec in trace.records if rec.decision == "buy" and rec.opened is not None
+    )

@@ -435,19 +435,18 @@ def check_feasible(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace
 @dataclass
 class RequestRecord:
     """One trace row per request: what the run decided for it, never a fact of
-    the instance (its penalty, requirement or facility costs, which checks read
-    from the RequestSequence).  Problem-specific fields stay None when unused."""
+    the instance.  Checks read request idx's endpoints (seq.request_points(idx)),
+    their distance and its penalty, requirement or facility costs from the
+    RequestSequence, and its bought edges from the forest summary or `attach`.
+    Problem-specific fields stay None when unused."""
 
     idx: int
     decision: str                      # buy | rent | penalty | virtual | bc | auto
-    points: tuple
-    a: Optional[float] = None
-    klass: Optional[int] = None        # floor(log2 a); None for coincident requests
+    klass: Optional[int] = None        # floor(log2 a_i); None for coincident requests
     cost: float = 0.0
     witnesses: tuple = ()              # witness request indices (s-side for MROB)
     witnesses_t: tuple = ()            # MROB: t-side witness set
     attach: Optional[int] = None       # z / x: the point we connected or assigned to
-    edges: tuple = ()                  # ((u, v, level), ...) for BC-style buys
     rho: Optional[float] = None        # PCST cost share
     sigma_hat: Optional[int] = None    # CFL virtual assignment (a buy's actual one; else attach)
     opened: Optional[int] = None       # CFL facility opened by this request
@@ -487,9 +486,8 @@ def _fits(value, shape, bounds) -> bool:
 # A record field's shape: the fields naming points or requests, every other
 # field by its annotation (a new tuple field needs an entry here).
 _RECORD_INDICES = {
-    "idx": REQUEST, "points": [POINT], "witnesses": [REQUEST], "witnesses_t": [REQUEST],
-    "attach": (POINT, None), "edges": [[POINT, POINT, (int, None)]],
-    "sigma_hat": (POINT, None), "opened": (POINT, None),
+    "idx": REQUEST, "witnesses": [REQUEST], "witnesses_t": [REQUEST],
+    "attach": (POINT, None), "sigma_hat": (POINT, None), "opened": (POINT, None),
 }
 _ANNOTATED = {
     "int": int, "str": str, "float": float, "bool": bool,
@@ -541,8 +539,7 @@ class RunTrace:
                         if wrong:
                             raise ValueError(f"line {line}: field {wrong[0]} has the wrong type or range")
                         trace.add(RequestRecord(**dict(
-                            row, points=tuple(row["points"]), witnesses=tuple(row["witnesses"]),
-                            witnesses_t=tuple(row["witnesses_t"]), edges=tuple(map(tuple, row["edges"])),
+                            row, witnesses=tuple(row["witnesses"]), witnesses_t=tuple(row["witnesses_t"]),
                         )))
                     else:
                         raise ValueError(f"line {line} is neither a record nor the summary")

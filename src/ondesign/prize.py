@@ -38,9 +38,7 @@ def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
-            trace.add(
-                RequestRecord(idx=idx, decision="auto", points=(i,), a=0.0, attach=z, rho=0.0)
-            )
+            trace.add(RequestRecord(idx=idx, decision="auto", attach=z, rho=0.0))
             continue
         j = floor_log2(a)
         radius = pow2(j - 1)
@@ -55,23 +53,12 @@ def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
         if buying:
             sol.buy(i, z)
             buys.append(i)
-            decision, cost, edges = "buy", a, ((i, z, None),)
+            decision, cost = "buy", a
         else:
             sol.penalties_paid.add(idx)
-            decision, cost, edges = "penalty", pi, ()
+            decision, cost = "penalty", pi
         trace.add(
-            RequestRecord(
-                idx=idx,
-                decision=decision,
-                points=(i,),
-                a=a,
-                klass=j,
-                cost=cost,
-                witnesses=witnesses,
-                attach=z,
-                rho=rho,
-                edges=edges,
-            )
+            RequestRecord(idx=idx, decision=decision, klass=j, cost=cost, witnesses=witnesses, attach=z, rho=rho)
         )
     return sol, trace
 
@@ -81,12 +68,13 @@ def total_share(trace: RunTrace) -> float:
 
 
 def positive_share_rows(seq: RequestSequence, trace: RunTrace) -> dict:
-    """Class c -> [(point, rho, pi)] over terminals with rho > 0, pi the
-    instance's penalty of the record's request."""
+    """Class c -> [(point, rho, pi)] over terminals with rho > 0, the point and
+    pi those of the record's request in the instance."""
     rows = {}
     for rec in trace.records:
         if rec.klass is not None and (rec.rho or 0.0) > 0:
-            rows.setdefault(rec.klass, []).append((rec.points[0], rec.rho, seq.requests[rec.idx][1]))
+            point, pi = seq.requests[rec.idx]
+            rows.setdefault(rec.klass, []).append((point, rec.rho, pi))
     return rows
 
 

@@ -44,7 +44,7 @@ def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
-            trace.add(RequestRecord(idx=idx, decision="auto", points=(i,), a=0.0, attach=z))
+            trace.add(RequestRecord(idx=idx, decision="auto", attach=z))
             continue
         j = floor_log2(a)
         radius = pow2(j - 1)
@@ -57,19 +57,7 @@ def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
             sol.rent(idx, i, z)
             rents.setdefault(j, []).append((idx, i))
             decision, cost = "rent", a
-        trace.add(
-            RequestRecord(
-                idx=idx,
-                decision=decision,
-                points=(i,),
-                a=a,
-                klass=j,
-                cost=cost,
-                witnesses=witnesses,
-                attach=z,
-                edges=((i, z, None),) if decision == "buy" else (),
-            )
-        )
+        trace.add(RequestRecord(idx=idx, decision=decision, klass=j, cost=cost, witnesses=witnesses, attach=z))
     return sol, trace
 
 
@@ -81,7 +69,7 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
     for idx, (s, t) in enumerate(pairs):
         d = m.dist(s, t)
         if d == 0.0:
-            trace.add(RequestRecord(idx=idx, decision="auto", points=(s, t), a=0.0))
+            trace.add(RequestRecord(idx=idx, decision="auto"))
             continue
         j = floor_log2(d)
         radius = pow2(j - 2)
@@ -92,22 +80,19 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
             endpoint = "s" if len(ws) < M else "t"
             rents.setdefault(j, []).append((idx, s if endpoint == "s" else t))
             sol.rent(idx, s, t)
-            decision, cost, edges, feasible = "rent", d, (), True
+            decision, cost, feasible = "rent", d, True
         else:
-            _, cost, edges = bc.buy_pair(sol, s, t, weight=M)
+            _, cost = bc.buy_pair(sol, s, t, weight=M)
             decision, endpoint, feasible = "buy", None, bc.connected(s, t)
         trace.add(
             RequestRecord(
                 idx=idx,
                 decision=decision,
-                points=(s, t),
-                a=d,
                 klass=j,
                 cost=cost,
                 witnesses=ws,
                 witnesses_t=wt,
                 rent_endpoint=endpoint,
-                edges=edges,
                 feasible_now=feasible,
             )
         )
@@ -116,8 +101,8 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Guarantee checks: check(m, seq, trace) -> violations, M and root read from
-# seq; check_greedy_replay also reads the run's solution
+# Guarantee checks: check(m, seq, trace) -> violations, M, root and request
+# endpoints read from seq; check_greedy_replay also reads the run's solution
 # ---------------------------------------------------------------------------
 
 def cost_share(trace: RunTrace) -> float:
@@ -139,7 +124,7 @@ def check_srob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """SROB: the class-j buy terminals' witness sets are disjoint size->=M
     subsets of R_j.  (Their pairwise 2^j separation is check_class_separation.)"""
     out, rent_class = [], _rent_classes(trace)
-    for j, rows in _buy_rows(trace, (0,)):
+    for j, rows in _buy_rows(seq, trace, (0,)):
         out += _witness_rows(rows, j, seq.M, rent_class)
     return out
 
@@ -149,7 +134,7 @@ def check_mrob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     the class-j buy endpoints (arrival order, s before t) must have disjoint
     witness sets, each a size->=M subset of R_j."""
     out, rent_class = [], _rent_classes(trace)
-    for j, rows in _buy_rows(trace, (0, 1)):
+    for j, rows in _buy_rows(seq, trace, (0, 1)):
         kept = []
         for row in rows:
             if all(m.dist(row[1], prev[1]) >= pow2(j - 1) for prev in kept):
@@ -158,14 +143,15 @@ def check_mrob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     return out
 
 
-def _buy_rows(trace: RunTrace, ends):
-    """[(j, [(idx, point, witness set)])] over the buy records' endpoints `ends`."""
+def _buy_rows(seq: RequestSequence, trace: RunTrace, ends):
+    """[(j, [(idx, point, witness set)])] over the buy records' request endpoints `ends`."""
     groups = {}
     for rec in trace.records:
         if rec.decision == "buy":
+            points = seq.request_points(rec.idx)
             for e in ends:
                 wit = (rec.witnesses, rec.witnesses_t)[e]
-                groups.setdefault(rec.klass, []).append((rec.idx, rec.points[e], set(wit)))
+                groups.setdefault(rec.klass, []).append((rec.idx, points[e], set(wit)))
     return sorted(groups.items())
 
 
@@ -189,29 +175,31 @@ def _witness_rows(rows, j, M, rent_class):
     return out
 
 
-def check_cut_capacity(trace: RunTrace, t: Hst, M: float, shift: int, pairs, root=None, point_rep=None,
-                       weights=None):
+def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int, point_rep=None, weights=None):
     """Per-level rent caps on an extended tree's cuts.
 
-    Reads the classified rent records' rent points (points[1] if rent_endpoint
-    is "t", else points[0]).  A level-j cut C holding `root` must hold no
-    class-(j + shift) rent (shift 1 for SROB, 2 for CFL and MROB); any other
-    at most ceil(M) occurrences, and at most w(C) of them, the requests whose
-    leaves C holds (`weights` maps terminal point -> request multiplicity,
-    default 1 each) or, given leaf `pairs`, at most the |D(C)| pairs it
-    separates.  Cuts at level 0 (terminal singletons) participate.
+    Reads the classified rent records' rent points: the request's last point
+    (a pair's t end) if rent_endpoint is "t", else its first.  A level-j cut
+    C holding the root must hold no class-(j + shift) rent (shift 1 for SROB,
+    2 for CFL and MROB); any other at most ceil(M) occurrences, and at most
+    w(C) of them, the requests whose leaves C holds (`weights` maps terminal
+    point -> request multiplicity, default 1 each) or, for pair requests, at
+    most the |D(C)| pairs it separates.  Cuts at level 0 (terminal
+    singletons) participate.
     """
     rep = point_rep or (lambda p: p)
-    cap_m = math.ceil(M)
+    cap_m = math.ceil(seq.M)
     per_leaf = [(weights or {}).get(p, 1) for p in t.terminals]
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
-            p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
+            points = seq.request_points(rec.idx)
+            p = points[-1] if rec.rent_endpoint == "t" else points[0]
             rents.setdefault(rec.klass, []).append((rep(p), rec.idx))
-    ends = None if pairs is None else [p for pair in pairs for p in pair]
+    # pair requests have no root; their cut sizes are the pairs a cut separates
+    ends = None if seq.root is not None else [rep(p) for pair in seq.requests for p in pair]
     out, level = [], None
-    for j, cut, holds_root, inside in class_cuts(t, rents, shift, rep(root)):
+    for j, cut, holds_root, inside in class_cuts(t, rents, shift, rep(seq.root)):
         if holds_root:
             out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
             continue
@@ -238,7 +226,7 @@ def check_greedy_replay(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSol
     Zero-length edges (coincident auto-connects) are excluded on both sides;
     they carry no cost and their attachment point is representation detail.
     """
-    buy_points = [rec.points[0] for rec in trace.records if rec.decision == "buy"]
+    buy_points = [seq.request_points(rec.idx)[0] for rec in trace.records if rec.decision == "buy"]
     replay_sol, _ = run_greedy_st(m, seq.root, buy_points)
 
     def positive(bought):

@@ -107,13 +107,13 @@ class BcForest:
         return klass, added
 
     def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, weight):
-        """add_pair, buying each edge: (class, weight * length, leveled edges)."""
+        """add_pair, buying each edge: (class, weight * length)."""
         klass, added = self.add_pair(s, t)
         cost = 0.0
         for u, v, _ in added:
             sol.buy(u, v, copies=self.copies)
             cost += weight * self.m.dist(u, v)
-        return klass, cost, tuple(e for e in added if e[2] is not None)
+        return klass, cost
 
     # The shape (see metric._fits) of a trace summary {"forests": [summary(), ...]}.
     SUMMARY_SHAPE = {"forests": [{
@@ -151,21 +151,10 @@ def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
-            trace.add(RequestRecord(idx=idx, decision="auto", points=(i,), a=0.0, attach=z))
+            trace.add(RequestRecord(idx=idx, decision="auto", attach=z))
             continue
         sol.buy(i, z)
-        trace.add(
-            RequestRecord(
-                idx=idx,
-                decision="buy",
-                points=(i,),
-                a=a,
-                klass=floor_log2(a),
-                cost=a,
-                attach=z,
-                edges=((i, z, None),),
-            )
-        )
+        trace.add(RequestRecord(idx=idx, decision="buy", klass=floor_log2(a), cost=a, attach=z))
     return sol, trace
 
 
@@ -174,22 +163,11 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
     trace = RunTrace()
     bc = BcForest(m, 1)
     for idx, (s, t) in enumerate(pairs):
-        klass, cost, edges = bc.buy_pair(sol, s, t, 1)
+        klass, cost = bc.buy_pair(sol, s, t, 1)
         if klass is None:
-            trace.add(RequestRecord(idx=idx, decision="auto", points=(s, t), a=0.0))
+            trace.add(RequestRecord(idx=idx, decision="auto"))
             continue
-        trace.add(
-            RequestRecord(
-                idx=idx,
-                decision="bc",
-                points=(s, t),
-                a=m.dist(s, t),
-                klass=klass,
-                cost=cost,
-                edges=edges,
-                feasible_now=bc.connected(s, t),
-            )
-        )
+        trace.add(RequestRecord(idx=idx, decision="bc", klass=klass, cost=cost, feasible_now=bc.connected(s, t)))
     trace.summary = {"forests": [bc.summary()]}
     return sol, trace
 
@@ -208,24 +186,14 @@ def run_sn(m: MetricSpace, requests) -> tuple:
             raise InvalidRequirement(f"request {idx}: R={req!r}")
         req = int(req)
         if m.dist(s, t) == 0.0:
-            trace.add(RequestRecord(idx=idx, decision="auto", points=(s, t), a=0.0))
+            trace.add(RequestRecord(idx=idx, decision="auto"))
             continue
         lev = floor_log2(float(req))
         copies = 2 ** (lev + 1)
         bc = instances.get(lev) or instances.setdefault(lev, BcForest(m, copies))
-        klass, cost, edges = bc.buy_pair(sol, s, t, copies)
-        trace.add(
-            RequestRecord(
-                idx=idx,
-                decision="bc",
-                points=(s, t),
-                a=m.dist(s, t),
-                klass=klass,
-                cost=cost,
-                edges=edges,
-                feasible_now=max_flow(sol.capacity(), s, t, limit=req) >= req,
-            )
-        )
+        klass, cost = bc.buy_pair(sol, s, t, copies)
+        feasible = max_flow(sol.capacity(), s, t, limit=req) >= req
+        trace.add(RequestRecord(idx=idx, decision="bc", klass=klass, cost=cost, feasible_now=feasible))
     trace.summary = {"forests": [bc.summary() for _, bc in sorted(instances.items())]}
     return sol, trace
 
@@ -245,27 +213,28 @@ def check_share_identity(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
 def check_class_separation(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """Same-class terminals of a greedy run must be >= 2^j apart.
 
-    Reads the records with decision "buy" and a class, and their first point:
-    every classified arrival of a Steiner tree run, and the buy subsequence of
-    an SROB or PCST run (its bought subgraph is a greedy run).
+    Reads the records with decision "buy" and a class, at their requests'
+    points: every classified arrival of a Steiner tree run, and the buy
+    subsequence of an SROB or PCST run (its bought subgraph is a greedy run).
     """
     entries = [r for r in trace.records if r.decision == "buy" and r.klass is not None]
     return [
         f"class {j}: requests {a.idx},{b.idx} at distance {d:g} < 2^{j}"
-        for j, a, b, d in same_class_closer(entries, m, 0)
+        for j, a, b, d in same_class_closer(entries, m, seq, 0)
     ]
 
 
-def same_class_closer(records, m: MetricSpace, shift: int):
-    """(j, a, b, d) for records a before b of class j at distance d < 2^(j+shift)."""
+def same_class_closer(records, m: MetricSpace, seq: RequestSequence, shift: int):
+    """(j, a, b, d) for records a before b of class j whose requests' first
+    points are at distance d < 2^(j+shift)."""
     by_class = {}
     for rec in records:
-        by_class.setdefault(rec.klass, []).append(rec)
+        by_class.setdefault(rec.klass, []).append((rec, seq.request_points(rec.idx)[0]))
     for j, recs in sorted(by_class.items()):
         bound = pow2(j + shift)
-        for i, a in enumerate(recs):
-            for b in recs[i + 1:]:
-                d = m.dist(a.points[0], b.points[0])
+        for i, (a, p) in enumerate(recs):
+            for b, q in recs[i + 1:]:
+                d = m.dist(p, q)
                 if d < bound:
                     yield j, a, b, d
 

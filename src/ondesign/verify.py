@@ -95,15 +95,22 @@ class _Tally:
         self.out, self.flags, self.ratios = [], [], {}
 
     def bound(self, name, lhs, rhs, constant=None):
-        """lhs <= factor * rhs, the factor being constants[constant or name]."""
+        """lhs <= factor * rhs, the factor being constants[constant or name].
+
+        The ratio lhs / rhs (0 when both are 0) goes into max_ratios.  A bound
+        violated at rhs 0 has no finite ratio: only its violation is reported.
+        """
         factor = self.constants[constant or name]
-        self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
         if exceeds(lhs, factor * rhs):
             self.out.append(f"{name}: {lhs:g} > {factor:g} * {rhs:g}")
+            if rhs == 0:
+                return
+        self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
 
 
-def _pairs(trace, rep):
-    return [(rep(s), rep(u)) for s, u in (r.points for r in trace.records)]
+def _pairs(seq, rep):
+    """The instance's request pairs at their representative leaves."""
+    return [(rep(s), rep(t)) for s, t, *_ in seq.requests]
 
 
 def _metagraph(trace, t, rep):
@@ -115,14 +122,13 @@ def _tree_st(tally, m, seq, trace, t, rep, weights):
 
 
 def _tree_sf(tally, m, seq, trace, t, rep, weights):
-    opt = opt_tree_steiner_forest(t, _pairs(trace, rep))
+    opt = opt_tree_steiner_forest(t, _pairs(seq, rep))
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += _metagraph(trace, t, rep)
 
 
 def _tree_sn(tally, m, seq, trace, t, rep, weights):
-    reqs = [seq.requests[r.idx][2] for r in trace.records]
-    opt = opt_tree_steiner_network(t, _pairs(trace, rep), reqs)
+    opt = opt_tree_steiner_network(t, _pairs(seq, rep), [r for _, _, r in seq.requests])
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += _metagraph(trace, t, rep)
 
@@ -134,7 +140,7 @@ def _tree_rob_single(tally, seq, trace, t, rep, weights, cost_name, cost, shift)
     opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
-    tally.out += check_cut_capacity(trace, t_ext, seq.M, shift, None, seq.root, rep, weights)
+    tally.out += check_cut_capacity(seq, trace, t_ext, shift, rep, weights)
 
 
 def _tree_srob(tally, m, seq, trace, t, rep, weights):
@@ -148,11 +154,10 @@ def _tree_cfl(tally, m, seq, trace, t, rep, weights):
 
 def _tree_mrob(tally, m, seq, trace, t, rep, weights):
     t_ext = extend_singleton_levels(t)
-    pairs = _pairs(trace, rep)
-    opt = opt_tree_rob_multi(t_ext, pairs, seq.M)
+    opt = opt_tree_rob_multi(t_ext, _pairs(seq, rep), seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += check_cut_capacity(trace, t_ext, seq.M, 2, pairs, None, rep)
+    tally.out += check_cut_capacity(seq, trace, t_ext, 2, rep)
     tally.out += _metagraph(trace, t_ext, rep)
 
 
@@ -306,9 +311,11 @@ def per_run_checks(m, seq, sol, trace):
     return checks + [(name, check(m, seq, sol, trace)) for name, check in spec.solution_checks.items()]
 
 
-# What a malformed forged trace can make a check raise: such a check reports
-# "check error: ..." as its violation instead of crashing the replay.
-_CHECK_ERRORS = (OndesignError, TypeError, ValueError)
+# What a malformed forged trace can make a check raise (IndexError: a trace
+# built in memory skips the file schema, so a record's idx may name no
+# request): such a check reports "check error: ..." as its violation instead
+# of crashing the replay.
+_CHECK_ERRORS = (OndesignError, TypeError, ValueError, IndexError)
 
 
 def _guarded_run_check(check, m, seq, trace):

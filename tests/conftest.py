@@ -251,14 +251,17 @@ def _levels(t):
     return range(lo, t.root_level + 1)
 
 
-def brute_check_cut_capacity(trace, t, M, shift, pairs, root=None, rep=lambda p: p, weights=None):
+def brute_check_cut_capacity(seq, trace, t, shift, rep=lambda p: p, weights=None):
     """Reference for rentorbuy.check_cut_capacity: membership tests on brute cuts."""
     import math
 
+    M, root = seq.M, seq.root
+    pairs = None if root is not None else [(rep(s), rep(u)) for s, u in seq.requests]
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
-            p = rec.points[1] if rec.rent_endpoint == "t" else rec.points[0]
+            ends = seq.request_points(rec.idx)
+            p = ends[-1] if rec.rent_endpoint == "t" else ends[0]
             rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
     out = []
     for j in _levels(t):

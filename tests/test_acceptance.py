@@ -134,8 +134,8 @@ def _forged_controls():
     out = []
     m = line_metric([0, 5, 6])
     forged = RunTrace()
-    forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.1, klass=1))
-    forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.2, klass=1))
+    forged.add(RequestRecord(idx=0, decision="buy", klass=1))
+    forged.add(RequestRecord(idx=1, decision="buy", klass=1))
     tree_seq = RequestSequence(problem="SteinerTree", requests=(1, 2), root=0)
     out.append(("r-sep", bool(check_class_separation(m, tree_seq, forged))))
 
@@ -149,47 +149,42 @@ def _forged_controls():
 
     m4 = line_metric([0, 4, 5, 6])
     shared = RunTrace()
-    shared.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2))
-    shared.add(RequestRecord(idx=1, decision="buy", points=(2,), a=5.0, klass=2, witnesses=(0,)))
-    shared.add(RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, witnesses=(0,)))
+    shared.add(RequestRecord(idx=0, decision="rent", klass=2))
+    shared.add(RequestRecord(idx=1, decision="buy", klass=2, witnesses=(0,)))
+    shared.add(RequestRecord(idx=2, decision="buy", klass=2, witnesses=(0,)))
     srob = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
     out.append(("witness-disjoint", bool(check_srob_witnesses(m4, srob, shared))))
 
     m5 = line_metric([0, 8])
     packed = RunTrace()
     for i in range(4):
-        packed.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2))
+        packed.add(RequestRecord(idx=i, decision="rent", klass=2))
+    packed_seq = RequestSequence(problem="SROB", requests=(1,) * 4, root=0, M=3.0)
     t5 = extend_singleton_levels(sample_frt(m5, [0, 1], seed=1))
-    out.append(("cut-capacity", bool(check_cut_capacity(packed, t5, 3.0, 1, None, root=0))))
+    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1))))
 
     mrob = RunTrace()
-    mrob.add(RequestRecord(idx=0, decision="buy", points=(0, 1), a=4.0, klass=2,
-                           witnesses=(9,), witnesses_t=()))
+    mrob.add(RequestRecord(idx=0, decision="buy", klass=2, witnesses=(9,), witnesses_t=()))
     mrob_seq = RequestSequence(problem="MROB", requests=((0, 1),), M=2.0)
     out.append(("mrob-witness", bool(check_mrob_witnesses(m5, mrob_seq, mrob))))
 
-    cfl = RunTrace()
-    cfl.summary = {"f_hat": [0]}
-    cfl.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
-                          sigma_hat=1, opened=1, edges=((1, 0, None),), witnesses=()))
     m7 = line_metric([0, 8, 16])
     bad_open = RunTrace()
     bad_open.summary = {"f_hat": [0]}
-    bad_open.add(RequestRecord(idx=0, decision="buy", points=(1,), a=8.0, klass=3, cost=0.0,
-                               sigma_hat=2, opened=2, edges=((2, 0, None),), witnesses=()))
+    bad_open.add(RequestRecord(idx=0, decision="buy", klass=3, attach=0, sigma_hat=2, opened=2))
     cfl7 = RequestSequence(problem="CFL", requests=(1,), root=0, M=1.0, facilities=((0, 0.0), (2, 1.0)))
     out.append(("cfl-foreign-facility", any("outside F_hat" in v for v in check_cfl_invariants(m7, cfl7, bad_open))))
 
     close = RunTrace()
     close.summary = {"f_hat": [0, 1]}
-    close.add(RequestRecord(idx=0, decision="buy", points=(0,), a=8.0, klass=3, sigma_hat=0, witnesses=()))
-    close.add(RequestRecord(idx=1, decision="buy", points=(1,), a=8.0, klass=3, sigma_hat=0, witnesses=()))
+    close.add(RequestRecord(idx=0, decision="buy", klass=3, attach=0, sigma_hat=0))
+    close.add(RequestRecord(idx=1, decision="buy", klass=3, attach=0, sigma_hat=0))
     m6 = line_metric([0, 1])
     cfl6 = RequestSequence(problem="CFL", requests=(0, 1), root=0, M=0.0, facilities=((0, 0.0), (1, 0.0)))
     out.append(("cfl-sep", any("buy clients" in v for v in check_cfl_invariants(m6, cfl6, close))))
 
     rho = RunTrace()
-    rho.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, rho=5.0))
+    rho.add(RequestRecord(idx=0, decision="penalty", klass=2, rho=5.0))
     pcst = RequestSequence(problem="PCST", requests=((1, 1.0),), root=0)
     viol = check_pcst_run_invariants(m5, pcst, rho)
     out.append(("pcst-rho", bool(viol)))

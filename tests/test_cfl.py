@@ -184,7 +184,8 @@ def test_cfl_sharetree_prestudy_constant_16():
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(trace, t, M, 2, None, root=0, point_rep=rep.get, weights=weights)
+        seq = RequestSequence(problem="CFL", requests=tuple(clients), root=0, M=M, facilities=tuple(facs))
+        out = check_cut_capacity(seq, trace, t, 2, point_rep=rep.get, weights=weights)
         assert out == []
     assert worst <= 16.0
 

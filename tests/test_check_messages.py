@@ -5,8 +5,8 @@ with it in one place: a forged trace replayed through verify_run (run checks
 only, no trees), or a tampered trace or solution passed to per_run_checks
 (cost consistency, feasibility and the solution checks, which only an own
 run gets).  The case's check must then report a message matching its
-template.  The per-tree cut and cover messages are fired in
-test_forged_replays.py.
+template.  Each per-tree bound of each problem fires on a forged replay
+too; the per-tree cut and cover messages are fired in test_forged_replays.py.
 """
 
 import dataclasses
@@ -41,8 +41,10 @@ def _forest(trace, **change):
     return {"forests": [{**trace.summary["forests"][0], **change}]}
 
 
-def _cfl_buy(idx, point, a, klass, **kw):
-    return RequestRecord(idx=idx, decision="buy", points=(point,), a=a, klass=klass, cost=a, **kw)
+def _cfl_buy(idx, klass, **kw):
+    """A CFL buy record of request idx; it attached to the root facility 0
+    unless kw says otherwise."""
+    return RequestRecord(idx=idx, decision="buy", klass=klass, **{"attach": 0, **kw})
 
 
 # (doc, check, forge(trace) -> forged RunTrace, message pattern)
@@ -75,24 +77,21 @@ FORGED = {
         r"class 2: buys 1,2 share witnesses \[0\]"),
     "cfl buy clients close": (
         CFL, "cfl_invariants",
-        lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3), _cfl_buy(1, 3, 33.0, 5, sigma_hat=3)],
-                            {"f_hat": [0, 3]}),
+        lambda tr: RunTrace([_cfl_buy(0, 5, sigma_hat=3), _cfl_buy(1, 5, sigma_hat=3)], {"f_hat": [0, 3]}),
         r"class 5: buy clients 0,1 at 1 < 2\^4"),
-    "cfl c(H)": (
+    "cfl c(H)": (  # client 0 at 32 attached to facility 3 at 33, but opened the root
         CFL, "cfl_invariants",
-        lambda tr: RunTrace([_cfl_buy(0, 2, 8.0, 3, sigma_hat=3, opened=3, edges=((3, 0, None),))],
-                            {"f_hat": [0, 3]}),
-        r"c\(H\)=33 > sum 2 a_z = 16"),
+        lambda tr: RunTrace([_cfl_buy(0, 0, sigma_hat=3, opened=0, attach=3)], {"f_hat": [0, 3]}),
+        r"c\(H\)=33 > sum 2 a_z = 2"),
     "cfl buy mass": (
-        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3)], {"f_hat": [0, 3]}),
+        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 5, sigma_hat=3)], {"f_hat": [0, 3]}),
         r"sum M a_z = 32 > share 0"),
     "cfl opened outside F_hat": (
         CFL, "cfl_invariants",
-        lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=3, opened=3, edges=((3, 0, None),))],
-                            {"f_hat": [0]}),
+        lambda tr: RunTrace([_cfl_buy(0, 5, sigma_hat=3, opened=3)], {"f_hat": [0]}),
         r"opened facilities \[3\] outside F_hat"),
     "cfl sigma_hat far": (
-        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 2, 32.0, 5, sigma_hat=0)], {"f_hat": [0]}),
+        CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 5, sigma_hat=0)], {"f_hat": [0]}),
         r"buy client 0: d\(z, sigma_hat\)=32 >= a/4=8"),
     "cfl cost split": (
         CFL, "cfl_cost_split",
@@ -100,8 +99,7 @@ FORGED = {
         r"cost split: 101 > virtual budget 5"),
     "buyrent vs share": (
         CFL, "buyrent_vs_share",
-        lambda tr: RunTrace([RequestRecord(idx=0, decision="rent", points=(2,), a=32.0, klass=0, cost=100.0)],
-                            tr.summary),
+        lambda tr: RunTrace([RequestRecord(idx=0, decision="rent", klass=0, cost=100.0)], tr.summary),
         r"M c\(H\) \+ rents = 100 > 3 \* share 2"),
     "pcst total cost": (
         PCST, "pcst_run_invariants", lambda tr: RunTrace(_records(tr, r0={"cost": 10.0})),
@@ -119,6 +117,56 @@ def test_forged_trace_fires(doc, check, forge, pattern):
     assert verify_run(m, seq, trials=0, forged_trace=trace)["violations"] == 0
     found = verify_run(m, seq, trials=0, forged_trace=forge(trace))["checks"][check]["violations"]
     assert any(re.fullmatch(pattern, v) for v in found), found
+
+
+# (doc, forge(trace) -> forged RunTrace, the message trial 0 of seed 0 reports):
+# one record's cost or share raised just past the bound's factor times the
+# sampled tree's optimum (for the rent-or-buy shares, the smallest class that
+# passes it).  CFL's cost bound is buyrent_vs_tree.
+MROB = {"points": _line(0, 1, 8, 9), "problem": "MROB", "M": 1.0, "requests": [[0, 1], [2, 3]]}
+TREE_BOUNDS = {
+    "SteinerTree cost": (ST, lambda tr: RunTrace(_records(tr, r0={"cost": 60.0})), "cost_vs_tree: 61 > 4 * 15"),
+    "SteinerForest cost": (
+        SF, lambda tr: RunTrace(_records(tr, r0={"cost": 25.0}), tr.summary), "cost_vs_tree: 25 > 4 * 6"),
+    "SteinerNetwork cost": (
+        SN, lambda tr: RunTrace(_records(tr, r0={"cost": 141.0}), tr.summary), "cost_vs_tree: 145 > 16 * 9"),
+    "SROB cost": (SROB, lambda tr: RunTrace(_records(tr, r0={"cost": 189.0})), "cost_vs_tree: 195 > 16 * 12.125"),
+    "SROB share": (SROB, lambda tr: RunTrace(_records(tr, r0={"klass": 6})), "share_vs_tree: 130 > 8 * 12.125"),
+    "MROB cost": (
+        MROB, lambda tr: RunTrace(_records(tr, r0={"cost": 176.0}), tr.summary), "cost_vs_tree: 177 > 32 * 5.5"),
+    "MROB share": (
+        MROB, lambda tr: RunTrace(_records(tr, r0={"klass": 6}), tr.summary), "share_vs_tree: 130 > 16 * 5.5"),
+    "CFL buyrent": (
+        CFL, lambda tr: RunTrace(_records(tr, r0={"cost": 3076.0}), tr.summary),
+        "buyrent_vs_tree: 3109 > 48 * 64.75"),
+    "CFL share": (
+        CFL, lambda tr: RunTrace(_records(tr, r0={"klass": 10}), tr.summary), "share_vs_tree: 2048 > 16 * 64.75"),
+    "PCST cost": (PCST, lambda tr: RunTrace(_records(tr, r0={"cost": 23.5})), "cost_vs_tree: 24.5 > 16 * 1.5"),
+    "PCST share": (PCST, lambda tr: RunTrace(_records(tr, r0={"rho": 11.5})), "share_vs_tree: 12.5 > 8 * 1.5"),
+    "PCST cut lower bound": (
+        PCST, lambda tr: RunTrace(_records(tr, r0={"rho": 9.5})), "share_vs_cut_lb: 10.5 > 8 * 1.25"),
+}
+
+
+@pytest.mark.parametrize("doc, forge, message", TREE_BOUNDS.values(), ids=TREE_BOUNDS.keys())
+def test_forged_tree_bound_fires(doc, forge, message):
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    assert verify_run(m, seq, trials=1, forged_trace=trace)["violations"] == 0
+    found = verify_run(m, seq, trials=1, forged_trace=forge(trace))["tree_checks"]["violations"]
+    assert "trial 0: " + message in found, found
+
+
+def test_bound_violated_at_zero_optimum_has_no_ratio():
+    # request 1 sits on the root, so every tree's optimum is 0; a forged cost
+    # of 5 has no finite ratio to it, and max_ratios leaves the bound out
+    doc = {"points": [[0, 0], [0, 0], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]}
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    assert verify_run(m, seq, trials=2, forged_trace=trace)["max_ratios"] == {"cost_vs_tree": 0.0}
+    report = verify_run(m, seq, trials=2, forged_trace=RunTrace(_records(trace, r0={"cost": 5.0})))
+    assert report["tree_checks"]["violations"] == [f"trial {i}: cost_vs_tree: 5 > 4 * 0" for i in range(2)]
+    assert report["max_ratios"] == {}
 
 
 def _bought(sol, u, v):

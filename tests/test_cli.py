@@ -16,13 +16,15 @@ from ondesign.verify import run_problem, verify_run
 RECORD_FIELDS = [f.name for f in fields(RequestRecord)]
 # the SteinerTree record of request 0 in a matrix [[0, 1], [1, 0]], root 0, requests [1]
 OWN_ST_RECORD = {
-    **dict.fromkeys(RECORD_FIELDS), "idx": 0, "decision": "buy", "points": [1], "a": 1.0,
-    "klass": 0, "cost": 1.0, "witnesses": [], "witnesses_t": [], "attach": 0,
-    "edges": [[1, 0, None]], "feasible_now": True,
+    **dict.fromkeys(RECORD_FIELDS), "idx": 0, "decision": "buy", "klass": 0, "cost": 1.0,
+    "witnesses": [], "witnesses_t": [], "attach": 0, "feasible_now": True,
 }
-# record keys of older trace files: instance facts (pi; SN's level and copies,
-# computed from R) and CFL's sigma, which decision, attach and sigma_hat give
-DROPPED_KEYS = ("pi", "sigma", "level", "copies")
+# record keys of older trace files, with the values such a file held: instance
+# facts (pi; SN's level and copies, computed from R; the request's points and
+# their distance a) and what other fields give (CFL's sigma from decision,
+# attach and sigma_hat; the bought edges from the forest summary or attach)
+DROPPED_KEYS = {"pi": None, "sigma": None, "level": None, "copies": None,
+                "points": [1], "a": 1.0, "edges": [[1, 0, None]]}
 
 
 def write_instance(tmp_path, doc, name="inst.json"):
@@ -125,11 +127,9 @@ def test_verify_forged_trace_exit_4(tmp_path):
     )
     trace_path = tmp_path / "forged.jsonl"
     rows = [
-        {"idx": 0, "decision": "buy", "points": [1], "a": 2.1, "klass": 1, "cost": 2.1,
-         "witnesses": [], "witnesses_t": [], "attach": 0, "edges": [[1, 0, None]],
+        {"idx": 0, "decision": "buy", "klass": 1, "cost": 2.1, "witnesses": [], "witnesses_t": [], "attach": 0,
          "rho": None, "sigma_hat": None, "opened": None, "rent_endpoint": None, "feasible_now": True},
-        {"idx": 1, "decision": "buy", "points": [2], "a": 2.2, "klass": 1, "cost": 2.2,
-         "witnesses": [], "witnesses_t": [], "attach": 0, "edges": [[2, 0, None]],
+        {"idx": 1, "decision": "buy", "klass": 1, "cost": 2.2, "witnesses": [], "witnesses_t": [], "attach": 0,
          "rho": None, "sigma_hat": None, "opened": None, "rent_endpoint": None, "feasible_now": True},
     ]
     trace_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
@@ -237,10 +237,9 @@ def test_verify_forged_cfl_rent_without_class_reports(tmp_path):
         {"matrix": [[0, 4, 5], [4, 0, 1], [5, 1, 0]], "problem": "CFL", "root": 0, "M": 2.0,
          "facilities": [{"point": 0, "cost": 0.0}, {"point": 2, "cost": 1.0}], "requests": [1, 2]},
     )
-    base = {"witnesses": [], "witnesses_t": [], "edges": [], "rho": None, "opened": None,
+    base = {"witnesses": [], "witnesses_t": [], "rho": None, "opened": None,
             "rent_endpoint": None, "feasible_now": True, "decision": "rent", "attach": 0, "sigma_hat": 0}
-    rows = [dict(base, idx=0, points=[1], a=4.0, klass=None, cost=4.0),
-            dict(base, idx=1, points=[2], a=5.0, klass=2, cost=5.0)]
+    rows = [dict(base, idx=0, klass=None, cost=4.0), dict(base, idx=1, klass=2, cost=5.0)]
     trace_path = tmp_path / "forged.jsonl"
     trace_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     out = tmp_path / "rep.json"
@@ -330,18 +329,17 @@ def test_verify_forged_srob_repeated_rent_exit_4(tmp_path):
     None,
     '{"idx": 0, "decision": "buy"\n',
     '{"idx": 0}\n',
-    json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "points": [1], "junk": 1}) + "\n",
+    json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "junk": 1}) + "\n",
     json.dumps({"summary": {"forests": 5}}) + "\n",
     json.dumps({**OWN_ST_RECORD, "klass": "1"}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "points": [7]}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "points": [-1]}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "edges": [[1, 2, None]]}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "sigma_hat": 7}) + "\n",
+    json.dumps({**OWN_ST_RECORD, "opened": -1}) + "\n",
     json.dumps({**OWN_ST_RECORD, "attach": -1}) + "\n",
     json.dumps({**OWN_ST_RECORD, "idx": 1}) + "\n",
     json.dumps({**OWN_ST_RECORD, "witnesses": [-1]}) + "\n",
-    *(json.dumps({**OWN_ST_RECORD, key: None}) + "\n" for key in DROPPED_KEYS),
+    *(json.dumps({**OWN_ST_RECORD, key: value}) + "\n" for key, value in DROPPED_KEYS.items()),
 ], ids=["missing-file", "not-json", "missing-fields", "unknown-field", "summary-type", "field-type",
-        "point-out-of-range", "negative-point", "edge-out-of-range", "negative-attach",
+        "point-out-of-range", "negative-point", "negative-attach",
         "request-out-of-range", "negative-witness", *(f"dropped-{key}" for key in DROPPED_KEYS)])
 def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
     inst = write_instance(
@@ -354,6 +352,28 @@ def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
     rc = main(["verify", inst, "--trace", str(trace_path), "--out", str(tmp_path / "rep.json")])
     assert rc == 2
     assert "error: trace" in capsys.readouterr().err
+
+
+def test_verify_forged_cost_cannot_hide_behind_claimed_points(tmp_path):
+    # pairs (0,1) and (200,201), record 0's cost forged to 60.  Claiming the
+    # record's points as (0, 3) would hide the cost_vs_tree violation, so a
+    # line that carries points (or a, edges) exits 2, and the checks read
+    # the pairs from the instance
+    inst = write_instance(tmp_path, {"points": [[0, 0], [1, 0], [200, 0], [201, 0]],
+                                     "problem": "SteinerForest", "requests": [[0, 1], [2, 3]]})
+    res = tmp_path / "res.json"
+    assert main(["run", inst, "--algo", "SteinerForest", "--out", str(res)]) == 0
+    lines = (tmp_path / "res.json.trace.jsonl").read_text().splitlines()
+    row = {**json.loads(lines[0]), "cost": 60.0}
+    older = {**row, "points": [0, 3], "a": 1.0, "edges": [[0, 1, 0]]}
+    for forged_row, rc in [(older, 2), (row, 4)]:
+        forged = tmp_path / "forged.jsonl"
+        forged.write_text("\n".join([json.dumps(forged_row)] + lines[1:]) + "\n")
+        out = tmp_path / "rep.json"
+        assert main(["verify", inst, "--trace", str(forged), "--out", str(out)]) == rc
+    rep = json.loads(out.read_text())
+    assert rep["tree_checks"]["fail"] == rep["trials"] == 20
+    assert all(v.startswith(f"trial {i}: cost_vs_tree: 61 > 4 * ") for i, v in enumerate(rep["tree_checks"]["violations"]))
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "-3")])
@@ -429,9 +449,8 @@ def test_verify_pcst_rho_over_instance_pi_exit_4(tmp_path):
     forged = tmp_path / "forged.jsonl"
     forged.write_text("".join(
         json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": row["idx"], "decision": "buy",
-                    "points": row["points"], "a": row["a"], "klass": row["klass"], "cost": row["cost"],
-                    "rho": 2.0 ** (row["klass"] + 1), "witnesses": [], "witnesses_t": [], "edges": [],
-                    "feasible_now": True}) + "\n"
+                    "klass": row["klass"], "cost": row["cost"], "rho": 2.0 ** (row["klass"] + 1),
+                    "witnesses": [], "witnesses_t": [], "feasible_now": True}) + "\n"
         for row in rows
     ) + lines[-1] + "\n")
     out = tmp_path / "rep.json"
@@ -460,6 +479,18 @@ def test_check_exception_is_a_program_fault_on_own_runs_only(tmp_path, monkeypat
     report = verify_run(m, seq, trials=2, forged_trace=trace)
     assert report["tree_checks"] == {"fail": 2, "violations": [f"trial {i}: check error: boom" for i in range(2)]}
     assert all(c["fail"] == 0 for c in report["checks"].values())
+
+
+def test_forged_record_of_no_request_is_a_check_error():
+    # a trace built in memory skips the file schema: a rent record whose idx
+    # names no request cannot be read at its request's point
+    doc = {"points": [[0, 0], [4, 0], [5, 0], [6, 0]], "problem": "SROB", "root": 0, "M": 1.0,
+           "requests": [1, 2, 3]}
+    m, seq = instance_from_dict(doc)
+    _, trace = run_problem(m, seq)
+    forged = RunTrace(trace.records + [dataclasses.replace(trace.records[0], idx=7)])
+    report = verify_run(m, seq, trials=2, forged_trace=forged)
+    assert report["tree_checks"]["violations"] == [f"trial {i}: check error: tuple index out of range" for i in range(2)]
 
 
 @pytest.mark.parametrize("doc, check, violation", [
@@ -669,21 +700,20 @@ _DECISIONS = ["buy", "rent", "penalty", "virtual", "bc", "auto"]
 
 @st.composite
 def _forged_records(draw, trace, n_points, n_requests):
-    """The own run's records, each of its decision, class, witnesses and
-    points redrawn (within range) or kept."""
+    """The own run's records, each field a check reads (decision, class,
+    witnesses, points attached to, assigned or opened, rent endpoint, share
+    and cost) redrawn within its schema or kept."""
     point, request = st.integers(0, n_points - 1), st.integers(0, n_requests - 1)
+    amount = st.floats(-1, 64)
+    redraws = {
+        "decision": st.sampled_from(_DECISIONS), "klass": st.none() | st.integers(-3, 6),
+        "witnesses": st.lists(request, max_size=3).map(tuple), "witnesses_t": st.lists(request, max_size=3).map(tuple),
+        "attach": st.none() | point, "sigma_hat": st.none() | point, "opened": st.none() | point,
+        "rent_endpoint": st.sampled_from([None, "s", "t"]), "rho": st.none() | amount, "cost": amount,
+    }
     out = []
     for rec in trace.records:
-        change = {}
-        if draw(st.booleans()):
-            change["decision"] = draw(st.sampled_from(_DECISIONS))
-        if draw(st.booleans()):
-            change["klass"] = draw(st.none() | st.integers(-3, 6))
-        for name in ("witnesses", "witnesses_t"):
-            if draw(st.booleans()):
-                change[name] = tuple(draw(st.lists(request, max_size=3)))
-        if draw(st.booleans()):
-            change["points"] = tuple(draw(point) for _ in rec.points)
+        change = {name: draw(value) for name, value in redraws.items() if draw(st.booleans())}
         out.append(dataclasses.replace(rec, **change))
     return out
 

@@ -10,10 +10,14 @@ checks, replays of the run's own trace with one defect each:
 - "edge outside": an A_j edge ends at such a point;
 - "level above root": an A level above every sampled tree's root level;
 - "cycle": an A_j edge repeated, closing a meta-cycle;
-- "rent twice": every rent record repeated (cut capacity, one-point requests);
-- "rent pair collapsed": the first rent pair's far end moved onto its rent
-  point, so no pair leaves that point's cuts (cut capacity, pairs);
-- "share at root": the first positive PCST share moved onto the root.
+- "rent twice": every rent record repeated (cut capacity: w(C) for one-point
+  requests, |D(C)| for pairs);
+- "share at root": the last positive PCST share given a class whose cuts
+  are as wide as the metric, so the cut holding it can hold the root.
+
+A record holds only what the run decided, so every forgery changes a
+decision (a class, a repeated record, a forest entry) and never where a
+request sits: checks read each request's endpoints from the instance.
 """
 
 import dataclasses
@@ -24,7 +28,7 @@ import re
 import pytest
 
 from ondesign.generators import gen_euclidean, gen_requests
-from ondesign.metric import RunTrace
+from ondesign.metric import RunTrace, floor_log2
 from ondesign.verify import run_problem, verify_run
 
 N_POINTS, TRIALS = 20, 3
@@ -46,7 +50,7 @@ def _with_forest(trace, **change):
     return RunTrace(list(trace.records), {**trace.summary, "forests": forests})
 
 
-def _forgeries(seq, trace):
+def _forgeries(m, seq, trace):
     """(name, forged trace) replays of a run's own trace."""
     out = []
     if "forests" in trace.summary:
@@ -59,14 +63,13 @@ def _forgeries(seq, trace):
             ("cycle", _with_forest(trace, A=lambda A: A[:-1] + [[top, edges + [edges[0]]]])),
         ]
     rents = [r for r in trace.records if r.decision == "rent"]
-    if rents and len(rents[0].points) == 2:
-        p = rents[0].points[rents[0].rent_endpoint == "t"]
-        out.append(("rent pair collapsed", _with_record(trace, rents[0], points=(p, p))))
-    elif rents:
+    if rents:
         out.append(("rent twice", RunTrace(trace.records + rents, trace.summary)))
     shares = [r for r in trace.records if (r.rho or 0.0) > 0]
     if shares:
-        out.append(("share at root", _with_record(trace, shares[0], points=(seq.root,))))
+        # the last positive share moved up to a class whose cuts are as wide
+        # as the metric, so that the cut holding it often holds the root too
+        out.append(("share at root", _with_record(trace, shares[-1], klass=floor_log2(m.diameter()) + 2)))
     return out
 
 
@@ -81,7 +84,7 @@ def _corpus():
         m, _ = gen_euclidean(N_POINTS, seed=700 + pidx)
         seq = gen_requests(problem, m, count, seed, PARAMS)
         out.append((problem, "own", verify_run(m, seq, trials=TRIALS, seed=pidx)))
-        for name, forged in _forgeries(seq, run_problem(m, seq)[1]):
+        for name, forged in _forgeries(m, seq, run_problem(m, seq)[1]):
             out.append((problem, name, verify_run(m, seq, trials=TRIALS, seed=pidx, forged_trace=forged)))
     return out
 
@@ -105,7 +108,7 @@ def _tree_violations(corpus, problem, name):
     ("SteinerForest", "level above root", r"check error: level 40 outside \[0, \d+\]"),
     ("MROB", "level above root", r"check error: level 40 outside \[-2, \d+\]"),
     ("SteinerForest", "cycle", r"level -?\d+: meta-cycle via edge \(\d+,\d+\)"),
-    ("MROB", "rent pair collapsed", r"level -?\d+: \d+ rents > \|D\(C\)\|=\d+"),
+    ("MROB", "rent twice", r"level -?\d+: \d+ rents > \|D\(C\)\|=\d+"),
     ("SROB", "rent twice", r"level -?\d+: \d+ class-\d+ rent occurrences > w\(C\)=\d+"),
     ("CFL", "rent twice", r"level -?\d+: \d+ class-\d+ rent occurrences > w\(C\)=\d+"),
     ("PCST", "share at root", r"level -?\d+: root cut carries class--?\d+ share [\d.e+-]+"),
@@ -120,7 +123,7 @@ def test_own_runs_pass(corpus):
 
 
 # SHA-256 of the corpus reports, json.dumps(sort_keys=True), one per line.
-CORPUS_DIGEST = "b6ba1c9569fb2e300f89bef45b2f71639096384d66698ea4aa14cb67fc9d3047"
+CORPUS_DIGEST = "fcab044388caff48216cb7ea512b07611a2091ba814b276dd209a4621fc51086"
 
 
 def test_report_digest_pinned(corpus):

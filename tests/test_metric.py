@@ -238,7 +238,7 @@ def test_trace_jsonl_roundtrip(tmp_path):
     path = tmp_path / "t.jsonl"
     trace.to_jsonl(path)
     back = json.loads(path.read_text().splitlines()[0])
-    assert back["decision"] == "buy" and back["a"] == 1.0
+    assert back["decision"] == "buy" and back["cost"] == 1.0
     from ondesign.metric import RunTrace
 
     again = RunTrace.from_jsonl(path, {}, m.n, 2)

@@ -66,7 +66,7 @@ def test_pcst_forged_rho_exceeds_pi():
     m = line_metric([0, 4])
     seq = RequestSequence(problem="PCST", requests=((1, 1.0),), root=0)
     forged = RunTrace()
-    forged.add(RequestRecord(idx=0, decision="penalty", points=(1,), a=4.0, klass=2, cost=1.0, rho=5.0))
+    forged.add(RequestRecord(idx=0, decision="penalty", klass=2, cost=1.0, rho=5.0))
     viol = check_pcst_run_invariants(m, seq, forged)
     assert "request 0: rho 5 > pi 1" in viol
 
@@ -106,14 +106,14 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
     for _ in range(60):
         m, t = random_small_hst(rng, max_leaves=10, extended_chance=1.0)
         pts = list(t.terminals)
-        trace = RunTrace()
+        trace, requests = RunTrace(), []
         for idx in range(int(rng.integers(1, 12))):
+            requests.append((int(rng.choice(pts + [len(pts)])), 50.0))
             trace.add(RequestRecord(
-                idx=idx, decision="buy", points=(int(rng.choice(pts + [len(pts)])),),
+                idx=idx, decision="buy",
                 klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])),
             ))
-        requests = tuple((rec.points[0], 50.0) for rec in trace.records)
-        seq = RequestSequence(problem="PCST", requests=requests, root=int(rng.choice(pts)))
+        seq = RequestSequence(problem="PCST", requests=tuple(requests), root=int(rng.choice(pts)))
         got = check_pcst_invariants(seq, trace, t)
         assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])

@@ -75,13 +75,9 @@ def test_witness_disjointness_srob_and_forged():
     assert check_srob_witnesses(m, seq, trace) == []
 
     forged = RunTrace()
-    forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=4.0, klass=2, cost=4.0))
-    forged.add(
-        RequestRecord(idx=1, decision="buy", points=(2,), a=5.0, klass=2, cost=5.0, witnesses=(0,))
-    )
-    forged.add(
-        RequestRecord(idx=2, decision="buy", points=(3,), a=6.0, klass=2, cost=6.0, witnesses=(0,))
-    )
+    forged.add(RequestRecord(idx=0, decision="rent", klass=2, cost=4.0))
+    forged.add(RequestRecord(idx=1, decision="buy", klass=2, cost=5.0, witnesses=(0,)))
+    forged.add(RequestRecord(idx=2, decision="buy", klass=2, cost=6.0, witnesses=(0,)))
     out = check_srob_witnesses(m, seq, forged)
     assert any("share witnesses" in v for v in out)
 
@@ -95,12 +91,7 @@ def test_witness_disjointness_mrob():
 
 def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
     forged = RunTrace()
-    forged.add(
-        RequestRecord(
-            idx=0, decision="buy", points=(0, 1), a=1.0, klass=0,
-            witnesses=(7,), witnesses_t=(8,),
-        )
-    )
+    forged.add(RequestRecord(idx=0, decision="buy", klass=0, witnesses=(7,), witnesses_t=(8,)))
     seq = RequestSequence(problem="MROB", requests=((0, 1),), M=2.0)
     out = check_mrob_witnesses(two_point_metric, seq, forged)
     assert any("|W|" in v for v in out)
@@ -108,20 +99,22 @@ def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
 
 def test_cut_capacity_srob():
     m = line_metric([0, 4, 5, 6])
-    _, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
+    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
+    _, trace = run_srob(m, 0, seq.requests, M=1.0)
     t = extend_singleton_levels(sample_frt(m, [0, 1, 2, 3], seed=2))
-    assert check_cut_capacity(trace, t, 1.0, 1, None, root=0) == []
+    assert check_cut_capacity(seq, trace, t, 1) == []
 
 
 def test_cut_capacity_forged_packing():
     # four class-2 rent occurrences forged at one point with M=3: the level-1
     # singleton cut can hold at most ceil(M)=3 of them in a real run
     m = line_metric([0, 8])
+    seq = RequestSequence(problem="SROB", requests=(1,) * 4, root=0, M=3.0)
     forged = RunTrace()
     for i in range(4):
-        forged.add(RequestRecord(idx=i, decision="rent", points=(1,), a=8.0, klass=2, cost=8.0))
+        forged.add(RequestRecord(idx=i, decision="rent", klass=2, cost=8.0))
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
-    out = check_cut_capacity(forged, t, 3.0, 1, None, root=0)
+    out = check_cut_capacity(seq, forged, t, 1)
     assert any("ceil(M)" in v for v in out)
 
 
@@ -129,53 +122,62 @@ def test_cut_capacity_forged_repeated_request():
     # one request at point 1 rented twice (a forged trace repeating its idx
     # row): the level-(-1) cut {1} holds 2 class-0 rents but w(C) = 1 request
     m = line_metric([0, 8])
+    seq = RequestSequence(problem="SROB", requests=(1,), root=0, M=3.0)
     forged = RunTrace()
     for _ in range(2):
-        forged.add(RequestRecord(idx=0, decision="rent", points=(1,), a=8.0, klass=0, cost=8.0))
+        forged.add(RequestRecord(idx=0, decision="rent", klass=0, cost=8.0))
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
-    out = check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
+    out = check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 1})
     assert out == ["level -1: 2 class-0 rent occurrences > w(C)=1"]
-    assert out == brute_check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 1})
-    assert check_cut_capacity(forged, t, 3.0, 1, None, root=0, weights={0: 1, 1: 2}) == []
+    assert out == brute_check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 1})
+    assert check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 2}) == []
 
 
 def test_cut_capacity_empty_rents():
     m = line_metric([0, 4])
-    _, trace = run_srob(m, 0, [1], M=0.0)
+    seq = RequestSequence(problem="SROB", requests=(1,), root=0, M=0.0)
+    _, trace = run_srob(m, 0, seq.requests, M=0.0)
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=0))
-    assert check_cut_capacity(trace, t, 0.0, 1, None, root=0) == []
+    assert check_cut_capacity(seq, trace, t, 1) == []
 
 
 def test_cut_capacity_mrob_random():
     rng = np.random.default_rng(6)
     m = euclid(rng.random((12, 2)) * 10)
     pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(10)]
+    seq = RequestSequence(problem="MROB", requests=tuple(pairs), M=2.0)
     _, trace = run_mrob(m, pairs, M=2.0)
     pts = sorted({p for pr in pairs for p in pr})
     t = extend_singleton_levels(sample_frt(m, pts, seed=3))
-    assert check_cut_capacity(trace, t, 2.0, 2, pairs) == []
+    assert check_cut_capacity(seq, trace, t, 2) == []
 
 
 def test_cut_capacity_matches_reference_on_forged_rents():
-    # rents at random classes and leaves, some at a point that is no terminal
+    # rents at random classes and leaves, some at a point that is no
+    # terminal; half the instances are pair requests, some never rented
     rng = np.random.default_rng(12)
     flagged = 0
     for trial in range(60):
         m, t = random_small_hst(rng, max_leaves=10, extended_chance=1.0)
         pts = list(t.terminals)
         off = pts + [len(pts)]
-        trace = RunTrace()
+        trace, ends = RunTrace(), []
         for idx in range(int(rng.integers(1, 12))):
+            ends.append((int(rng.choice(off)), int(rng.choice(off))))
             trace.add(RequestRecord(
-                idx=idx, decision="rent", points=(int(rng.choice(off)), int(rng.choice(off))),
+                idx=idx, decision="rent",
                 klass=int(rng.integers(-2, 5)), rent_endpoint=str(rng.choice(["s", "t"])),
             ))
         pairs = [(int(rng.choice(pts)), int(rng.choice(off))) for _ in range(6)] if trial % 2 else None
         root = None if pairs else int(rng.choice(pts))
         M, shift = float(rng.choice([0.3, 1.0, 2.7])), int(rng.integers(1, 3))
         weights = None if pairs else {p: int(rng.integers(0, 3)) for p in pts}
-        got = check_cut_capacity(trace, t, M, shift, pairs, root, weights=weights)
-        assert got == brute_check_cut_capacity(trace, t, M, shift, pairs, root, weights=weights)
+        if pairs:
+            seq = RequestSequence(problem="MROB", requests=tuple(ends + pairs), M=M)
+        else:
+            seq = RequestSequence(problem="SROB", requests=tuple(s for s, _ in ends), root=root, M=M)
+        got = check_cut_capacity(seq, trace, t, shift, weights=weights)
+        assert got == brute_check_cut_capacity(seq, trace, t, shift, weights=weights)
         flagged += bool(got)
     assert flagged > 20
 
@@ -210,10 +212,9 @@ def test_close_same_class_buys_reported_once_by_class_separation():
     seq = RequestSequence(problem="SROB", requests=(1, 2, 3, 4), root=0, M=1.0)
     forged = RunTrace()
     for idx, a in enumerate([4.0, 4.5]):
-        forged.add(RequestRecord(idx=idx, decision="rent", points=(idx + 1,), a=a, klass=2, cost=a, attach=0))
+        forged.add(RequestRecord(idx=idx, decision="rent", klass=2, cost=a, attach=0))
     for idx, a, w in [(2, 5.0, 0), (3, 6.0, 1)]:
-        forged.add(RequestRecord(idx=idx, decision="buy", points=(idx + 1,), a=a, klass=2, cost=a,
-                                 witnesses=(w,), attach=0, edges=((idx + 1, 0, None),)))
+        forged.add(RequestRecord(idx=idx, decision="buy", klass=2, cost=a, witnesses=(w,), attach=0))
     checks = verify_run(m, seq, trials=1, forged_trace=forged)["checks"]
     assert checks["class_separation"]["violations"] == ["class 2: requests 2,3 at distance 1 < 2^2"]
     assert checks["witness_disjointness"]["fail"] == 0

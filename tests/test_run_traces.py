@@ -1,8 +1,8 @@
 """`ondesign run` output bytes, trace file included, pinned for all 7 problems.
 
 Report digests cover costs and checks only; the trace file also holds every
-record (classes, edges, witnesses, feasible_now) and the summaries (forest
-occ/A/zero_merges, F_hat).  The instances sit on a 8 x 8 integer grid, so
+record (decisions, classes, costs, witnesses, attach points, feasible_now)
+and the summaries (forest occ/A/zero_merges, F_hat).  The instances sit on a 8 x 8 integer grid, so
 coincident points (zero-length merges, auto requests) and equal distances
 (scan-order ties) occur in every run.
 
@@ -49,13 +49,13 @@ def _run_bytes(tmp_path, pidx, problem):
 
 # SHA-256 of each problem's _run_bytes.
 DIGESTS = {
-    "SteinerTree": "ea2fc5b0d0db5d3af989267b4cd3a478ef6b13a85270290d1fee71ce0544000e",
-    "SteinerForest": "b9188b6067474ca4599e9be3da9ac73d50fc79764e49423a1e10ceb960026a55",
-    "SteinerNetwork": "63ab1527ac966bfa1337b50858774882e212295490abf96b1e16d14c75c795a0",
-    "SROB": "c0321892a923977f5f7194cc57e291c2b6217b9322bde8fbab9de4fe8ecd5325",
-    "MROB": "fe7598584abc3ec4afdbd3ad269f699f1b4d2c51a85d35559a10a9a18559ff51",
-    "CFL": "8d0f7f8a55baba90b4fb5447ecb4409e1e81bf96b18d9fa5fa402fcd8fa08d0f",
-    "PCST": "8836d5db89c897ff97c65fe1abd8afd18aeff4aff8df428ba1ac342d4a05cb52",
+    "SteinerTree": "ac91535f8962eb71355a4e88855ee51c813b0df5dd122e13acc8f3dad26dbcc0",
+    "SteinerForest": "22543698b9617ed80d7f17c13a70f167bb6bb0f28cf513756557879601da77b7",
+    "SteinerNetwork": "74434bd88b3169ba082937bce91c7be3a6a83b29a984823fc57bf6883f14ee14",
+    "SROB": "e683fdf60454f9a96db7775702162a73da24297ff4f0a8cab4bd10890cbe31cc",
+    "MROB": "83b6518a46b56e0a2f139888b4188944b7fb8097bd545070e224ab51214d4956",
+    "CFL": "36004472670005f3a0aee513c3be23bcb5d617c4bca2b23edb8252784910fc51",
+    "PCST": "3f0a0f261340b651a52832f04f7efaba83ec1a8ff50351ed25e338c8638e8c53",
 }
 
 

@@ -27,7 +27,7 @@ def test_greedy_line_example():
     m = line_metric([0, 1, 3])
     sol, trace = run_greedy_st(m, 0, [1, 2])
     assert trace.total_cost() == 3.0
-    assert [(r.a, r.klass) for r in trace.records] == [(1.0, 0), (2.0, 1)]
+    assert [(r.cost, r.klass) for r in trace.records] == [(1.0, 0), (2.0, 1)]
     assert sol.bought == {(0, 1): 1, (1, 2): 1}
 
 
@@ -40,7 +40,7 @@ def test_greedy_single_arrival():
 def test_greedy_coincident_arrivals():
     m = line_metric([0, 4, 4])
     _, trace = run_greedy_st(m, 0, [1, 2])
-    assert [r.a for r in trace.records] == [4.0, 0.0]
+    assert [r.cost for r in trace.records] == [4.0, 0.0]
     assert trace.records[1].decision == "auto"
     assert trace.total_cost() == 4.0
 
@@ -147,8 +147,8 @@ def test_class_separation_pass_and_forged():
     _, trace = run_greedy_st(m, 0, seq.requests)
     assert check_class_separation(m, seq, trace) == []
     forged = RunTrace()
-    forged.add(RequestRecord(idx=0, decision="buy", points=(1,), a=2.0, klass=1, cost=2.0))
-    forged.add(RequestRecord(idx=1, decision="buy", points=(2,), a=2.0, klass=1, cost=2.0))
+    forged.add(RequestRecord(idx=0, decision="buy", klass=1, cost=2.0))
+    forged.add(RequestRecord(idx=1, decision="buy", klass=1, cost=2.0))
     # points 1 and 2 are at distance 2 in this metric: fine; forge closer ones
     m2 = line_metric([0, 5, 6])
     assert check_class_separation(m2, seq, forged) != []  # d(1,2)=1 < 2^1
