@@ -11,17 +11,22 @@ terminals are scanned in arrival order, s_i's sweep before t_i's.
 
 A pair with coincident endpoints is vacuous: it gets no class and adds nothing.
 Zero-length edges (distinct indices, same position) are bought only when they
-change connectivity and stay out of the per-level edge sets A_j.
+change connectivity and stay out of the per-level edge sets A_j.  They come
+first: a level -1 sweep (s's, then t's) joins each endpoint to the classified
+terminals at its position before level 0 buys anything.  Otherwise s's level-0
+sweep could buy an edge to t that t's zero-length merge with an already
+connected point makes redundant, closing a cycle over positions in A_0.
 
 The scan is array-native.  A pair reads one distance row per endpoint over
 the classified endpoints, and one mask picks each endpoint's candidates: the
 entries in another component that some level reaches (class c, d < 2^(c+1)).
-A candidate is within reach from level max(0, floor(log2 d)) up to c; at its
-first such level x's sweep joins it, so later levels would only retry a
-union that fails, and each candidate is tried once, at that level, in
-arrival order, s's sweep before t's.  Skipping only failing unions keeps the
-edges and their order those of the per-level rescan.  Components are a
-label per point; a union relabels one of them, at most n - 1 times in all.
+A candidate is within reach from level -1 if d = 0, else from level
+max(0, floor(log2 d)), up to c; at its first such level x's sweep joins it,
+so later levels would only retry a union that fails, and each candidate is
+tried once, at that level, in arrival order, s's sweep before t's.  Skipping
+only failing unions keeps the edges and their order those of the per-level
+rescan.  Components are a label per point; a union relabels one of them, at
+most n - 1 times in all.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ class BcForest:
         side, ks = np.nonzero((rows < reach) & (self.comp[pts] != self.comp[pair]))
         sweeps = ({}, {})  # per endpoint: first level -> candidate points, in arrival order
         for e, v, dv in zip(side.tolist(), pts[ks].tolist(), rows[side, ks].tolist()):
-            sweeps[e].setdefault(0 if dv < 2.0 else floor_log2(dv), []).append(v)
-        for level in range(0, klass + 1):
+            sweeps[e].setdefault(-1 if dv == 0.0 else 0 if dv < 2.0 else floor_log2(dv), []).append(v)
+        for level in range(-1, klass + 1):
             for x, by_level in zip((s, t), sweeps):
                 for v in by_level.get(level, ()):
                     if not self._union(x, v):

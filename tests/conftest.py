@@ -333,14 +333,15 @@ class RefBcForest:
         klass = floor_log2(self.m.dist(s, t))
         self.occ.append((s, klass))
         self.occ.append((t, klass))
-        for level in range(0, klass + 1):
+        # level -1 joins only coincident terminals that some level reaches
+        for level in range(-1, klass + 1):
             reach = pow2(level + 1)
             for x in (s, t):
                 for v, cv in self.occ:
-                    if cv < level or v == x:
+                    if cv < max(level, 0) or v == x:
                         continue
                     dv = self.m.dist(x, v)
-                    if dv < reach and self.uf.union(x, v):
+                    if (dv == 0.0 if level < 0 else dv < reach) and self.uf.union(x, v):
                         if dv > 0.0:
                             added.append((x, v, level))
                             self.levels.setdefault(level, []).append((x, v))

@@ -50,8 +50,8 @@ def _run_bytes(tmp_path, pidx, problem):
 # SHA-256 of each problem's _run_bytes.
 DIGESTS = {
     "SteinerTree": "ac91535f8962eb71355a4e88855ee51c813b0df5dd122e13acc8f3dad26dbcc0",
-    "SteinerForest": "22543698b9617ed80d7f17c13a70f167bb6bb0f28cf513756557879601da77b7",
-    "SteinerNetwork": "74434bd88b3169ba082937bce91c7be3a6a83b29a984823fc57bf6883f14ee14",
+    "SteinerForest": "9e3c5c494d4d16a6599527a7bbb76b69940c32914ffe4c84630d9143250af5a3",
+    "SteinerNetwork": "9a6472978e55b1551c4b4e4a14bd4f365fbcd04997d3c002b754decc2ade7cad",
     "SROB": "e683fdf60454f9a96db7775702162a73da24297ff4f0a8cab4bd10890cbe31cc",
     "MROB": "83b6518a46b56e0a2f139888b4188944b7fb8097bd545070e224ab51214d4956",
     "CFL": "36004472670005f3a0aee513c3be23bcb5d617c4bca2b23edb8252784910fc51",
