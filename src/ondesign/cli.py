@@ -26,7 +26,7 @@ from .metric import (
     load_instance,
     solution_cost,
 )
-from .verify import SPECS, embed_report, exact_optimum, position_reps, run_problem, tree_points, verify_run
+from .verify import SPECS, embed_report, exact_optimum, run_problem, tree_points, verify_run
 
 
 def _write(path, text):
@@ -160,8 +160,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_embed(args) -> int:
     m, seq = _load(args)
-    reps = tree_points(m, seq)[0] or position_reps(m, range(m.n)).values()
-    report = embed_report(m, reps, trials=args.trials, seed=args.seed)
+    report = embed_report(m, tree_points(seq) or range(m.n), trials=args.trials, seed=args.seed)
     _write(args.out, _json(report))
     return 4 if report["invalid_trees"] else 0
 

@@ -27,10 +27,6 @@ class EmptyTerminalSet(OndesignError):
     pass
 
 
-class CoincidentTerminals(OndesignError):
-    pass
-
-
 class LevelOutOfRange(OndesignError):
     pass
 

@@ -17,6 +17,12 @@ any points, and `class_cuts` groups the class-(j + shift) entries of a check
 by level-j cut, which is how the per-tree cut checks and the PCST cut lower
 bound read the tree.  The tree oracles group whole rows.
 
+A terminal is a position: of the points a tree is sampled for, the lowest
+index at each position is the terminal, and every other point there is an
+alias of it.  A tree of distinct positions has no aliases.  Every lookup by
+point (`Hst.columns`, `cut_row`, `class_cuts`, `tree_distance`) resolves an
+alias to its terminal's column, so no caller maps coincident points itself.
+
 Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
 permutation element within the radius.  All levels come from one pass over the
@@ -46,7 +52,6 @@ import numpy as np
 
 from .errors import (
     AlreadyExtended,
-    CoincidentTerminals,
     EmptyTerminalSet,
     LevelOutOfRange,
     UnknownLeaf,
@@ -60,16 +65,19 @@ class Hst:
     The tree is stored once, as read-only intp arrays.  Per node id (root 0):
     `parent` (root -1) and `edge_level`, the level of the edge to the parent
     (root 0).  Per terminal column: `terminals`, the points in ascending
-    order, and `leaf`, each terminal's leaf node.  The constructor checks
-    nothing, so a malformed tree reaches validate_hst as built.
+    order, and `leaf`, each terminal's leaf node.  `aliases` holds the
+    (point, terminal) pairs of the other points at a terminal's position, by
+    point.  The constructor checks nothing, so a malformed tree reaches
+    validate_hst as built.
     """
 
-    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None):
+    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=()):
         self.parent = _frozen(parent)
         self.edge_level = _frozen(edge_level)
         self.terminals = tuple(terminals)
         self.leaf = _frozen(leaf)
         self.extended_to = extended_to
+        self.aliases = tuple(sorted(aliases))
 
     @property
     def n_nodes(self) -> int:
@@ -109,17 +117,19 @@ class Hst:
         return ids
 
     def cut_ids_at(self, points) -> np.ndarray:
-        """cut_ids columns of `points`; a non-terminal is in no cut (id -1)."""
+        """cut_ids columns of `points`; a point not in the tree is in no cut (id -1)."""
         cols = self.columns(points)
         return np.where(cols >= 0, self.cut_ids[:, cols], -1)
 
     def columns(self, points) -> np.ndarray:
-        """Each point's column in self.terminals, -1 for a non-terminal."""
+        """Each point's column in self.terminals (an alias's is its terminal's),
+        -1 for a point not in the tree."""
         return np.array([self._column.get(p, -1) for p in points], dtype=np.intp)
 
     @cached_property
     def _column(self) -> dict:
-        return {p: i for i, p in enumerate(self.terminals)}
+        column = {p: i for i, p in enumerate(self.terminals)}
+        return {**{a: column[p] for a, p in self.aliases if p in column}, **column}
 
     def total_length(self) -> float:
         return sum(self.lists[1][1:])
@@ -132,7 +142,7 @@ class Hst:
         return {
             "levels": self.root_level,
             "nodes": nodes,
-            "leaf_map": {str(p): nid for p, nid in zip(self.terminals, leaf)},
+            "leaf_map": {str(p): leaf[col] for p, col in self._column.items()},
         }
 
     def to_json(self) -> str:
@@ -146,11 +156,9 @@ def _frozen(values) -> np.ndarray:
 
 
 def tree_distance(t: Hst, u: int, v: int) -> float:
-    """Sum of edge lengths on the unique leaf-to-leaf path; T(u,u) = 0."""
+    """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf."""
     if u not in t._column or v not in t._column:
         raise UnknownLeaf(f"{u} or {v} is not a leaf terminal")
-    if u == v:
-        return 0.0
     parent, length, leaf = t.lists
     a, b = leaf[t._column[u]], leaf[t._column[v]]
     ancestors = {}
@@ -251,7 +259,7 @@ def validate_hst(t: Hst, m: MetricSpace) -> list:
     """Exhaustive check of the Definition-2 invariants; empty list iff valid.
 
     Independent of the sampler: everything is derived from t.parent,
-    t.edge_level, t.terminals and t.leaf, and compared with m.d.
+    t.edge_level, t.terminals, t.leaf and t.aliases, and compared with m.d.
     """
     return validated_distances(t, m)[0]
 
@@ -273,6 +281,10 @@ def validated_distances(t: Hst, m: MetricSpace):
                    else f"leaves: childless node {nid} maps to no terminal")
     if len(set(t.leaf.tolist())) != len(t.leaf) or len(set(t.terminals)) != len(t.terminals):
         out.append("leaves: terminal-to-leaf map is not a bijection")
+    # an alias is a non-terminal at its terminal's position
+    terminals = set(t.terminals)
+    out += [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
+            for a, p in t.aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
     #    length = 2^(level-1) holds by construction of Hst.length
     above = parent[1:]
@@ -324,25 +336,40 @@ def validated_distances(t: Hst, m: MetricSpace):
     return out, T
 
 
-def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
-    """Sample an HST embedding of the given terminal points; pure in (m, seed).
+def split_aliases(m: MetricSpace, points):
+    """(terminals, aliases, d) of a tree for `points`: the lowest index at
+    each of their positions, ascending; a (point, terminal) pair for every
+    other point; the terminals' distance submatrix."""
+    pts = sorted(set(int(p) for p in points))
+    d = m.d[np.ix_(pts, pts)]
+    if not pts:
+        return pts, [], d
+    first = (d == 0.0).argmax(axis=1)
+    aliases = [(p, pts[i]) for p, i in zip(pts, first.tolist()) if pts[i] != p]
+    if aliases:
+        keep = first == np.arange(len(pts))
+        pts, d = [p for p, kept in zip(pts, keep.tolist()) if kept], d[np.ix_(keep, keep)]
+    return pts, aliases, d
 
+
+def sample_frt(m: MetricSpace, points, seed: int) -> Hst:
+    """Sample an HST embedding of the given points; pure in (m, seed).
+
+    The tree is sampled over the lowest-index point at each position, and
+    every other point is an alias of the terminal at its position.
     Any sampler passing validate_hst with logarithmic empirical stretch serves
     the analysis; nothing downstream depends on distribution details.
     """
-    pts = sorted(set(int(p) for p in terminals))
+    pts, aliases, d = split_aliases(m, points)
     if not pts:
         raise EmptyTerminalSet("need at least one terminal")
     if len(pts) == 1:
-        return Hst([-1], [0], pts, [0])
+        return Hst([-1], [0], pts, [0], aliases=aliases)
     k = len(pts)
-    d = m.d[np.ix_(pts, pts)]
     close = d < 1.0
     np.fill_diagonal(close, False)
     if close.any():
         u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
-        if m.coincident(u, v):
-            raise CoincidentTerminals(f"terminals {u} and {v} share a position")
         raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
@@ -375,7 +402,7 @@ def sample_frt(m: MetricSpace, terminals, seed: int) -> Hst:
     by_point = np.empty_like(node)
     by_point[:, order] = node
     t = Hst(np.concatenate([[-1], above[starts]]),
-            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1])
+            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases)
 
     # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
     gap = sum(row[:, None] != row[None, :] for row in by_point)
@@ -400,7 +427,7 @@ def _hang_chains(t: Hst, shift: int, chain_levels, extended_to=None) -> Hst:
     leaf[by_node] = chain[:, -1]
     return Hst(np.concatenate([t.parent, np.column_stack([t.leaf[by_node], chain[:, :-1]]).ravel()]),
                np.concatenate([t.edge_level + shift * (t.parent >= 0), np.tile(chain_levels, k)]),
-               t.terminals, leaf, extended_to)
+               t.terminals, leaf, extended_to, t.aliases)
 
 
 def extend_singleton_levels(t: Hst) -> Hst:

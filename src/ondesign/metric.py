@@ -542,7 +542,9 @@ class RunTrace:
                             row, witnesses=tuple(row["witnesses"]), witnesses_t=tuple(row["witnesses_t"]),
                         )))
                     else:
-                        raise ValueError(f"line {line} is neither a record nor the summary")
+                        named = "" if keys is None else (f": unknown keys {sorted(keys - set(RECORD_SHAPE))},"
+                                                         f" missing keys {sorted(set(RECORD_SHAPE) - keys)}")
+                        raise ValueError(f"line {line} is neither a record nor the summary{named}")
         except (OSError, ValueError, TypeError) as exc:
             raise SchemaError(f"trace {path}: {exc}") from exc
         return trace

@@ -93,7 +93,7 @@ def check_pcst_run_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTr
     return out + check_class_separation(m, seq, trace)
 
 
-def check_pcst_invariants(seq: RequestSequence, trace: RunTrace, t_ext: Hst, point_rep=None):
+def check_pcst_invariants(seq: RequestSequence, trace: RunTrace, t_ext: Hst):
     """Per-tree cut shares on the extended tree; returns (violations, flags).
 
     Violations: a level-j cut whose class-(j+1) share sum exceeds 2^(j+2) or is
@@ -101,13 +101,8 @@ def check_pcst_invariants(seq: RequestSequence, trace: RunTrace, t_ext: Hst, poi
     (2^(j+1), 2^(j+2)], recorded for inspection.
     """
     out, flags = [], []
-    rep = point_rep or (lambda p: p)
-    rows_by_class = {
-        c: [(rep(p), rho) for p, rho, _ in rows]
-        for c, rows in positive_share_rows(seq, trace).items()
-    }
-    for j, _, holds_root, inside in class_cuts(t_ext, rows_by_class, 1, rep(seq.root)):
-        share = sum(rho for _, rho in inside)
+    for j, _, holds_root, inside in class_cuts(t_ext, positive_share_rows(seq, trace), 1, seq.root):
+        share = sum(rho for _, rho, _ in inside)
         if share <= 0:
             continue
         if holds_root:

@@ -175,48 +175,40 @@ def _witness_rows(rows, j, M, rent_class):
     return out
 
 
-def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int, point_rep=None, weights=None):
+def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int):
     """Per-level rent caps on an extended tree's cuts.
 
     Reads the classified rent records' rent points: the request's last point
     (a pair's t end) if rent_endpoint is "t", else its first.  A level-j cut
     C holding the root must hold no class-(j + shift) rent (shift 1 for SROB,
     2 for CFL and MROB); any other at most ceil(M) occurrences, and at most
-    w(C) of them, the requests whose leaves C holds (`weights` maps terminal
-    point -> request multiplicity, default 1 each) or, for pair requests, at
-    most the |D(C)| pairs it separates.  Cuts at level 0 (terminal
+    w(C) of them, the requests whose points C holds or, for pair requests,
+    at most the |D(C)| pairs it separates.  Cuts at level 0 (terminal
     singletons) participate.
     """
-    rep = point_rep or (lambda p: p)
     cap_m = math.ceil(seq.M)
-    per_leaf = [(weights or {}).get(p, 1) for p in t.terminals]
+    points = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
-            points = seq.request_points(rec.idx)
-            p = points[-1] if rec.rent_endpoint == "t" else points[0]
-            rents.setdefault(rec.klass, []).append((rep(p), rec.idx))
-    # pair requests have no root; their cut sizes are the pairs a cut separates
-    ends = None if seq.root is not None else [rep(p) for pair in seq.requests for p in pair]
+            ends = seq.request_points(rec.idx)
+            rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
     out, level = [], None
-    for j, cut, holds_root, inside in class_cuts(t, rents, shift, rep(seq.root)):
+    for j, cut, holds_root, inside in class_cuts(t, rents, shift, seq.root):
         if holds_root:
             out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
             continue
         if j != level:  # every level-j cut's w(C) or |D(C)|, once per level
-            level = j
-            if ends is None:
-                size = np.bincount(cut_row(t, j), weights=per_leaf).tolist()
-            else:  # the pairs with exactly one end in C
-                row = cut_row(t, j, ends)
+            level, row = j, cut_row(t, j, points)
+            if seq.root is None:  # pair requests: the pairs with exactly one end in C
                 a, b = row[0::2], row[1::2]
-                crossing = np.concatenate([a[a != b], b[a != b]])
-                size = np.bincount(crossing[crossing >= 0], minlength=t.n_nodes + len(t.terminals)).tolist()
+                row = np.concatenate([a[a != b], b[a != b]])
+            size = np.bincount(row[row >= 0], minlength=t.n_nodes + len(t.terminals)).tolist()
         if len(inside) > cap_m:
             out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
         if len(inside) > size[cut]:
             out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={size[cut]:g}"
-                       if ends is None else f"level {j}: {len(inside)} rents > |D(C)|={size[cut]}")
+                       if seq.root is not None else f"level {j}: {len(inside)} rents > |D(C)|={size[cut]}")
     return out
 
 

@@ -12,10 +12,9 @@ terminals are scanned in arrival order, s_i's sweep before t_i's.
 A pair with coincident endpoints is vacuous: it gets no class and adds nothing.
 Zero-length edges (distinct indices, same position) are bought only when they
 change connectivity and stay out of the per-level edge sets A_j.  They come
-first: a level -1 sweep (s's, then t's) joins each endpoint to the classified
-terminals at its position before level 0 buys anything.  Otherwise s's level-0
-sweep could buy an edge to t that t's zero-length merge with an already
-connected point makes redundant, closing a cycle over positions in A_0.
+first, in a level -1 sweep (s's, then t's); otherwise s's level-0 sweep could
+buy an edge to t that t's zero-length merge with a connected point makes
+redundant, closing a cycle over positions in A_0.
 
 The scan is array-native.  A pair reads one distance row per endpoint over
 the classified endpoints, and one mask picks each endpoint's candidates: the
@@ -249,16 +248,15 @@ def _forests(trace: RunTrace):
     return trace.summary.get("forests", [])
 
 
-def check_metagraph_acyclic(trace: RunTrace, covers: dict, point_rep=None):
+def check_metagraph_acyclic(trace: RunTrace, covers: dict):
     """Meta-graph acyclicity per level: |A_j| <= |S_j| for the cover by level-j cuts.
 
-    `covers` maps level j to {terminal point: cut id}, as covers_from_tree
-    builds it.  Its validity (disjoint cuts of metric diameter < 2^j) comes
-    from validate_hst, which passes every tree before a per-tree check runs;
-    what a forged trace can still break is raised as InvalidCover: an X_j
-    point or an A_j endpoint outside the cover.  Returns cycle violations.
+    `covers` maps level j to {point: cut id}, as covers_from_tree builds it.
+    Its validity (disjoint cuts of metric diameter < 2^j) comes from
+    validate_hst, which passes every tree before a per-tree check runs; what
+    a forged trace can still break is raised as InvalidCover: an X_j point or
+    an A_j endpoint outside the cover.  Returns cycle violations.
     """
-    rep = point_rep or (lambda p: p)
     out = []
     for forest in _forests(trace):
         occ = forest["occ"]
@@ -266,12 +264,12 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict, point_rep=None):
             cover = covers.get(j)
             if cover is None:
                 raise InvalidCover(f"no cover supplied for level {j}")
-            missed = {rep(p) for p, c in occ if c >= j} - cover.keys()
+            missed = {p for p, c in occ if c >= j} - cover.keys()
             if missed:
                 raise InvalidCover(f"level {j}: cover misses {sorted(missed)}")
             uf = UnionFind(max(cover.values(), default=-1) + 1)
             for u, v in edges:
-                su, sv = cover.get(rep(u)), cover.get(rep(v))
+                su, sv = cover.get(u), cover.get(v)
                 if su is None or sv is None:
                     raise InvalidCover(f"level {j}: edge endpoint outside the cover")
                 if not uf.union(su, sv):
@@ -279,15 +277,17 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict, point_rep=None):
     return out
 
 
-def covers_from_tree(t: Hst, trace: RunTrace, point_rep=None):
-    """{j: {terminal: level-j cut id}} over the level-j cuts meeting X_j, for
-    every level j holding Berman-Coulston edges."""
-    rep = point_rep or (lambda p: p)
-    occs = [o for forest in _forests(trace) for o in forest["occ"]]
+def covers_from_tree(t: Hst, trace: RunTrace):
+    """{j: {point: level-j cut id}} for every level j holding Berman-Coulston
+    edges, over the points the forests name (X_j entries and A_j endpoints)
+    whose level-j cut in t meets X_j."""
+    forests = _forests(trace)
+    occs = [o for forest in forests for o in forest["occ"]]
+    points = sorted({p for p, _ in occs} | {p for f in forests for _, edges in f["A"] for e in edges for p in e})
     out = {}
-    for j in sorted({j for forest in _forests(trace) for j, _ in forest["A"]}):
-        hit = set(cut_row(t, j, [rep(p) for p, c in occs if c >= j]).tolist())
-        out[j] = {p: cut for p, cut in zip(t.terminals, cut_row(t, j).tolist()) if cut in hit}
+    for j in sorted({j for forest in forests for j, _ in forest["A"]}):
+        hit = set(cut_row(t, j, [p for p, c in occs if c >= j]).tolist()) - {-1}  # -1: not in t
+        out[j] = {p: cut for p, cut in zip(points, cut_row(t, j, points).tolist()) if cut in hit}
     return out
 
 

@@ -10,8 +10,9 @@ What crosses an edge is read off `Hst.cut_ids`: a pair's ends sit in
 different level-j cuts exactly where their level-j edges lie on the path
 between them.  Edge terms are added one at a time in node-id order.
 
-Rent-or-buy cut sizes accept per-leaf request multiplicities: a terminal
-requested w times forces w rents across each unbought edge on its root path.
+Points are resolved through the tree (see hst): coincident points share a
+leaf, so a leaf requested w times forces w rents across each unbought edge on
+its root path, and coincident penalties add up on their leaf.
 """
 
 from __future__ import annotations
@@ -63,45 +64,47 @@ def opt_tree_rob_multi(t: Hst, pairs, M) -> float:
     return _edge_sum(t, np.minimum(M, np.bincount(_path_edges(t, pairs)[0], minlength=t.n_nodes)))
 
 
-def opt_tree_rob_single(t: Hst, r: int, M, weights=None) -> float:
-    """Sum over edges not above r of length * min(M, requests in the cut).
+def opt_tree_rob_single(t: Hst, r: int, M, clients) -> float:
+    """Sum over edges not above r of length * min(M, clients in the cut).
 
-    `weights` maps terminal point -> request multiplicity (default 1 each).
-    Edges on r's own root path are excluded: the charging argument only
-    spends on cuts that separate terminals from r.
+    `clients` has one point per request.  Edges on r's own root path are
+    excluded: the charging argument only spends on cuts that separate
+    terminals from r.
     """
-    if r not in t.terminals:
+    ids, cols = t.cut_ids, t.columns([r, *clients])
+    if cols[0] < 0:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    ids, per_leaf = t.cut_ids, [(weights or {}).get(p, 1) for p in t.terminals]
+    per_leaf = np.bincount(cols[1:], minlength=len(t.terminals))
     load = np.bincount(ids.ravel(), weights=np.tile(per_leaf, len(ids)), minlength=t.n_nodes)
-    load[ids[:, t.terminals.index(r)]] = 0  # the edges above r
+    load[ids[:, cols[0]]] = 0  # the edges above r
     return _edge_sum(t, np.where(load != 0, np.minimum(M, load), 0)[:t.n_nodes])
 
 
 def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     """Exact min of c(bought subtree containing r) + dropped penalties.
 
-    `penalties` is a list of (terminal point, pi) occurrences; coincident
-    occurrences accumulate on their shared leaf.  Bottom-up DP on the tree
-    re-rooted at leaf r: cutting a subtree pays its total penalty, keeping it
-    pays its parent edge plus its children's optima.
+    `penalties` is a list of (point, pi) occurrences; the penalties of one
+    leaf add up, and those of points not in the tree are ignored.  Bottom-up
+    DP on the tree re-rooted at leaf r: cutting a subtree pays its total
+    penalty, keeping it pays its parent edge plus its children's optima.
     """
-    if r not in t.terminals:
+    cols = t.columns([r] + [p for p, _ in penalties]).tolist()
+    if cols[0] < 0:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    pen_at = {}
-    for p, pi in penalties:
+    parent, length, leaf = t.lists
+    pen_at = {}  # leaf node -> penalty
+    for col, (_, pi) in zip(cols[1:], penalties):
         if pi < 0:
             raise ValueError("penalties must be >= 0")
-        pen_at[p] = pen_at.get(p, 0.0) + pi
+        if col >= 0:
+            pen_at[leaf[col]] = pen_at.get(leaf[col], 0.0) + pi
 
     # adjacency with lengths, then orient away from r's leaf
-    parent, length, leaf = t.lists
     adj = [[] for _ in parent]
     for nid in range(1, t.n_nodes):
         adj[nid].append((parent[nid], length[nid]))
         adj[parent[nid]].append((nid, length[nid]))
-    point_at = dict(zip(leaf, t.terminals))
-    root = leaf[t.terminals.index(r)]
+    root = leaf[cols[0]]
     order, par, par_len = [root], {root: None}, {root: 0.0}
     for v in order:  # breadth first: the loop visits what it appends
         for w, ln in adj[v]:
@@ -111,7 +114,7 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     pen_sub, h = {}, {}
     for v in reversed(order):
         kids = [w for w, _ in adj[v] if par.get(w) == v]
-        pen_sub[v] = pen_at.get(point_at.get(v), 0.0) + sum(pen_sub[w] for w in kids)
+        pen_sub[v] = pen_at.get(v, 0.0) + sum(pen_sub[w] for w in kids)
         keep = sum(h[w] for w in kids)
         h[v] = keep if v == root else min(pen_sub[v], par_len[v] + keep)
     return h[root]

@@ -9,15 +9,14 @@ instance (root, M, requests, facilities) only from the RequestSequence.
 Runners and oracles are lambdas, so a call resolves each name when it happens.
 Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
-Trees are sampled over the distinct positions of the arrived terminals
-(coincident request points collapse onto a representative; oracles see their
-request multiplicities) and extended with singleton levels down to -2 for the
-rent-or-buy style checks.
+Trees are sampled over the request points and the root; the tree resolves
+coincident points to one leaf (see hst), so checks and oracles pass it the
+instance's points as they are.  Trees are extended with singleton levels down
+to -2 for the rent-or-buy style checks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +32,7 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import extend_singleton_levels, sample_frt, validate_hst, validated_distances
+from .hst import extend_singleton_levels, sample_frt, split_aliases, validate_hst, validated_distances
 from .metric import (
     RTOL,
     MetricSpace,
@@ -83,8 +82,7 @@ from .tree_opt import (
 
 
 # ---------------------------------------------------------------------------
-# Per-tree checks: check(tally, m, seq, trace, tree, rep, weights), where rep
-# maps a point to its representative leaf and weights counts requests per leaf.
+# Per-tree checks: check(tally, m, seq, trace, t) on a valid sampled tree t.
 # ---------------------------------------------------------------------------
 
 class _Tally:
@@ -108,71 +106,60 @@ class _Tally:
         self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
 
 
-def _pairs(seq, rep):
-    """The instance's request pairs at their representative leaves."""
-    return [(rep(s), rep(t)) for s, t, *_ in seq.requests]
+def _metagraph(trace, t):
+    return check_metagraph_acyclic(trace, covers_from_tree(t, trace))
 
 
-def _metagraph(trace, t, rep):
-    return check_metagraph_acyclic(trace, covers_from_tree(t, trace, rep), rep)
-
-
-def _tree_st(tally, m, seq, trace, t, rep, weights):
+def _tree_st(tally, m, seq, trace, t):
     tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_tree(t))
 
 
-def _tree_sf(tally, m, seq, trace, t, rep, weights):
-    opt = opt_tree_steiner_forest(t, _pairs(seq, rep))
+def _tree_sf(tally, m, seq, trace, t):
+    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_forest(t, seq.requests))
+    tally.out += _metagraph(trace, t)
+
+
+def _tree_sn(tally, m, seq, trace, t):
+    opt = opt_tree_steiner_network(t, [(s, u) for s, u, _ in seq.requests], [r for _, _, r in seq.requests])
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += _metagraph(trace, t, rep)
+    tally.out += _metagraph(trace, t)
 
 
-def _tree_sn(tally, m, seq, trace, t, rep, weights):
-    opt = opt_tree_steiner_network(t, _pairs(seq, rep), [r for _, _, r in seq.requests])
-    tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += _metagraph(trace, t, rep)
-
-
-def _tree_rob_single(tally, seq, trace, t, rep, weights, cost_name, cost, shift):
+def _tree_rob_single(tally, seq, trace, t, cost_name, cost, shift):
     """SROB and CFL: share and `cost` against the rent-or-buy tree optimum;
     cut caps on class-(j + shift) rents."""
     t_ext = extend_singleton_levels(t)
-    opt = opt_tree_rob_single(t_ext, rep(seq.root), seq.M, weights)
+    opt = opt_tree_rob_single(t_ext, seq.root, seq.M, seq.requests)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, shift, rep, weights)
+    tally.out += check_cut_capacity(seq, trace, t_ext, shift)
 
 
-def _tree_srob(tally, m, seq, trace, t, rep, weights):
-    _tree_rob_single(tally, seq, trace, t, rep, weights, "cost_vs_tree", trace.total_cost(), 1)
+def _tree_srob(tally, m, seq, trace, t):
+    _tree_rob_single(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 1)
 
 
-def _tree_cfl(tally, m, seq, trace, t, rep, weights):
-    cost = cfl_buy_rent_cost(m, seq, trace)
-    _tree_rob_single(tally, seq, trace, t, rep, weights, "buyrent_vs_tree", cost, 2)
+def _tree_cfl(tally, m, seq, trace, t):
+    _tree_rob_single(tally, seq, trace, t, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
 
 
-def _tree_mrob(tally, m, seq, trace, t, rep, weights):
+def _tree_mrob(tally, m, seq, trace, t):
     t_ext = extend_singleton_levels(t)
-    opt = opt_tree_rob_multi(t_ext, _pairs(seq, rep), seq.M)
+    opt = opt_tree_rob_multi(t_ext, seq.requests, seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, 2, rep)
-    tally.out += _metagraph(trace, t_ext, rep)
+    tally.out += check_cut_capacity(seq, trace, t_ext, 2)
+    tally.out += _metagraph(trace, t_ext)
 
 
-def _tree_pcst(tally, m, seq, trace, t, rep, weights):
+def _tree_pcst(tally, m, seq, trace, t):
     t_ext = extend_singleton_levels(t)
-    tree_viol, tree_flags = check_pcst_invariants(seq, trace, t_ext, rep)
+    tree_viol, tree_flags = check_pcst_invariants(seq, trace, t_ext)
     tally.out += tree_viol
     tally.flags += tree_flags
-    rows = {
-        c: [(rep(p), rho, pi) for p, rho, pi in lst]
-        for c, lst in positive_share_rows(seq, trace).items()
-    }
     share = total_share(trace)
-    lb = pcst_cut_lower_bound(t_ext, rep(seq.root), rows)
-    opt = opt_tree_pcst(t_ext, rep(seq.root), [(rep(p), pi) for p, pi in seq.requests])
+    lb = pcst_cut_lower_bound(t_ext, seq.root, positive_share_rows(seq, trace))
+    opt = opt_tree_pcst(t_ext, seq.root, seq.requests)
     # the cut lower bound is held to the share constant
     tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
     tally.bound("share_vs_tree", share, opt)
@@ -258,39 +245,27 @@ def run_problem(m: MetricSpace, seq: RequestSequence):
     return SPECS[seq.problem].run(m, seq)
 
 
-def position_reps(m: MetricSpace, points):
-    """Collapse coincident positions: point -> lowest-index representative."""
-    pts = sorted(set(points))
-    if not pts:
-        return {}
-    first = (m.d[np.ix_(pts, pts)] == 0.0).argmax(axis=1)
-    return {p: pts[i] for p, i in zip(pts, first.tolist())}
-
-
-def tree_points(m: MetricSpace, seq: RequestSequence):
-    """(representatives, rep map, per-rep request multiplicities)."""
+def tree_points(seq: RequestSequence):
+    """The points a tree is sampled for: every request point, and the root."""
     pts = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
-    rep = position_reps(m, pts + ([] if seq.root is None else [seq.root]))
-    weights = Counter(rep[p] for p in pts)
-    return sorted(set(rep.values())), rep, weights
+    return pts + ([] if seq.root is None else [seq.root])
 
 
 def check_tree_bounds(m, seq, trace, points, tree_seed):
     """Sample one HST (and its extension) and run every per-tree check.
 
-    `points` is tree_points(m, seq).  Returns (violations, flags, ratios) for
+    `points` is tree_points(seq).  Returns (violations, flags, ratios) for
     this tree.
     """
-    reps, rep, weights = points
-    if not reps:
+    if not points:
         return [], [], {}
-    t = sample_frt(m, reps, tree_seed)
+    t = sample_frt(m, points, tree_seed)
     bad = validate_hst(t, m)
     if bad:
         return [f"invalid tree: {bad[0]}"] + bad[1:], [], {}
     spec = SPECS[seq.problem]
     tally = _Tally(spec.constants)
-    spec.tree_checks(tally, m, seq, trace, t, rep.get, weights)
+    spec.tree_checks(tally, m, seq, trace, t)
     return tally.out, tally.flags, tally.ratios
 
 
@@ -346,7 +321,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         checks = [(name, _guarded_run_check(check, m, seq, trace)) for name, check in spec.run_checks.items()]
         cost_doc = {"total": trace.total_cost()}
 
-    points = tree_points(m, seq)
+    points = tree_points(seq)
     ratios = {}
     flags = []
     tree_violations = []
@@ -387,15 +362,14 @@ def _tree_seed(seed, trial):
     return (int(seed) * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9 + 1) % (2**63)
 
 
-def embed_report(m, terminals, trials=200, seed=0):
-    """Sample `trials` HSTs; report validity rate and per-pair mean stretch."""
-    reps = sorted(set(terminals))
+def embed_report(m, points, trials=200, seed=0):
+    """Sample `trials` HSTs for `points`; report validity rate and the mean
+    stretch of each pair of their terminals (distinct positions)."""
+    reps, _, d = split_aliases(m, points)
     results = [validated_distances(sample_frt(m, reps, _tree_seed(seed, trial)), m) for trial in range(trials)]
     invalid = sum(1 for bad, _ in results if bad)
-    # pairs u < v at positive distance, accumulated trial by trial
-    d = m.d[np.ix_(reps, reps)]
+    # pairs u < v, accumulated trial by trial
     u, v = np.triu_indices(len(reps), 1)
-    u, v = u[d[u, v] > 0], v[d[u, v] > 0]
     sums = np.zeros(len(u))
     for _, T in results:
         sums += T[u, v] / d[u, v]

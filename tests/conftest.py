@@ -90,8 +90,9 @@ def brute_tree_rob_multi(t, pairs, M):
     return total
 
 
-def brute_tree_rob_single(t, r, M, weights=None):
-    """Enumerate per-edge buy/rent decisions over edges off r's root chain."""
+def brute_tree_rob_single(t, r, M, clients):
+    """Enumerate per-edge buy/rent decisions over edges off r's root chain;
+    `clients` holds one terminal per request."""
     import itertools
 
     chain = set()
@@ -101,13 +102,10 @@ def brute_tree_rob_single(t, r, M, weights=None):
         x = int(t.parent[x])
     edges = [e for e in edge_list(t) if e not in chain]
     usage = {e: 0 for e in edges}
-    for p in t.terminals:
-        w = (weights or {}).get(p, 1) if weights is not None else 1
-        if p == r:
-            continue
+    for p in clients:
         for e in root_path_edges(t, r, p):
             if e in usage:
-                usage[e] += w
+                usage[e] += 1
     best = None
     if len(edges) <= 13:
         for buys in itertools.product((False, True), repeat=len(edges)):
@@ -210,6 +208,9 @@ def brute_validate_hst(t, m):
             out.append(f"leaves: node {nid} is both internal and a terminal leaf")
     if len(set(leaves)) != len(leaves) or len(set(pts)) != len(pts):
         out.append("leaves: terminal-to-leaf map is not a bijection")
+    for a, p in t.aliases:
+        if a in pts or p not in pts or m.dist(a, p) != 0.0:
+            out.append(f"aliases: point {a} is not a non-terminal coincident with terminal {p}")
     # 2. siblings share an edge level; levels drop strictly toward the leaves
     for nid in range(t.n_nodes):
         kids = children[nid]
@@ -251,18 +252,19 @@ def _levels(t):
     return range(lo, t.root_level + 1)
 
 
-def brute_check_cut_capacity(seq, trace, t, shift, rep=lambda p: p, weights=None):
-    """Reference for rentorbuy.check_cut_capacity: membership tests on brute cuts."""
+def brute_check_cut_capacity(seq, trace, t, shift):
+    """Reference for rentorbuy.check_cut_capacity: membership tests on brute
+    cuts, on a tree without aliases."""
     import math
 
     M, root = seq.M, seq.root
-    pairs = None if root is not None else [(rep(s), rep(u)) for s, u in seq.requests]
+    pairs = None if root is not None else list(seq.requests)
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
             ends = seq.request_points(rec.idx)
             p = ends[-1] if rec.rent_endpoint == "t" else ends[0]
-            rents.setdefault(rec.klass, []).append((rec.idx, rep(p)))
+            rents.setdefault(rec.klass, []).append((rec.idx, p))
     out = []
     for j in _levels(t):
         rows = rents.get(j + shift, [])
@@ -270,12 +272,12 @@ def brute_check_cut_capacity(seq, trace, t, shift, rep=lambda p: p, weights=None
             inside = [(ridx, p) for ridx, p in rows if p in cut]
             if not inside:
                 continue
-            if root is not None and rep(root) in cut:
+            if root is not None and root in cut:
                 out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(r for r, _ in inside)}")
                 continue
             if len(inside) > math.ceil(M):
                 out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={math.ceil(M)}")
-            load = sum((weights or {}).get(p, 1) for p in cut)
+            load = sum(1 for p in seq.requests if p in cut)
             if pairs is None and len(inside) > load:
                 out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={load:g}")
             crossing = sum(1 for s, u in pairs or () if (s in cut) != (u in cut))
@@ -284,17 +286,18 @@ def brute_check_cut_capacity(seq, trace, t, shift, rep=lambda p: p, weights=None
     return out
 
 
-def brute_check_pcst_invariants(seq, trace, t, rep=lambda p: p):
-    """Reference for prize.check_pcst_invariants: membership tests on brute cuts."""
+def brute_check_pcst_invariants(seq, trace, t):
+    """Reference for prize.check_pcst_invariants: membership tests on brute
+    cuts, on a tree without aliases."""
     from ondesign.metric import exceeds, pow2
     from ondesign.prize import positive_share_rows
 
     out, flags = [], []
-    by_class = {c: [(rep(p), rho) for p, rho, _ in rows] for c, rows in positive_share_rows(seq, trace).items()}
+    by_class = {c: [(p, rho) for p, rho, _ in rows] for c, rows in positive_share_rows(seq, trace).items()}
     for j in _levels(t):
         for cut in brute_cuts_at_level(t, j) if by_class.get(j + 1) else []:
             inside = sum(rho for p, rho in by_class[j + 1] if p in cut)
-            if inside > 0 and rep(seq.root) in cut:
+            if inside > 0 and seq.root in cut:
                 out.append(f"level {j}: root cut carries class-{j + 1} share {inside:g}")
             elif inside > 0 and exceeds(inside, pow2(j + 2), atol=0.0):
                 out.append(f"level {j}: cut share sum {inside:g} > 2^{j + 2}")

@@ -207,7 +207,7 @@ def test_criterion_3_tree_oracle_exactness():
             math.isclose(opt_tree_steiner_forest(t, pairs), brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
             and math.isclose(opt_tree_steiner_network(t, pairs, reqs), brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
             and math.isclose(opt_tree_rob_multi(t, pairs, M), brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_single(t, r, M), brute_tree_rob_single(t, r, M), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_single(t, r, M, pts), brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
             and math.isclose(opt_tree_pcst(t, r, pen), brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
         )
         if not ok:

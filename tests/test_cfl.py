@@ -17,7 +17,6 @@ from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.rentorbuy import check_cut_capacity
 from ondesign.tree_opt import opt_tree_rob_single
-from ondesign.verify import position_reps
 
 
 def test_ofl_single_client_only_root():
@@ -173,19 +172,14 @@ def test_cfl_sharetree_prestudy_constant_16():
         M = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
         sol, trace = run_cfl(m, facs, 0, clients, M=M)
         share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.decision == "rent")
-        rep = position_reps(m, clients + [0])
-        reps = sorted(set(rep.values()))
-        weights = {}
-        for c in clients:
-            weights[rep[c]] = weights.get(rep[c], 0) + 1
-        t = extend_singleton_levels(sample_frt(m, reps, seed=trial))
-        opt = opt_tree_rob_single(t, rep[0], M, weights)
+        t = extend_singleton_levels(sample_frt(m, clients + [0], seed=trial))
+        opt = opt_tree_rob_single(t, 0, M, clients)
         if share > 0:
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
         seq = RequestSequence(problem="CFL", requests=tuple(clients), root=0, M=M, facilities=tuple(facs))
-        out = check_cut_capacity(seq, trace, t, 2, point_rep=rep.get, weights=weights)
+        out = check_cut_capacity(seq, trace, t, 2)
         assert out == []
     assert worst <= 16.0
 

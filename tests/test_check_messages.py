@@ -7,6 +7,7 @@ only, no trees), or a tampered trace or solution passed to per_run_checks
 run gets).  The case's check must then report a message matching its
 template.  Each per-tree bound of each problem fires on a forged replay
 too; the per-tree cut and cover messages are fired in test_forged_replays.py.
+A sampled tree that fails validation reports `invalid tree: ...`.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import re
 
 import pytest
 
+from ondesign.hst import Hst
 from ondesign.metric import MultiGraphSolution, RequestRecord, RunTrace, instance_from_dict
 from ondesign.verify import per_run_checks, run_problem, verify_run
 
@@ -205,3 +207,19 @@ def test_tampered_run_fires(doc, check, tamper, pattern):
     assert all(viol == [] for _, viol in per_run_checks(m, seq, sol, trace))
     found = dict(per_run_checks(m, seq, *tamper(sol, trace)))[check]
     assert any(re.fullmatch(pattern, v) for v in found), found
+
+
+def test_invalid_tree_prefix(monkeypatch):
+    # a sampled tree that fails validate_hst: its first message carries the
+    # prefix, the others follow as they are, and no per-tree check runs
+    def bad_tree(m, points, seed):
+        return Hst([-1, 0, 0], [0, -1, -2], (0, 2), [1, 2])
+
+    monkeypatch.setattr("ondesign.verify.sample_frt", bad_tree)
+    m, seq = instance_from_dict(SF)
+    report = verify_run(m, seq, trials=2)
+    assert report["tree_checks"]["violations"] == [
+        f"trial {i}: {msg}" for i in range(2) for msg in (
+            "invalid tree: levels: children of node 0 at differing edge lengths", "expanding: T(0,2)=0.375 < d=2")
+    ]
+    assert report["max_ratios"] == {} and report["witness_seed"] is not None

@@ -325,23 +325,28 @@ def test_verify_forged_srob_repeated_rent_exit_4(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("content", [
-    None,
-    '{"idx": 0, "decision": "buy"\n',
-    '{"idx": 0}\n',
-    json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "junk": 1}) + "\n",
-    json.dumps({"summary": {"forests": 5}}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "klass": "1"}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "sigma_hat": 7}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "opened": -1}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "attach": -1}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "idx": 1}) + "\n",
-    json.dumps({**OWN_ST_RECORD, "witnesses": [-1]}) + "\n",
-    *(json.dumps({**OWN_ST_RECORD, key: value}) + "\n" for key, value in DROPPED_KEYS.items()),
+# (trace file content, what stderr must also say); stale and missing keys are named
+@pytest.mark.parametrize("content, named", [
+    (None, ""),
+    ('{"idx": 0, "decision": "buy"\n', ""),
+    ('{"idx": 0}\n',
+     f"line 1 is neither a record nor the summary: unknown keys [], missing keys {sorted(set(RECORD_FIELDS) - {'idx'})}\n"),
+    (json.dumps({**dict.fromkeys(RECORD_FIELDS), "idx": 0, "junk": 1}) + "\n",
+     "line 1 is neither a record nor the summary: unknown keys ['junk'], missing keys []\n"),
+    (json.dumps({"summary": {"forests": 5}}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "klass": "1"}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "sigma_hat": 7}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "opened": -1}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "attach": -1}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "idx": 1}) + "\n", ""),
+    (json.dumps({**OWN_ST_RECORD, "witnesses": [-1]}) + "\n", ""),
+    *((json.dumps({**OWN_ST_RECORD, key: value}) + "\n",
+       f"line 1 is neither a record nor the summary: unknown keys ['{key}'], missing keys []\n")
+      for key, value in DROPPED_KEYS.items()),
 ], ids=["missing-file", "not-json", "missing-fields", "unknown-field", "summary-type", "field-type",
         "point-out-of-range", "negative-point", "negative-attach",
         "request-out-of-range", "negative-witness", *(f"dropped-{key}" for key in DROPPED_KEYS)])
-def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
+def test_verify_bad_trace_file_exit_2(tmp_path, content, named, capsys):
     inst = write_instance(
         tmp_path,
         {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]},
@@ -351,7 +356,8 @@ def test_verify_bad_trace_file_exit_2(tmp_path, content, capsys):
         trace_path.write_text(content)
     rc = main(["verify", inst, "--trace", str(trace_path), "--out", str(tmp_path / "rep.json")])
     assert rc == 2
-    assert "error: trace" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: trace" in err and named in err
 
 
 def test_verify_forged_cost_cannot_hide_behind_claimed_points(tmp_path):

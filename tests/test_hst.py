@@ -16,7 +16,6 @@ from conftest import (
 )
 from ondesign.errors import (
     AlreadyExtended,
-    CoincidentTerminals,
     EmptyTerminalSet,
     LevelOutOfRange,
 )
@@ -58,17 +57,33 @@ def test_empty_terminals_rejected(two_point_metric):
         sample_frt(two_point_metric, [], seed=0)
 
 
-def test_coincident_terminals_rejected():
+def test_coincident_points_collapse_onto_one_terminal():
+    # 0 and 1 share a position: the tree for [0, 1, 2] is the tree for [0, 2]
+    # with 1 an alias of 0, and every lookup by point resolves 1 to 0's column
     m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "matrix")
-    with pytest.raises(CoincidentTerminals):
-        sample_frt(m, [0, 1, 2], seed=0)
+    for seed in range(4):
+        t, base = sample_frt(m, [2, 1, 0, 1], seed), sample_frt(m, [0, 2], seed)
+        assert (t.terminals, t.aliases, base.aliases) == ((0, 2), ((1, 0),), ())
+        assert [a.tolist() for a in (t.parent, t.edge_level, t.leaf)] == \
+            [a.tolist() for a in (base.parent, base.edge_level, base.leaf)]
+        assert t.columns([1, 0, 2, 7]).tolist() == [0, 0, 1, -1]
+        assert t.cut_ids_at([1, 2]).tolist() == t.cut_ids_at([0, 2]).tolist()
+        assert cut_row(t, 1, [1, 2]).tolist() == cut_row(t, 1, [0, 2]).tolist()
+        assert [(j, cut, inside) for j, cut, _, inside in class_cuts(t, {1: [(1, "a"), (0, "b")]}, 0)] == \
+            [(1, int(cut_row(t, 1, [0])[0]), [(1, "a"), (0, "b")])]
+        assert tree_distance(t, 1, 2) == tree_distance(t, 0, 2) and tree_distance(t, 1, 0) == 0.0
+        assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
+        for tree in (t, extend_singleton_levels(t), _promote_one_level(t)):
+            assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
+            assert validate_hst(tree, m) == []
 
 
 def test_first_bad_pair_is_named():
     # pairs are scanned in (u, v) order: a closer pair further on is not named
     with pytest.raises(ValueError, match=r"d\(0,1\)=0.5 < 1"):
         sample_frt(line_metric([0, 0.5, 3, 3]), range(4), seed=0)
-    with pytest.raises(CoincidentTerminals, match="terminals 1 and 2"):
+    # 2 is an alias of 1, so the scan over the terminals 0, 1, 3 names (1, 3)
+    with pytest.raises(ValueError, match=r"d\(1,3\)=0.5 < 1"):
         sample_frt(line_metric([0, 2, 2, 2.5]), range(4), seed=0)
 
 
@@ -127,6 +142,38 @@ def test_validate_flags_cut_diameter():
 ])
 def test_validate_flags_leaf_map(arrays, message):
     m = line_metric([0, 1])
+    t = Hst(*arrays)
+    bad = validate_hst(t, m)
+    assert message in bad
+    assert sorted(bad) == sorted(brute_validate_hst(t, m))
+
+
+# (metric positions, Hst arguments, one message validate_hst must report)
+VALIDATE_MESSAGES = {
+    "levels: siblings": ([0, 1], ([-1, 0, 0], [0, 1, 2], (0, 1), [1, 2]),
+                         "levels: children of node 0 at differing edge lengths"),
+    "levels: no drop": ([0, 1], ([-1, 0, 1, 1], [0, 1, 1, 1], (0, 1), [2, 3]),
+                        "levels: edge level does not decrease at node 2"),
+    # the same tree: terminal 0's path passes two level-1 edges
+    "partition": ([0, 1], ([-1, 0, 1, 1], [0, 1, 1, 1], (0, 1), [2, 3]),
+                  "partition: level-1 cuts do not partition the terminals"),
+    "singletons": ([0, 1], ([-1, 0, 1, 1], [0, 0, -1, -1], (0, 1), [2, 3]),
+                   "singletons: level-0 cut has 2 terminals"),
+    "cut diameter": ([0, 5], ([-1, 0, 1, 1], [0, 2, 1, 1], (0, 1), [2, 3]),
+                     "cut diameter: d(0,1)=5 >= 2^2 under a level-2 edge"),
+    "expanding": ([0, 5], ([-1, 0, 1, 1], [0, 2, 1, 1], (0, 1), [2, 3]), "expanding: T(0,1)=2 < d=5"),
+    "alias elsewhere": ([0, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(2, 0)]),
+                        "aliases: point 2 is not a non-terminal coincident with terminal 0"),
+    "alias is a terminal": ([0, 1, 0], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(1, 0)]),
+                            "aliases: point 1 is not a non-terminal coincident with terminal 0"),
+    "alias of no terminal": ([0, 1, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(3, 2)]),
+                             "aliases: point 3 is not a non-terminal coincident with terminal 2"),
+}
+
+
+@pytest.mark.parametrize("positions, arrays, message", VALIDATE_MESSAGES.values(), ids=VALIDATE_MESSAGES)
+def test_validate_hst_message_fires(positions, arrays, message):
+    m = line_metric(positions)
     t = Hst(*arrays)
     bad = validate_hst(t, m)
     assert message in bad

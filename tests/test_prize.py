@@ -12,7 +12,6 @@ from ondesign.prize import (
 )
 from ondesign.rentorbuy import check_greedy_replay
 from ondesign.tree_opt import opt_tree_pcst, pcst_cut_lower_bound
-from ondesign.verify import position_reps
 
 
 def pcst_metric():
@@ -82,18 +81,12 @@ def test_pcst_tree_invariants_and_bounds():
         ]
         seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
         sol, trace = run_pcst(m, 0, reqs)
-        rep = position_reps(m, [p for p, _ in reqs] + [0])
-        reps = sorted(set(rep.values()))
-        t_ext = extend_singleton_levels(sample_frt(m, reps, seed=trial))
-        viol, flags = check_pcst_invariants(seq, trace, t_ext, rep.get)
+        t_ext = extend_singleton_levels(sample_frt(m, [p for p, _ in reqs] + [0], seed=trial))
+        viol, flags = check_pcst_invariants(seq, trace, t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
-        rows = {
-            c: [(rep[p], rho, pi) for p, rho, pi in lst]
-            for c, lst in positive_share_rows(seq, trace).items()
-        }
-        lb = pcst_cut_lower_bound(t_ext, rep[0], rows)
-        opt = opt_tree_pcst(t_ext, rep[0], [(rep[p], pi) for p, pi in reqs])
+        lb = pcst_cut_lower_bound(t_ext, 0, positive_share_rows(seq, trace))
+        opt = opt_tree_pcst(t_ext, 0, reqs)
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
         assert trace.total_cost() <= 16 * opt * (1 + 1e-9) + 1e-12
@@ -131,8 +124,7 @@ def test_pcst_flags_soft_range():
     m = euclid(np.random.default_rng(3).random((8, 2)) * 12)
     seq = RequestSequence(problem="PCST", requests=tuple((p, 50.0) for p in range(1, 8)), root=0)
     _, trace = run_pcst(m, 0, seq.requests)
-    rep = position_reps(m, list(range(8)))
-    t_ext = extend_singleton_levels(sample_frt(m, sorted(set(rep.values())), seed=0))
-    viol, flags = check_pcst_invariants(seq, trace, t_ext, rep.get)
+    t_ext = extend_singleton_levels(sample_frt(m, range(8), seed=0))
+    viol, flags = check_pcst_invariants(seq, trace, t_ext)
     assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)

@@ -127,10 +127,13 @@ def test_cut_capacity_forged_repeated_request():
     for _ in range(2):
         forged.add(RequestRecord(idx=0, decision="rent", klass=0, cost=8.0))
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
-    out = check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 1})
+    out = check_cut_capacity(seq, forged, t, 1)
     assert out == ["level -1: 2 class-0 rent occurrences > w(C)=1"]
-    assert out == brute_check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 1})
-    assert check_cut_capacity(seq, forged, t, 1, weights={0: 1, 1: 2}) == []
+    assert out == brute_check_cut_capacity(seq, forged, t, 1)
+    # a second request at a point coincident with 1 makes w(C) = 2
+    m3 = line_metric([0, 8, 8])
+    seq3 = RequestSequence(problem="SROB", requests=(1, 2), root=0, M=3.0)
+    assert check_cut_capacity(seq3, forged, extend_singleton_levels(sample_frt(m3, [0, 1, 2], seed=1)), 1) == []
 
 
 def test_cut_capacity_empty_rents():
@@ -154,30 +157,30 @@ def test_cut_capacity_mrob_random():
 
 def test_cut_capacity_matches_reference_on_forged_rents():
     # rents at random classes and leaves, some at a point that is no
-    # terminal; half the instances are pair requests, some never rented
+    # terminal, some requests rented twice; half the instances are pair
+    # requests, some never rented
     rng = np.random.default_rng(12)
     flagged = 0
     for trial in range(60):
         m, t = random_small_hst(rng, max_leaves=10, extended_chance=1.0)
         pts = list(t.terminals)
         off = pts + [len(pts)]
-        trace, ends = RunTrace(), []
-        for idx in range(int(rng.integers(1, 12))):
-            ends.append((int(rng.choice(off)), int(rng.choice(off))))
+        trace = RunTrace()
+        ends = [(int(rng.choice(off)), int(rng.choice(off))) for _ in range(int(rng.integers(1, 12)))]
+        for _ in range(int(rng.integers(1, 12))):
             trace.add(RequestRecord(
-                idx=idx, decision="rent",
+                idx=int(rng.integers(0, len(ends))), decision="rent",
                 klass=int(rng.integers(-2, 5)), rent_endpoint=str(rng.choice(["s", "t"])),
             ))
         pairs = [(int(rng.choice(pts)), int(rng.choice(off))) for _ in range(6)] if trial % 2 else None
         root = None if pairs else int(rng.choice(pts))
         M, shift = float(rng.choice([0.3, 1.0, 2.7])), int(rng.integers(1, 3))
-        weights = None if pairs else {p: int(rng.integers(0, 3)) for p in pts}
         if pairs:
             seq = RequestSequence(problem="MROB", requests=tuple(ends + pairs), M=M)
         else:
             seq = RequestSequence(problem="SROB", requests=tuple(s for s, _ in ends), root=root, M=M)
-        got = check_cut_capacity(seq, trace, t, shift, weights=weights)
-        assert got == brute_check_cut_capacity(seq, trace, t, shift, weights=weights)
+        got = check_cut_capacity(seq, trace, t, shift)
+        assert got == brute_check_cut_capacity(seq, trace, t, shift)
         flagged += bool(got)
     assert flagged > 20
 

@@ -76,18 +76,18 @@ def test_opt_rob_multi_examples(two_point_metric):
 
 def test_opt_rob_single_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4) == 1.0  # root chain excluded
-    assert opt_tree_rob_single(t, 0, 0.5) == 0.5
+    assert opt_tree_rob_single(t, 0, 4, [0, 1]) == 1.0  # root chain excluded
+    assert opt_tree_rob_single(t, 0, 0.5, [1]) == 0.5
     t3 = three_leaf_star()
-    assert opt_tree_rob_single(t3, 0, 10) == 2.0
+    assert opt_tree_rob_single(t3, 0, 10, [1, 2]) == 2.0
     with pytest.raises(RootNotLeaf):
-        opt_tree_rob_single(t3, 9, 1)
+        opt_tree_rob_single(t3, 9, 1, [1])
 
 
 def test_opt_rob_single_weights(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4, weights={1: 3}) == 3.0
-    assert opt_tree_rob_single(t, 0, 4, weights={1: 7}) == 4.0  # capped at M
+    assert opt_tree_rob_single(t, 0, 4, [1, 1, 1]) == 3.0
+    assert opt_tree_rob_single(t, 0, 4, [1] * 7) == 4.0  # capped at M
 
 
 def test_opt_pcst_examples(two_point_metric):
@@ -126,7 +126,7 @@ def test_oracles_match_brute_force_on_random_trees():
         assert opt_tree_steiner_forest(t, pairs) == brute_tree_sf(t, pairs)
         assert opt_tree_steiner_network(t, pairs, reqs) == brute_tree_sn(t, pairs, reqs)
         assert opt_tree_rob_multi(t, pairs, M) == brute_tree_rob_multi(t, pairs, M)
-        assert opt_tree_rob_single(t, r, M) == pytest.approx(brute_tree_rob_single(t, r, M))
+        assert opt_tree_rob_single(t, r, M, pts) == pytest.approx(brute_tree_rob_single(t, r, M, pts))
         assert opt_tree_pcst(t, r, pen) == pytest.approx(brute_tree_pcst(t, r, pen))
 
 
@@ -183,7 +183,7 @@ def test_rob_single_vs_multi_cross_check():
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
             multi += edge_len(t, e) * min(M, crossing)
-        assert opt_tree_rob_single(t, r, M) == pytest.approx(multi)
+        assert opt_tree_rob_single(t, r, M, pts) == pytest.approx(multi)
 
 
 def test_pcst_cut_lower_bound_matches_reference():
