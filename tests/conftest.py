@@ -134,6 +134,43 @@ def brute_tree_pcst(t, r, penalties):
     return best
 
 
+def ref_tree_pcst(t, r, penalties):
+    """Reference for tree_opt.opt_tree_pcst: a per-node dict DP on the tree
+    re-rooted at r's leaf, over adjacency lists.  A node's re-rooted children
+    are summed in adjacency order: its tree parent first (on r's root path),
+    then its tree children by id."""
+    from ondesign.errors import RootNotLeaf
+
+    cols = t.columns([r] + [p for p, _ in penalties]).tolist()
+    if cols[0] < 0:
+        raise RootNotLeaf(f"root {r} is not a leaf of the tree")
+    parent, length, leaf = t.parent.tolist(), t.length.tolist(), t.leaf.tolist()
+    pen_at = {}  # leaf node -> penalty
+    for col, (_, pi) in zip(cols[1:], penalties):
+        if pi < 0:
+            raise ValueError("penalties must be >= 0")
+        if col >= 0:
+            pen_at[leaf[col]] = pen_at.get(leaf[col], 0.0) + pi
+    adj = [[] for _ in parent]
+    for nid in range(1, t.n_nodes):
+        adj[nid].append((parent[nid], length[nid]))
+        adj[parent[nid]].append((nid, length[nid]))
+    root = leaf[cols[0]]
+    order, par, par_len = [root], {root: None}, {root: 0.0}
+    for v in order:  # breadth first: the loop visits what it appends
+        for w, ln in adj[v]:
+            if w not in par:
+                par[w], par_len[w] = v, ln
+                order.append(w)
+    pen_sub, h = {}, {}
+    for v in reversed(order):
+        kids = [w for w, _ in adj[v] if par.get(w) == v]
+        pen_sub[v] = pen_at.get(v, 0.0) + sum(pen_sub[w] for w in kids)
+        keep = sum(h[w] for w in kids)
+        h[v] = keep if v == root else min(pen_sub[v], par_len[v] + keep)
+    return h[root]
+
+
 def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
     """Sample a valid HST over a random small Euclidean metric."""
     from ondesign.hst import extend_singleton_levels, sample_frt

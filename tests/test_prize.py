@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from conftest import brute_check_pcst_invariants, euclid, line_metric, random_small_hst
 from ondesign.hst import extend_singleton_levels, sample_frt
@@ -111,6 +112,23 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
         assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])
     assert flagged > 20
+
+
+@pytest.mark.parametrize("point, klass, rho, expected", [
+    # a class-0 share in the level-(-1) cut {1}, which holds no root
+    (1, 0, 5.0, (["level -1: cut share sum 5 > 2^1"], [])),
+    (1, 0, 1.5, ([], ["level -1: cut share sum 1.5 in (2^0, 2^1]"])),
+    # points 0 (the root) and 1 share a level-2 cut
+    (1, 3, 5.0, (["level 2: root cut carries class-3 share 5"], [])),
+])
+def test_pcst_cut_share_messages(point, klass, rho, expected):
+    m = line_metric([0, 1, 8])
+    seq = RequestSequence(problem="PCST", requests=((point, 50.0),), root=0)
+    forged = RunTrace([RequestRecord(idx=0, decision="penalty", klass=klass, cost=50.0, rho=rho)])
+    t = extend_singleton_levels(sample_frt(m, [0, 1, 2], seed=1))
+    got = check_pcst_invariants(seq, forged, t)
+    assert got == expected
+    assert got == brute_check_pcst_invariants(seq, forged, t)
 
 
 def test_pcst_all_zero_penalties():

@@ -115,7 +115,32 @@ def test_cut_capacity_forged_packing():
         forged.add(RequestRecord(idx=i, decision="rent", klass=2, cost=8.0))
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
     out = check_cut_capacity(seq, forged, t, 1)
-    assert any("ceil(M)" in v for v in out)
+    assert out == ["level 1: 4 class-2 rent occurrences > ceil(M)=3"]
+    assert out == brute_check_cut_capacity(seq, forged, t, 1)
+
+
+def test_cut_capacity_root_cut_message():
+    # points 0 (the root) and 1 share a level-2 cut that 8 is outside of: the
+    # class-3 rents at 1 are listed by request, the one at 8 is not
+    m = line_metric([0, 1, 8])
+    seq = RequestSequence(problem="SROB", requests=(1, 2, 1), root=0, M=3.0)
+    forged = RunTrace([RequestRecord(idx=i, decision="rent", klass=3, cost=1.0) for i in (2, 0, 1)])
+    t = extend_singleton_levels(sample_frt(m, [0, 1, 2], seed=1))
+    out = check_cut_capacity(seq, forged, t, 1)
+    assert out == ["level 2: cut with root holds class-3 rents [0, 2]"]
+    assert out == brute_check_cut_capacity(seq, forged, t, 1)
+
+
+def test_cut_capacity_separated_pairs_message():
+    # one pair (0, 1) rented twice at its t end: the level-(-1) cut {1}
+    # separates |D(C)| = 1 pair but holds 2 class-1 rents
+    m = line_metric([0, 8])
+    seq = RequestSequence(problem="MROB", requests=((0, 1),), M=3.0)
+    forged = RunTrace([RequestRecord(idx=0, decision="rent", klass=1, cost=8.0, rent_endpoint="t")] * 2)
+    t = extend_singleton_levels(sample_frt(m, [0, 1], seed=1))
+    out = check_cut_capacity(seq, forged, t, 2)
+    assert out == ["level -1: 2 rents > |D(C)|=1"]
+    assert out == brute_check_cut_capacity(seq, forged, t, 2)
 
 
 def test_cut_capacity_forged_repeated_request():

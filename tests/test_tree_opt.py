@@ -13,6 +13,7 @@ from conftest import (
     brute_tree_sn,
     edge_len,
     random_small_hst,
+    ref_tree_pcst,
 )
 from ondesign.errors import RootNotLeaf
 from ondesign.hst import Hst, check_levels, extend_singleton_levels, sample_frt
@@ -128,6 +129,19 @@ def test_oracles_match_brute_force_on_random_trees():
         assert opt_tree_rob_multi(t, pairs, M) == brute_tree_rob_multi(t, pairs, M)
         assert opt_tree_rob_single(t, r, M, pts) == pytest.approx(brute_tree_rob_single(t, r, M, pts))
         assert opt_tree_pcst(t, r, pen) == pytest.approx(brute_tree_pcst(t, r, pen))
+
+
+def test_pcst_matches_reference_dp_exactly():
+    # non-dyadic penalties, some coincident occurrences and some at a point
+    # that is no terminal: the sums keep the reference's order to the bit
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        m, t = random_small_hst(rng, max_leaves=10, extended_chance=0.0 if trial % 2 else 1.0)
+        pts = list(t.terminals)
+        pen = [(int(rng.choice(pts + [max(pts) + 1])), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
+               for _ in range(int(rng.integers(0, 14)))]
+        for r in pts:
+            assert opt_tree_pcst(t, r, pen) == ref_tree_pcst(t, r, pen)
 
 
 def test_monotonicity_in_requests():
