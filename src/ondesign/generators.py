@@ -21,10 +21,10 @@ def _rng(seed: int, *key):
     return np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1), spawn_key=key))
 
 
-def gen_euclidean(count: int, dimension: int = 2, seed: int = 0):
-    """Uniform points in the unit cube, normalized; returns (metric, points)."""
+def gen_euclidean(count: int, seed: int = 0):
+    """Uniform points in the unit square, normalized; returns (metric, points)."""
     rng = _rng(seed, 1)
-    pts = rng.random((count, dimension))
+    pts = rng.random((count, 2))
     return build_metric(pts, "points"), pts
 
 
@@ -103,8 +103,9 @@ def gen_diamond_lb(depth: int):
 def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=None) -> RequestSequence:
     """Uniform random requests for any problem.
 
-    params: root (default 0), M, R_max (log-uniform requirements), n_facilities
-    and f_max for CFL.  Penalties are uniform in [0, 2 * diameter].
+    params: root (default 0), M, R_max (log-uniform requirements) and
+    n_facilities for CFL.  Facility costs are uniform in [0, diameter] and
+    penalties in [0, 2 * diameter].
     """
     fmt = problem_format(problem)
     params = dict(params or {})
@@ -142,10 +143,9 @@ def gen_requests(problem: str, m: MetricSpace, count: int, seed: int, params=Non
     facilities = None
     if fmt.facilities:  # drawn before the requests
         n_fac = min(m.n, int(params.get("n_facilities", 4)))
-        f_max = float(params.get("f_max", diam))
         others = [p for p in range(m.n) if p != root]
         chosen = list(rng.choice(others, size=max(0, n_fac - 1), replace=False)) if n_fac > 1 else []
-        facilities = ((root, 0.0),) + tuple((int(p), float(rng.uniform(0, f_max))) for p in chosen)
+        facilities = ((root, 0.0),) + tuple((int(p), float(rng.uniform(0, diam))) for p in chosen)
     return RequestSequence(
         problem=problem,
         requests=tuple(request() for _ in range(count)),

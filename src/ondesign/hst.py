@@ -15,7 +15,10 @@ a tree's arrays.  `Hst.cut_ids` names the cut holding each terminal at each
 level; it is the only form a cut takes.  `cut_row` reads one level's row at
 any points, and `class_cuts` groups the class-(j + shift) entries of a check
 by level-j cut, which is how the per-tree cut checks and the PCST cut lower
-bound read the tree.  The tree oracles group whole rows.
+bound read the tree.  `path_cuts` lists the cuts that separate each pair of
+points, and `cut_load` counts them per cut: the tree oracles and the rent
+caps read a cut's load that way.  Walks of the tree (`tree_distance`, the
+PCST DP) read the arrays.
 
 A terminal is a position: of the points a tree is sampled for, the lowest
 index at each position is the terminal, and every other point there is an
@@ -97,11 +100,6 @@ class Hst:
         return out
 
     @cached_property
-    def lists(self) -> tuple:
-        """(parent, length, leaf) as Python lists, for per-node loops."""
-        return self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
-
-    @cached_property
     def cut_ids(self) -> np.ndarray:
         """Rows check_levels(self), columns self.terminals: entry (j, q) is the
         node whose parent edge is q's level-j edge, or n_nodes + q's column if
@@ -132,10 +130,10 @@ class Hst:
         return {**{a: column[p] for a, p in self.aliases if p in column}, **column}
 
     def total_length(self) -> float:
-        return sum(self.lists[1][1:])
+        return float(self.length.sum())  # powers of two: exact in any order
 
     def to_json_dict(self) -> dict:
-        parent, length, leaf = self.lists
+        parent, length, leaf = self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
         nodes = [{"id": 0, "level": self.root_level, "parent": None, "edge_len": None}]
         nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
                   for nid, level in enumerate(self.edge_level.tolist()) if nid]
@@ -159,20 +157,19 @@ def tree_distance(t: Hst, u: int, v: int) -> float:
     """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf."""
     if u not in t._column or v not in t._column:
         raise UnknownLeaf(f"{u} or {v} is not a leaf terminal")
-    parent, length, leaf = t.lists
-    a, b = leaf[t._column[u]], leaf[t._column[v]]
+    a, b = (int(t.leaf[t._column[p]]) for p in (u, v))
     ancestors = {}
     dist = 0.0
     while a != 0:
         ancestors[a] = dist
-        dist += length[a]
-        a = parent[a]
+        dist += t.length[a]
+        a = int(t.parent[a])
     ancestors[0] = dist
     dist = 0.0
     while b not in ancestors:
-        dist += length[b]
-        b = parent[b]
-    return dist + ancestors[b]
+        dist += t.length[b]
+        b = int(t.parent[b])
+    return float(dist + ancestors[b])
 
 
 def check_levels(t: Hst) -> list:
@@ -192,6 +189,21 @@ def cut_row(t: Hst, j: int, points=None) -> np.ndarray:
         return row
     cols = t.columns(points)
     return np.where(cols >= 0, row[cols], -1)
+
+
+def path_cuts(t: Hst, pairs):
+    """(cut id, pair index) for every cut holding one end of a pair but not
+    the other, ids as in t.cut_ids; an end outside the tree is in no cut."""
+    ends = t.cut_ids_at([p for pair in pairs for p in pair])
+    a, b = ends[:, 0::2], ends[:, 1::2]
+    which = np.broadcast_to(np.arange(len(pairs)), a.shape)[a != b]
+    cut, which = np.concatenate([a[a != b], b[a != b]]), np.concatenate([which, which])
+    return cut[cut >= 0], which[cut >= 0]
+
+
+def cut_load(t: Hst, pairs) -> np.ndarray:
+    """Per cut id, the number of pairs the cut separates."""
+    return np.bincount(path_cuts(t, pairs)[0], minlength=t.n_nodes + len(t.terminals))
 
 
 def class_cuts(t: Hst, by_class: dict, shift: int, root=None):

@@ -18,6 +18,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -232,10 +233,9 @@ class RequestFormat:
 
 
 def _connected(sol, seq, m, base, idx):
-    """Bought plus this request's rented edges join its pair, or it to the root;
-    coincident endpoints are joined already."""
-    ends = seq.request_points(idx)
-    a, b = ends if len(ends) == 2 else (ends[0], seq.root)
+    """Bought plus this request's rented edges join its two points (seq.pairs);
+    coincident points are joined already."""
+    a, b = seq.pairs[idx]
     if m.coincident(a, b) or base.connected(a, b):
         return True
     # rents are per-request direct edges; splice them on top of the bought components
@@ -260,8 +260,7 @@ def _has_flow(sol, seq, m, base, idx):
 
 
 def _paid_or_joined(sol, seq, m, base, idx):
-    i = seq.requests[idx][0]
-    return idx in sol.penalties_paid or base.connected(i, seq.root) or m.coincident(i, seq.root)
+    return idx in sol.penalties_paid or _connected(sol, seq, m, base, idx)
 
 
 def _served(sol, seq, m, base, idx):
@@ -337,6 +336,12 @@ class RequestSequence:
         if len(fmt.fields) == 1:
             return (req,)
         return (req[0], req[1]) if fmt.paired else (req[0],)
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The two points each request must join: a paired request's (s, t),
+        any other request's point and the root."""
+        return tuple((*self.request_points(idx), self.root)[:2] for idx in range(len(self.requests)))
 
     @property
     def k(self) -> int:

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .hst import Hst, class_cuts, cut_row
+from .hst import Hst, class_cuts, cut_load
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -182,28 +180,23 @@ def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int
     (a pair's t end) if rent_endpoint is "t", else its first.  A level-j cut
     C holding the root must hold no class-(j + shift) rent (shift 1 for SROB,
     2 for CFL and MROB); any other at most ceil(M) occurrences, and at most
-    w(C) of them, the requests whose points C holds or, for pair requests,
-    at most the |D(C)| pairs it separates.  Cuts at level 0 (terminal
+    as many as the request pairs (seq.pairs) it separates: |D(C)| for pair
+    requests, and for one-point requests, whose partner is the root, w(C),
+    the requests whose points C holds.  Cuts at level 0 (terminal
     singletons) participate.
     """
     cap_m = math.ceil(seq.M)
-    points = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
+    size = cut_load(t, seq.pairs).tolist()
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
             ends = seq.request_points(rec.idx)
             rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
-    out, level = [], None
+    out = []
     for j, cut, holds_root, inside in class_cuts(t, rents, shift, seq.root):
         if holds_root:
             out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
             continue
-        if j != level:  # every level-j cut's w(C) or |D(C)|, once per level
-            level, row = j, cut_row(t, j, points)
-            if seq.root is None:  # pair requests: the pairs with exactly one end in C
-                a, b = row[0::2], row[1::2]
-                row = np.concatenate([a[a != b], b[a != b]])
-            size = np.bincount(row[row >= 0], minlength=t.n_nodes + len(t.terminals)).tolist()
         if len(inside) > cap_m:
             out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
         if len(inside) > size[cut]:

@@ -6,9 +6,10 @@ edge's cut.  The single-source rent-or-buy value follows the root-relative
 form (edges whose cut contains the root are skipped); the prize-collecting
 value is the true tree optimum, computed by a DP on the tree re-rooted at r.
 
-What crosses an edge is read off `Hst.cut_ids`: a pair's ends sit in
+What crosses an edge is read off `hst.path_cuts`: a pair's ends sit in
 different level-j cuts exactly where their level-j edges lie on the path
-between them.  Edge terms are added one at a time in node-id order.
+between them.  Edge terms are added one at a time in node-id order.  The
+PCST DP reads the tree's arrays, one edge level at a time.
 
 Points are resolved through the tree (see hst): coincident points share a
 leaf, so a leaf requested w times forces w rents across each unbought edge on
@@ -20,23 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RootNotLeaf
-from .hst import Hst, class_cuts
+from .hst import Hst, _walk_up, class_cuts, cut_load, path_cuts
 from .metric import pow2
 
 
-def _path_edges(t: Hst, pairs):
-    """(node, pair index) for every edge on each pair's tree path: where the
-    ends' level-j cuts differ, each end's level-j edge (if any) is on it."""
-    ends = t.cut_ids_at([p for pair in pairs for p in pair])
-    a, b = ends[:, 0::2], ends[:, 1::2]
-    which = np.broadcast_to(np.arange(len(pairs)), a.shape)[a != b]
-    node, which = np.concatenate([a[a != b], b[a != b]]), np.concatenate([which, which])
-    real = (node >= 0) & (node < t.n_nodes)
-    return node[real], which[real]
-
-
 def _edge_sum(t: Hst, factor) -> float:
-    """Sum over the edges with a nonzero factor of length * factor, in node-id order."""
+    """Sum over the edges with a nonzero factor (indexed by cut id; real nodes
+    only) of length * factor, in node-id order."""
+    factor = factor[:t.n_nodes]
     nodes = np.flatnonzero(factor)
     return sum((t.length[nodes] * factor[nodes]).tolist(), 0.0)
 
@@ -47,77 +39,76 @@ def opt_tree_steiner_tree(t: Hst) -> float:
 
 
 def opt_tree_steiner_forest(t: Hst, pairs) -> float:
-    used = np.zeros(t.n_nodes, dtype=np.intp)
-    used[_path_edges(t, pairs)[0]] = 1
-    return _edge_sum(t, used)
+    return _edge_sum(t, np.minimum(1, cut_load(t, pairs)))
 
 
 def opt_tree_steiner_network(t: Hst, pairs, reqs) -> float:
-    node, which = _path_edges(t, pairs)
-    need = np.zeros(t.n_nodes, dtype=np.asarray(reqs).dtype)
-    np.maximum.at(need, node, np.asarray(reqs)[which])
+    cut, which = path_cuts(t, pairs)
+    need = np.zeros(t.n_nodes + len(t.terminals), dtype=np.asarray(reqs).dtype)
+    np.maximum.at(need, cut, np.asarray(reqs)[which])
     return _edge_sum(t, need)
 
 
 def opt_tree_rob_multi(t: Hst, pairs, M) -> float:
     """Per edge: min of buying (M) vs renting for every separated pair."""
-    return _edge_sum(t, np.minimum(M, np.bincount(_path_edges(t, pairs)[0], minlength=t.n_nodes)))
+    return _edge_sum(t, np.minimum(M, cut_load(t, pairs)))
 
 
 def opt_tree_rob_single(t: Hst, r: int, M, clients) -> float:
-    """Sum over edges not above r of length * min(M, clients in the cut).
+    """Sum over edges not above r of length * min(M, clients in the cut): the
+    multi-source value of the (client, r) pairs, r's root path left out.
 
-    `clients` has one point per request.  Edges on r's own root path are
-    excluded: the charging argument only spends on cuts that separate
-    terminals from r.
+    `clients` has one point per request.  The charging argument only spends
+    on cuts that separate terminals from r.
     """
-    ids, cols = t.cut_ids, t.columns([r, *clients])
-    if cols[0] < 0:
+    col = t.columns([r])[0]
+    if col < 0:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    per_leaf = np.bincount(cols[1:], minlength=len(t.terminals))
-    load = np.bincount(ids.ravel(), weights=np.tile(per_leaf, len(ids)), minlength=t.n_nodes)
-    load[ids[:, cols[0]]] = 0  # the edges above r
-    return _edge_sum(t, np.where(load != 0, np.minimum(M, load), 0)[:t.n_nodes])
+    load = cut_load(t, [(p, r) for p in clients])
+    load[t.cut_ids[:, col]] = 0  # the edges above r
+    return _edge_sum(t, np.minimum(M, load))
 
 
 def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     """Exact min of c(bought subtree containing r) + dropped penalties.
 
     `penalties` is a list of (point, pi) occurrences; the penalties of one
-    leaf add up, and those of points not in the tree are ignored.  Bottom-up
-    DP on the tree re-rooted at leaf r: cutting a subtree pays its total
-    penalty, keeping it pays its parent edge plus its children's optima.
+    leaf add up, and those of points not in the tree are ignored.  DP on the
+    tree re-rooted at r's leaf: cutting a subtree pays its total penalty,
+    keeping it pays its edge toward r plus its children's optima.  Off r's
+    root path the subtrees are the tree's own, solved one edge level at a
+    time from the bottom (validate_hst checks that a node's children share
+    one level below its own), children added by id.  A walk down r's root
+    path from node 0 then adds at each node the part above it, then its
+    other children by id.
     """
-    cols = t.columns([r] + [p for p, _ in penalties]).tolist()
+    cols = t.columns([r] + [p for p, _ in penalties])
     if cols[0] < 0:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    parent, length, leaf = t.lists
-    pen_at = {}  # leaf node -> penalty
-    for col, (_, pi) in zip(cols[1:], penalties):
-        if pi < 0:
-            raise ValueError("penalties must be >= 0")
-        if col >= 0:
-            pen_at[leaf[col]] = pen_at.get(leaf[col], 0.0) + pi
-
-    # adjacency with lengths, then orient away from r's leaf
-    adj = [[] for _ in parent]
-    for nid in range(1, t.n_nodes):
-        adj[nid].append((parent[nid], length[nid]))
-        adj[parent[nid]].append((nid, length[nid]))
-    root = leaf[cols[0]]
-    order, par, par_len = [root], {root: None}, {root: 0.0}
-    for v in order:  # breadth first: the loop visits what it appends
-        for w, ln in adj[v]:
-            if w not in par:
-                par[w], par_len[w] = v, ln
-                order.append(w)
-    pen_sub, h = {}, {}
-    for v in reversed(order):
-        kids = [w for w, _ in adj[v] if par.get(w) == v]
-        pen_sub[v] = pen_at.get(v, 0.0) + sum(pen_sub[w] for w in kids)
-        keep = sum(h[w] for w in kids)
-        h[v] = keep if v == root else min(pen_sub[v], par_len[v] + keep)
-    return h[root]
+    pis = np.array([pi for _, pi in penalties], dtype=float)
+    if (pis < 0).any():
+        raise ValueError("penalties must be >= 0")
+    parent, length, level = t.parent, t.length, t.edge_level
+    held = cols[1:] >= 0
+    pen = np.zeros(t.n_nodes)  # per node, the penalty of its subtree
+    np.add.at(pen, t.leaf[cols[1:][held]], pis[held])  # in request order
+    path = _walk_up(t, t.leaf[cols[:1]])[:, 0].tolist()  # r's leaf up to node 0
+    off = ~np.isin(np.arange(t.n_nodes), path)
+    h, keep = np.zeros(t.n_nodes), np.zeros(t.n_nodes)  # per node, its optimum and its children's
+    for j in np.unique(level[off]).tolist():
+        nodes = np.flatnonzero(off & (level == j))
+        h[nodes] = np.minimum(pen[nodes], length[nodes] + keep[nodes])
+        inner = nodes[off[parent[nodes]]]
+        np.add.at(pen, parent[inner], pen[inner])
+        np.add.at(keep, parent[inner], h[inner])
+    hang = np.flatnonzero(off & ~off[parent])  # the off-path children of path nodes
+    pen_up = h_up = 0.0  # the re-rooted subtree of the path node last walked
+    for v, below in zip(path[::-1], path[-2::-1]):
+        for c in hang[parent[hang] == v].tolist():
+            pen_up += pen[c]
+            h_up += h[c]
+        h_up = min(pen_up, length[below] + h_up)
+    return float(h_up)
 
 
 def pcst_cut_lower_bound(t: Hst, r: int, class_rho_pi) -> float:

@@ -115,12 +115,12 @@ def _tree_st(tally, m, seq, trace, t):
 
 
 def _tree_sf(tally, m, seq, trace, t):
-    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_forest(t, seq.requests))
+    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_forest(t, seq.pairs))
     tally.out += _metagraph(trace, t)
 
 
 def _tree_sn(tally, m, seq, trace, t):
-    opt = opt_tree_steiner_network(t, [(s, u) for s, u, _ in seq.requests], [r for _, _, r in seq.requests])
+    opt = opt_tree_steiner_network(t, seq.pairs, [r for _, _, r in seq.requests])
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += _metagraph(trace, t)
 
@@ -145,7 +145,7 @@ def _tree_cfl(tally, m, seq, trace, t):
 
 def _tree_mrob(tally, m, seq, trace, t):
     t_ext = extend_singleton_levels(t)
-    opt = opt_tree_rob_multi(t_ext, seq.requests, seq.M)
+    opt = opt_tree_rob_multi(t_ext, seq.pairs, seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += check_cut_capacity(seq, trace, t_ext, 2)
@@ -201,9 +201,7 @@ SPECS = {
         solution_checks={"sn_decomposition": check_sn_decomposition},
         summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
-        optimum=lambda m, seq: exact.exact_sn_tiny(
-            m, [(s, t) for s, t, _ in seq.requests], [r for _, _, r in seq.requests]
-        ),
+        optimum=lambda m, seq: exact.exact_sn_tiny(m, seq.pairs, [r for _, _, r in seq.requests]),
     ),
     "SROB": ProblemSpec(
         run=lambda m, seq: run_srob(m, seq.root, seq.requests, seq.M),
