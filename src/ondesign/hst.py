@@ -194,11 +194,9 @@ def cut_row(t: Hst, j: int, points=None) -> np.ndarray:
 def path_cuts(t: Hst, pairs):
     """(cut id, pair index) for every cut holding one end of a pair but not
     the other, ids as in t.cut_ids; an end outside the tree is in no cut."""
-    ends = t.cut_ids_at([p for pair in pairs for p in pair])
-    a, b = ends[:, 0::2], ends[:, 1::2]
-    which = np.broadcast_to(np.arange(len(pairs)), a.shape)[a != b]
-    cut, which = np.concatenate([a[a != b], b[a != b]]), np.concatenate([which, which])
-    return cut[cut >= 0], which[cut >= 0]
+    ends = t.cut_ids_at([p for pair in pairs for p in pair]).reshape(len(t.cut_ids), -1, 2)
+    crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (level, pair, end)
+    return ends[crossed], np.nonzero(crossed)[1]
 
 
 def cut_load(t: Hst, pairs) -> np.ndarray:

@@ -26,6 +26,7 @@ from ondesign.hst import (
     class_cuts,
     cut_row,
     extend_singleton_levels,
+    path_cuts,
     sample_frt,
     tree_distance,
     validate_hst,
@@ -194,6 +195,15 @@ def test_cut_row_examples(two_point_metric):
         cut_row(ext, -3)
     with pytest.raises(LevelOutOfRange, match=r"^level 2 outside \[0, 1\]$"):
         cut_row(t, t.root_level + 1)
+
+
+def test_path_cuts_examples(two_point_metric):
+    t = sample_frt(two_point_metric, [0, 1], seed=0)  # {0}, {1}: cuts 1, 2 at level 1, 3, 4 at level 0
+    cut, which = path_cuts(t, [(0, 1), (1, 1), (1, 7)])
+    # a pair on one leaf crosses no cut; an end outside the tree (point 7) is
+    # in none, so its pair crosses only the cuts of its other end
+    assert sorted(zip(which.tolist(), cut.tolist())) == [(0, 1), (0, 2), (0, 3), (0, 4), (2, 2), (2, 4)]
+    assert path_cuts(t, [])[0].tolist() == []
 
 
 def test_class_cuts_group_entries_by_reference_cut():

@@ -192,6 +192,17 @@ def test_request_sequence_root_rules():
         RequestSequence(problem="SROB", requests=(1,), root=0)  # missing M
 
 
+def test_request_pairs_pair_one_point_requests_with_the_root():
+    sn = RequestSequence(problem="SteinerNetwork", requests=((0, 1, 2), (2, 3, 1)))
+    assert sn.pairs == ((0, 1), (2, 3))
+    pcst = RequestSequence(problem="PCST", requests=((1, 0.5), (0, 2.0)), root=0)
+    assert pcst.pairs == ((1, 0), (0, 0))
+    srob = RequestSequence(problem="SROB", requests=(3, 1), root=2, M=1.0)
+    assert srob.pairs == ((3, 2), (1, 2))
+    assert srob.pairs is srob.pairs  # computed once: feasibility reads it per request
+    assert RequestSequence(problem="SteinerTree", requests=(), root=0).pairs == ()
+
+
 def test_instance_schema_rejects_unknown_fields():
     doc = {
         "matrix": [[0, 1], [1, 0]],
