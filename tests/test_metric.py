@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import floyd_warshall
 
-from conftest import ref_max_flow
-from ondesign.errors import AsymmetricInput, SchemaError, TriangleViolation
+from conftest import ref_max_flow, ref_validate_matrix
+from ondesign.errors import AsymmetricInput, OndesignError, SchemaError, TriangleViolation
 from ondesign.metric import (
+    RTOL,
     MetricSpace,
     MultiGraphSolution,
     RequestSequence,
@@ -34,8 +36,83 @@ def test_build_metric_identity_case():
 
 
 def test_build_metric_triangle_violation():
-    with pytest.raises(TriangleViolation):
+    with pytest.raises(TriangleViolation) as exc:
         build_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "matrix")
+    assert str(exc.value) == "d(0,2) > d(0,1) + d(1,2) by 1"
+
+
+def test_build_metric_triangle_violation_through_coincident_points():
+    # a zero distance is an edge of the closure, not a missing one
+    with pytest.raises(TriangleViolation) as exc:
+        build_metric([[0, 0, 3], [0, 0, 1], [3, 1, 0]], "matrix")
+    assert str(exc.value) == "d(0,2) > d(0,1) + d(1,2) by 2"
+
+
+def test_build_metric_accepts_slack_that_adds_up_over_hops():
+    # Points 0..3 on a line, each two-hop distance a over its path: every
+    # triangle is within tolerance (slack a), the three-hop d(0,3) is 2a over.
+    a = 2e-9
+    d = np.array([[0, 1, 2 + a, 3 + 2 * a], [1, 0, 1, 2 + a],
+                  [2 + a, 1, 0, 1], [3 + 2 * a, 2 + a, 1, 0]])
+    tol = 1e-9 * d.max()
+    assert a <= tol < (d - floyd_warshall(d)).max()
+    assert np.array_equal(build_metric(d, "matrix").d, d)
+
+
+@st.composite
+def near_metric_matrices(draw, max_n=12):
+    """Symmetric zero-diagonal matrices near the triangle tolerance tol.  The
+    base is grid distances (coincident points are common) or a chain: points
+    on a line, each distance stretched by a * (hops - 1), so that every
+    triangle has slack a <= tol while a many-hop path has slack a * (n - 2).
+    Then entries move by multiples of tol / 2, and a few are set to their best
+    one- or many-hop detour plus up to two tol."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        pos = np.sort(np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float))
+        hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        a = draw(st.sampled_from([0.5, 0.9, 1.0])) * RTOL * max(1.0, float(pos.max(initial=0.0) - pos.min(initial=0.0)))
+        d = np.abs(np.subtract.outer(pos, pos)) + a * np.maximum(hops - 1, 0)
+        order = draw(st.permutations(range(n)))
+        d = d[np.ix_(order, order)]
+    else:
+        cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        pts = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float).reshape(n, 2)
+        diff = np.abs(pts[:, None, :] - pts[None, :, :])
+        d = diff.sum(axis=-1) if draw(st.booleans()) else np.sqrt((diff * diff).sum(axis=-1))
+        d *= draw(st.sampled_from([0.5, 1.0, 3.0, 1e3]))
+    half_tol = RTOL * max(1.0, float(d.max(initial=0.0))) / 2
+    if draw(st.booleans()):
+        iu = np.triu_indices(n, 1)
+        steps = st.sampled_from([0, 0, 0, -1, 1, -2, 2, 3])
+        d[iu] = np.maximum(d[iu] + half_tol * np.array(draw(st.lists(steps, min_size=len(iu[0]), max_size=len(iu[0])))), 0.0)
+        d.T[iu] = d[iu]
+    for _ in range(draw(st.integers(0, 3)) if n >= 3 else 0):
+        u, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        detour = d[u] + d[:, w]
+        detour[[u, w]] = np.inf
+        if draw(st.booleans()):  # many hops: the shortest u-w path without the edge itself
+            c = d.copy()
+            c[u, w] = c[w, u] = np.inf
+            for k in range(n):
+                c = np.minimum(c, c[:, [k]] + c[[k], :])
+            detour = c[u, w]
+        nudge = draw(st.sampled_from([-4, -2, -1, 0, 1, 2, 3, 4])) * half_tol
+        d[u, w] = d[w, u] = max(float(np.min(detour)) + nudge, 0.0)
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_metric_matrices())
+def test_build_metric_validates_as_the_full_scan(d):
+    try:
+        ref_validate_matrix(d.copy())
+    except OndesignError as exc:
+        with pytest.raises(OndesignError) as got:
+            build_metric(d, "matrix")
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        build_metric(d, "matrix")
 
 
 def test_build_metric_asymmetric_and_negative():
