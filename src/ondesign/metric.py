@@ -22,6 +22,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import floyd_warshall
 
 from .errors import (
     AsymmetricInput,
@@ -155,7 +157,13 @@ def _validate_matrix(d: np.ndarray) -> None:
         raise AsymmetricInput(f"d({u},{v}) != d({v},{u})")
     n = d.shape[0]
     tol = RTOL * max(1.0, float(d.max(initial=0.0)))
-    # O(n^3) scan with a reused buffer; instances are desk scale.
+    # Screen: float shortest paths never exceed a one-hop sum, so if d is within
+    # tol of them the scan passes.  All n^2 entries are explicit, as csgraph would
+    # read a dense 0 (a coincident pair) as no edge; int32 indices skip a downcast.
+    cols = np.arange(n * n, dtype=np.int32) % n
+    every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
+    if (d - floyd_warshall(every_entry, directed=False)).max(initial=0.0) <= tol:
+        return
     buf = np.empty_like(d)
     for v in range(n):
         np.add.outer(d[:, v], d[v, :], out=buf)
@@ -184,9 +192,13 @@ def build_metric(raw, kind: str) -> MetricSpace:
     else:
         if arr.ndim != 2:
             raise SchemaError("points must be a 2-D array")
-        diff = arr[:, None, :] - arr[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
+        with np.errstate(over="ignore"):
+            diff = arr[:, None, :] - arr[None, :, :]
+            d = np.sqrt((diff * diff).sum(axis=-1))
         d = (d + d.T) / 2.0  # force exact symmetry
+        if not np.isfinite(d).all():
+            u, v = map(int, np.argwhere(~np.isfinite(d))[0])
+            raise SchemaError(f"d({u},{v}) is not finite")
     _validate_matrix(d)
     positive = d[d > 0]
     if positive.size:

@@ -93,6 +93,15 @@ def test_run_schema_error_exit_2(tmp_path, doc, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["run", "--algo", "SteinerTree"], ["verify", "--trials", "1"]])
+def test_points_whose_distance_is_past_float_range_exit_2(tmp_path, command, capsys):
+    # run used to report a NaN total as feasible, and verify crashed in sample_frt
+    doc = {"problem": "SteinerTree", "points": [[0, 0], [1e200, 0], [2e200, 0]], "root": 0, "requests": [1, 2]}
+    argv = [command[0], write_instance(tmp_path, doc), *command[1:], "--out", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: d(0,1) is not finite\n"
+
+
 @pytest.mark.parametrize("points, far", [
     ([[0, 3], [4, 0]], 1.0),  # 2-D, zero diagonal: read as a matrix it was asymmetric
     ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 8 ** 0.5 / 3 ** 0.5),  # in R^3: read as a matrix, d(0,2) = 2

@@ -130,6 +130,13 @@ def test_build_metric_points_input():
     assert m.dist(0, 1) == 2.0
 
 
+def test_build_metric_points_whose_distance_is_past_float_range():
+    # (1e200)^2 overflows: the distance would be inf, and normalizing gave NaN
+    with pytest.raises(SchemaError) as exc:
+        build_metric([[0, 0], [1e200, 0], [2e200, 0]], "points")
+    assert str(exc.value) == "d(0,1) is not finite"
+
+
 def test_build_metric_reads_the_kind_it_is_given():
     # square point lists with a zero diagonal are points, not matrices
     two = build_metric([[0, 3], [4, 0]], "points")
