@@ -157,13 +157,12 @@ def _validate_matrix(d: np.ndarray) -> None:
         raise AsymmetricInput(f"d({u},{v}) != d({v},{u})")
     n = d.shape[0]
     tol = RTOL * max(1.0, float(d.max(initial=0.0)))
-    # Screen: float shortest paths never exceed a one-hop sum, so if d is within
-    # tol of them the scan passes.  All n^2 entries are explicit, as csgraph would
-    # read a dense 0 (a coincident pair) as no edge; int32 indices skip a downcast.
-    cols = np.arange(n * n, dtype=np.int32) % n
+    # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
+    cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
     every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
     if (d - floyd_warshall(every_entry, directed=False)).max(initial=0.0) <= tol:
         return
+    # The scan names the first violation, or passes when the slack only adds up over several hops.
     buf = np.empty_like(d)
     for v in range(n):
         np.add.outer(d[:, v], d[v, :], out=buf)
@@ -171,6 +170,12 @@ def _validate_matrix(d: np.ndarray) -> None:
         if buf.max() > tol:
             u, w = map(int, np.argwhere(buf > tol)[0])
             raise TriangleViolation(u, v, w, float(buf[u, w]))
+
+
+def _require_finite(d: np.ndarray, what: str) -> None:
+    if not np.isfinite(d).all():
+        u, v = map(int, np.argwhere(~np.isfinite(d))[0])
+        raise SchemaError(f"d({u},{v}) {what}")
 
 
 def build_metric(raw, kind: str) -> MetricSpace:
@@ -196,14 +201,14 @@ def build_metric(raw, kind: str) -> MetricSpace:
             diff = arr[:, None, :] - arr[None, :, :]
             d = np.sqrt((diff * diff).sum(axis=-1))
         d = (d + d.T) / 2.0  # force exact symmetry
-        if not np.isfinite(d).all():
-            u, v = map(int, np.argwhere(~np.isfinite(d))[0])
-            raise SchemaError(f"d({u},{v}) is not finite")
+        _require_finite(d, "is not finite")
     _validate_matrix(d)
     positive = d[d > 0]
     if positive.size:
         mind = float(positive.min())
-        d = d / mind
+        with np.errstate(over="ignore"):
+            d = d / mind
+        _require_finite(d, "is not finite once the minimum distance is scaled to 1")
         scale = 1.0 / mind
     else:
         scale = 1.0

@@ -94,12 +94,18 @@ def test_run_schema_error_exit_2(tmp_path, doc, capsys):
 
 
 @pytest.mark.parametrize("command", [["run", "--algo", "SteinerTree"], ["verify", "--trials", "1"]])
-def test_points_whose_distance_is_past_float_range_exit_2(tmp_path, command, capsys):
+@pytest.mark.parametrize("metric, message", [
     # run used to report a NaN total as feasible, and verify crashed in sample_frt
-    doc = {"problem": "SteinerTree", "points": [[0, 0], [1e200, 0], [2e200, 0]], "root": 0, "requests": [1, 2]}
+    ({"points": [[0, 0], [1e200, 0], [2e200, 0]]}, "d(0,1) is not finite"),
+    # run used to report an infinite total as feasible
+    ({"matrix": [[0, 5e-324, 1e300], [5e-324, 0, 1e300], [1e300, 1e300, 0]]},
+     "d(0,2) is not finite once the minimum distance is scaled to 1"),
+], ids=["points", "matrix"])
+def test_distance_past_float_range_exit_2(tmp_path, command, metric, message, capsys):
+    doc = {"problem": "SteinerTree", **metric, "root": 0, "requests": [1, 2]}
     argv = [command[0], write_instance(tmp_path, doc), *command[1:], "--out", str(tmp_path / "x.json")]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: d(0,1) is not finite\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("points, far", [

@@ -130,11 +130,15 @@ def test_build_metric_points_input():
     assert m.dist(0, 1) == 2.0
 
 
-def test_build_metric_points_whose_distance_is_past_float_range():
+def test_build_metric_distance_past_float_range():
     # (1e200)^2 overflows: the distance would be inf, and normalizing gave NaN
     with pytest.raises(SchemaError) as exc:
         build_metric([[0, 0], [1e200, 0], [2e200, 0]], "points")
     assert str(exc.value) == "d(0,1) is not finite"
+    # a subnormal minimum distance: every other distance overflows once it is 1
+    with pytest.raises(SchemaError) as exc:
+        build_metric([[0, 5e-324, 1e300], [5e-324, 0, 1e300], [1e300, 1e300, 0]], "matrix")
+    assert str(exc.value) == "d(0,2) is not finite once the minimum distance is scaled to 1"
 
 
 def test_build_metric_reads_the_kind_it_is_given():
