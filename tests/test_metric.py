@@ -54,7 +54,7 @@ def test_build_metric_accepts_slack_that_adds_up_over_hops():
     a = 2e-9
     d = np.array([[0, 1, 2 + a, 3 + 2 * a], [1, 0, 1, 2 + a],
                   [2 + a, 1, 0, 1], [3 + 2 * a, 2 + a, 1, 0]])
-    tol = 1e-9 * d.max()
+    tol = RTOL * d.max()
     assert a <= tol < (d - floyd_warshall(d)).max()
     assert np.array_equal(build_metric(d, "matrix").d, d)
 
@@ -71,7 +71,8 @@ def near_metric_matrices(draw, max_n=12):
     if draw(st.booleans()):
         pos = np.sort(np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float))
         hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        a = draw(st.sampled_from([0.5, 0.9, 1.0])) * RTOL * max(1.0, float(pos.max(initial=0.0) - pos.min(initial=0.0)))
+        span = float(pos.max(initial=0.0) - pos.min(initial=0.0))
+        a = draw(st.sampled_from([0.5, 0.9, 1.0])) * RTOL * max(1.0, span)
         d = np.abs(np.subtract.outer(pos, pos)) + a * np.maximum(hops - 1, 0)
         order = draw(st.permutations(range(n)))
         d = d[np.ix_(order, order)]
@@ -85,7 +86,8 @@ def near_metric_matrices(draw, max_n=12):
     if draw(st.booleans()):
         iu = np.triu_indices(n, 1)
         steps = st.sampled_from([0, 0, 0, -1, 1, -2, 2, 3])
-        d[iu] = np.maximum(d[iu] + half_tol * np.array(draw(st.lists(steps, min_size=len(iu[0]), max_size=len(iu[0])))), 0.0)
+        moves = draw(st.lists(steps, min_size=len(iu[0]), max_size=len(iu[0])))
+        d[iu] = np.maximum(d[iu] + half_tol * np.array(moves), 0.0)
         d.T[iu] = d[iu]
     for _ in range(draw(st.integers(0, 3)) if n >= 3 else 0):
         u, w = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
