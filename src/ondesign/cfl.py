@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFacilities
+from .errors import SchemaError
 from .metric import (
     POINT,
     MetricSpace,
@@ -67,9 +67,9 @@ class OflState:
     def __init__(self, m: MetricSpace, facilities, root: int):
         costs = dict(facilities)
         if not facilities:
-            raise NoFacilities("need at least one facility")
+            raise SchemaError("need at least one facility")
         if root not in costs or costs[root] != 0:
-            raise NoFacilities("root facility must be present with cost 0")
+            raise SchemaError("root facility must be present with cost 0")
         self.m = m
         self.points = [p for p, _ in facilities]
         self.costs = costs
@@ -137,14 +137,14 @@ def run_ofl(m: MetricSpace, facilities, clients, root: int) -> VirtualSolution:
     )
 
 
-def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
+def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
-    ofl = OflState(m, facilities, root)
-    built = ofl._fac == root  # F' over the entries of ofl.points
-    sol.opened.add(root)
+    ofl = OflState(m, seq.facilities, seq.root)
+    built = ofl._fac == seq.root  # F' over the entries of ofl.points
+    sol.opened.add(seq.root)
     rents = {}  # class j -> [(request idx, point)]
-    for idx, i in enumerate(clients):
+    for idx, i in enumerate(seq.requests):
         sigma_hat = ofl.arrive(i)
         row = ofl._rows[idx]  # d(i, .) over the entries of ofl.points
         near = _nearest_in(built, row)
@@ -160,14 +160,14 @@ def run_cfl(m: MetricSpace, facilities, root: int, clients, M) -> tuple:
             witnesses = tuple(
                 ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius
             )
-            if len(witnesses) >= M:
+            if len(witnesses) >= seq.M:
                 decision, cost = "buy", d_hat
                 if sigma_hat not in sol.opened:
                     sol.opened.add(sigma_hat)
                     built |= ofl._fac == sigma_hat
                     sol.buy(sigma_hat, x)
                     opened = sigma_hat
-                    cost += ofl.costs[sigma_hat] + M * m.dist(sigma_hat, x)
+                    cost += ofl.costs[sigma_hat] + seq.M * m.dist(sigma_hat, x)
             else:
                 decision, cost = "rent", a
                 rents.setdefault(j, []).append((idx, i))

@@ -5,22 +5,8 @@ class OndesignError(Exception):
     """Base class for all toolkit errors."""
 
 
-class AsymmetricInput(OndesignError):
-    pass
-
-
-class NegativeDistance(OndesignError):
-    pass
-
-
-class TriangleViolation(OndesignError):
-    def __init__(self, u, v, w, slack):
-        self.u, self.v, self.w, self.slack = u, v, w, slack
-        super().__init__(f"d({u},{w}) > d({u},{v}) + d({v},{w}) by {slack:g}")
-
-
 class SchemaError(OndesignError):
-    pass
+    """An invalid instance, trace or argument: exit 2."""
 
 
 class EmptyTerminalSet(OndesignError):
@@ -43,15 +29,7 @@ class RootNotLeaf(OndesignError):
     pass
 
 
-class InvalidRequirement(OndesignError):
-    pass
-
-
 class InvalidCover(OndesignError):
-    pass
-
-
-class NoFacilities(OndesignError):
     pass
 
 
@@ -61,7 +39,3 @@ class TooLarge(OndesignError):
     def __init__(self, what, got, cap):
         self.what, self.got, self.cap = what, got, cap
         super().__init__(f"{what}={got} exceeds exact-oracle cap {cap}")
-
-
-class DepthTooLarge(SchemaError):
-    """A diamond depth outside [0, cap]: a usage error (exit 2)."""

@@ -2,8 +2,8 @@
 
 Every oracle enumerates within a hard cap and raises TooLarge beyond it; the
 caps keep worst cases under a few seconds.  The Steiner core is a
-Dreyfus-Wagner subset DP whose full table is shared by the penalty and
-facility oracles (one DP answers Steiner costs for all terminal subsets).
+Dreyfus-Wagner subset DP whose full table is shared by the forest, penalty
+and facility oracles (one DP answers Steiner costs for all terminal subsets).
 """
 
 from __future__ import annotations
@@ -110,25 +110,25 @@ def _partitions(items):
 
 
 def exact_sf(m: MetricSpace, pairs) -> float:
-    """Optimal Steiner forest: best partition of the pairs into joint trees."""
+    """Optimal Steiner forest: best partition of the pairs into joint trees.
+
+    One table over the endpoints but the least serves every block, read at
+    the block's least point (an entry depends only on its terminal subset).
+    """
     pairs = [tuple(p) for p in pairs]
     if len(pairs) > _SF_PAIR_CAP:
         raise TooLarge("pairs", len(pairs), _SF_PAIR_CAP)
     live = [p for p in pairs if m.dist(*p) > 0]
     if not live:
         return 0.0
-    memo = {}
-
-    def tree_cost(points):
-        key = frozenset(points)
-        if key not in memo:
-            memo[key] = dreyfus_wagner_st(m, key)
-        return memo[key]
-
+    pts = sorted({x for pr in live for x in pr})
+    if len(pts) > _DW_CAP:
+        raise TooLarge("terminals", len(pts), _DW_CAP)
+    terms, table = dreyfus_wagner_table(m, pts[1:])
     best = math.inf
     for part in _partitions(live):
-        cost = sum(tree_cost({x for pr in block for x in pr}) for block in part)
-        best = min(best, cost)
+        blocks = [{x for pr in block for x in pr} for block in part]
+        best = min(best, sum(steiner_from_table(terms, table, b, min(b)) for b in blocks))
     return best
 
 
@@ -190,19 +190,11 @@ def exact_pcst(m: MetricSpace, r: int, requests) -> float:
     if len(pts) > _DW_CAP:
         raise TooLarge("distinct points", len(pts), _DW_CAP)
     terms, table = dreyfus_wagner_table(m, [p for p in pts if p != r])
-    memo = {}
-
-    def connect_cost(points):
-        key = frozenset(points)
-        if key not in memo:
-            memo[key] = steiner_from_table(terms, table, set(points) | {r}, r)
-        return memo[key]
-
     best = math.inf
     for keep_mask in range(1 << len(reqs)):
         pay = sum(pi for k, (_, pi) in enumerate(reqs) if not keep_mask >> k & 1)
         kept = [p for k, (p, _) in enumerate(reqs) if keep_mask >> k & 1]
-        best = min(best, pay + connect_cost(kept))
+        best = min(best, pay + steiner_from_table(terms, table, [r, *kept], r))
     return best
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import DepthTooLarge, SchemaError
+from .errors import SchemaError
 from .metric import MetricSpace, RequestSequence, build_metric, problem_format
 
 _DIAMOND_CAP = 10
@@ -59,9 +59,9 @@ def gen_diamond_lb(depth: int):
     family's known optimum (= 2^d in normalized units).
     """
     if depth > _DIAMOND_CAP:
-        raise DepthTooLarge(f"depth {depth} > {_DIAMOND_CAP}")
+        raise SchemaError(f"depth {depth} > {_DIAMOND_CAP}")
     if depth < 0:
-        raise DepthTooLarge("depth must be >= 0")
+        raise SchemaError("depth must be >= 0")
     span = 2**depth
     n_path = span + 1
     rows, cols, vals = [], [], []

@@ -25,12 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import floyd_warshall
 
-from .errors import (
-    AsymmetricInput,
-    NegativeDistance,
-    SchemaError,
-    TriangleViolation,
-)
+from .errors import SchemaError
 
 # Relative and absolute float slack of every bound check.
 RTOL = 1e-9
@@ -149,12 +144,12 @@ def _validate_matrix(d: np.ndarray) -> None:
         raise SchemaError("distance matrix must be square")
     if np.any(d < 0):
         u, v = map(int, np.argwhere(d < 0)[0])
-        raise NegativeDistance(f"d({u},{v}) < 0")
+        raise SchemaError(f"d({u},{v}) < 0")
     if np.any(np.diag(d) != 0):
         raise SchemaError("nonzero diagonal entry")
     if not np.array_equal(d, d.T):
         u, v = map(int, np.argwhere(d != d.T)[0])
-        raise AsymmetricInput(f"d({u},{v}) != d({v},{u})")
+        raise SchemaError(f"d({u},{v}) != d({v},{u})")
     n = d.shape[0]
     tol = RTOL * max(1.0, float(d.max(initial=0.0)))
     # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
@@ -169,7 +164,7 @@ def _validate_matrix(d: np.ndarray) -> None:
         np.subtract(d, buf, out=buf)
         if buf.max() > tol:
             u, w = map(int, np.argwhere(buf > tol)[0])
-            raise TriangleViolation(u, v, w, float(buf[u, w]))
+            raise SchemaError(f"d({u},{w}) > d({u},{v}) + d({v},{w}) by {buf[u, w]:g}")
 
 
 def _require_finite(d: np.ndarray, what: str) -> None:

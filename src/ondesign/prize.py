@@ -25,15 +25,13 @@ from .metric import (
 from .steiner import _nearest, check_class_separation
 
 
-def run_pcst(m: MetricSpace, root: int, requests) -> tuple:
-    """`requests` is a sequence of (terminal point, penalty >= 0)."""
+def run_pcst(m: MetricSpace, seq: RequestSequence) -> tuple:
+    """`seq.requests` is a sequence of (terminal point, penalty >= 0)."""
     sol = MultiGraphSolution()
     trace = RunTrace()
-    buys = [root]
+    buys = [seq.root]
     classes = {}  # class j -> [(request idx, point, rho)]
-    for idx, (i, pi) in enumerate(requests):
-        if pi < 0:
-            raise ValueError(f"request {idx}: penalty {pi} < 0")
+    for idx, (i, pi) in enumerate(seq.requests):
         z, a = _nearest(m, i, buys)
         if a == 0.0:
             if i != z:
@@ -103,8 +101,6 @@ def check_pcst_invariants(seq: RequestSequence, trace: RunTrace, t_ext: Hst):
     out, flags = [], []
     for j, _, holds_root, inside in class_cuts(t_ext, positive_share_rows(seq, trace), 1, seq.root):
         share = sum(rho for _, rho, _ in inside)
-        if share <= 0:
-            continue
         if holds_root:
             out.append(f"level {j}: root cut carries class-{j + 1} share {share:g}")
         elif exceeds(share, pow2(j + 2), atol=0.0):

@@ -32,12 +32,12 @@ from .metric import (
 from .steiner import BcForest, _nearest, run_greedy_st
 
 
-def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
+def run_srob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
-    buys = [root]                 # Z, arrival order, root first
+    buys = [seq.root]             # Z, arrival order, root first
     rents = {}                    # class j -> [(request idx, point)]
-    for idx, i in enumerate(terminals):
+    for idx, i in enumerate(seq.requests):
         z, a = _nearest(m, i, buys)
         if a == 0.0:
             if i != z:
@@ -47,10 +47,10 @@ def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
         j = floor_log2(a)
         radius = pow2(j - 1)
         witnesses = tuple(ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius)
-        if len(witnesses) >= M:
+        if len(witnesses) >= seq.M:
             sol.buy(i, z)
             buys.append(i)
-            decision, cost = "buy", M * a
+            decision, cost = "buy", seq.M * a
         else:
             sol.rent(idx, i, z)
             rents.setdefault(j, []).append((idx, i))
@@ -59,12 +59,12 @@ def run_srob(m: MetricSpace, root: int, terminals, M) -> tuple:
     return sol, trace
 
 
-def run_mrob(m: MetricSpace, pairs, M) -> tuple:
+def run_mrob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     bc = BcForest(m, 1)
     rents = {}  # class j -> [(request idx, point)]
-    for idx, (s, t) in enumerate(pairs):
+    for idx, (s, t) in enumerate(seq.requests):
         d = m.dist(s, t)
         if d == 0.0:
             trace.add(RequestRecord(idx=idx, decision="auto"))
@@ -74,13 +74,13 @@ def run_mrob(m: MetricSpace, pairs, M) -> tuple:
         pool = rents.get(j, ())
         ws = tuple(ridx for ridx, p in pool if m.dist(s, p) < radius)
         wt = tuple(ridx for ridx, p in pool if m.dist(t, p) < radius)
-        if len(ws) < M or len(wt) < M:
-            endpoint = "s" if len(ws) < M else "t"
+        if len(ws) < seq.M or len(wt) < seq.M:
+            endpoint = "s" if len(ws) < seq.M else "t"
             rents.setdefault(j, []).append((idx, s if endpoint == "s" else t))
             sol.rent(idx, s, t)
             decision, cost, feasible = "rent", d, True
         else:
-            _, cost = bc.buy_pair(sol, s, t, weight=M)
+            _, cost = bc.buy_pair(sol, s, t, weight=seq.M)
             decision, endpoint, feasible = "buy", None, bc.connected(s, t)
         trace.add(
             RequestRecord(
@@ -212,7 +212,7 @@ def check_greedy_replay(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSol
     they carry no cost and their attachment point is representation detail.
     """
     buy_points = [seq.request_points(rec.idx)[0] for rec in trace.records if rec.decision == "buy"]
-    replay_sol, _ = run_greedy_st(m, seq.root, buy_points)
+    replay_sol, _ = run_greedy_st(m, RequestSequence("SteinerTree", tuple(buy_points), root=seq.root))
 
     def positive(bought):
         return {e: c for e, c in bought.items() if m.dist(*e) > 0}

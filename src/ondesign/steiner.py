@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidCover, InvalidRequirement
+from .errors import InvalidCover
 from .hst import Hst, cut_row
 from .metric import (
     POINT,
@@ -140,7 +140,7 @@ def _nearest(m: MetricSpace, i: int, candidates):
     return best, m.dist(i, best)
 
 
-def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
+def run_greedy_st(m: MetricSpace, seq: RequestSequence) -> tuple:
     """Connect each arrival to the nearest previously-arrived terminal.
 
     Ties go to the earliest arrival (the root counts as arrival -1).  A
@@ -148,8 +148,8 @@ def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
     """
     sol = MultiGraphSolution()
     trace = RunTrace()
-    arrived = [root]
-    for idx, i in enumerate(terminals):
+    arrived = [seq.root]
+    for idx, i in enumerate(seq.requests):
         z, a = _nearest(m, i, arrived)
         arrived.append(i)
         if a == 0.0:
@@ -162,11 +162,11 @@ def run_greedy_st(m: MetricSpace, root: int, terminals) -> tuple:
     return sol, trace
 
 
-def run_bc_sf(m: MetricSpace, pairs) -> tuple:
+def run_bc_sf(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     bc = BcForest(m, 1)
-    for idx, (s, t) in enumerate(pairs):
+    for idx, (s, t) in enumerate(seq.requests):
         klass, cost = bc.buy_pair(sol, s, t, 1)
         if klass is None:
             trace.add(RequestRecord(idx=idx, decision="auto"))
@@ -176,7 +176,7 @@ def run_bc_sf(m: MetricSpace, pairs) -> tuple:
     return sol, trace
 
 
-def run_sn(m: MetricSpace, requests) -> tuple:
+def run_sn(m: MetricSpace, seq: RequestSequence) -> tuple:
     """One Berman-Coulston instance per requirement scale l = floor(log2 R).
 
     The wrapper buys 2^(l+1) copies of every edge instance l buys; instances
@@ -185,10 +185,7 @@ def run_sn(m: MetricSpace, requests) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     instances = {}
-    for idx, (s, t, req) in enumerate(requests):
-        if int(req) != req or req < 1:
-            raise InvalidRequirement(f"request {idx}: R={req!r}")
-        req = int(req)
+    for idx, (s, t, req) in enumerate(seq.requests):
         if m.dist(s, t) == 0.0:
             trace.add(RequestRecord(idx=idx, decision="auto"))
             continue

@@ -183,20 +183,20 @@ class ProblemSpec:
 
 SPECS = {
     "SteinerTree": ProblemSpec(
-        run=lambda m, seq: run_greedy_st(m, seq.root, seq.requests),
+        run=lambda m, seq: run_greedy_st(m, seq),
         run_checks={"class_separation": check_class_separation, "share_identity": check_share_identity},
         tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root}),
     ),
     "SteinerForest": ProblemSpec(
-        run=lambda m, seq: run_bc_sf(m, seq.requests),
+        run=lambda m, seq: run_bc_sf(m, seq),
         run_checks={"bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
         tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
     ),
     "SteinerNetwork": ProblemSpec(
-        run=lambda m, seq: run_sn(m, seq.requests),
+        run=lambda m, seq: run_sn(m, seq),
         run_checks={"bc_edge_property": check_bc_edge_property},
         solution_checks={"sn_decomposition": check_sn_decomposition},
         summary_shape=BcForest.SUMMARY_SHAPE,
@@ -204,7 +204,7 @@ SPECS = {
         optimum=lambda m, seq: exact.exact_sn_tiny(m, seq.pairs, [r for _, _, r in seq.requests]),
     ),
     "SROB": ProblemSpec(
-        run=lambda m, seq: run_srob(m, seq.root, seq.requests, seq.M),
+        run=lambda m, seq: run_srob(m, seq),
         run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_srob_witnesses,
                     "class_separation": check_class_separation},
         solution_checks={"greedy_replay": check_greedy_replay},
@@ -212,7 +212,7 @@ SPECS = {
         optimum=lambda m, seq: exact.exact_srob(m, seq.root, seq.requests, seq.M),
     ),
     "MROB": ProblemSpec(
-        run=lambda m, seq: run_mrob(m, seq.requests, seq.M),
+        run=lambda m, seq: run_mrob(m, seq),
         run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_mrob_witnesses,
                     "bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
@@ -220,7 +220,7 @@ SPECS = {
         optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
     ),
     "CFL": ProblemSpec(
-        run=lambda m, seq: run_cfl(m, list(seq.facilities), seq.root, seq.requests, seq.M),
+        run=lambda m, seq: run_cfl(m, seq),
         run_checks={"cfl_invariants": check_cfl_invariants, "cfl_cost_split": check_cfl_cost_split,
                     "buyrent_vs_share": check_buyrent_vs_share},
         summary_shape=CFL_SUMMARY_SHAPE,
@@ -230,7 +230,7 @@ SPECS = {
         ),
     ),
     "PCST": ProblemSpec(
-        run=lambda m, seq: run_pcst(m, seq.root, seq.requests),
+        run=lambda m, seq: run_pcst(m, seq),
         run_checks={"pcst_run_invariants": check_pcst_run_invariants},
         solution_checks={"greedy_replay": check_greedy_replay},
         tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},

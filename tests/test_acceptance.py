@@ -275,7 +275,7 @@ def test_criterion_5_empirical_competitive_ratio():
     ratios = []
     for depth in range(1, 6):
         m, seq, info = gen_diamond_lb(depth)
-        _, trace = run_greedy_st(m, seq.root, seq.requests)
+        _, trace = run_greedy_st(m, seq)
         ratios.append(trace.total_cost() / info["opt"])
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     announce(

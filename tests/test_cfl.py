@@ -12,11 +12,15 @@ from ondesign.cfl import (
     run_cfl,
     run_ofl,
 )
-from ondesign.errors import NoFacilities
+from ondesign.errors import SchemaError
 from ondesign.hst import extend_singleton_levels, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.rentorbuy import check_cut_capacity
 from ondesign.tree_opt import opt_tree_rob_single
+
+
+def _cfl(facilities, clients, M):
+    return RequestSequence(problem="CFL", requests=tuple(clients), root=0, M=M, facilities=tuple(facilities))
 
 
 def test_ofl_single_client_only_root():
@@ -41,9 +45,9 @@ def test_ofl_zero_clients():
 
 def test_ofl_requires_zero_cost_root():
     m = line_metric([0, 1])
-    with pytest.raises(NoFacilities):
+    with pytest.raises(SchemaError, match="^root facility must be present with cost 0$"):
         run_ofl(m, [(0, 1.0)], [1], root=0)
-    with pytest.raises(NoFacilities):
+    with pytest.raises(SchemaError, match="^need at least one facility$"):
         run_ofl(m, [], [1], root=0)
 
 
@@ -96,7 +100,7 @@ def test_ofl_tied_facilities_open_first_in_points_order(facilities, opened):
 
 def test_cfl_virtual_when_near_root():
     m = line_metric([0, 1])
-    sol, trace = run_cfl(m, [(0, 0.0)], 0, [1], M=1.0)
+    sol, trace = run_cfl(m, _cfl([(0, 0.0)], [1], M=1.0))
     rec = trace.records[0]
     assert rec.decision == "virtual" and rec.cost == 1.0 and rec.attach == 0
     assert sol.assignments == {0: 0}
@@ -113,9 +117,8 @@ def test_cfl_rent_then_buy_on_coincident_witness():
             [31.0, 1.0, 1.0, 0.0],
         ]
     ))
-    facilities = [(0, 0.0), (3, 0.5)]
-    seq = RequestSequence(problem="CFL", requests=(1, 2), root=0, M=1.0, facilities=tuple(facilities))
-    sol, trace = run_cfl(m, facilities, 0, [1, 2], M=1.0)
+    seq = _cfl([(0, 0.0), (3, 0.5)], [1, 2], M=1.0)
+    sol, trace = run_cfl(m, seq)
     first, second = trace.records
     assert first.decision == "rent" and first.cost == 32.0
     assert second.decision == "buy" and second.opened == 3
@@ -127,8 +130,8 @@ def test_cfl_rent_then_buy_on_coincident_witness():
 
 def test_cfl_invariants_forged_foreign_facility():
     m = line_metric([0, 32, 33])
-    seq = RequestSequence(problem="CFL", requests=(1,), root=0, M=0.0, facilities=((0, 0.0), (2, 1.0)))
-    sol, trace = run_cfl(m, list(seq.facilities), 0, seq.requests, M=0.0)
+    seq = _cfl([(0, 0.0), (2, 1.0)], [1], M=0.0)
+    sol, trace = run_cfl(m, seq)
     trace.summary["f_hat"] = [0]  # pretend OFL never opened anything else
     out = check_cfl_invariants(m, seq, trace)
     if any(r.decision == "buy" and r.opened is not None for r in trace.records):
@@ -139,7 +142,7 @@ def test_cfl_m_zero_never_rents():
     rng = np.random.default_rng(3)
     m = euclid(rng.random((12, 2)) * 20)
     facs = [(0, 0.0), (1, 0.4), (2, 0.8)]
-    _, trace = run_cfl(m, facs, 0, [int(x) for x in rng.integers(3, 12, size=8)], M=0.0)
+    _, trace = run_cfl(m, _cfl(facs, [int(x) for x in rng.integers(3, 12, size=8)], M=0.0))
     assert all(r.decision in ("virtual", "buy") for r in trace.records)
 
 
@@ -147,11 +150,8 @@ def test_cfl_feasibility_and_cost():
     rng = np.random.default_rng(5)
     m = euclid(rng.random((14, 2)) * 16)
     facs = [(0, 0.0), (1, 1.0), (2, 2.0), (3, 0.5)]
-    clients = [int(x) for x in rng.integers(4, 14, size=10)]
-    sol, trace = run_cfl(m, facs, 0, clients, M=2.0)
-    seq = RequestSequence(
-        problem="CFL", requests=tuple(clients), root=0, M=2.0, facilities=tuple(facs)
-    )
+    seq = _cfl(facs, [int(x) for x in rng.integers(4, 14, size=10)], M=2.0)
+    sol, trace = run_cfl(m, seq)
     assert all(check_feasible(sol, seq, m))
     assert solution_cost(sol, seq, m).total == pytest.approx(trace.total_cost())
     assert check_cfl_invariants(m, seq, trace) == []
@@ -170,7 +170,8 @@ def test_cfl_sharetree_prestudy_constant_16():
         facs = [(0, 0.0)] + [(int(p), float(rng.uniform(0, 3))) for p in range(1, n_fac + 1)]
         clients = [int(x) for x in rng.integers(0, n, size=int(rng.integers(3, 12)))]
         M = float(rng.choice([0.0, 1.0, 2.0, 3.0]))
-        sol, trace = run_cfl(m, facs, 0, clients, M=M)
+        seq = _cfl(facs, clients, M)
+        sol, trace = run_cfl(m, seq)
         share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.decision == "rent")
         t = extend_singleton_levels(sample_frt(m, clients + [0], seed=trial))
         opt = opt_tree_rob_single(t, 0, M, clients)
@@ -178,7 +179,6 @@ def test_cfl_sharetree_prestudy_constant_16():
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        seq = RequestSequence(problem="CFL", requests=tuple(clients), root=0, M=M, facilities=tuple(facs))
         out = check_cut_capacity(seq, trace, t, 2)
         assert out == []
     assert worst <= 16.0
@@ -186,8 +186,8 @@ def test_cfl_sharetree_prestudy_constant_16():
 
 def test_cfl_buy_rent_cost_helper():
     m = line_metric([0, 32, 33])
-    seq = RequestSequence(problem="CFL", requests=(1, 1), root=0, M=1.0, facilities=((0, 0.0), (2, 0.0)))
-    sol, trace = run_cfl(m, list(seq.facilities), 0, seq.requests, M=1.0)
+    seq = _cfl([(0, 0.0), (2, 0.0)], [1, 1], M=1.0)
+    sol, trace = run_cfl(m, seq)
     val = cfl_buy_rent_cost(m, seq, trace)
     assert val >= 0.0
 

@@ -625,7 +625,7 @@ def _instance_docs(draw):
         key = draw(st.sampled_from(["points", "matrix", "problem", "root", "M", "facilities", "requests", "junk"]))
         if draw(st.booleans()):
             doc.pop(key, None)
-        elif key == "requests" and doc.get("requests"):
+        elif key == "requests" and isinstance(doc.get("requests"), list) and doc["requests"]:
             doc["requests"][0] = draw(_ODD | _JSON)
         else:
             doc[key] = draw(_ODD | _JSON)

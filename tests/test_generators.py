@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ondesign.errors import DepthTooLarge
+from ondesign.errors import SchemaError
 from ondesign.exact import dreyfus_wagner_st
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
 from ondesign.metric import build_metric, solution_cost
@@ -73,14 +73,14 @@ def test_gen_requests_count_zero():
 
 def test_diamond_depth_zero():
     m, seq, info = gen_diamond_lb(0)
-    sol, trace = run_greedy_st(m, seq.root, seq.requests)
+    sol, trace = run_greedy_st(m, seq)
     assert trace.total_cost() == pytest.approx(info["opt"])  # ratio 1
 
 
 def test_diamond_depth_one():
     m, seq, info = gen_diamond_lb(1)
     assert m.n == 4  # path 0,1,2 plus one twin
-    sol, trace = run_greedy_st(m, seq.root, seq.requests)
+    sol, trace = run_greedy_st(m, seq)
     ratio = trace.total_cost() / info["opt"]
     assert ratio == pytest.approx(1.5)
     # exhaustive check against the exact oracle
@@ -92,7 +92,7 @@ def test_diamond_ratios_strictly_increase():
     prev = 0.0
     for depth in range(1, 6):
         m, seq, info = gen_diamond_lb(depth)
-        _, trace = run_greedy_st(m, seq.root, seq.requests)
+        _, trace = run_greedy_st(m, seq)
         ratio = trace.total_cost() / info["opt"]
         assert ratio == pytest.approx(1 + depth / 2)
         assert ratio > prev
@@ -100,8 +100,10 @@ def test_diamond_ratios_strictly_increase():
 
 
 def test_diamond_depth_cap():
-    with pytest.raises(DepthTooLarge):
+    with pytest.raises(SchemaError, match="^depth 11 > 10$"):
         gen_diamond_lb(11)
+    with pytest.raises(SchemaError, match="^depth must be >= 0$"):
+        gen_diamond_lb(-1)
 
 
 def test_diamond_closure_passes_build_metric():

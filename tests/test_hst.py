@@ -33,7 +33,7 @@ from ondesign.hst import (
     validated_distances,
 )
 from ondesign.generators import gen_euclidean, gen_graph_metric
-from ondesign.metric import build_metric, floor_log2
+from ondesign.metric import MetricSpace, build_metric, floor_log2
 
 
 def test_two_terminal_minimal_shape(two_point_metric):
@@ -54,8 +54,14 @@ def test_single_terminal_degenerate(two_point_metric):
 
 
 def test_empty_terminals_rejected(two_point_metric):
-    with pytest.raises(EmptyTerminalSet):
+    with pytest.raises(EmptyTerminalSet, match="^need at least one terminal$"):
         sample_frt(two_point_metric, [], seed=0)
+
+
+def test_unnormalized_metric_rejected():
+    m = MetricSpace(d=np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match=r"^metric not normalized: d\(0,1\)=0\.5 < 1$"):
+        sample_frt(m, [0, 1], seed=0)
 
 
 def test_coincident_points_collapse_onto_one_terminal():
@@ -239,7 +245,7 @@ def test_extension_arithmetic(two_point_metric):
     assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst(ext, two_point_metric) == []
-    with pytest.raises(AlreadyExtended):
+    with pytest.raises(AlreadyExtended, match="^tree already extended to -2$"):
         extend_singleton_levels(ext)
 
 
@@ -264,7 +270,7 @@ def test_unknown_leaf():
 
     m = line_metric([0, 1])
     t = sample_frt(m, [0, 1], seed=0)
-    with pytest.raises(UnknownLeaf):
+    with pytest.raises(UnknownLeaf, match="^0 or 7 is not a leaf terminal$"):
         tree_distance(t, 0, 7)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import floyd_warshall
 
 from conftest import ref_max_flow, ref_validate_matrix
-from ondesign.errors import AsymmetricInput, OndesignError, SchemaError, TriangleViolation
+from ondesign.errors import OndesignError, SchemaError
 from ondesign.metric import (
     RTOL,
     MetricSpace,
@@ -36,16 +37,14 @@ def test_build_metric_identity_case():
 
 
 def test_build_metric_triangle_violation():
-    with pytest.raises(TriangleViolation) as exc:
+    with pytest.raises(SchemaError, match=r"^d\(0,2\) > d\(0,1\) \+ d\(1,2\) by 1$"):
         build_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]], "matrix")
-    assert str(exc.value) == "d(0,2) > d(0,1) + d(1,2) by 1"
 
 
 def test_build_metric_triangle_violation_through_coincident_points():
     # a zero distance is an edge of the closure, not a missing one
-    with pytest.raises(TriangleViolation) as exc:
+    with pytest.raises(SchemaError, match=r"^d\(0,2\) > d\(0,1\) \+ d\(1,2\) by 2$"):
         build_metric([[0, 0, 3], [0, 0, 1], [3, 1, 0]], "matrix")
-    assert str(exc.value) == "d(0,2) > d(0,1) + d(1,2) by 2"
 
 
 def test_build_metric_accepts_slack_that_adds_up_over_hops():
@@ -118,12 +117,30 @@ def test_build_metric_validates_as_the_full_scan(d):
 
 
 def test_build_metric_asymmetric_and_negative():
-    with pytest.raises(AsymmetricInput):
+    with pytest.raises(SchemaError, match=r"^d\(0,1\) != d\(1,0\)$"):
         build_metric(np.array([[0.0, 1.0], [2.0, 0.0]]), "matrix")
-    from ondesign.errors import NegativeDistance
-
-    with pytest.raises(NegativeDistance):
+    with pytest.raises(SchemaError, match=r"^d\(0,1\) < 0$"):
         build_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]), "matrix")
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"problem": "SteinerNetwork", "requests": ((0, 1, 0),)},
+                 "request 0: R must be an integer >= 1", id="R below 1"),
+    pytest.param({"problem": "SteinerNetwork", "requests": ((0, 1, 2), (0, 1, 1.5))},
+                 "request 1: R must be an integer >= 1", id="R not an integer"),
+    pytest.param({"problem": "PCST", "requests": ((1, 2.0), (1, -1.0)), "root": 0},
+                 "penalties must be >= 0", id="negative penalty"),
+    pytest.param({"problem": "CFL", "requests": (1,), "root": 0, "M": 1.0},
+                 "CFL needs a facilities list", id="no facilities"),
+    pytest.param({"problem": "CFL", "requests": (1,), "root": 0, "M": 1.0, "facilities": ((0, 1.0), (1, 0.0))},
+                 "CFL root facility must be present with cost 0", id="root facility not free"),
+])
+def test_request_sequence_rejects_invalid_fields(fields, message):
+    """The instance checks the runners rely on: a requirement R that is not an
+    integer >= 1, a negative penalty, a CFL instance without facilities or
+    without the root at cost 0."""
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        RequestSequence(**fields)
 
 
 def test_build_metric_points_input():
@@ -335,7 +352,7 @@ def test_trace_jsonl_roundtrip(tmp_path):
     from ondesign.steiner import run_greedy_st
 
     m = build_metric([[0, 1, 3], [1, 0, 2], [3, 2, 0]], "matrix")
-    _, trace = run_greedy_st(m, 0, [1, 2])
+    _, trace = run_greedy_st(m, RequestSequence(problem="SteinerTree", requests=(1, 2), root=0))
     path = tmp_path / "t.jsonl"
     trace.to_jsonl(path)
     back = json.loads(path.read_text().splitlines()[0])

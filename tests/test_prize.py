@@ -15,6 +15,10 @@ from ondesign.rentorbuy import check_greedy_replay
 from ondesign.tree_opt import opt_tree_pcst, pcst_cut_lower_bound
 
 
+def _pcst(*requests):
+    return RequestSequence(problem="PCST", requests=requests, root=0)
+
+
 def pcst_metric():
     # root 0, filler at 1 (keeps min distance 1), A and B coincident at 4
     return line_metric([0, 1, 4, 4])
@@ -22,8 +26,8 @@ def pcst_metric():
 
 def test_pcst_penalty_then_buy():
     m = pcst_metric()
-    seq = RequestSequence(problem="PCST", requests=((2, 1.0), (3, 10.0)), root=0)
-    sol, trace = run_pcst(m, 0, seq.requests)
+    seq = _pcst((2, 1.0), (3, 10.0))
+    sol, trace = run_pcst(m, seq)
     first, second = trace.records
     assert first.decision == "penalty" and first.rho == 1.0
     assert second.decision == "buy" and second.rho == 7.0
@@ -33,14 +37,14 @@ def test_pcst_penalty_then_buy():
 
 def test_pcst_zero_penalty():
     m = line_metric([0, 2])
-    _, trace = run_pcst(m, 0, [(1, 0.0)])
+    _, trace = run_pcst(m, _pcst((1, 0.0)))
     rec = trace.records[0]
     assert rec.decision == "penalty" and rec.rho == 0.0 and rec.cost == 0.0
 
 
 def test_pcst_witness_includes_self():
     m = line_metric([0, 4])
-    _, trace = run_pcst(m, 0, [(1, 100.0)])
+    _, trace = run_pcst(m, _pcst((1, 100.0)))
     assert trace.records[0].witnesses == (0,)
     assert trace.records[0].decision == "buy"  # rho reaches 2^(j+1) alone
 
@@ -48,16 +52,15 @@ def test_pcst_witness_includes_self():
 def test_pcst_feasibility():
     rng = np.random.default_rng(2)
     m = euclid(rng.random((12, 2)) * 14)
-    reqs = [(int(p), float(rng.uniform(0, 10))) for p in rng.integers(1, 12, size=10)]
-    sol, trace = run_pcst(m, 0, reqs)
-    seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
+    seq = _pcst(*((int(p), float(rng.uniform(0, 10))) for p in rng.integers(1, 12, size=10)))
+    sol, trace = run_pcst(m, seq)
     assert all(check_feasible(sol, seq, m))
     assert check_greedy_replay(m, seq, sol, trace) == []
 
 
 def test_pcst_cost_vs_shares():
     m = pcst_metric()
-    _, trace = run_pcst(m, 0, [(2, 1.0), (3, 10.0)])
+    _, trace = run_pcst(m, _pcst((2, 1.0), (3, 10.0)))
     assert total_share(trace) == 8.0
     assert trace.total_cost() <= 2 * total_share(trace)
 
@@ -80,8 +83,8 @@ def test_pcst_tree_invariants_and_bounds():
             (int(p), float(rng.uniform(0, 2 * m.diameter())))
             for p in rng.integers(0, n, size=int(rng.integers(2, 9)))
         ]
-        seq = RequestSequence(problem="PCST", requests=tuple(reqs), root=0)
-        sol, trace = run_pcst(m, 0, reqs)
+        seq = _pcst(*reqs)
+        sol, trace = run_pcst(m, seq)
         t_ext = extend_singleton_levels(sample_frt(m, [p for p, _ in reqs] + [0], seed=trial))
         viol, flags = check_pcst_invariants(seq, trace, t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
@@ -133,15 +136,15 @@ def test_pcst_cut_share_messages(point, klass, rho, expected):
 
 def test_pcst_all_zero_penalties():
     m = line_metric([0, 2, 4])
-    _, trace = run_pcst(m, 0, [(1, 0.0), (2, 0.0)])
+    _, trace = run_pcst(m, _pcst((1, 0.0), (2, 0.0)))
     assert total_share(trace) == 0.0 and trace.total_cost() == 0.0
 
 
 def test_pcst_flags_soft_range():
     # flags (not violations) may appear for cut sums in (2^(j+1), 2^(j+2)]
     m = euclid(np.random.default_rng(3).random((8, 2)) * 12)
-    seq = RequestSequence(problem="PCST", requests=tuple((p, 50.0) for p in range(1, 8)), root=0)
-    _, trace = run_pcst(m, 0, seq.requests)
+    seq = _pcst(*((p, 50.0) for p in range(1, 8)))
+    _, trace = run_pcst(m, seq)
     t_ext = extend_singleton_levels(sample_frt(m, range(8), seed=0))
     viol, flags = check_pcst_invariants(seq, trace, t_ext)
     assert check_pcst_run_invariants(m, seq, trace) + viol == []

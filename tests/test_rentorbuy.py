@@ -15,9 +15,17 @@ from ondesign.rentorbuy import (
 from ondesign.verify import verify_run
 
 
+def _srob(terminals, M):
+    return RequestSequence(problem="SROB", requests=tuple(terminals), root=0, M=M)
+
+
+def _mrob(pairs, M):
+    return RequestSequence(problem="MROB", requests=tuple(pairs), M=M)
+
+
 def test_srob_line_example():
     m = line_metric([0, 4, 5, 6])
-    sol, trace = run_srob(m, 0, [1, 2, 3], M=1.0)
+    sol, trace = run_srob(m, _srob([1, 2, 3], M=1.0))
     assert [r.decision for r in trace.records] == ["rent", "buy", "rent"]
     assert trace.total_cost() == 10.0
     assert trace.records[1].witnesses == (0,)
@@ -25,8 +33,8 @@ def test_srob_line_example():
 
 def test_srob_m_zero_always_buys():
     m = line_metric([0, 4, 5, 6])
-    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=0.0)
-    sol, trace = run_srob(m, 0, seq.requests, M=0.0)
+    seq = _srob([1, 2, 3], M=0.0)
+    sol, trace = run_srob(m, seq)
     assert all(r.decision == "buy" for r in trace.records)
     assert trace.total_cost() == 0.0
     # H is the greedy Steiner tree over all terminals
@@ -35,43 +43,42 @@ def test_srob_m_zero_always_buys():
 
 def test_srob_single_rent():
     m = line_metric([0, 2])
-    _, trace = run_srob(m, 0, [1], M=10.0)
+    _, trace = run_srob(m, _srob([1], M=10.0))
     assert trace.records[0].decision == "rent" and trace.total_cost() == 2.0
 
 
 def test_srob_feasible():
     rng = np.random.default_rng(1)
     m = euclid(rng.random((15, 2)) * 12)
-    terms = [int(x) for x in rng.integers(1, 15, size=12)]
-    sol, trace = run_srob(m, 0, terms, M=2.0)
-    seq = RequestSequence(problem="SROB", requests=tuple(terms), root=0, M=2.0)
+    seq = _srob([int(x) for x in rng.integers(1, 15, size=12)], M=2.0)
+    sol, trace = run_srob(m, seq)
     assert all(check_feasible(sol, seq, m))
     assert trace.total_cost() <= 2 * cost_share(trace) + 1e-9
 
 
 def test_mrob_triple_identical_pairs(two_point_metric):
-    sol, trace = run_mrob(two_point_metric, [(0, 1)] * 3, M=1.0)
+    sol, trace = run_mrob(two_point_metric, _mrob([(0, 1)] * 3, M=1.0))
     assert [r.decision for r in trace.records] == ["rent", "rent", "buy"]
     assert [r.rent_endpoint for r in trace.records] == ["s", "t", None]
     assert trace.total_cost() == 3.0
 
 
 def test_mrob_m_zero(two_point_metric):
-    _, trace = run_mrob(two_point_metric, [(0, 1)] * 3, M=0.0)
+    _, trace = run_mrob(two_point_metric, _mrob([(0, 1)] * 3, M=0.0))
     assert all(r.decision == "buy" for r in trace.records)
     assert trace.total_cost() == 0.0
 
 
 def test_mrob_single_pair_rents(two_point_metric):
-    _, trace = run_mrob(two_point_metric, [(0, 1)], M=5.0)
+    _, trace = run_mrob(two_point_metric, _mrob([(0, 1)], M=5.0))
     assert trace.records[0].decision == "rent"
     assert trace.total_cost() == 1.0
 
 
 def test_witness_disjointness_srob_and_forged():
     m = line_metric([0, 4, 5, 6])
-    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
-    _, trace = run_srob(m, 0, seq.requests, M=1.0)
+    seq = _srob([1, 2, 3], M=1.0)
+    _, trace = run_srob(m, seq)
     assert check_srob_witnesses(m, seq, trace) == []
 
     forged = RunTrace()
@@ -84,8 +91,8 @@ def test_witness_disjointness_srob_and_forged():
 
 def test_witness_disjointness_mrob():
     m = line_metric([0, 1])
-    seq = RequestSequence(problem="MROB", requests=((0, 1),) * 3, M=1.0)
-    _, trace = run_mrob(m, seq.requests, M=1.0)
+    seq = _mrob([(0, 1)] * 3, M=1.0)
+    _, trace = run_mrob(m, seq)
     assert check_mrob_witnesses(m, seq, trace) == []
 
 
@@ -99,8 +106,8 @@ def test_witness_disjointness_mrob_low_witness_forged(two_point_metric):
 
 def test_cut_capacity_srob():
     m = line_metric([0, 4, 5, 6])
-    seq = RequestSequence(problem="SROB", requests=(1, 2, 3), root=0, M=1.0)
-    _, trace = run_srob(m, 0, seq.requests, M=1.0)
+    seq = _srob([1, 2, 3], M=1.0)
+    _, trace = run_srob(m, seq)
     t = extend_singleton_levels(sample_frt(m, [0, 1, 2, 3], seed=2))
     assert check_cut_capacity(seq, trace, t, 1) == []
 
@@ -163,8 +170,8 @@ def test_cut_capacity_forged_repeated_request():
 
 def test_cut_capacity_empty_rents():
     m = line_metric([0, 4])
-    seq = RequestSequence(problem="SROB", requests=(1,), root=0, M=0.0)
-    _, trace = run_srob(m, 0, seq.requests, M=0.0)
+    seq = _srob([1], M=0.0)
+    _, trace = run_srob(m, seq)
     t = extend_singleton_levels(sample_frt(m, [0, 1], seed=0))
     assert check_cut_capacity(seq, trace, t, 1) == []
 
@@ -173,8 +180,8 @@ def test_cut_capacity_mrob_random():
     rng = np.random.default_rng(6)
     m = euclid(rng.random((12, 2)) * 10)
     pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(10)]
-    seq = RequestSequence(problem="MROB", requests=tuple(pairs), M=2.0)
-    _, trace = run_mrob(m, pairs, M=2.0)
+    seq = _mrob(pairs, M=2.0)
+    _, trace = run_mrob(m, seq)
     pts = sorted({p for pr in pairs for p in pr})
     t = extend_singleton_levels(sample_frt(m, pts, seed=3))
     assert check_cut_capacity(seq, trace, t, 2) == []
@@ -213,9 +220,8 @@ def test_cut_capacity_matches_reference_on_forged_rents():
 def test_greedy_replay_structural_equality():
     rng = np.random.default_rng(12)
     m = euclid(rng.random((14, 2)) * 15)
-    terms = [int(x) for x in rng.integers(1, 14, size=12)]
-    seq = RequestSequence(problem="SROB", requests=tuple(terms), root=0, M=1.5)
-    sol, trace = run_srob(m, 0, terms, M=1.5)
+    seq = _srob([int(x) for x in rng.integers(1, 14, size=12)], M=1.5)
+    sol, trace = run_srob(m, seq)
     assert check_greedy_replay(m, seq, sol, trace) == []
 
 
@@ -226,10 +232,10 @@ def test_share_bound_exact_arithmetic():
         m = euclid(rng.random((10, 2)) * 11)
         terms = [int(x) for x in rng.integers(1, 10, size=8)]
         M = [0.0, 1.0, 2.5, 4.0][seed % 4]
-        _, trace = run_srob(m, 0, terms, M=M)
+        _, trace = run_srob(m, _srob(terms, M))
         assert trace.total_cost() <= 2 * cost_share(trace) * (1 + 1e-9) + 1e-12
         pairs = [tuple(map(int, rng.choice(10, size=2, replace=False))) for _ in range(6)]
-        _, trace2 = run_mrob(m, pairs, M=M)
+        _, trace2 = run_mrob(m, _mrob(pairs, M))
         assert trace2.total_cost() <= 2 * cost_share(trace2) * (1 + 1e-9) + 1e-12
 
 

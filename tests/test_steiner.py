@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, tie_metrics
-from ondesign.errors import InvalidCover, InvalidRequirement
+from ondesign.errors import InvalidCover
 from ondesign.hst import sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
@@ -23,9 +23,21 @@ from ondesign.steiner import (
 )
 
 
+def _tree(*terminals):
+    return RequestSequence(problem="SteinerTree", requests=terminals, root=0)
+
+
+def _forest(*pairs):
+    return RequestSequence(problem="SteinerForest", requests=pairs)
+
+
+def _network(*requests):
+    return RequestSequence(problem="SteinerNetwork", requests=requests)
+
+
 def test_greedy_line_example():
     m = line_metric([0, 1, 3])
-    sol, trace = run_greedy_st(m, 0, [1, 2])
+    sol, trace = run_greedy_st(m, _tree(1, 2))
     assert trace.total_cost() == 3.0
     assert [(r.cost, r.klass) for r in trace.records] == [(1.0, 0), (2.0, 1)]
     assert sol.bought == {(0, 1): 1, (1, 2): 1}
@@ -33,13 +45,13 @@ def test_greedy_line_example():
 
 def test_greedy_single_arrival():
     m = line_metric([0, 1])
-    _, trace = run_greedy_st(m, 0, [1])
+    _, trace = run_greedy_st(m, _tree(1))
     assert trace.total_cost() == 1.0 and trace.records[0].klass == 0
 
 
 def test_greedy_coincident_arrivals():
     m = line_metric([0, 4, 4])
-    _, trace = run_greedy_st(m, 0, [1, 2])
+    _, trace = run_greedy_st(m, _tree(1, 2))
     assert [r.cost for r in trace.records] == [4.0, 0.0]
     assert trace.records[1].decision == "auto"
     assert trace.total_cost() == 4.0
@@ -48,27 +60,27 @@ def test_greedy_coincident_arrivals():
 def test_greedy_share_identity():
     rng = np.random.default_rng(0)
     m = euclid(rng.random((12, 2)) * 10)
-    _, trace = run_greedy_st(m, 0, list(range(1, 12)))
+    _, trace = run_greedy_st(m, _tree(*range(1, 12)))
     share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.klass is not None)
     assert trace.total_cost() <= share
 
 
 def test_bc_single_pair():
     m = line_metric([0, 1])
-    sol, trace = run_bc_sf(m, [(0, 1)])
+    sol, trace = run_bc_sf(m, _forest((0, 1)))
     assert trace.total_cost() == 1.0
     assert trace.summary["forests"][0]["A"] == [[0, [[0, 1]]]]
 
 
 def test_bc_far_pairs():
     m = line_metric([0, 1, 10, 11.5])
-    sol, trace = run_bc_sf(m, [(0, 1), (2, 3)])
+    sol, trace = run_bc_sf(m, _forest((0, 1), (2, 3)))
     assert trace.total_cost() == 2.5
 
 
 def test_bc_repeat_pair_idempotent():
     m = line_metric([0, 1, 10, 11.5])
-    sol, trace = run_bc_sf(m, [(0, 1), (2, 3), (0, 1)])
+    sol, trace = run_bc_sf(m, _forest((0, 1), (2, 3), (0, 1)))
     assert trace.total_cost() == 2.5
     assert trace.records[2].cost == 0.0
 
@@ -76,19 +88,17 @@ def test_bc_repeat_pair_idempotent():
 def test_bc_connects_every_pair():
     rng = np.random.default_rng(3)
     m = euclid(rng.random((14, 2)) * 6)
-    pairs = [tuple(map(int, rng.choice(14, size=2, replace=False))) for _ in range(8)]
-    sol, trace = run_bc_sf(m, pairs)
+    seq = _forest(*(tuple(map(int, rng.choice(14, size=2, replace=False))) for _ in range(8)))
+    sol, trace = run_bc_sf(m, seq)
     assert all(r.feasible_now for r in trace.records)
-    seq = RequestSequence(problem="SteinerForest", requests=tuple(pairs))
     assert all(check_feasible(sol, seq, m))
 
 
 def test_bc_edge_property_random():
     rng = np.random.default_rng(4)
     m = euclid(rng.random((12, 2)) * 9)
-    pairs = [tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(7)]
-    _, trace = run_bc_sf(m, pairs)
-    seq = RequestSequence(problem="SteinerForest", requests=tuple(pairs))
+    seq = _forest(*(tuple(map(int, rng.choice(12, size=2, replace=False))) for _ in range(7)))
+    _, trace = run_bc_sf(m, seq)
     assert check_bc_edge_property(m, seq, trace) == []
 
 
@@ -114,37 +124,31 @@ def test_bc_add_pair_matches_scalar_reference(data):
 
 
 def test_sn_examples(two_point_metric):
-    sol, trace = run_sn(two_point_metric, [(0, 1, 5)])
+    sol, trace = run_sn(two_point_metric, _network((0, 1, 5)))
     assert trace.total_cost() == 8.0 and sol.bought == {(0, 1): 8}
-    sol, trace = run_sn(two_point_metric, [(0, 1, 1)])
+    sol, trace = run_sn(two_point_metric, _network((0, 1, 1)))
     assert trace.total_cost() == 2.0
-    sol, trace = run_sn(two_point_metric, [(0, 1, 1), (0, 1, 5)])
+    sol, trace = run_sn(two_point_metric, _network((0, 1, 1), (0, 1, 5)))
     assert trace.total_cost() == 10.0 and sol.bought == {(0, 1): 10}
-
-
-def test_sn_invalid_requirement(two_point_metric):
-    with pytest.raises(InvalidRequirement):
-        run_sn(two_point_metric, [(0, 1, 0)])
 
 
 def test_sn_feasibility_and_decomposition():
     rng = np.random.default_rng(9)
     m = euclid(rng.random((10, 2)) * 8)
-    reqs = [
+    seq = _network(*(
         (int(a), int(b), int(rng.integers(1, 12)))
         for a, b in (rng.choice(10, size=2, replace=False) for _ in range(8))
-    ]
-    sol, trace = run_sn(m, reqs)
+    ))
+    sol, trace = run_sn(m, seq)
     assert all(r.feasible_now for r in trace.records)
-    seq = RequestSequence(problem="SteinerNetwork", requests=tuple(reqs))
     assert all(check_feasible(sol, seq, m))
     assert check_sn_decomposition(m, seq, sol, trace) == []
 
 
 def test_class_separation_pass_and_forged():
     m = line_metric([0, 1, 3])
-    seq = RequestSequence(problem="SteinerTree", requests=(1, 2), root=0)
-    _, trace = run_greedy_st(m, 0, seq.requests)
+    seq = _tree(1, 2)
+    _, trace = run_greedy_st(m, seq)
     assert check_class_separation(m, seq, trace) == []
     forged = RunTrace()
     forged.add(RequestRecord(idx=0, decision="buy", klass=1, cost=2.0))
@@ -155,12 +159,12 @@ def test_class_separation_pass_and_forged():
 
 
 def test_class_separation_empty():
-    seq = RequestSequence(problem="SteinerTree", requests=(), root=0)
+    seq = _tree()
     assert check_class_separation(line_metric([0, 1]), seq, RunTrace()) == []
 
 
 def test_metagraph_single_pair(two_point_metric):
-    _, trace = run_bc_sf(two_point_metric, [(0, 1)])
+    _, trace = run_bc_sf(two_point_metric, _forest((0, 1)))
     t = sample_frt(two_point_metric, [0, 1], seed=1)
     covers = covers_from_tree(t, trace)
     assert check_metagraph_acyclic(trace, covers) == []
@@ -168,7 +172,7 @@ def test_metagraph_single_pair(two_point_metric):
 
 def test_metagraph_two_far_pairs():
     m = line_metric([0, 1, 10, 11.5])
-    _, trace = run_bc_sf(m, [(0, 1), (2, 3)])
+    _, trace = run_bc_sf(m, _forest((0, 1), (2, 3)))
     t = sample_frt(m, [0, 1, 2, 3], seed=5)
     covers = covers_from_tree(t, trace)
     assert check_metagraph_acyclic(trace, covers) == []
@@ -213,7 +217,7 @@ def test_bc_metagraph_many_random():
             tuple(map(int, rng.choice(n, size=2, replace=False)))
             for _ in range(int(rng.integers(2, 9)))
         ]
-        _, trace = run_bc_sf(m, pairs)
+        _, trace = run_bc_sf(m, _forest(*pairs))
         pts = sorted({p for pr in pairs for p in pr})
         t = sample_frt(m, pts, seed=trial)
         covers = covers_from_tree(t, trace)
