@@ -14,6 +14,7 @@ from .metric import (
 )
 from .hst import (
     Hst,
+    Terminals,
     extend_singleton_levels,
     sample_frt,
     tree_distance,

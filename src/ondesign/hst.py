@@ -26,22 +26,27 @@ alias of it.  A tree of distinct positions has no aliases.  Every lookup by
 point (`Hst.columns`, `cut_row`, `class_cuts`, `tree_distance`) resolves an
 alias to its terminal's column, so no caller maps coincident points itself.
 
-Sampling draws beta log-uniformly from [1,2) and a uniform permutation, then
+Sampling reads a `Terminals`: what every tree for one set of points shares,
+built once per instance -- the terminals and aliases, the terminals'
+distance submatrix, the level range, and each row sorted by distance.  Each
+tree then draws beta log-uniformly from [1,2) and a uniform permutation, and
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
-permutation element within the radius.  All levels come from one pass over the
-terminals' distance submatrix (Cohen's least-element lists, as Blelloch, Gupta
-and Tangwongsan use them for FRT): sort each row by distance and take the
-prefix-min of permutation rank, so a point's center at any radius is one
-lookup.  Points sorted by their centers from the top level down list every
-level's nodes in the order carving them one by one creates.  Two points whose
-nodes differ at L levels are 2(2^L - 1) apart in the tree, which gives the
-expanding test T >= d for all pairs at once; when it fails, the whole tree is
-promoted one level ("rescale one level up"), with a level-1 singleton edge
+permutation element within the radius.  All levels come from the sorted rows
+(Cohen's least-element lists, as Blelloch, Gupta and Tangwongsan use them for
+FRT): the prefix-min of permutation rank along a sorted row makes a point's
+center at any radius one lookup, and one comparison counts every level's
+radius at once.  Points sorted by their centers from the top level down list
+every level's nodes in the order carving them one by one creates.  Two points
+whose nodes differ at L levels are 2(2^L - 1) apart in the tree, which gives
+the expanding test T >= d for all pairs at once; when it fails, the whole tree
+is promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
-`validate_hst` trusts neither the sampler nor `cut_ids`: it walks every leaf
-up through `parent` and checks the leaf map, levels, cuts and distances with
-pairwise arrays against the metric; `validated_distances` also returns the
+`validate_hst` trusts neither the sampler nor `cut_ids`, and never reads a
+`Terminals`: it takes the trees of one terminal set, offsets their node ids
+into one forest, walks every leaf up through `parent`, and checks the leaf
+map, levels, cuts and distances with trees x k x k arrays against the metric.
+It returns one message list per tree; `validated_distances` also returns the
 pairwise tree distances it measured.  `tree_distance` is the scalar path walk
 that defines them.
 """
@@ -226,178 +231,238 @@ def class_cuts(t: Hst, by_class: dict, shift: int, root=None):
             yield j, cut, cut == root_cut, inside[cut]
 
 
-def _walk_up(t: Hst, leaves):
-    """Row s: each leaf's node s steps up (0 from the root on), from t.parent alone."""
-    parent = np.maximum(t.parent, 0)  # a walk that reaches the root stays there
-    walk = [np.asarray(leaves, dtype=np.intp)]
-    while walk[-1].any():
+def _walk(parent, leaves, roots):
+    """Row s: each leaf's node s steps up through `parent`, in which a root is
+    its own parent; rows go on until every leaf's walk has reached its root."""
+    walk = [leaves]
+    while (walk[-1] != roots).any():
         walk.append(parent[walk[-1]])
     return np.array(walk)
 
 
-def _pairwise(t: Hst, leaves):
-    """Walk every leaf in `leaves` up to the root at once, from t.parent alone.
+def _walk_up(t: Hst, leaves):
+    """Row s: each leaf's node s steps up (0 from the root on), from t.parent alone."""
+    return _walk(np.maximum(t.parent, 0), np.asarray(leaves, dtype=np.intp), 0)
 
-    Returns (ancestors, T, cap): ancestors[depth] holds each leaf's ancestor at
-    that depth below the root (-1 past the leaf); T[a, b] is the leaf-to-leaf
-    path length, each side summed leaf first as tree_distance sums it; cap[a, b]
-    is 2^(lowest edge level over the common ancestors below the root), inf when
-    only the root is common.  Arrays are depth x len(leaves) or len(leaves)^2.
+
+# A forest walked at once holds at most this many pairs of terminals (trees x
+# k x k), or one tree: the pairwise arrays stay near their one-tree size.
+FOREST_PAIRS = 2**16
+
+
+def validate_hst(trees, m: MetricSpace) -> list:
+    """Exhaustive check of the Definition-2 invariants: per tree, the list of
+    what it breaks, empty iff the tree is valid.
+
+    Independent of the sampler: everything is derived from each tree's
+    parent, edge_level, terminals, leaf and aliases, and compared with m.d.
+    The trees must share their terminals and aliases (see validated_distances).
     """
-    level, length = t.edge_level, t.length
-    n = len(leaves)
-    up = _walk_up(t, leaves)
-    dist = np.zeros(up.shape)
-    np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
-    cols = np.arange(n)
-    steps = (up > 0).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
-    ancestors = np.where(steps >= 0, up[steps.clip(0), cols], -1)
-    to_ancestor = dist[steps.clip(0), cols]
-    # Shared ancestors form a prefix of both root paths, so counting the
-    # shared depths below the root gives the depth of the lowest common one.
-    apart = np.where(ancestors >= 0, ancestors, -1 - cols)  # padding matches nothing
-    lca = np.zeros((n, n), dtype=np.intp)
-    for a in apart[1:]:
-        lca += a[:, None] == a[None, :]
-    T = to_ancestor[lca, cols[:, None]] + to_ancestor[lca, cols]
-    lowest = np.minimum.accumulate(level[ancestors[1:]], axis=0)  # down each root path
-    cap = np.vstack([np.full(n, np.inf), np.ldexp(1.0, lowest)])[lca, cols]
-    return ancestors, T, cap
+    return [bad for bad, _ in validated_distances(trees, m)]
 
 
-def validate_hst(t: Hst, m: MetricSpace) -> list:
-    """Exhaustive check of the Definition-2 invariants; empty list iff valid.
-
-    Independent of the sampler: everything is derived from t.parent,
-    t.edge_level, t.terminals, t.leaf and t.aliases, and compared with m.d.
-    """
-    return validated_distances(t, m)[0]
-
-
-def validated_distances(t: Hst, m: MetricSpace):
-    """(validate_hst(t, m), T) from one walk of the tree.
+def validated_distances(trees, m: MetricSpace) -> list:
+    """Per tree, (its validate_hst messages, T) from one walk of the forest.
 
     T[i, j] = tree_distance(t, u, v) for u, v the i-th and j-th terminals, on
-    a tree whose leaf map is a bijection.
+    a tree whose leaf map is a bijection.  The trees of one call share
+    `terminals` and `aliases` (ValueError otherwise), so one submatrix of m.d
+    serves them all; they are walked in forests of at most
+    max(1, FOREST_PAIRS // k^2) trees.
     """
-    out = []
-    n, parent, level = t.n_nodes, t.parent, t.edge_level
-    kids = np.bincount(parent[1:], minlength=n)
+    trees = list(trees)
+    if not trees:
+        return []
+    first = trees[0]
+    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
+        raise ValueError("trees validated together must share terminals and aliases")
+    group = max(1, FOREST_PAIRS // max(1, len(first.terminals)) ** 2)
+    return [out for i in range(0, len(trees), group) for out in _validate_forest(trees[i:i + group], m)]
+
+
+def _validate_forest(trees, m: MetricSpace) -> list:
+    """validated_distances of trees sharing terminals and aliases, as one forest.
+
+    Node ids are offset tree by tree, so a tree's nodes keep their order, and
+    each root is its own parent: one walk lifts every leaf of every tree.
+    Arrays over pairs are trees x k x k; messages name each tree's own ids.
+    """
+    pts = np.asarray(trees[0].terminals, dtype=np.intp)
+    n_trees, k = len(trees), len(pts)
+    sizes = np.array([t.n_nodes for t in trees])
+    off = np.cumsum(sizes) - sizes  # each tree's root
+    owner = np.repeat(np.arange(n_trees), sizes)
+    local = np.arange(sizes.sum()) - off[owner]
+    parent = np.concatenate([np.maximum(t.parent, 0) for t in trees]) + off[owner]
+    level = np.concatenate([t.edge_level for t in trees])
+    leaf = np.stack([t.leaf for t in trees]) + off[:, None]
+    out = [[] for _ in trees]
+    n = len(parent)
+    kids = np.bincount(parent[local > 0], minlength=n)
     is_leaf = np.zeros(n, dtype=bool)
-    is_leaf[t.leaf] = True
+    is_leaf[leaf] = True
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
-    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (n > 1) | is_leaf & (kids > 0)):
-        out.append(f"leaves: node {nid} is both internal and a terminal leaf" if kids[nid]
-                   else f"leaves: childless node {nid} maps to no terminal")
-    if len(set(t.leaf.tolist())) != len(t.leaf) or len(set(t.terminals)) != len(t.terminals):
-        out.append("leaves: terminal-to-leaf map is not a bijection")
+    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
+        out[owner[nid]].append(f"leaves: node {local[nid]} is both internal and a terminal leaf" if kids[nid]
+                               else f"leaves: childless node {local[nid]} maps to no terminal")
+    ranked = np.sort(leaf, axis=1)
+    not_bijective = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (len(set(trees[0].terminals)) != k)
     # an alias is a non-terminal at its terminal's position
-    terminals = set(t.terminals)
-    out += [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
-            for a, p in t.aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
+    terminals = set(trees[0].terminals)
+    aliases = [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
+               for a, p in trees[0].aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
+    for found, flag in zip(out, not_bijective.tolist()):
+        found += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
     #    length = 2^(level-1) holds by construction of Hst.length
-    above = parent[1:]
+    child = np.flatnonzero(local > 0)
+    above = parent[child]
     lo, hi = np.full(n, level.max()), np.full(n, level.min())
-    np.minimum.at(lo, above, level[1:])
-    np.maximum.at(hi, above, level[1:])
-    found = [((nid, 0, 0), f"levels: children of node {nid} at differing edge lengths")
-             for nid in np.flatnonzero((kids > 0) & (lo != hi))]
-    no_drop = (above != 0) & (level[1:] >= level[above])
-    found += [((above[c - 1], 1, c), f"levels: edge level does not decrease at node {c}")
-              for c in np.flatnonzero(no_drop) + 1]
-    out += [msg for _, msg in sorted(found)]
-    pts = np.asarray(t.terminals, dtype=np.intp)
-    ancestors, T, cap = _pairwise(t, t.leaf)
+    np.minimum.at(lo, above, level[child])
+    np.maximum.at(hi, above, level[child])
+    found = [((nid, 0, 0), f"levels: children of node {local[nid]} at differing edge lengths")
+             for nid in np.flatnonzero((kids > 0) & (lo != hi)).tolist()]
+    no_drop = (local[above] != 0) & (level[child] >= level[above])
+    found += [((p, 1, c), f"levels: edge level does not decrease at node {local[c]}")
+              for p, c in zip(above[no_drop].tolist(), child[no_drop].tolist())]
+    for (nid, _, _), msg in sorted(found):  # ids grow tree by tree
+        out[owner[nid]].append(msg)
+    ancestors, T, cap = _pairwise(parent, level, off, leaf)
     d = m.d[np.ix_(pts, pts)]
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
     #    breaks some cut iff it breaks the cut of its lowest-level common edge
-    bad = set()
-    for a, b in np.argwhere(np.triu(d >= cap, 1)):
-        x, y = ancestors[1:, a], ancestors[1:, b]
-        for anc in x[(x == y) & (x >= 0)]:
+    bad = [set() for _ in trees]
+    for g, a, b in np.argwhere(np.triu(d >= cap, 1)).tolist():
+        x, y = ancestors[1:, g, a], ancestors[1:, g, b]
+        for anc in x[(x == y) & (x >= 0)].tolist():
             if d[a, b] >= pow2(int(level[anc])):
-                bad.add((int(anc), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
-    out += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
-            for _, u, v, j, duv in sorted(bad)]
+                bad[g].add((int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
+    for found, cuts in zip(out, bad):
+        found += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
+                  for _, u, v, j, duv in sorted(cuts)]
     # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
     #    that pair is measured again by the path walk that defines T.
     pair = np.triu(np.ones(d.shape, dtype=bool), 1)
     if pair.any():
-        a, b = divmod(int(np.where(pair, T - d, np.inf).argmin()), len(pts))
-        T[a, b] = T[b, a] = tree_distance(t, int(pts[a]), int(pts[b]))
-    for a, b in np.argwhere(pair & (T < d)):
-        out.append(f"expanding: T({pts[a]},{pts[b]})={T[a, b]:g} < d={d[a, b]:g}")
+        least = np.where(pair, T - d, np.inf).reshape(n_trees, -1).argmin(axis=1)
+        for g, (a, b) in enumerate(zip(*np.divmod(least, k))):
+            T[g, a, b] = T[g, b, a] = tree_distance(trees[g], int(pts[a]), int(pts[b]))
+    for g, a, b in np.argwhere(pair & (T < d)).tolist():
+        out[g].append(f"expanding: T({pts[a]},{pts[b]})={T[g, a, b]:g} < d={d[a, b]:g}")
     # 5. per-level cuts partition the terminals (implicit singletons complete
     #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
     #    the set of points whose leaf walks pass its node.
-    on_walk = ancestors > 0
-    members = np.unique(ancestors[on_walk] * m.n + np.broadcast_to(pts, ancestors.shape)[on_walk])
+    below = ancestors[1:]  # the nodes under each tree's root
+    on_walk = below >= 0
+    members = np.unique(below[on_walk] * m.n + np.broadcast_to(pts, below.shape)[on_walk])
     member_node, member_pt = members // m.n, members % m.n
     size = np.bincount(member_node, minlength=n)
     lowest, width = int(level.min()), int(level.max() - level.min()) + 1
-    count = np.bincount(member_pt * width + level[member_node] - lowest)
+    count = np.bincount((owner[member_node] * m.n + member_pt) * width + level[member_node] - lowest)
     # a level breaks when a terminal sits in two of its cuts
-    broken = set((np.flatnonzero(count > 1) % width + lowest).tolist())
-    out += [f"partition: level-{j} cuts do not partition the terminals"
-            for j in range(1, t.root_level + 1) if j in broken]
-    for nid in np.flatnonzero((level[1:] <= 0) & (size[1:] != 1)) + 1:
-        out.append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
-    return out, T
+    twice = np.flatnonzero(count > 1)
+    broken = set(zip((twice // (m.n * width)).tolist(), (twice % width + lowest).tolist()))
+    for g, t in enumerate(trees):
+        out[g] += [f"partition: level-{j} cuts do not partition the terminals"
+                   for j in range(1, t.root_level + 1) if (g, j) in broken]
+    for nid in np.flatnonzero((level <= 0) & (local > 0) & (size != 1)).tolist():
+        out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
+    return list(zip(out, T))
 
 
-def split_aliases(m: MetricSpace, points):
-    """(terminals, aliases, d) of a tree for `points`: the lowest index at
-    each of their positions, ascending; a (point, terminal) pair for every
-    other point; the terminals' distance submatrix."""
-    pts = sorted(set(int(p) for p in points))
-    d = m.d[np.ix_(pts, pts)]
-    if not pts:
-        return pts, [], d
-    first = (d == 0.0).argmax(axis=1)
-    aliases = [(p, pts[i]) for p, i in zip(pts, first.tolist()) if pts[i] != p]
-    if aliases:
-        keep = first == np.arange(len(pts))
-        pts, d = [p for p, kept in zip(pts, keep.tolist()) if kept], d[np.ix_(keep, keep)]
-    return pts, aliases, d
+def _pairwise(parent, level, roots, leaf):
+    """Walk every leaf of a forest up to its tree's root at once.
+
+    `parent` holds each root as its own parent, `roots` the trees' roots and
+    `leaf` the trees x k leaves.  Returns (ancestors, T, cap): ancestors[depth,
+    tree, a] is leaf a's ancestor at that depth below the root (-1 past the
+    leaf); T[tree, a, b] is the leaf-to-leaf path length, each side summed
+    leaf first as tree_distance sums it; cap[tree, a, b] is 2^(lowest edge
+    level over the common ancestors below the root), inf when only the root
+    is common.
+    """
+    n_trees, k = leaf.shape
+    cols = np.arange(leaf.size)
+    root = np.repeat(roots, k)
+    length = np.ldexp(1.0, level - 1)
+    length[roots] = 0.0
+    up = _walk(parent, leaf.ravel(), root)
+    dist = np.zeros(up.shape)
+    np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
+    steps = (up != root).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
+    ancestors = np.where(steps >= 0, up[steps.clip(0), cols], -1)
+    to_ancestor = dist[steps.clip(0), cols].reshape(len(up), n_trees, k)
+    # Shared ancestors form a prefix of both root paths, so counting the
+    # shared depths below the root gives the depth of the lowest common one.
+    apart = np.where(ancestors >= 0, ancestors, -1 - cols).reshape(len(up), n_trees, k)  # padding matches nothing
+    lca = np.zeros((n_trees, k, k), dtype=np.intp)
+    for a in apart[1:]:
+        lca += a[:, :, None] == a[:, None, :]
+    tree, a, b = np.arange(n_trees)[:, None, None], np.arange(k)[:, None], np.arange(k)
+    T = to_ancestor[lca, tree, a] + to_ancestor[lca, tree, b]
+    ancestors = ancestors.reshape(len(up), n_trees, k)
+    lowest = np.minimum.accumulate(level[ancestors[1:]], axis=0)  # down each root path
+    cap = np.concatenate([np.full((1, n_trees, k), np.inf), np.ldexp(1.0, lowest)])[lca, tree, b]
+    return ancestors, T, cap
 
 
-def sample_frt(m: MetricSpace, points, seed: int) -> Hst:
-    """Sample an HST embedding of the given points; pure in (m, seed).
+class Terminals:
+    """What every tree sampled for a set of points shares, computed once.
 
-    The tree is sampled over the lowest-index point at each position, and
-    every other point is an alias of the terminal at its position.
+    `terminals` holds the lowest index at each position of the points,
+    ascending, and `aliases` a (point, terminal) pair for every other point;
+    `d` is the terminals' distance submatrix, which must be normalized
+    (distinct positions at least 1 apart).  `levels` runs from the top
+    carving level down to 1, and `by_dist` and `row_d` hold each row of `d`
+    sorted: the points by distance, and the sorted distances.
+    """
+
+    def __init__(self, m: MetricSpace, points):
+        pts = sorted(set(int(p) for p in points))
+        if not pts:
+            raise EmptyTerminalSet("need at least one terminal")
+        d = m.d[np.ix_(pts, pts)]
+        first = (d == 0.0).argmax(axis=1)
+        self.aliases = tuple((p, pts[i]) for p, i in zip(pts, first.tolist()) if pts[i] != p)
+        if self.aliases:
+            keep = first == np.arange(len(pts))
+            pts, d = [p for p, kept in zip(pts, keep.tolist()) if kept], d[np.ix_(keep, keep)]
+        close = d < 1.0
+        np.fill_diagonal(close, False)
+        if close.any():
+            u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
+            raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
+        self.terminals, self.d = tuple(pts), d
+        self.levels = np.arange(floor_log2(float(d.max())) + 1 if len(pts) > 1 else 0, 0, -1)
+        self.by_dist = np.argsort(d, axis=1)
+        self.row_d = np.take_along_axis(d, self.by_dist, axis=1)
+
+
+def sample_frt(terms: Terminals, seed: int) -> Hst:
+    """Sample an HST embedding of terms' points; pure in (terms, seed).
+
+    The tree is sampled over terms.terminals, and every other point is an
+    alias of the terminal at its position.
     Any sampler passing validate_hst with logarithmic empirical stretch serves
     the analysis; nothing downstream depends on distribution details.
     """
-    pts, aliases, d = split_aliases(m, points)
-    if not pts:
-        raise EmptyTerminalSet("need at least one terminal")
-    if len(pts) == 1:
-        return Hst([-1], [0], pts, [0], aliases=aliases)
+    pts, aliases, d, levels = terms.terminals, terms.aliases, terms.d, terms.levels
     k = len(pts)
-    close = d < 1.0
-    np.fill_diagonal(close, False)
-    if close.any():
-        u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
-        raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
+    if k == 1:
+        return Hst([-1], [0], pts, [0], aliases=aliases)
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     beta = 2.0 ** rng.random()
     rank = np.empty(k, dtype=np.intp)
     rank[rng.permutation(k)] = np.arange(k)
-    top = floor_log2(float(d.max())) + 1
 
     # Least-element lists: along each row sorted by distance, the prefix-min
     # of permutation rank is the first permutation element within any radius
     # (a radius takes in all or none of a run of equal distances, so the order
     # of ties does not matter).
-    by_dist = np.argsort(d, axis=1)
-    row_d = np.take_along_axis(d, by_dist, axis=1)
-    least = np.minimum.accumulate(rank[by_dist], axis=1)
-    rows = np.arange(k)
-    levels = np.arange(top, 0, -1)
-    center = np.array([least[rows, (row_d <= beta * pow2(j - 2)).sum(axis=1) - 1] for j in levels.tolist()])
+    least = np.minimum.accumulate(rank[terms.by_dist], axis=1)
+    within = (terms.row_d <= beta * np.ldexp(1.0, levels - 2)[:, None, None]).sum(axis=2)
+    center = least[np.arange(k), within - 1]  # levels x points
     # A level-j node holds the points whose centers agree from the top level
     # down to j.  Sorted by that path, the points list each level's nodes in
     # (parent id, center rank) order, the order carving them one by one gives.
@@ -415,7 +480,7 @@ def sample_frt(m: MetricSpace, points, seed: int) -> Hst:
             np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases)
 
     # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
-    gap = sum(row[:, None] != row[None, :] for row in by_point)
+    gap = (by_point[:, :, None] != by_point[:, None, :]).sum(axis=0)
     span = 2.0 * (np.ldexp(1.0, np.arange(len(levels) + 1)) - 1.0)  # T for L = 0, 1, ...
     if not np.all(span[gap] >= d):
         t = _promote_one_level(t)

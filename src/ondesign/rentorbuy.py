@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .hst import Hst, class_cuts, cut_load
+from .hst import Hst, class_cuts
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -173,7 +173,7 @@ def _witness_rows(rows, j, M, rent_class):
     return out
 
 
-def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int):
+def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int, load):
     """Per-level rent caps on an extended tree's cuts.
 
     Reads the classified rent records' rent points: the request's last point
@@ -182,11 +182,12 @@ def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int
     2 for CFL and MROB); any other at most ceil(M) occurrences, and at most
     as many as the request pairs (seq.pairs) it separates: |D(C)| for pair
     requests, and for one-point requests, whose partner is the root, w(C),
-    the requests whose points C holds.  Cuts at level 0 (terminal
-    singletons) participate.
+    the requests whose points C holds.  `load` is cut_load(t, seq.pairs),
+    which the tree optimum reads too.  Cuts at level 0 (terminal singletons)
+    participate.
     """
     cap_m = math.ceil(seq.M)
-    size = cut_load(t, seq.pairs).tolist()
+    size = load.tolist()
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:

@@ -49,24 +49,26 @@ def opt_tree_steiner_network(t: Hst, pairs, reqs) -> float:
     return _edge_sum(t, need)
 
 
-def opt_tree_rob_multi(t: Hst, pairs, M) -> float:
-    """Per edge: min of buying (M) vs renting for every separated pair."""
-    return _edge_sum(t, np.minimum(M, cut_load(t, pairs)))
+def opt_tree_rob_multi(t: Hst, load, M) -> float:
+    """Per edge: min of buying (M) vs renting for every separated pair.
+
+    `load` is cut_load(t, pairs) of the request pairs."""
+    return _edge_sum(t, np.minimum(M, load))
 
 
-def opt_tree_rob_single(t: Hst, r: int, M, clients) -> float:
+def opt_tree_rob_single(t: Hst, r: int, M, load) -> float:
     """Sum over edges not above r of length * min(M, clients in the cut): the
     multi-source value of the (client, r) pairs, r's root path left out.
 
-    `clients` has one point per request.  The charging argument only spends
-    on cuts that separate terminals from r.
+    `load` is cut_load(t, pairs) of the (client, r) pairs, one per request.
+    The charging argument only spends on cuts that separate terminals from r.
     """
     col = t.columns([r])[0]
     if col < 0:
         raise RootNotLeaf(f"root {r} is not a leaf of the tree")
-    load = cut_load(t, [(p, r) for p in clients])
-    load[t.cut_ids[:, col]] = 0  # the edges above r
-    return _edge_sum(t, np.minimum(M, load))
+    capped = np.minimum(M, load)
+    capped[t.cut_ids[:, col]] = 0  # the edges above r
+    return _edge_sum(t, capped)
 
 
 def opt_tree_pcst(t: Hst, r: int, penalties) -> float:

@@ -32,7 +32,7 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import extend_singleton_levels, sample_frt, split_aliases, validate_hst, validated_distances
+from .hst import Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
 from .metric import (
     RTOL,
     MetricSpace,
@@ -127,12 +127,14 @@ def _tree_sn(tally, m, seq, trace, t):
 
 def _tree_rob_single(tally, seq, trace, t, cost_name, cost, shift):
     """SROB and CFL: share and `cost` against the rent-or-buy tree optimum;
-    cut caps on class-(j + shift) rents."""
+    cut caps on class-(j + shift) rents.  Both read the cuts' load of the
+    (client, root) pairs, counted once."""
     t_ext = extend_singleton_levels(t)
-    opt = opt_tree_rob_single(t_ext, seq.root, seq.M, seq.requests)
+    load = cut_load(t_ext, seq.pairs)
+    opt = opt_tree_rob_single(t_ext, seq.root, seq.M, load)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, shift)
+    tally.out += check_cut_capacity(seq, trace, t_ext, shift, load)
 
 
 def _tree_srob(tally, m, seq, trace, t):
@@ -145,10 +147,11 @@ def _tree_cfl(tally, m, seq, trace, t):
 
 def _tree_mrob(tally, m, seq, trace, t):
     t_ext = extend_singleton_levels(t)
-    opt = opt_tree_rob_multi(t_ext, seq.pairs, seq.M)
+    load = cut_load(t_ext, seq.pairs)
+    opt = opt_tree_rob_multi(t_ext, load, seq.M)
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, 2)
+    tally.out += check_cut_capacity(seq, trace, t_ext, 2, load)
     tally.out += _metagraph(trace, t_ext)
 
 
@@ -249,22 +252,28 @@ def tree_points(seq: RequestSequence):
     return pts + ([] if seq.root is None else [seq.root])
 
 
-def check_tree_bounds(m, seq, trace, points, tree_seed):
-    """Sample one HST (and its extension) and run every per-tree check.
-
-    `points` is tree_points(seq).  Returns (violations, flags, ratios) for
-    this tree.
-    """
-    if not points:
-        return [], [], {}
-    t = sample_frt(m, points, tree_seed)
-    bad = validate_hst(t, m)
-    if bad:
-        return [f"invalid tree: {bad[0]}"] + bad[1:], [], {}
+def check_tree_bounds(m, seq, trace, t):
+    """Run every per-tree check on a valid sampled tree t; returns
+    (violations, flags, ratios) for this tree."""
     spec = SPECS[seq.problem]
     tally = _Tally(spec.constants)
     spec.tree_checks(tally, m, seq, trace, t)
     return tally.out, tally.flags, tally.ratios
+
+
+def _sampled_trees(m, points, seeds):
+    """Per seed, (tree, []) when its tree for `points` is valid, else (None,
+    the tree's validate_hst messages, the first marked "invalid tree").
+
+    `points` is tree_points(seq); without points no tree is sampled.  The
+    terminal set is built once and every tree is validated in one call.
+    """
+    if not points or not seeds:
+        return [(None, [])] * len(seeds)
+    terms = Terminals(m, points)
+    trees = [sample_frt(terms, s) for s in seeds]
+    return [(None, [f"invalid tree: {bad[0]}"] + bad[1:]) if bad else (t, [])
+            for t, bad in zip(trees, validate_hst(trees, m))]
 
 
 def per_run_checks(m, seq, sol, trace):
@@ -319,21 +328,27 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         checks = [(name, _guarded_run_check(check, m, seq, trace)) for name, check in spec.run_checks.items()]
         cost_doc = {"total": trace.total_cost()}
 
-    points = tree_points(seq)
+    seeds = [_tree_seed(seed, trial) for trial in range(trials)]
+    try:
+        sampled = _sampled_trees(m, tree_points(seq), seeds)
+    except guard as exc:
+        sampled = [(None, [f"check error: {exc}"])] * trials
     ratios = {}
     flags = []
     tree_violations = []
     witness_seed = None
-    for trial in range(trials):
-        try:
-            viol, fl, rat = check_tree_bounds(m, seq, trace, points, _tree_seed(seed, trial))
-        except guard as exc:
-            viol, fl, rat = [f"check error: {exc}"], [], {}
+    for trial, (t, viol) in enumerate(sampled):
+        fl, rat = [], {}
+        if t is not None:
+            try:
+                viol, fl, rat = check_tree_bounds(m, seq, trace, t)
+            except guard as exc:
+                viol = [f"check error: {exc}"]
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)
         flags += [f"trial {trial}: {f}" for f in fl]
         if viol and witness_seed is None:
-            witness_seed = _tree_seed(seed, trial)
+            witness_seed = seeds[trial]
         tree_violations += [f"trial {trial}: {v}" for v in viol]
 
     report = {
@@ -363,17 +378,17 @@ def _tree_seed(seed, trial):
 def embed_report(m, points, trials=200, seed=0):
     """Sample `trials` HSTs for `points`; report validity rate and the mean
     stretch of each pair of their terminals (distinct positions)."""
-    reps, _, d = split_aliases(m, points)
-    results = [validated_distances(sample_frt(m, reps, _tree_seed(seed, trial)), m) for trial in range(trials)]
+    terms = Terminals(m, points)
+    results = validated_distances([sample_frt(terms, _tree_seed(seed, trial)) for trial in range(trials)], m)
     invalid = sum(1 for bad, _ in results if bad)
     # pairs u < v, accumulated trial by trial
-    u, v = np.triu_indices(len(reps), 1)
+    u, v = np.triu_indices(len(terms.terminals), 1)
     sums = np.zeros(len(u))
     for _, T in results:
-        sums += T[u, v] / d[u, v]
+        sums += T[u, v] / terms.d[u, v]
     means = (sums / trials).tolist() if results else []
     return {
-        "k": len(reps),
+        "k": len(terms.terminals),
         "trials": trials,
         "seed": seed,
         "invalid_trees": invalid,

@@ -117,6 +117,13 @@ def brute_tree_rob_single(t, r, M, clients):
     return sum(min(M, usage[e]) * edge_len(t, e) for e in edges)
 
 
+def client_load(t, r, clients):
+    """hst.cut_load of the (client, r) pairs, which tree_opt.opt_tree_rob_single reads."""
+    from ondesign.hst import cut_load
+
+    return cut_load(t, [(p, r) for p in clients])
+
+
 def brute_tree_pcst(t, r, penalties):
     """Enumerate penalty subsets; connecting cost is the union of r-paths."""
     import itertools
@@ -173,15 +180,72 @@ def ref_tree_pcst(t, r, penalties):
 
 def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
     """Sample a valid HST over a random small Euclidean metric."""
-    from ondesign.hst import extend_singleton_levels, sample_frt
+    from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
 
     k = int(rng.integers(2, max_leaves + 1))
     pts = rng.random((k, 2)) * rng.uniform(1.0, 40.0)
     m = build_metric(pts, "points")
-    t = sample_frt(m, range(k), int(rng.integers(0, 2**31)))
+    t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**31)))
     if rng.random() < extended_chance:
         t = extend_singleton_levels(t)
     return m, t
+
+
+def ref_sample_frt(m, points, seed):
+    """Reference for hst.sample_frt(Terminals(m, points), seed): the sampler
+    that splits the points and sorts the rows for every tree, and counts each
+    level's balls one level at a time."""
+    from ondesign.errors import EmptyTerminalSet
+    from ondesign.hst import Hst, _promote_one_level
+    from ondesign.metric import floor_log2, pow2
+
+    pts = sorted(set(int(p) for p in points))
+    d = m.d[np.ix_(pts, pts)]
+    aliases = []
+    if pts:
+        first = (d == 0.0).argmax(axis=1)
+        aliases = [(p, pts[i]) for p, i in zip(pts, first.tolist()) if pts[i] != p]
+        if aliases:
+            keep = first == np.arange(len(pts))
+            pts, d = [p for p, kept in zip(pts, keep.tolist()) if kept], d[np.ix_(keep, keep)]
+    if not pts:
+        raise EmptyTerminalSet("need at least one terminal")
+    if len(pts) == 1:
+        return Hst([-1], [0], pts, [0], aliases=aliases)
+    k = len(pts)
+    close = d < 1.0
+    np.fill_diagonal(close, False)
+    if close.any():
+        u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
+        raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
+
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
+    beta = 2.0 ** rng.random()
+    rank = np.empty(k, dtype=np.intp)
+    rank[rng.permutation(k)] = np.arange(k)
+    top = floor_log2(float(d.max())) + 1
+    by_dist = np.argsort(d, axis=1)
+    row_d = np.take_along_axis(d, by_dist, axis=1)
+    least = np.minimum.accumulate(rank[by_dist], axis=1)
+    rows = np.arange(k)
+    levels = np.arange(top, 0, -1)
+    center = np.array([least[rows, (row_d <= beta * pow2(j - 2)).sum(axis=1) - 1] for j in levels.tolist()])
+    order = np.lexsort(center[::-1])
+    path = center[:, order]
+    starts = np.ones(path.shape, dtype=bool)
+    starts[:, 1:] = np.logical_or.accumulate(path[:, 1:] != path[:, :-1], axis=0)
+    node = np.cumsum(starts).reshape(path.shape)
+    above = np.zeros_like(node)
+    above[1:] = node[:-1]
+    by_point = np.empty_like(node)
+    by_point[:, order] = node
+    t = Hst(np.concatenate([[-1], above[starts]]),
+            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases)
+    gap = sum(row[:, None] != row[None, :] for row in by_point)
+    span = 2.0 * (np.ldexp(1.0, np.arange(len(levels) + 1)) - 1.0)
+    if not np.all(span[gap] >= d):
+        t = _promote_one_level(t)
+    return t
 
 
 def brute_cut(t, nid):

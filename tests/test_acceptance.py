@@ -22,12 +22,13 @@ from conftest import (
     brute_tree_rob_single,
     brute_tree_sf,
     brute_tree_sn,
+    client_load,
     line_metric,
     random_small_hst,
 )
 from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
-from ondesign.hst import extend_singleton_levels, sample_frt
+from ondesign.hst import Terminals, cut_load, extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
@@ -144,7 +145,7 @@ def _forged_controls():
     tri.summary = {"forests": [{"copies": 1, "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
                                 "occ": [[0, 1], [1, 1], [2, 1]], "zero_merges": []}]}
     # level-1 carving radii are below 1: the level-1 cover is three singletons
-    covers = covers_from_tree(sample_frt(m3, [0, 1, 2], seed=0), tri)
+    covers = covers_from_tree(sample_frt(Terminals(m3, [0, 1, 2]), seed=0), tri)
     out.append(("metagraph", bool(check_metagraph_acyclic(tri, covers))))
 
     m4 = line_metric([0, 4, 5, 6])
@@ -160,8 +161,8 @@ def _forged_controls():
     for i in range(4):
         packed.add(RequestRecord(idx=i, decision="rent", klass=2))
     packed_seq = RequestSequence(problem="SROB", requests=(1,) * 4, root=0, M=3.0)
-    t5 = extend_singleton_levels(sample_frt(m5, [0, 1], seed=1))
-    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1))))
+    t5 = extend_singleton_levels(sample_frt(Terminals(m5, [0, 1]), seed=1))
+    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1, cut_load(t5, packed_seq.pairs)))))
 
     mrob = RunTrace()
     mrob.add(RequestRecord(idx=0, decision="buy", klass=2, witnesses=(9,), witnesses_t=()))
@@ -206,8 +207,8 @@ def test_criterion_3_tree_oracle_exactness():
         ok = (
             math.isclose(opt_tree_steiner_forest(t, pairs), brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
             and math.isclose(opt_tree_steiner_network(t, pairs, reqs), brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_multi(t, pairs, M), brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_single(t, r, M, pts), brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_multi(t, cut_load(t, pairs), M), brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_single(t, r, M, client_load(t, r, pts)), brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
             and math.isclose(opt_tree_pcst(t, r, pen), brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
         )
         if not ok:
@@ -295,9 +296,9 @@ def test_criterion_6_embedding_quality():
         m, _ = gen_euclidean(k, seed=trial + 31337)
         from ondesign.hst import validate_hst
 
-        t = sample_frt(m, range(k), int(rng.integers(0, 2**60)))
+        t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**60)))
         trees += 1
-        if validate_hst(t, m):
+        if validate_hst([t], m)[0]:
             invalid += 1
     m32, _ = gen_euclidean(32, seed=999)
     rep = embed_report(m32, range(32), trials=200, seed=4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefOflState, euclid, line_metric, tie_metrics
+from conftest import RefOflState, client_load, euclid, line_metric, tie_metrics
 from ondesign.cfl import (
     OflState,
     cfl_buy_rent_cost,
@@ -13,7 +13,7 @@ from ondesign.cfl import (
     run_ofl,
 )
 from ondesign.errors import SchemaError
-from ondesign.hst import extend_singleton_levels, sample_frt
+from ondesign.hst import Terminals, cut_load, extend_singleton_levels, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.rentorbuy import check_cut_capacity
 from ondesign.tree_opt import opt_tree_rob_single
@@ -173,13 +173,13 @@ def test_cfl_sharetree_prestudy_constant_16():
         seq = _cfl(facs, clients, M)
         sol, trace = run_cfl(m, seq)
         share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.decision == "rent")
-        t = extend_singleton_levels(sample_frt(m, clients + [0], seed=trial))
-        opt = opt_tree_rob_single(t, 0, M, clients)
+        t = extend_singleton_levels(sample_frt(Terminals(m, clients + [0]), seed=trial))
+        opt = opt_tree_rob_single(t, 0, M, client_load(t, 0, clients))
         if share > 0:
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(seq, trace, t, 2)
+        out = check_cut_capacity(seq, trace, t, 2, cut_load(t, seq.pairs))
         assert out == []
     assert worst <= 16.0
 

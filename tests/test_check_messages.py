@@ -212,7 +212,7 @@ def test_tampered_run_fires(doc, check, tamper, pattern):
 def test_invalid_tree_prefix(monkeypatch):
     # a sampled tree that fails validate_hst: its first message carries the
     # prefix, the others follow as they are, and no per-tree check runs
-    def bad_tree(m, points, seed):
+    def bad_tree(terms, seed):
         return Hst([-1, 0, 0], [0, -1, -2], (0, 2), [1, 2])
 
     monkeypatch.setattr("ondesign.verify.sample_frt", bad_tree)

@@ -8,6 +8,7 @@ from conftest import (
     brute_cut,
     brute_cuts_at_level,
     brute_validate_hst,
+    ref_sample_frt,
     euclid,
     id_cuts,
     line_metric,
@@ -20,7 +21,9 @@ from ondesign.errors import (
     LevelOutOfRange,
 )
 from ondesign.hst import (
+    FOREST_PAIRS,
     Hst,
+    Terminals,
     _promote_one_level,
     check_levels,
     class_cuts,
@@ -39,15 +42,15 @@ from ondesign.metric import MetricSpace, build_metric, floor_log2
 def test_two_terminal_minimal_shape(two_point_metric):
     # unique minimal HST: root plus two level-1 edges of length 1
     for seed in range(5):
-        t = sample_frt(two_point_metric, [0, 1], seed)
+        t = sample_frt(Terminals(two_point_metric, [0, 1]), seed)
         assert t.n_nodes == 3
         assert t.edge_level[1] == t.edge_level[2] == 1
         assert tree_distance(t, 0, 1) == 2.0
-        assert validate_hst(t, two_point_metric) == []
+        assert validate_hst([t], two_point_metric)[0] == []
 
 
 def test_single_terminal_degenerate(two_point_metric):
-    t = sample_frt(two_point_metric, [0], seed=3)
+    t = sample_frt(Terminals(two_point_metric, [0]), seed=3)
     assert t.n_nodes == 1
     assert t.terminals == (0,)
     assert tree_distance(t, 0, 0) == 0.0
@@ -55,13 +58,13 @@ def test_single_terminal_degenerate(two_point_metric):
 
 def test_empty_terminals_rejected(two_point_metric):
     with pytest.raises(EmptyTerminalSet, match="^need at least one terminal$"):
-        sample_frt(two_point_metric, [], seed=0)
+        sample_frt(Terminals(two_point_metric, []), seed=0)
 
 
 def test_unnormalized_metric_rejected():
     m = MetricSpace(d=np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError, match=r"^metric not normalized: d\(0,1\)=0\.5 < 1$"):
-        sample_frt(m, [0, 1], seed=0)
+        sample_frt(Terminals(m, [0, 1]), seed=0)
 
 
 def test_coincident_points_collapse_onto_one_terminal():
@@ -69,7 +72,7 @@ def test_coincident_points_collapse_onto_one_terminal():
     # with 1 an alias of 0, and every lookup by point resolves 1 to 0's column
     m = build_metric([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "matrix")
     for seed in range(4):
-        t, base = sample_frt(m, [2, 1, 0, 1], seed), sample_frt(m, [0, 2], seed)
+        t, base = sample_frt(Terminals(m, [2, 1, 0, 1]), seed), sample_frt(Terminals(m, [0, 2]), seed)
         assert (t.terminals, t.aliases, base.aliases) == ((0, 2), ((1, 0),), ())
         assert [a.tolist() for a in (t.parent, t.edge_level, t.leaf)] == \
             [a.tolist() for a in (base.parent, base.edge_level, base.leaf)]
@@ -82,16 +85,16 @@ def test_coincident_points_collapse_onto_one_terminal():
         assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_singleton_levels(t), _promote_one_level(t)):
             assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
-            assert validate_hst(tree, m) == []
+            assert validate_hst([tree], m)[0] == []
 
 
 def test_first_bad_pair_is_named():
     # pairs are scanned in (u, v) order: a closer pair further on is not named
     with pytest.raises(ValueError, match=r"d\(0,1\)=0.5 < 1"):
-        sample_frt(line_metric([0, 0.5, 3, 3]), range(4), seed=0)
+        sample_frt(Terminals(line_metric([0, 0.5, 3, 3]), range(4)), seed=0)
     # 2 is an alias of 1, so the scan over the terminals 0, 1, 3 names (1, 3)
     with pytest.raises(ValueError, match=r"d\(1,3\)=0.5 < 1"):
-        sample_frt(line_metric([0, 2, 2, 2.5]), range(4), seed=0)
+        sample_frt(Terminals(line_metric([0, 2, 2, 2.5]), range(4)), seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
@@ -102,8 +105,8 @@ def test_carving_radius_is_closed(seed, j):
     beta = 2.0 ** np.random.default_rng(np.random.SeedSequence(seed)).random()
     radius = beta * 2.0 ** (j - 2)
     m = line_metric([0.0, radius, 3.5 * radius])
-    t = sample_frt(m, range(3), seed)
-    assert validate_hst(t, m) == []
+    t = sample_frt(Terminals(m, range(3)), seed)
+    assert validate_hst([t], m)[0] == []
     assert frozenset({0, 1}) in id_cuts(t, j)
     assert frozenset({0, 1}) not in id_cuts(t, j - 1)
 
@@ -111,22 +114,22 @@ def test_carving_radius_is_closed(seed, j):
 def test_line_four_points_valid():
     m = line_metric([0, 1, 2, 3])
     for seed in range(30):
-        t = sample_frt(m, range(4), seed)
-        assert validate_hst(t, m) == []
+        t = sample_frt(Terminals(m, range(4)), seed)
+        assert validate_hst([t], m)[0] == []
 
 
 def test_sampler_deterministic(two_point_metric):
     m = euclid(np.random.default_rng(0).random((9, 2)))
-    a = sample_frt(m, range(9), seed=1234).to_json()
-    b = sample_frt(m, range(9), seed=1234).to_json()
+    a = sample_frt(Terminals(m, range(9)), seed=1234).to_json()
+    b = sample_frt(Terminals(m, range(9)), seed=1234).to_json()
     assert a == b
-    c = sample_frt(m, range(9), seed=1235).to_json()
+    c = sample_frt(Terminals(m, range(9)), seed=1235).to_json()
     assert isinstance(json.loads(c), dict)
 
 
 def test_validate_flags_shrunk_leaf_edges(two_point_metric):
     t = Hst([-1, 0, 0], [0, -1, -1], (0, 1), [1, 2])  # length 1/4 edges: T = 0.5 < d = 1
-    bad = validate_hst(t, two_point_metric)
+    bad = validate_hst([t], two_point_metric)[0]
     assert any("expanding" in v for v in bad)
 
 
@@ -134,7 +137,7 @@ def test_validate_flags_cut_diameter():
     # two terminals at distance 3 below one level-1 edge: 3 >= 2^1
     m = line_metric([0, 3])
     t = Hst([-1, 0, 1, 1], [0, 1, 0, 0], (0, 1), [2, 3])
-    bad = validate_hst(t, m)
+    bad = validate_hst([t], m)[0]
     assert any("cut diameter" in v for v in bad)
 
 
@@ -150,7 +153,7 @@ def test_validate_flags_cut_diameter():
 def test_validate_flags_leaf_map(arrays, message):
     m = line_metric([0, 1])
     t = Hst(*arrays)
-    bad = validate_hst(t, m)
+    bad = validate_hst([t], m)[0]
     assert message in bad
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
@@ -182,13 +185,13 @@ VALIDATE_MESSAGES = {
 def test_validate_hst_message_fires(positions, arrays, message):
     m = line_metric(positions)
     t = Hst(*arrays)
-    bad = validate_hst(t, m)
+    bad = validate_hst([t], m)[0]
     assert message in bad
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
 
 def test_cut_row_examples(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)  # root, then leaves 1 and 2 at level 1
+    t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # root, then leaves 1 and 2 at level 1
     assert cut_row(t, 1).tolist() == [1, 2]
     assert cut_row(t, 0).tolist() == [3, 4]  # implicit singletons: n_nodes + column
     assert cut_row(t, 1, [1, 7, None, 0, 1]).tolist() == [2, -1, -1, 1, 2]
@@ -204,7 +207,7 @@ def test_cut_row_examples(two_point_metric):
 
 
 def test_path_cuts_examples(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)  # {0}, {1}: cuts 1, 2 at level 1, 3, 4 at level 0
+    t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # {0}, {1}: cuts 1, 2 at level 1, 3, 4 at level 0
     cut, which = path_cuts(t, [(0, 1), (1, 1), (1, 7)])
     # a pair on one leaf crosses no cut; an end outside the tree (point 7) is
     # in none, so its pair crosses only the cuts of its other end
@@ -240,17 +243,17 @@ def test_cuts_partition_random_trees():
 
 
 def test_extension_arithmetic(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)
+    t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     ext = extend_singleton_levels(t)
     assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
-    assert validate_hst(ext, two_point_metric) == []
+    assert validate_hst([ext], two_point_metric)[0] == []
     with pytest.raises(AlreadyExtended, match="^tree already extended to -2$"):
         extend_singleton_levels(ext)
 
 
 def test_extension_single_leaf(two_point_metric):
-    t = sample_frt(two_point_metric, [0], seed=0)
+    t = sample_frt(Terminals(two_point_metric, [0]), seed=0)
     ext = extend_singleton_levels(t)
     assert ext.n_nodes == 3  # chain of two edges below the root leaf
     assert ext.total_length() == pytest.approx(0.375)
@@ -262,14 +265,14 @@ def test_tree_distance_siblings_level2():
     assert tree_distance(t, 0, 1) == 4.0
     # leaves hang at level 2 directly; the level-1 cuts are implicit singletons
     assert sorted(map(set, id_cuts(t, 1))) == [{0}, {1}]
-    assert validate_hst(t, m) == []
+    assert validate_hst([t], m)[0] == []
 
 
 def test_unknown_leaf():
     from ondesign.errors import UnknownLeaf
 
     m = line_metric([0, 1])
-    t = sample_frt(m, [0, 1], seed=0)
+    t = sample_frt(Terminals(m, [0, 1]), seed=0)
     with pytest.raises(UnknownLeaf, match="^0 or 7 is not a leaf terminal$"):
         tree_distance(t, 0, 7)
 
@@ -286,7 +289,7 @@ def test_cut_ids_group_into_the_reference_cuts():
     trees = [_skipped_level_tree()]
     for k in (2, 3, 5, 8, 13, 21, 30):
         m = gen_euclidean(k, seed=k)[0]
-        t = sample_frt(m, range(k), int(rng.integers(0, 2**40)))
+        t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**40)))
         trees += [t, extend_singleton_levels(t), _promote_one_level(t)]
     for t in trees:
         pts = t.terminals
@@ -342,12 +345,12 @@ def test_expanding_and_diameter_many_random_instances():
     for _ in range(60):
         k = int(rng.integers(2, 12))
         m = build_metric(rng.random((k, 2)) * rng.uniform(1, 30), "points")
-        t = sample_frt(m, range(k), int(rng.integers(0, 2**40)))
-        assert validate_hst(t, m) == []
+        t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**40)))
+        assert validate_hst([t], m)[0] == []
 
 
 def test_json_schema_fields(two_point_metric):
-    t = sample_frt(two_point_metric, [0, 1], seed=0)
+    t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     doc = t.to_json_dict()
     assert set(doc) == {"levels", "nodes", "leaf_map"}
     assert doc["levels"] == 1
@@ -358,8 +361,7 @@ def test_json_schema_fields(two_point_metric):
 
 # (family, k, metric seed, promoted, SHA-256 prefix of to_json() followed by
 # the (leaf node, point) pairs in node order), recorded from the
-# one-ball-at-a-time sampler; the tree is sample_frt(metric, range(k),
-# 1000 * k + metric seed).
+# one-ball-at-a-time sampler; the tree is sample_frt(Terminals(metric, range(k)), # 1000 * k + metric seed).
 PINNED_TREES = [
     ("euclid", 2, 0, False, "12d1f24338418c57c6908151461978db"),
     ("euclid", 3, 1, False, "472ec3fa21ebe170639e3f7c7271d7b0"),
@@ -387,7 +389,7 @@ PINNED_TREES = [
 @pytest.mark.parametrize("family, k, seed, promoted, digest", PINNED_TREES)
 def test_sample_frt_pinned(family, k, seed, promoted, digest):
     m = gen_euclidean(k, seed=seed)[0] if family == "euclid" else gen_graph_metric(k, seed=seed)
-    t = sample_frt(m, range(k), 1000 * k + seed)
+    t = sample_frt(Terminals(m, range(k)), 1000 * k + seed)
     text = t.to_json() + json.dumps(sorted(zip(t.leaf.tolist(), t.terminals)))
     assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
     assert (t.root_level == floor_log2(m.diameter()) + 2) == promoted
@@ -407,10 +409,13 @@ def _corrupt(t, rng, kind):
     elif kind == "drop":
         keep = leaves != leaf
         terminals, leaves = [p for p, kept in zip(terminals, keep) if kept], leaves[keep]
-    return Hst(parent, level, terminals, leaves, t.extended_to)
+    return Hst(parent, level, terminals, leaves, t.extended_to, t.aliases)
 
 
 def test_validate_matches_reference_on_sampled_and_corrupted_trees():
+    # the trees of one terminal set are validated in one call: the sampled
+    # tree, its extension and promotion, and their corruptions (a dropped
+    # terminal makes a terminal set of its own)
     rng = np.random.default_rng(5)
     checked = flagged = 0
     for trial in range(60):
@@ -421,25 +426,111 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
             m = line_metric(np.sort(rng.choice(3 * k, size=k, replace=False)))
         else:
             m = gen_euclidean(k, seed=trial)[0]
-        t = sample_frt(m, range(m.n), int(rng.integers(0, 2**40)))
+        t = sample_frt(Terminals(m, range(m.n)), int(rng.integers(0, 2**40)))
         trees = [t, extend_singleton_levels(t)]
         if m.n > 1:
             trees.append(_promote_one_level(t))
         for tree in list(trees):
             trees += [_corrupt(tree, rng, kind) for kind in ("shrink", "raise", "rehang", "drop")]
+        batches = {}
         for tree in trees:
-            got = validate_hst(tree, m)
-            assert sorted(got) == sorted(brute_validate_hst(tree, m))
-            checked += 1
-            flagged += bool(got)
+            batches.setdefault((tree.terminals, tree.aliases), []).append(tree)
+        assert len(batches[t.terminals, t.aliases]) >= 8
+        for batch in batches.values():
+            for tree, got in zip(batch, validate_hst(batch, m), strict=True):
+                assert sorted(got) == sorted(brute_validate_hst(tree, m))
+                checked += 1
+                flagged += bool(got)
     assert checked > 500 and flagged > 100
 
 
+def test_validate_batch_across_forests_matches_one_tree_calls(monkeypatch):
+    # k = 60: a forest holds FOREST_PAIRS // 60^2 = 18 trees, so 45 trees,
+    # valid and corrupted, are walked as three forests
+    m = gen_euclidean(60, seed=3)[0]
+    terms = Terminals(m, range(60))
+    rng = np.random.default_rng(17)
+    trees = []
+    for seed in range(15):
+        t = sample_frt(terms, seed)
+        trees += [t, _corrupt(t, rng, ("shrink", "raise", "rehang")[seed % 3]), extend_singleton_levels(t)]
+    assert len(trees) > 2 * (FOREST_PAIRS // 60**2)
+    walked = []
+
+    def path_walk(t, u, v):
+        walked.append(t)
+        return tree_distance(t, u, v)
+
+    monkeypatch.setattr("ondesign.hst.tree_distance", path_walk)
+    batch = validated_distances(trees, m)
+    assert walked == trees  # each tree's least-slack pair, measured on that tree
+    assert 0 < sum(bool(bad) for bad, _ in batch) < len(trees)
+    for tree, (bad, T) in zip(trees, batch, strict=True):
+        one_bad, one_T = validated_distances([tree], m)[0]
+        assert bad == one_bad
+        assert T.tobytes() == one_T.tobytes()
+
+
+def test_validate_batch_needs_one_terminal_set():
+    m = line_metric([0, 1, 3])
+    trees = [sample_frt(Terminals(m, [0, 1]), 0), sample_frt(Terminals(m, [0, 2]), 0)]
+    with pytest.raises(ValueError, match="^trees validated together must share terminals and aliases$"):
+        validate_hst(trees, m)
+    # the same terminals with different aliases
+    m2 = line_metric([0, 0, 1])
+    trees = [sample_frt(Terminals(m2, [0, 1, 2]), 0), sample_frt(Terminals(m2, [0, 2]), 0)]
+    assert trees[0].terminals == trees[1].terminals
+    with pytest.raises(ValueError, match="^trees validated together must share terminals and aliases$"):
+        validated_distances(trees, m2)
+    assert validate_hst([], m) == [] and validated_distances([], m) == []
+
+
 def test_validated_distances_match_path_walk():
+    # T per tree of a batch: sampled and extended trees of one terminal set
     rng = np.random.default_rng(9)
     for _ in range(20):
-        m, t = random_small_hst(rng)
-        pts = t.terminals
-        bad, T = validated_distances(t, m)
-        assert bad == validate_hst(t, m)
-        assert [[tree_distance(t, u, v) for v in pts] for u in pts] == T.tolist()
+        k = int(rng.integers(2, 9))
+        m = build_metric(rng.random((k, 2)) * rng.uniform(1.0, 40.0), "points")
+        terms = Terminals(m, range(k))
+        trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**31, size=4).tolist()]
+        trees += [extend_singleton_levels(t) for t in trees[:2]]
+        results = validated_distances(trees, m)
+        assert [bad for bad, _ in results] == validate_hst(trees, m)
+        pts = terms.terminals
+        for t, (bad, T) in zip(trees, results, strict=True):
+            assert bad == []
+            assert [[tree_distance(t, u, v) for v in pts] for u in pts] == T.tolist()
+
+
+def test_sample_frt_matches_reference_sampler():
+    # one terminal set for many trees changes no tree: Euclidean,
+    # graph-closure and integer line metrics, and points that share positions
+    rng = np.random.default_rng(31)
+    promoted = aliased = 0
+    for k in range(1, 61):
+        xy = rng.random((k, 2)) * rng.uniform(1.0, 40.0)
+        cases = [
+            (gen_euclidean(k, seed=k)[0], list(range(k))),
+            (gen_graph_metric(max(k, 2), seed=k), list(range(max(k, 2)))),
+            # integer distances: ties with 2^j on every level
+            (line_metric(np.sort(rng.choice(3 * k, size=k, replace=False))), list(range(k))),
+            # every third point repeated at a new index; points listed out of order
+            (build_metric(np.vstack([xy, xy[::3]]), "points"), rng.permutation(k + len(xy[::3])).tolist() * 2),
+        ]
+        seeds = [rng.integers(0, 2**40, size=3).tolist() for _ in cases]
+        # point j - 1 sits exactly at the level-j radius from point 0 under
+        # the beta that the seed draws
+        seed = int(rng.integers(0, 2**40))
+        beta = 2.0 ** np.random.default_rng(np.random.SeedSequence(seed)).random()
+        cases.append((line_metric([0.0] + [beta * 2.0 ** (j - 2) for j in range(2, k + 1)]), list(range(k))))
+        seeds.append([seed])
+        for (m, points), tree_seeds in zip(cases, seeds, strict=True):
+            terms = Terminals(m, points)
+            for seed in tree_seeds:
+                t, ref = sample_frt(terms, seed), ref_sample_frt(m, points, seed)
+                assert (t.terminals, t.aliases) == (ref.terminals, ref.aliases)
+                for got, want in ((t.parent, ref.parent), (t.edge_level, ref.edge_level), (t.leaf, ref.leaf)):
+                    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                promoted += len(terms.levels) > 0 and t.root_level > terms.levels[0]
+                aliased += bool(t.aliases)
+    assert promoted > 20 and aliased > 100

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, tie_metrics
 from ondesign.errors import InvalidCover
-from ondesign.hst import sample_frt
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
@@ -165,7 +165,7 @@ def test_class_separation_empty():
 
 def test_metagraph_single_pair(two_point_metric):
     _, trace = run_bc_sf(two_point_metric, _forest((0, 1)))
-    t = sample_frt(two_point_metric, [0, 1], seed=1)
+    t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=1)
     covers = covers_from_tree(t, trace)
     assert check_metagraph_acyclic(trace, covers) == []
 
@@ -173,7 +173,7 @@ def test_metagraph_single_pair(two_point_metric):
 def test_metagraph_two_far_pairs():
     m = line_metric([0, 1, 10, 11.5])
     _, trace = run_bc_sf(m, _forest((0, 1), (2, 3)))
-    t = sample_frt(m, [0, 1, 2, 3], seed=5)
+    t = sample_frt(Terminals(m, [0, 1, 2, 3]), seed=5)
     covers = covers_from_tree(t, trace)
     assert check_metagraph_acyclic(trace, covers) == []
 
@@ -189,7 +189,7 @@ def test_metagraph_forged_triangle():
     m = line_metric([0, 1, 2])
     forged = _forged_forest([[0, 1], [1, 2], [0, 2]], [[0, 1], [1, 1], [2, 1]])
     for seed in range(5):
-        covers = covers_from_tree(sample_frt(m, [0, 1, 2], seed), forged)
+        covers = covers_from_tree(sample_frt(Terminals(m, [0, 1, 2]), seed), forged)
         assert sorted(covers) == [1] and len(set(covers[1].values())) == 3
         assert check_metagraph_acyclic(forged, covers) == ["level 1: meta-cycle via edge (0,2)"]
 
@@ -197,7 +197,7 @@ def test_metagraph_forged_triangle():
 def test_metagraph_invalid_cover():
     m = line_metric([0, 1, 2])
     forged = _forged_forest([[0, 1]], [[0, 1], [1, 1]])
-    covers = covers_from_tree(sample_frt(m, [0, 1, 2], seed=0), forged)
+    covers = covers_from_tree(sample_frt(Terminals(m, [0, 1, 2]), seed=0), forged)
     assert sorted(covers[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
     with pytest.raises(InvalidCover, match=r"^level 1: cover misses \[1\]$"):
         check_metagraph_acyclic(forged, {1: {0: covers[1][0]}})
@@ -219,7 +219,7 @@ def test_bc_metagraph_many_random():
         ]
         _, trace = run_bc_sf(m, _forest(*pairs))
         pts = sorted({p for pr in pairs for p in pr})
-        t = sample_frt(m, pts, seed=trial)
+        t = sample_frt(Terminals(m, pts), seed=trial)
         covers = covers_from_tree(t, trace)
         for j, cover in covers.items():  # the level-j cuts meeting X_j, by cut id
             xj = {p for forest in trace.summary["forests"] for p, c in forest["occ"] if c >= j}

@@ -11,12 +11,13 @@ from conftest import (
     brute_tree_rob_single,
     brute_tree_sf,
     brute_tree_sn,
+    client_load,
     edge_len,
     random_small_hst,
     ref_tree_pcst,
 )
 from ondesign.errors import RootNotLeaf
-from ondesign.hst import Hst, check_levels, extend_singleton_levels, sample_frt
+from ondesign.hst import Hst, Terminals, check_levels, cut_load, extend_singleton_levels, sample_frt
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -29,7 +30,7 @@ from ondesign.tree_opt import (
 
 
 def minimal_tree(m):
-    return sample_frt(m, [0, 1], seed=0)
+    return sample_frt(Terminals(m, [0, 1]), seed=0)
 
 
 def four_leaf_binary():
@@ -70,25 +71,25 @@ def test_opt_sn_examples(two_point_metric):
 
 def test_opt_rob_multi_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_multi(t, [(0, 1)], 3) == 2.0
-    assert opt_tree_rob_multi(t, [(0, 1)] * 5, 3) == 6.0
-    assert opt_tree_rob_multi(t, [(0, 1)] * 5, 0) == 0.0
+    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)]), 3) == 2.0
+    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)] * 5), 3) == 6.0
+    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)] * 5), 0) == 0.0
 
 
 def test_opt_rob_single_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4, [0, 1]) == 1.0  # root chain excluded
-    assert opt_tree_rob_single(t, 0, 0.5, [1]) == 0.5
+    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [0, 1])) == 1.0  # root chain excluded
+    assert opt_tree_rob_single(t, 0, 0.5, client_load(t, 0, [1])) == 0.5
     t3 = three_leaf_star()
-    assert opt_tree_rob_single(t3, 0, 10, [1, 2]) == 2.0
+    assert opt_tree_rob_single(t3, 0, 10, client_load(t3, 0, [1, 2])) == 2.0
     with pytest.raises(RootNotLeaf):
-        opt_tree_rob_single(t3, 9, 1, [1])
+        opt_tree_rob_single(t3, 9, 1, client_load(t3, 9, [1]))
 
 
 def test_opt_rob_single_weights(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4, [1, 1, 1]) == 3.0
-    assert opt_tree_rob_single(t, 0, 4, [1] * 7) == 4.0  # capped at M
+    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [1, 1, 1])) == 3.0
+    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [1] * 7)) == 4.0  # capped at M
 
 
 def test_opt_pcst_examples(two_point_metric):
@@ -126,8 +127,8 @@ def test_oracles_match_brute_force_on_random_trees():
         # the references add the same edge terms in node-id order: equal to the bit
         assert opt_tree_steiner_forest(t, pairs) == brute_tree_sf(t, pairs)
         assert opt_tree_steiner_network(t, pairs, reqs) == brute_tree_sn(t, pairs, reqs)
-        assert opt_tree_rob_multi(t, pairs, M) == brute_tree_rob_multi(t, pairs, M)
-        assert opt_tree_rob_single(t, r, M, pts) == pytest.approx(brute_tree_rob_single(t, r, M, pts))
+        assert opt_tree_rob_multi(t, cut_load(t, pairs), M) == brute_tree_rob_multi(t, pairs, M)
+        assert opt_tree_rob_single(t, r, M, client_load(t, r, pts)) == pytest.approx(brute_tree_rob_single(t, r, M, pts))
         assert opt_tree_pcst(t, r, pen) == pytest.approx(brute_tree_pcst(t, r, pen))
 
 
@@ -151,7 +152,7 @@ def test_monotonicity_in_requests():
         pts = list(t.terminals)
         pairs = [tuple(map(int, rng.choice(pts, size=2, replace=False))) for _ in range(3)]
         assert opt_tree_steiner_forest(t, pairs[:2]) <= opt_tree_steiner_forest(t, pairs)
-        assert opt_tree_rob_multi(t, pairs[:2], 2.0) <= opt_tree_rob_multi(t, pairs, 2.0)
+        assert opt_tree_rob_multi(t, cut_load(t, pairs[:2]), 2.0) <= opt_tree_rob_multi(t, cut_load(t, pairs), 2.0)
         pen = [(int(p), 1.0) for p in pts[1:]]
         assert opt_tree_pcst(t, pts[0], pen[:1]) <= opt_tree_pcst(t, pts[0], pen)
 
@@ -169,8 +170,8 @@ def test_rob_multi_sentinels():
             for e in range(1, t.n_nodes)
             if any((s in brute_cut(t, e)) != (u in brute_cut(t, e)) for s, u in pairs)
         )
-        assert opt_tree_rob_multi(t, pairs, 1) == pytest.approx(ind)
-        assert opt_tree_rob_multi(t, pairs, 1) == pytest.approx(
+        assert opt_tree_rob_multi(t, cut_load(t, pairs), 1) == pytest.approx(ind)
+        assert opt_tree_rob_multi(t, cut_load(t, pairs), 1) == pytest.approx(
             opt_tree_steiner_forest(t, pairs)
         )
         rent_all = sum(
@@ -178,7 +179,7 @@ def test_rob_multi_sentinels():
             * sum(1 for s, u in pairs if (s in brute_cut(t, e)) != (u in brute_cut(t, e)))
             for e in range(1, t.n_nodes)
         )
-        assert opt_tree_rob_multi(t, pairs, math.inf) == pytest.approx(rent_all)
+        assert opt_tree_rob_multi(t, cut_load(t, pairs), math.inf) == pytest.approx(rent_all)
 
 
 def test_rob_single_vs_multi_cross_check():
@@ -197,7 +198,7 @@ def test_rob_single_vs_multi_cross_check():
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
             multi += edge_len(t, e) * min(M, crossing)
-        assert opt_tree_rob_single(t, r, M, pts) == pytest.approx(multi)
+        assert opt_tree_rob_single(t, r, M, client_load(t, r, pts)) == pytest.approx(multi)
 
 
 def test_pcst_cut_lower_bound_matches_reference():
