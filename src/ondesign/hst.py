@@ -305,14 +305,14 @@ def _validate_forest(trees, m: MetricSpace) -> list:
     for nid in np.flatnonzero((kids == 0) & ~is_leaf & (sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
         out[owner[nid]].append(f"leaves: node {local[nid]} is both internal and a terminal leaf" if kids[nid]
                                else f"leaves: childless node {local[nid]} maps to no terminal")
-    ranked = np.sort(leaf, axis=1)
-    not_bijective = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (len(set(trees[0].terminals)) != k)
-    # an alias is a non-terminal at its terminal's position
     terminals = set(trees[0].terminals)
+    ranked = np.sort(leaf, axis=1)
+    not_bijective = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (len(terminals) != k)
+    # an alias is a non-terminal at its terminal's position
     aliases = [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
                for a, p in trees[0].aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
-    for found, flag in zip(out, not_bijective.tolist()):
-        found += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
+    for msgs, flag in zip(out, not_bijective.tolist()):
+        msgs += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
     #    length = 2^(level-1) holds by construction of Hst.length
     child = np.flatnonzero(local > 0)
@@ -337,8 +337,8 @@ def _validate_forest(trees, m: MetricSpace) -> list:
         for anc in x[(x == y) & (x >= 0)].tolist():
             if d[a, b] >= pow2(int(level[anc])):
                 bad[g].add((int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
-    for found, cuts in zip(out, bad):
-        found += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
+    for msgs, cuts in zip(out, bad):
+        msgs += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
                   for _, u, v, j, duv in sorted(cuts)]
     # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
     #    that pair is measured again by the path walk that defines T.

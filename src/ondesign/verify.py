@@ -9,10 +9,12 @@ instance (root, M, requests, facilities) only from the RequestSequence.
 Runners and oracles are lambdas, so a call resolves each name when it happens.
 Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
-Trees are sampled over the request points and the root; the tree resolves
-coincident points to one leaf (see hst), so checks and oracles pass it the
-instance's points as they are.  Trees are extended with singleton levels down
-to -2 for the rent-or-buy style checks.
+Trees are sampled over the request points and the root: every trial's tree
+from the instance's one `hst.Terminals`, and all of them validated in one
+`validate_hst` call.  The tree resolves coincident points to one leaf (see
+hst), so checks and oracles pass it the instance's points as they are.
+Trees are extended with singleton levels down to -2 for the rent-or-buy
+style checks.
 """
 
 from __future__ import annotations
