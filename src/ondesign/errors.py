@@ -9,30 +9,6 @@ class SchemaError(OndesignError):
     """An invalid instance, trace or argument: exit 2."""
 
 
-class EmptyTerminalSet(OndesignError):
-    pass
-
-
-class LevelOutOfRange(OndesignError):
-    pass
-
-
-class AlreadyExtended(OndesignError):
-    pass
-
-
-class UnknownLeaf(OndesignError):
-    pass
-
-
-class RootNotLeaf(OndesignError):
-    pass
-
-
-class InvalidCover(OndesignError):
-    pass
-
-
 class TooLarge(OndesignError):
     """An offline oracle was asked to exceed its exactness cap."""
 

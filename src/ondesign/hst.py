@@ -12,18 +12,18 @@ terminal singletons by convention (forced by the min-distance-1 normalization).
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
 a tree's arrays.  `Hst.cut_ids` names the cut holding each terminal at each
-level; it is the only form a cut takes.  `cut_row` reads one level's row at
-any points, and `class_cuts` groups the class-(j + shift) entries of a check
-by level-j cut, which is how the per-tree cut checks and the PCST cut lower
-bound read the tree.  `path_cuts` lists the cuts that separate each pair of
-points, and `cut_load` counts them per cut: the tree oracles and the rent
-caps read a cut's load that way.  Walks of the tree (`tree_distance`, the
-PCST DP) read the arrays.
+level; it is the only form a cut takes.  `Hst.cuts` reads it at any points,
+every level at once, and `class_cuts` groups the class-(j + shift) entries of
+a check by level-j cut, which is how the per-tree cut checks and the PCST cut
+lower bound read the tree.  `path_cuts` lists the cuts that separate each
+pair of points, and `cut_load` counts them per cut: the tree oracles and the
+rent caps read a cut's load that way.  Walks of the tree (`tree_distance`,
+the PCST DP) read the arrays.
 
 A terminal is a position: of the points a tree is sampled for, the lowest
 index at each position is the terminal, and every other point there is an
 alias of it.  A tree of distinct positions has no aliases.  Every lookup by
-point (`Hst.columns`, `cut_row`, `class_cuts`, `tree_distance`) resolves an
+point (`Hst.columns`, `Hst.cuts`, `class_cuts`, `tree_distance`) resolves an
 alias to its terminal's column, so no caller maps coincident points itself.
 
 Sampling reads a `Terminals`: what every tree for one set of points shares,
@@ -58,12 +58,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AlreadyExtended,
-    EmptyTerminalSet,
-    LevelOutOfRange,
-    UnknownLeaf,
-)
 from .metric import MetricSpace, floor_log2, pow2
 
 
@@ -105,22 +99,29 @@ class Hst:
         return out
 
     @cached_property
+    def cut_levels(self) -> range:
+        """The levels of the charging checks, from the lowest (0, or -2 on an
+        extended tree) to the root level: the rows of cut_ids."""
+        return range(self.extended_to if self.extended_to is not None else 0, self.root_level + 1)
+
+    @cached_property
     def cut_ids(self) -> np.ndarray:
-        """Rows check_levels(self), columns self.terminals: entry (j, q) is the
+        """Rows self.cut_levels, columns self.terminals: entry (j, q) is the
         node whose parent edge is q's level-j edge, or n_nodes + q's column if
         q's path has none (an implicit singleton).  Read once the tree is built
         and valid; sorted, a row lists real nodes by id, then singletons."""
-        levels = check_levels(self)
+        levels = self.cut_levels
         cols = np.arange(len(self.leaf))
         ids = np.tile(self.n_nodes + cols, (len(levels), 1))
         up = _walk_up(self, self.leaf)
-        row = self.edge_level[up] - (levels[0] if levels else 0)
+        row = self.edge_level[up] - levels[0]
         on = (up > 0) & (row >= 0) & (row < len(levels))
         ids[row[on], np.broadcast_to(cols, up.shape)[on]] = up[on]
         return ids
 
-    def cut_ids_at(self, points) -> np.ndarray:
-        """cut_ids columns of `points`; a point not in the tree is in no cut (id -1)."""
+    def cuts(self, points) -> np.ndarray:
+        """The cut_ids columns of `points`, rows self.cut_levels; a point not
+        in the tree (or None) is in no cut, id -1."""
         cols = self.columns(points)
         return np.where(cols >= 0, self.cut_ids[:, cols], -1)
 
@@ -161,7 +162,7 @@ def _frozen(values) -> np.ndarray:
 def tree_distance(t: Hst, u: int, v: int) -> float:
     """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf."""
     if u not in t._column or v not in t._column:
-        raise UnknownLeaf(f"{u} or {v} is not a leaf terminal")
+        raise ValueError(f"{u} or {v} is not a leaf terminal")
     a, b = (int(t.leaf[t._column[p]]) for p in (u, v))
     ancestors = {}
     dist = 0.0
@@ -177,29 +178,10 @@ def tree_distance(t: Hst, u: int, v: int) -> float:
     return float(dist + ancestors[b])
 
 
-def check_levels(t: Hst) -> list:
-    """Level range [min charge level, root level] for the charging checks."""
-    lo = t.extended_to if t.extended_to is not None else 0
-    return list(range(lo, t.root_level + 1))
-
-
-def cut_row(t: Hst, j: int, points=None) -> np.ndarray:
-    """The level-j row of t.cut_ids, at `points` if given (a non-terminal is
-    in no cut, id -1), else at every terminal column."""
-    levels = check_levels(t)
-    if j not in levels:
-        raise LevelOutOfRange(f"level {j} outside [{levels[0]}, {t.root_level}]")
-    row = t.cut_ids[j - levels[0]]
-    if points is None:
-        return row
-    cols = t.columns(points)
-    return np.where(cols >= 0, row[cols], -1)
-
-
 def path_cuts(t: Hst, pairs):
     """(cut id, pair index) for every cut holding one end of a pair but not
     the other, ids as in t.cut_ids; an end outside the tree is in no cut."""
-    ends = t.cut_ids_at([p for pair in pairs for p in pair]).reshape(len(t.cut_ids), -1, 2)
+    ends = t.cuts([p for pair in pairs for p in pair]).reshape(len(t.cut_levels), -1, 2)
     crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (level, pair, end)
     return ends[crossed], np.nonzero(crossed)[1]
 
@@ -217,18 +199,17 @@ def class_cuts(t: Hst, by_class: dict, shift: int, root=None):
     cut keep their input order, and entries at non-terminals are dropped.
     `root` is a point (or None): "holds root" says the cut contains it.
     """
-    for j in check_levels(t):
-        entries = by_class.get(j + shift)
-        if not entries:
-            continue
-        row = cut_row(t, j, [e[0] for e in entries] + [root]).tolist()
-        root_cut = row.pop()
-        inside = {}
-        for entry, cut in zip(entries, row):
-            if cut >= 0:
-                inside.setdefault(cut, []).append(entry)
-        for cut in sorted(inside):
-            yield j, cut, cut == root_cut, inside[cut]
+    lo = t.cut_levels[0]
+    entries = [(j, e) for j in t.cut_levels for e in by_class.get(j + shift, ())]
+    cuts = t.cuts([e[0] for _, e in entries] + [root])
+    own = cuts[np.array([j - lo for j, _ in entries], dtype=np.intp), np.arange(len(entries))].tolist()
+    inside = {}
+    for (j, entry), cut in zip(entries, own):
+        if cut >= 0:
+            inside.setdefault((j, cut), []).append(entry)
+    root_cut = cuts[:, -1].tolist()
+    for j, cut in sorted(inside):
+        yield j, cut, cut == root_cut[j - lo], inside[j, cut]
 
 
 def _walk(parent, leaves, roots):
@@ -420,7 +401,7 @@ class Terminals:
     def __init__(self, m: MetricSpace, points):
         pts = sorted(set(int(p) for p in points))
         if not pts:
-            raise EmptyTerminalSet("need at least one terminal")
+            raise ValueError("need at least one terminal")
         d = m.d[np.ix_(pts, pts)]
         first = (d == 0.0).argmax(axis=1)
         self.aliases = tuple((p, pts[i]) for p, i in zip(pts, first.tolist()) if pts[i] != p)
@@ -513,5 +494,5 @@ def extend_singleton_levels(t: Hst) -> Hst:
     grows by at most (#leaves) * 3/8.
     """
     if t.extended_to is not None:
-        raise AlreadyExtended(f"tree already extended to {t.extended_to}")
+        raise ValueError(f"tree already extended to {t.extended_to}")
     return _hang_chains(t, 0, [-1, -2], extended_to=-2)

@@ -342,18 +342,14 @@ class RequestSequence:
         if "pi" in fmt.fields and any(pi < 0 for _, pi in self.requests):
             raise SchemaError("penalties must be >= 0")
 
-    def request_points(self, idx: int):
-        req = self.requests[idx]
-        fmt = PROBLEMS[self.problem]
-        if len(fmt.fields) == 1:
-            return (req,)
-        return (req[0], req[1]) if fmt.paired else (req[0],)
-
     @cached_property
     def pairs(self) -> tuple:
         """The two points each request must join: a paired request's (s, t),
         any other request's point and the root."""
-        return tuple((*self.request_points(idx), self.root)[:2] for idx in range(len(self.requests)))
+        fmt = PROBLEMS[self.problem]
+        if len(fmt.fields) == 1:
+            return tuple((req, self.root) for req in self.requests)
+        return tuple((req[0], req[1] if fmt.paired else self.root) for req in self.requests)
 
     @property
     def k(self) -> int:
@@ -452,10 +448,11 @@ def check_feasible(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace
 @dataclass
 class RequestRecord:
     """One trace row per request: what the run decided for it, never a fact of
-    the instance.  Checks read request idx's endpoints (seq.request_points(idx)),
-    their distance and its penalty, requirement or facility costs from the
-    RequestSequence, and its bought edges from the forest summary or `attach`.
-    Problem-specific fields stay None when unused."""
+    the instance.  Checks read request idx's points (seq.pairs[idx], whose
+    second is the root for a rooted request), their distance and its penalty,
+    requirement or facility costs from the RequestSequence, and its bought
+    edges from the forest summary or `attach`.  Problem-specific fields stay
+    None when unused."""
 
     idx: int
     decision: str                      # buy | rent | penalty | virtual | bc | auto

@@ -146,10 +146,9 @@ def _buy_rows(seq: RequestSequence, trace: RunTrace, ends):
     groups = {}
     for rec in trace.records:
         if rec.decision == "buy":
-            points = seq.request_points(rec.idx)
             for e in ends:
                 wit = (rec.witnesses, rec.witnesses_t)[e]
-                groups.setdefault(rec.klass, []).append((rec.idx, points[e], set(wit)))
+                groups.setdefault(rec.klass, []).append((rec.idx, seq.pairs[rec.idx][e], set(wit)))
     return sorted(groups.items())
 
 
@@ -191,7 +190,7 @@ def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
-            ends = seq.request_points(rec.idx)
+            ends = seq.pairs[rec.idx][:1 if seq.root is not None else 2]  # a rooted request's own point
             rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
     out = []
     for j, cut, holds_root, inside in class_cuts(t, rents, shift, seq.root):
@@ -212,7 +211,7 @@ def check_greedy_replay(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSol
     Zero-length edges (coincident auto-connects) are excluded on both sides;
     they carry no cost and their attachment point is representation detail.
     """
-    buy_points = [seq.request_points(rec.idx)[0] for rec in trace.records if rec.decision == "buy"]
+    buy_points = [seq.pairs[rec.idx][0] for rec in trace.records if rec.decision == "buy"]
     replay_sol, _ = run_greedy_st(m, RequestSequence("SteinerTree", tuple(buy_points), root=seq.root))
 
     def positive(bought):

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidCover
-from .hst import Hst, cut_row
+from .hst import Hst
 from .metric import (
     POINT,
     MetricSpace,
@@ -230,7 +229,7 @@ def same_class_closer(records, m: MetricSpace, seq: RequestSequence, shift: int)
     points are at distance d < 2^(j+shift)."""
     by_class = {}
     for rec in records:
-        by_class.setdefault(rec.klass, []).append((rec, seq.request_points(rec.idx)[0]))
+        by_class.setdefault(rec.klass, []).append((rec, seq.pairs[rec.idx][0]))
     for j, recs in sorted(by_class.items()):
         bound = pow2(j + shift)
         for i, (a, p) in enumerate(recs):
@@ -251,7 +250,7 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict):
     `covers` maps level j to {point: cut id}, as covers_from_tree builds it.
     Its validity (disjoint cuts of metric diameter < 2^j) comes from
     validate_hst, which passes every tree before a per-tree check runs; what
-    a forged trace can still break is raised as InvalidCover: an X_j point or
+    a forged trace can still break is raised as ValueError: an X_j point or
     an A_j endpoint outside the cover.  Returns cycle violations.
     """
     out = []
@@ -260,15 +259,15 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict):
         for j, edges in forest["A"]:
             cover = covers.get(j)
             if cover is None:
-                raise InvalidCover(f"no cover supplied for level {j}")
+                raise ValueError(f"no cover supplied for level {j}")
             missed = {p for p, c in occ if c >= j} - cover.keys()
             if missed:
-                raise InvalidCover(f"level {j}: cover misses {sorted(missed)}")
+                raise ValueError(f"level {j}: cover misses {sorted(missed)}")
             uf = UnionFind(max(cover.values(), default=-1) + 1)
             for u, v in edges:
                 su, sv = cover.get(u), cover.get(v)
                 if su is None or sv is None:
-                    raise InvalidCover(f"level {j}: edge endpoint outside the cover")
+                    raise ValueError(f"level {j}: edge endpoint outside the cover")
                 if not uf.union(su, sv):
                     out.append(f"level {j}: meta-cycle via edge ({u},{v})")
     return out
@@ -277,14 +276,19 @@ def check_metagraph_acyclic(trace: RunTrace, covers: dict):
 def covers_from_tree(t: Hst, trace: RunTrace):
     """{j: {point: level-j cut id}} for every level j holding Berman-Coulston
     edges, over the points the forests name (X_j entries and A_j endpoints)
-    whose level-j cut in t meets X_j."""
+    whose level-j cut in t meets X_j.  A level outside t.cut_levels, which
+    only a forged trace names, raises ValueError."""
     forests = _forests(trace)
     occs = [o for forest in forests for o in forest["occ"]]
     points = sorted({p for p, _ in occs} | {p for f in forests for _, edges in f["A"] for e in edges for p in e})
+    cuts = t.cuts(points + [p for p, _ in occs])
     out = {}
     for j in sorted({j for forest in forests for j, _ in forest["A"]}):
-        hit = set(cut_row(t, j, [p for p, c in occs if c >= j]).tolist()) - {-1}  # -1: not in t
-        out[j] = {p: cut for p, cut in zip(points, cut_row(t, j, points).tolist()) if cut in hit}
+        if j not in t.cut_levels:
+            raise ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
+        row = cuts[j - t.cut_levels[0]].tolist()
+        hit = {cut for cut, (_, c) in zip(row[len(points):], occs) if c >= j} - {-1}  # -1: not in t
+        out[j] = {p: cut for p, cut in zip(points, row) if cut in hit}
     return out
 
 

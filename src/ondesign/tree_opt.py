@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RootNotLeaf
 from .hst import Hst, _walk_up, class_cuts, cut_load, path_cuts
 from .metric import pow2
 
@@ -63,18 +62,18 @@ def opt_tree_rob_single(t: Hst, r: int, M, load) -> float:
     `load` is cut_load(t, pairs) of the (client, r) pairs, one per request.
     The charging argument only spends on cuts that separate terminals from r.
     """
-    col = t.columns([r])[0]
-    if col < 0:
-        raise RootNotLeaf(f"root {r} is not a leaf of the tree")
+    above = t.cuts([r])[:, 0]  # the edges above r
+    if above[0] < 0:
+        raise ValueError(f"root {r} is not a leaf of the tree")
     capped = np.minimum(M, load)
-    capped[t.cut_ids[:, col]] = 0  # the edges above r
+    capped[above] = 0
     return _edge_sum(t, capped)
 
 
 def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     """Exact min of c(bought subtree containing r) + dropped penalties.
 
-    `penalties` is a list of (point, pi) occurrences; the penalties of one
+    `penalties` is a list of (point, pi >= 0) occurrences; the penalties of one
     leaf add up, and those of points not in the tree are ignored.  DP on the
     tree re-rooted at r's leaf: cutting a subtree pays its total penalty,
     keeping it pays its edge toward r plus its children's optima.  Off r's
@@ -86,10 +85,8 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     """
     cols = t.columns([r] + [p for p, _ in penalties])
     if cols[0] < 0:
-        raise RootNotLeaf(f"root {r} is not a leaf of the tree")
+        raise ValueError(f"root {r} is not a leaf of the tree")
     pis = np.array([pi for _, pi in penalties], dtype=float)
-    if (pis < 0).any():
-        raise ValueError("penalties must be >= 0")
     parent, length, level = t.parent, t.length, t.edge_level
     held = cols[1:] >= 0
     pen = np.zeros(t.n_nodes)  # per node, the penalty of its subtree

@@ -159,11 +159,12 @@ def _tree_mrob(tally, m, seq, trace, t):
 
 def _tree_pcst(tally, m, seq, trace, t):
     t_ext = extend_singleton_levels(t)
-    tree_viol, tree_flags = check_pcst_invariants(seq, trace, t_ext)
+    rows = positive_share_rows(seq, trace)
+    tree_viol, tree_flags = check_pcst_invariants(seq, rows, t_ext)
     tally.out += tree_viol
     tally.flags += tree_flags
     share = total_share(trace)
-    lb = pcst_cut_lower_bound(t_ext, seq.root, positive_share_rows(seq, trace))
+    lb = pcst_cut_lower_bound(t_ext, seq.root, rows)
     opt = opt_tree_pcst(t_ext, seq.root, seq.requests)
     # the cut lower bound is held to the share constant
     tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
@@ -250,8 +251,7 @@ def run_problem(m: MetricSpace, seq: RequestSequence):
 
 def tree_points(seq: RequestSequence):
     """The points a tree is sampled for: every request point, and the root."""
-    pts = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
-    return pts + ([] if seq.root is None else [seq.root])
+    return [p for pair in seq.pairs for p in pair] + ([] if seq.root is None else [seq.root])
 
 
 def check_tree_bounds(m, seq, trace, t):

@@ -146,11 +146,9 @@ def ref_tree_pcst(t, r, penalties):
     re-rooted at r's leaf, over adjacency lists.  A node's re-rooted children
     are summed in adjacency order: its tree parent first (on r's root path),
     then its tree children by id."""
-    from ondesign.errors import RootNotLeaf
-
     cols = t.columns([r] + [p for p, _ in penalties]).tolist()
     if cols[0] < 0:
-        raise RootNotLeaf(f"root {r} is not a leaf of the tree")
+        raise ValueError(f"root {r} is not a leaf of the tree")
     parent, length, leaf = t.parent.tolist(), t.length.tolist(), t.leaf.tolist()
     pen_at = {}  # leaf node -> penalty
     for col, (_, pi) in zip(cols[1:], penalties):
@@ -195,7 +193,6 @@ def ref_sample_frt(m, points, seed):
     """Reference for hst.sample_frt(Terminals(m, points), seed): the sampler
     that splits the points and sorts the rows for every tree, and counts each
     level's balls one level at a time."""
-    from ondesign.errors import EmptyTerminalSet
     from ondesign.hst import Hst, _promote_one_level
     from ondesign.metric import floor_log2, pow2
 
@@ -209,7 +206,7 @@ def ref_sample_frt(m, points, seed):
             keep = first == np.arange(len(pts))
             pts, d = [p for p, kept in zip(pts, keep.tolist()) if kept], d[np.ix_(keep, keep)]
     if not pts:
-        raise EmptyTerminalSet("need at least one terminal")
+        raise ValueError("need at least one terminal")
     if len(pts) == 1:
         return Hst([-1], [0], pts, [0], aliases=aliases)
     k = len(pts)
@@ -270,11 +267,9 @@ def brute_cuts_at_level(t, j):
 
 
 def id_cuts(t, j):
-    """The level-j cuts as terminal sets, grouped from hst.cut_row in cut-id order."""
-    from ondesign.hst import cut_row
-
+    """The level-j cuts as terminal sets, grouped from Hst.cut_ids in cut-id order."""
     cuts = {}
-    for p, cut in zip(t.terminals, cut_row(t, j).tolist()):
+    for p, cut in zip(t.terminals, t.cut_ids[t.cut_levels.index(j)].tolist()):
         cuts.setdefault(cut, set()).add(p)
     return [frozenset(cuts[cut]) for cut in sorted(cuts)]
 
@@ -363,7 +358,7 @@ def brute_check_cut_capacity(seq, trace, t, shift):
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
-            ends = seq.request_points(rec.idx)
+            ends = seq.pairs[rec.idx][:1 if root is not None else 2]
             p = ends[-1] if rec.rent_endpoint == "t" else ends[0]
             rents.setdefault(rec.klass, []).append((rec.idx, p))
     out = []

@@ -69,7 +69,7 @@ def test_corpus_is_coincident_rich():
     for pidx, problem in enumerate(PROBLEMS):
         for i in range(PER_PROBLEM):
             m, seq = coincident_instance(pidx, problem, i)
-            pts = [p for idx in range(len(seq.requests)) for p in seq.request_points(idx)]
+            pts = [p for pair in seq.pairs for p in pair[:1 if seq.root is not None else 2]]
             shared += bool(((m.d == 0.0) & ~np.eye(m.n, dtype=bool))[np.ix_(pts, pts)].any())
             if seq.root is not None:
                 below_root += any(p < seq.root and m.coincident(p, seq.root) for p in pts)

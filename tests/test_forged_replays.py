@@ -39,7 +39,7 @@ PARAMS = {"M": 1.0, "R_max": 4, "n_facilities": 4}
 
 
 def _unrequested(seq):
-    named = {p for idx in range(len(seq.requests)) for p in seq.request_points(idx)}
+    named = {p for pair in seq.pairs for p in pair}
     return min(set(range(N_POINTS)) - named - {seq.root})
 
 

@@ -48,7 +48,7 @@ def test_gen_requests_determinism_and_shapes():
         a = gen_requests(problem, m, 6, 7, {"M": 2.0, "R_max": 4, "n_facilities": 3})
         b = gen_requests(problem, m, 6, 7, {"M": 2.0, "R_max": 4, "n_facilities": 3})
         assert a.requests == b.requests
-        points = [p for idx in range(len(a.requests)) for p in a.request_points(idx)]
+        points = [p for pair in a.pairs for p in pair]
         points += [p for p, _ in a.facilities or ()] + ([] if a.root is None else [a.root])
         assert all(0 <= p < m.n for p in points)
         if problem == "SteinerNetwork":

@@ -15,19 +15,12 @@ from conftest import (
     path_edges,
     random_small_hst,
 )
-from ondesign.errors import (
-    AlreadyExtended,
-    EmptyTerminalSet,
-    LevelOutOfRange,
-)
 from ondesign.hst import (
     FOREST_PAIRS,
     Hst,
     Terminals,
     _promote_one_level,
-    check_levels,
     class_cuts,
-    cut_row,
     extend_singleton_levels,
     path_cuts,
     sample_frt,
@@ -57,7 +50,7 @@ def test_single_terminal_degenerate(two_point_metric):
 
 
 def test_empty_terminals_rejected(two_point_metric):
-    with pytest.raises(EmptyTerminalSet, match="^need at least one terminal$"):
+    with pytest.raises(ValueError, match="^need at least one terminal$"):
         sample_frt(Terminals(two_point_metric, []), seed=0)
 
 
@@ -77,10 +70,9 @@ def test_coincident_points_collapse_onto_one_terminal():
         assert [a.tolist() for a in (t.parent, t.edge_level, t.leaf)] == \
             [a.tolist() for a in (base.parent, base.edge_level, base.leaf)]
         assert t.columns([1, 0, 2, 7]).tolist() == [0, 0, 1, -1]
-        assert t.cut_ids_at([1, 2]).tolist() == t.cut_ids_at([0, 2]).tolist()
-        assert cut_row(t, 1, [1, 2]).tolist() == cut_row(t, 1, [0, 2]).tolist()
+        assert t.cuts([1, 2]).tolist() == t.cuts([0, 2]).tolist()
         assert [(j, cut, inside) for j, cut, _, inside in class_cuts(t, {1: [(1, "a"), (0, "b")]}, 0)] == \
-            [(1, int(cut_row(t, 1, [0])[0]), [(1, "a"), (0, "b")])]
+            [(1, int(t.cuts([0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
         assert tree_distance(t, 1, 2) == tree_distance(t, 0, 2) and tree_distance(t, 1, 0) == 0.0
         assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_singleton_levels(t), _promote_one_level(t)):
@@ -190,20 +182,19 @@ def test_validate_hst_message_fires(positions, arrays, message):
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
 
-def test_cut_row_examples(two_point_metric):
+def test_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # root, then leaves 1 and 2 at level 1
-    assert cut_row(t, 1).tolist() == [1, 2]
-    assert cut_row(t, 0).tolist() == [3, 4]  # implicit singletons: n_nodes + column
-    assert cut_row(t, 1, [1, 7, None, 0, 1]).tolist() == [2, -1, -1, 1, 2]
+    assert list(t.cut_levels) == [0, 1]
+    assert t.cuts([0, 1]).tolist() == [[3, 4], [1, 2]]  # level 0: implicit singletons, n_nodes + column
+    assert t.cuts([1, 7, None, 0, 1]).tolist() == [[4, -1, -1, 3, 4], [2, -1, -1, 1, 2]]
+    assert t.cuts([]).shape == (2, 0)
+    aliased = Hst(t.parent, t.edge_level, t.terminals, t.leaf, aliases=[(5, 1)])  # 5 sits on 1
+    assert aliased.cuts([5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
     ext = extend_singleton_levels(t)
+    assert list(ext.cut_levels) == [-2, -1, 0, 1]
     assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
     assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
-    with pytest.raises(LevelOutOfRange, match=r"^level -1 outside \[0, 1\]$"):
-        cut_row(t, -1, [0])
-    with pytest.raises(LevelOutOfRange, match=r"^level -3 outside \[-2, 1\]$"):
-        cut_row(ext, -3)
-    with pytest.raises(LevelOutOfRange, match=r"^level 2 outside \[0, 1\]$"):
-        cut_row(t, t.root_level + 1)
+    assert ext.cuts([1, 7, 0]).tolist() == [[6, -1, 4], [5, -1, 3], [8, -1, 7], [2, -1, 1]]  # chains 3-4, 5-6
 
 
 def test_path_cuts_examples(two_point_metric):
@@ -224,7 +215,7 @@ def test_class_cuts_group_entries_by_reference_cut():
                     for c in range(-2, t.root_level + 3) if rng.random() < 0.7}
         shift, root = int(rng.integers(0, 3)), points[int(rng.integers(0, len(points)))]
         expect = []
-        for j in check_levels(t):
+        for j in t.cut_levels:
             for cut in brute_cuts_at_level(t, j):
                 inside = [e for e in by_class.get(j + shift, []) if e[0] in cut]
                 if inside:
@@ -248,7 +239,7 @@ def test_extension_arithmetic(two_point_metric):
     assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst([ext], two_point_metric)[0] == []
-    with pytest.raises(AlreadyExtended, match="^tree already extended to -2$"):
+    with pytest.raises(ValueError, match="^tree already extended to -2$"):
         extend_singleton_levels(ext)
 
 
@@ -269,11 +260,9 @@ def test_tree_distance_siblings_level2():
 
 
 def test_unknown_leaf():
-    from ondesign.errors import UnknownLeaf
-
     m = line_metric([0, 1])
     t = sample_frt(Terminals(m, [0, 1]), seed=0)
-    with pytest.raises(UnknownLeaf, match="^0 or 7 is not a leaf terminal$"):
+    with pytest.raises(ValueError, match="^0 or 7 is not a leaf terminal$"):
         tree_distance(t, 0, 7)
 
 
@@ -293,8 +282,8 @@ def test_cut_ids_group_into_the_reference_cuts():
         trees += [t, extend_singleton_levels(t), _promote_one_level(t)]
     for t in trees:
         pts = t.terminals
-        assert t.cut_ids.shape == (len(check_levels(t)), len(pts))
-        for row, j in enumerate(check_levels(t)):
+        assert t.cut_ids.shape == (len(t.cut_levels), len(pts))
+        for row, j in enumerate(t.cut_levels):
             assert id_cuts(t, j) == brute_cuts_at_level(t, j)
             for q, (p, cut) in enumerate(zip(pts, t.cut_ids[row].tolist())):
                 if cut < t.n_nodes:

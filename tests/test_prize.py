@@ -86,7 +86,7 @@ def test_pcst_tree_invariants_and_bounds():
         seq = _pcst(*reqs)
         sol, trace = run_pcst(m, seq)
         t_ext = extend_singleton_levels(sample_frt(Terminals(m, [p for p, _ in reqs] + [0]), seed=trial))
-        viol, flags = check_pcst_invariants(seq, trace, t_ext)
+        viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
         lb = pcst_cut_lower_bound(t_ext, 0, positive_share_rows(seq, trace))
@@ -111,7 +111,7 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
                 klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])),
             ))
         seq = RequestSequence(problem="PCST", requests=tuple(requests), root=int(rng.choice(pts)))
-        got = check_pcst_invariants(seq, trace, t)
+        got = check_pcst_invariants(seq, positive_share_rows(seq, trace), t)
         assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])
     assert flagged > 20
@@ -129,7 +129,7 @@ def test_pcst_cut_share_messages(point, klass, rho, expected):
     seq = RequestSequence(problem="PCST", requests=((point, 50.0),), root=0)
     forged = RunTrace([RequestRecord(idx=0, decision="penalty", klass=klass, cost=50.0, rho=rho)])
     t = extend_singleton_levels(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
-    got = check_pcst_invariants(seq, forged, t)
+    got = check_pcst_invariants(seq, positive_share_rows(seq, forged), t)
     assert got == expected
     assert got == brute_check_pcst_invariants(seq, forged, t)
 
@@ -146,6 +146,23 @@ def test_pcst_flags_soft_range():
     seq = _pcst(*((p, 50.0) for p in range(1, 8)))
     _, trace = run_pcst(m, seq)
     t_ext = extend_singleton_levels(sample_frt(Terminals(m, range(8)), seed=0))
-    viol, flags = check_pcst_invariants(seq, trace, t_ext)
+    viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
     assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)
+
+
+def test_tree_pcst_builds_the_share_rows_once_per_tree(monkeypatch):
+    from ondesign import prize, verify
+
+    calls = []
+
+    def counted(seq, trace):
+        calls.append(len(trace.records))
+        return positive_share_rows(seq, trace)
+
+    for module in (prize, verify):  # wherever a per-tree check could build them
+        monkeypatch.setattr(module, "positive_share_rows", counted)
+    m = euclid(np.random.default_rng(5).random((8, 2)) * 12)
+    report = verify.verify_run(m, _pcst(*((p, 50.0) for p in range(1, 8))), trials=3, seed=0)
+    assert report["violations"] == 0 and report["tree_checks"]["fail"] == 0
+    assert calls == [7] * 3

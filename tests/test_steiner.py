@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, tie_metrics
-from ondesign.errors import InvalidCover
-from ondesign.hst import Terminals, sample_frt
+from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
@@ -178,9 +177,9 @@ def test_metagraph_two_far_pairs():
     assert check_metagraph_acyclic(trace, covers) == []
 
 
-def _forged_forest(edges, occ):
+def _forged_forest(edges, occ, level=1):
     forged = RunTrace()
-    forged.summary = {"forests": [{"copies": 1, "A": [[1, edges]], "occ": occ, "zero_merges": []}]}
+    forged.summary = {"forests": [{"copies": 1, "A": [[level, edges]], "occ": occ, "zero_merges": []}]}
     return forged
 
 
@@ -199,13 +198,26 @@ def test_metagraph_invalid_cover():
     forged = _forged_forest([[0, 1]], [[0, 1], [1, 1]])
     covers = covers_from_tree(sample_frt(Terminals(m, [0, 1, 2]), seed=0), forged)
     assert sorted(covers[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
-    with pytest.raises(InvalidCover, match=r"^level 1: cover misses \[1\]$"):
+    with pytest.raises(ValueError, match=r"^level 1: cover misses \[1\]$"):
         check_metagraph_acyclic(forged, {1: {0: covers[1][0]}})
-    with pytest.raises(InvalidCover, match="^no cover supplied for level 1$"):
+    with pytest.raises(ValueError, match="^no cover supplied for level 1$"):
         check_metagraph_acyclic(forged, {})
     outside = _forged_forest([[0, 1], [1, 2]], [[0, 1], [1, 1]])  # 2 is in no cut meeting X_1
-    with pytest.raises(InvalidCover, match="^level 1: edge endpoint outside the cover$"):
+    with pytest.raises(ValueError, match="^level 1: edge endpoint outside the cover$"):
         check_metagraph_acyclic(outside, covers)
+
+
+def test_covers_reject_a_level_outside_the_tree():
+    # only a forged trace names an A_j level below or above the tree's cuts
+    m = line_metric([0, 1])
+    t = sample_frt(Terminals(m, [0, 1]), seed=0)  # cut levels 0..1; extended, -2..1
+    ext = extend_singleton_levels(t)
+    with pytest.raises(ValueError, match=r"^level -1 outside \[0, 1\]$"):
+        covers_from_tree(t, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1))
+    assert covers_from_tree(ext, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1)) == \
+        {-1: dict(zip([0, 1], ext.cuts([0, 1])[1].tolist()))}
+    with pytest.raises(ValueError, match=r"^level 2 outside \[-2, 1\]$"):
+        covers_from_tree(ext, _forged_forest([[0, 1]], [[0, 2], [1, 2]], level=2))
 
 
 def test_bc_metagraph_many_random():

@@ -16,8 +16,7 @@ from conftest import (
     random_small_hst,
     ref_tree_pcst,
 )
-from ondesign.errors import RootNotLeaf
-from ondesign.hst import Hst, Terminals, check_levels, cut_load, extend_singleton_levels, sample_frt
+from ondesign.hst import Hst, Terminals, cut_load, extend_singleton_levels, sample_frt
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -82,7 +81,7 @@ def test_opt_rob_single_examples(two_point_metric):
     assert opt_tree_rob_single(t, 0, 0.5, client_load(t, 0, [1])) == 0.5
     t3 = three_leaf_star()
     assert opt_tree_rob_single(t3, 0, 10, client_load(t3, 0, [1, 2])) == 2.0
-    with pytest.raises(RootNotLeaf):
+    with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
         opt_tree_rob_single(t3, 9, 1, client_load(t3, 9, [1]))
 
 
@@ -98,7 +97,7 @@ def test_opt_pcst_examples(two_point_metric):
     assert opt_tree_pcst(t, 0, [(1, 3.0)]) == 2.0
     t3 = three_leaf_star()
     assert opt_tree_pcst(t3, 0, [(1, 1.5), (2, 1.5)]) == 3.0
-    with pytest.raises(RootNotLeaf):
+    with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
         opt_tree_pcst(t3, 9, [])
 
 
@@ -212,4 +211,4 @@ def test_pcst_cut_lower_bound_matches_reference():
         for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
             klass = int(rng.integers(-1, t.root_level + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
-        assert pcst_cut_lower_bound(t, r, rows) == brute_pcst_cut_lower_bound(t, r, rows, check_levels(t))
+        assert pcst_cut_lower_bound(t, r, rows) == brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)
