@@ -6,6 +6,14 @@ normalized to 1).  Algorithms never look at the whole matrix online; they read
 rows of arrived requests only, but the adversary's full metric is materialized
 up front for generators and oracles.
 
+`build_metric` checks the triangle inequality up to a tolerance in three
+steps.  An O(n^2) certificate accepts a matrix close to Euclidean distances:
+those of the input points, or of a classical-MDS embedding of the matrix.  A
+Floyd-Warshall closure screen accepts a matrix within the tolerance of its
+shortest-path closure.  Only what both leave open meets the O(n^3) scan,
+which names the first violated triangle.  Neither shortcut ever rejects, so the
+scan's verdict and message stand for every matrix.
+
 Distance classes are computed with exact binary thresholds: ``class(x) = j``
 iff ``2^j <= x < 2^(j+1)``, via ``math.frexp`` (powers of two are exactly
 representable, so no epsilon is involved).
@@ -139,7 +147,69 @@ class MetricSpace:
         return self.d[u, v] == 0.0
 
 
-def _validate_matrix(d: np.ndarray) -> None:
+# The certificate's embedding of a matrix: its rank, the range finder's extra
+# columns and seed.  They change only how often the certificate decides,
+# never which matrices pass or what is raised.
+_EMBED_RANK = 3
+_EMBED_OVERSAMPLE = 5
+_EMBED_SEED = 0
+
+
+def _mds_embedding(dn: np.ndarray) -> np.ndarray:
+    """Rows whose Euclidean distances approximate dn: classical MDS, the top
+    _EMBED_RANK eigenpairs of the double-centred -dn^2 / 2, found by a seeded
+    Gaussian range finder with one power iteration."""
+    b = dn * dn
+    b *= -0.5
+    mean = b.mean(axis=0)
+    b -= mean
+    b -= mean[:, None]
+    b += mean.mean()
+    omega = np.random.default_rng(_EMBED_SEED).standard_normal((len(b), _EMBED_RANK + _EMBED_OVERSAMPLE))
+    q = np.linalg.qr(b @ np.linalg.qr(b @ omega)[0])[0]
+    vals, vecs = np.linalg.eigh(q.T @ b @ q)
+    return (q @ vecs[:, -_EMBED_RANK:]) * np.sqrt(np.maximum(vals[-_EMBED_RANK:], 0.0))
+
+
+def _near_euclidean(d: np.ndarray, dmax: float, tol: float, points) -> bool:
+    """True only if the scan passes d: d is within about tol / 3 of the
+    Euclidean distances of `points`, or, for a matrix (points None), of an
+    embedding of d / dmax (d^2 would overflow near 1e154).
+
+    Soundness.  Let D be the exact distances of the embedding's rows, a
+    metric, and e* = max|d - D|: then d(u,w) - d(u,v) - d(v,w) <= 3 e* for
+    all u, v, w.  With unit roundoff u = eps / 2, the float dx of r
+    coordinates (r rounded squares of rounded differences, summed, then a
+    sqrt) is within (r + 4) / 2 * u * max dx of D; rounding d / dmax moves
+    each of the three entries by at most u, and the scan's own sum adds at
+    most 2u, both in units of dmax (underflow adds far less).  So no scan
+    entry exceeds 3e + (1.5r + 11) u max(1, max dx), up to a factor 1 + 4u,
+    where e is the computed max|d - dx|.  Acceptance asks 3e + c (r + 3) eps
+    max(1, max dx) <= tol; c = 8 makes that slack (16r + 48) u, over four
+    times what is needed.
+    """
+    if points is None:
+        d = d / dmax
+        x = _mds_embedding(d)
+        tol = tol / dmax
+    else:
+        x = points
+    dx = np.zeros_like(d)
+    buf = np.empty_like(d)
+    for col in x.T:  # one coordinate at a time: a few n^2 buffers, never n^2 * r
+        np.subtract.outer(col, col, out=buf)
+        buf *= buf
+        dx += buf
+    np.sqrt(dx, out=dx)
+    slack = 8 * (x.shape[1] + 3) * np.finfo(float).eps * max(1.0, float(dx.max(initial=0.0)))
+    dx -= d
+    np.abs(dx, out=dx)
+    return 3 * float(dx.max(initial=0.0)) + slack <= tol
+
+
+def _validate_matrix(d: np.ndarray, points) -> None:
+    """Raise SchemaError unless d is a metric up to the triangle tolerance;
+    `points`, when d holds their Euclidean distances, certify it directly."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise SchemaError("distance matrix must be square")
     if np.any(d < 0):
@@ -151,7 +221,11 @@ def _validate_matrix(d: np.ndarray) -> None:
         u, v = map(int, np.argwhere(d != d.T)[0])
         raise SchemaError(f"d({u},{v}) != d({v},{u})")
     n = d.shape[0]
-    tol = RTOL * max(1.0, float(d.max(initial=0.0)))
+    dmax = float(d.max(initial=0.0))
+    tol = RTOL * max(1.0, dmax)
+    # Certificate, O(n^2): no scan entry exceeds dmax, and d near a Euclidean metric passes.
+    if dmax <= tol or _near_euclidean(d, dmax, tol, points):
+        return
     # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
     cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
     every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
@@ -197,7 +271,7 @@ def build_metric(raw, kind: str) -> MetricSpace:
             d = np.sqrt((diff * diff).sum(axis=-1))
         d = (d + d.T) / 2.0  # force exact symmetry
         _require_finite(d, "is not finite")
-    _validate_matrix(d)
+    _validate_matrix(d, arr if kind == "points" else None)
     positive = d[d > 0]
     if positive.size:
         mind = float(positive.min())

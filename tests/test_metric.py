@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import floyd_warshall
 
 from conftest import ref_max_flow, ref_validate_matrix
+from ondesign import metric
 from ondesign.errors import OndesignError, SchemaError
+from ondesign.generators import gen_euclidean, gen_graph_metric
 from ondesign.metric import (
     RTOL,
     MetricSpace,
@@ -61,13 +64,16 @@ def test_build_metric_accepts_slack_that_adds_up_over_hops():
 @st.composite
 def near_metric_matrices(draw, max_n=12):
     """Symmetric zero-diagonal matrices near the triangle tolerance tol.  The
-    base is grid distances (coincident points are common) or a chain: points
-    on a line, each distance stretched by a * (hops - 1), so that every
-    triangle has slack a <= tol while a many-hop path has slack a * (n - 2).
-    Then entries move by multiples of tol / 2, and a few are set to their best
-    one- or many-hop detour plus up to two tol."""
+    base is grid distances (coincident points are common), float Euclidean
+    distances (1-4 dimensions, scales up to 1e200: build_metric's certificate
+    decides some, the rest fall back) or a chain: points on a line, each
+    distance stretched by a * (hops - 1), so that every triangle has slack
+    a <= tol while a many-hop path has slack a * (n - 2).  Then entries move
+    by multiples of tol / 2, and a few are set to their best one- or many-hop
+    detour plus up to two tol."""
     n = draw(st.integers(0, max_n))
-    if draw(st.booleans()):
+    base = draw(st.sampled_from(["chain", "grid", "euclidean"]))
+    if base == "chain":
         pos = np.sort(np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float))
         hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         span = float(pos.max(initial=0.0) - pos.min(initial=0.0))
@@ -75,6 +81,12 @@ def near_metric_matrices(draw, max_n=12):
         d = np.abs(np.subtract.outer(pos, pos)) + a * np.maximum(hops - 1, 0)
         order = draw(st.permutations(range(n)))
         d = d[np.ix_(order, order)]
+    elif base == "euclidean":
+        dims = draw(st.integers(1, 4))
+        coords = draw(st.lists(st.floats(-1, 1), min_size=n * dims, max_size=n * dims))
+        pts = np.array(coords, dtype=float).reshape(n, dims)
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1)) * draw(st.sampled_from([1e-3, 1.0, 7.0, 1e3, 1e100, 1e200]))
     else:
         cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
         pts = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float).reshape(n, 2)
@@ -114,6 +126,54 @@ def test_build_metric_validates_as_the_full_scan(d):
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
     else:
         build_metric(d, "matrix")
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    closure = metric.floyd_warshall
+    monkeypatch.setattr(metric, "floyd_warshall", lambda *a, **kw: calls.append(1) or closure(*a, **kw))
+    return calls
+
+
+def test_euclidean_metrics_skip_the_closure_screen(monkeypatch):
+    """The certificate decides a point list and its distance matrix, at any
+    scale and without an overflow warning; a graph closure falls back."""
+    calls = _count_closures(monkeypatch)
+    m, pts = gen_euclidean(30, seed=3)
+    assert calls == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e-3, 1e200, 1e300):
+            np.testing.assert_allclose(build_metric(m.d * scale, "matrix").d, m.d, rtol=1e-12)
+        build_metric(pts * 1e150, "points")
+    assert calls == []
+    gen_graph_metric(40, seed=3)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("over, fails", [(1.01, True), (0.25, False)])
+def test_euclidean_matrix_with_one_entry_past_its_detour(monkeypatch, over, fails):
+    """One entry of a float Euclidean matrix set to its best one-hop detour
+    plus over * tol: the closure screen and the scan decide it as the full
+    scan does."""
+    d = gen_euclidean(30, seed=3)[0].d.copy()
+    u, w = 0, 1
+    detour = d[u] + d[:, w]
+    detour[[u, w]] = np.inf
+    tol = RTOL * d.max()
+    d[u, w] = d[w, u] = detour.min() + over * tol
+    assert d.max() * RTOL == tol
+    calls = _count_closures(monkeypatch)
+    if fails:
+        with pytest.raises(SchemaError) as exc:
+            ref_validate_matrix(d.copy())
+        assert re.fullmatch(r"d\(\d+,\d+\) > d\(\d+,\d+\) \+ d\(\d+,\d+\) by [-+.e\d]+", str(exc.value))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(exc.value))}$"):
+            build_metric(d, "matrix")
+    else:
+        ref_validate_matrix(d.copy())
+        assert np.array_equal(build_metric(d, "matrix").d, d / d[d > 0].min())
+    assert calls == [1]
 
 
 def test_build_metric_asymmetric_and_negative():
