@@ -201,10 +201,10 @@ def _near_euclidean(d: np.ndarray, dmax: float, tol: float, points) -> bool:
         buf *= buf
         dx += buf
     np.sqrt(dx, out=dx)
-    slack = 8 * (x.shape[1] + 3) * np.finfo(float).eps * max(1.0, float(dx.max(initial=0.0)))
+    slack = 8 * (x.shape[1] + 3) * np.finfo(float).eps * max(1.0, float(dx.max()))
     dx -= d
     np.abs(dx, out=dx)
-    return 3 * float(dx.max(initial=0.0)) + slack <= tol
+    return 3 * float(dx.max()) + slack <= tol
 
 
 def _validate_matrix(d: np.ndarray, points) -> None:
