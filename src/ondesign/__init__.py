@@ -36,7 +36,7 @@ from .steiner import (
     run_sn,
 )
 from .rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses, run_mrob, run_srob
-from .cfl import check_cfl_invariants, run_cfl, run_ofl
+from .cfl import check_cfl_invariants, run_cfl
 from .prize import check_pcst_invariants, check_pcst_run_invariants, run_pcst
 from .exact import (
     dreyfus_wagner_st,

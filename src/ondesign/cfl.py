@@ -5,15 +5,16 @@ black box: every arriving client gets budget b_i = d(i, open virtual
 facilities); a closed facility x opens once the accumulated surplus
 sum_v max(0, b_v - d(v, x)) covers f_x, consuming the used budgets
 (b_v := min(b_v, d(v, x))).  Clients virtually assign to the nearest open
-virtual facility.  `run_cfl` drives an `OflState` directly; `run_ofl` runs
-the same state on its own, so the layer can be tested alone.
+virtual facility.  `OflState(m, seq)` reads the facilities and root of the
+validated instance, and `run_cfl` drives it: `arrive` serves one client and
+returns the entry of `seq.facilities` it virtually assigns to.
 
 The state keeps each client's distance row to the facilities.  All closed
 facilities' surpluses come from one clients x facilities matrix
 max(0, b_v - d(v, x)), summed down each column with a cumulative sum: that
 adds the clients in arrival order, as the scalar sum does, so a surplus that
 equals f_x exactly rounds the same way (a pairwise sum could differ in the
-last bit and flip the tie).  The first closed facility in `facilities` order
+last bit and flip the tie).  The first closed facility in `seq.facilities` order
 whose surplus covers its cost opens, and one np.minimum cuts every budget.
 
 The connected layer only ever opens a facility the virtual layer has already
@@ -36,11 +37,8 @@ a_z is d(z, x), and the edge it bought is (opened, x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import SchemaError
 from .metric import (
     POINT,
     MetricSpace,
@@ -62,94 +60,62 @@ def _nearest_in(mask, row) -> int:
 
 
 class OflState:
-    """Potential-based online facility location; facilities open monotonically."""
+    """Potential-based online facility location over `seq.facilities`;
+    facilities open monotonically."""
 
-    def __init__(self, m: MetricSpace, facilities, root: int):
-        costs = dict(facilities)
-        if not facilities:
-            raise SchemaError("need at least one facility")
-        if root not in costs or costs[root] != 0:
-            raise SchemaError("root facility must be present with cost 0")
+    def __init__(self, m: MetricSpace, seq: RequestSequence):
         self.m = m
-        self.points = [p for p, _ in facilities]
-        self.costs = costs
-        self.open_order = [root]
-        self.clients = []   # client points in arrival order
-        self.assign = []    # virtual assignment per client
-        # per entry of `points`: its point, its cost and whether it is open
-        self._fac = np.array(self.points, dtype=np.intp)
-        self._cost = np.array([costs[p] for p in self.points], dtype=float)
-        self._open = self._fac == root
+        # per entry of seq.facilities: its point, its cost and whether it is open
+        self.points = np.array([p for p, _ in seq.facilities], dtype=np.intp)
+        self.costs = np.array([c for _, c in seq.facilities], dtype=float)
+        self.opened = self.points == seq.root
+        self.open_order = [seq.root]
         # per client in arrival order, grown by doubling: its distance to
-        # every entry of `points`, and its budget
-        self._rows = np.empty((16, len(self.points)))
+        # every entry, and its budget
+        self.n_clients = 0
+        self.rows = np.empty((16, len(self.points)))
         self._budget = np.empty(16)
 
     @property
     def budgets(self) -> np.ndarray:
-        return self._budget[:len(self.clients)]
+        return self._budget[:self.n_clients]
 
     def arrive(self, i: int) -> int:
-        k = len(self.clients)
+        """Serve client i; return the entry of its virtual facility."""
+        k = self.n_clients
         if k == len(self._budget):
-            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
             self._budget = np.concatenate([self._budget, np.empty_like(self._budget)])
-        row = self._rows[k] = self.m.d[i, self._fac]
-        self._budget[k] = row[_nearest_in(self._open, row)]
-        self.clients.append(i)
-        rows, budget = self._rows[:k + 1], self._budget[:k + 1]
-        while not self._open.all():
+        row = self.rows[k] = self.m.d[i, self.points]
+        self._budget[k] = row[_nearest_in(self.opened, row)]
+        self.n_clients = k + 1
+        rows, budget = self.rows[:k + 1], self._budget[:k + 1]
+        while not self.opened.all():
             # cumsum adds in client order, as a Python sum would; a pairwise
             # .sum() may round differently and flip a surplus == cost tie
             surplus = np.cumsum(np.maximum(0.0, budget[:, None] - rows), axis=0)[-1]
-            hits = np.flatnonzero((surplus >= self._cost) & ~self._open)
+            hits = np.flatnonzero((surplus >= self.costs) & ~self.opened)
             if not hits.size:
                 break
-            opened = self.points[hits[0]]
-            self._open |= self._fac == opened
-            self.open_order.append(opened)
+            self.opened[hits[0]] = True
+            self.open_order.append(int(self.points[hits[0]]))
             np.minimum(budget, rows[:, hits[0]], out=budget)
-        sigma = self.points[_nearest_in(self._open, row)]
-        self.assign.append(sigma)
-        return sigma
-
-    def cost(self) -> float:
-        opening = sum(self.costs[x] for x in self.open_order)
-        service = sum(self.m.dist(v, s) for v, s in zip(self.clients, self.assign))
-        return opening + service
-
-
-@dataclass
-class VirtualSolution:
-    opened: tuple
-    assignments: tuple
-    cost: float
-
-
-def run_ofl(m: MetricSpace, facilities, clients, root: int) -> VirtualSolution:
-    state = OflState(m, facilities, root)
-    for i in clients:
-        state.arrive(i)
-    return VirtualSolution(
-        opened=tuple(state.open_order),
-        assignments=tuple(state.assign),
-        cost=state.cost(),
-    )
+        return _nearest_in(self.opened, row)
 
 
 def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
-    ofl = OflState(m, seq.facilities, seq.root)
-    built = ofl._fac == seq.root  # F' over the entries of ofl.points
+    ofl = OflState(m, seq)
+    built = ofl.points == seq.root  # F' over the entries of ofl.points
     sol.opened.add(seq.root)
     rents = {}  # class j -> [(request idx, point)]
     for idx, i in enumerate(seq.requests):
-        sigma_hat = ofl.arrive(i)
-        row = ofl._rows[idx]  # d(i, .) over the entries of ofl.points
+        e = ofl.arrive(i)
+        row = ofl.rows[idx]  # d(i, .) over the entries of ofl.points
         near = _nearest_in(built, row)
-        x, a = ofl.points[near], float(row[near])
-        d_hat = m.dist(i, sigma_hat)
+        sigma_hat, x, a = int(ofl.points[e]), int(ofl.points[near]), float(row[near])
+        d_hat = float(row[e])
         witnesses, opened = (), None
         if a <= 4 * d_hat:
             j = floor_log2(a) if a > 0 else None
@@ -162,12 +128,12 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
             )
             if len(witnesses) >= seq.M:
                 decision, cost = "buy", d_hat
-                if sigma_hat not in sol.opened:
+                if not built[e]:
                     sol.opened.add(sigma_hat)
-                    built |= ofl._fac == sigma_hat
+                    built[e] = True
                     sol.buy(sigma_hat, x)
                     opened = sigma_hat
-                    cost += ofl.costs[sigma_hat] + seq.M * m.dist(sigma_hat, x)
+                    cost += float(ofl.costs[e]) + seq.M * m.dist(sigma_hat, x)
             else:
                 decision, cost = "rent", a
                 rents.setdefault(j, []).append((idx, i))
@@ -197,11 +163,13 @@ CFL_SUMMARY_SHAPE = {"f_hat": [POINT]}
 # ---------------------------------------------------------------------------
 
 def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
-    """The five per-run facts of the buy/rent layer.
+    """The per-run facts of the buy/rent layer.
 
     (1) class-j buy clients pairwise >= 2^(j-1) apart; (2) c(H) <= sum 2 a_z;
     (3) sum M a_z <= sum_j 2^(j+1) |R_j|; (4) F' subset of F_hat; (5) every buy
-    client z has d(z, sigma_hat(z)) < a_z / 4.
+    client z has d(z, sigma_hat(z)) < a_z / 4; (6) F_hat is a subset of the
+    instance's facilities F; (7) every sigma_hat is in F_hat; (8) every x is
+    in F' at its client's arrival: the root or a point an earlier buy opened.
     """
     buys = [r for r in trace.records if r.decision == "buy"]
     out = [
@@ -225,6 +193,17 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
         d_hat = m.dist(seq.requests[rec.idx], rec.sigma_hat)
         if not d_hat < a / 4:
             out.append(f"buy client {rec.idx}: d(z, sigma_hat)={d_hat:g} >= a/4={a / 4:g}")
+    foreign = f_hat - {p for p, _ in seq.facilities}
+    if foreign:
+        out.append(f"F_hat points {sorted(foreign)} are not facilities")
+    built = {seq.root}  # F' as the records replay it
+    for rec in trace.records:
+        if rec.sigma_hat not in f_hat:
+            out.append(f"client {rec.idx}: sigma_hat {rec.sigma_hat} outside F_hat")
+        if rec.attach not in built:
+            out.append(f"client {rec.idx}: attach {rec.attach} not in F' at its arrival")
+        if rec.decision == "buy" and rec.opened is not None:
+            built.add(rec.opened)
     return out
 
 

@@ -171,45 +171,47 @@ def _mds_embedding(dn: np.ndarray) -> np.ndarray:
     return (q @ vecs[:, -_EMBED_RANK:]) * np.sqrt(np.maximum(vals[-_EMBED_RANK:], 0.0))
 
 
-def _near_euclidean(d: np.ndarray, dmax: float, tol: float, points) -> bool:
-    """True only if the scan passes d: d is within about tol / 3 of the
-    Euclidean distances of `points`, or, for a matrix (points None), of an
-    embedding of d / dmax (d^2 would overflow near 1e154).
+def _near_euclidean(d: np.ndarray, dmax: float, tol: float, dim) -> bool:
+    """True only if the scan passes d: d holds the float Euclidean distances
+    of points in `dim` coordinates, or, for a matrix (dim None), d is within
+    about tol / 3 of the distances of an embedding of d / dmax (d^2 would
+    overflow near 1e154).
 
     Soundness.  Let D be the exact distances of the embedding's rows, a
     metric, and e* = max|d - D|: then d(u,w) - d(u,v) - d(v,w) <= 3 e* for
     all u, v, w.  With unit roundoff u = eps / 2, the float dx of r
-    coordinates (r rounded squares of rounded differences, summed, then a
-    sqrt) is within (r + 4) / 2 * u * max dx of D; rounding d / dmax moves
-    each of the three entries by at most u, and the scan's own sum adds at
-    most 2u, both in units of dmax (underflow adds far less).  So no scan
-    entry exceeds 3e + (1.5r + 11) u max(1, max dx), up to a factor 1 + 4u,
-    where e is the computed max|d - dx|.  Acceptance asks 3e + c (r + 3) eps
-    max(1, max dx) <= tol; c = 8 makes that slack (16r + 48) u, over four
-    times what is needed.
+    coordinates (r rounded squares of rounded differences, summed in any
+    order, then a sqrt) is within (r + 4) / 2 * u * max dx of D; rounding
+    d / dmax moves each of the three entries by at most u, and the scan's own
+    sum adds at most 2u, both in units of dmax (underflow adds far less).  So
+    no scan entry exceeds 3e + (1.5r + 11) u max(1, max dx), up to a factor
+    1 + 4u, where e is the computed max|d - dx|, and e = 0 when d is the dx
+    of its own points.  Acceptance asks 3e + c (r + 3) eps max(1, max dx) <=
+    tol; c = 8 makes that slack (16r + 48) u, over four times what is needed.
     """
-    if points is None:
+    e, top = 0.0, dmax  # max|d - dx| and max dx, for d the dx of its own points
+    if dim is None:
         d = d / dmax
         x = _mds_embedding(d)
-        tol = tol / dmax
-    else:
-        x = points
-    dx = np.zeros_like(d)
-    buf = np.empty_like(d)
-    for col in x.T:  # one coordinate at a time: a few n^2 buffers, never n^2 * r
-        np.subtract.outer(col, col, out=buf)
-        buf *= buf
-        dx += buf
-    np.sqrt(dx, out=dx)
-    slack = 8 * (x.shape[1] + 3) * np.finfo(float).eps * max(1.0, float(dx.max()))
-    dx -= d
-    np.abs(dx, out=dx)
-    return 3 * float(dx.max()) + slack <= tol
+        tol, dim = tol / dmax, x.shape[1]
+        dx = np.zeros_like(d)
+        buf = np.empty_like(d)
+        for col in x.T:  # one coordinate at a time: a few n^2 buffers, never n^2 * r
+            np.subtract.outer(col, col, out=buf)
+            buf *= buf
+            dx += buf
+        np.sqrt(dx, out=dx)
+        top = float(dx.max())
+        dx -= d
+        np.abs(dx, out=dx)
+        e = float(dx.max())
+    return 3 * e + 8 * (dim + 3) * np.finfo(float).eps * max(1.0, top) <= tol
 
 
-def _validate_matrix(d: np.ndarray, points) -> None:
+def _validate_matrix(d: np.ndarray, dim) -> None:
     """Raise SchemaError unless d is a metric up to the triangle tolerance;
-    `points`, when d holds their Euclidean distances, certify it directly."""
+    `dim`, when d holds the float Euclidean distances of points in dim
+    coordinates, certifies it directly."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise SchemaError("distance matrix must be square")
     if np.any(d < 0):
@@ -224,7 +226,7 @@ def _validate_matrix(d: np.ndarray, points) -> None:
     dmax = float(d.max(initial=0.0))
     tol = RTOL * max(1.0, dmax)
     # Certificate, O(n^2): no scan entry exceeds dmax, and d near a Euclidean metric passes.
-    if dmax <= tol or _near_euclidean(d, dmax, tol, points):
+    if dmax <= tol or _near_euclidean(d, dmax, tol, dim):
         return
     # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
     cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
@@ -269,9 +271,8 @@ def build_metric(raw, kind: str) -> MetricSpace:
         with np.errstate(over="ignore"):
             diff = arr[:, None, :] - arr[None, :, :]
             d = np.sqrt((diff * diff).sum(axis=-1))
-        d = (d + d.T) / 2.0  # force exact symmetry
         _require_finite(d, "is not finite")
-    _validate_matrix(d, arr if kind == "points" else None)
+    _validate_matrix(d, arr.shape[1] if kind == "points" else None)
     positive = d[d > 0]
     if positive.size:
         mind = float(positive.min())

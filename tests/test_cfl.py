@@ -10,9 +10,7 @@ from ondesign.cfl import (
     check_cfl_cost_split,
     check_cfl_invariants,
     run_cfl,
-    run_ofl,
 )
-from ondesign.errors import SchemaError
 from ondesign.hst import Terminals, cut_load, extend_singleton_levels, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.rentorbuy import check_cut_capacity
@@ -24,31 +22,21 @@ def _cfl(facilities, clients, M):
 
 
 def test_ofl_single_client_only_root():
-    m = line_metric([0, 1])
-    vs = run_ofl(m, [(0, 0.0)], [1], root=0)
-    assert vs.assignments == (0,) and vs.cost == 1.0
+    state = OflState(line_metric([0, 1]), _cfl([(0, 0.0)], [1], M=0.0))
+    assert state.arrive(1) == 0
+    assert state.open_order == [0] and state.budgets.tolist() == [1.0]
 
 
 def test_ofl_opens_cheap_colocated_facility():
-    m = line_metric([0, 10])
-    vs = run_ofl(m, [(0, 0.0), (1, 0.1)], [1], root=0)
-    assert vs.opened == (0, 1)
-    assert vs.assignments == (1,)
-    assert vs.cost == pytest.approx(0.1)
+    state = OflState(line_metric([0, 10]), _cfl([(0, 0.0), (1, 0.1)], [1], M=0.0))
+    assert state.arrive(1) == 1
+    assert state.open_order == [0, 1] and state.opened.tolist() == [True, True]
+    assert state.budgets.tolist() == [0.0]
 
 
 def test_ofl_zero_clients():
-    m = line_metric([0, 1])
-    vs = run_ofl(m, [(0, 0.0)], [], root=0)
-    assert vs.cost == 0.0 and vs.opened == (0,)
-
-
-def test_ofl_requires_zero_cost_root():
-    m = line_metric([0, 1])
-    with pytest.raises(SchemaError, match="^root facility must be present with cost 0$"):
-        run_ofl(m, [(0, 1.0)], [1], root=0)
-    with pytest.raises(SchemaError, match="^need at least one facility$"):
-        run_ofl(m, [], [1], root=0)
+    state = OflState(line_metric([0, 1]), _cfl([(0, 0.0)], [], M=0.0))
+    assert state.open_order == [0] and state.budgets.size == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,10 +53,11 @@ def test_ofl_arrive_matches_scalar_reference(data):
     facilities = [(p, data.draw(cost)) for p in others]
     facilities.insert(data.draw(st.integers(0, len(facilities))), (root, 0.0))
     clients = data.draw(st.lists(point, max_size=16))
-    state, ref = OflState(m, facilities, root), RefOflState(m, facilities, root)
+    seq = RequestSequence(problem="CFL", requests=tuple(clients), root=root, M=0.0, facilities=tuple(facilities))
+    state, ref = OflState(m, seq), RefOflState(m, facilities, root)
     for i in clients:
-        sigma = state.arrive(i)
-        assert sigma == ref.arrive(i) and type(sigma) is int
+        e = state.arrive(i)
+        assert type(e) is int and int(state.points[e]) == ref.arrive(i)
         assert state.open_order == ref.open_order
         assert all(type(x) is int for x in state.open_order)
         assert state.budgets.tolist() == ref.budgets
@@ -78,8 +67,8 @@ def test_ofl_surplus_equal_to_cost_opens():
     # the client at 4 has budget d(client, root) = 4 and surplus 4 - 0 at the
     # coincident facility 1, whose cost is exactly 4
     m = line_metric([0, 4, 4])
-    state = OflState(m, [(0, 0.0), (1, 4.0)], root=0)
-    assert state.arrive(2) == 1
+    state = OflState(m, _cfl([(0, 0.0), (1, 4.0)], [2], M=0.0))
+    assert state.points[state.arrive(2)] == 1
     assert state.open_order == [0, 1]
     assert state.budgets.tolist() == [0.0]
 
@@ -92,8 +81,8 @@ def test_ofl_tied_facilities_open_first_in_points_order(facilities, opened):
     # a client at 6 with budget 6: facilities at 5 and 7 both reach surplus
     # 5 = their cost; the first listed opens, and its budget cut keeps the other shut
     m = line_metric([0, 5, 7, 6])
-    state = OflState(m, facilities, root=0)
-    assert state.arrive(3) == opened
+    state = OflState(m, _cfl(facilities, [3], M=0.0))
+    assert state.points[state.arrive(3)] == opened
     assert state.open_order == [0, opened]
     assert state.budgets.tolist() == [1.0]
 
@@ -207,10 +196,12 @@ def test_ofl_empirical_log_competitive():
             (int(p), float(rng.uniform(0, m.diameter()))) for p in range(1, n_fac)
         ]
         clients = [int(x) for x in rng.integers(0, n, size=int(rng.integers(2, 9)))]
-        vs = run_ofl(m, facs, clients, root=0)
+        state = OflState(m, _cfl(facs, clients, M=0.0))
+        service = sum(m.dist(i, int(state.points[state.arrive(i)])) for i in clients)
+        cost = state.costs[state.opened].sum() + service
         opt = exact_fl(m, facs, clients)
         if opt > 1e-12:
-            c = vs.cost / (opt * np.log(len(clients) + 1))
+            c = cost / (opt * np.log(len(clients) + 1))
             worst = max(worst, c)
     print(f"measured OFL constant C = {worst:.2f}")
     assert worst <= 8.0

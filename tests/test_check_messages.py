@@ -31,6 +31,10 @@ SROB = {"points": _line(0, 4, 5, 6), "problem": "SROB", "root": 0, "M": 1.0, "re
 # point 2 at 32 is a client, facility 3 at 33 costs 1; the root facility is point 0
 CFL = {"points": _line(0, 1, 32, 33), "problem": "CFL", "root": 0, "M": 1.0, "requests": [2, 3],
        "facilities": [{"point": 0, "cost": 0.0}, {"point": 3, "cost": 1.0}]}
+# clients at points 2-4 (20-21); facility 1 at 10 costs 5.  Forged replays below
+# open point 4, a client's point, or attach clients to facility 1, which no buy built
+CFL_FORGED = {"points": _line(0, 10, 20, 20.5, 21, 30), "problem": "CFL", "root": 0, "M": 1.0,
+              "requests": [2, 3, 4, 2, 3, 4], "facilities": [{"point": 0, "cost": 0.0}, {"point": 1, "cost": 5.0}]}
 PCST = {"points": _line(0, 1, 5, 9), "problem": "PCST", "root": 0, "requests": [[1, 0.5], [2, 0.5], [3, 0.5]]}
 
 
@@ -47,6 +51,19 @@ def _cfl_buy(idx, klass, **kw):
     """A CFL buy record of request idx; it attached to the root facility 0
     unless kw says otherwise."""
     return RequestRecord(idx=idx, decision="buy", klass=klass, **{"attach": 0, **kw})
+
+
+def _client_as_facility(trace):
+    """Client 0 rents, client 1 buys and opens point 4, a client's point, and the rest attach there."""
+    rent = RequestRecord(idx=0, decision="rent", klass=5, attach=0, sigma_hat=1)
+    buy = _cfl_buy(1, 5, witnesses=(0,), sigma_hat=4, opened=4)
+    rest = [RequestRecord(idx=i, decision="virtual", attach=4, sigma_hat=4) for i in range(2, 6)]
+    return RunTrace([rent, buy, *rest], {"f_hat": [0, 4]})
+
+
+def _attach_unbuilt(trace):
+    return RunTrace([RequestRecord(idx=i, decision="virtual", attach=1, sigma_hat=1) for i in range(6)],
+                    {"f_hat": [0, 1]})
 
 
 # (doc, check, forge(trace) -> forged RunTrace, message pattern)
@@ -95,6 +112,12 @@ FORGED = {
     "cfl sigma_hat far": (
         CFL, "cfl_invariants", lambda tr: RunTrace([_cfl_buy(0, 5, sigma_hat=0)], {"f_hat": [0]}),
         r"buy client 0: d\(z, sigma_hat\)=32 >= a/4=8"),
+    "cfl F_hat not facilities": (
+        CFL_FORGED, "cfl_invariants", _client_as_facility, r"F_hat points \[4\] are not facilities"),
+    "cfl sigma_hat outside F_hat": (
+        CFL_FORGED, "cfl_invariants", _client_as_facility, r"client 0: sigma_hat 1 outside F_hat"),
+    "cfl attach not built": (
+        CFL_FORGED, "cfl_invariants", _attach_unbuilt, r"client 0: attach 1 not in F' at its arrival"),
     "cfl cost split": (
         CFL, "cfl_cost_split",
         lambda tr: RunTrace(_records(tr, r0={"decision": "virtual", "cost": 100.0}), tr.summary),
