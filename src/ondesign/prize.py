@@ -22,35 +22,36 @@ from .metric import (
     floor_log2,
     pow2,
 )
-from .steiner import _nearest, check_class_separation
+from .steiner import NearestSet, check_class_separation, within
 
 
 def run_pcst(m: MetricSpace, seq: RequestSequence) -> tuple:
     """`seq.requests` is a sequence of (terminal point, penalty >= 0)."""
     sol = MultiGraphSolution()
     trace = RunTrace()
-    buys = [seq.root]
-    classes = {}  # class j -> [(request idx, point, rho)]
+    buys = NearestSet(m, seq.root)
+    classes = {}  # class j -> ([request idx], [point], [rho])
     for idx, (i, pi) in enumerate(seq.requests):
-        z, a = _nearest(m, i, buys)
+        z, a = buys.nearest(i)
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
             trace.add(RequestRecord(idx=idx, decision="auto", attach=z, rho=0.0))
             continue
         j = floor_log2(a)
-        radius = pow2(j - 1)
-        pool = classes.setdefault(j, [])
-        near = [(ridx, p, rho) for ridx, p, rho in pool if m.dist(i, p) < radius]
-        have = sum(rho for _, _, rho in near)
+        ridx, pts, rhos = classes.setdefault(j, ([], [], []))
+        near = within(m, i, pts, pow2(j - 1))
+        have = sum(rhos[k] for k in near)
         deficit = pow2(j + 1) - have
         buying = deficit <= 0 or pi >= deficit
         rho = 0.0 if deficit <= 0 else min(pi, deficit)
-        pool.append((idx, i, rho))
-        witnesses = tuple(ridx for ridx, _, _ in near) + (idx,)
+        witnesses = tuple(ridx[k] for k in near) + (idx,)
+        ridx.append(idx)
+        pts.append(i)
+        rhos.append(rho)
         if buying:
             sol.buy(i, z)
-            buys.append(i)
+            buys.add(i)
             decision, cost = "buy", a
         else:
             sol.penalties_paid.add(idx)

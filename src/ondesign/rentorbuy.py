@@ -29,31 +29,32 @@ from .metric import (
     floor_log2,
     pow2,
 )
-from .steiner import BcForest, _nearest, run_greedy_st
+from .steiner import BcForest, NearestSet, run_greedy_st, within
 
 
 def run_srob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
-    buys = [seq.root]             # Z, arrival order, root first
-    rents = {}                    # class j -> [(request idx, point)]
+    buys = NearestSet(m, seq.root)  # Z, root first
+    rents = {}                      # class j -> ([request idx], [point])
     for idx, i in enumerate(seq.requests):
-        z, a = _nearest(m, i, buys)
+        z, a = buys.nearest(i)
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
             trace.add(RequestRecord(idx=idx, decision="auto", attach=z))
             continue
         j = floor_log2(a)
-        radius = pow2(j - 1)
-        witnesses = tuple(ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius)
+        ridx, pts = rents.setdefault(j, ([], []))
+        witnesses = tuple(ridx[k] for k in within(m, i, pts, pow2(j - 1)))
         if len(witnesses) >= seq.M:
             sol.buy(i, z)
-            buys.append(i)
+            buys.add(i)
             decision, cost = "buy", seq.M * a
         else:
             sol.rent(idx, i, z)
-            rents.setdefault(j, []).append((idx, i))
+            ridx.append(idx)
+            pts.append(i)
             decision, cost = "rent", a
         trace.add(RequestRecord(idx=idx, decision=decision, klass=j, cost=cost, witnesses=witnesses, attach=z))
     return sol, trace
@@ -63,7 +64,7 @@ def run_mrob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     bc = BcForest(m, 1)
-    rents = {}  # class j -> [(request idx, point)]
+    rents = {}  # class j -> ([request idx], [point])
     for idx, (s, t) in enumerate(seq.requests):
         d = m.dist(s, t)
         if d == 0.0:
@@ -71,12 +72,13 @@ def run_mrob(m: MetricSpace, seq: RequestSequence) -> tuple:
             continue
         j = floor_log2(d)
         radius = pow2(j - 2)
-        pool = rents.get(j, ())
-        ws = tuple(ridx for ridx, p in pool if m.dist(s, p) < radius)
-        wt = tuple(ridx for ridx, p in pool if m.dist(t, p) < radius)
+        ridx, pts = rents.setdefault(j, ([], []))
+        ws = tuple(ridx[k] for k in within(m, s, pts, radius))
+        wt = tuple(ridx[k] for k in within(m, t, pts, radius))
         if len(ws) < seq.M or len(wt) < seq.M:
             endpoint = "s" if len(ws) < seq.M else "t"
-            rents.setdefault(j, []).append((idx, s if endpoint == "s" else t))
+            ridx.append(idx)
+            pts.append(s if endpoint == "s" else t)
             sol.rent(idx, s, t)
             decision, cost, feasible = "rent", d, True
         else:
@@ -130,7 +132,11 @@ def check_srob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
 def check_mrob_witnesses(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     """MROB: per class j, the greedy maximal 2^(j-1)-separated subset Z'_j of
     the class-j buy endpoints (arrival order, s before t) must have disjoint
-    witness sets, each a size->=M subset of R_j."""
+    witness sets, each a size->=M subset of R_j.  A buy record without a
+    class, which only a forged trace holds, raises ValueError."""
+    unclassed = [rec.idx for rec in trace.records if rec.decision == "buy" and rec.klass is None]
+    if unclassed:
+        raise ValueError(f"buy request {unclassed[0]} has klass None")
     out, rent_class = [], _rent_classes(trace)
     for j, rows in _buy_rows(seq, trace, (0, 1)):
         kept = []

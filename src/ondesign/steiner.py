@@ -21,11 +21,14 @@ the classified endpoints, and one mask picks each endpoint's candidates: the
 entries in another component that some level reaches (class c, d < 2^(c+1)).
 A candidate is within reach from level -1 if d = 0, else from level
 max(0, floor(log2 d)), up to c; at its first such level x's sweep joins it,
-so later levels would only retry a union that fails, and each candidate is
-tried once, at that level, in arrival order, s's sweep before t's.  Skipping
-only failing unions keeps the edges and their order those of the per-level
-rescan.  Components are a label per point; a union relabels one of them, at
-most n - 1 times in all.
+so later levels would only retry a union that fails.  One np.frexp gives
+every candidate's first level; the sweep stops at the pair's class, so a
+candidate whose first level lies above it is dropped.  The rest are sorted by
+(first level, s's sweep before t's, arrival), and each step takes the first
+remaining candidate still in another component: one mask pass per successful
+union, with the edges and their order those of the per-level rescan.
+Components are a label per point; a union relabels one of them, at most
+n - 1 times in all.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ class BcForest:
         self.m = m
         self.copies = copies
         self.comp = np.arange(m.n)  # component label per point
-        # the classified endpoints in arrival order: point and class
+        # the classified endpoints in arrival order: point, class c and the
+        # reach 2^(c+1) of its top level (none for c < 0)
         self.ends = np.empty(0, dtype=np.intp)
         self.classes = np.empty(0, dtype=np.intp)
+        self.reach = np.empty(0)
         self.levels = {}   # j -> [(u, v)] positive-length edges added at level j
         self.zero_merges = []
 
@@ -87,27 +92,31 @@ class BcForest:
         klass = floor_log2(self.m.dist(s, t))
         self.ends = pts = np.append(self.ends, (s, t))
         self.classes = np.append(self.classes, (klass, klass))
-        pair = np.array([[s], [t]])
-        rows = self.m.d[pair, pts]
-        # 2^(c+1), the reach of an entry's top level c (none for c < 0)
-        reach = np.where(self.classes >= 0, np.ldexp(1.0, self.classes + 1), 0.0)
+        self.reach = np.append(self.reach, (pow2(klass + 1) if klass >= 0 else 0.0,) * 2)
+        rows = self.m.d.take((s, t), axis=0).take(pts, axis=1)
+        labels = self.comp[pts]  # its last two are s's and t's
         # entries some level j <= c reaches (d < 2^(j+1)) in another component
-        side, ks = np.nonzero((rows < reach) & (self.comp[pts] != self.comp[pair]))
-        sweeps = ({}, {})  # per endpoint: first level -> candidate points, in arrival order
-        for e, v, dv in zip(side.tolist(), pts[ks].tolist(), rows[side, ks].tolist()):
-            sweeps[e].setdefault(-1 if dv == 0.0 else 0 if dv < 2.0 else floor_log2(dv), []).append(v)
-        for level in range(-1, klass + 1):
-            for x, by_level in zip((s, t), sweeps):
-                for v in by_level.get(level, ()):
-                    if not self._union(x, v):
-                        continue
-                    if self.m.dist(x, v) > 0.0:
-                        added.append((x, v, level))
-                        self.levels.setdefault(level, []).append((x, v))
-                    else:
-                        self.zero_merges.append((x, v))
-                        added.append((x, v, None))
-        return klass, added
+        side, ks = np.nonzero((rows < self.reach) & (labels != labels[-2:, None]))
+        dv = rows[side, ks]
+        # first level: -1 if d = 0, else max(0, floor(log2 d)); none above klass
+        level = np.where(dv == 0.0, -1, np.maximum(np.frexp(dv)[1] - 1, 0))
+        keep = np.flatnonzero(level <= klass)
+        keep = keep[np.lexsort((ks[keep], side[keep], level[keep]))]
+        level, xs, vs = level[keep], pts[side[keep] - 2], pts[ks[keep]]  # x: pts[-2] = s or pts[-1] = t
+        pos = 0
+        while True:
+            live = np.flatnonzero(self.comp[xs[pos:]] != self.comp[vs[pos:]])
+            if not live.size:
+                return klass, added
+            pos += int(live[0])
+            x, v, j = int(xs[pos]), int(vs[pos]), int(level[pos])
+            self._union(x, v)
+            pos += 1
+            if j >= 0:
+                self.levels.setdefault(j, []).append((x, v))
+            else:
+                self.zero_merges.append((x, v))
+            added.append((x, v, j if j >= 0 else None))
 
     def buy_pair(self, sol: MultiGraphSolution, s: int, t: int, weight):
         """add_pair, buying each edge: (class, weight * length)."""
@@ -133,10 +142,32 @@ class BcForest:
         }
 
 
-def _nearest(m: MetricSpace, i: int, candidates):
-    """Nearest candidate point; ties to the earliest list position."""
-    best = candidates[int(m.d[i, candidates].argmin())]
-    return best, m.dist(i, best)
+class NearestSet:
+    """A growing point set's nearest member to every point of m.
+
+    near[x] = d(x, who[x]).  Adding c reads column d[:, c] and moves a point
+    to c only when it is strictly closer, so a tie keeps the earliest member.
+    """
+
+    def __init__(self, m: MetricSpace, first: int):
+        self.d = m.d
+        self.near = m.d[:, first].copy()
+        self.who = np.full(m.n, first)
+
+    def add(self, c: int) -> None:
+        col = self.d[:, c]
+        closer = col < self.near
+        self.near[closer] = col[closer]
+        self.who[closer] = c
+
+    def nearest(self, i: int) -> tuple:
+        """(z, d(i, z)) for the nearest member z."""
+        return int(self.who[i]), float(self.near[i])
+
+
+def within(m: MetricSpace, x: int, points: list, radius: float) -> list:
+    """Positions in `points` of those at distance < radius from x, in order."""
+    return np.flatnonzero(m.d[x, points] < radius).tolist()
 
 
 def run_greedy_st(m: MetricSpace, seq: RequestSequence) -> tuple:
@@ -147,10 +178,10 @@ def run_greedy_st(m: MetricSpace, seq: RequestSequence) -> tuple:
     """
     sol = MultiGraphSolution()
     trace = RunTrace()
-    arrived = [seq.root]
+    arrived = NearestSet(m, seq.root)
     for idx, i in enumerate(seq.requests):
-        z, a = _nearest(m, i, arrived)
-        arrived.append(i)
+        z, a = arrived.nearest(i)
+        arrived.add(i)
         if a == 0.0:
             if i != z:
                 sol.buy(i, z)
@@ -192,7 +223,9 @@ def run_sn(m: MetricSpace, seq: RequestSequence) -> tuple:
         copies = 2 ** (lev + 1)
         bc = instances.get(lev) or instances.setdefault(lev, BcForest(m, copies))
         klass, cost = bc.buy_pair(sol, s, t, copies)
-        feasible = max_flow(sol.capacity(), s, t, limit=req) >= req
+        # every edge of instance lev carries 2^(lev+1) > req copies, so a
+        # path of them already carries req; max_flow decides the rest
+        feasible = bc.connected(s, t) or max_flow(sol.capacity(), s, t, limit=req) >= req
         trace.add(RequestRecord(idx=idx, decision="bc", klass=klass, cost=cost, feasible_now=feasible))
     trace.summary = {"forests": [bc.summary() for _, bc in sorted(instances.items())]}
     return sol, trace

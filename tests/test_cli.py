@@ -518,7 +518,7 @@ def test_forged_record_of_no_request_is_a_check_error():
     ({"points": [[0, 0], [3, 0], [7, 0]], "problem": "SROB", "root": 0, "M": 1.0, "requests": [1, 2]},
      "witness_disjointness", "class None: buy request 0 has |W|=0 < M=1.0"),
     ({"points": [[0, 0], [3, 0], [7, 0], [8, 0]], "problem": "MROB", "M": 1.0, "requests": [[1, 2], [0, 3]]},
-     "witness_disjointness", "check error: "),
+     "witness_disjointness", "check error: buy request 0 has klass None"),
     ({"points": [[0, 0], [3, 0], [7, 0]], "problem": "CFL", "root": 0, "M": 1.0, "requests": [1, 2],
       "facilities": [{"point": 0, "cost": 0}, {"point": 1, "cost": 1}]},
      "cfl_invariants", "check error: "),

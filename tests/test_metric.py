@@ -405,6 +405,26 @@ def test_instance_schema_rejects_unknown_fields():
         instance_from_dict(doc)
 
 
+_BASE = {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "requests": [1]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param({"bogus": 1, "extra": 2}, "unknown instance fields: ['bogus', 'extra']", id="unknown fields"),
+    pytest.param({"root": "0"}, "instance field root has the wrong type or range", id="root not a point"),
+    pytest.param({"M": math.nan}, "instance field M has the wrong type or range", id="M not finite"),
+    pytest.param({"requests": [1, 5]}, "malformed request 1: 5", id="request outside the points"),
+    pytest.param({"problem": "Steiner"}, "unknown problem 'Steiner'", id="unknown problem"),
+    pytest.param({"problem": "SteinerForest", "requests": [[0, 1]]},
+                 "root must be present exactly for ['CFL', 'PCST', 'SROB', 'SteinerTree']", id="paired with root"),
+    pytest.param({"matrix": [[0, "a"], ["a", 0]]},
+                 "not an array of numbers: could not convert string to float: 'a'", id="matrix of strings"),
+])
+def test_instance_boundary_messages(changes, message):
+    """Each invalid instance names its own fault, word for word."""
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        instance_from_dict({**_BASE, **changes})
+
+
 def test_instance_schema_points_matrix_exclusive():
     base = {"problem": "SteinerTree", "root": 0, "requests": [1]}
     with pytest.raises(SchemaError):

@@ -10,7 +10,7 @@ import pytest
 
 from ondesign.generators import gen_euclidean, gen_requests
 from ondesign.metric import PROBLEMS, exceeds, instance_from_dict, instance_to_dict
-from ondesign.steiner import _nearest
+from ondesign.steiner import NearestSet
 from ondesign.verify import SPECS, verify_run
 
 CONSTANTS = {
@@ -68,6 +68,14 @@ def test_exceeds_tolerances():
     assert not exceeds(5e-13, 0.0)  # the absolute slack
     assert exceeds(5e-13, 0.0, atol=0.0)
     assert exceeds(math.nan, 1.0) and exceeds(1.0, math.nan)
+
+
+def _nearest(m, i, members):
+    """(nearest member, distance) to i of the set built from `members` in order."""
+    near = NearestSet(m, members[0])
+    for c in members[1:]:
+        near.add(c)
+    return near.nearest(i)
 
 
 def test_nearest_ties_go_to_the_first_candidate():

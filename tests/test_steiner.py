@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, tie_metrics
+from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, ref_max_flow, tie_metrics
 from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
     BcForest,
+    NearestSet,
     check_bc_edge_property,
     check_class_separation,
     check_metagraph_acyclic,
@@ -120,6 +121,43 @@ def test_bc_add_pair_matches_scalar_reference(data):
     assert json.dumps(bc.summary()) == json.dumps(ref.summary())
     for u in range(m.n):
         assert [bc.connected(u, v) for v in range(m.n)] == [ref.uf.connected(u, v) for v in range(m.n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nearest_set_matches_argmin_over_arrivals(data):
+    """After every arrival, each point's nearest member is the brute argmin
+    over the arrival list, ties to the earliest arrival, on metrics with
+    coincident points, repeated arrivals and equal distances."""
+    m = data.draw(tie_metrics())
+    arrivals = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, max_size=14))
+    near = NearestSet(m, arrivals[0])
+    for p, c in enumerate(arrivals):
+        if p:
+            near.add(c)
+        members = arrivals[:p + 1]
+        for x in range(m.n):
+            dists = [m.dist(x, c) for c in members]
+            best = dists.index(min(dists))
+            assert near.nearest(x) == (members[best], dists[best])
+            assert all(type(v) is w for v, w in zip(near.nearest(x), (int, float)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sn_feasible_now_is_the_max_flow_bit(data):
+    """Each record's feasible_now, which run_sn reads off its forest's
+    connectivity, is the exact max-flow bit on what the run bought up to and
+    including that request (a rerun on the prefix)."""
+    m = data.draw(tie_metrics())
+    point = st.integers(0, m.n - 1)
+    reqs = data.draw(st.lists(st.tuples(point, point, st.integers(1, 12)), min_size=1, max_size=10))
+    _, trace = run_sn(m, _network(*reqs))
+    for p, (s, t, r) in enumerate(reqs):
+        if trace.records[p].decision == "auto":
+            continue
+        sol, _ = run_sn(m, _network(*reqs[:p + 1]))
+        assert trace.records[p].feasible_now is (ref_max_flow(sol.capacity(), s, t, limit=r) >= r)
 
 
 def test_sn_examples(two_point_metric):
