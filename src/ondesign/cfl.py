@@ -49,6 +49,7 @@ from .metric import (
     exceeds,
     floor_log2,
     pow2,
+    same_cost,
 )
 from .rentorbuy import cost_share
 from .steiner import same_class_closer
@@ -169,7 +170,9 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     (3) sum M a_z <= sum_j 2^(j+1) |R_j|; (4) F' subset of F_hat; (5) every buy
     client z has d(z, sigma_hat(z)) < a_z / 4; (6) F_hat is a subset of the
     instance's facilities F; (7) every sigma_hat is in F_hat; (8) every x is
-    in F' at its client's arrival: the root or a point an earlier buy opened.
+    in F' at its client's arrival: the root or a point an earlier buy opened;
+    (9) a virtual or rent record's cost is its a_i = d(i, x), so no record
+    can claim a cost that the budgets above then credit.
     """
     buys = [r for r in trace.records if r.decision == "buy"]
     out = [
@@ -202,6 +205,10 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
             out.append(f"client {rec.idx}: sigma_hat {rec.sigma_hat} outside F_hat")
         if rec.attach not in built:
             out.append(f"client {rec.idx}: attach {rec.attach} not in F' at its arrival")
+        if rec.decision in ("virtual", "rent") and rec.attach is not None:
+            a = m.dist(seq.requests[rec.idx], rec.attach)
+            if not same_cost(rec.cost, a):
+                out.append(f"client {rec.idx}: {rec.decision} cost {rec.cost:g} != d(i, attach)={a:g}")
         if rec.decision == "buy" and rec.opened is not None:
             built.add(rec.opened)
     return out

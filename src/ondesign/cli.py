@@ -212,7 +212,7 @@ def build_parser():
     common(c)
     c.add_argument("--family", choices=["euclidean", "diamond"], default="euclidean")
     c.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
-    c.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")], default=[4, 6, 8, 10])
+    c.add_argument("--sizes", type=lambda s: [_count(x) for x in s.split(",")], default=[4, 6, 8, 10])
     c.add_argument("--n", type=_count, default=0)
     c.add_argument("--M", type=float, default=2.0)
     c.add_argument("--rmax", type=int, default=3)

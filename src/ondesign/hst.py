@@ -42,13 +42,18 @@ the expanding test T >= d for all pairs at once; when it fails, the whole tree
 is promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
-`validate_hst` trusts neither the sampler nor `cut_ids`, and never reads a
-`Terminals`: it takes the trees of one terminal set, offsets their node ids
-into one forest, walks every leaf up through `parent`, and checks the leaf
-map, levels, cuts and distances with trees x k x k arrays against the metric.
-It returns one message list per tree; `validated_distances` also returns the
-pairwise tree distances it measured.  `tree_distance` is the scalar path walk
-that defines them.
+`validate_hst` does not trust the sampler and never reads a `Terminals`: it
+takes the trees of one terminal set, offsets their node ids into one forest,
+walks every leaf up through `parent`, and checks the leaf map, levels, cuts
+and distances with trees x k x k arrays against the metric.  That walk is
+the one producer of `cut_ids`: a tree it accepts keeps the ancestors it
+walked, moved from depth rows to level rows, and `extend_singleton_levels`
+derives an extended tree's rows from its base tree's.  So every check reads
+cuts the validator measured, and a tree no validation walked (one built by
+hand) is walked as a forest of one when its cuts are first read.  It returns
+one message list per tree; `validated_distances` also returns the pairwise
+tree distances it measured.  `tree_distance` is the scalar path walk that
+defines them.
 """
 
 from __future__ import annotations
@@ -109,15 +114,14 @@ class Hst:
         """Rows self.cut_levels, columns self.terminals: entry (j, q) is the
         node whose parent edge is q's level-j edge, or n_nodes + q's column if
         q's path has none (an implicit singleton).  Read once the tree is built
-        and valid; sorted, a row lists real nodes by id, then singletons."""
-        levels = self.cut_levels
-        cols = np.arange(len(self.leaf))
-        ids = np.tile(self.n_nodes + cols, (len(levels), 1))
-        up = _walk_up(self, self.leaf)
-        row = self.edge_level[up] - levels[0]
-        on = (up > 0) & (row >= 0) & (row < len(levels))
-        ids[row[on], np.broadcast_to(cols, up.shape)[on]] = up[on]
-        return ids
+        and valid; sorted, a row lists real nodes by id, then singletons.
+
+        validate_hst sets the rows of every tree it accepts from its forest
+        walk, and extend_singleton_levels derives an extended tree's from its
+        base tree's; a tree neither reached is walked here as a forest of one.
+        """
+        parent, level, off, _, local, leaf = _forest([self])
+        return _cut_rows([self], _pairwise(parent, level, off, leaf)[0], level, local)[0]
 
     def cuts(self, points) -> np.ndarray:
         """The cut_ids columns of `points`, rows self.cut_levels; a point not
@@ -221,11 +225,6 @@ def _walk(parent, leaves, roots):
     return np.array(walk)
 
 
-def _walk_up(t: Hst, leaves):
-    """Row s: each leaf's node s steps up (0 from the root on), from t.parent alone."""
-    return _walk(np.maximum(t.parent, 0), np.asarray(leaves, dtype=np.intp), 0)
-
-
 # A forest walked at once holds at most this many pairs of terminals (trees x
 # k x k), or one tree: the pairwise arrays stay near their one-tree size.
 FOREST_PAIRS = 2**16
@@ -270,13 +269,8 @@ def _validate_forest(trees, m: MetricSpace) -> list:
     """
     pts = np.asarray(trees[0].terminals, dtype=np.intp)
     n_trees, k = len(trees), len(pts)
-    sizes = np.array([t.n_nodes for t in trees])
-    off = np.cumsum(sizes) - sizes  # each tree's root
-    owner = np.repeat(np.arange(n_trees), sizes)
-    local = np.arange(sizes.sum()) - off[owner]
-    parent = np.concatenate([np.maximum(t.parent, 0) for t in trees]) + off[owner]
-    level = np.concatenate([t.edge_level for t in trees])
-    leaf = np.stack([t.leaf for t in trees]) + off[:, None]
+    parent, level, off, owner, local, leaf = _forest(trees)
+    sizes = np.diff(off, append=len(parent))
     out = [[] for _ in trees]
     n = len(parent)
     kids = np.bincount(parent[local > 0], minlength=n)
@@ -348,7 +342,45 @@ def _validate_forest(trees, m: MetricSpace) -> list:
                    for j in range(1, t.root_level + 1) if (g, j) in broken]
     for nid in np.flatnonzero((level <= 0) & (local > 0) & (size != 1)).tolist():
         out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
+    # every tree that breaks nothing keeps the cuts this walk measured
+    for t, msgs, rows in zip(trees, out, _cut_rows(trees, ancestors, level, local)):
+        if not msgs:
+            t.cut_ids = rows
     return list(zip(out, T))
+
+
+def _forest(trees):
+    """The trees as one forest: (parent, level, off, owner, local, leaf).
+
+    Node ids are offset tree by tree, so a tree's nodes keep their order, and
+    each root is its own parent.  `off` holds each tree's root, `owner` and
+    `local` each node's tree and id in it, `leaf` the trees x k leaves.
+    """
+    sizes = np.array([t.n_nodes for t in trees])
+    off = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    local = np.arange(sizes.sum()) - off[owner]
+    parent = np.concatenate([np.maximum(t.parent, 0) for t in trees]) + off[owner]
+    level = np.concatenate([t.edge_level for t in trees])
+    leaf = np.stack([t.leaf for t in trees]) + off[:, None]
+    return parent, level, off, owner, local, leaf
+
+
+def _cut_rows(trees, ancestors, level, local):
+    """Each tree's cut_ids, from the forest walk's ancestors[depth, tree, q]:
+    one scatter moves every ancestor below a root from its depth row to its
+    edge level's row, over rows of implicit singletons n_nodes + q."""
+    lows = np.array([t.cut_levels.start for t in trees])
+    heights = np.array([len(t.cut_levels) for t in trees])
+    k = ancestors.shape[2]
+    rows = np.empty((len(trees), heights.max(), k), dtype=np.intp)
+    rows[:] = (np.array([t.n_nodes for t in trees])[:, None] + np.arange(k))[:, None]
+    below = ancestors[1:]
+    row = level[below] - lows[:, None]
+    on = (below >= 0) & (row >= 0) & (row < heights[:, None])
+    _, tree, col = np.nonzero(on)
+    rows[tree, row[on], col] = local[below[on]]
+    return [r[:h] for r, h in zip(rows, heights.tolist())]
 
 
 def _pairwise(parent, level, roots, leaf):
@@ -495,4 +527,11 @@ def extend_singleton_levels(t: Hst) -> Hst:
     """
     if t.extended_to is not None:
         raise ValueError(f"tree already extended to {t.extended_to}")
-    return _hang_chains(t, 0, [-1, -2], extended_to=-2)
+    ext = _hang_chains(t, 0, [-1, -2], extended_to=-2)
+    # The chains add levels -2 and -1 below the base rows, whose nodes keep
+    # their ids; only the implicit singletons move past the 2k chain nodes.
+    # A one-leaf tree's root level drops to -1, so its base row goes.
+    base = t.cut_ids
+    rows = np.concatenate([[ext.leaf, ext.leaf - 1], np.where(base >= t.n_nodes, base + 2 * len(t.leaf), base)])
+    ext.cut_ids = rows[:len(ext.cut_levels)]
+    return ext

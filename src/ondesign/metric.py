@@ -45,6 +45,11 @@ def exceeds(lhs: float, bound: float, atol: float = ATOL) -> bool:
     return not lhs <= bound * (1 + RTOL) + atol
 
 
+def same_cost(a: float, b: float) -> bool:
+    """True when two costs agree to RTOL relative to max(1, |a|, |b|); NaN agrees with nothing."""
+    return abs(a - b) <= RTOL * max(1.0, abs(a), abs(b))
+
+
 def floor_log2(x: float) -> int:
     """Exact floor(log2 x) for x > 0 (frexp gives x = m * 2^e, m in [0.5, 1))."""
     if x <= 0:
@@ -249,6 +254,25 @@ def _require_finite(d: np.ndarray, what: str) -> None:
         raise SchemaError(f"d({u},{v}) {what}")
 
 
+# Rows of a point list's distance matrix computed at once: the n x rows x r
+# differences stay near this many entries.
+DISTANCE_BLOCK = 2**16
+
+
+def _point_distances(arr) -> np.ndarray:
+    """The float Euclidean distances between the rows of arr, a block of rows
+    at a time; each entry is summed over the coordinates as one n x n x r
+    broadcast would sum it."""
+    n, r = arr.shape
+    d = np.empty((n, n))
+    step = max(1, DISTANCE_BLOCK // max(1, n * r))
+    with np.errstate(over="ignore"):
+        for i in range(0, n, step):
+            diff = arr[i:i + step, None, :] - arr[None, :, :]
+            np.sqrt((diff * diff).sum(axis=-1), out=d[i:i + step])
+    return d
+
+
 def build_metric(raw, kind: str) -> MetricSpace:
     """Build a MetricSpace from `raw`, a square distance matrix if kind is
     "matrix" or a point list inducing Euclidean distances if kind is "points".
@@ -268,9 +292,7 @@ def build_metric(raw, kind: str) -> MetricSpace:
     else:
         if arr.ndim != 2:
             raise SchemaError("points must be a 2-D array")
-        with np.errstate(over="ignore"):
-            diff = arr[:, None, :] - arr[None, :, :]
-            d = np.sqrt((diff * diff).sum(axis=-1))
+        d = _point_distances(arr)
         _require_finite(d, "is not finite")
     _validate_matrix(d, arr.shape[1] if kind == "points" else None)
     positive = d[d > 0]

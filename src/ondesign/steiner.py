@@ -259,17 +259,17 @@ def check_class_separation(m: MetricSpace, seq: RequestSequence, trace: RunTrace
 
 def same_class_closer(records, m: MetricSpace, seq: RequestSequence, shift: int):
     """(j, a, b, d) for records a before b of class j whose requests' first
-    points are at distance d < 2^(j+shift)."""
+    points are at distance d < 2^(j+shift): by class, then by a and b in
+    record order, from one distance mask per class."""
     by_class = {}
     for rec in records:
-        by_class.setdefault(rec.klass, []).append((rec, seq.pairs[rec.idx][0]))
+        by_class.setdefault(rec.klass, []).append(rec)
     for j, recs in sorted(by_class.items()):
         bound = pow2(j + shift)
-        for i, (a, p) in enumerate(recs):
-            for b, q in recs[i + 1:]:
-                d = m.dist(p, q)
-                if d < bound:
-                    yield j, a, b, d
+        pts = [seq.pairs[rec.idx][0] for rec in recs]
+        d = m.d[np.ix_(pts, pts)]
+        for a, b in zip(*np.nonzero(np.triu(d < bound, 1))):
+            yield j, recs[a], recs[b], float(d[a, b])
 
 
 def _forests(trace: RunTrace):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hst import Hst, _walk_up, class_cuts, cut_load, path_cuts
+from .hst import Hst, class_cuts, cut_load, path_cuts
 from .metric import pow2
 
 
@@ -91,7 +91,8 @@ def opt_tree_pcst(t: Hst, r: int, penalties) -> float:
     held = cols[1:] >= 0
     pen = np.zeros(t.n_nodes)  # per node, the penalty of its subtree
     np.add.at(pen, t.leaf[cols[1:][held]], pis[held])  # in request order
-    path = _walk_up(t, t.leaf[cols[:1]])[:, 0].tolist()  # r's leaf up to node 0
+    above = t.cut_ids[:, cols[0]]  # the edges above r, from its leaf up
+    path = above[above < t.n_nodes].tolist() + [0]
     off = ~np.isin(np.arange(t.n_nodes), path)
     h, keep = np.zeros(t.n_nodes), np.zeros(t.n_nodes)  # per node, its optimum and its children's
     for j in np.unique(level[off]).tolist():

@@ -36,11 +36,11 @@ from .cfl import (
 )
 from .hst import Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
 from .metric import (
-    RTOL,
     MetricSpace,
     RequestSequence,
     check_feasible,
     exceeds,
+    same_cost,
     solution_cost,
 )
 from .prize import (
@@ -283,8 +283,7 @@ def per_run_checks(m, seq, sol, trace):
     spec = SPECS[seq.problem]
     total = solution_cost(sol, seq, m).total
     derived = trace.total_cost()
-    near = abs(total - derived) <= RTOL * max(1.0, abs(total), abs(derived))
-    checks = [("cost_consistency", [] if near else
+    checks = [("cost_consistency", [] if same_cost(total, derived) else
                [f"solution cost {total:g} != trace cost {derived:g}"])]
     feas = check_feasible(sol, seq, m)
     prefix_bad = [

@@ -266,6 +266,22 @@ def brute_cuts_at_level(t, j):
     return cuts + [frozenset([p]) for p in sorted(t.terminals) if p not in covered]
 
 
+def brute_cut_ids(t):
+    """Reference for Hst.cut_ids: each terminal's leaf walked up through
+    parent in Python, its node at each level of the charge range written to
+    that level's row over the implicit singletons n_nodes + column."""
+    parent, level = t.parent.tolist(), t.edge_level.tolist()
+    top = next((level[c] for c in range(1, t.n_nodes) if parent[c] == 0), 0)
+    low = t.extended_to if t.extended_to is not None else 0
+    rows = [[t.n_nodes + q for q in range(len(t.leaf))] for _ in range(low, top + 1)]
+    for q, x in enumerate(t.leaf.tolist()):
+        while x > 0:
+            if low <= level[x] <= top:
+                rows[level[x] - low][q] = x
+            x = parent[x]
+    return rows
+
+
 def id_cuts(t, j):
     """The level-j cuts as terminal sets, grouped from Hst.cut_ids in cut-id order."""
     cuts = {}
@@ -405,6 +421,23 @@ def brute_check_pcst_invariants(seq, trace, t):
 # ---------------------------------------------------------------------------
 # Scalar references for the online layers (one m.dist at a time)
 # ---------------------------------------------------------------------------
+
+def ref_same_class_closer(records, m, seq, shift):
+    """Reference for steiner.same_class_closer: every same-class pair of
+    records compared in record order, one m.dist at a time."""
+    from ondesign.metric import pow2
+
+    by_class = {}
+    for rec in records:
+        by_class.setdefault(rec.klass, []).append((rec, seq.pairs[rec.idx][0]))
+    for j, recs in sorted(by_class.items()):
+        bound = pow2(j + shift)
+        for i, (a, p) in enumerate(recs):
+            for b, q in recs[i + 1:]:
+                d = m.dist(p, q)
+                if d < bound:
+                    yield j, a, b, d
+
 
 class RefBcForest:
     """Reference for steiner.BcForest.add_pair: rescans every classified

@@ -35,6 +35,9 @@ CFL = {"points": _line(0, 1, 32, 33), "problem": "CFL", "root": 0, "M": 1.0, "re
 # open point 4, a client's point, or attach clients to facility 1, which no buy built
 CFL_FORGED = {"points": _line(0, 10, 20, 20.5, 21, 30), "problem": "CFL", "root": 0, "M": 1.0,
               "requests": [2, 3, 4, 2, 3, 4], "facilities": [{"point": 0, "cost": 0.0}, {"point": 1, "cost": 5.0}]}
+# client 2 at 2 (after scaling), the root facility 0 and a free facility 3 at 10
+CFL_FREE = {"points": [[0], [10], [20], [100]], "problem": "CFL", "root": 0, "M": 1.0, "requests": [2],
+            "facilities": [{"point": 0, "cost": 0.0}, {"point": 3, "cost": 0.0}]}
 PCST = {"points": _line(0, 1, 5, 9), "problem": "PCST", "root": 0, "requests": [[1, 0.5], [2, 0.5], [3, 0.5]]}
 
 
@@ -118,6 +121,14 @@ FORGED = {
         CFL_FORGED, "cfl_invariants", _client_as_facility, r"client 0: sigma_hat 1 outside F_hat"),
     "cfl attach not built": (
         CFL_FORGED, "cfl_invariants", _attach_unbuilt, r"client 0: attach 1 not in F' at its arrival"),
+    "cfl virtual cost": (  # a virtual client's cost raised to what 4 d(z, sigma_hat) credits
+        CFL_FREE, "cfl_invariants", lambda tr: RunTrace(_records(tr, r0={"cost": 30.0, "sigma_hat": 3}), tr.summary),
+        r"client 0: virtual cost 30 != d\(i, attach\)=2"),
+    "cfl rent cost": (
+        CFL, "cfl_invariants",
+        lambda tr: RunTrace([RequestRecord(idx=0, decision="rent", klass=0, cost=100.0, attach=0, sigma_hat=0)],
+                            tr.summary),
+        r"client 0: rent cost 100 != d\(i, attach\)=32"),
     "cfl cost split": (
         CFL, "cfl_cost_split",
         lambda tr: RunTrace(_records(tr, r0={"decision": "virtual", "cost": 100.0}), tr.summary),
@@ -142,6 +153,18 @@ def test_forged_trace_fires(doc, check, forge, pattern):
     assert verify_run(m, seq, trials=0, forged_trace=trace)["violations"] == 0
     found = verify_run(m, seq, trials=0, forged_trace=forge(trace))["checks"][check]["violations"]
     assert any(re.fullmatch(pattern, v) for v in found), found
+
+
+def test_cfl_virtual_cost_is_derived_from_attach():
+    # the forged cost stays within the cost split's budget 4 d(z, sigma_hat) = 32,
+    # so only the derived cost d(z, attach) = 2 tells it from the run
+    m, seq = instance_from_dict(CFL_FREE)
+    _, trace = run_problem(m, seq)
+    assert [(r.decision, r.cost, r.attach) for r in trace.records] == [("virtual", 2.0, 0)]
+    report = verify_run(m, seq, trials=3, forged_trace=RunTrace(
+        _records(trace, r0={"cost": 30.0, "sigma_hat": 3}), trace.summary))
+    assert report["cost"]["total"] == 30.0 and report["violations"] == 1
+    assert report["checks"]["cfl_invariants"]["violations"] == ["client 0: virtual cost 30 != d(i, attach)=2"]
 
 
 # (doc, forge(trace) -> forged RunTrace, the message trial 0 of seed 0 reports):

@@ -560,6 +560,7 @@ def test_embed_report_pinned(tmp_path):
     ["gen", "--count", "-1"],
     ["gen", "--family", "diamond", "--depth", "11"],
     ["ratio", "--family", "diamond", "--sizes", "-1", "--trials", "1"],
+    ["ratio", "--sizes", "-1", "--trials", "1"],  # an empty metric reached the greedy run
     ["ratio", "--problem", "SROB", "--M", "nan", "--sizes", "2", "--trials", "1"],
     ["gen", "--problem", "CFL", "--M", "inf"],
 ])

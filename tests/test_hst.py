@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     brute_cut,
+    brute_cut_ids,
     brute_cuts_at_level,
     brute_validate_hst,
     ref_sample_frt,
@@ -295,6 +296,45 @@ def test_cut_ids_group_into_the_reference_cuts():
     assert id_cuts(skipped, 1) == [frozenset([3]), frozenset([0]), frozenset([1]), frozenset([2])]
 
 
+def _copy(t):
+    """t rebuilt from its arrays: the same tree, with no cut rows set."""
+    return Hst(t.parent, t.edge_level, t.terminals, t.leaf, t.extended_to, t.aliases)
+
+
+def test_cut_ids_are_the_parent_walk():
+    # sampled (some promoted by the sampler), promoted and extended trees, on
+    # distinct, graph-closure and coincident points; each tree validated in a
+    # forest of many (k = 60: several forests), validated alone, or never
+    rng = np.random.default_rng(41)
+    seen = {"promoted": 0, "aliased": 0, "forests": 0}
+    for k in (1, 2, 3, 5, 9, 17, 30, 60):
+        xy = rng.random((k, 2)) * rng.uniform(1.0, 40.0)
+        cases = [
+            (gen_euclidean(k, seed=k)[0], range(k)),
+            (gen_graph_metric(max(k, 2), seed=k), range(max(k, 2))),
+            (build_metric(np.vstack([xy, xy[::2]]), "points"), rng.permutation(k + len(xy[::2])).tolist()),
+        ]
+        for m, points in cases:
+            terms = Terminals(m, points)
+            trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**40, size=24).tolist()]
+            trees += [_promote_one_level(t) for t in trees[:3]]
+            seen["promoted"] += sum(len(terms.levels) > 0 and t.root_level > terms.levels[0] for t in trees)
+            seen["aliased"] += bool(terms.aliases)
+            seen["forests"] += len(trees) > FOREST_PAIRS // len(terms.terminals) ** 2
+            alone = [_copy(t) for t in trees]
+            never = [_copy(t) for t in trees]
+            assert validate_hst(trees, m) == [[]] * len(trees)
+            for t in alone:
+                assert validate_hst([t], m) == [[]]
+            for group in (trees, alone, never):
+                set_by_validation = group is not never
+                assert all(("cut_ids" in vars(t)) is set_by_validation for t in group)
+                for t in group + [extend_singleton_levels(t) for t in group]:
+                    assert t.cut_ids.tolist() == brute_cut_ids(t)
+                    assert t.cut_ids.shape == (len(t.cut_levels), len(t.terminals))
+    assert seen["promoted"] > 20 and seen["aliased"] >= 7 and seen["forests"] >= 2
+
+
 def test_path_decomposition_consistency():
     # T(u,v) equals twice the geometric sum over levels up to the separation
     # level, plus the extension tail when present.
@@ -419,8 +459,8 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
         trees = [t, extend_singleton_levels(t)]
         if m.n > 1:
             trees.append(_promote_one_level(t))
-        for tree in list(trees):
-            trees += [_corrupt(tree, rng, kind) for kind in ("shrink", "raise", "rehang", "drop")]
+        corrupted = [_corrupt(tree, rng, kind) for tree in trees for kind in ("shrink", "raise", "rehang", "drop")]
+        trees += corrupted
         batches = {}
         for tree in trees:
             batches.setdefault((tree.terminals, tree.aliases), []).append(tree)
@@ -428,6 +468,12 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
         for batch in batches.values():
             for tree, got in zip(batch, validate_hst(batch, m), strict=True):
                 assert sorted(got) == sorted(brute_validate_hst(tree, m))
+                # a tree that breaks nothing keeps the walk's cut rows, and
+                # a corrupted one that breaks something gets none
+                if not got:
+                    assert tree.cut_ids.tolist() == brute_cut_ids(tree)
+                elif any(tree is c for c in corrupted):
+                    assert "cut_ids" not in vars(tree)
                 checked += 1
                 flagged += bool(got)
     assert checked > 500 and flagged > 100
@@ -454,10 +500,14 @@ def test_validate_batch_across_forests_matches_one_tree_calls(monkeypatch):
     batch = validated_distances(trees, m)
     assert walked == trees  # each tree's least-slack pair, measured on that tree
     assert 0 < sum(bool(bad) for bad, _ in batch) < len(trees)
-    for tree, (bad, T) in zip(trees, batch, strict=True):
+    rows = [vars(tree).pop("cut_ids", None) for tree in trees]
+    assert [r is None for r in rows] == [bool(bad) for bad, _ in batch]
+    for tree, (bad, T), forest_rows in zip(trees, batch, rows, strict=True):
         one_bad, one_T = validated_distances([tree], m)[0]
         assert bad == one_bad
         assert T.tobytes() == one_T.tobytes()
+        if not bad:
+            assert vars(tree)["cut_ids"].tolist() == forest_rows.tolist() == brute_cut_ids(tree)
 
 
 def test_validate_batch_needs_one_terminal_set():

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name the package defines is read in it."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,47 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> dict:
+    """Each module-level private name (`_x`, not a dunder) a def, class or
+    assignment binds, with its line."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update({name: node.lineno for name in names if name.startswith("_") and not name.startswith("__")})
+    return out
+
+
+def names_read(source: str) -> set:
+    """Every name the source reads: as a name, as an attribute, or imported by name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_definitions_are_found():
+    source = "_A = 1\n__all__ = []\ndef _f():\n    return _A\nclass _C:\n    _inner = 2\nx, _y = 1, 2\n"
+    assert private_definitions(source) == {"_A": 1, "_f": 3, "_C": 5, "_y": 7}
+    assert {"_A", "_f", "_C", "_y"} & names_read(source) == {"_A"}
+    assert names_read("from .m import _g\nobj._h()\n") >= {"_g", "_h"}
+
+
+def test_package_reads_every_private_definition():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(names_read, sources.values()))
+    dead = [(module, line, name) for module, source in sources.items()
+            for name, line in private_definitions(source).items() if name not in read]
+    assert dead == []

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -230,6 +231,32 @@ def test_build_metric_points_are_their_broadcast_distances(monkeypatch):
         d = np.sqrt((diff * diff).sum(axis=-1))
         assert np.array_equal(build_metric(pts, "points").d, d / d[d > 0].min())
     assert calls == []
+
+
+def test_build_metric_point_blocks_keep_their_bits(monkeypatch):
+    """Row blocks of a few rows each sum every entry as the whole broadcast
+    does, in C and Fortran order."""
+    monkeypatch.setattr(metric, "DISTANCE_BLOCK", 100)
+    rng = np.random.default_rng(12)
+    for dims in (1, 2, 3, 7, 8, 9, 33, 70):
+        pts = rng.standard_normal((int(rng.integers(2, 40)), dims)) * 10.0 ** int(rng.integers(-3, 4))
+        if dims % 2:
+            pts = np.asfortranarray(pts)
+        diff = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1))
+        assert np.array_equal(build_metric(pts, "points").d, d / d[d > 0].min())
+
+
+def test_build_metric_points_stay_near_the_matrix_size():
+    # 601 points in 50 dimensions: one n x n x r broadcast would hold 138 MiB
+    pts = np.random.default_rng(3).standard_normal((601, 50))
+    tracemalloc.start()
+    try:
+        build_metric(pts, "points")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_build_metric_distance_past_float_range():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefBcForest, brute_cuts_at_level, euclid, line_metric, ref_max_flow, tie_metrics
+from conftest import (
+    RefBcForest,
+    brute_cuts_at_level,
+    euclid,
+    line_metric,
+    ref_max_flow,
+    ref_same_class_closer,
+    tie_metrics,
+)
 from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
@@ -20,6 +28,7 @@ from ondesign.steiner import (
     run_bc_sf,
     run_greedy_st,
     run_sn,
+    same_class_closer,
 )
 
 
@@ -141,6 +150,25 @@ def test_nearest_set_matches_argmin_over_arrivals(data):
             best = dists.index(min(dists))
             assert near.nearest(x) == (members[best], dists[best])
             assert all(type(v) is w for v, w in zip(near.nearest(x), (int, float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_same_class_closer_matches_pairwise_reference(data):
+    """The per-class distance mask yields the pairwise loop's (j, a, b, d)
+    tuples in its order, with the same floats, on metrics with coincident
+    points and distances exactly at the class thresholds 2^(j + shift)."""
+    m = data.draw(tie_metrics())
+    points = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, max_size=14))
+    seq = _tree(*points)
+    records = [RequestRecord(idx=i, decision="buy", klass=data.draw(st.integers(-2, 4)))
+               for i in data.draw(st.lists(st.integers(0, len(points) - 1), max_size=14))]
+    shift = data.draw(st.sampled_from([-1, 0, 1]))
+    got = list(same_class_closer(records, m, seq, shift))
+    want = list(ref_same_class_closer(records, m, seq, shift))
+    assert [(j, a, b) for j, a, b, _ in got] == [(j, a, b) for j, a, b, _ in want]
+    assert all(type(d) is float and d == w for (*_, d), (*_, w) in zip(got, want))
+    assert [a is x and b is y for (_, a, b, _), (_, x, y, _) in zip(got, want)] == [True] * len(got)
 
 
 @settings(max_examples=150, deadline=None)
