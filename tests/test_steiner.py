@@ -166,9 +166,9 @@ def test_same_class_closer_matches_pairwise_reference(data):
     shift = data.draw(st.sampled_from([-1, 0, 1]))
     got = list(same_class_closer(records, m, seq, shift))
     want = list(ref_same_class_closer(records, m, seq, shift))
-    assert [(j, a, b) for j, a, b, _ in got] == [(j, a, b) for j, a, b, _ in want]
-    assert all(type(d) is float and d == w for (*_, d), (*_, w) in zip(got, want))
-    assert [a is x and b is y for (_, a, b, _), (_, x, y, _) in zip(got, want)] == [True] * len(got)
+    assert len(got) == len(want)
+    for (j, a, b, d), (i, x, y, w) in zip(got, want):
+        assert (j, d) == (i, w) and type(d) is float and a is x and b is y
 
 
 @settings(max_examples=150, deadline=None)
