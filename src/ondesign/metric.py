@@ -12,7 +12,9 @@ those of the input points, or of a classical-MDS embedding of the matrix.  A
 Floyd-Warshall closure screen accepts a matrix within the tolerance of its
 shortest-path closure.  Only what both leave open meets the O(n^3) scan,
 which names the first violated triangle.  Neither shortcut ever rejects, so the
-scan's verdict and message stand for every matrix.
+scan's verdict and message stand for every matrix.  The certificate and a point
+list's distances go a row block at a time; every entry sums its coordinates
+in the order the whole-matrix pass would, so the blocks change no bit.
 
 Distance classes are computed with exact binary thresholds: ``class(x) = j``
 iff ``2^j <= x < 2^(j+1)``, via ``math.frexp`` (powers of two are exactly
@@ -105,9 +107,9 @@ def max_flow(capacity: dict, s: int, t: int, limit: float = math.inf) -> float:
         queue = deque([s])
         while queue and t not in pred:
             u = queue.popleft()
-            out = used.get(u, {})
+            out = used.get(u)
             for v, c in capacity.get(u, {}).items():
-                if c > out.get(v, 0) and v not in pred:
+                if v not in pred and c > (0 if out is None else out.get(v, 0)):
                     pred[v] = u
                     queue.append(v)
         if t not in pred:
@@ -159,12 +161,17 @@ _EMBED_RANK = 3
 _EMBED_OVERSAMPLE = 5
 _EMBED_SEED = 0
 
+# Entries of one row block: a point list's n x rows x r differences, and the
+# certificate's rows x n distances of a matrix's embedding, stay near this many.
+DISTANCE_BLOCK = 2**16
 
-def _mds_embedding(dn: np.ndarray) -> np.ndarray:
-    """Rows whose Euclidean distances approximate dn: classical MDS, the top
-    _EMBED_RANK eigenpairs of the double-centred -dn^2 / 2, found by a seeded
-    Gaussian range finder with one power iteration."""
-    b = dn * dn
+
+def _mds_embedding(d: np.ndarray, dmax: float) -> np.ndarray:
+    """Rows whose Euclidean distances approximate d / dmax: classical MDS, the
+    top _EMBED_RANK eigenpairs of the double-centred -(d / dmax)^2 / 2, found
+    by a seeded Gaussian range finder with one power iteration."""
+    b = d / dmax
+    b *= b
     b *= -0.5
     mean = b.mean(axis=0)
     b -= mean
@@ -193,24 +200,36 @@ def _near_euclidean(d: np.ndarray, dmax: float, tol: float, dim) -> bool:
     1 + 4u, where e is the computed max|d - dx|, and e = 0 when d is the dx
     of its own points.  Acceptance asks 3e + c (r + 3) eps max(1, max dx) <=
     tol; c = 8 makes that slack (16r + 48) u, over four times what is needed.
+
+    A matrix's dx is built a block of DISTANCE_BLOCK entries at a time, each
+    entry summed over the coordinates in order from 0 as for the whole matrix,
+    so every entry, e and max dx keep their bits.  Both maxima only grow, so
+    the first block that breaks the bound declines.
     """
-    e, top = 0.0, dmax  # max|d - dx| and max dx, for d the dx of its own points
-    if dim is None:
-        d = d / dmax
-        x = _mds_embedding(d)
-        tol, dim = tol / dmax, x.shape[1]
-        dx = np.zeros_like(d)
-        buf = np.empty_like(d)
-        for col in x.T:  # one coordinate at a time: a few n^2 buffers, never n^2 * r
-            np.subtract.outer(col, col, out=buf)
-            buf *= buf
-            dx += buf
+    eps = np.finfo(float).eps
+    if dim is not None:  # e = 0 and max dx = dmax
+        return 8 * (dim + 3) * eps * max(1.0, dmax) <= tol
+    x = _mds_embedding(d, dmax)
+    n, tol, slack = len(d), tol / dmax, 8 * (x.shape[1] + 3) * eps
+    e = top = 0.0  # max|d - dx| and max dx so far
+    step = max(1, DISTANCE_BLOCK // n)
+    acc, buf = np.empty((2, min(step, n), n))
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        dx, tmp = acc[:n - i], buf[:n - i]
+        dx.fill(0.0)
+        for col in x.T:  # one coordinate at a time: a few blocks, never a block * r
+            np.subtract.outer(col[rows], col, out=tmp)
+            tmp *= tmp
+            dx += tmp
         np.sqrt(dx, out=dx)
-        top = float(dx.max())
-        dx -= d
+        top = max(float(dx.max()), top)
+        dx -= np.divide(d[rows], dmax, out=tmp)
         np.abs(dx, out=dx)
-        e = float(dx.max())
-    return 3 * e + 8 * (dim + 3) * np.finfo(float).eps * max(1.0, top) <= tol
+        e = max(float(dx.max()), e)  # a NaN block keeps its NaN, and declines here
+        if not 3 * e + slack * max(1.0, top) <= tol:
+            return False
+    return True
 
 
 def _validate_matrix(d: np.ndarray, dim) -> None:
@@ -254,11 +273,6 @@ def _require_finite(d: np.ndarray, what: str) -> None:
         raise SchemaError(f"d({u},{v}) {what}")
 
 
-# Rows of a point list's distance matrix computed at once: the n x rows x r
-# differences stay near this many entries.
-DISTANCE_BLOCK = 2**16
-
-
 def _point_distances(arr) -> np.ndarray:
     """The float Euclidean distances between the rows of arr, a block of rows
     at a time; each entry is summed over the coordinates as one n x n x r
@@ -279,31 +293,30 @@ def build_metric(raw, kind: str) -> MetricSpace:
 
     Distances are divided by the minimum distinct-pair distance so that it
     becomes exactly 1 (coincident points stay at 0).  Idempotent on
-    already-normalized input.
+    already-normalized input, which is not divided at all.  The result never
+    shares memory with `raw`.
     """
     try:
-        arr = np.asarray(raw, dtype=float)
+        arr = np.array(raw, dtype=float)  # always a copy: the caller's array is never normalized or frozen
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"not an array of numbers: {exc}") from exc
     if not np.isfinite(arr).all():
         raise SchemaError(f"entry {tuple(np.argwhere(~np.isfinite(arr))[0].tolist())} is not finite")
     if kind == "matrix":
-        d = arr.copy()
+        d = arr
     else:
         if arr.ndim != 2:
             raise SchemaError("points must be a 2-D array")
         d = _point_distances(arr)
         _require_finite(d, "is not finite")
     _validate_matrix(d, arr.shape[1] if kind == "points" else None)
-    positive = d[d > 0]
-    if positive.size:
-        mind = float(positive.min())
+    mind = float(np.min(d, where=d > 0, initial=np.inf))
+    scale = 1.0
+    if mind != 1.0 and mind < np.inf:  # x / 1 is x for every finite x, -0.0 included
         with np.errstate(over="ignore"):
-            d = d / mind
+            d /= mind
         _require_finite(d, "is not finite once the minimum distance is scaled to 1")
         scale = 1.0 / mind
-    else:
-        scale = 1.0
     d.setflags(write=False)
     return MetricSpace(d=d, scale=scale)
 

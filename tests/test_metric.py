@@ -247,6 +247,32 @@ def test_build_metric_point_blocks_keep_their_bits(monkeypatch):
         assert np.array_equal(build_metric(pts, "points").d, d / d[d > 0].min())
 
 
+def test_build_metric_matrix_blocks_keep_their_bits(monkeypatch):
+    """The certificate's row blocks of three rows each decide every matrix as
+    the default blocks do: the same closure-screen calls and the same bits,
+    on matrices it accepts and on ones it declines, also for one entry in the
+    last rows moved by half the tolerance."""
+    calls = _count_closures(monkeypatch)
+    default = metric.DISTANCE_BLOCK
+    rng = np.random.default_rng(13)
+    decided = set()
+    for n in (2, 3, 17, 64, 299, 300):
+        for dims, noise, last in ((2, 0.0, 0), (3, 1e-11, 0), (3, 1e-9, 0), (5, 0.0, 0), (3, 0.0, 0.5)):
+            pts = rng.standard_normal((n, dims))
+            diff = pts[:, None, :] - pts[None, :, :]
+            jitter = rng.standard_normal((n, n))
+            d = np.sqrt((diff * diff).sum(axis=-1)) * (1 + noise * (jitter + jitter.T))
+            d[-1, -2] = d[-2, -1] = d[-1, -2] + last * RTOL * d.max()
+            got = []
+            for block in (default, 3 * n):
+                monkeypatch.setattr(metric, "DISTANCE_BLOCK", block)
+                calls.clear()
+                got.append((build_metric(d, "matrix").d.tobytes(), len(calls)))
+            assert got[0] == got[1]
+            decided.add(got[0][1])
+    assert decided == {0, 1}
+
+
 def test_build_metric_points_stay_near_the_matrix_size():
     # 601 points in 50 dimensions: one n x n x r broadcast would hold 138 MiB
     pts = np.random.default_rng(3).standard_normal((601, 50))
@@ -281,10 +307,25 @@ def test_build_metric_reads_the_kind_it_is_given():
 
 
 def test_build_metric_idempotent_on_normalized():
-    m1 = build_metric(np.random.default_rng(5).random((6, 2)), "points")
+    """A normalized matrix comes back with its bits, -0.0 included, and scale
+    1; one that is not still divides.  No caller's array, list or ndarray of
+    either kind, is returned, changed or frozen."""
+    pts = np.random.default_rng(5).random((6, 2))
+    m1 = build_metric(pts, "points")
     m2 = build_metric(m1.d, "matrix")
-    assert np.array_equal(m1.d, m2.d)
-    assert m2.scale == 1.0
+    assert m2.d.tobytes() == m1.d.tobytes() and m2.scale == 1.0
+    signed = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    for raw, scale in ((signed, 1.0), (signed * 3, 1 / 3)):
+        m = build_metric(raw, "matrix")
+        assert m.d.tobytes() == signed.tobytes() and m.scale == scale
+        assert np.signbit(m.d[0, 1]) and np.signbit(m.d[1, 0])
+    for raw, kind in ((signed * 3, "matrix"), (m1.d.copy(), "matrix"), (pts, "points")):
+        for given in (raw, raw.tolist()):
+            before = np.array(given).tobytes()
+            d = build_metric(given, kind).d
+            assert np.array(given).tobytes() == before
+            if isinstance(given, np.ndarray):
+                assert not np.shares_memory(d, given) and given.flags.writeable
 
 
 def test_coincident_points_allowed():
@@ -380,7 +421,7 @@ def test_max_flow_matches_residual_copy_reference(data):
     n = data.draw(st.integers(2, 7))
     node = st.integers(0, n - 1)
     cap = {}
-    for u, v, k in data.draw(st.lists(st.tuples(node, node, st.integers(1, 4)), max_size=14)):
+    for u, v, k in data.draw(st.lists(st.tuples(node, node, st.integers(0, 4)), max_size=14)):
         if u != v:
             cap.setdefault(u, {})[v] = cap.get(u, {}).get(v, 0) + k
             cap.setdefault(v, {})[u] = cap[u][v]
