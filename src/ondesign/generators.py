@@ -3,13 +3,23 @@ sequences, and the recursive-diamond adversarial family that realizes the
 Omega(log k) lower bound for greedy online Steiner tree.
 
 Everything is a pure function of its seed (numpy SeedSequence-derived PCG64).
+
+The diamond's shortest-path closure has a closed form.  Every node meets the
+s-t path at two ports and sits a fixed offset from both: a path node is its
+own two ports at offset 0, and a twin over [a, a + step] has ports a and
+a + step at offset step / 2.  A twin is never shorter than the path stretch
+it spans, so a shortest path between path nodes stays on the path, and one
+from a twin leaves through one of its ports.  Hence d(u, v) is offset(u) +
+offset(v) plus the least |port(u) - port(v)| over the four port pairs, and
+d(u, u) = 0.  Each such distance, and each sum a Dijkstra run forms, is an
+integer below 2^12, so the closure in floats is exact whichever way it is
+computed.  Only gen_graph_metric's random graphs need scipy's Dijkstra,
+which loads at its first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import SchemaError
 from .metric import MetricSpace, RequestSequence, build_metric, problem_format
@@ -30,6 +40,9 @@ def gen_euclidean(count: int, seed: int = 0):
 
 def gen_graph_metric(vertices: int, density: float = 0.3, seed: int = 0) -> MetricSpace:
     """Shortest-path closure of a random connected weighted graph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     rng = _rng(seed, 2)
     w = np.zeros((vertices, vertices))
     order = rng.permutation(vertices)
@@ -63,31 +76,28 @@ def gen_diamond_lb(depth: int):
     if depth < 0:
         raise SchemaError("depth must be >= 0")
     span = 2**depth
-    n_path = span + 1
-    rows, cols, vals = [], [], []
-
-    def edge(u, v, w):
-        rows.append(u)
-        cols.append(v)
-        vals.append(w)
-
-    for i in range(span):
-        edge(i, i + 1, 1.0)
-    nid = n_path
-    for level in range(1, depth + 1):
-        step = 2 ** (depth - level + 1)
-        half = step // 2
-        for a in range(0, span, step):
-            edge(a, nid, float(half))
-            edge(nid, a + step, float(half))
-            nid += 1
-    n = nid
-    g = csr_matrix((vals + vals, (rows + cols, cols + rows)), shape=(n, n))
-    closure = shortest_path(g, method="D", directed=False)
-    closure = (closure + closure.T) / 2.0
-    # A shortest-path closure is a metric by construction and the finest path
-    # edges have length exactly 1, so skip the O(n^3) revalidation (depth 10
-    # reaches n = 2048); small depths round-trip through build_metric in tests.
+    # Ports and offsets (module docstring): the path nodes 0..span, then the
+    # twins level by level, left to right, in the graph's numbering.
+    steps = [2 ** (depth - level + 1) for level in range(1, depth + 1)]
+    low = np.concatenate([np.arange(span + 1)] + [np.arange(0, span, step) for step in steps]).astype(np.int32)
+    offset = np.concatenate([np.zeros(span + 1)] + [np.full(span // step, step // 2) for step in steps]).astype(np.int32)
+    high = low + 2 * offset
+    n = len(low)
+    # int32 throughout (distances stay below 2^12), one reused n x n buffer.
+    dist, tmp = np.subtract.outer(low, low), np.empty((n, n), dtype=np.int32)
+    np.abs(dist, out=dist)
+    for a, b in ((low, high), (high, low), (high, high)):
+        np.subtract.outer(a, b, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.minimum(dist, tmp, out=dist)
+    del tmp
+    dist += offset[:, None]
+    dist += offset
+    np.fill_diagonal(dist, 0)
+    # The closure is a metric and its finest path edges have length exactly
+    # 1, so skip the O(n^3) revalidation (depth 10 reaches n = 2048); small
+    # depths round-trip through build_metric in tests.
+    closure = dist.astype(float)
     closure.setflags(write=False)
     m = MetricSpace(d=closure)
 

@@ -15,6 +15,8 @@ which names the first violated triangle.  Neither shortcut ever rejects, so the
 scan's verdict and message stand for every matrix.  The certificate and a point
 list's distances go a row block at a time; every entry sums its coordinates
 in the order the whole-matrix pass would, so the blocks change no bit.
+scipy, whose import outweighs the rest of the package's, loads only when the
+closure screen first runs: for a matrix the certificate declines.
 
 Distance classes are computed with exact binary thresholds: ``class(x) = j``
 iff ``2^j <= x < 2^(j+1)``, via ``math.frexp`` (powers of two are exactly
@@ -32,8 +34,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall
 
 from .errors import SchemaError
 
@@ -232,30 +232,46 @@ def _near_euclidean(d: np.ndarray, dmax: float, tol: float, dim) -> bool:
     return True
 
 
+def floyd_warshall(d: np.ndarray) -> np.ndarray:
+    """The shortest-path closure of the complete graph with edge lengths d,
+    by scipy's Floyd-Warshall (scipy loads at the first call)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import floyd_warshall as closure
+
+    n = len(d)
+    cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
+    every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
+    return closure(every_entry, directed=False)
+
+
 def _validate_matrix(d: np.ndarray, dim) -> None:
     """Raise SchemaError unless d is a metric up to the triangle tolerance;
     `dim`, when d holds the float Euclidean distances of points in dim
     coordinates, certifies it directly."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise SchemaError("distance matrix must be square")
-    if np.any(d < 0):
+    if d.min(initial=0.0) < 0:  # d is finite here, so the minimum decides
         u, v = map(int, np.argwhere(d < 0)[0])
         raise SchemaError(f"d({u},{v}) < 0")
     if np.any(np.diag(d) != 0):
         raise SchemaError("nonzero diagonal entry")
-    if not np.array_equal(d, d.T):
-        u, v = map(int, np.argwhere(d != d.T)[0])
-        raise SchemaError(f"d({u},{v}) != d({v},{u})")
+    # Symmetry a row block at a time, each row from the diagonal on: of an
+    # asymmetric pair, the entry above the diagonal comes first in row order,
+    # so the first failing block holds the first asymmetric entry.
     n = d.shape[0]
+    step = max(1, DISTANCE_BLOCK // max(1, n))
+    for i in range(0, n, step):
+        upper, lower = d[i:i + step, i:], d[i:, i:i + step].T
+        if not np.array_equal(upper, lower):
+            u, v = map(int, np.argwhere(upper != lower)[0] + i)
+            raise SchemaError(f"d({u},{v}) != d({v},{u})")
     dmax = float(d.max(initial=0.0))
     tol = RTOL * max(1.0, dmax)
     # Certificate, O(n^2): no scan entry exceeds dmax, and d near a Euclidean metric passes.
     if dmax <= tol or _near_euclidean(d, dmax, tol, dim):
         return
     # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
-    cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
-    every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
-    if (d - floyd_warshall(every_entry, directed=False)).max(initial=0.0) <= tol:
+    if (d - floyd_warshall(d)).max(initial=0.0) <= tol:
         return
     # The scan names the first violation, or passes when the slack only adds up over several hops.
     buf = np.empty_like(d)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from ondesign.errors import SchemaError
 from ondesign.exact import dreyfus_wagner_st
@@ -104,6 +108,56 @@ def test_diamond_depth_cap():
         gen_diamond_lb(11)
     with pytest.raises(SchemaError, match="^depth must be >= 0$"):
         gen_diamond_lb(-1)
+
+
+def diamond_reference(depth):
+    """The depth-d diamond's closure as the graph's all-pairs Dijkstra,
+    symmetrized, and its adversarial request order."""
+    span = 2**depth
+    rows, cols, vals = [], [], []
+
+    def edge(u, v, w):
+        rows.append(u)
+        cols.append(v)
+        vals.append(w)
+
+    for i in range(span):
+        edge(i, i + 1, 1.0)
+    nid = span + 1
+    for level in range(1, depth + 1):
+        step = 2 ** (depth - level + 1)
+        for a in range(0, span, step):
+            edge(a, nid, float(step // 2))
+            edge(nid, a + step, float(step // 2))
+            nid += 1
+    g = csr_matrix((vals + vals, (rows + cols, cols + rows)), shape=(nid, nid))
+    closure = shortest_path(g, method="D", directed=False)
+    requests = [span]
+    for level in range(1, depth + 1):
+        gap = 2 ** (depth - level)
+        requests.extend(range(gap, span, 2 * gap))
+    return (closure + closure.T) / 2.0, tuple(requests)
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_diamond_closed_form_is_the_dijkstra_closure(depth):
+    closure, requests = diamond_reference(depth)
+    m, seq, info = gen_diamond_lb(depth)
+    assert m.d.dtype == closure.dtype and m.d.tobytes() == closure.tobytes()
+    assert m.d.flags.c_contiguous and not m.d.flags.writeable and m.scale == 1.0
+    assert (seq.problem, seq.requests, seq.root) == ("SteinerTree", requests, 0)
+    assert info == {"k": len(requests) + 1, "opt": float(2**depth), "depth": depth}
+
+
+def test_diamond_depth_ten_traced_peak():
+    # the all-pairs Dijkstra and its symmetrized copy peaked at 64.4 MiB
+    tracemalloc.start()
+    try:
+        gen_diamond_lb(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_diamond_closure_passes_build_metric():

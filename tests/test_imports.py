@@ -1,7 +1,11 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level name the package defines is read in it."""
+every private module-level name the package defines is read in it.  scipy
+loads only when a call needs it."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,34 @@ def test_package_reads_every_private_definition():
     dead = [(module, line, name) for module, source in sources.items()
             for name, line in private_definitions(source).items() if name not in read]
     assert dead == []
+
+
+def scipy_modules_after(code: str) -> list:
+    """The scipy modules a fresh interpreter has loaded after running code
+    with the package's source on its path."""
+    script = (f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n{code}\n"
+              "import json\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_euclidean_loads_and_the_diamond_need_no_scipy():
+    assert scipy_modules_after(
+        "import ondesign, ondesign.cli\n"
+        "from ondesign.generators import gen_diamond_lb, gen_euclidean\n"
+        "from ondesign.metric import build_metric\n"
+        "m, pts = gen_euclidean(30, seed=3)\n"
+        "build_metric(m.d, 'matrix')\n"
+        "gen_diamond_lb(4)\n"
+    ) == []
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("from ondesign.generators import gen_graph_metric\ngen_graph_metric(12, seed=0)",
+                 id="graph metric"),
+    pytest.param("from ondesign.metric import build_metric\n"
+                 "build_metric([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], 'matrix')",
+                 id="star matrix"),
+])
+def test_graph_metrics_and_non_euclidean_matrices_reach_scipy(code):
+    assert "scipy.sparse.csgraph" in scipy_modules_after(code)

@@ -191,6 +191,32 @@ def test_build_metric_asymmetric_and_negative():
         build_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]), "matrix")
 
 
+def _late_rows_matrix():
+    """Float Euclidean distances of 601 points: the sign and symmetry tests
+    go several row blocks deep."""
+    m, _ = gen_euclidean(601, seed=5)
+    return m.d.copy()
+
+
+@pytest.mark.parametrize("entries, message", [
+    pytest.param({(500, 550): -1.0, (550, 500): -1.0}, "d(500,550) < 0", id="negative pair"),
+    pytest.param({(550, 500): -1.0}, "d(550,500) < 0", id="negative below the diagonal"),
+    pytest.param({(480, 590): 7.0}, "d(480,590) != d(590,480)", id="asymmetric above the diagonal"),
+    pytest.param({(590, 480): 7.0}, "d(480,590) != d(590,480)", id="asymmetric below the diagonal"),
+    pytest.param({(590, 3): 7.0, (500, 520): 7.0}, "d(3,590) != d(590,3)", id="mirror in the first block"),
+    pytest.param({(480, 590): 7.0, (590, 470): 7.0}, "d(470,590) != d(590,470)", id="mirror first in its block"),
+])
+def test_late_rows_name_the_first_bad_entry(entries, message):
+    d = _late_rows_matrix()
+    for (u, v), x in entries.items():
+        d[u, v] = x
+    with pytest.raises(SchemaError) as exc:
+        ref_validate_matrix(d.copy())
+    assert str(exc.value) == message
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        build_metric(d, "matrix")
+
+
 @pytest.mark.parametrize("fields, message", [
     pytest.param({"problem": "SteinerNetwork", "requests": ((0, 1, 0),)},
                  "request 0: R must be an integer >= 1", id="R below 1"),
