@@ -52,7 +52,7 @@ from .metric import (
     same_cost,
 )
 from .rentorbuy import cost_share
-from .steiner import same_class_closer
+from .steiner import same_class_closer, within
 
 
 def _nearest_in(mask, row) -> int:
@@ -110,7 +110,7 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
     ofl = OflState(m, seq)
     built = ofl.points == seq.root  # F' over the entries of ofl.points
     sol.opened.add(seq.root)
-    rents = {}  # class j -> [(request idx, point)]
+    rents = {}  # class j -> ([request idx], [point])
     for idx, i in enumerate(seq.requests):
         e = ofl.arrive(i)
         row = ofl.rows[idx]  # d(i, .) over the entries of ofl.points
@@ -123,10 +123,8 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
             decision, cost = "virtual", a
         else:
             j = floor_log2(a)
-            radius = pow2(j - 2)
-            witnesses = tuple(
-                ridx for ridx, p in rents.get(j, ()) if m.dist(i, p) < radius
-            )
+            ridx, pts = rents.setdefault(j, ([], []))
+            witnesses = tuple(ridx[k] for k in within(m, i, pts, pow2(j - 2)))
             if len(witnesses) >= seq.M:
                 decision, cost = "buy", d_hat
                 if not built[e]:
@@ -137,7 +135,8 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
                     cost += float(ofl.costs[e]) + seq.M * m.dist(sigma_hat, x)
             else:
                 decision, cost = "rent", a
-                rents.setdefault(j, []).append((idx, i))
+                ridx.append(idx)
+                pts.append(i)
         sol.assignments[idx] = sigma_hat if decision == "buy" else x
         trace.add(
             RequestRecord(

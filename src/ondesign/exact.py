@@ -186,10 +186,8 @@ def exact_pcst(m: MetricSpace, r: int, requests) -> float:
     reqs = list(requests)
     if len(reqs) > _PCST_CAP:
         raise TooLarge("terminals", len(reqs), _PCST_CAP)
-    pts = sorted({p for p, _ in reqs} | {r})
-    if len(pts) > _DW_CAP:
-        raise TooLarge("distinct points", len(pts), _DW_CAP)
-    terms, table = dreyfus_wagner_table(m, [p for p in pts if p != r])
+    # _PCST_CAP < _DW_CAP: the requests' points and the root stay within the Steiner cap
+    terms, table = dreyfus_wagner_table(m, sorted({p for p, _ in reqs} - {r}))
     best = math.inf
     for keep_mask in range(1 << len(reqs)):
         pay = sum(pi for k, (_, pi) in enumerate(reqs) if not keep_mask >> k & 1)

@@ -6,17 +6,14 @@ normalized to 1).  Algorithms never look at the whole matrix online; they read
 rows of arrived requests only, but the adversary's full metric is materialized
 up front for generators and oracles.
 
-`build_metric` checks the triangle inequality up to a tolerance in three
+`build_metric` checks the triangle inequality up to a tolerance in two
 steps.  An O(n^2) certificate accepts a matrix close to Euclidean distances:
-those of the input points, or of a classical-MDS embedding of the matrix.  A
-Floyd-Warshall closure screen accepts a matrix within the tolerance of its
-shortest-path closure.  Only what both leave open meets the O(n^3) scan,
-which names the first violated triangle.  Neither shortcut ever rejects, so the
-scan's verdict and message stand for every matrix.  The certificate and a point
-list's distances go a row block at a time; every entry sums its coordinates
-in the order the whole-matrix pass would, so the blocks change no bit.
-scipy, whose import outweighs the rest of the package's, loads only when the
-closure screen first runs: for a matrix the certificate declines.
+those of the input points, or of a classical-MDS embedding of the matrix.
+Only what it leaves open meets the O(n^3) scan, which names the first
+violated triangle.  The certificate never rejects, so the scan's verdict and
+message stand for every matrix.  The certificate, a point list's distances
+and the scan go a block at a time; every entry is computed as the
+whole-matrix pass would compute it, so the blocks change no bit.
 
 Distance classes are computed with exact binary thresholds: ``class(x) = j``
 iff ``2^j <= x < 2^(j+1)``, via ``math.frexp`` (powers of two are exactly
@@ -161,8 +158,9 @@ _EMBED_RANK = 3
 _EMBED_OVERSAMPLE = 5
 _EMBED_SEED = 0
 
-# Entries of one row block: a point list's n x rows x r differences, and the
-# certificate's rows x n distances of a matrix's embedding, stay near this many.
+# Entries of one block: a point list's n x rows x r differences, the
+# certificate's rows x n distances of a matrix's embedding, and the scan's
+# pivots x n x n triangles (one pivot at least) stay near this many.
 DISTANCE_BLOCK = 2**16
 
 
@@ -232,16 +230,20 @@ def _near_euclidean(d: np.ndarray, dmax: float, tol: float, dim) -> bool:
     return True
 
 
-def floyd_warshall(d: np.ndarray) -> np.ndarray:
-    """The shortest-path closure of the complete graph with edge lengths d,
-    by scipy's Floyd-Warshall (scipy loads at the first call)."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import floyd_warshall as closure
-
+def _triangle_scan(d: np.ndarray, tol: float) -> None:
+    """Raise SchemaError at the first (v, then u, then w) triangle with
+    d(u,w) - (d(u,v) + d(v,w)) > tol; d has at least one entry.  A block of
+    middle points v at a time, each entry summed as for one v alone."""
     n = len(d)
-    cols = np.arange(n * n, dtype=np.int32) % n  # all n^2 entries explicit: csgraph reads a dense 0 as no edge
-    every_entry = csr_matrix((d.ravel(), cols, np.arange(n + 1, dtype=np.int32) * n), shape=(n, n))
-    return closure(every_entry, directed=False)
+    step = max(1, DISTANCE_BLOCK // (n * n))
+    buf = np.empty((min(step, n), n, n))
+    for i in range(0, n, step):
+        block = buf[:min(step, n - i)]
+        np.add(d[:, i:i + step].T[:, :, None], d[i:i + step, None, :], out=block)
+        np.subtract(d, block, out=block)
+        if block.max() > tol:
+            b, u, w = map(int, np.argwhere(block > tol)[0])
+            raise SchemaError(f"d({u},{w}) > d({u},{i + b}) + d({i + b},{w}) by {block[b, u, w]:g}")
 
 
 def _validate_matrix(d: np.ndarray, dim) -> None:
@@ -268,19 +270,9 @@ def _validate_matrix(d: np.ndarray, dim) -> None:
     dmax = float(d.max(initial=0.0))
     tol = RTOL * max(1.0, dmax)
     # Certificate, O(n^2): no scan entry exceeds dmax, and d near a Euclidean metric passes.
-    if dmax <= tol or _near_euclidean(d, dmax, tol, dim):
-        return
-    # Exact screen: float shortest paths never exceed a one-hop sum, so d within tol of them passes the scan.
-    if (d - floyd_warshall(d)).max(initial=0.0) <= tol:
-        return
     # The scan names the first violation, or passes when the slack only adds up over several hops.
-    buf = np.empty_like(d)
-    for v in range(n):
-        np.add.outer(d[:, v], d[v, :], out=buf)
-        np.subtract(d, buf, out=buf)
-        if buf.max() > tol:
-            u, w = map(int, np.argwhere(buf > tol)[0])
-            raise SchemaError(f"d({u},{w}) > d({u},{v}) + d({v},{w}) by {buf[u, w]:g}")
+    if not (dmax <= tol or _near_euclidean(d, dmax, tol, dim)):
+        _triangle_scan(d, tol)
 
 
 def _require_finite(d: np.ndarray, what: str) -> None:
@@ -371,22 +363,13 @@ class RequestFormat:
 
 
 def _connected(sol, seq, m, base, idx):
-    """Bought plus this request's rented edges join its two points (seq.pairs);
-    coincident points are joined already."""
+    """Bought edges plus this request's rented edge join its two points
+    (seq.pairs); coincident points are joined already."""
     a, b = seq.pairs[idx]
     if m.coincident(a, b) or base.connected(a, b):
         return True
-    # rents are per-request direct edges; splice them on top of the bought components
-    reach = {base.find(a)}
-    changed = True
-    while changed:
-        changed = False
-        for (u, v) in sol.rented.get(idx, ()):
-            ru, rv = base.find(u), base.find(v)
-            if (ru in reach) != (rv in reach):
-                reach.update((ru, rv))
-                changed = True
-    return base.find(b) in reach
+    edge = sol.rented.get(idx)  # a rent edge joins the two components, or it serves nothing
+    return edge is not None and {base.find(a), base.find(b)} == {base.find(edge[0]), base.find(edge[1])}
 
 
 def _has_flow(sol, seq, m, base, idx):
@@ -491,7 +474,7 @@ class MultiGraphSolution:
 
     def __init__(self):
         self.bought = {}  # (u, v) sorted -> multiplicity
-        self.rented = {}  # request idx -> [(u, v), ...]
+        self.rented = {}  # request idx -> the one edge (u, v) it rents, sorted
         self.penalties_paid = set()
         self.opened = set()
         self.assignments = {}  # request idx -> facility point
@@ -505,13 +488,13 @@ class MultiGraphSolution:
             row[y] = row.get(y, 0) + copies
 
     def rent(self, idx: int, u: int, v: int) -> None:
-        self.rented.setdefault(idx, []).append((u, v) if u <= v else (v, u))
+        self.rented[idx] = (u, v) if u <= v else (v, u)
 
     def bought_cost(self, m: MetricSpace) -> float:
         return sum(m.dist(u, v) * mult for (u, v), mult in self.bought.items())
 
     def rent_cost(self, m: MetricSpace) -> float:
-        return sum(m.dist(u, v) for edges in self.rented.values() for (u, v) in edges)
+        return sum(m.dist(u, v) for (u, v) in self.rented.values())
 
     def bought_components(self, n: int) -> UnionFind:
         uf = UnionFind(n)

@@ -208,6 +208,18 @@ def test_gen_diamond_instance(tmp_path):
     assert rc == 0
 
 
+def test_gen_graph_instance(tmp_path):
+    inst = tmp_path / "g.json"
+    rc = main(["gen", "--family", "graph", "--problem", "MROB", "--n", "15", "--count", "6",
+               "--M", "2", "--seed", "4", "--out", str(inst)])
+    assert rc == 0
+    doc = json.loads(inst.read_text())
+    assert len(doc["matrix"]) == 15 and len(doc["requests"]) == 6
+    out = tmp_path / "r.json"
+    assert main(["run", str(inst), "--algo", "MROB", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["feasible"] is True
+
+
 def test_verify_greedy_three_collinear(tmp_path):
     # matrix [[0,1,3],[1,0,2],[3,2,0]]: ratios <= 4 across 20 trees, exit 0
     inst = write_instance(

@@ -111,6 +111,9 @@ def test_exact_sn_examples(two_point_metric):
     m3 = euclid(np.random.default_rng(4).random((4, 2)) * 3)
     pairs = [(0, 1), (2, 3)]
     assert exact_sn_tiny(m3, pairs, [1, 1]) == pytest.approx(exact_sf(m3, pairs))
+    # no pair of distinct positions: nothing to buy
+    coincident = build_metric([[0, 0], [0, 0], [1, 0]], "points")
+    assert exact_sn_tiny(coincident, [(0, 1), (2, 2)], [3, 2]) == 0.0
 
 
 def test_exact_sn_cap(two_point_metric):
@@ -148,16 +151,17 @@ def test_exact_monotone_in_requests():
 
 def test_caps_raise():
     m = euclid(np.random.default_rng(13).random((16, 2)))
-    with pytest.raises(TooLarge):
-        exact_srob(m, 0, [1], 1.0)
-    with pytest.raises(TooLarge):
-        exact_mrob(m, [(0, 1)], 1.0)
-    with pytest.raises(TooLarge):
-        exact_pcst(m, 0, [(i % 15 + 1, 1.0) for i in range(13)])
-    with pytest.raises(TooLarge):
-        exact_fl(m, [(i, 1.0) for i in range(13)], [0])
-    with pytest.raises(TooLarge):
-        exact_sf(m, [(0, 1)] * 9)
+    for call, message in (
+        (lambda: exact_srob(m, 0, [1], 1.0), "points=16 exceeds exact-oracle cap 15"),
+        (lambda: exact_mrob(m, [(0, 1)], 1.0), "points=16 exceeds exact-oracle cap 7"),
+        (lambda: exact_pcst(m, 0, [(i % 15 + 1, 1.0) for i in range(13)]), "terminals=13 exceeds exact-oracle cap 12"),
+        (lambda: exact_fl(m, [(i, 1.0) for i in range(13)], [0]), "facilities=13 exceeds exact-oracle cap 12"),
+        (lambda: exact_cfl(m, [(i, 1.0) for i in range(13)], [0], 1.0, 0), "facilities=13 exceeds exact-oracle cap 12"),
+        (lambda: exact_sf(m, [(0, 1)] * 9), "pairs=9 exceeds exact-oracle cap 8"),
+        (lambda: exact_sf(m, [(2 * i, 2 * i + 1) for i in range(8)]), "terminals=16 exceeds exact-oracle cap 14"),
+    ):
+        with pytest.raises(TooLarge, match=f"^{message}$"):
+            call()
 
 
 def test_srob_rent_everything_sentinel():

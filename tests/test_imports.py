@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, and
 every private module-level name the package defines is read in it.  scipy
-loads only when a call needs it."""
+loads only at gen_graph_metric's first call: no import of the package and no
+build_metric call, whatever the matrix and whether it passes, loads it."""
 
 import ast
 import json
@@ -108,12 +109,23 @@ def test_import_euclidean_loads_and_the_diamond_need_no_scipy():
     ) == []
 
 
-@pytest.mark.parametrize("code", [
-    pytest.param("from ondesign.generators import gen_graph_metric\ngen_graph_metric(12, seed=0)",
-                 id="graph metric"),
-    pytest.param("from ondesign.metric import build_metric\n"
-                 "build_metric([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], 'matrix')",
-                 id="star matrix"),
-])
-def test_graph_metrics_and_non_euclidean_matrices_reach_scipy(code):
-    assert "scipy.sparse.csgraph" in scipy_modules_after(code)
+def test_non_euclidean_matrices_need_no_scipy():
+    # the star, a metric the certificate declines so that the scan passes it,
+    # and a matrix the scan rejects
+    assert scipy_modules_after(
+        "from ondesign.errors import SchemaError\n"
+        "from ondesign.metric import build_metric\n"
+        "build_metric([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]], 'matrix')\n"
+        "try:\n"
+        "    build_metric([[0, 1, 3], [1, 0, 1], [3, 1, 0]], 'matrix')\n"
+        "except SchemaError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a violated triangle passed')\n"
+    ) == []
+
+
+def test_gen_graph_metric_reaches_scipy():
+    assert "scipy.sparse.csgraph" in scipy_modules_after(
+        "from ondesign.generators import gen_graph_metric\ngen_graph_metric(12, seed=0)"
+    )

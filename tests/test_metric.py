@@ -129,23 +129,23 @@ def test_build_metric_validates_as_the_full_scan(d):
         build_metric(d, "matrix")
 
 
-def _count_closures(monkeypatch):
-    """A list that gains one entry per closure-screen call in `metric`."""
+def _count_scans(monkeypatch):
+    """A list that gains one entry per triangle-scan call in `metric`."""
     calls = []
-    closure = metric.floyd_warshall
+    scan = metric._triangle_scan
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return closure(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "floyd_warshall", counted)
+    monkeypatch.setattr(metric, "_triangle_scan", counted)
     return calls
 
 
-def test_euclidean_metrics_skip_the_closure_screen(monkeypatch):
+def test_euclidean_metrics_skip_the_scan(monkeypatch):
     """The certificate decides a point list and its distance matrix, at any
     scale and without an overflow warning; a graph closure falls back."""
-    calls = _count_closures(monkeypatch)
+    calls = _count_scans(monkeypatch)
     m, pts = gen_euclidean(30, seed=3)
     assert calls == []
     with warnings.catch_warnings():
@@ -158,11 +158,31 @@ def test_euclidean_metrics_skip_the_closure_screen(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("block", [1, 2 * 10**2, 3 * 10**2, metric.DISTANCE_BLOCK])
+def test_scan_blocks_name_the_first_violation(monkeypatch, block):
+    """Ten points on a line, point 5 between 4 and 6 and point 8 between 0
+    and 2, with d(4,6) and d(0,2) each one over their two hops: only middle
+    points 5 and 8 see a violation.  With one, two or three middle points per
+    block, 5 is last in a later block; with all ten in one block, 8 comes
+    first in (u, w) order.  The scan names 5 as the one-pivot reference does."""
+    pos = np.array([0.0, 10, 2, 20, 30, 31, 32, 40, 1, 50])
+    d = np.abs(np.subtract.outer(pos, pos))
+    for u, w in ((4, 6), (0, 2)):
+        d[u, w] = d[w, u] = d[u, w] + 1
+    with pytest.raises(SchemaError) as exc:
+        ref_validate_matrix(d.copy())
+    assert str(exc.value) == "d(4,6) > d(4,5) + d(5,6) by 1"
+    monkeypatch.setattr(metric, "DISTANCE_BLOCK", block)
+    calls = _count_scans(monkeypatch)
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(exc.value))}$"):
+        build_metric(d, "matrix")
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("over, fails", [(1.01, True), (0.25, False)])
 def test_euclidean_matrix_with_one_entry_past_its_detour(monkeypatch, over, fails):
     """One entry of a float Euclidean matrix set to its best one-hop detour
-    plus over * tol: the closure screen and the scan decide it as the full
-    scan does."""
+    plus over * tol: the scan decides it as the full scan does."""
     d = gen_euclidean(30, seed=3)[0].d.copy()
     u, w = 0, 1
     detour = d[u] + d[:, w]
@@ -170,7 +190,7 @@ def test_euclidean_matrix_with_one_entry_past_its_detour(monkeypatch, over, fail
     tol = RTOL * d.max()
     d[u, w] = d[w, u] = detour.min() + over * tol
     assert d.max() * RTOL == tol  # the moved entry is not the largest: tol is build_metric's
-    calls = _count_closures(monkeypatch)
+    calls = _count_scans(monkeypatch)
     if fails:
         with pytest.raises(SchemaError) as exc:
             ref_validate_matrix(d.copy())
@@ -228,6 +248,8 @@ def test_late_rows_name_the_first_bad_entry(entries, message):
                  "CFL needs a facilities list", id="no facilities"),
     pytest.param({"problem": "CFL", "requests": (1,), "root": 0, "M": 1.0, "facilities": ((0, 1.0), (1, 0.0))},
                  "CFL root facility must be present with cost 0", id="root facility not free"),
+    pytest.param({"problem": "CFL", "requests": (1,), "root": 0, "M": 1.0, "facilities": ((0, 0.0), (1, -1.0))},
+                 "facility costs must be >= 0", id="negative facility cost"),
 ])
 def test_request_sequence_rejects_invalid_fields(fields, message):
     """The instance checks the runners rely on: a requirement R that is not an
@@ -247,7 +269,7 @@ def test_build_metric_points_are_their_broadcast_distances(monkeypatch):
     """A point list's metric is its float Euclidean distances over their
     minimum, bit for bit, in 1-70 dimensions, C or Fortran order and scales
     1e-100 to 1e100; the certificate decides every one."""
-    calls = _count_closures(monkeypatch)
+    calls = _count_scans(monkeypatch)
     rng = np.random.default_rng(11)
     for dims in range(1, 71):
         pts = rng.standard_normal((int(rng.integers(2, 30)), dims)) * 10.0 ** int(rng.integers(-100, 101))
@@ -275,10 +297,10 @@ def test_build_metric_point_blocks_keep_their_bits(monkeypatch):
 
 def test_build_metric_matrix_blocks_keep_their_bits(monkeypatch):
     """The certificate's row blocks of three rows each decide every matrix as
-    the default blocks do: the same closure-screen calls and the same bits,
-    on matrices it accepts and on ones it declines, also for one entry in the
-    last rows moved by half the tolerance."""
-    calls = _count_closures(monkeypatch)
+    the default blocks do: the same scan calls and the same bits, on matrices
+    it accepts and on ones it declines, also for one entry in the last rows
+    moved by half the tolerance."""
+    calls = _count_scans(monkeypatch)
     default = metric.DISTANCE_BLOCK
     rng = np.random.default_rng(13)
     decided = set()
@@ -383,6 +405,9 @@ def test_floor_log2_exact_thresholds():
     assert floor_log2(3.9999999) == 1
     assert floor_log2(0.25) == -2
     assert floor_log2(0.9) == -1
+    for x in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^floor_log2 needs a positive argument$"):
+            floor_log2(x)
 
 
 def test_solution_cost_srob_example():
@@ -512,6 +537,7 @@ _BASE = {"matrix": [[0, 1], [1, 0]], "problem": "SteinerTree", "root": 0, "reque
                  "root must be present exactly for ['CFL', 'PCST', 'SROB', 'SteinerTree']", id="paired with root"),
     pytest.param({"matrix": [[0, "a"], ["a", 0]]},
                  "not an array of numbers: could not convert string to float: 'a'", id="matrix of strings"),
+    pytest.param({"matrix": [[0, 1], [1, 1]]}, "nonzero diagonal entry", id="nonzero diagonal"),
 ])
 def test_instance_boundary_messages(changes, message):
     """Each invalid instance names its own fault, word for word."""
@@ -568,3 +594,22 @@ def test_coincident_pair_is_served_without_an_edge():
     sol.rent(1, 1, 2)
     assert check_feasible(sol, seq, m) == [True, True]
     assert check_feasible(MultiGraphSolution(), seq, m) == [True, False]
+
+
+@pytest.mark.parametrize("rent, served", [
+    pytest.param((1, 2), True, id="joins the components"),
+    pytest.param((3, 0), True, id="joins them reversed"),
+    pytest.param((0, 1), False, id="inside one component"),
+    pytest.param((2, 4), False, id="touches one component"),
+])
+def test_a_rent_edge_serves_when_it_joins_the_two_components(rent, served):
+    """Bought edges (0,1) and (2,3) make two components and leave point 4
+    alone; request (0, 3) is served by a rent edge with one end in each."""
+    m = build_metric([[0.0], [1.0], [3.0], [4.0], [9.0]], "points")
+    seq = RequestSequence(problem="MROB", requests=((0, 3),), M=1.0)
+    sol = MultiGraphSolution()
+    sol.buy(0, 1)
+    sol.buy(2, 3)
+    sol.rent(0, *rent)
+    assert check_feasible(sol, seq, m) == [served]
+    assert solution_cost(sol, seq, m).rent == m.dist(*rent)
