@@ -178,7 +178,7 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
         f"class {j}: buy clients {ra.idx},{rb.idx} at {d:g} < 2^{j - 1}"
         for j, ra, rb, d in same_class_closer(buys, m, seq, -1)
     ]
-    a_z = [m.dist(seq.requests[rec.idx], rec.attach) for rec in buys]
+    a_z = [m.dist(seq.pairs[rec.idx][0], rec.attach) for rec in buys]
     c_h = _bought_length(trace, m)
     budget = sum(2 * a for a in a_z)
     if exceeds(c_h, budget):
@@ -192,7 +192,7 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     if not opened <= f_hat:
         out.append(f"opened facilities {sorted(opened - f_hat)} outside F_hat")
     for rec, a in zip(buys, a_z):
-        d_hat = m.dist(seq.requests[rec.idx], rec.sigma_hat)
+        d_hat = m.dist(seq.pairs[rec.idx][0], rec.sigma_hat)
         if not d_hat < a / 4:
             out.append(f"buy client {rec.idx}: d(z, sigma_hat)={d_hat:g} >= a/4={a / 4:g}")
     foreign = f_hat - {p for p, _ in seq.facilities}
@@ -205,7 +205,7 @@ def check_cfl_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
         if rec.attach not in built:
             out.append(f"client {rec.idx}: attach {rec.attach} not in F' at its arrival")
         if rec.decision in ("virtual", "rent") and rec.attach is not None:
-            a = m.dist(seq.requests[rec.idx], rec.attach)
+            a = m.dist(seq.pairs[rec.idx][0], rec.attach)
             if not same_cost(rec.cost, a):
                 out.append(f"client {rec.idx}: {rec.decision} cost {rec.cost:g} != d(i, attach)={a:g}")
         if rec.decision == "buy" and rec.opened is not None:
@@ -220,10 +220,10 @@ def check_cfl_cost_split(m: MetricSpace, seq: RequestSequence, trace: RunTrace):
     buys = [rec for rec in trace.records if rec.decision == "buy"]
     lhs = sum(costs.get(x, 0.0) for x in {rec.opened for rec in buys if rec.opened is not None})
     lhs += sum(rec.cost for rec in trace.records if rec.decision == "virtual")
-    lhs += sum(m.dist(seq.requests[rec.idx], rec.sigma_hat) for rec in buys)
+    lhs += sum(m.dist(seq.pairs[rec.idx][0], rec.sigma_hat) for rec in buys)
     rhs = sum(costs.get(x, 0.0) for x in trace.summary.get("f_hat", ()))
     rhs += 4 * sum(
-        m.dist(seq.requests[rec.idx], rec.sigma_hat) for rec in trace.records if rec.sigma_hat is not None
+        m.dist(seq.pairs[rec.idx][0], rec.sigma_hat) for rec in trace.records if rec.sigma_hat is not None
     )
     if exceeds(lhs, rhs):
         return [f"cost split: {lhs:g} > virtual budget {rhs:g}"]

@@ -43,34 +43,31 @@ def prim_mst(d: np.ndarray, idxs) -> float:
 
 
 def dreyfus_wagner_table(m: MetricSpace, terminals):
-    """Subset DP: S[mask] = per-vertex optimal cost of a tree spanning the
-    masked terminals plus that vertex.  Steiner points range over all points.
-    """
+    """Subset DP: row S[mask] of one (2^t, n) array is the per-vertex optimal
+    cost of a tree spanning the masked terminals plus that vertex; Steiner
+    points range over all points."""
     terms = list(terminals)
     d = m.d
-    n = m.n
-    full = 1 << len(terms)
-    S = {}
+    S = np.zeros((1 << len(terms), m.n))  # row 0, the empty set, is never read
     for i, t in enumerate(terms):
-        S[1 << i] = d[t].copy()
-    for mask in range(1, full):
-        if mask in S or mask == 0:
+        S[1 << i] = d[t]
+    for mask in range(len(S)):
+        if mask & (mask - 1) == 0:  # the empty set and the singletons
             continue
         low = mask & (-mask)
         rest = mask ^ low
-        best = None
+        best = np.full(m.n, np.inf)
         sub = rest
         # split enumeration: every proper submask containing the lowest bit
         while True:
             left = low | sub
             right = mask ^ left
             if right:
-                cand = S[left] + S[right]
-                best = cand if best is None else np.minimum(best, cand)
+                np.minimum(best, S[left] + S[right], out=best)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        S[mask] = np.minimum.reduce([best[w] + d[w] for w in range(n)])
+        S[mask] = (best[:, None] + d).min(axis=0)
     return terms, S
 
 

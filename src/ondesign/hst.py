@@ -74,8 +74,9 @@ class Hst:
     (root 0).  Per terminal column: `terminals`, the points in ascending
     order, and `leaf`, each terminal's leaf node.  `aliases` holds the
     (point, terminal) pairs of the other points at a terminal's position, by
-    point.  The constructor checks nothing, so a malformed tree reaches
-    validate_hst as built.
+    point.  Node 0 is the root (parent -1), every other node's parent is an
+    earlier node and every leaf is a node id; the constructor checks nothing,
+    so a malformed tree reaches validate_hst as built.
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=()):
@@ -228,6 +229,7 @@ def _walk(parent, leaves, roots):
 # A forest walked at once holds at most this many pairs of terminals (trees x
 # k x k), or one tree: the pairwise arrays stay near their one-tree size.
 FOREST_PAIRS = 2**16
+MISNUMBERED = "numbering: node 0's parent must be -1, any other node's an earlier node, each leaf a node id"
 
 
 def validate_hst(trees, m: MetricSpace) -> list:
@@ -248,7 +250,8 @@ def validated_distances(trees, m: MetricSpace) -> list:
     a tree whose leaf map is a bijection.  The trees of one call share
     `terminals` and `aliases` (ValueError otherwise), so one submatrix of m.d
     serves them all; they are walked in forests of at most
-    max(1, FOREST_PAIRS // k^2) trees.
+    max(1, FOREST_PAIRS // k^2) trees.  A tree numbered against the Hst rule
+    gets that one message and is not walked: its T is None.
     """
     trees = list(trees)
     if not trees:
@@ -256,8 +259,24 @@ def validated_distances(trees, m: MetricSpace) -> list:
     first = trees[0]
     if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
         raise ValueError("trees validated together must share terminals and aliases")
+    misnumbered = _misnumbered(trees).tolist()
+    walk = [t for t, bad in zip(trees, misnumbered) if not bad]
     group = max(1, FOREST_PAIRS // max(1, len(first.terminals)) ** 2)
-    return [out for i in range(0, len(trees), group) for out in _validate_forest(trees[i:i + group], m)]
+    walked = iter([out for i in range(0, len(walk), group) for out in _validate_forest(walk[i:i + group], m)])
+    return [([MISNUMBERED], None) if bad else next(walked) for bad in misnumbered]
+
+
+def _misnumbered(trees) -> np.ndarray:
+    """Per tree, whether it breaks the Hst numbering rule or has a leaf count
+    other than its terminals': one test over the trees' concatenated arrays."""
+    sizes, lens = np.array([[t.n_nodes, len(t.leaf)] for t in trees]).T
+    owner, leaf_owner = (np.repeat(np.arange(len(trees)), c) for c in (sizes, lens))
+    local = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[owner]
+    parent, leaf = np.concatenate([t.parent for t in trees]), np.concatenate([t.leaf for t in trees])
+    bad = (sizes == 0) | (lens != len(trees[0].terminals))
+    bad[owner[np.where(local > 0, (parent < 0) | (parent >= local), parent != -1)]] = True
+    bad[leaf_owner[(leaf < 0) | (leaf >= sizes[leaf_owner])]] = True
+    return bad
 
 
 def _validate_forest(trees, m: MetricSpace) -> list:

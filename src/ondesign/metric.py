@@ -374,10 +374,11 @@ def _connected(sol, seq, m, base, idx):
 
 def _has_flow(sol, seq, m, base, idx):
     """R edge-disjoint s-t paths, bought copies counted."""
-    s, t, r = seq.requests[idx]
+    s, t = seq.pairs[idx]
     if m.coincident(s, t):
         return True
-    return max_flow(sol.capacity(), s, t, limit=r) >= r
+    r = seq.requests[idx][2]
+    return max_flow(sol.capacity, s, t, limit=r) >= r
 
 
 def _paid_or_joined(sol, seq, m, base, idx):
@@ -478,33 +479,17 @@ class MultiGraphSolution:
         self.penalties_paid = set()
         self.opened = set()
         self.assignments = {}  # request idx -> facility point
-        self._capacity = {}  # bought multiplicities as symmetric {u: {v: cap}}
+        self.capacity = {}  # bought multiplicities as max_flow's symmetric {u: {v: cap}}, kept by buy
 
     def buy(self, u: int, v: int, copies: int = 1) -> None:
         key = (u, v) if u <= v else (v, u)
         self.bought[key] = self.bought.get(key, 0) + copies
         for x, y in (key, key[::-1]):
-            row = self._capacity.setdefault(x, {})
+            row = self.capacity.setdefault(x, {})
             row[y] = row.get(y, 0) + copies
 
     def rent(self, idx: int, u: int, v: int) -> None:
         self.rented[idx] = (u, v) if u <= v else (v, u)
-
-    def bought_cost(self, m: MetricSpace) -> float:
-        return sum(m.dist(u, v) * mult for (u, v), mult in self.bought.items())
-
-    def rent_cost(self, m: MetricSpace) -> float:
-        return sum(m.dist(u, v) for (u, v) in self.rented.values())
-
-    def bought_components(self, n: int) -> UnionFind:
-        uf = UnionFind(n)
-        for (u, v) in self.bought:
-            uf.union(u, v)
-        return uf
-
-    def capacity(self) -> dict:
-        """Bought multiplicities as max_flow's symmetric {u: {v: cap}}; kept by `buy`, read-only."""
-        return self._capacity
 
 
 @dataclass
@@ -530,22 +515,24 @@ def solution_cost(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace)
     """
     fmt = PROBLEMS[seq.problem]
     out = CostBreakdown()
-    out.buy = (seq.M if fmt.needs_M else 1.0) * sol.bought_cost(m)
-    out.rent = sol.rent_cost(m)
+    bought = sum(m.dist(u, v) * mult for (u, v), mult in sol.bought.items())  # in insertion order
+    out.buy = (seq.M if fmt.needs_M else 1.0) * bought
     if "pi" in fmt.fields:
         out.penalty = sum(seq.requests[i][1] for i in sol.penalties_paid)
     if fmt.facilities:
         costs = dict(seq.facilities)
         out.opening = sum(costs[x] for x in sol.opened)
-        out.rent = sum(
-            m.dist(seq.requests[i], sol.assignments[i]) for i in sol.assignments
-        )
+        out.rent = sum(m.dist(seq.pairs[i][0], x) for i, x in sol.assignments.items())
+    else:
+        out.rent = sum(m.dist(u, v) for (u, v) in sol.rented.values())
     return out
 
 
 def check_feasible(sol: MultiGraphSolution, seq: RequestSequence, m: MetricSpace):
     """Per-request feasibility booleans against the final solution state."""
-    base = sol.bought_components(m.n)
+    base = UnionFind(m.n)
+    for (u, v) in sol.bought:
+        base.union(u, v)
     feasible = PROBLEMS[seq.problem].feasible
     return [feasible(sol, seq, m, base, idx) for idx in range(len(seq.requests))]
 

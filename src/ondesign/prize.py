@@ -72,8 +72,7 @@ def positive_share_rows(seq: RequestSequence, trace: RunTrace) -> dict:
     rows = {}
     for rec in trace.records:
         if rec.klass is not None and (rec.rho or 0.0) > 0:
-            point, pi = seq.requests[rec.idx]
-            rows.setdefault(rec.klass, []).append((point, rec.rho, pi))
+            rows.setdefault(rec.klass, []).append((seq.pairs[rec.idx][0], rec.rho, seq.requests[rec.idx][1]))
     return rows
 
 

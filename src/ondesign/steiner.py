@@ -225,7 +225,7 @@ def run_sn(m: MetricSpace, seq: RequestSequence) -> tuple:
         klass, cost = bc.buy_pair(sol, s, t, copies)
         # every edge of instance lev carries 2^(lev+1) > req copies, so a
         # path of them already carries req; max_flow decides the rest
-        feasible = bc.connected(s, t) or max_flow(sol.capacity(), s, t, limit=req) >= req
+        feasible = bc.connected(s, t) or max_flow(sol.capacity, s, t, limit=req) >= req
         trace.add(RequestRecord(idx=idx, decision="bc", klass=klass, cost=cost, feasible_now=feasible))
     trace.summary = {"forests": [bc.summary() for _, bc in sorted(instances.items())]}
     return sol, trace

@@ -127,34 +127,30 @@ def _tree_sn(tally, m, seq, trace, t):
     tally.out += _metagraph(trace, t)
 
 
-def _tree_rob_single(tally, seq, trace, t, cost_name, cost, shift):
-    """SROB and CFL: share and `cost` against the rent-or-buy tree optimum;
-    cut caps on class-(j + shift) rents.  Both read the cuts' load of the
-    (client, root) pairs, counted once."""
+def _tree_rob(tally, seq, trace, t, cost_name, cost, shift):
+    """SROB, CFL and MROB (no root: the multi-source optimum): share and `cost`
+    against the rent-or-buy tree optimum; cut caps on class-(j + shift) rents.
+    Both read seq.pairs' cut load, counted once.  Returns the extended tree."""
     t_ext = extend_singleton_levels(t)
     load = cut_load(t_ext, seq.pairs)
-    opt = opt_tree_rob_single(t_ext, seq.root, seq.M, load)
+    opt = (opt_tree_rob_multi(t_ext, load, seq.M) if seq.root is None
+           else opt_tree_rob_single(t_ext, seq.root, seq.M, load))
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
     tally.out += check_cut_capacity(seq, trace, t_ext, shift, load)
+    return t_ext
 
 
 def _tree_srob(tally, m, seq, trace, t):
-    _tree_rob_single(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 1)
+    _tree_rob(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 1)
 
 
 def _tree_cfl(tally, m, seq, trace, t):
-    _tree_rob_single(tally, seq, trace, t, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
+    _tree_rob(tally, seq, trace, t, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
 
 
 def _tree_mrob(tally, m, seq, trace, t):
-    t_ext = extend_singleton_levels(t)
-    load = cut_load(t_ext, seq.pairs)
-    opt = opt_tree_rob_multi(t_ext, load, seq.M)
-    tally.bound("share_vs_tree", cost_share(trace), opt)
-    tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, 2, load)
-    tally.out += _metagraph(trace, t_ext)
+    tally.out += _metagraph(trace, _tree_rob(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 2))
 
 
 def _tree_pcst(tally, m, seq, trace, t):

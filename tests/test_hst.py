@@ -1,5 +1,6 @@
 import hashlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -522,6 +523,46 @@ def test_validate_batch_needs_one_terminal_set():
     with pytest.raises(ValueError, match="^trees validated together must share terminals and aliases$"):
         validated_distances(trees, m2)
     assert validate_hst([], m) == [] and validated_distances([], m) == []
+
+
+@pytest.fixture
+def hang_fails():
+    """A test that runs past 5 s fails with TimeoutError instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("parent, leaf", [
+    pytest.param([-1, 2, 1, 0], [1, 3], id="parent cycle"),
+    pytest.param([-1, 1, 1, 0], [2, 3], id="self-parent"),
+    pytest.param([-1, -1, 1, 1], [2, 3], id="second root"),
+    pytest.param([-1, 5, 0, 0], [2, 3], id="parent out of range"),
+    pytest.param([-1, 0, 0], [1, 7], id="leaf out of range"),
+    pytest.param([-1, 0, 0], [-1, 2], id="negative leaf"),
+    pytest.param([2, 0, 0], [1, 2], id="root with a parent"),
+    pytest.param([-1, 0, 0], [1], id="leaf missing"),
+    pytest.param([], [0, 1], id="no nodes"),
+])
+def test_misnumbered_tree_gets_one_message_and_no_walk(hang_fails, parent, leaf):
+    # such a tree hung the walk or crashed it before the numbering test; the
+    # trees around it in one call are validated as if alone
+    message = "numbering: node 0's parent must be -1, any other node's an earlier node, each leaf a node id"
+    m = build_metric([[0, 0], [1, 0]], "points")
+    bad = Hst(parent, [0] + [1] * (len(parent) - 1), [0, 1], leaf)
+    good = sample_frt(Terminals(m, [0, 1]), 0)
+    assert validate_hst([bad], m) == [[message]]
+    results = validated_distances([good, bad, good], m)
+    assert results[1] == ([message], None)
+    alone_bad, alone_T = validated_distances([good], m)[0]
+    for bad_msgs, T in (results[0], results[2]):
+        assert bad_msgs == alone_bad == []
+        assert T.tobytes() == alone_T.tobytes()
 
 
 def test_validated_distances_match_path_walk():

@@ -438,6 +438,49 @@ def test_solution_cost_pcst_penalty_only():
     assert solution_cost(sol, seq, m).total == 2.5
 
 
+def _cfl_with_a_stray_rent():
+    seq = RequestSequence(problem="CFL", requests=(1, 2, 3), root=0, M=2.0, facilities=((0, 0.0), (1, 1.5)))
+    sol = MultiGraphSolution()
+    sol.buy(0, 1)
+    sol.opened.add(1)
+    sol.assignments.update({0: 1, 1: 0, 2: 1})
+    sol.rent(2, 2, 3)
+    return seq, sol
+
+
+def _steiner_tree_with_nothing_rented():
+    seq = RequestSequence(problem="SteinerTree", requests=(1, 2, 3), root=0)
+    sol = MultiGraphSolution()
+    sol.buy(1, 0)
+    sol.buy(0, 2)
+    sol.buy(3, 2, copies=2)
+    return seq, sol
+
+
+def _pcst_with_no_penalty_paid():
+    seq = RequestSequence(problem="PCST", requests=((1, 2.5), (3, 0.75)), root=0)
+    sol = MultiGraphSolution()
+    sol.buy(0, 1)
+    sol.buy(1, 3)
+    return seq, sol
+
+
+@pytest.mark.parametrize("build, expected", [
+    # CFL's rent term is the assignment sum alone: the rent edge (2, 3) adds nothing
+    (_cfl_with_a_stray_rent,
+     '{"buy": 2.0, "opening": 1.5, "penalty": 0.0, "rent": 4.18133458177251, "total": 7.68133458177251}'),
+    # an empty rent or penalty sum is the int 0
+    (_steiner_tree_with_nothing_rented,
+     '{"buy": 7.1407350339519855, "opening": 0.0, "penalty": 0.0, "rent": 0, "total": 7.1407350339519855}'),
+    (_pcst_with_no_penalty_paid,
+     '{"buy": 3.848001248439177, "opening": 0.0, "penalty": 0, "rent": 0, "total": 3.848001248439177}'),
+])
+def test_solution_cost_terms_are_pinned(build, expected):
+    m = build_metric([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [6.0, 8.0]], "points")
+    seq, sol = build()
+    assert json.dumps(solution_cost(sol, seq, m).as_dict(), sort_keys=True) == expected
+
+
 def test_check_feasible_sn_flow():
     m = build_metric([[0, 1], [1, 0]], "matrix")
     seq = RequestSequence(problem="SteinerNetwork", requests=((0, 1, 5),))

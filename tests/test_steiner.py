@@ -185,7 +185,7 @@ def test_sn_feasible_now_is_the_max_flow_bit(data):
         if trace.records[p].decision == "auto":
             continue
         sol, _ = run_sn(m, _network(*reqs[:p + 1]))
-        assert trace.records[p].feasible_now is (ref_max_flow(sol.capacity(), s, t, limit=r) >= r)
+        assert trace.records[p].feasible_now is (ref_max_flow(sol.capacity, s, t, limit=r) >= r)
 
 
 def test_sn_examples(two_point_metric):
