@@ -11,20 +11,25 @@ terminal singletons by convention (forced by the min-distance-1 normalization).
 `terminals` and `leaf` per terminal column.  Every tree is built whole by
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
-a tree's arrays.  `Hst.cut_ids` names the cut holding each terminal at each
+a tree's arrays (the extension for all trees of a forest at once).  `Hst.cut_ids` names the cut holding each terminal at each
 level; it is the only form a cut takes.  `Hst.cuts` reads it at any points,
 every level at once, and `class_cuts` groups the class-(j + shift) entries of
 a check by level-j cut, which is how the per-tree cut checks and the PCST cut
-lower bound read the tree.  `path_cuts` lists the cuts that separate each
-pair of points, and `cut_load` counts them per cut: the tree oracles and the
-rent caps read a cut's load that way.  Walks of the tree (`tree_distance`,
-the PCST DP) read the arrays.
+lower bound read the tree.  A `Forest` reads the trees of one terminal set
+(an instance's trials) as one: `path_cuts` lists the cuts of every tree that
+separate each pair of points, and `cut_load` counts them per cut with one
+bincount over the forest's cut ids; the tree oracles and the rent caps read
+a cut's load that way.  Walks of the tree (`tree_distance`, the PCST DP)
+read the arrays.
 
 A terminal is a position: of the points a tree is sampled for, the lowest
 index at each position is the terminal, and every other point there is an
 alias of it.  A tree of distinct positions has no aliases.  Every lookup by
 point (`Hst.columns`, `Hst.cuts`, `class_cuts`, `tree_distance`) resolves an
 alias to its terminal's column, so no caller maps coincident points itself.
+The lookup is one index into a point -> column array, `Hst.column`: the
+`Terminals` builds it once per instance and every tree sampled from it,
+promoted or extended shares it; a tree built by hand builds its own.
 
 Sampling reads a `Terminals`: what every tree for one set of points shares,
 built once per instance -- the terminals and aliases, the terminals'
@@ -46,14 +51,17 @@ appended below each leaf so the bottom level stays 1.
 takes the trees of one terminal set, offsets their node ids into one forest,
 walks every leaf up through `parent`, and checks the leaf map, levels, cuts
 and distances with trees x k x k arrays against the metric.  That walk is
-the one producer of `cut_ids`: a tree it accepts keeps the ancestors it
-walked, moved from depth rows to level rows, and `extend_singleton_levels`
-derives an extended tree's rows from its base tree's.  So every check reads
-cuts the validator measured, and a tree no validation walked (one built by
-hand) is walked as a forest of one when its cuts are first read.  It returns
-one message list per tree; `validated_distances` also returns the pairwise
-tree distances it measured.  `tree_distance` is the scalar path walk that
-defines them.
+the one producer of `cut_ids`: `_cut_rows` moves the ancestors it walked
+from depth rows to level rows, one trees x levels x k tensor of cut ids, and
+a tree the validator accepts keeps its rows of it (and its root level).  A
+`Forest` stacks its trees' rows back into that tensor, and
+`extend_singleton_levels` derives the extended forest's tensor from it, for
+all its trees at once.  So every check reads cuts the validator measured,
+and a tree no validation walked (one built by hand) is walked as a forest of
+one when its cuts are first read, after the numbering test (`Hst.numbered`).
+It returns one message list per tree; `validated_distances` also returns the
+pairwise tree distances it measured.  `tree_distance` is the scalar path
+walk that defines them.
 """
 
 from __future__ import annotations
@@ -79,13 +87,14 @@ class Hst:
     so a malformed tree reaches validate_hst as built.
     """
 
-    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=()):
+    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=(), column=None):
         self.parent = _frozen(parent)
         self.edge_level = _frozen(edge_level)
         self.terminals = tuple(terminals)
         self.leaf = _frozen(leaf)
         self.extended_to = extended_to
         self.aliases = tuple(sorted(aliases))
+        self.column = _column_map(self.terminals, self.aliases) if column is None else column
 
     @property
     def n_nodes(self) -> int:
@@ -111,6 +120,12 @@ class Hst:
         return range(self.extended_to if self.extended_to is not None else 0, self.root_level + 1)
 
     @cached_property
+    def numbered(self) -> bool:
+        """Whether the tree keeps the numbering rule above; validate_hst sets
+        it on every tree it walks.  Every walk of the tree reads it first."""
+        return not _misnumbered([self])[0]
+
+    @cached_property
     def cut_ids(self) -> np.ndarray:
         """Rows self.cut_levels, columns self.terminals: entry (j, q) is the
         node whose parent edge is q's level-j edge, or n_nodes + q's column if
@@ -119,10 +134,15 @@ class Hst:
 
         validate_hst sets the rows of every tree it accepts from its forest
         walk, and extend_singleton_levels derives an extended tree's from its
-        base tree's; a tree neither reached is walked here as a forest of one.
+        base tree's; a tree neither reached is walked here as a forest of one
+        (ValueError(MISNUMBERED) if it is not numbered).
         """
+        if not self.numbered:
+            raise ValueError(MISNUMBERED)
         parent, level, off, _, local, leaf = _forest([self])
-        return _cut_rows([self], _pairwise(parent, level, off, leaf)[0], level, local)[0]
+        low = self.cut_levels.start
+        return _cut_rows(_pairwise(parent, level, off, leaf)[0], level, local,
+                         np.array([self.n_nodes]), np.array([low]), np.array([len(self.cut_levels)]))[0]
 
     def cuts(self, points) -> np.ndarray:
         """The cut_ids columns of `points`, rows self.cut_levels; a point not
@@ -132,26 +152,23 @@ class Hst:
 
     def columns(self, points) -> np.ndarray:
         """Each point's column in self.terminals (an alias's is its terminal's),
-        -1 for a point not in the tree."""
-        return np.array([self._column.get(p, -1) for p in points], dtype=np.intp)
-
-    @cached_property
-    def _column(self) -> dict:
-        column = {p: i for i, p in enumerate(self.terminals)}
-        return {**{a: column[p] for a, p in self.aliases if p in column}, **column}
+        -1 for a point not in the tree (or None)."""
+        at = np.array([-1 if p is None else p for p in points], dtype=np.intp).view(np.uintp)
+        return self.column[np.minimum(at, len(self.column) - 1)]  # a negative point wraps past the end
 
     def total_length(self) -> float:
         return float(self.length.sum())  # powers of two: exact in any order
 
     def to_json_dict(self) -> dict:
         parent, length, leaf = self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
+        points = list(self.terminals) + [a for a, _ in self.aliases]
         nodes = [{"id": 0, "level": self.root_level, "parent": None, "edge_len": None}]
         nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
                   for nid, level in enumerate(self.edge_level.tolist()) if nid]
         return {
             "levels": self.root_level,
             "nodes": nodes,
-            "leaf_map": {str(p): leaf[col] for p, col in self._column.items()},
+            "leaf_map": {str(p): leaf[col] for p, col in zip(points, self.columns(points).tolist()) if col >= 0},
         }
 
     def to_json(self) -> str:
@@ -164,36 +181,43 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _column_map(terminals, aliases, n_points=None) -> np.ndarray:
+    """Per point, its column in `terminals` (an alias's is its terminal's, a
+    terminal's its own), else -1; one more -1 at the end, where a lookup
+    clips a point past the array."""
+    points = list(terminals) + [p for pair in aliases for p in pair]
+    out = np.full((max(points, default=-1) + 1 if n_points is None else n_points) + 1, -1, dtype=np.intp)
+    out[list(terminals)] = np.arange(len(terminals))
+    if aliases:
+        alias, of = np.array(aliases, dtype=np.intp).T
+        out[alias] = out[of]
+        out[list(terminals)] = np.arange(len(terminals))
+    out.flags.writeable = False  # shared by every tree of a Terminals
+    return out
+
+
 def tree_distance(t: Hst, u: int, v: int) -> float:
-    """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf."""
-    if u not in t._column or v not in t._column:
+    """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf.
+    ValueError(MISNUMBERED) on a tree that is not numbered."""
+    cols = t.columns([u, v]).tolist()
+    if min(cols) < 0:
         raise ValueError(f"{u} or {v} is not a leaf terminal")
-    a, b = (int(t.leaf[t._column[p]]) for p in (u, v))
+    if not t.numbered:
+        raise ValueError(MISNUMBERED)
+    parent, level = t.parent.tolist(), t.edge_level.tolist()
+    a, b = (int(t.leaf[c]) for c in cols)
     ancestors = {}
     dist = 0.0
     while a != 0:
         ancestors[a] = dist
-        dist += t.length[a]
-        a = int(t.parent[a])
+        dist += 2.0 ** (level[a] - 1)  # t.length[a], exactly
+        a = parent[a]
     ancestors[0] = dist
     dist = 0.0
     while b not in ancestors:
-        dist += t.length[b]
-        b = int(t.parent[b])
-    return float(dist + ancestors[b])
-
-
-def path_cuts(t: Hst, pairs):
-    """(cut id, pair index) for every cut holding one end of a pair but not
-    the other, ids as in t.cut_ids; an end outside the tree is in no cut."""
-    ends = t.cuts([p for pair in pairs for p in pair]).reshape(len(t.cut_levels), -1, 2)
-    crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (level, pair, end)
-    return ends[crossed], np.nonzero(crossed)[1]
-
-
-def cut_load(t: Hst, pairs) -> np.ndarray:
-    """Per cut id, the number of pairs the cut separates."""
-    return np.bincount(path_cuts(t, pairs)[0], minlength=t.n_nodes + len(t.terminals))
+        dist += 2.0 ** (level[b] - 1)
+        b = parent[b]
+    return dist + ancestors[b]
 
 
 def class_cuts(t: Hst, by_class: dict, shift: int, root=None):
@@ -256,14 +280,22 @@ def validated_distances(trees, m: MetricSpace) -> list:
     trees = list(trees)
     if not trees:
         return []
-    first = trees[0]
-    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
-        raise ValueError("trees validated together must share terminals and aliases")
+    first = _one_terminal_set(trees, "validated")
     misnumbered = _misnumbered(trees).tolist()
     walk = [t for t, bad in zip(trees, misnumbered) if not bad]
+    for t in walk:
+        t.numbered = True
     group = max(1, FOREST_PAIRS // max(1, len(first.terminals)) ** 2)
     walked = iter([out for i in range(0, len(walk), group) for out in _validate_forest(walk[i:i + group], m)])
     return [([MISNUMBERED], None) if bad else next(walked) for bad in misnumbered]
+
+
+def _one_terminal_set(trees, what):
+    """trees[0], after checking that every tree shares its terminals and aliases."""
+    first = trees[0]
+    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
+        raise ValueError(f"trees {what} together must share terminals and aliases")
+    return first
 
 
 def _misnumbered(trees) -> np.ndarray:
@@ -345,27 +377,47 @@ def _validate_forest(trees, m: MetricSpace) -> list:
         out[g].append(f"expanding: T({pts[a]},{pts[b]})={T[g, a, b]:g} < d={d[a, b]:g}")
     # 5. per-level cuts partition the terminals (implicit singletons complete
     #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
-    #    the set of points whose leaf walks pass its node.
+    #    the set of points whose leaf walks pass its node; a walk passes a
+    #    node once, so the (node, point) pairs are distinct unless a point is
+    #    listed twice among the terminals.
     below = ancestors[1:]  # the nodes under each tree's root
     on_walk = below >= 0
-    members = np.unique(below[on_walk] * m.n + np.broadcast_to(pts, below.shape)[on_walk])
+    members = below[on_walk] * m.n + np.broadcast_to(pts, below.shape)[on_walk]
+    if len(terminals) != k:
+        members = np.unique(members)
     member_node, member_pt = members // m.n, members % m.n
     size = np.bincount(member_node, minlength=n)
     lowest, width = int(level.min()), int(level.max() - level.min()) + 1
+    # a level breaks when a terminal sits in two of its cuts: per tree, the
+    # broken levels from 1 to its root level, ascending
     count = np.bincount((owner[member_node] * m.n + member_pt) * width + level[member_node] - lowest)
-    # a level breaks when a terminal sits in two of its cuts
     twice = np.flatnonzero(count > 1)
-    broken = set(zip((twice // (m.n * width)).tolist(), (twice % width + lowest).tolist()))
-    for g, t in enumerate(trees):
-        out[g] += [f"partition: level-{j} cuts do not partition the terminals"
-                   for j in range(1, t.root_level + 1) if (g, j) in broken]
+    tree, j = twice // (m.n * width), twice % width + lowest
+    root_level = _root_levels(parent, level, off, owner, local)
+    broken = np.unique((tree * width + j - lowest)[(j >= 1) & (j <= root_level[tree])])
+    for g, j in zip((broken // width).tolist(), (broken % width + lowest).tolist()):
+        out[g].append(f"partition: level-{j} cuts do not partition the terminals")
     for nid in np.flatnonzero((level <= 0) & (local > 0) & (size != 1)).tolist():
         out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
-    # every tree that breaks nothing keeps the cuts this walk measured
-    for t, msgs, rows in zip(trees, out, _cut_rows(trees, ancestors, level, local)):
+    # every tree that breaks nothing keeps its root level and the cuts this
+    # walk measured
+    lows = np.array([t.extended_to or 0 for t in trees])
+    heights = np.maximum(root_level - lows + 1, 0)
+    rows = _cut_rows(ancestors, level, local, sizes, lows, heights)
+    for t, msgs, g_rows, top, h in zip(trees, out, rows, root_level.tolist(), heights.tolist()):
         if not msgs:
-            t.cut_ids = rows
+            t.root_level, t.cut_ids = top, g_rows[:h]
     return list(zip(out, T))
+
+
+def _root_levels(parent, level, off, owner, local) -> np.ndarray:
+    """Per tree of a forest, Hst.root_level: the level of the root's first
+    child, 0 for a tree of one node."""
+    top = np.flatnonzero((local > 0) & (parent == off[owner]))  # the roots' children, by id
+    first = top[np.flatnonzero(np.diff(owner[top], prepend=-1))]
+    out = np.zeros(len(off), dtype=np.intp)
+    out[owner[first]] = level[first]
+    return out
 
 
 def _forest(trees):
@@ -379,27 +431,27 @@ def _forest(trees):
     off = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(trees)), sizes)
     local = np.arange(sizes.sum()) - off[owner]
-    parent = np.concatenate([np.maximum(t.parent, 0) for t in trees]) + off[owner]
+    parent = np.maximum(np.concatenate([t.parent for t in trees]), 0) + off[owner]
     level = np.concatenate([t.edge_level for t in trees])
     leaf = np.stack([t.leaf for t in trees]) + off[:, None]
     return parent, level, off, owner, local, leaf
 
 
-def _cut_rows(trees, ancestors, level, local):
-    """Each tree's cut_ids, from the forest walk's ancestors[depth, tree, q]:
-    one scatter moves every ancestor below a root from its depth row to its
-    edge level's row, over rows of implicit singletons n_nodes + q."""
-    lows = np.array([t.cut_levels.start for t in trees])
-    heights = np.array([len(t.cut_levels) for t in trees])
+def _cut_rows(ancestors, level, local, sizes, lows, heights) -> np.ndarray:
+    """The forest's cut_ids as one trees x levels x k tensor, from its walk's
+    ancestors[depth, tree, q]: one scatter moves every ancestor below a root
+    from its depth row to its edge level's row, over rows of implicit
+    singletons n_nodes + q.  Tree g's rows are the first heights[g], from
+    level lows[g] up."""
     k = ancestors.shape[2]
-    rows = np.empty((len(trees), heights.max(), k), dtype=np.intp)
-    rows[:] = (np.array([t.n_nodes for t in trees])[:, None] + np.arange(k))[:, None]
+    rows = np.empty((len(sizes), heights.max(), k), dtype=np.intp)
+    rows[:] = (sizes[:, None] + np.arange(k))[:, None]
     below = ancestors[1:]
     row = level[below] - lows[:, None]
     on = (below >= 0) & (row >= 0) & (row < heights[:, None])
     _, tree, col = np.nonzero(on)
     rows[tree, row[on], col] = local[below[on]]
-    return [r[:h] for r, h in zip(rows, heights.tolist())]
+    return rows
 
 
 def _pairwise(parent, level, roots, leaf):
@@ -443,6 +495,8 @@ class Terminals:
 
     `terminals` holds the lowest index at each position of the points,
     ascending, and `aliases` a (point, terminal) pair for every other point;
+    `column` maps each point of the metric to its terminal's column (-1 if
+    none), the one lookup every tree sampled from it shares (`Hst.columns`);
     `d` is the terminals' distance submatrix, which must be normalized
     (distinct positions at least 1 apart).  `levels` runs from the top
     carving level down to 1, and `by_dist` and `row_d` hold each row of `d`
@@ -465,6 +519,7 @@ class Terminals:
             u, v = (pts[i] for i in np.argwhere(np.triu(close))[0])
             raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
         self.terminals, self.d = tuple(pts), d
+        self.column = _column_map(self.terminals, self.aliases, m.n)
         self.levels = np.arange(floor_log2(float(d.max())) + 1 if len(pts) > 1 else 0, 0, -1)
         self.by_dist = np.argsort(d, axis=1)
         self.row_d = np.take_along_axis(d, self.by_dist, axis=1)
@@ -481,7 +536,7 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
     pts, aliases, d, levels = terms.terminals, terms.aliases, terms.d, terms.levels
     k = len(pts)
     if k == 1:
-        return Hst([-1], [0], pts, [0], aliases=aliases)
+        return Hst([-1], [0], pts, [0], aliases=aliases, column=terms.column)
 
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     beta = 2.0 ** rng.random()
@@ -509,7 +564,8 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
     by_point = np.empty_like(node)
     by_point[:, order] = node
     t = Hst(np.concatenate([[-1], above[starts]]),
-            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases)
+            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases,
+            column=terms.column)
 
     # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
     gap = (by_point[:, :, None] != by_point[:, None, :]).sum(axis=0)
@@ -520,37 +576,116 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
 
 
 def _promote_one_level(t: Hst) -> Hst:
-    """Double every edge length and re-hang each terminal by a level-1 edge."""
-    return _hang_chains(t, 1, [1])
-
-
-def _hang_chains(t: Hst, shift: int, chain_levels, extended_to=None) -> Hst:
-    """t with every edge level raised by shift and, below each leaf in node
-    order, a new chain of edges at chain_levels with the terminal at its end."""
-    n, k, depth = t.n_nodes, len(t.leaf), len(chain_levels)
+    """Double every edge length and re-hang each terminal, below its leaf in
+    node order, by a new level-1 edge."""
+    n, k = t.n_nodes, len(t.leaf)
     by_node = np.argsort(t.leaf)
-    chain = np.arange(n, n + k * depth).reshape(k, depth)
     leaf = np.empty(k, dtype=np.intp)
-    leaf[by_node] = chain[:, -1]
-    return Hst(np.concatenate([t.parent, np.column_stack([t.leaf[by_node], chain[:, :-1]]).ravel()]),
-               np.concatenate([t.edge_level + shift * (t.parent >= 0), np.tile(chain_levels, k)]),
-               t.terminals, leaf, extended_to, t.aliases)
+    leaf[by_node] = np.arange(n, n + k)
+    return Hst(np.concatenate([t.parent, t.leaf[by_node]]), np.concatenate([t.edge_level + (t.parent >= 0), [1] * k]),
+               t.terminals, leaf, t.extended_to, t.aliases, t.column)
 
 
-def extend_singleton_levels(t: Hst) -> Hst:
-    """Append singleton chains (levels -1 and -2) below every leaf.
+class Forest:
+    """The trees of one terminal set (an instance's trials), read as one.
+
+    The trees share `terminals` and `aliases` (ValueError otherwise), so one
+    column lookup serves them all.  `nodes` is `_forest`'s arrays: tree g's
+    node ids offset by the nodes of the trees before it.  Cut ids are offset
+    the same way over each tree's n_nodes + k ids (its nodes, then its
+    implicit singletons), tree g's from start[g].  `local` stacks the trees'
+    cut_ids rows into one trees x levels x k tensor, -1 past a tree's height,
+    and `cut_ids` holds it in forest ids; `cut_load`, `path_cuts`, the
+    extension and the tree oracles read a forest, so each runs once for all
+    its trees.
+    """
+
+    def __init__(self, trees):
+        self.trees = list(trees)
+        first = _one_terminal_set(self.trees, "read as a forest")
+        self.columns, self.k = first.columns, len(first.terminals)
+        self.sizes = np.array([t.n_nodes for t in self.trees])
+        ids = self.sizes + self.k
+        self.start = np.cumsum(ids) - ids
+        self.n_ids = int(ids.sum())
+
+    @cached_property
+    def nodes(self):
+        """_forest(trees): (parent, level, off, owner, local, leaf)."""
+        return _forest(self.trees)
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        """Per forest node, Hst.length: 2^(level-1), 0.0 at a root."""
+        _, level, off, *_ = self.nodes
+        out = np.ldexp(1.0, level - 1)
+        out[off] = 0.0
+        return out
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        heights = [len(t.cut_levels) for t in self.trees]
+        out = np.full((len(self.trees), max(heights), self.k), -1, dtype=np.intp)
+        for rows, t, h in zip(out, self.trees, heights):
+            rows[:h] = t.cut_ids
+        return out
+
+    @cached_property
+    def cut_ids(self) -> np.ndarray:
+        return np.where(self.local >= 0, self.local + self.start[:, None, None], -1)
+
+    def per_tree(self, values) -> list:
+        """Values over the forest's cut ids, split into each tree's own ids."""
+        return np.split(values, self.start[1:])
+
+
+def path_cuts(f: Forest, pairs):
+    """(cut id, pair index) for every cut holding one end of a pair but not
+    the other, in f's cut ids; an end outside the trees is in no cut."""
+    cols = f.columns([p for pair in pairs for p in pair])
+    ends = np.where(cols >= 0, f.cut_ids[:, :, cols], -1).reshape(*f.cut_ids.shape[:2], -1, 2)
+    crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (tree, level, pair, end)
+    return ends[crossed], np.nonzero(crossed)[2]
+
+
+def cut_load(f: Forest, pairs) -> np.ndarray:
+    """Per cut id of f, the number of pairs the cut separates."""
+    return np.bincount(path_cuts(f, pairs)[0], minlength=f.n_ids)
+
+
+def extend_singleton_levels(f: Forest) -> Forest:
+    """Append singleton chains (levels -1 and -2) below every leaf of every
+    tree of f; the extended trees, as a forest.
 
     Edge lengths are 2^-2 and 2^-3; the terminal moves to the chain bottom, so
     the new levels' cuts are exactly the singletons and every tree optimum
     grows by at most (#leaves) * 3/8.
     """
-    if t.extended_to is not None:
-        raise ValueError(f"tree already extended to {t.extended_to}")
-    ext = _hang_chains(t, 0, [-1, -2], extended_to=-2)
+    trees, k, n = f.trees, f.k, f.sizes
+    for t in trees:
+        if t.extended_to is not None:
+            raise ValueError(f"tree already extended to {t.extended_to}")
+    leaf = np.stack([t.leaf for t in trees])
+    by_node = np.argsort(leaf, axis=1)
+    chain = n[:, None] + 2 * np.arange(k)  # the level -1 node below each tree's q-th leaf by id
+    hang = np.stack([np.take_along_axis(leaf, by_node, axis=1), chain], axis=2).reshape(len(trees), 2 * k)
+    ext_leaf = np.empty_like(leaf)
+    np.put_along_axis(ext_leaf, by_node, chain + 1, axis=1)
     # The chains add levels -2 and -1 below the base rows, whose nodes keep
     # their ids; only the implicit singletons move past the 2k chain nodes.
     # A one-leaf tree's root level drops to -1, so its base row goes.
-    base = t.cut_ids
-    rows = np.concatenate([[ext.leaf, ext.leaf - 1], np.where(base >= t.n_nodes, base + 2 * len(t.leaf), base)])
-    ext.cut_ids = rows[:len(ext.cut_levels)]
-    return ext
+    base = f.local
+    rows = np.concatenate([ext_leaf[:, None], ext_leaf[:, None] - 1,
+                           np.where(base >= n[:, None, None], base + 2 * k, base)], axis=1)
+    top = np.where(n > 1, [t.root_level for t in trees], -1)
+    rows[top < 0, 2:] = -1
+    levels = np.tile([-1, -2], k)
+    ext = []
+    for t, g_hang, g_leaf, g_rows, g_top in zip(trees, hang, ext_leaf, rows, top.tolist()):
+        e = Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
+                t.terminals, g_leaf, -2, t.aliases, t.column)
+        e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3]
+        ext.append(e)
+    out = Forest(ext)
+    out.local = rows
+    return out

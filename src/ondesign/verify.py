@@ -1,8 +1,9 @@
 """Runs algorithms, samples HSTs, and evaluates every charging-scheme
 guarantee as an executable check.
 
-`SPECS` holds one entry per problem: runner, per-run checks, per-tree checks
-with the constants of their bounds, and exact offline oracle.  A per-run check
+`SPECS` holds one entry per problem: runner, per-run checks, tree oracles,
+per-tree checks with the constants of their bounds, and exact offline
+oracle.  A per-run check
 is check(m, seq, trace), a solution check check(m, seq, sol, trace), each named
 by its report name; it reads the run's decisions from the trace and the
 instance (root, M, requests, facilities) only from the RequestSequence.
@@ -10,11 +11,18 @@ Runners and oracles are lambdas, so a call resolves each name when it happens.
 Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
 Trees are sampled over the request points and the root: every trial's tree
-from the instance's one `hst.Terminals`, and all of them validated in one
-`validate_hst` call.  The tree resolves coincident points to one leaf (see
-hst), so checks and oracles pass it the instance's points as they are.
-Trees are extended with singleton levels down to -2 for the rent-or-buy
-style checks.
+from the instance's one `hst.Terminals`, one `sample_frt` call per trial.
+From there the work is done once per instance, on all trials at once: one
+`validate_hst` call, then the tree oracles on the `hst.Forest` of the valid
+trees -- for the rent-or-buy style checks and PCST one
+`extend_singleton_levels` call (singleton levels down to -2) and one
+`cut_load` -- which read only those trees and the RequestSequence.  What
+reads the trace runs once per trial, in `check_tree_bounds`: the bounds
+against the trial's optimum and the per-tree checks (`check_cut_capacity`,
+`check_pcst_invariants`, `pcst_cut_lower_bound`, `covers_from_tree` and
+`check_metagraph_acyclic`), so a check error on a forged trace lands on its
+own trial.  The tree resolves coincident points to one leaf (see hst), so
+checks and oracles pass it the instance's points as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
+from .hst import Forest, Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
 from .metric import (
     MetricSpace,
     RequestSequence,
@@ -84,7 +92,42 @@ from .tree_opt import (
 
 
 # ---------------------------------------------------------------------------
-# Per-tree checks: check(tally, m, seq, trace, t) on a valid sampled tree t.
+# Tree oracles: oracles(seq, f) on the forest f of an instance's valid trees,
+# once per instance; they read only the trees and the RequestSequence.  Each
+# returns the forest the checks read (extended for the rent-or-buy style
+# checks), the tree optima and the cut loads (or None), per tree.
+# ---------------------------------------------------------------------------
+
+def _oracles_st(seq, f):
+    return f, [opt_tree_steiner_tree(t) for t in f.trees], None
+
+
+def _oracles_sf(seq, f):
+    return f, opt_tree_steiner_forest(f, seq.pairs), None
+
+
+def _oracles_sn(seq, f):
+    return f, opt_tree_steiner_network(f, seq.pairs, [r for _, _, r in seq.requests]), None
+
+
+def _oracles_rob(seq, f):
+    """SROB, CFL and MROB (no root: the multi-source optimum): the rent-or-buy
+    tree optimum reads seq.pairs' cut load, which the cut caps read too."""
+    ext = extend_singleton_levels(f)
+    load = cut_load(ext, seq.pairs)
+    opt = (opt_tree_rob_multi(ext, load, seq.M) if seq.root is None
+           else opt_tree_rob_single(ext, seq.root, seq.M, load))
+    return ext, opt, ext.per_tree(load)
+
+
+def _oracles_pcst(seq, f):
+    ext = extend_singleton_levels(f)
+    return ext, opt_tree_pcst(ext, seq.root, seq.requests), None
+
+
+# ---------------------------------------------------------------------------
+# Per-tree checks: check(tally, m, seq, trace, t, opt, load) on one valid
+# tree t of the oracles' forest, with its optimum and cut load.
 # ---------------------------------------------------------------------------
 
 class _Tally:
@@ -112,56 +155,43 @@ def _metagraph(trace, t):
     return check_metagraph_acyclic(trace, covers_from_tree(t, trace))
 
 
-def _tree_st(tally, m, seq, trace, t):
-    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_tree(t))
+def _tree_st(tally, m, seq, trace, t, opt, load):
+    tally.bound("cost_vs_tree", trace.total_cost(), opt)
 
 
-def _tree_sf(tally, m, seq, trace, t):
-    tally.bound("cost_vs_tree", trace.total_cost(), opt_tree_steiner_forest(t, seq.pairs))
-    tally.out += _metagraph(trace, t)
-
-
-def _tree_sn(tally, m, seq, trace, t):
-    opt = opt_tree_steiner_network(t, seq.pairs, [r for _, _, r in seq.requests])
+def _tree_sf(tally, m, seq, trace, t, opt, load):
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
     tally.out += _metagraph(trace, t)
 
 
-def _tree_rob(tally, seq, trace, t, cost_name, cost, shift):
-    """SROB, CFL and MROB (no root: the multi-source optimum): share and `cost`
-    against the rent-or-buy tree optimum; cut caps on class-(j + shift) rents.
-    Both read seq.pairs' cut load, counted once.  Returns the extended tree."""
-    t_ext = extend_singleton_levels(t)
-    load = cut_load(t_ext, seq.pairs)
-    opt = (opt_tree_rob_multi(t_ext, load, seq.M) if seq.root is None
-           else opt_tree_rob_single(t_ext, seq.root, seq.M, load))
+def _tree_rob(tally, seq, trace, t, opt, load, cost_name, cost, shift):
+    """Share and `cost` against the rent-or-buy tree optimum; cut caps on
+    class-(j + shift) rents."""
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
-    tally.out += check_cut_capacity(seq, trace, t_ext, shift, load)
-    return t_ext
+    tally.out += check_cut_capacity(seq, trace, t, shift, load)
 
 
-def _tree_srob(tally, m, seq, trace, t):
-    _tree_rob(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 1)
+def _tree_srob(tally, m, seq, trace, t, opt, load):
+    _tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 1)
 
 
-def _tree_cfl(tally, m, seq, trace, t):
-    _tree_rob(tally, seq, trace, t, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
+def _tree_cfl(tally, m, seq, trace, t, opt, load):
+    _tree_rob(tally, seq, trace, t, opt, load, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
 
 
-def _tree_mrob(tally, m, seq, trace, t):
-    tally.out += _metagraph(trace, _tree_rob(tally, seq, trace, t, "cost_vs_tree", trace.total_cost(), 2))
+def _tree_mrob(tally, m, seq, trace, t, opt, load):
+    _tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 2)
+    tally.out += _metagraph(trace, t)
 
 
-def _tree_pcst(tally, m, seq, trace, t):
-    t_ext = extend_singleton_levels(t)
+def _tree_pcst(tally, m, seq, trace, t, opt, load):
     rows = positive_share_rows(seq, trace)
-    tree_viol, tree_flags = check_pcst_invariants(seq, rows, t_ext)
+    tree_viol, tree_flags = check_pcst_invariants(seq, rows, t)
     tally.out += tree_viol
     tally.flags += tree_flags
     share = total_share(trace)
-    lb = pcst_cut_lower_bound(t_ext, seq.root, rows)
-    opt = opt_tree_pcst(t_ext, seq.root, seq.requests)
+    lb = pcst_cut_lower_bound(t, seq.root, rows)
     # the cut lower bound is held to the share constant
     tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
     tally.bound("share_vs_tree", share, opt)
@@ -176,6 +206,7 @@ def _tree_pcst(tally, m, seq, trace, t):
 class ProblemSpec:
     run: Callable            # (m, seq) -> (solution, trace)
     run_checks: dict         # report name -> check(m, seq, trace), after cost and feasibility
+    tree_oracles: Callable   # (seq, forest) -> (forest, optima, loads); see _oracles_st
     tree_checks: Callable    # see _Tally
     constants: dict          # per-tree bound name -> factor
     optimum: Callable        # (m, seq) -> exact offline optimum
@@ -187,14 +218,14 @@ SPECS = {
     "SteinerTree": ProblemSpec(
         run=lambda m, seq: run_greedy_st(m, seq),
         run_checks={"class_separation": check_class_separation, "share_identity": check_share_identity},
-        tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
+        tree_oracles=_oracles_st, tree_checks=_tree_st, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.dreyfus_wagner_st(m, set(seq.requests) | {seq.root}),
     ),
     "SteinerForest": ProblemSpec(
         run=lambda m, seq: run_bc_sf(m, seq),
         run_checks={"bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
-        tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
+        tree_oracles=_oracles_sf, tree_checks=_tree_sf, constants={"cost_vs_tree": 4.0},
         optimum=lambda m, seq: exact.exact_sf(m, seq.requests),
     ),
     "SteinerNetwork": ProblemSpec(
@@ -202,7 +233,7 @@ SPECS = {
         run_checks={"bc_edge_property": check_bc_edge_property},
         solution_checks={"sn_decomposition": check_sn_decomposition},
         summary_shape=BcForest.SUMMARY_SHAPE,
-        tree_checks=_tree_sn, constants={"cost_vs_tree": 16.0},
+        tree_oracles=_oracles_sn, tree_checks=_tree_sf, constants={"cost_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_sn_tiny(m, seq.pairs, [r for _, _, r in seq.requests]),
     ),
     "SROB": ProblemSpec(
@@ -210,7 +241,7 @@ SPECS = {
         run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_srob_witnesses,
                     "class_separation": check_class_separation},
         solution_checks={"greedy_replay": check_greedy_replay},
-        tree_checks=_tree_srob, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
+        tree_oracles=_oracles_rob, tree_checks=_tree_srob, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_srob(m, seq.root, seq.requests, seq.M),
     ),
     "MROB": ProblemSpec(
@@ -218,7 +249,7 @@ SPECS = {
         run_checks={"cost_vs_share": check_cost_vs_share, "witness_disjointness": check_mrob_witnesses,
                     "bc_edge_property": check_bc_edge_property},
         summary_shape=BcForest.SUMMARY_SHAPE,
-        tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
+        tree_oracles=_oracles_rob, tree_checks=_tree_mrob, constants={"cost_vs_tree": 32.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_mrob(m, seq.requests, seq.M),
     ),
     "CFL": ProblemSpec(
@@ -226,7 +257,7 @@ SPECS = {
         run_checks={"cfl_invariants": check_cfl_invariants, "cfl_cost_split": check_cfl_cost_split,
                     "buyrent_vs_share": check_buyrent_vs_share},
         summary_shape=CFL_SUMMARY_SHAPE,
-        tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
+        tree_oracles=_oracles_rob, tree_checks=_tree_cfl, constants={"buyrent_vs_tree": 48.0, "share_vs_tree": 16.0},
         optimum=lambda m, seq: exact.exact_cfl(
             m, list(seq.facilities), seq.requests, seq.M, seq.root
         ),
@@ -235,7 +266,7 @@ SPECS = {
         run=lambda m, seq: run_pcst(m, seq),
         run_checks={"pcst_run_invariants": check_pcst_run_invariants},
         solution_checks={"greedy_replay": check_greedy_replay},
-        tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
+        tree_oracles=_oracles_pcst, tree_checks=_tree_pcst, constants={"cost_vs_tree": 16.0, "share_vs_tree": 8.0},
         optimum=lambda m, seq: exact.exact_pcst(m, seq.root, seq.requests),
     ),
 }
@@ -250,12 +281,13 @@ def tree_points(seq: RequestSequence):
     return [p for pair in seq.pairs for p in pair] + ([] if seq.root is None else [seq.root])
 
 
-def check_tree_bounds(m, seq, trace, t):
-    """Run every per-tree check on a valid sampled tree t; returns
+def check_tree_bounds(m, seq, trace, t, opt, load):
+    """Run every per-tree check on a valid sampled tree t (extended where the
+    problem's oracles extend it), given its tree optimum and cut load; returns
     (violations, flags, ratios) for this tree."""
     spec = SPECS[seq.problem]
     tally = _Tally(spec.constants)
-    spec.tree_checks(tally, m, seq, trace, t)
+    spec.tree_checks(tally, m, seq, trace, t, opt, load)
     return tally.out, tally.flags, tally.ratios
 
 
@@ -272,6 +304,17 @@ def _sampled_trees(m, points, seeds):
     trees = [sample_frt(terms, s) for s in seeds]
     return [(None, [f"invalid tree: {bad[0]}"] + bad[1:]) if bad else (t, [])
             for t, bad in zip(trees, validate_hst(trees, m))]
+
+
+def _tree_facts(seq, sampled):
+    """Per trial, (tree, optimum, load) for the checks of a valid tree, else
+    None: the oracles run once, on the forest of the valid trees."""
+    valid = [t for t, _ in sampled if t is not None]
+    if not valid:
+        return [None] * len(sampled)
+    f, opt, load = SPECS[seq.problem].tree_oracles(seq, Forest(valid))
+    facts = iter(zip(f.trees, opt, load or [None] * len(opt)))
+    return [None if t is None else next(facts) for t, _ in sampled]
 
 
 def per_run_checks(m, seq, sol, trace):
@@ -330,15 +373,16 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         sampled = _sampled_trees(m, tree_points(seq), seeds)
     except guard as exc:
         sampled = [(None, [f"check error: {exc}"])] * trials
+    facts = _tree_facts(seq, sampled)  # reads no trace: unguarded
     ratios = {}
     flags = []
     tree_violations = []
     witness_seed = None
-    for trial, (t, viol) in enumerate(sampled):
+    for trial, ((_, viol), fact) in enumerate(zip(sampled, facts)):
         fl, rat = [], {}
-        if t is not None:
+        if fact is not None:
             try:
-                viol, fl, rat = check_tree_bounds(m, seq, trace, t)
+                viol, fl, rat = check_tree_bounds(m, seq, trace, *fact)
             except guard as exc:
                 viol = [f"check error: {exc}"]
         for name, value in rat.items():

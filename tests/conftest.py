@@ -126,9 +126,9 @@ def brute_tree_rob_single(t, r, M, clients):
 
 def client_load(t, r, clients):
     """hst.cut_load of the (client, r) pairs, which tree_opt.opt_tree_rob_single reads."""
-    from ondesign.hst import cut_load
+    from ondesign.hst import Forest, cut_load
 
-    return cut_load(t, [(p, r) for p in clients])
+    return cut_load(Forest([t]), [(p, r) for p in clients])
 
 
 def brute_tree_pcst(t, r, penalties):
@@ -183,16 +183,53 @@ def ref_tree_pcst(t, r, penalties):
     return h[root]
 
 
+def extend_one(t):
+    """t extended to level -2: hst.extend_singleton_levels on the forest of t alone."""
+    from ondesign.hst import Forest, extend_singleton_levels
+
+    return extend_singleton_levels(Forest([t])).trees[0]
+
+
+def ref_extend(t):
+    """Reference for hst.extend_singleton_levels on one tree, in Python lists:
+    below each leaf in node order a level -1 node, then a level -2 node that
+    takes the terminal.  Its cut_ids are left to the forest-of-one walk."""
+    from ondesign.hst import Hst
+
+    parent, level, leaf = t.parent.tolist(), t.edge_level.tolist(), t.leaf.tolist()
+    new_leaf = list(leaf)
+    for nid in sorted(leaf):
+        parent += [nid, len(parent)]
+        level += [-1, -2]
+        new_leaf[leaf.index(nid)] = len(parent) - 1
+    return Hst(parent, level, t.terminals, new_leaf, -2, t.aliases)
+
+
+def ref_cut_load(t, pairs):
+    """Reference for hst.cut_load on one tree: per cut id, the (level, pair)
+    crossings counted in Python over t.cut_ids; an end outside the tree is
+    in no cut."""
+    load = [0] * (t.n_nodes + len(t.terminals))
+    ends = [t.columns(pair).tolist() for pair in pairs]
+    for row in t.cut_ids.tolist():
+        for cols in ends:
+            cu, cv = (row[c] if c >= 0 else -1 for c in cols)
+            for c in (cu, cv) if cu != cv else ():
+                if c >= 0:
+                    load[c] += 1
+    return load
+
+
 def random_small_hst(rng, max_leaves=8, extended_chance=0.5):
     """Sample a valid HST over a random small Euclidean metric."""
-    from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
+    from ondesign.hst import Terminals, sample_frt
 
     k = int(rng.integers(2, max_leaves + 1))
     pts = rng.random((k, 2)) * rng.uniform(1.0, 40.0)
     m = build_metric(pts, "points")
     t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**31)))
     if rng.random() < extended_chance:
-        t = extend_singleton_levels(t)
+        t = extend_one(t)
     return m, t
 
 

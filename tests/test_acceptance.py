@@ -9,8 +9,10 @@ battery feeds the structural-guarantee tally (criterion 2) and the online
 feasibility sweep (criterion 7).
 """
 
+import importlib.util
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -23,12 +25,13 @@ from conftest import (
     brute_tree_sf,
     brute_tree_sn,
     client_load,
+    extend_one,
     line_metric,
     random_small_hst,
 )
 from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
-from ondesign.hst import Terminals, cut_load, extend_singleton_levels, sample_frt
+from ondesign.hst import Forest, Terminals, cut_load, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
@@ -161,8 +164,8 @@ def _forged_controls():
     for i in range(4):
         packed.add(RequestRecord(idx=i, decision="rent", klass=2))
     packed_seq = RequestSequence(problem="SROB", requests=(1,) * 4, root=0, M=3.0)
-    t5 = extend_singleton_levels(sample_frt(Terminals(m5, [0, 1]), seed=1))
-    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1, cut_load(t5, packed_seq.pairs)))))
+    t5 = extend_one(sample_frt(Terminals(m5, [0, 1]), seed=1))
+    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1, cut_load(Forest([t5]), packed_seq.pairs)))))
 
     mrob = RunTrace()
     mrob.add(RequestRecord(idx=0, decision="buy", klass=2, witnesses=(9,), witnesses_t=()))
@@ -205,11 +208,11 @@ def test_criterion_3_tree_oracle_exactness():
         r = int(pts[0])
         pen = [(int(p), float(rng.uniform(0, 8))) for p in pts if p != r]
         ok = (
-            math.isclose(opt_tree_steiner_forest(t, pairs), brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_steiner_network(t, pairs, reqs), brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_multi(t, cut_load(t, pairs), M), brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_single(t, r, M, client_load(t, r, pts)), brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_pcst(t, r, pen), brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
+            math.isclose(opt_tree_steiner_forest(Forest([t]), pairs)[0], brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_steiner_network(Forest([t]), pairs, reqs)[0], brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), M)[0], brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0], brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_pcst(Forest([t]), r, pen)[0], brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
         )
         if not ok:
             announce("3 tree-oracle exactness", False, f"mismatch at trial {checked}")
@@ -320,6 +323,24 @@ def test_criterion_7_online_feasibility(battery):
             if rep["checks"]["online_feasibility"]["fail"] or rep["checks"]["cost_consistency"]["fail"]:
                 bad.append((problem, rep["seed"]))
     announce("7 online feasibility at every prefix", not bad, f"failures={bad[:3]}")
+
+
+def test_battery_reports_match_the_benchmark_digests(battery):
+    # The benchmark's `battery` workload at its default seed is this
+    # battery's first BATTERY_SLICE instances per problem: their reports must
+    # hash to the digests recorded in perfbench/digests.json (read only), so a
+    # change of report bytes fails here, not only at the benchmark's gate.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(bench, "workloads.py"))
+    wl = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
+    spec.loader.exec_module(wl)
+    with open(os.path.join(bench, "digests.json")) as fh:
+        recorded = json.load(fh)["battery"]["reports"]
+    assert wl.PROBLEMS == PROBLEMS and len(recorded) == len(PROBLEMS) * wl.BATTERY_SLICE
+    digests = [wl.report_digest(rep) for problem in PROBLEMS for rep in battery[problem][:wl.BATTERY_SLICE]]
+    changed = [f"{problem}/i={i}" for n, (problem, i) in enumerate((p, i) for p in PROBLEMS for i in range(wl.BATTERY_SLICE))
+               if digests[n] != recorded[n]]
+    assert not changed, f"{len(changed)} reports differ from the recorded digests, first {changed[:3]}"
 
 
 def test_criterion_8_determinism():

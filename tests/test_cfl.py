@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefOflState, client_load, euclid, line_metric, tie_metrics
+from conftest import RefOflState, client_load, euclid, extend_one, line_metric, tie_metrics
 from ondesign.cfl import (
     OflState,
     cfl_buy_rent_cost,
@@ -11,7 +11,7 @@ from ondesign.cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from ondesign.hst import Terminals, cut_load, extend_singleton_levels, sample_frt
+from ondesign.hst import Forest, Terminals, cut_load, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.rentorbuy import check_cut_capacity
 from ondesign.tree_opt import opt_tree_rob_single
@@ -162,13 +162,13 @@ def test_cfl_sharetree_prestudy_constant_16():
         seq = _cfl(facs, clients, M)
         sol, trace = run_cfl(m, seq)
         share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.decision == "rent")
-        t = extend_singleton_levels(sample_frt(Terminals(m, clients + [0]), seed=trial))
-        opt = opt_tree_rob_single(t, 0, M, client_load(t, 0, clients))
+        t = extend_one(sample_frt(Terminals(m, clients + [0]), seed=trial))
+        opt = opt_tree_rob_single(Forest([t]), 0, M, client_load(t, 0, clients))[0]
         if share > 0:
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(seq, trace, t, 2, cut_load(t, seq.pairs))
+        out = check_cut_capacity(seq, trace, t, 2, cut_load(Forest([t]), seq.pairs))
         assert out == []
     assert worst <= 16.0
 

@@ -12,6 +12,7 @@ from conftest import (
     brute_validate_hst,
     ref_sample_frt,
     euclid,
+    extend_one,
     id_cuts,
     line_metric,
     path_edges,
@@ -19,11 +20,11 @@ from conftest import (
 )
 from ondesign.hst import (
     FOREST_PAIRS,
+    Forest,
     Hst,
     Terminals,
     _promote_one_level,
     class_cuts,
-    extend_singleton_levels,
     path_cuts,
     sample_frt,
     tree_distance,
@@ -77,7 +78,7 @@ def test_coincident_points_collapse_onto_one_terminal():
             [(1, int(t.cuts([0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
         assert tree_distance(t, 1, 2) == tree_distance(t, 0, 2) and tree_distance(t, 1, 0) == 0.0
         assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
-        for tree in (t, extend_singleton_levels(t), _promote_one_level(t)):
+        for tree in (t, extend_one(t), _promote_one_level(t)):
             assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
             assert validate_hst([tree], m)[0] == []
 
@@ -192,7 +193,7 @@ def test_cuts_examples(two_point_metric):
     assert t.cuts([]).shape == (2, 0)
     aliased = Hst(t.parent, t.edge_level, t.terminals, t.leaf, aliases=[(5, 1)])  # 5 sits on 1
     assert aliased.cuts([5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
-    ext = extend_singleton_levels(t)
+    ext = extend_one(t)
     assert list(ext.cut_levels) == [-2, -1, 0, 1]
     assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
     assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
@@ -201,11 +202,11 @@ def test_cuts_examples(two_point_metric):
 
 def test_path_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # {0}, {1}: cuts 1, 2 at level 1, 3, 4 at level 0
-    cut, which = path_cuts(t, [(0, 1), (1, 1), (1, 7)])
+    cut, which = path_cuts(Forest([t]), [(0, 1), (1, 1), (1, 7)])
     # a pair on one leaf crosses no cut; an end outside the tree (point 7) is
     # in none, so its pair crosses only the cuts of its other end
     assert sorted(zip(which.tolist(), cut.tolist())) == [(0, 1), (0, 2), (0, 3), (0, 4), (2, 2), (2, 4)]
-    assert path_cuts(t, [])[0].tolist() == []
+    assert path_cuts(Forest([t]), [])[0].tolist() == []
 
 
 def test_class_cuts_group_entries_by_reference_cut():
@@ -237,17 +238,17 @@ def test_cuts_partition_random_trees():
 
 def test_extension_arithmetic(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
-    ext = extend_singleton_levels(t)
+    ext = extend_one(t)
     assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst([ext], two_point_metric)[0] == []
     with pytest.raises(ValueError, match="^tree already extended to -2$"):
-        extend_singleton_levels(ext)
+        extend_one(ext)
 
 
 def test_extension_single_leaf(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0]), seed=0)
-    ext = extend_singleton_levels(t)
+    ext = extend_one(t)
     assert ext.n_nodes == 3  # chain of two edges below the root leaf
     assert ext.total_length() == pytest.approx(0.375)
 
@@ -281,7 +282,7 @@ def test_cut_ids_group_into_the_reference_cuts():
     for k in (2, 3, 5, 8, 13, 21, 30):
         m = gen_euclidean(k, seed=k)[0]
         t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**40)))
-        trees += [t, extend_singleton_levels(t), _promote_one_level(t)]
+        trees += [t, extend_one(t), _promote_one_level(t)]
     for t in trees:
         pts = t.terminals
         assert t.cut_ids.shape == (len(t.cut_levels), len(pts))
@@ -330,7 +331,7 @@ def test_cut_ids_are_the_parent_walk():
             for group in (trees, alone, never):
                 set_by_validation = group is not never
                 assert all(("cut_ids" in vars(t)) is set_by_validation for t in group)
-                for t in group + [extend_singleton_levels(t) for t in group]:
+                for t in group + [extend_one(t) for t in group]:
                     assert t.cut_ids.tolist() == brute_cut_ids(t)
                     assert t.cut_ids.shape == (len(t.cut_levels), len(t.terminals))
     assert seen["promoted"] > 20 and seen["aliased"] >= 7 and seen["forests"] >= 2
@@ -457,7 +458,7 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
         else:
             m = gen_euclidean(k, seed=trial)[0]
         t = sample_frt(Terminals(m, range(m.n)), int(rng.integers(0, 2**40)))
-        trees = [t, extend_singleton_levels(t)]
+        trees = [t, extend_one(t)]
         if m.n > 1:
             trees.append(_promote_one_level(t))
         corrupted = [_corrupt(tree, rng, kind) for tree in trees for kind in ("shrink", "raise", "rehang", "drop")]
@@ -489,7 +490,7 @@ def test_validate_batch_across_forests_matches_one_tree_calls(monkeypatch):
     trees = []
     for seed in range(15):
         t = sample_frt(terms, seed)
-        trees += [t, _corrupt(t, rng, ("shrink", "raise", "rehang")[seed % 3]), extend_singleton_levels(t)]
+        trees += [t, _corrupt(t, rng, ("shrink", "raise", "rehang")[seed % 3]), extend_one(t)]
     assert len(trees) > 2 * (FOREST_PAIRS // 60**2)
     walked = []
 
@@ -538,7 +539,7 @@ def hang_fails():
     signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("parent, leaf", [
+MISNUMBERED_TREES = [
     pytest.param([-1, 2, 1, 0], [1, 3], id="parent cycle"),
     pytest.param([-1, 1, 1, 0], [2, 3], id="self-parent"),
     pytest.param([-1, -1, 1, 1], [2, 3], id="second root"),
@@ -548,11 +549,15 @@ def hang_fails():
     pytest.param([2, 0, 0], [1, 2], id="root with a parent"),
     pytest.param([-1, 0, 0], [1], id="leaf missing"),
     pytest.param([], [0, 1], id="no nodes"),
-])
+]
+MISNUMBERED = "numbering: node 0's parent must be -1, any other node's an earlier node, each leaf a node id"
+
+
+@pytest.mark.parametrize("parent, leaf", MISNUMBERED_TREES)
 def test_misnumbered_tree_gets_one_message_and_no_walk(hang_fails, parent, leaf):
     # such a tree hung the walk or crashed it before the numbering test; the
     # trees around it in one call are validated as if alone
-    message = "numbering: node 0's parent must be -1, any other node's an earlier node, each leaf a node id"
+    message = MISNUMBERED
     m = build_metric([[0, 0], [1, 0]], "points")
     bad = Hst(parent, [0] + [1] * (len(parent) - 1), [0, 1], leaf)
     good = sample_frt(Terminals(m, [0, 1]), 0)
@@ -565,6 +570,41 @@ def test_misnumbered_tree_gets_one_message_and_no_walk(hang_fails, parent, leaf)
         assert T.tobytes() == alone_T.tobytes()
 
 
+@pytest.mark.parametrize("parent, leaf", MISNUMBERED_TREES)
+def test_misnumbered_tree_walked_by_hand_raises(hang_fails, parent, leaf):
+    # a tree built by hand and never validated: its cut rows (the forest-of-one
+    # walk) and the path walk test the numbering first; the parent cycle hung
+    # both, the leaf out of range made both raise IndexError
+    bad = Hst(parent, [0] + [1] * (len(parent) - 1), [0, 1], leaf)
+    with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
+        bad.cut_ids
+    with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
+        tree_distance(bad, 0, 1)
+
+
+def test_validate_mixed_batch_puts_each_message_on_its_tree():
+    # the broken trees of VALIDATE_MESSAGES (partition, singletons, cut
+    # diameter, expanding) and one that breaks the partition at two levels,
+    # among valid sampled, promoted and extended trees, in one call: each
+    # tree's messages are its own, word for word, as validated alone
+    m = line_metric([0, 5])
+    broken = [Hst(*VALIDATE_MESSAGES[name][1]) for name in ("partition", "singletons", "cut diameter", "expanding")]
+    broken.append(Hst([-1, 0, 1, 2, 3, 4, 0], [0, 3, 2, 2, 1, 1, 3], (0, 1), [5, 6]))
+    valid = [sample_frt(Terminals(m, [0, 1]), seed) for seed in range(3)]
+    valid += [_promote_one_level(valid[0]), extend_one(valid[1])]
+    # the first tree's root level (1) is below the last broken one's levels
+    trees = [broken[0], valid[0], broken[1], valid[1], broken[2], valid[2], valid[3], broken[3], broken[4], valid[4]]
+    alone = [validate_hst([_copy(t)], m)[0] for t in trees]
+    got = validate_hst(trees, m)
+    assert got == alone
+    assert [sorted(msgs) for msgs in got] == [sorted(brute_validate_hst(t, m)) for t in trees]
+    assert [bool(msgs) for msgs in got] == [any(t is b for b in broken) for t in trees]
+    for t, name in zip(broken, ("partition", "singletons", "cut diameter", "expanding")):
+        assert VALIDATE_MESSAGES[name][2] in got[trees.index(t)]
+    assert [msg for msg in got[trees.index(broken[4])] if msg.startswith("partition")] == \
+        ["partition: level-1 cuts do not partition the terminals", "partition: level-2 cuts do not partition the terminals"]
+
+
 def test_validated_distances_match_path_walk():
     # T per tree of a batch: sampled and extended trees of one terminal set
     rng = np.random.default_rng(9)
@@ -573,7 +613,7 @@ def test_validated_distances_match_path_walk():
         m = build_metric(rng.random((k, 2)) * rng.uniform(1.0, 40.0), "points")
         terms = Terminals(m, range(k))
         trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**31, size=4).tolist()]
-        trees += [extend_singleton_levels(t) for t in trees[:2]]
+        trees += [extend_one(t) for t in trees[:2]]
         results = validated_distances(trees, m)
         assert [bad for bad, _ in results] == validate_hst(trees, m)
         pts = terms.terminals

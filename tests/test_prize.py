@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_check_pcst_invariants, euclid, line_metric, random_small_hst
-from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
+from conftest import brute_check_pcst_invariants, euclid, extend_one, line_metric, random_small_hst
+from ondesign.hst import Forest, Terminals, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
     check_pcst_invariants,
@@ -85,12 +85,12 @@ def test_pcst_tree_invariants_and_bounds():
         ]
         seq = _pcst(*reqs)
         sol, trace = run_pcst(m, seq)
-        t_ext = extend_singleton_levels(sample_frt(Terminals(m, [p for p, _ in reqs] + [0]), seed=trial))
+        t_ext = extend_one(sample_frt(Terminals(m, [p for p, _ in reqs] + [0]), seed=trial))
         viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
         lb = pcst_cut_lower_bound(t_ext, 0, positive_share_rows(seq, trace))
-        opt = opt_tree_pcst(t_ext, 0, reqs)
+        opt = opt_tree_pcst(Forest([t_ext]), 0, reqs)[0]
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
         assert trace.total_cost() <= 16 * opt * (1 + 1e-9) + 1e-12
@@ -128,7 +128,7 @@ def test_pcst_cut_share_messages(point, klass, rho, expected):
     m = line_metric([0, 1, 8])
     seq = RequestSequence(problem="PCST", requests=((point, 50.0),), root=0)
     forged = RunTrace([RequestRecord(idx=0, decision="penalty", klass=klass, cost=50.0, rho=rho)])
-    t = extend_singleton_levels(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
+    t = extend_one(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
     got = check_pcst_invariants(seq, positive_share_rows(seq, forged), t)
     assert got == expected
     assert got == brute_check_pcst_invariants(seq, forged, t)
@@ -145,7 +145,7 @@ def test_pcst_flags_soft_range():
     m = euclid(np.random.default_rng(3).random((8, 2)) * 12)
     seq = _pcst(*((p, 50.0) for p in range(1, 8)))
     _, trace = run_pcst(m, seq)
-    t_ext = extend_singleton_levels(sample_frt(Terminals(m, range(8)), seed=0))
+    t_ext = extend_one(sample_frt(Terminals(m, range(8)), seed=0))
     viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
     assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)

@@ -52,14 +52,17 @@ def test_verify_constants_are_pinned(problem):
 def test_checks_share_one_signature(problem):
     # each spec names its checks directly: check(m, seq, trace), or
     # check(m, seq, sol, trace) for a solution check; no adapter in between.
-    # The per-tree checks take the sampled tree and nothing else besides.
+    # The tree oracles read the sequence and the forest of valid trees, no
+    # trace; the per-tree checks take one tree of the oracles' forest with its
+    # optimum and cut load, and nothing else besides.
     spec = SPECS[problem]
     for checks, params in ((spec.run_checks, ["m", "seq", "trace"]),
                            (spec.solution_checks, ["m", "seq", "sol", "trace"])):
         for check in checks.values():
             assert check.__name__.startswith("check_"), check
             assert list(inspect.signature(check).parameters) == params, check.__name__
-    assert list(inspect.signature(spec.tree_checks).parameters) == ["tally", "m", "seq", "trace", "t"]
+    assert list(inspect.signature(spec.tree_oracles).parameters) == ["seq", "f"]
+    assert list(inspect.signature(spec.tree_checks).parameters) == ["tally", "m", "seq", "trace", "t", "opt", "load"]
 
 
 def test_exceeds_tolerances():

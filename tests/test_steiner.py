@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    extend_one,
     RefBcForest,
     brute_cuts_at_level,
     euclid,
@@ -14,7 +15,7 @@ from conftest import (
     ref_same_class_closer,
     tie_metrics,
 )
-from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
@@ -277,7 +278,7 @@ def test_covers_reject_a_level_outside_the_tree():
     # only a forged trace names an A_j level below or above the tree's cuts
     m = line_metric([0, 1])
     t = sample_frt(Terminals(m, [0, 1]), seed=0)  # cut levels 0..1; extended, -2..1
-    ext = extend_singleton_levels(t)
+    ext = extend_one(t)
     with pytest.raises(ValueError, match=r"^level -1 outside \[0, 1\]$"):
         covers_from_tree(t, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1))
     assert covers_from_tree(ext, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1)) == \

@@ -13,10 +13,25 @@ from conftest import (
     brute_tree_sn,
     client_load,
     edge_len,
+    extend_one,
+    brute_cut_ids,
     random_small_hst,
+    ref_cut_load,
+    ref_extend,
     ref_tree_pcst,
 )
-from ondesign.hst import Hst, Terminals, cut_load, extend_singleton_levels, sample_frt
+from ondesign.generators import gen_euclidean, gen_graph_metric
+from ondesign.hst import (
+    Forest,
+    Hst,
+    Terminals,
+    _promote_one_level,
+    cut_load,
+    extend_singleton_levels,
+    sample_frt,
+    validate_hst,
+)
+from ondesign.metric import build_metric
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -45,67 +60,67 @@ def three_leaf_star():
 def test_opt_st_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
     assert opt_tree_steiner_tree(t) == 2.0
-    assert opt_tree_steiner_tree(extend_singleton_levels(t)) == pytest.approx(2.75)
+    assert opt_tree_steiner_tree(extend_one(t)) == pytest.approx(2.75)
     assert opt_tree_steiner_tree(four_leaf_binary()) == 8.0
 
 
 def test_opt_sf_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_steiner_forest(t, [(0, 1)]) == 2.0
+    assert opt_tree_steiner_forest(Forest([t]), [(0, 1)])[0] == 2.0
     t4 = four_leaf_binary()
-    assert opt_tree_steiner_forest(t4, []) == 0.0
+    assert opt_tree_steiner_forest(Forest([t4]), [])[0] == 0.0
     # siblings pair (0,1): only the two level-1 leaf edges
-    assert opt_tree_steiner_forest(t4, [(0, 1)]) == 2.0
+    assert opt_tree_steiner_forest(Forest([t4]), [(0, 1)])[0] == 2.0
     assert brute_tree_sf(t4, [(0, 1)]) == 2.0
 
 
 def test_opt_sn_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_steiner_network(t, [(0, 1)], [5]) == 10.0
-    assert opt_tree_steiner_network(t, [(0, 1), (0, 1)], [2, 7]) == 14.0
+    assert opt_tree_steiner_network(Forest([t]), [(0, 1)], [5])[0] == 10.0
+    assert opt_tree_steiner_network(Forest([t]), [(0, 1), (0, 1)], [2, 7])[0] == 14.0
     t4 = four_leaf_binary()
     # pair (0,1) crosses no level-2 edge: those contribute 0
-    assert opt_tree_steiner_network(t4, [(0, 1)], [3]) == 6.0
+    assert opt_tree_steiner_network(Forest([t4]), [(0, 1)], [3])[0] == 6.0
 
 
 def test_opt_rob_multi_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)]), 3) == 2.0
-    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)] * 5), 3) == 6.0
-    assert opt_tree_rob_multi(t, cut_load(t, [(0, 1)] * 5), 0) == 0.0
+    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)]), 3)[0] == 2.0
+    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)] * 5), 3)[0] == 6.0
+    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)] * 5), 0)[0] == 0.0
 
 
 def test_opt_rob_single_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [0, 1])) == 1.0  # root chain excluded
-    assert opt_tree_rob_single(t, 0, 0.5, client_load(t, 0, [1])) == 0.5
+    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [0, 1]))[0] == 1.0  # root chain excluded
+    assert opt_tree_rob_single(Forest([t]), 0, 0.5, client_load(t, 0, [1]))[0] == 0.5
     t3 = three_leaf_star()
-    assert opt_tree_rob_single(t3, 0, 10, client_load(t3, 0, [1, 2])) == 2.0
+    assert opt_tree_rob_single(Forest([t3]), 0, 10, client_load(t3, 0, [1, 2]))[0] == 2.0
     with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
-        opt_tree_rob_single(t3, 9, 1, client_load(t3, 9, [1]))
+        opt_tree_rob_single(Forest([t3]), 9, 1, client_load(t3, 9, [1]))[0]
 
 
 def test_opt_rob_single_weights(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [1, 1, 1])) == 3.0
-    assert opt_tree_rob_single(t, 0, 4, client_load(t, 0, [1] * 7)) == 4.0  # capped at M
+    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [1, 1, 1]))[0] == 3.0
+    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [1] * 7))[0] == 4.0  # capped at M
 
 
 def test_opt_pcst_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_pcst(t, 0, [(1, 0.5)]) == 0.5
-    assert opt_tree_pcst(t, 0, [(1, 3.0)]) == 2.0
+    assert opt_tree_pcst(Forest([t]), 0, [(1, 0.5)])[0] == 0.5
+    assert opt_tree_pcst(Forest([t]), 0, [(1, 3.0)])[0] == 2.0
     t3 = three_leaf_star()
-    assert opt_tree_pcst(t3, 0, [(1, 1.5), (2, 1.5)]) == 3.0
+    assert opt_tree_pcst(Forest([t3]), 0, [(1, 1.5), (2, 1.5)])[0] == 3.0
     with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
-        opt_tree_pcst(t3, 9, [])
+        opt_tree_pcst(Forest([t3]), 9, [])[0]
 
 
 def test_pcst_coincident_penalties_accumulate(two_point_metric):
     t = minimal_tree(two_point_metric)
     # two occurrences at leaf 1: paying both (1.2) beats connecting (2.0)
-    assert opt_tree_pcst(t, 0, [(1, 0.6), (1, 0.6)]) == pytest.approx(1.2)
-    assert opt_tree_pcst(t, 0, [(1, 1.5), (1, 1.5)]) == 2.0
+    assert opt_tree_pcst(Forest([t]), 0, [(1, 0.6), (1, 0.6)])[0] == pytest.approx(1.2)
+    assert opt_tree_pcst(Forest([t]), 0, [(1, 1.5), (1, 1.5)])[0] == 2.0
 
 
 def test_oracles_match_brute_force_on_random_trees():
@@ -124,11 +139,11 @@ def test_oracles_match_brute_force_on_random_trees():
         pen = [(int(p), float(rng.uniform(0, 8))) for p in pts if p != r]
 
         # the references add the same edge terms in node-id order: equal to the bit
-        assert opt_tree_steiner_forest(t, pairs) == brute_tree_sf(t, pairs)
-        assert opt_tree_steiner_network(t, pairs, reqs) == brute_tree_sn(t, pairs, reqs)
-        assert opt_tree_rob_multi(t, cut_load(t, pairs), M) == brute_tree_rob_multi(t, pairs, M)
-        assert opt_tree_rob_single(t, r, M, client_load(t, r, pts)) == pytest.approx(brute_tree_rob_single(t, r, M, pts))
-        assert opt_tree_pcst(t, r, pen) == pytest.approx(brute_tree_pcst(t, r, pen))
+        assert opt_tree_steiner_forest(Forest([t]), pairs)[0] == brute_tree_sf(t, pairs)
+        assert opt_tree_steiner_network(Forest([t]), pairs, reqs)[0] == brute_tree_sn(t, pairs, reqs)
+        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), M)[0] == brute_tree_rob_multi(t, pairs, M)
+        assert opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(brute_tree_rob_single(t, r, M, pts))
+        assert opt_tree_pcst(Forest([t]), r, pen)[0] == pytest.approx(brute_tree_pcst(t, r, pen))
 
 
 def test_pcst_matches_reference_dp_exactly():
@@ -141,7 +156,7 @@ def test_pcst_matches_reference_dp_exactly():
         pen = [(int(rng.choice(pts + [max(pts) + 1])), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
                for _ in range(int(rng.integers(0, 14)))]
         for r in pts:
-            assert opt_tree_pcst(t, r, pen) == ref_tree_pcst(t, r, pen)
+            assert opt_tree_pcst(Forest([t]), r, pen)[0] == ref_tree_pcst(t, r, pen)
 
 
 def test_monotonicity_in_requests():
@@ -150,10 +165,10 @@ def test_monotonicity_in_requests():
         m, t = random_small_hst(rng, extended_chance=0.0)
         pts = list(t.terminals)
         pairs = [tuple(map(int, rng.choice(pts, size=2, replace=False))) for _ in range(3)]
-        assert opt_tree_steiner_forest(t, pairs[:2]) <= opt_tree_steiner_forest(t, pairs)
-        assert opt_tree_rob_multi(t, cut_load(t, pairs[:2]), 2.0) <= opt_tree_rob_multi(t, cut_load(t, pairs), 2.0)
+        assert opt_tree_steiner_forest(Forest([t]), pairs[:2])[0] <= opt_tree_steiner_forest(Forest([t]), pairs)[0]
+        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs[:2]), 2.0)[0] <= opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 2.0)[0]
         pen = [(int(p), 1.0) for p in pts[1:]]
-        assert opt_tree_pcst(t, pts[0], pen[:1]) <= opt_tree_pcst(t, pts[0], pen)
+        assert opt_tree_pcst(Forest([t]), pts[0], pen[:1])[0] <= opt_tree_pcst(Forest([t]), pts[0], pen)[0]
 
 
 def test_rob_multi_sentinels():
@@ -169,16 +184,16 @@ def test_rob_multi_sentinels():
             for e in range(1, t.n_nodes)
             if any((s in brute_cut(t, e)) != (u in brute_cut(t, e)) for s, u in pairs)
         )
-        assert opt_tree_rob_multi(t, cut_load(t, pairs), 1) == pytest.approx(ind)
-        assert opt_tree_rob_multi(t, cut_load(t, pairs), 1) == pytest.approx(
-            opt_tree_steiner_forest(t, pairs)
+        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 1)[0] == pytest.approx(ind)
+        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 1)[0] == pytest.approx(
+            opt_tree_steiner_forest(Forest([t]), pairs)[0]
         )
         rent_all = sum(
             edge_len(t, e)
             * sum(1 for s, u in pairs if (s in brute_cut(t, e)) != (u in brute_cut(t, e)))
             for e in range(1, t.n_nodes)
         )
-        assert opt_tree_rob_multi(t, cut_load(t, pairs), math.inf) == pytest.approx(rent_all)
+        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), math.inf)[0] == pytest.approx(rent_all)
 
 
 def test_rob_single_vs_multi_cross_check():
@@ -197,7 +212,7 @@ def test_rob_single_vs_multi_cross_check():
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
             multi += edge_len(t, e) * min(M, crossing)
-        assert opt_tree_rob_single(t, r, M, client_load(t, r, pts)) == pytest.approx(multi)
+        assert opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(multi)
 
 
 def test_pcst_cut_lower_bound_matches_reference():
@@ -212,3 +227,66 @@ def test_pcst_cut_lower_bound_matches_reference():
             klass = int(rng.integers(-1, t.root_level + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
         assert pcst_cut_lower_bound(t, r, rows) == brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)
+
+
+def _forest_batches(rng):
+    """(points, one batch of trees sharing their terminal set): sampled trees,
+    some promoted by the sampler and two by hand (one level taller), on
+    distinct, graph-closure and coincident points (aliases); and a one-leaf
+    set, whose extension drops its base row.  Validated as verify_run does."""
+    for k in (2, 3, 5, 8):
+        xy = rng.random((k, 2)) * rng.uniform(1.0, 30.0)
+        cases = [
+            (gen_euclidean(k, seed=k)[0], list(range(k))),
+            (gen_graph_metric(max(k, 3), seed=k), list(range(max(k, 3)))),
+            (build_metric(np.vstack([xy, xy[::2]]), "points"), list(range(k + len(xy[::2])))),
+        ]
+        for m, points in cases:
+            terms = Terminals(m, points)
+            trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**40, size=3).tolist()]
+            trees[1:1] = [_promote_one_level(trees[0]), _promote_one_level(trees[-1])]
+            assert validate_hst(trees, m) == [[]] * len(trees)
+            yield points, trees
+    m = build_metric([[0, 0], [0, 0], [3, 4], [0, 0]], "points")
+    trees = [sample_frt(Terminals(m, [0, 1, 3]), seed) for seed in range(3)]
+    assert validate_hst(trees, m) == [[]] * 3 and trees[0].aliases == ((1, 0), (3, 0))
+    yield [0, 1, 3], trees
+
+
+def test_forest_oracles_match_per_tree_references_bit_for_bit():
+    # every step of the batched extension, loads and oracles against its
+    # per-tree reference; dyadic M keeps the enumerating rent-or-buy
+    # reference exact, non-dyadic penalties test the PCST sums' order
+    rng = np.random.default_rng(61)
+    heights = set()
+    for points, trees in _forest_batches(rng):
+        base = Forest(trees)
+        ext = extend_singleton_levels(base)
+        for t, e in zip(trees, ext.trees, strict=True):
+            ref = ref_extend(t)
+            assert [a.tolist() for a in (e.parent, e.edge_level, e.leaf)] == \
+                [a.tolist() for a in (ref.parent, ref.edge_level, ref.leaf)]
+            assert (e.terminals, e.aliases, e.extended_to, e.root_level) == \
+                (ref.terminals, ref.aliases, ref.extended_to, ref.root_level)
+            assert e.cut_ids.tolist() == brute_cut_ids(ref)
+            heights.add(len(t.cut_levels))
+        terms = list(trees[0].terminals)
+        outside = max(points) + 1
+        pairs = [tuple(int(p) for p in rng.choice(terms, size=2)) for _ in range(int(rng.integers(1, 6)))]
+        reqs = [int(rng.integers(1, 9)) for _ in pairs]
+        M = float(rng.choice([0.0, 1.0, 2.0, 3.5, 6.0, 10.0]))
+        r = terms[int(rng.integers(len(terms)))]
+        clients = [p for p, _ in pairs]
+        load_pairs = pairs + [(int(p), terms[0]) for p in points] + [(outside, terms[-1])]
+        pen = [(int(p), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
+               for p in rng.choice(points + [outside], size=int(rng.integers(0, 12)))]
+        for f in (base, ext):
+            assert [load.tolist() for load in f.per_tree(cut_load(f, load_pairs))] == \
+                [ref_cut_load(t, load_pairs) for t in f.trees]
+            assert opt_tree_steiner_forest(f, pairs) == [brute_tree_sf(t, pairs) for t in f.trees]
+            assert opt_tree_steiner_network(f, pairs, reqs) == [brute_tree_sn(t, pairs, reqs) for t in f.trees]
+            assert opt_tree_rob_multi(f, cut_load(f, pairs), M) == [brute_tree_rob_multi(t, pairs, M) for t in f.trees]
+            assert opt_tree_rob_single(f, r, M, cut_load(f, [(c, r) for c in clients])) == \
+                [brute_tree_rob_single(t, r, M, clients) for t in f.trees]
+            assert opt_tree_pcst(f, r, pen) == [ref_tree_pcst(t, r, pen) for t in f.trees]
+    assert len(heights) >= 6
