@@ -82,9 +82,12 @@ class Hst:
     (root 0).  Per terminal column: `terminals`, the points in ascending
     order, and `leaf`, each terminal's leaf node.  `aliases` holds the
     (point, terminal) pairs of the other points at a terminal's position, by
-    point.  Node 0 is the root (parent -1), every other node's parent is an
-    earlier node and every leaf is a node id; the constructor checks nothing,
-    so a malformed tree reaches validate_hst as built.
+    point, and `column` each point's terminal column (a `Terminals`' array,
+    passed by the sampler, promotion and extension; built from `terminals`
+    and `aliases` when not given).  Node 0 is the root (parent -1), every
+    other node's parent is an earlier node and every leaf is a node id; the
+    constructor checks nothing, so a malformed tree reaches validate_hst as
+    built.
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=(), column=None):
