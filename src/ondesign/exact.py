@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import TooLarge
-from .metric import MetricSpace, max_flow
+from .metric import MetricSpace, MultiGraphSolution, max_flow
 
 _DW_CAP = 14
 _SF_PAIR_CAP = 8
@@ -243,11 +243,10 @@ def exact_sn_tiny(m: MetricSpace, pairs, reqs) -> float:
         cost = sum(k * m.dist(u, v) for (u, v), k in zip(edges, mults))
         if cost >= best:
             continue
-        cap = {}
+        g = MultiGraphSolution()
         for (u, v), k in zip(edges, mults):
             if k:
-                cap.setdefault(u, {})[v] = k
-                cap.setdefault(v, {})[u] = k
-        if all(max_flow(cap, s, t, limit=r) >= r for s, t, r in live):
+                g.buy(u, v, k)
+        if all(max_flow(g.capacity, s, t, limit=r) >= r for s, t, r in live):
             best = cost
     return best

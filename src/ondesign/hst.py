@@ -4,18 +4,21 @@ A tree here is leveled: a level-j edge has length 2^(j-1), the cut below it
 (the terminals it separates from the root) has metric diameter < 2^j, and every
 root-to-leaf path passes one edge per level from the top level down to level 1.
 Levels -1 and -2 exist only on extended trees (singleton chains of lengths 1/4
-and 1/8 below each leaf); level 0 never carries edges, but its cuts are the
-terminal singletons by convention (forced by the min-distance-1 normalization).
+and 1/8 below each leaf), so a tree's lowest cut level is min(0, its lowest
+edge level); level 0 never carries edges, but its cuts are the terminal
+singletons by convention (forced by the min-distance-1 normalization).
 
 `Hst` holds a tree once, as arrays: `parent` and `edge_level` per node,
 `terminals` and `leaf` per terminal column.  Every tree is built whole by
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
-a tree's arrays (the extension for all trees of a forest at once).  `Hst.cut_ids` names the cut holding each terminal at each
-level; it is the only form a cut takes.  `Hst.cuts` reads it at any points,
-every level at once, and `class_cuts` groups the class-(j + shift) entries of
-a check by level-j cut, which is how the per-tree cut checks and the PCST cut
-lower bound read the tree.  A `Forest` reads the trees of one terminal set
+a tree's arrays (the extension for all trees of a forest at once).  A rule
+over a forest (edge lengths, root levels, numbering, the cut walk) reads one
+tree as a forest of one.  `Hst.cut_ids` names the cut holding each terminal
+at each level; it is the only form a cut takes.  `Hst.cuts` reads it at any
+points, every level at once, and `class_cuts` groups the class-(j + shift)
+entries of a check by level-j cut, which is how the per-tree cut checks read
+the tree (one grouping serves both PCST cut checks).  A `Forest` reads the trees of one terminal set
 (an instance's trials) as one: `path_cuts` lists the cuts of every tree that
 separate each pair of points, and `cut_load` counts them per cut with one
 bincount over the forest's cut ids; the tree oracles and the rent caps read
@@ -87,15 +90,15 @@ class Hst:
     and `aliases` when not given).  Node 0 is the root (parent -1), every
     other node's parent is an earlier node and every leaf is a node id; the
     constructor checks nothing, so a malformed tree reaches validate_hst as
-    built.
+    built.  What the arrays determine is derived, not passed: an extended
+    tree is one whose edge levels reach -2 (see `cut_levels`).
     """
 
-    def __init__(self, parent, edge_level, terminals, leaf, extended_to=None, aliases=(), column=None):
+    def __init__(self, parent, edge_level, terminals, leaf, aliases=(), column=None):
         self.parent = _frozen(parent)
         self.edge_level = _frozen(edge_level)
         self.terminals = tuple(terminals)
         self.leaf = _frozen(leaf)
-        self.extended_to = extended_to
         self.aliases = tuple(sorted(aliases))
         self.column = _column_map(self.terminals, self.aliases) if column is None else column
 
@@ -106,21 +109,18 @@ class Hst:
     @cached_property
     def root_level(self) -> int:
         """Level of the edges below the root (0 for a single-leaf tree)."""
-        below = np.flatnonzero(self.parent == 0)
-        return int(self.edge_level[below[0]]) if len(below) else 0
+        return int(_root_levels(*_forest([self])[:5])[0])
 
     @cached_property
     def length(self) -> np.ndarray:
         """Edge length per node, 2^(level-1); 0.0 at the root, which has no edge."""
-        out = np.ldexp(1.0, self.edge_level - 1)
-        out[0] = 0.0
-        return out
+        return _lengths(self.edge_level, 0)
 
     @cached_property
     def cut_levels(self) -> range:
-        """The levels of the charging checks, from the lowest (0, or -2 on an
-        extended tree) to the root level: the rows of cut_ids."""
-        return range(self.extended_to if self.extended_to is not None else 0, self.root_level + 1)
+        """The levels of the charging checks, from min(0, lowest edge level) (-2
+        on an extended tree) to the root level: the rows of cut_ids."""
+        return range(int(self.edge_level.min(initial=0)), self.root_level + 1)
 
     @cached_property
     def numbered(self) -> bool:
@@ -143,9 +143,8 @@ class Hst:
         if not self.numbered:
             raise ValueError(MISNUMBERED)
         parent, level, off, _, local, leaf = _forest([self])
-        low = self.cut_levels.start
-        return _cut_rows(_pairwise(parent, level, off, leaf)[0], level, local,
-                         np.array([self.n_nodes]), np.array([low]), np.array([len(self.cut_levels)]))[0]
+        return _cut_rows(_pairwise(parent, level, off, leaf)[0], level, local, np.array([self.n_nodes]),
+                         np.array([self.cut_levels.start]), np.array([len(self.cut_levels)]))[0]
 
     def cuts(self, points) -> np.ndarray:
         """The cut_ids columns of `points`, rows self.cut_levels; a point not
@@ -158,9 +157,6 @@ class Hst:
         -1 for a point not in the tree (or None)."""
         at = np.array([-1 if p is None else p for p in points], dtype=np.intp).view(np.uintp)
         return self.column[np.minimum(at, len(self.column) - 1)]  # a negative point wraps past the end
-
-    def total_length(self) -> float:
-        return float(self.length.sum())  # powers of two: exact in any order
 
     def to_json_dict(self) -> dict:
         parent, length, leaf = self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
@@ -196,6 +192,13 @@ def _column_map(terminals, aliases, n_points=None) -> np.ndarray:
         out[alias] = out[of]
         out[list(terminals)] = np.arange(len(terminals))
     out.flags.writeable = False  # shared by every tree of a Terminals
+    return out
+
+
+def _lengths(level, roots) -> np.ndarray:
+    """Edge length per node of a tree or forest, 2^(level-1); 0.0 at `roots`."""
+    out = np.ldexp(1.0, level - 1)
+    out[roots] = 0.0
     return out
 
 
@@ -343,7 +346,7 @@ def _validate_forest(trees, m: MetricSpace) -> list:
     for msgs, flag in zip(out, not_bijective.tolist()):
         msgs += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
-    #    length = 2^(level-1) holds by construction of Hst.length
+    #    length = 2^(level-1) holds by construction of _lengths
     child = np.flatnonzero(local > 0)
     above = parent[child]
     lo, hi = np.full(n, level.max()), np.full(n, level.min())
@@ -404,7 +407,7 @@ def _validate_forest(trees, m: MetricSpace) -> list:
         out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
     # every tree that breaks nothing keeps its root level and the cuts this
     # walk measured
-    lows = np.array([t.extended_to or 0 for t in trees])
+    lows = np.minimum(np.minimum.reduceat(level, off), 0)  # Hst.cut_levels' lowest
     heights = np.maximum(root_level - lows + 1, 0)
     rows = _cut_rows(ancestors, level, local, sizes, lows, heights)
     for t, msgs, g_rows, top, h in zip(trees, out, rows, root_level.tolist(), heights.tolist()):
@@ -471,8 +474,7 @@ def _pairwise(parent, level, roots, leaf):
     n_trees, k = leaf.shape
     cols = np.arange(leaf.size)
     root = np.repeat(roots, k)
-    length = np.ldexp(1.0, level - 1)
-    length[roots] = 0.0
+    length = _lengths(level, roots)
     up = _walk(parent, leaf.ravel(), root)
     dist = np.zeros(up.shape)
     np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
@@ -586,7 +588,7 @@ def _promote_one_level(t: Hst) -> Hst:
     leaf = np.empty(k, dtype=np.intp)
     leaf[by_node] = np.arange(n, n + k)
     return Hst(np.concatenate([t.parent, t.leaf[by_node]]), np.concatenate([t.edge_level + (t.parent >= 0), [1] * k]),
-               t.terminals, leaf, t.extended_to, t.aliases, t.column)
+               t.terminals, leaf, t.aliases, t.column)
 
 
 class Forest:
@@ -621,9 +623,7 @@ class Forest:
     def length(self) -> np.ndarray:
         """Per forest node, Hst.length: 2^(level-1), 0.0 at a root."""
         _, level, off, *_ = self.nodes
-        out = np.ldexp(1.0, level - 1)
-        out[off] = 0.0
-        return out
+        return _lengths(level, off)
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -666,8 +666,8 @@ def extend_singleton_levels(f: Forest) -> Forest:
     """
     trees, k, n = f.trees, f.k, f.sizes
     for t in trees:
-        if t.extended_to is not None:
-            raise ValueError(f"tree already extended to {t.extended_to}")
+        if t.cut_levels.start < 0:
+            raise ValueError(f"tree already extended to {t.cut_levels.start}")
     leaf = np.stack([t.leaf for t in trees])
     by_node = np.argsort(leaf, axis=1)
     chain = n[:, None] + 2 * np.arange(k)  # the level -1 node below each tree's q-th leaf by id
@@ -686,7 +686,7 @@ def extend_singleton_levels(f: Forest) -> Forest:
     ext = []
     for t, g_hang, g_leaf, g_rows, g_top in zip(trees, hang, ext_leaf, rows, top.tolist()):
         e = Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
-                t.terminals, g_leaf, -2, t.aliases, t.column)
+                t.terminals, g_leaf, t.aliases, t.column)
         e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3]
         ext.append(e)
     out = Forest(ext)

@@ -11,7 +11,6 @@ the greedy Steiner tree over the buy subsequence.
 
 from __future__ import annotations
 
-from .hst import Hst, class_cuts
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -91,16 +90,16 @@ def check_pcst_run_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTr
     return out + check_class_separation(m, seq, trace)
 
 
-def check_pcst_invariants(seq: RequestSequence, rows: dict, t_ext: Hst):
+def check_pcst_invariants(cuts):
     """Per-tree cut shares on the extended tree; returns (violations, flags).
 
-    `rows` is positive_share_rows(seq, trace).  Violations: a level-j cut
-    whose class-(j+1) share sum exceeds 2^(j+2) or is nonzero in the cut
-    holding the root.  Flags (non-fatal): cut sums in (2^(j+1), 2^(j+2)],
-    recorded for inspection.
+    `cuts` is hst.class_cuts(t_ext, positive_share_rows(seq, trace), 1,
+    seq.root) as a list.  Violations: a level-j cut whose class-(j+1) share
+    sum exceeds 2^(j+2) or is nonzero in the cut holding the root.  Flags
+    (non-fatal): cut sums in (2^(j+1), 2^(j+2)], recorded for inspection.
     """
     out, flags = [], []
-    for j, _, holds_root, inside in class_cuts(t_ext, rows, 1, seq.root):
+    for j, _, holds_root, inside in cuts:
         share = sum(rho for _, rho, _ in inside)
         if holds_root:
             out.append(f"level {j}: root cut carries class-{j + 1} share {share:g}")

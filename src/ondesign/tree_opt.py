@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hst import Forest, Hst, class_cuts, cut_load, path_cuts
+from .hst import Forest, Hst, cut_load, path_cuts
 from .metric import pow2
 
 
@@ -40,7 +40,7 @@ def _edge_sums(f: Forest, factor) -> list:
 
 def opt_tree_steiner_tree(t: Hst) -> float:
     """All leaves are terminals, so the unique feasible solution is the tree."""
-    return t.total_length()
+    return float(t.length.sum())  # powers of two: exact in any order
 
 
 def opt_tree_steiner_forest(f: Forest, pairs) -> list:
@@ -128,17 +128,17 @@ def opt_tree_pcst(f: Forest, r: int, penalties) -> list:
     return h_up.tolist()
 
 
-def pcst_cut_lower_bound(t: Hst, r: int, class_rho_pi) -> float:
+def pcst_cut_lower_bound(cuts) -> float:
     """Cut-based lower bound on opt_tree_pcst over root-free cuts.
 
-    `class_rho_pi` maps class c -> list of (point, rho, pi) for terminals with
-    positive cost share.  Class-(j+1) terminals are associated with the level-j
-    cut containing them; each cut contributes min(sum of penalties, 2^(j-1)).
-    Levels run over the extended tree's charge range including the conventional
-    singleton level 0.
+    `cuts` is hst.class_cuts(t, class_rho_pi, 1, r) as a list on the extended
+    tree t, `class_rho_pi` mapping class c -> list of (point, rho, pi) for
+    terminals with positive cost share: class-(j+1) terminals by the level-j
+    cut holding them, the conventional singleton level 0 included.  Each cut
+    without r contributes min(sum of penalties, 2^(j-1)).
     """
     terms = []
-    for j, _, holds_root, inside in class_cuts(t, class_rho_pi, 1, r):
+    for j, _, holds_root, inside in cuts:
         pi_sum = sum((pi for _, _, pi in inside), 0.0)
         if not holds_root and pi_sum != 0:
             terms.append(min(pi_sum, pow2(j - 1)))

@@ -42,7 +42,8 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import Forest, Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
+from .hst import (Forest, Terminals, class_cuts, cut_load, extend_singleton_levels, sample_frt, validate_hst,
+                  validated_distances)
 from .metric import (
     MetricSpace,
     RequestSequence,
@@ -186,12 +187,12 @@ def _tree_mrob(tally, m, seq, trace, t, opt, load):
 
 
 def _tree_pcst(tally, m, seq, trace, t, opt, load):
-    rows = positive_share_rows(seq, trace)
-    tree_viol, tree_flags = check_pcst_invariants(seq, rows, t)
+    cuts = list(class_cuts(t, positive_share_rows(seq, trace), 1, seq.root))  # read by both cut checks
+    tree_viol, tree_flags = check_pcst_invariants(cuts)
     tally.out += tree_viol
     tally.flags += tree_flags
     share = total_share(trace)
-    lb = pcst_cut_lower_bound(t, seq.root, rows)
+    lb = pcst_cut_lower_bound(cuts)
     # the cut lower bound is held to the share constant
     tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
     tally.bound("share_vs_tree", share, opt)

@@ -202,7 +202,7 @@ def ref_extend(t):
         parent += [nid, len(parent)]
         level += [-1, -2]
         new_leaf[leaf.index(nid)] = len(parent) - 1
-    return Hst(parent, level, t.terminals, new_leaf, -2, t.aliases)
+    return Hst(parent, level, t.terminals, new_leaf, t.aliases)
 
 
 def ref_cut_load(t, pairs):
@@ -316,7 +316,7 @@ def brute_cut_ids(t):
     that level's row over the implicit singletons n_nodes + column."""
     parent, level = t.parent.tolist(), t.edge_level.tolist()
     top = next((level[c] for c in range(1, t.n_nodes) if parent[c] == 0), 0)
-    low = t.extended_to if t.extended_to is not None else 0
+    low = min(0, *level)  # -2 on an extended tree
     rows = [[t.n_nodes + q for q in range(len(t.leaf))] for _ in range(low, top + 1)]
     for q, x in enumerate(t.leaf.tolist()):
         while x > 0:
@@ -403,11 +403,6 @@ def brute_validate_hst(t, m):
     return out
 
 
-def _levels(t):
-    lo = t.extended_to if t.extended_to is not None else 0
-    return range(lo, t.root_level + 1)
-
-
 def brute_check_cut_capacity(seq, trace, t, shift):
     """Reference for rentorbuy.check_cut_capacity: membership tests on brute
     cuts, on a tree without aliases."""
@@ -422,7 +417,7 @@ def brute_check_cut_capacity(seq, trace, t, shift):
             p = ends[-1] if rec.rent_endpoint == "t" else ends[0]
             rents.setdefault(rec.klass, []).append((rec.idx, p))
     out = []
-    for j in _levels(t):
+    for j in t.cut_levels:
         rows = rents.get(j + shift, [])
         for cut in brute_cuts_at_level(t, j) if rows else []:
             inside = [(ridx, p) for ridx, p in rows if p in cut]
@@ -450,7 +445,7 @@ def brute_check_pcst_invariants(seq, trace, t):
 
     out, flags = [], []
     by_class = {c: [(p, rho) for p, rho, _ in rows] for c, rows in positive_share_rows(seq, trace).items()}
-    for j in _levels(t):
+    for j in t.cut_levels:
         for cut in brute_cuts_at_level(t, j) if by_class.get(j + 1) else []:
             inside = sum(rho for p, rho in by_class[j + 1] if p in cut)
             if inside > 0 and seq.root in cut:

@@ -167,11 +167,11 @@ VALIDATE_MESSAGES = {
     "cut diameter": ([0, 5], ([-1, 0, 1, 1], [0, 2, 1, 1], (0, 1), [2, 3]),
                      "cut diameter: d(0,1)=5 >= 2^2 under a level-2 edge"),
     "expanding": ([0, 5], ([-1, 0, 1, 1], [0, 2, 1, 1], (0, 1), [2, 3]), "expanding: T(0,1)=2 < d=5"),
-    "alias elsewhere": ([0, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(2, 0)]),
+    "alias elsewhere": ([0, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], [(2, 0)]),
                         "aliases: point 2 is not a non-terminal coincident with terminal 0"),
-    "alias is a terminal": ([0, 1, 0], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(1, 0)]),
+    "alias is a terminal": ([0, 1, 0], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], [(1, 0)]),
                             "aliases: point 1 is not a non-terminal coincident with terminal 0"),
-    "alias of no terminal": ([0, 1, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], None, [(3, 2)]),
+    "alias of no terminal": ([0, 1, 1, 1], ([-1, 0, 0], [0, 1, 1], (0, 1), [1, 2], [(3, 2)]),
                              "aliases: point 3 is not a non-terminal coincident with terminal 2"),
 }
 
@@ -230,7 +230,7 @@ def test_cuts_partition_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m, t = random_small_hst(rng)
-        for j in range(t.extended_to if t.extended_to else 0, t.root_level + 1):
+        for j in t.cut_levels:
             cuts = id_cuts(t, j)
             pts = [p for c in cuts for p in c]
             assert sorted(pts) == sorted(t.terminals)
@@ -239,7 +239,7 @@ def test_cuts_partition_random_trees():
 def test_extension_arithmetic(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     ext = extend_one(t)
-    assert ext.total_length() == pytest.approx(2 + 2 * (0.25 + 0.125))
+    assert ext.length.sum() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst([ext], two_point_metric)[0] == []
     with pytest.raises(ValueError, match="^tree already extended to -2$"):
@@ -250,7 +250,7 @@ def test_extension_single_leaf(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0]), seed=0)
     ext = extend_one(t)
     assert ext.n_nodes == 3  # chain of two edges below the root leaf
-    assert ext.total_length() == pytest.approx(0.375)
+    assert ext.length.sum() == pytest.approx(0.375)
 
 
 def test_tree_distance_siblings_level2():
@@ -300,7 +300,7 @@ def test_cut_ids_group_into_the_reference_cuts():
 
 def _copy(t):
     """t rebuilt from its arrays: the same tree, with no cut rows set."""
-    return Hst(t.parent, t.edge_level, t.terminals, t.leaf, t.extended_to, t.aliases)
+    return Hst(t.parent, t.edge_level, t.terminals, t.leaf, t.aliases)
 
 
 def test_cut_ids_are_the_parent_walk():
@@ -337,6 +337,40 @@ def test_cut_ids_are_the_parent_walk():
     assert seen["promoted"] > 20 and seen["aliased"] >= 7 and seen["forests"] >= 2
 
 
+def test_cut_levels_are_read_off_the_edge_levels():
+    # the charge range starts at -2 on an extended tree and at 0 on any other,
+    # whatever built it (sampled, promoted, extended, one leaf among them), and
+    # again on the tree rebuilt from its arrays, which nothing has set
+    rng = np.random.default_rng(71)
+    cases = []  # (tree, extended)
+    for k in (1, 2, 3, 5, 8, 13):
+        t = sample_frt(Terminals(gen_euclidean(k, seed=k)[0], range(k)), int(rng.integers(0, 2**40)))
+        for base in (t, _promote_one_level(t)):
+            cases += [(base, False), (extend_one(base), True)]
+    for n in range(30):
+        extended = n % 2 == 1
+        cases.append((random_small_hst(rng, extended_chance=float(extended))[1], extended))
+    for t, extended in cases:
+        assert t.cut_levels == range(-2 if extended else 0, t.root_level + 1)
+        assert _copy(t).cut_levels == t.cut_levels
+    assert range(-2, 0) in [t.cut_levels for t, extended in cases if extended]  # the extended one-leaf tree
+
+
+def test_root_level_of_hand_built_trees_matches_the_validator():
+    # Hst.root_level, read as a forest of one, against the value validate_hst
+    # sets on each tree it accepts
+    cases = [
+        (_skipped_level_tree(), line_metric([0, 1, 3, 5]), 3),
+        (Hst([-1], [0], (0,), [0]), line_metric([0]), 0),
+        (Hst([-1, 0, 0], [0, 2, 2], (0, 1), [1, 2]), line_metric([0, 3]), 2),
+        (Hst([-1, 0, 0, 1, 1, 2, 2], [0, 2, 2, 1, 1, 1, 1], range(4), [3, 4, 5, 6]), line_metric([0, 1, 4, 5]), 2),
+    ]
+    for t, m, level in cases:
+        validated = _copy(t)
+        assert validate_hst([validated], m) == [[]] and vars(validated)["root_level"] == level
+        assert t.root_level == level
+
+
 def test_path_decomposition_consistency():
     # T(u,v) equals twice the geometric sum over levels up to the separation
     # level, plus the extension tail when present.
@@ -344,8 +378,7 @@ def test_path_decomposition_consistency():
     for _ in range(25):
         m, t = random_small_hst(rng)
         pts = t.terminals
-        lo = t.extended_to if t.extended_to is not None else 1
-        tail = sum(2.0 ** (j - 1) for j in range(lo, 0))  # no level-0 edges
+        tail = sum(2.0 ** (j - 1) for j in range(t.cut_levels.start, 0))  # no level-0 edges
         for i, u in enumerate(pts):
             for v in pts[i + 1:]:
                 sep = max(
@@ -440,7 +473,7 @@ def _corrupt(t, rng, kind):
     elif kind == "drop":
         keep = leaves != leaf
         terminals, leaves = [p for p, kept in zip(terminals, keep) if kept], leaves[keep]
-    return Hst(parent, level, terminals, leaves, t.extended_to, t.aliases)
+    return Hst(parent, level, terminals, leaves, t.aliases)
 
 
 def test_validate_matches_reference_on_sampled_and_corrupted_trees():

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level name the package defines is read in it.  scipy
+every private module-level name the package defines is read in it, by its
+own module only: no module imports another's private name.  scipy
 loads only at gen_graph_metric's first call: no import of the package and no
 build_metric call, whatever the matrix and whether it passes, loads it."""
 
@@ -87,6 +88,41 @@ def test_package_reads_every_private_definition():
     dead = [(module, line, name) for module, source in sources.items()
             for name, line in private_definitions(source).items() if name not in read]
     assert dead == []
+
+
+def private_imports(source: str) -> list:
+    """(line, module, name) for each private name (`_x`, not a dunder) the
+    source imports from a module of the package, or reads as an attribute of
+    a package module it imported by name (`from . import hst`)."""
+    tree = ast.parse(source)
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ondesign"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    out.append((node.lineno, node.module, alias.name))
+                elif node.module in (None, "ondesign"):
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules \
+                and node.attr.startswith("_") and not node.attr.startswith("__"):
+            out.append((node.lineno, node.value.id, node.attr))
+    return sorted(out)
+
+
+def test_private_imports_are_found():
+    source = ("from . import hst, metric as mt\nfrom .hst import Hst, _forest\nfrom ondesign.cfl import _x\n"
+              "from .metric import __all__\nimport numpy as np\n"
+              "y = hst._lengths(mt._pow2(1)) + np._private + hst.__doc__ + Hst._cache\n")
+    assert private_imports(source) == [(2, "hst", "_forest"), (3, "ondesign.cfl", "_x"),
+                                       (6, "hst", "_lengths"), (6, "mt", "_pow2")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_no_private_name_of_another(module):
+    # a module's private names are its own: `hst._lengths` and
+    # `hst._root_levels`, say, are read only inside hst
+    assert private_imports((PACKAGE / module).read_text()) == []
 
 
 def scipy_modules_after(code: str) -> list:

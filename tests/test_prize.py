@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_check_pcst_invariants, euclid, extend_one, line_metric, random_small_hst
-from ondesign.hst import Forest, Terminals, sample_frt
+from ondesign.hst import Forest, Terminals, class_cuts, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
     check_pcst_invariants,
@@ -17,6 +17,11 @@ from ondesign.tree_opt import opt_tree_pcst, pcst_cut_lower_bound
 
 def _pcst(*requests):
     return RequestSequence(problem="PCST", requests=requests, root=0)
+
+
+def _share_cuts(seq, trace, t):
+    """The class-(j+1) shares of the trace by level-j cut of t, as verify reads them."""
+    return list(class_cuts(t, positive_share_rows(seq, trace), 1, seq.root))
 
 
 def pcst_metric():
@@ -86,10 +91,10 @@ def test_pcst_tree_invariants_and_bounds():
         seq = _pcst(*reqs)
         sol, trace = run_pcst(m, seq)
         t_ext = extend_one(sample_frt(Terminals(m, [p for p, _ in reqs] + [0]), seed=trial))
-        viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
+        viol, flags = check_pcst_invariants(_share_cuts(seq, trace, t_ext))
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
-        lb = pcst_cut_lower_bound(t_ext, 0, positive_share_rows(seq, trace))
+        lb = pcst_cut_lower_bound(_share_cuts(seq, trace, t_ext))
         opt = opt_tree_pcst(Forest([t_ext]), 0, reqs)[0]
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
@@ -111,7 +116,7 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
                 klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])),
             ))
         seq = RequestSequence(problem="PCST", requests=tuple(requests), root=int(rng.choice(pts)))
-        got = check_pcst_invariants(seq, positive_share_rows(seq, trace), t)
+        got = check_pcst_invariants(_share_cuts(seq, trace, t))
         assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])
     assert flagged > 20
@@ -129,7 +134,7 @@ def test_pcst_cut_share_messages(point, klass, rho, expected):
     seq = RequestSequence(problem="PCST", requests=((point, 50.0),), root=0)
     forged = RunTrace([RequestRecord(idx=0, decision="penalty", klass=klass, cost=50.0, rho=rho)])
     t = extend_one(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
-    got = check_pcst_invariants(seq, positive_share_rows(seq, forged), t)
+    got = check_pcst_invariants(_share_cuts(seq, forged, t))
     assert got == expected
     assert got == brute_check_pcst_invariants(seq, forged, t)
 
@@ -146,7 +151,7 @@ def test_pcst_flags_soft_range():
     seq = _pcst(*((p, 50.0) for p in range(1, 8)))
     _, trace = run_pcst(m, seq)
     t_ext = extend_one(sample_frt(Terminals(m, range(8)), seed=0))
-    viol, flags = check_pcst_invariants(seq, positive_share_rows(seq, trace), t_ext)
+    viol, flags = check_pcst_invariants(_share_cuts(seq, trace, t_ext))
     assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)
 

@@ -26,6 +26,7 @@ from ondesign.hst import (
     Hst,
     Terminals,
     _promote_one_level,
+    class_cuts,
     cut_load,
     extend_singleton_levels,
     sample_frt,
@@ -226,7 +227,7 @@ def test_pcst_cut_lower_bound_matches_reference():
         for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
             klass = int(rng.integers(-1, t.root_level + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
-        assert pcst_cut_lower_bound(t, r, rows) == brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)
+        assert pcst_cut_lower_bound(list(class_cuts(t, rows, 1, r))) == brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)
 
 
 def _forest_batches(rng):
@@ -266,8 +267,8 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
             ref = ref_extend(t)
             assert [a.tolist() for a in (e.parent, e.edge_level, e.leaf)] == \
                 [a.tolist() for a in (ref.parent, ref.edge_level, ref.leaf)]
-            assert (e.terminals, e.aliases, e.extended_to, e.root_level) == \
-                (ref.terminals, ref.aliases, ref.extended_to, ref.root_level)
+            assert (e.terminals, e.aliases, e.cut_levels, e.root_level) == \
+                (ref.terminals, ref.aliases, ref.cut_levels, ref.root_level)
             assert e.cut_ids.tolist() == brute_cut_ids(ref)
             heights.add(len(t.cut_levels))
         terms = list(trees[0].terminals)
@@ -281,6 +282,8 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
         pen = [(int(p), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
                for p in rng.choice(points + [outside], size=int(rng.integers(0, 12)))]
         for f in (base, ext):
+            assert [opt_tree_steiner_tree(t) for t in f.trees] == \
+                [sum(edge_len(t, nid) for nid in range(1, t.n_nodes)) for t in f.trees]
             assert [load.tolist() for load in f.per_tree(cut_load(f, load_pairs))] == \
                 [ref_cut_load(t, load_pairs) for t in f.trees]
             assert opt_tree_steiner_forest(f, pairs) == [brute_tree_sf(t, pairs) for t in f.trees]
