@@ -13,30 +13,33 @@ singletons by convention (forced by the min-distance-1 normalization).
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
 a tree's arrays (the extension for all trees of a forest at once).  A rule
-over a forest (edge lengths, root levels, numbering, the cut walk) reads one
-tree as a forest of one.  `Hst.cut_ids` names the cut holding each terminal
-at each level; it is the only form a cut takes.  `Hst.cuts` reads it at any
-points, every level at once, and `class_cuts` groups the class-(j + shift)
-entries of a check by level-j cut, which is how the per-tree cut checks read
-the tree (one grouping serves both PCST cut checks).  A `Forest` reads the trees of one terminal set
-(an instance's trials) as one: `path_cuts` lists the cuts of every tree that
-separate each pair of points, and `cut_load` counts them per cut with one
-bincount over the forest's cut ids; the tree oracles and the rent caps read
-a cut's load that way.  Walks of the tree (`tree_distance`, the PCST DP)
+over a forest (edge lengths, root levels, numbering, the cut walk, the cut
+lookup) reads one tree as a forest of one.  `Hst.cut_ids` names the cut
+holding each terminal at each level; it is the only form a cut takes.  A
+`Forest` reads the trees of one terminal set (an instance's trials) as one:
+`Forest.cuts` reads every tree's cut ids at any points, every level at once;
+`path_cuts` lists the cuts of every tree that separate each pair of points,
+and `cut_load` counts them per cut with one bincount over the forest's cut
+ids (the tree oracles and the rent caps read a cut's load that way); and
+`class_cuts` groups the class-(j + shift) entries of a check by level-j cut
+in every tree at once, one np.unique over (tree, level, cut) keys, which is
+how the cut checks read the trees, once per instance (one grouping serves
+both PCST cut checks).  Walks of the tree (`tree_distance`, the PCST DP)
 read the arrays.
 
 A terminal is a position: of the points a tree is sampled for, the lowest
 index at each position is the terminal, and every other point there is an
 alias of it.  A tree of distinct positions has no aliases.  Every lookup by
-point (`Hst.columns`, `Hst.cuts`, `class_cuts`, `tree_distance`) resolves an
-alias to its terminal's column, so no caller maps coincident points itself.
+point (`Hst.columns`, `Forest.cuts`, `class_cuts`, `tree_distance`) resolves
+an alias to its terminal's column, so no caller maps coincident points itself.
 The lookup is one index into a point -> column array, `Hst.column`: the
 `Terminals` builds it once per instance and every tree sampled from it,
 promoted or extended shares it; a tree built by hand builds its own.
 
 Sampling reads a `Terminals`: what every tree for one set of points shares,
 built once per instance -- the terminals and aliases, the terminals'
-distance submatrix, the level range, and each row sorted by distance.  Each
+distance submatrix, the level range, each row sorted by distance, and each
+pair's least count of differing levels.  Each
 tree then draws beta log-uniformly from [1,2) and a uniform permutation, and
 carves nested balls of radius beta*2^(j-2) per level: a point joins the first
 permutation element within the radius.  All levels come from the sorted rows
@@ -46,7 +49,8 @@ center at any radius one lookup, and one comparison counts every level's
 radius at once.  Points sorted by their centers from the top level down list
 every level's nodes in the order carving them one by one creates.  Two points
 whose nodes differ at L levels are 2(2^L - 1) apart in the tree, which gives
-the expanding test T >= d for all pairs at once; when it fails, the whole tree
+the expanding test T >= d for all pairs at once (as L >= `Terminals.need`,
+the fewest such levels for the pair's d); when it fails, the whole tree
 is promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
@@ -71,6 +75,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,12 +151,6 @@ class Hst:
         return _cut_rows(_pairwise(parent, level, off, leaf)[0], level, local, np.array([self.n_nodes]),
                          np.array([self.cut_levels.start]), np.array([len(self.cut_levels)]))[0]
 
-    def cuts(self, points) -> np.ndarray:
-        """The cut_ids columns of `points`, rows self.cut_levels; a point not
-        in the tree (or None) is in no cut, id -1."""
-        cols = self.columns(points)
-        return np.where(cols >= 0, self.cut_ids[:, cols], -1)
-
     def columns(self, points) -> np.ndarray:
         """Each point's column in self.terminals (an alias's is its terminal's),
         -1 for a point not in the tree (or None)."""
@@ -224,27 +223,6 @@ def tree_distance(t: Hst, u: int, v: int) -> float:
         dist += 2.0 ** (level[b] - 1)
         b = parent[b]
     return dist + ancestors[b]
-
-
-def class_cuts(t: Hst, by_class: dict, shift: int, root=None):
-    """Yield (j, cut id, holds root, entries) for every level-j cut holding an
-    entry of by_class[j + shift], by level and then by cut id.
-
-    An entry is a tuple whose first item is a point; the entries of a
-    cut keep their input order, and entries at non-terminals are dropped.
-    `root` is a point (or None): "holds root" says the cut contains it.
-    """
-    lo = t.cut_levels[0]
-    entries = [(j, e) for j in t.cut_levels for e in by_class.get(j + shift, ())]
-    cuts = t.cuts([e[0] for _, e in entries] + [root])
-    own = cuts[np.array([j - lo for j, _ in entries], dtype=np.intp), np.arange(len(entries))].tolist()
-    inside = {}
-    for (j, entry), cut in zip(entries, own):
-        if cut >= 0:
-            inside.setdefault((j, cut), []).append(entry)
-    root_cut = cuts[:, -1].tolist()
-    for j, cut in sorted(inside):
-        yield j, cut, cut == root_cut[j - lo], inside[j, cut]
 
 
 def _walk(parent, leaves, roots):
@@ -505,7 +483,9 @@ class Terminals:
     `d` is the terminals' distance submatrix, which must be normalized
     (distinct positions at least 1 apart).  `levels` runs from the top
     carving level down to 1, and `by_dist` and `row_d` hold each row of `d`
-    sorted: the points by distance, and the sorted distances.
+    sorted: the points by distance, and the sorted distances.  `need` holds
+    per pair the fewest levels at which two leaves' nodes must differ for
+    their tree distance 2(2^L - 1) to reach d: the sampler's expanding test.
     """
 
     def __init__(self, m: MetricSpace, points):
@@ -528,6 +508,8 @@ class Terminals:
         self.levels = np.arange(floor_log2(float(d.max())) + 1 if len(pts) > 1 else 0, 0, -1)
         self.by_dist = np.argsort(d, axis=1)
         self.row_d = np.take_along_axis(d, self.by_dist, axis=1)
+        span = 2.0 * (np.ldexp(1.0, np.arange(len(self.levels) + 1)) - 1.0)  # T for L = 0, 1, ...
+        self.need = np.searchsorted(span, d).astype(np.int16)  # span[L] >= d exactly when L >= need
 
 
 def sample_frt(terms: Terminals, seed: int) -> Hst:
@@ -538,7 +520,7 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
     Any sampler passing validate_hst with logarithmic empirical stretch serves
     the analysis; nothing downstream depends on distribution details.
     """
-    pts, aliases, d, levels = terms.terminals, terms.aliases, terms.d, terms.levels
+    pts, aliases, levels = terms.terminals, terms.aliases, terms.levels
     k = len(pts)
     if k == 1:
         return Hst([-1], [0], pts, [0], aliases=aliases, column=terms.column)
@@ -573,9 +555,8 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
             column=terms.column)
 
     # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
-    gap = (by_point[:, :, None] != by_point[:, None, :]).sum(axis=0)
-    span = 2.0 * (np.ldexp(1.0, np.arange(len(levels) + 1)) - 1.0)  # T for L = 0, 1, ...
-    if not np.all(span[gap] >= d):
+    gap = (by_point[:, :, None] != by_point[:, None, :]).sum(axis=0, dtype=np.int16)  # as need: L < 2^15
+    if not np.all(gap >= terms.need):
         t = _promote_one_level(t)
     return t
 
@@ -600,9 +581,9 @@ class Forest:
     the same way over each tree's n_nodes + k ids (its nodes, then its
     implicit singletons), tree g's from start[g].  `local` stacks the trees'
     cut_ids rows into one trees x levels x k tensor, -1 past a tree's height,
-    and `cut_ids` holds it in forest ids; `cut_load`, `path_cuts`, the
-    extension and the tree oracles read a forest, so each runs once for all
-    its trees.
+    and `cut_ids` holds it in forest ids; `cut_load`, `path_cuts`,
+    `class_cuts`, the extension, the tree oracles and the trace-reading tree
+    checks read a forest, so each runs once for all its trees.
     """
 
     def __init__(self, trees):
@@ -626,10 +607,16 @@ class Forest:
         return _lengths(level, off)
 
     @cached_property
+    def cut_levels(self):
+        """(lows, heights): per tree, the start and length of its cut_levels,
+        so row r of tree g's `local` is level lows[g] + r."""
+        return np.array([(t.cut_levels.start, len(t.cut_levels)) for t in self.trees]).T
+
+    @cached_property
     def local(self) -> np.ndarray:
-        heights = [len(t.cut_levels) for t in self.trees]
-        out = np.full((len(self.trees), max(heights), self.k), -1, dtype=np.intp)
-        for rows, t, h in zip(out, self.trees, heights):
+        heights = self.cut_levels[1]
+        out = np.full((len(self.trees), heights.max(), self.k), -1, dtype=np.intp)
+        for rows, t, h in zip(out, self.trees, heights.tolist()):
             rows[:h] = t.cut_ids
         return out
 
@@ -637,9 +624,11 @@ class Forest:
     def cut_ids(self) -> np.ndarray:
         return np.where(self.local >= 0, self.local + self.start[:, None, None], -1)
 
-    def per_tree(self, values) -> list:
-        """Values over the forest's cut ids, split into each tree's own ids."""
-        return np.split(values, self.start[1:])
+    def cuts(self, points) -> np.ndarray:
+        """Every tree's cut_ids columns of `points`, trees x levels x points as
+        in `local`; a point not in the trees (or None) is in no cut, id -1."""
+        cols = self.columns(points)
+        return np.where(cols >= 0, self.local[:, :, cols], -1)
 
 
 def path_cuts(f: Forest, pairs):
@@ -690,5 +679,58 @@ def extend_singleton_levels(f: Forest) -> Forest:
         e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3]
         ext.append(e)
     out = Forest(ext)
-    out.local = rows
+    out.local, out.cut_levels = rows, np.array([np.full(len(trees), -2), top + 3])
     return out
+
+
+class CutGroups(NamedTuple):
+    """class_cuts' entries grouped by cut, in every tree of a forest.
+
+    Per group (a cut holding an entry; by tree, then level, then cut id):
+    `tree`, `level`, `cut` (a forest cut id) and `holds_root`.  Per member (an
+    entry in a cut of a tree; by tree, then in entry order): its `group` and
+    `entry`, its index in `entries`.  `trees` is the forest's tree count.
+    """
+
+    tree: np.ndarray
+    level: np.ndarray
+    cut: np.ndarray
+    holds_root: np.ndarray
+    group: np.ndarray
+    entry: np.ndarray
+    entries: list
+    trees: int
+
+    def total(self, values=None) -> np.ndarray:
+        """Per group, the sum of its members' values (per entry), added in
+        entry order; without values, the number of members."""
+        weights = None if values is None else np.asarray(values, dtype=float)[self.entry]
+        return np.bincount(self.group, weights, minlength=len(self.tree))
+
+
+def class_cuts(f: Forest, by_class: dict, shift: int, root=None) -> CutGroups:
+    """Group the entries of by_class[j + shift] by the level-j cut holding
+    them, in every tree of f at once.
+
+    An entry is a tuple whose first item is a point; `entries` lists them by
+    class, each class's in input order, and one at no terminal is in no
+    group.  `root` is a point (or None): a group holds the root when its cut
+    contains it.  One gather reads every entry's cut in every tree, and
+    one np.unique over (tree, level, cut) keys groups them.
+    """
+    lows, heights = f.cut_levels
+    tagged = [(j, e) for j in range(int(lows.min()), int((lows + heights).max()))
+              for e in by_class.get(j + shift, ())]
+    entries = [e for _, e in tagged]
+    cuts = f.cuts([e[0] for e in entries] + [root])
+    row = np.array([j for j, _ in tagged], dtype=np.intp) - lows[:, None]  # trees x entries
+    inside = (row >= 0) & (row < cuts.shape[1])
+    at = (np.arange(len(f.trees))[:, None], np.where(inside, row, 0))
+    cut, holder = cuts[at + (np.arange(len(entries)),)], cuts[at + (-1,)]  # and the root's cut
+    on = inside & (cut >= 0)  # a cut id is -1 past a tree's height
+    g, entry = np.nonzero(on)
+    width, ids = f.local.shape[1], int((f.sizes + f.k).max())
+    _, first, group = np.unique((g * width + row[on]) * ids + cut[on], return_index=True, return_inverse=True)
+    g, row, cut = g[first], row[on][first], cut[on][first]
+    return CutGroups(g, row + lows[g], cut + f.start[g], holder[on][first] == cut, group, entry, entries,
+                     len(f.trees))

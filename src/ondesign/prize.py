@@ -11,6 +11,9 @@ the greedy Steiner tree over the buy subsequence.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .hst import Forest, class_cuts
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -90,21 +93,26 @@ def check_pcst_run_invariants(m: MetricSpace, seq: RequestSequence, trace: RunTr
     return out + check_class_separation(m, seq, trace)
 
 
-def check_pcst_invariants(cuts):
-    """Per-tree cut shares on the extended tree; returns (violations, flags).
+def check_pcst_invariants(f: Forest, rows: dict, root):
+    """Cut shares on every extended tree of f: (violations, flags) per tree,
+    and the grouping that pcst_cut_lower_bound reads.
 
-    `cuts` is hst.class_cuts(t_ext, positive_share_rows(seq, trace), 1,
-    seq.root) as a list.  Violations: a level-j cut whose class-(j+1) share
-    sum exceeds 2^(j+2) or is nonzero in the cut holding the root.  Flags
-    (non-fatal): cut sums in (2^(j+1), 2^(j+2)], recorded for inspection.
+    `rows` is positive_share_rows(seq, trace), grouped once for both cut
+    checks as hst.class_cuts(f, rows, 1, root): class-(j+1) shares by level-j
+    cut.  Violations: a level-j cut whose share sum exceeds 2^(j+2) or is
+    nonzero in the cut holding the root.  Flags (non-fatal): cut sums in
+    (2^(j+1), 2^(j+2)], recorded for inspection.  Sums are added in entry
+    order, and messages are built for the cuts above 2^(j+1) only.
     """
-    out, flags = [], []
-    for j, _, holds_root, inside in cuts:
-        share = sum(rho for _, rho, _ in inside)
-        if holds_root:
-            out.append(f"level {j}: root cut carries class-{j + 1} share {share:g}")
-        elif exceeds(share, pow2(j + 2), atol=0.0):
-            out.append(f"level {j}: cut share sum {share:g} > 2^{j + 2}")
-        elif exceeds(share, pow2(j + 1), atol=0.0):
-            flags.append(f"level {j}: cut share sum {share:g} in (2^{j + 1}, 2^{j + 2}]")
-    return out, flags
+    cuts = class_cuts(f, rows, 1, root)
+    share = cuts.total([rho for _, rho, _ in cuts.entries])
+    out, flags = [[] for _ in f.trees], [[] for _ in f.trees]
+    for i in np.flatnonzero(cuts.holds_root | ~(share <= np.ldexp(1.0, cuts.level + 1))).tolist():
+        j, s, g = int(cuts.level[i]), float(share[i]), cuts.tree[i]
+        if cuts.holds_root[i]:
+            out[g].append(f"level {j}: root cut carries class-{j + 1} share {s:g}")
+        elif exceeds(s, pow2(j + 2), atol=0.0):
+            out[g].append(f"level {j}: cut share sum {s:g} > 2^{j + 2}")
+        elif exceeds(s, pow2(j + 1), atol=0.0):
+            flags[g].append(f"level {j}: cut share sum {s:g} in (2^{j + 1}, 2^{j + 2}]")
+    return out, flags, cuts

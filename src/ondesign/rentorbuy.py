@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .hst import Hst, class_cuts
+import numpy as np
+
+from .hst import Forest, class_cuts
 from .metric import (
     MetricSpace,
     MultiGraphSolution,
@@ -178,8 +180,9 @@ def _witness_rows(rows, j, M, rent_class):
     return out
 
 
-def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int, load):
-    """Per-level rent caps on an extended tree's cuts.
+def check_cut_capacity(seq: RequestSequence, trace: RunTrace, f: Forest, shift: int, load):
+    """Per-level rent caps on the cuts of every extended tree of f; per tree,
+    its violations.
 
     Reads the classified rent records' rent points: the request's last point
     (a pair's t end) if rent_endpoint is "t", else its first.  A level-j cut
@@ -187,27 +190,31 @@ def check_cut_capacity(seq: RequestSequence, trace: RunTrace, t: Hst, shift: int
     2 for CFL and MROB); any other at most ceil(M) occurrences, and at most
     as many as the request pairs (seq.pairs) it separates: |D(C)| for pair
     requests, and for one-point requests, whose partner is the root, w(C),
-    the requests whose points C holds.  `load` is cut_load(t, seq.pairs),
+    the requests whose points C holds.  `load` is cut_load(f, seq.pairs),
     which the tree optimum reads too.  Cuts at level 0 (terminal singletons)
-    participate.
+    participate.  Every tree's cuts are grouped and counted at once, and
+    messages are built for the violating cuts only.
     """
     cap_m = math.ceil(seq.M)
-    size = load.tolist()
     rents = {}
     for rec in trace.records:
         if rec.decision == "rent" and rec.klass is not None:
             ends = seq.pairs[rec.idx][:1 if seq.root is not None else 2]  # a rooted request's own point
             rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
-    out = []
-    for j, cut, holds_root, inside in class_cuts(t, rents, shift, seq.root):
-        if holds_root:
-            out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
+    cuts = class_cuts(f, rents, shift, seq.root)
+    count, size = cuts.total(), load[cuts.cut]
+    out = [[] for _ in f.trees]
+    for i in np.flatnonzero(cuts.holds_root | (count > cap_m) | (count > size)).tolist():
+        msgs, j, n, w = out[cuts.tree[i]], int(cuts.level[i]), int(count[i]), int(size[i])
+        if cuts.holds_root[i]:
+            idx = sorted(cuts.entries[e][1] for e in cuts.entry[cuts.group == i].tolist())
+            msgs.append(f"level {j}: cut with root holds class-{j + shift} rents {idx}")
             continue
-        if len(inside) > cap_m:
-            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
-        if len(inside) > size[cut]:
-            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={size[cut]:g}"
-                       if seq.root is not None else f"level {j}: {len(inside)} rents > |D(C)|={size[cut]}")
+        if n > cap_m:
+            msgs.append(f"level {j}: {n} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
+        if n > w:
+            msgs.append(f"level {j}: {n} class-{j + shift} rent occurrences > w(C)={w:g}"
+                        if seq.root is not None else f"level {j}: {n} rents > |D(C)|={w}")
     return out
 
 

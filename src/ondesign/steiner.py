@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hst import Hst
+from .hst import Forest
 from .metric import (
     POINT,
     MetricSpace,
@@ -277,52 +277,114 @@ def _forests(trace: RunTrace):
     return trace.summary.get("forests", [])
 
 
-def check_metagraph_acyclic(trace: RunTrace, covers: dict):
-    """Meta-graph acyclicity per level: |A_j| <= |S_j| for the cover by level-j cuts.
+def check_metagraph_acyclic(trace: RunTrace, covers):
+    """Meta-graph acyclicity per level: |A_j| <= |S_j| for the cover by level-j
+    cuts, in every tree of a forest; per tree, its cycle violations or the
+    ValueError it raises.
 
-    `covers` maps level j to {point: cut id}, as covers_from_tree builds it.
-    Its validity (disjoint cuts of metric diameter < 2^j) comes from
+    `covers` is covers_from_tree(f, trace), whose errors pass through.  The
+    cover's validity (disjoint cuts of metric diameter < 2^j) comes from
     validate_hst, which passes every tree before a per-tree check runs; what
-    a forged trace can still break is raised as ValueError: an X_j point or
-    an A_j endpoint outside the cover.  Returns cycle violations.
+    a forged trace can still break is a ValueError: an X_j point or an A_j
+    endpoint outside a tree's cover.  An error raised off the trace alone is
+    the result of every tree without an earlier error of its own, as if the
+    trees were checked one by one.  One component count over every level's
+    meta-graph in every tree finds the graphs with a cycle (|A_j| > nodes -
+    components); only there does a union-find over the A_j edge list name the
+    edges that close one.
     """
-    out = []
-    for forest in _forests(trace):
-        occ = forest["occ"]
-        for j, edges in forest["A"]:
-            cover = covers.get(j)
-            if cover is None:
-                raise ValueError(f"no cover supplied for level {j}")
-            missed = {p for p, c in occ if c >= j} - cover.keys()
-            if missed:
-                raise ValueError(f"level {j}: cover misses {sorted(missed)}")
-            uf = UnionFind(max(cover.values(), default=-1) + 1)
-            for u, v in edges:
-                su, sv = cover.get(u), cover.get(v)
-                if su is None or sv is None:
-                    raise ValueError(f"level {j}: edge endpoint outside the cover")
-                if not uf.union(su, sv):
-                    out.append(f"level {j}: meta-cycle via edge ({u},{v})")
+    points, cover, errors = covers
+    out = [[] if e is None else e for e in errors]
+    at = {p: i for i, p in enumerate(points)}
+    graphs = []  # per level of every forest: (j, edges, trees x edges x 2 cut ids)
+    try:
+        for forest in _forests(trace):
+            occ = forest["occ"]
+            for j, edges in forest["A"]:
+                level = cover.get(j)
+                if level is None:
+                    raise ValueError(f"no cover supplied for level {j}")
+                members = sorted({p for p, c in occ if c >= j})
+                missed = level[:, [at[p] for p in members]] < 0
+                ends = level[:, [at[p] for u, v in edges for p in (u, v)]].reshape(len(out), -1, 2)
+                for g in np.flatnonzero(missed.any(axis=1) | (ends < 0).any(axis=(1, 2))).tolist():
+                    if isinstance(out[g], list):
+                        miss = [p for p, m in zip(members, missed[g].tolist()) if m]
+                        out[g] = ValueError(f"level {j}: cover misses {miss}" if miss else
+                                            f"level {j}: edge endpoint outside the cover")
+                graphs.append((j, edges, ends))
+    except Exception as exc:  # raised off the trace; the caller decides if it is a check error
+        return [exc if isinstance(o, list) else o for o in out]
+    if not graphs:
+        return out
+    # a node is (graph, tree, cut id); the edges are those with both ends covered
+    ids = max(int(ends.max(initial=0)) for _, _, ends in graphs) + 1
+    keys = []
+    for x, (_, _, ends) in enumerate(graphs):
+        g, e = np.nonzero((ends >= 0).all(axis=2))
+        keys.append((x * len(out) + g)[:, None] * ids + ends[g, e])
+    keys = np.concatenate(keys)
+    nodes, ab = np.unique(keys, return_inverse=True)
+    roots = _component_roots(*ab.reshape(-1, 2).T, len(nodes))
+    edges_in, nodes_in, parts = (np.bincount(v // ids, minlength=len(graphs) * len(out))
+                                 for v in (keys[:, 0], nodes, nodes[roots]))
+    for x, g in zip(*np.divmod(np.flatnonzero(edges_in > nodes_in - parts), len(out))):
+        if isinstance(out[g], list):
+            j, edges, ends = graphs[x]
+            uf = UnionFind(ids)
+            out[g] += [f"level {j}: meta-cycle via edge ({u},{v})"
+                       for (u, v), (su, sv) in zip(edges, ends[g].tolist()) if not uf.union(su, sv)]
     return out
 
 
-def covers_from_tree(t: Hst, trace: RunTrace):
-    """{j: {point: level-j cut id}} for every level j holding Berman-Coulston
-    edges, over the points the forests name (X_j entries and A_j endpoints)
-    whose level-j cut in t meets X_j.  A level outside t.cut_levels, which
-    only a forged trace names, raises ValueError."""
+def _component_roots(a, b, n) -> np.ndarray:
+    """The nodes that are the smallest of their connected component, in a
+    graph on nodes 0..n-1 with edges (a[i], b[i]): min-label propagation with
+    pointer jumping, every label a node of the labelled node's component."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.flatnonzero(label == np.arange(n))
+        label = new
+
+
+def covers_from_tree(f: Forest, trace: RunTrace):
+    """The level-j covers of every tree of f, for every level j holding
+    Berman-Coulston edges: (points, {j: trees x points cut ids}, errors).
+
+    `points` are the points the forests name (X_j entries and A_j endpoints),
+    sorted; a point's entry is its level-j cut in the tree if that cut meets
+    X_j, else -1.  A level outside a tree's cut_levels, which only a forged
+    trace names, is that tree's ValueError in `errors` (None where there is
+    none), and its covers read -1 from there on.  Every point's cuts in every
+    tree come from one f.cuts gather.
+    """
     forests = _forests(trace)
     occs = [o for forest in forests for o in forest["occ"]]
-    points = sorted({p for p, _ in occs} | {p for f in forests for _, edges in f["A"] for e in edges for p in e})
-    cuts = t.cuts(points + [p for p, _ in occs])
-    out = {}
+    points = sorted({p for p, _ in occs} | {p for forest in forests for _, edges in forest["A"]
+                                             for e in edges for p in e})
+    cuts = f.cuts(points + [p for p, _ in occs])  # trees x levels x (points, then occurrences)
+    klass = np.array([c for _, c in occs], dtype=np.intp)
+    tree, ids = np.arange(len(f.trees))[:, None], int((f.sizes + f.k).max())
+    errors = [None] * len(f.trees)
+    cover = {}
     for j in sorted({j for forest in forests for j, _ in forest["A"]}):
-        if j not in t.cut_levels:
-            raise ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
-        row = cuts[j - t.cut_levels[0]].tolist()
-        hit = {cut for cut, (_, c) in zip(row[len(points):], occs) if c >= j} - {-1}  # -1: not in t
-        out[j] = {p: cut for p, cut in zip(points, row) if cut in hit}
-    return out
+        for g, t in enumerate(f.trees):
+            if j not in t.cut_levels and errors[g] is None:
+                errors[g] = ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
+        row = cuts[tree[:, 0], np.clip(j - f.cut_levels[0], 0, cuts.shape[1] - 1)]  # a tree without level j errs
+        own = np.where(np.array([e is None for e in errors])[:, None], row, -1)
+        hit = np.zeros((len(f.trees), ids + 1), dtype=bool)  # per tree, the cuts meeting X_j; -1 is the last
+        hit[tree, np.where(klass >= j, own[:, len(points):], -1)] = True
+        hit[:, -1] = False
+        at = own[:, :len(points)]
+        cover[j] = np.where(hit[tree, at], at, -1)
+    return points, cover, errors
 
 
 def check_sn_decomposition(m: MetricSpace, seq: RequestSequence, sol: MultiGraphSolution, trace: RunTrace):

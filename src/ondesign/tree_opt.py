@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .hst import Forest, Hst, cut_load, path_cuts
-from .metric import pow2
 
 
 def _edge_sums(f: Forest, factor) -> list:
@@ -128,18 +127,18 @@ def opt_tree_pcst(f: Forest, r: int, penalties) -> list:
     return h_up.tolist()
 
 
-def pcst_cut_lower_bound(cuts) -> float:
-    """Cut-based lower bound on opt_tree_pcst over root-free cuts.
+def pcst_cut_lower_bound(cuts) -> list:
+    """Cut-based lower bound on opt_tree_pcst over root-free cuts, per tree.
 
-    `cuts` is hst.class_cuts(t, class_rho_pi, 1, r) as a list on the extended
-    tree t, `class_rho_pi` mapping class c -> list of (point, rho, pi) for
-    terminals with positive cost share: class-(j+1) terminals by the level-j
-    cut holding them, the conventional singleton level 0 included.  Each cut
-    without r contributes min(sum of penalties, 2^(j-1)).
+    `cuts` is the grouping prize.check_pcst_invariants returns:
+    hst.class_cuts(f, class_rho_pi, 1, r) on the extended forest f,
+    `class_rho_pi` mapping class c -> list of (point, rho, pi) for terminals
+    with positive cost share: class-(j+1) terminals by the level-j cut
+    holding them, the conventional singleton level 0 included.  Each cut
+    without r contributes min(sum of penalties, 2^(j-1)); the penalties and
+    each tree's terms are added in order.
     """
-    terms = []
-    for j, _, holds_root, inside in cuts:
-        pi_sum = sum((pi for _, _, pi in inside), 0.0)
-        if not holds_root and pi_sum != 0:
-            terms.append(min(pi_sum, pow2(j - 1)))
-    return sum(terms, 0.0)
+    pi_sum = cuts.total([pi for _, _, pi in cuts.entries])
+    keep = ~cuts.holds_root & (pi_sum != 0)
+    terms = np.minimum(pi_sum[keep], np.ldexp(1.0, cuts.level[keep] - 1))
+    return np.bincount(cuts.tree[keep], terms, minlength=cuts.trees).tolist()

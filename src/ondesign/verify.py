@@ -17,12 +17,17 @@ From there the work is done once per instance, on all trials at once: one
 trees -- for the rent-or-buy style checks and PCST one
 `extend_singleton_levels` call (singleton levels down to -2) and one
 `cut_load` -- which read only those trees and the RequestSequence.  What
-reads the trace runs once per trial, in `check_tree_bounds`: the bounds
-against the trial's optimum and the per-tree checks (`check_cut_capacity`,
-`check_pcst_invariants`, `pcst_cut_lower_bound`, `covers_from_tree` and
-`check_metagraph_acyclic`), so a check error on a forged trace lands on its
-own trial.  The tree resolves coincident points to one leaf (see hst), so
-checks and oracles pass it the instance's points as they are.
+reads the trace runs once per instance too, in `check_tree_bounds`, on the
+oracles' forest: the bounds against each trial's optimum and the per-tree
+checks (`check_cut_capacity`, `check_pcst_invariants`, whose one grouping of
+the shares by cut `pcst_cut_lower_bound` reads, `covers_from_tree` and
+`check_metagraph_acyclic`).  Each derives what the trace alone determines
+once, reads every tree's cuts with one gather and returns one result per
+tree.  A check error on a forged trace lands on the trials it belongs to: one
+a tree raises (an A_j level outside its cuts, a point outside its cover) on
+that tree's trial, one raised off the trace alone on every valid trial.  The
+tree resolves coincident points to one leaf (see hst), so checks and oracles
+pass it the instance's points as they are.
 """
 
 from __future__ import annotations
@@ -42,8 +47,7 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import (Forest, Terminals, class_cuts, cut_load, extend_singleton_levels, sample_frt, validate_hst,
-                  validated_distances)
+from .hst import Forest, Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
 from .metric import (
     MetricSpace,
     RequestSequence,
@@ -96,7 +100,7 @@ from .tree_opt import (
 # Tree oracles: oracles(seq, f) on the forest f of an instance's valid trees,
 # once per instance; they read only the trees and the RequestSequence.  Each
 # returns the forest the checks read (extended for the rent-or-buy style
-# checks), the tree optima and the cut loads (or None), per tree.
+# checks), the tree optima per tree and the forest's cut load (or None).
 # ---------------------------------------------------------------------------
 
 def _oracles_st(seq, f):
@@ -118,7 +122,7 @@ def _oracles_rob(seq, f):
     load = cut_load(ext, seq.pairs)
     opt = (opt_tree_rob_multi(ext, load, seq.M) if seq.root is None
            else opt_tree_rob_single(ext, seq.root, seq.M, load))
-    return ext, opt, ext.per_tree(load)
+    return ext, opt, load
 
 
 def _oracles_pcst(seq, f):
@@ -127,70 +131,99 @@ def _oracles_pcst(seq, f):
 
 
 # ---------------------------------------------------------------------------
-# Per-tree checks: check(tally, m, seq, trace, t, opt, load) on one valid
-# tree t of the oracles' forest, with its optimum and cut load.
+# Per-tree checks: check(tally, m, seq, trace, f, opt, load) on the oracles'
+# forest f of an instance's valid trees, with their optima and the forest's
+# cut load, once per instance.
 # ---------------------------------------------------------------------------
 
 class _Tally:
-    """One sampled tree's violations, flags and ratio per bound."""
+    """Per tree of a forest: violations, flags, ratio per bound, and the
+    first error a check raised on it.
 
-    def __init__(self, constants):
-        self.constants = constants
-        self.out, self.flags, self.ratios = [], [], {}
+    An error of a type in `guard` becomes the tree's one violation, "check
+    error: ...", and drops what the tree's checks found; any other raises.
+    """
+
+    def __init__(self, constants, trees, guard):
+        self.constants, self.guard = constants, guard
+        self.out, self.flags = [[] for _ in range(trees)], [[] for _ in range(trees)]
+        self.ratios, self.error = [{} for _ in range(trees)], [None] * trees
 
     def bound(self, name, lhs, rhs, constant=None):
-        """lhs <= factor * rhs, the factor being constants[constant or name].
+        """lhs <= factor * rhs[g] on every tree g, the factor being
+        constants[constant or name].
 
-        The ratio lhs / rhs (0 when both are 0) goes into max_ratios.  A bound
-        violated at rhs 0 has no finite ratio: only its violation is reported.
+        The ratio lhs / rhs[g] (0 when both are 0) goes into max_ratios.  A
+        bound violated at rhs 0 has no finite ratio: only its violation is
+        reported.
         """
         factor = self.constants[constant or name]
-        if exceeds(lhs, factor * rhs):
-            self.out.append(f"{name}: {lhs:g} > {factor:g} * {rhs:g}")
-            if rhs == 0:
-                return
-        self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
+        for out, ratios, r in zip(self.out, self.ratios, rhs):
+            if exceeds(lhs, factor * r):
+                out.append(f"{name}: {lhs:g} > {factor:g} * {r:g}")
+                if r == 0:
+                    continue
+            ratios[name] = max(ratios.get(name, 0.0), 0.0 if r == 0 else lhs / r)
+
+    def add(self, per_tree):
+        """Each tree's violations, or the error a check raised on it."""
+        for g, item in enumerate(per_tree):
+            if isinstance(item, Exception):
+                self.fail([g], item)
+            else:
+                self.out[g] += item
+
+    def fail(self, trees, exc):
+        if not isinstance(exc, self.guard):
+            raise exc
+        for g in trees:
+            if self.error[g] is None:
+                self.error[g] = exc
+
+    def results(self):
+        return [(out, flags, ratios) if exc is None else ([f"check error: {exc}"], [], {})
+                for out, flags, ratios, exc in zip(self.out, self.flags, self.ratios, self.error)]
 
 
-def _metagraph(trace, t):
-    return check_metagraph_acyclic(trace, covers_from_tree(t, trace))
+def _metagraph(trace, f):
+    return check_metagraph_acyclic(trace, covers_from_tree(f, trace))
 
 
-def _tree_st(tally, m, seq, trace, t, opt, load):
+def _tree_st(tally, m, seq, trace, f, opt, load):
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
 
 
-def _tree_sf(tally, m, seq, trace, t, opt, load):
+def _tree_sf(tally, m, seq, trace, f, opt, load):
     tally.bound("cost_vs_tree", trace.total_cost(), opt)
-    tally.out += _metagraph(trace, t)
+    tally.add(_metagraph(trace, f))
 
 
-def _tree_rob(tally, seq, trace, t, opt, load, cost_name, cost, shift):
-    """Share and `cost` against the rent-or-buy tree optimum; cut caps on
+def _tree_rob(tally, seq, trace, f, opt, load, cost_name, cost, shift):
+    """Share and `cost` against the rent-or-buy tree optima; cut caps on
     class-(j + shift) rents."""
     tally.bound("share_vs_tree", cost_share(trace), opt)
     tally.bound(cost_name, cost, opt)
-    tally.out += check_cut_capacity(seq, trace, t, shift, load)
+    tally.add(check_cut_capacity(seq, trace, f, shift, load))
 
 
-def _tree_srob(tally, m, seq, trace, t, opt, load):
-    _tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 1)
+def _tree_srob(tally, m, seq, trace, f, opt, load):
+    _tree_rob(tally, seq, trace, f, opt, load, "cost_vs_tree", trace.total_cost(), 1)
 
 
-def _tree_cfl(tally, m, seq, trace, t, opt, load):
-    _tree_rob(tally, seq, trace, t, opt, load, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
+def _tree_cfl(tally, m, seq, trace, f, opt, load):
+    _tree_rob(tally, seq, trace, f, opt, load, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
 
 
-def _tree_mrob(tally, m, seq, trace, t, opt, load):
-    _tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 2)
-    tally.out += _metagraph(trace, t)
+def _tree_mrob(tally, m, seq, trace, f, opt, load):
+    _tree_rob(tally, seq, trace, f, opt, load, "cost_vs_tree", trace.total_cost(), 2)
+    tally.add(_metagraph(trace, f))
 
 
-def _tree_pcst(tally, m, seq, trace, t, opt, load):
-    cuts = list(class_cuts(t, positive_share_rows(seq, trace), 1, seq.root))  # read by both cut checks
-    tree_viol, tree_flags = check_pcst_invariants(cuts)
-    tally.out += tree_viol
-    tally.flags += tree_flags
+def _tree_pcst(tally, m, seq, trace, f, opt, load):
+    tree_viol, tree_flags, cuts = check_pcst_invariants(f, positive_share_rows(seq, trace), seq.root)
+    tally.add(tree_viol)
+    for flags, more in zip(tally.flags, tree_flags):
+        flags += more
     share = total_share(trace)
     lb = pcst_cut_lower_bound(cuts)
     # the cut lower bound is held to the share constant
@@ -207,8 +240,8 @@ def _tree_pcst(tally, m, seq, trace, t, opt, load):
 class ProblemSpec:
     run: Callable            # (m, seq) -> (solution, trace)
     run_checks: dict         # report name -> check(m, seq, trace), after cost and feasibility
-    tree_oracles: Callable   # (seq, forest) -> (forest, optima, loads); see _oracles_st
-    tree_checks: Callable    # see _Tally
+    tree_oracles: Callable   # (seq, forest) -> (forest, optima, load); see _oracles_st
+    tree_checks: Callable    # (tally, m, seq, trace, f, opt, load); see _Tally
     constants: dict          # per-tree bound name -> factor
     optimum: Callable        # (m, seq) -> exact offline optimum
     solution_checks: dict = field(default_factory=dict)  # name -> check(m, seq, sol, trace); own runs only
@@ -282,14 +315,23 @@ def tree_points(seq: RequestSequence):
     return [p for pair in seq.pairs for p in pair] + ([] if seq.root is None else [seq.root])
 
 
-def check_tree_bounds(m, seq, trace, t, opt, load):
-    """Run every per-tree check on a valid sampled tree t (extended where the
-    problem's oracles extend it), given its tree optimum and cut load; returns
-    (violations, flags, ratios) for this tree."""
+def check_tree_bounds(m, seq, trace, f, opt, load, guard=()):
+    """Run every per-tree check on the forest f of an instance's valid sampled
+    trees (extended where the problem's oracles extend them), given their tree
+    optima and the forest's cut load; returns (violations, flags, ratios) per
+    tree of f, in its order.
+
+    What the checks derive from the trace alone, they derive once.  An error
+    of a type in `guard` is the one violation of each tree it is raised on:
+    one raised off the trace alone, of every tree without an error of its own.
+    """
     spec = SPECS[seq.problem]
-    tally = _Tally(spec.constants)
-    spec.tree_checks(tally, m, seq, trace, t, opt, load)
-    return tally.out, tally.flags, tally.ratios
+    tally = _Tally(spec.constants, len(f.trees), guard)
+    try:
+        spec.tree_checks(tally, m, seq, trace, f, opt, load)
+    except guard as exc:
+        tally.fail(range(len(f.trees)), exc)
+    return tally.results()
 
 
 def _sampled_trees(m, points, seeds):
@@ -307,15 +349,15 @@ def _sampled_trees(m, points, seeds):
             for t, bad in zip(trees, validate_hst(trees, m))]
 
 
-def _tree_facts(seq, sampled):
-    """Per trial, (tree, optimum, load) for the checks of a valid tree, else
-    None: the oracles run once, on the forest of the valid trees."""
+def _checked_trees(m, seq, trace, sampled, guard):
+    """check_tree_bounds' (violations, flags, ratios) per valid tree of
+    `sampled`, in trial order: the oracles, which read no trace (unguarded),
+    and the checks each run once, on the forest of the valid trees."""
     valid = [t for t, _ in sampled if t is not None]
     if not valid:
-        return [None] * len(sampled)
+        return []
     f, opt, load = SPECS[seq.problem].tree_oracles(seq, Forest(valid))
-    facts = iter(zip(f.trees, opt, load or [None] * len(opt)))
-    return [None if t is None else next(facts) for t, _ in sampled]
+    return check_tree_bounds(m, seq, trace, f, opt, load, guard)
 
 
 def per_run_checks(m, seq, sol, trace):
@@ -374,18 +416,15 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         sampled = _sampled_trees(m, tree_points(seq), seeds)
     except guard as exc:
         sampled = [(None, [f"check error: {exc}"])] * trials
-    facts = _tree_facts(seq, sampled)  # reads no trace: unguarded
+    checked = iter(_checked_trees(m, seq, trace, sampled, guard))
     ratios = {}
     flags = []
     tree_violations = []
     witness_seed = None
-    for trial, ((_, viol), fact) in enumerate(zip(sampled, facts)):
+    for trial, (t, viol) in enumerate(sampled):
         fl, rat = [], {}
-        if fact is not None:
-            try:
-                viol, fl, rat = check_tree_bounds(m, seq, trace, *fact)
-            except guard as exc:
-                viol = [f"check error: {exc}"]
+        if t is not None:
+            viol, fl, rat = next(checked)
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)
         flags += [f"trial {trial}: {f}" for f in fl]

@@ -190,6 +190,18 @@ def extend_one(t):
     return extend_singleton_levels(Forest([t])).trees[0]
 
 
+def tree_cuts(t, points):
+    """hst.Forest.cuts of t as a forest of one: rows t.cut_levels, a column per point."""
+    from ondesign.hst import Forest
+
+    return Forest([t]).cuts(points)[0]
+
+
+def per_tree(f, values):
+    """Values over the cut ids of forest f, split into each tree's own ids."""
+    return np.split(values, f.start[1:])
+
+
 def ref_extend(t):
     """Reference for hst.extend_singleton_levels on one tree, in Python lists:
     below each leaf in node order a level -1 node, then a level -2 node that
@@ -455,6 +467,231 @@ def brute_check_pcst_invariants(seq, trace, t):
             elif inside > 0 and exceeds(inside, pow2(j + 1), atol=0.0):
                 flags.append(f"level {j}: cut share sum {inside:g} in (2^{j + 1}, 2^{j + 2}]")
     return out, flags
+
+
+# ---------------------------------------------------------------------------
+# Per-tree references for the trace-reading tree checks, which run once per
+# instance on its forest: each check's body one tree at a time, reading the
+# tree through Hst.cuts, and the tree-by-tree dispatch of check_tree_bounds
+# ---------------------------------------------------------------------------
+
+def ref_class_cuts(t, by_class, shift, root=None):
+    """Reference for hst.class_cuts on one tree: (j, cut id, holds root,
+    entries) for every level-j cut holding an entry of by_class[j + shift], by
+    level and then by cut id, the entries of a cut in input order."""
+    lo = t.cut_levels[0]
+    entries = [(j, e) for j in t.cut_levels for e in by_class.get(j + shift, ())]
+    cuts = tree_cuts(t, [e[0] for _, e in entries] + [root])
+    own = cuts[np.array([j - lo for j, _ in entries], dtype=np.intp), np.arange(len(entries))].tolist()
+    inside = {}
+    for (j, entry), cut in zip(entries, own):
+        if cut >= 0:
+            inside.setdefault((j, cut), []).append(entry)
+    root_cut = cuts[:, -1].tolist()
+    return [(j, cut, cut == root_cut[j - lo], inside[j, cut]) for j, cut in sorted(inside)]
+
+
+def tree_groups(f, cuts):
+    """hst.class_cuts' groups on forest f as ref_class_cuts lists them, per
+    tree: (j, cut id in the tree, holds root, entries)."""
+    out = [[] for _ in f.trees]
+    rows = zip(cuts.tree.tolist(), cuts.level.tolist(), cuts.cut.tolist(), cuts.holds_root.tolist())
+    for i, (g, j, cut, held) in enumerate(rows):
+        out[g].append((j, cut - int(f.start[g]), held, [cuts.entries[e] for e in cuts.entry[cuts.group == i].tolist()]))
+    return out
+
+
+def ref_check_cut_capacity(seq, trace, t, shift, load):
+    """Reference for rentorbuy.check_cut_capacity on one tree, whose cut
+    load (in its own cut ids) is `load`."""
+    cap_m = math.ceil(seq.M)
+    size = list(load)
+    rents = {}
+    for rec in trace.records:
+        if rec.decision == "rent" and rec.klass is not None:
+            ends = seq.pairs[rec.idx][:1 if seq.root is not None else 2]
+            rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
+    out = []
+    for j, cut, holds_root, inside in ref_class_cuts(t, rents, shift, seq.root):
+        if holds_root:
+            out.append(f"level {j}: cut with root holds class-{j + shift} rents {sorted(idx for _, idx in inside)}")
+            continue
+        if len(inside) > cap_m:
+            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > ceil(M)={cap_m}")
+        if len(inside) > size[cut]:
+            out.append(f"level {j}: {len(inside)} class-{j + shift} rent occurrences > w(C)={size[cut]:g}"
+                       if seq.root is not None else f"level {j}: {len(inside)} rents > |D(C)|={size[cut]}")
+    return out
+
+
+def ref_covers_from_tree(t, trace):
+    """Reference for steiner.covers_from_tree on one tree: {j: {point: level-j
+    cut id}} over the named points whose cut meets X_j; a level outside
+    t.cut_levels raises ValueError."""
+    forests = trace.summary.get("forests", [])
+    occs = [o for forest in forests for o in forest["occ"]]
+    points = sorted({p for p, _ in occs} | {p for f in forests for _, edges in f["A"] for e in edges for p in e})
+    cuts = tree_cuts(t, points + [p for p, _ in occs])
+    out = {}
+    for j in sorted({j for forest in forests for j, _ in forest["A"]}):
+        if j not in t.cut_levels:
+            raise ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
+        row = cuts[j - t.cut_levels[0]].tolist()
+        hit = {cut for cut, (_, c) in zip(row[len(points):], occs) if c >= j} - {-1}
+        out[j] = {p: cut for p, cut in zip(points, row) if cut in hit}
+    return out
+
+
+def ref_check_metagraph_acyclic(trace, covers):
+    """Reference for steiner.check_metagraph_acyclic on one tree's
+    ref_covers_from_tree: its cycle violations, or the ValueError raised."""
+    from ondesign.metric import UnionFind
+
+    out = []
+    for forest in trace.summary.get("forests", []):
+        occ = forest["occ"]
+        for j, edges in forest["A"]:
+            cover = covers.get(j)
+            if cover is None:
+                raise ValueError(f"no cover supplied for level {j}")
+            missed = {p for p, c in occ if c >= j} - cover.keys()
+            if missed:
+                raise ValueError(f"level {j}: cover misses {sorted(missed)}")
+            uf = UnionFind(max(cover.values(), default=-1) + 1)
+            for u, v in edges:
+                su, sv = cover.get(u), cover.get(v)
+                if su is None or sv is None:
+                    raise ValueError(f"level {j}: edge endpoint outside the cover")
+                if not uf.union(su, sv):
+                    out.append(f"level {j}: meta-cycle via edge ({u},{v})")
+    return out
+
+
+def ref_check_pcst_invariants(cuts):
+    """Reference for prize.check_pcst_invariants on one tree's
+    ref_class_cuts(t, positive_share_rows(seq, trace), 1, seq.root)."""
+    from ondesign.metric import exceeds, pow2
+
+    out, flags = [], []
+    for j, _, holds_root, inside in cuts:
+        share = sum(rho for _, rho, _ in inside)
+        if holds_root:
+            out.append(f"level {j}: root cut carries class-{j + 1} share {share:g}")
+        elif exceeds(share, pow2(j + 2), atol=0.0):
+            out.append(f"level {j}: cut share sum {share:g} > 2^{j + 2}")
+        elif exceeds(share, pow2(j + 1), atol=0.0):
+            flags.append(f"level {j}: cut share sum {share:g} in (2^{j + 1}, 2^{j + 2}]")
+    return out, flags
+
+
+def ref_pcst_cut_lower_bound(cuts):
+    """Reference for tree_opt.pcst_cut_lower_bound on one tree's ref_class_cuts."""
+    from ondesign.metric import pow2
+
+    terms = []
+    for j, _, holds_root, inside in cuts:
+        pi_sum = sum((pi for _, _, pi in inside), 0.0)
+        if not holds_root and pi_sum != 0:
+            terms.append(min(pi_sum, pow2(j - 1)))
+    return sum(terms, 0.0)
+
+
+class _RefTally:
+    def __init__(self, constants):
+        self.constants = constants
+        self.out, self.flags, self.ratios = [], [], {}
+
+    def bound(self, name, lhs, rhs, constant=None):
+        from ondesign.metric import exceeds
+
+        factor = self.constants[constant or name]
+        if exceeds(lhs, factor * rhs):
+            self.out.append(f"{name}: {lhs:g} > {factor:g} * {rhs:g}")
+            if rhs == 0:
+                return
+        self.ratios[name] = max(self.ratios.get(name, 0.0), 0.0 if rhs == 0 else lhs / rhs)
+
+
+def _ref_tree_rob(tally, seq, trace, t, opt, load, cost_name, cost, shift):
+    from ondesign.rentorbuy import cost_share
+
+    tally.bound("share_vs_tree", cost_share(trace), opt)
+    tally.bound(cost_name, cost, opt)
+    tally.out += ref_check_cut_capacity(seq, trace, t, shift, load)
+
+
+def _ref_tree_checks(tally, m, seq, trace, t, opt, load):
+    from ondesign.cfl import cfl_buy_rent_cost
+    from ondesign.prize import positive_share_rows, total_share
+
+    problem = seq.problem
+    if problem == "PCST":
+        cuts = ref_class_cuts(t, positive_share_rows(seq, trace), 1, seq.root)
+        tree_viol, tree_flags = ref_check_pcst_invariants(cuts)
+        tally.out += tree_viol
+        tally.flags += tree_flags
+        share = total_share(trace)
+        lb = ref_pcst_cut_lower_bound(cuts)
+        tally.bound("share_vs_cut_lb", share, lb, constant="share_vs_tree")
+        tally.bound("share_vs_tree", share, opt)
+        tally.bound("cost_vs_tree", trace.total_cost(), opt)
+        return
+    if problem == "SROB":
+        _ref_tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 1)
+    elif problem == "CFL":
+        _ref_tree_rob(tally, seq, trace, t, opt, load, "buyrent_vs_tree", cfl_buy_rent_cost(m, seq, trace), 2)
+    elif problem == "MROB":
+        _ref_tree_rob(tally, seq, trace, t, opt, load, "cost_vs_tree", trace.total_cost(), 2)
+    else:
+        tally.bound("cost_vs_tree", trace.total_cost(), opt)
+    if problem in ("SteinerForest", "SteinerNetwork", "MROB"):
+        tally.out += ref_check_metagraph_acyclic(trace, ref_covers_from_tree(t, trace))
+
+
+def ref_check_tree_bounds(m, seq, trace, t, opt, load, guard=()):
+    """Reference for verify.check_tree_bounds, one tree at a time: t's
+    (violations, flags, ratios), given its optimum and its cut load in its
+    own cut ids; an error of a type in `guard` is its one violation."""
+    from ondesign.verify import SPECS
+
+    tally = _RefTally(SPECS[seq.problem].constants)
+    try:
+        _ref_tree_checks(tally, m, seq, trace, t, opt, load)
+    except guard as exc:
+        return [f"check error: {exc}"], [], {}
+    return tally.out, tally.flags, tally.ratios
+
+
+def cut_caps(seq, trace, t, shift):
+    """rentorbuy.check_cut_capacity on t as a forest of one, with its cut load."""
+    from ondesign.hst import Forest, cut_load
+    from ondesign.rentorbuy import check_cut_capacity
+
+    f = Forest([t])
+    return check_cut_capacity(seq, trace, f, shift, cut_load(f, seq.pairs))[0]
+
+
+def tree_covers(t, trace):
+    """steiner.covers_from_tree on t as a forest of one, in ref_covers_from_tree's
+    form {j: {point: cut id}}; the tree's error raises."""
+    from ondesign.hst import Forest
+    from ondesign.steiner import covers_from_tree
+
+    points, cover, errors = covers_from_tree(Forest([t]), trace)
+    if errors[0] is not None:
+        raise errors[0]
+    return {j: {p: cut for p, cut in zip(points, cuts[0].tolist()) if cut >= 0} for j, cuts in cover.items()}
+
+
+def tree_metagraph(t, trace):
+    """steiner.check_metagraph_acyclic on t as a forest of one; the tree's error raises."""
+    from ondesign.hst import Forest
+    from ondesign.steiner import check_metagraph_acyclic, covers_from_tree
+
+    out = check_metagraph_acyclic(trace, covers_from_tree(Forest([t]), trace))[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,18 +25,20 @@ from conftest import (
     brute_tree_sf,
     brute_tree_sn,
     client_load,
+    cut_caps,
     extend_one,
     line_metric,
     random_small_hst,
+    tree_metagraph,
 )
 from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
 from ondesign.hst import Forest, Terminals, cut_load, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
-from ondesign.rentorbuy import check_cut_capacity, check_mrob_witnesses, check_srob_witnesses
+from ondesign.rentorbuy import check_mrob_witnesses, check_srob_witnesses
 from ondesign.cfl import check_cfl_invariants
-from ondesign.steiner import check_class_separation, check_metagraph_acyclic, covers_from_tree, run_greedy_st
+from ondesign.steiner import check_class_separation, run_greedy_st
 from ondesign.tree_opt import (
     opt_tree_pcst,
     opt_tree_rob_multi,
@@ -148,8 +150,7 @@ def _forged_controls():
     tri.summary = {"forests": [{"copies": 1, "A": [[1, [[0, 1], [1, 2], [0, 2]]]],
                                 "occ": [[0, 1], [1, 1], [2, 1]], "zero_merges": []}]}
     # level-1 carving radii are below 1: the level-1 cover is three singletons
-    covers = covers_from_tree(sample_frt(Terminals(m3, [0, 1, 2]), seed=0), tri)
-    out.append(("metagraph", bool(check_metagraph_acyclic(tri, covers))))
+    out.append(("metagraph", bool(tree_metagraph(sample_frt(Terminals(m3, [0, 1, 2]), seed=0), tri))))
 
     m4 = line_metric([0, 4, 5, 6])
     shared = RunTrace()
@@ -165,7 +166,7 @@ def _forged_controls():
         packed.add(RequestRecord(idx=i, decision="rent", klass=2))
     packed_seq = RequestSequence(problem="SROB", requests=(1,) * 4, root=0, M=3.0)
     t5 = extend_one(sample_frt(Terminals(m5, [0, 1]), seed=1))
-    out.append(("cut-capacity", bool(check_cut_capacity(packed_seq, packed, t5, 1, cut_load(Forest([t5]), packed_seq.pairs)))))
+    out.append(("cut-capacity", bool(cut_caps(packed_seq, packed, t5, 1))))
 
     mrob = RunTrace()
     mrob.add(RequestRecord(idx=0, decision="buy", klass=2, witnesses=(9,), witnesses_t=()))

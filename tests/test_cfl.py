@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefOflState, client_load, euclid, extend_one, line_metric, tie_metrics
+from conftest import RefOflState, client_load, cut_caps, euclid, extend_one, line_metric, tie_metrics
 from ondesign.cfl import (
     OflState,
     cfl_buy_rent_cost,
@@ -11,9 +11,8 @@ from ondesign.cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from ondesign.hst import Forest, Terminals, cut_load, sample_frt
+from ondesign.hst import Forest, Terminals, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
-from ondesign.rentorbuy import check_cut_capacity
 from ondesign.tree_opt import opt_tree_rob_single
 
 
@@ -168,7 +167,7 @@ def test_cfl_sharetree_prestudy_constant_16():
             assert opt > 0
             worst = max(worst, share / opt)
         assert share <= 16 * opt * (1 + 1e-9) + 1e-12
-        out = check_cut_capacity(seq, trace, t, 2, cut_load(Forest([t]), seq.pairs))
+        out = cut_caps(seq, trace, t, 2)
         assert out == []
     assert worst <= 16.0
 

@@ -17,6 +17,9 @@ from conftest import (
     line_metric,
     path_edges,
     random_small_hst,
+    ref_class_cuts,
+    tree_cuts,
+    tree_groups,
 )
 from ondesign.hst import (
     FOREST_PAIRS,
@@ -73,9 +76,10 @@ def test_coincident_points_collapse_onto_one_terminal():
         assert [a.tolist() for a in (t.parent, t.edge_level, t.leaf)] == \
             [a.tolist() for a in (base.parent, base.edge_level, base.leaf)]
         assert t.columns([1, 0, 2, 7]).tolist() == [0, 0, 1, -1]
-        assert t.cuts([1, 2]).tolist() == t.cuts([0, 2]).tolist()
-        assert [(j, cut, inside) for j, cut, _, inside in class_cuts(t, {1: [(1, "a"), (0, "b")]}, 0)] == \
-            [(1, int(t.cuts([0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
+        assert tree_cuts(t, [1, 2]).tolist() == tree_cuts(t, [0, 2]).tolist()
+        [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), {1: [(1, "a"), (0, "b")]}, 0))
+        assert [(j, cut, inside) for j, cut, _, inside in groups] == \
+            [(1, int(tree_cuts(t, [0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
         assert tree_distance(t, 1, 2) == tree_distance(t, 0, 2) and tree_distance(t, 1, 0) == 0.0
         assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_one(t), _promote_one_level(t)):
@@ -188,16 +192,16 @@ def test_validate_hst_message_fires(positions, arrays, message):
 def test_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # root, then leaves 1 and 2 at level 1
     assert list(t.cut_levels) == [0, 1]
-    assert t.cuts([0, 1]).tolist() == [[3, 4], [1, 2]]  # level 0: implicit singletons, n_nodes + column
-    assert t.cuts([1, 7, None, 0, 1]).tolist() == [[4, -1, -1, 3, 4], [2, -1, -1, 1, 2]]
-    assert t.cuts([]).shape == (2, 0)
+    assert tree_cuts(t, [0, 1]).tolist() == [[3, 4], [1, 2]]  # level 0: implicit singletons, n_nodes + column
+    assert tree_cuts(t, [1, 7, None, 0, 1]).tolist() == [[4, -1, -1, 3, 4], [2, -1, -1, 1, 2]]
+    assert tree_cuts(t, []).shape == (2, 0)
     aliased = Hst(t.parent, t.edge_level, t.terminals, t.leaf, aliases=[(5, 1)])  # 5 sits on 1
-    assert aliased.cuts([5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
+    assert tree_cuts(aliased, [5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
     ext = extend_one(t)
     assert list(ext.cut_levels) == [-2, -1, 0, 1]
     assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
     assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
-    assert ext.cuts([1, 7, 0]).tolist() == [[6, -1, 4], [5, -1, 3], [8, -1, 7], [2, -1, 1]]  # chains 3-4, 5-6
+    assert tree_cuts(ext, [1, 7, 0]).tolist() == [[6, -1, 4], [5, -1, 3], [8, -1, 7], [2, -1, 1]]  # chains 3-4, 5-6
 
 
 def test_path_cuts_examples(two_point_metric):
@@ -223,7 +227,12 @@ def test_class_cuts_group_entries_by_reference_cut():
                 inside = [e for e in by_class.get(j + shift, []) if e[0] in cut]
                 if inside:
                     expect.append((j, root in cut, inside))
-        assert [(j, held, inside) for j, _, held, inside in class_cuts(t, by_class, shift, root)] == expect
+        [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), by_class, shift, root))
+        assert [(j, held, inside) for j, _, held, inside in groups] == expect
+        if t.cut_levels.start == 0:  # trees of one forest whose lowest and highest levels differ
+            f = Forest([extend_one(t), _promote_one_level(t), t])
+            assert tree_groups(f, class_cuts(f, by_class, shift, root)) == \
+                [ref_class_cuts(u, by_class, shift, root) for u in f.trees]
 
 
 def test_cuts_partition_random_trees():

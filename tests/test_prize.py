@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_check_pcst_invariants, euclid, extend_one, line_metric, random_small_hst
-from ondesign.hst import Forest, Terminals, class_cuts, sample_frt
+from ondesign.hst import Forest, Terminals, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
     check_pcst_invariants,
@@ -19,9 +19,12 @@ def _pcst(*requests):
     return RequestSequence(problem="PCST", requests=requests, root=0)
 
 
-def _share_cuts(seq, trace, t):
-    """The class-(j+1) shares of the trace by level-j cut of t, as verify reads them."""
-    return list(class_cuts(t, positive_share_rows(seq, trace), 1, seq.root))
+def _cut_checks(seq, trace, t):
+    """(violations, flags, cut lower bound) of the PCST cut checks on t as a
+    forest of one, the lower bound reading the invariants' grouping as verify
+    does."""
+    viol, flags, cuts = check_pcst_invariants(Forest([t]), positive_share_rows(seq, trace), seq.root)
+    return viol[0], flags[0], pcst_cut_lower_bound(cuts)[0]
 
 
 def pcst_metric():
@@ -91,10 +94,9 @@ def test_pcst_tree_invariants_and_bounds():
         seq = _pcst(*reqs)
         sol, trace = run_pcst(m, seq)
         t_ext = extend_one(sample_frt(Terminals(m, [p for p, _ in reqs] + [0]), seed=trial))
-        viol, flags = check_pcst_invariants(_share_cuts(seq, trace, t_ext))
+        viol, flags, lb = _cut_checks(seq, trace, t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
-        lb = pcst_cut_lower_bound(_share_cuts(seq, trace, t_ext))
         opt = opt_tree_pcst(Forest([t_ext]), 0, reqs)[0]
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
@@ -116,7 +118,7 @@ def test_pcst_tree_invariants_match_reference_on_forged_shares():
                 klass=int(rng.integers(-2, 5)), rho=float(rng.choice([0.3, 1.7, 2.7, 5.1, 13.3])),
             ))
         seq = RequestSequence(problem="PCST", requests=tuple(requests), root=int(rng.choice(pts)))
-        got = check_pcst_invariants(_share_cuts(seq, trace, t))
+        got = _cut_checks(seq, trace, t)[:2]
         assert got == brute_check_pcst_invariants(seq, trace, t)
         flagged += bool(got[0] or got[1])
     assert flagged > 20
@@ -134,7 +136,7 @@ def test_pcst_cut_share_messages(point, klass, rho, expected):
     seq = RequestSequence(problem="PCST", requests=((point, 50.0),), root=0)
     forged = RunTrace([RequestRecord(idx=0, decision="penalty", klass=klass, cost=50.0, rho=rho)])
     t = extend_one(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
-    got = check_pcst_invariants(_share_cuts(seq, forged, t))
+    got = _cut_checks(seq, forged, t)[:2]
     assert got == expected
     assert got == brute_check_pcst_invariants(seq, forged, t)
 
@@ -151,12 +153,12 @@ def test_pcst_flags_soft_range():
     seq = _pcst(*((p, 50.0) for p in range(1, 8)))
     _, trace = run_pcst(m, seq)
     t_ext = extend_one(sample_frt(Terminals(m, range(8)), seed=0))
-    viol, flags = check_pcst_invariants(_share_cuts(seq, trace, t_ext))
+    viol, flags, _ = _cut_checks(seq, trace, t_ext)
     assert check_pcst_run_invariants(m, seq, trace) + viol == []
     assert isinstance(flags, list)
 
 
-def test_tree_pcst_builds_the_share_rows_once_per_tree(monkeypatch):
+def test_tree_pcst_builds_the_share_rows_once_per_instance(monkeypatch):
     from ondesign import prize, verify
 
     calls = []
@@ -170,4 +172,4 @@ def test_tree_pcst_builds_the_share_rows_once_per_tree(monkeypatch):
     m = euclid(np.random.default_rng(5).random((8, 2)) * 12)
     report = verify.verify_run(m, _pcst(*((p, 50.0) for p in range(1, 8))), trials=3, seed=0)
     assert report["violations"] == 0 and report["tree_checks"]["fail"] == 0
-    assert calls == [7] * 3
+    assert calls == [7]  # one forest of 3 trees

@@ -53,8 +53,8 @@ def test_checks_share_one_signature(problem):
     # each spec names its checks directly: check(m, seq, trace), or
     # check(m, seq, sol, trace) for a solution check; no adapter in between.
     # The tree oracles read the sequence and the forest of valid trees, no
-    # trace; the per-tree checks take one tree of the oracles' forest with its
-    # optimum and cut load, and nothing else besides.
+    # trace; the per-tree checks take the oracles' forest with its trees'
+    # optima and its cut load, once per instance, and nothing else besides.
     spec = SPECS[problem]
     for checks, params in ((spec.run_checks, ["m", "seq", "trace"]),
                            (spec.solution_checks, ["m", "seq", "sol", "trace"])):
@@ -62,7 +62,7 @@ def test_checks_share_one_signature(problem):
             assert check.__name__.startswith("check_"), check
             assert list(inspect.signature(check).parameters) == params, check.__name__
     assert list(inspect.signature(spec.tree_oracles).parameters) == ["seq", "f"]
-    assert list(inspect.signature(spec.tree_checks).parameters) == ["tally", "m", "seq", "trace", "t", "opt", "load"]
+    assert list(inspect.signature(spec.tree_checks).parameters) == ["tally", "m", "seq", "trace", "f", "opt", "load"]
 
 
 def test_exceeds_tolerances():

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import brute_check_cut_capacity, euclid, extend_one, line_metric, random_small_hst
-from ondesign.hst import Forest, Terminals, cut_load, sample_frt
+from conftest import brute_check_cut_capacity, cut_caps, euclid, extend_one, line_metric, random_small_hst
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.rentorbuy import (
-    check_cut_capacity,
     check_greedy_replay,
     check_mrob_witnesses,
     check_srob_witnesses,
@@ -112,7 +111,7 @@ def test_cut_capacity_srob():
     seq = _srob([1, 2, 3], M=1.0)
     _, trace = run_srob(m, seq)
     t = extend_one(sample_frt(Terminals(m, [0, 1, 2, 3]), seed=2))
-    assert check_cut_capacity(seq, trace, t, 1, cut_load(Forest([t]), seq.pairs)) == []
+    assert cut_caps(seq, trace, t, 1) == []
 
 
 def test_cut_capacity_forged_packing():
@@ -124,7 +123,7 @@ def test_cut_capacity_forged_packing():
     for i in range(4):
         forged.add(RequestRecord(idx=i, decision="rent", klass=2, cost=8.0))
     t = extend_one(sample_frt(Terminals(m, [0, 1]), seed=1))
-    out = check_cut_capacity(seq, forged, t, 1, cut_load(Forest([t]), seq.pairs))
+    out = cut_caps(seq, forged, t, 1)
     assert out == ["level 1: 4 class-2 rent occurrences > ceil(M)=3"]
     assert out == brute_check_cut_capacity(seq, forged, t, 1)
 
@@ -136,7 +135,7 @@ def test_cut_capacity_root_cut_message():
     seq = RequestSequence(problem="SROB", requests=(1, 2, 1), root=0, M=3.0)
     forged = RunTrace([RequestRecord(idx=i, decision="rent", klass=3, cost=1.0) for i in (2, 0, 1)])
     t = extend_one(sample_frt(Terminals(m, [0, 1, 2]), seed=1))
-    out = check_cut_capacity(seq, forged, t, 1, cut_load(Forest([t]), seq.pairs))
+    out = cut_caps(seq, forged, t, 1)
     assert out == ["level 2: cut with root holds class-3 rents [0, 2]"]
     assert out == brute_check_cut_capacity(seq, forged, t, 1)
 
@@ -148,7 +147,7 @@ def test_cut_capacity_separated_pairs_message():
     seq = RequestSequence(problem="MROB", requests=((0, 1),), M=3.0)
     forged = RunTrace([RequestRecord(idx=0, decision="rent", klass=1, cost=8.0, rent_endpoint="t")] * 2)
     t = extend_one(sample_frt(Terminals(m, [0, 1]), seed=1))
-    out = check_cut_capacity(seq, forged, t, 2, cut_load(Forest([t]), seq.pairs))
+    out = cut_caps(seq, forged, t, 2)
     assert out == ["level -1: 2 rents > |D(C)|=1"]
     assert out == brute_check_cut_capacity(seq, forged, t, 2)
 
@@ -162,14 +161,14 @@ def test_cut_capacity_forged_repeated_request():
     for _ in range(2):
         forged.add(RequestRecord(idx=0, decision="rent", klass=0, cost=8.0))
     t = extend_one(sample_frt(Terminals(m, [0, 1]), seed=1))
-    out = check_cut_capacity(seq, forged, t, 1, cut_load(Forest([t]), seq.pairs))
+    out = cut_caps(seq, forged, t, 1)
     assert out == ["level -1: 2 class-0 rent occurrences > w(C)=1"]
     assert out == brute_check_cut_capacity(seq, forged, t, 1)
     # a second request at a point coincident with 1 makes w(C) = 2
     m3 = line_metric([0, 8, 8])
     seq3 = RequestSequence(problem="SROB", requests=(1, 2), root=0, M=3.0)
     t3 = extend_one(sample_frt(Terminals(m3, [0, 1, 2]), seed=1))
-    assert check_cut_capacity(seq3, forged, t3, 1, cut_load(Forest([t3]), seq3.pairs)) == []
+    assert cut_caps(seq3, forged, t3, 1) == []
 
 
 def test_cut_capacity_empty_rents():
@@ -177,7 +176,7 @@ def test_cut_capacity_empty_rents():
     seq = _srob([1], M=0.0)
     _, trace = run_srob(m, seq)
     t = extend_one(sample_frt(Terminals(m, [0, 1]), seed=0))
-    assert check_cut_capacity(seq, trace, t, 1, cut_load(Forest([t]), seq.pairs)) == []
+    assert cut_caps(seq, trace, t, 1) == []
 
 
 def test_cut_capacity_mrob_random():
@@ -188,7 +187,7 @@ def test_cut_capacity_mrob_random():
     _, trace = run_mrob(m, seq)
     pts = sorted({p for pr in pairs for p in pr})
     t = extend_one(sample_frt(Terminals(m, pts), seed=3))
-    assert check_cut_capacity(seq, trace, t, 2, cut_load(Forest([t]), seq.pairs)) == []
+    assert cut_caps(seq, trace, t, 2) == []
 
 
 def test_cut_capacity_matches_reference_on_forged_rents():
@@ -215,7 +214,7 @@ def test_cut_capacity_matches_reference_on_forged_rents():
             seq = RequestSequence(problem="MROB", requests=tuple(ends + pairs), M=M)
         else:
             seq = RequestSequence(problem="SROB", requests=tuple(s for s, _ in ends), root=root, M=M)
-        got = check_cut_capacity(seq, trace, t, shift, cut_load(Forest([t]), seq.pairs))
+        got = cut_caps(seq, trace, t, shift)
         assert got == brute_check_cut_capacity(seq, trace, t, shift)
         flagged += bool(got)
     assert flagged > 20

@@ -14,8 +14,11 @@ from conftest import (
     ref_max_flow,
     ref_same_class_closer,
     tie_metrics,
+    tree_covers,
+    tree_cuts,
+    tree_metagraph,
 )
-from ondesign.hst import Terminals, sample_frt
+from ondesign.hst import Forest, Terminals, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
@@ -232,16 +235,14 @@ def test_class_separation_empty():
 def test_metagraph_single_pair(two_point_metric):
     _, trace = run_bc_sf(two_point_metric, _forest((0, 1)))
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=1)
-    covers = covers_from_tree(t, trace)
-    assert check_metagraph_acyclic(trace, covers) == []
+    assert tree_metagraph(t, trace) == []
 
 
 def test_metagraph_two_far_pairs():
     m = line_metric([0, 1, 10, 11.5])
     _, trace = run_bc_sf(m, _forest((0, 1), (2, 3)))
     t = sample_frt(Terminals(m, [0, 1, 2, 3]), seed=5)
-    covers = covers_from_tree(t, trace)
-    assert check_metagraph_acyclic(trace, covers) == []
+    assert tree_metagraph(t, trace) == []
 
 
 def _forged_forest(edges, occ, level=1):
@@ -255,23 +256,27 @@ def test_metagraph_forged_triangle():
     m = line_metric([0, 1, 2])
     forged = _forged_forest([[0, 1], [1, 2], [0, 2]], [[0, 1], [1, 1], [2, 1]])
     for seed in range(5):
-        covers = covers_from_tree(sample_frt(Terminals(m, [0, 1, 2]), seed), forged)
+        t = sample_frt(Terminals(m, [0, 1, 2]), seed)
+        covers = tree_covers(t, forged)
         assert sorted(covers) == [1] and len(set(covers[1].values())) == 3
-        assert check_metagraph_acyclic(forged, covers) == ["level 1: meta-cycle via edge (0,2)"]
+        assert tree_metagraph(t, forged) == ["level 1: meta-cycle via edge (0,2)"]
 
 
 def test_metagraph_invalid_cover():
     m = line_metric([0, 1, 2])
     forged = _forged_forest([[0, 1]], [[0, 1], [1, 1]])
-    covers = covers_from_tree(sample_frt(Terminals(m, [0, 1, 2]), seed=0), forged)
-    assert sorted(covers[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
-    with pytest.raises(ValueError, match=r"^level 1: cover misses \[1\]$"):
-        check_metagraph_acyclic(forged, {1: {0: covers[1][0]}})
-    with pytest.raises(ValueError, match="^no cover supplied for level 1$"):
-        check_metagraph_acyclic(forged, {})
+    t = sample_frt(Terminals(m, [0, 1, 2]), seed=0)
+    assert sorted(tree_covers(t, forged)[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
+    points, cover, errors = covers_from_tree(Forest([t]), forged)
+    cuts = cover[1].copy()
+    cuts[0, points.index(1)] = -1  # a cover that leaves out an X_1 point
+    [missed] = check_metagraph_acyclic(forged, (points, {1: cuts}, errors))
+    assert isinstance(missed, ValueError) and str(missed) == "level 1: cover misses [1]"
+    [unsupplied] = check_metagraph_acyclic(forged, (points, {}, errors))
+    assert isinstance(unsupplied, ValueError) and str(unsupplied) == "no cover supplied for level 1"
     outside = _forged_forest([[0, 1], [1, 2]], [[0, 1], [1, 1]])  # 2 is in no cut meeting X_1
     with pytest.raises(ValueError, match="^level 1: edge endpoint outside the cover$"):
-        check_metagraph_acyclic(outside, covers)
+        tree_metagraph(t, outside)
 
 
 def test_covers_reject_a_level_outside_the_tree():
@@ -280,11 +285,11 @@ def test_covers_reject_a_level_outside_the_tree():
     t = sample_frt(Terminals(m, [0, 1]), seed=0)  # cut levels 0..1; extended, -2..1
     ext = extend_one(t)
     with pytest.raises(ValueError, match=r"^level -1 outside \[0, 1\]$"):
-        covers_from_tree(t, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1))
-    assert covers_from_tree(ext, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1)) == \
-        {-1: dict(zip([0, 1], ext.cuts([0, 1])[1].tolist()))}
+        tree_covers(t, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1))
+    assert tree_covers(ext, _forged_forest([[0, 1]], [[0, -1], [1, -1]], level=-1)) == \
+        {-1: dict(zip([0, 1], tree_cuts(ext, [0, 1])[1].tolist()))}
     with pytest.raises(ValueError, match=r"^level 2 outside \[-2, 1\]$"):
-        covers_from_tree(ext, _forged_forest([[0, 1]], [[0, 2], [1, 2]], level=2))
+        tree_covers(ext, _forged_forest([[0, 1]], [[0, 2], [1, 2]], level=2))
 
 
 def test_bc_metagraph_many_random():
@@ -299,11 +304,11 @@ def test_bc_metagraph_many_random():
         _, trace = run_bc_sf(m, _forest(*pairs))
         pts = sorted({p for pr in pairs for p in pr})
         t = sample_frt(Terminals(m, pts), seed=trial)
-        covers = covers_from_tree(t, trace)
+        covers = tree_covers(t, trace)
         for j, cover in covers.items():  # the level-j cuts meeting X_j, by cut id
             xj = {p for forest in trace.summary["forests"] for p, c in forest["occ"] if c >= j}
             cuts = {}
             for p, cut in cover.items():
                 cuts.setdefault(cut, set()).add(p)
             assert [cuts[cut] for cut in sorted(cuts)] == [cut for cut in brute_cuts_at_level(t, j) if cut & xj]
-        assert check_metagraph_acyclic(trace, covers) == []
+        assert tree_metagraph(t, trace) == []

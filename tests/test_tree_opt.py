@@ -15,6 +15,7 @@ from conftest import (
     edge_len,
     extend_one,
     brute_cut_ids,
+    per_tree,
     random_small_hst,
     ref_cut_load,
     ref_extend,
@@ -227,7 +228,8 @@ def test_pcst_cut_lower_bound_matches_reference():
         for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
             klass = int(rng.integers(-1, t.root_level + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
-        assert pcst_cut_lower_bound(list(class_cuts(t, rows, 1, r))) == brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)
+        lb = pcst_cut_lower_bound(class_cuts(Forest([t]), rows, 1, r))
+        assert lb == [brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)]
 
 
 def _forest_batches(rng):
@@ -284,7 +286,7 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
         for f in (base, ext):
             assert [opt_tree_steiner_tree(t) for t in f.trees] == \
                 [sum(edge_len(t, nid) for nid in range(1, t.n_nodes)) for t in f.trees]
-            assert [load.tolist() for load in f.per_tree(cut_load(f, load_pairs))] == \
+            assert [load.tolist() for load in per_tree(f, cut_load(f, load_pairs))] == \
                 [ref_cut_load(t, load_pairs) for t in f.trees]
             assert opt_tree_steiner_forest(f, pairs) == [brute_tree_sf(t, pairs) for t in f.trees]
             assert opt_tree_steiner_network(f, pairs, reqs) == [brute_tree_sn(t, pairs, reqs) for t in f.trees]
