@@ -193,6 +193,6 @@ def test_cut_sums_add_in_entry_order():
     seq = RequestSequence(problem="PCST", requests=tuple((1, pi) for pi in pis), root=0)
     forged = RunTrace([RequestRecord(idx=i, decision="penalty", klass=3, cost=pi, rho=pi) for i, pi in enumerate(pis)])
     f = extend_singleton_levels(Forest([sample_frt(Terminals(m, [0, 1]), seed) for seed in range(3)]))
-    viol, flags, cuts = check_pcst_invariants(f, positive_share_rows(seq, forged), seq.root)
+    _, _, cuts = check_pcst_invariants(f, positive_share_rows(seq, forged), seq.root)
     assert cuts.total([pi for _, _, pi in cuts.entries]).tolist() == [0.1 + 0.2 + 0.3] * 3 != [0.3 + 0.2 + 0.1] * 3
     assert pcst_cut_lower_bound(cuts) == [0.1 + 0.2 + 0.3] * 3
