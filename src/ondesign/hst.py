@@ -38,26 +38,33 @@ promoted or extended shares it; a tree built by hand builds its own.
 
 Sampling reads a `Terminals`: what every tree for one set of points shares,
 built once per instance -- the terminals and aliases, the terminals'
-distance submatrix, the level range, each row sorted by distance, and each
-pair's least count of differing levels.  Each
-tree then draws beta log-uniformly from [1,2) and a uniform permutation, and
-carves nested balls of radius beta*2^(j-2) per level: a point joins the first
-permutation element within the radius.  All levels come from the sorted rows
-(Cohen's least-element lists, as Blelloch, Gupta and Tangwongsan use them for
-FRT): the prefix-min of permutation rank along a sorted row makes a point's
-center at any radius one lookup, and one comparison counts every level's
-radius at once.  Points sorted by their centers from the top level down list
-every level's nodes in the order carving them one by one creates.  Two points
-whose nodes differ at L levels are 2(2^L - 1) apart in the tree, which gives
-the expanding test T >= d for all pairs at once (as L >= `Terminals.need`,
-the fewest such levels for the pair's d); when it fails, the whole tree
-is promoted one level ("rescale one level up"), with a level-1 singleton edge
+distance submatrix, the level range, each row sorted by distance, each
+sorted distance's binade and mantissa, and each pair's least count of
+differing levels.  Each tree then draws beta log-uniformly from [1,2) and a
+uniform permutation, and carves nested balls of radius beta*2^(j-2) per
+level: a point joins the first permutation element within the radius.  All
+levels come from the sorted rows (Cohen's least-element lists, as Blelloch,
+Gupta and Tangwongsan use them for FRT): the prefix-min of permutation rank
+along a sorted row makes a point's center at any radius one lookup, and
+the radius counts of every level come from one comparison of the edge
+binade's mantissas with beta and one bincount (`Terminals.within`; a
+distance in a lower binade is inside at every beta).  Points sorted by
+their centers from the top level down list every level's nodes in the
+order carving them one by one creates.  Two points whose nodes differ at L
+levels are 2(2^L - 1) apart in the tree, which gives the expanding test T
+>= d for all pairs at once: L >= `Terminals.need`, the fewest such levels
+for the pair's d, holds iff their nodes differ at level need, as nodes nest
+(two gathers at `Terminals.split`).  When it fails, the whole tree is
+promoted one level ("rescale one level up"), with a level-1 singleton edge
 appended below each leaf so the bottom level stays 1.
 
 `validate_hst` does not trust the sampler and never reads a `Terminals`: it
 takes the trees of one terminal set, offsets their node ids into one forest,
 walks every leaf up through `parent`, and checks the leaf map, levels, cuts
-and distances with trees x k x k arrays against the metric.  That walk is
+and distances with trees x k x k arrays against the metric: a uint8 count
+of each pair's shared depths (compared as int16 ids), at which flat
+gathers through one index array read the path lengths and cut caps.  That
+walk is
 the one producer of `cut_ids`: `_cut_rows` moves the ancestors it walked
 from depth rows to level rows, one trees x levels x k tensor of cut ids, and
 a tree the validator accepts keeps its rows of it (and its root level).  A
@@ -269,8 +276,12 @@ def validated_distances(trees, m: MetricSpace) -> list:
     walk = [t for t, bad in zip(trees, misnumbered) if not bad]
     for t in walk:
         t.numbered = True
-    group = max(1, FOREST_PAIRS // max(1, len(first.terminals)) ** 2)
-    walked = iter([out for i in range(0, len(walk), group) for out in _validate_forest(walk[i:i + group], m)])
+    pts = np.asarray(first.terminals, dtype=np.intp)
+    d = m.d[np.ix_(pts, pts)]
+    pair = np.triu(np.ones(d.shape, dtype=bool), 1)  # u < v
+    group = max(1, FOREST_PAIRS // max(1, len(pts)) ** 2)
+    walked = iter([out for i in range(0, len(walk), group)
+                   for out in _validate_forest(walk[i:i + group], m, d, pair)])
     return [([MISNUMBERED], None) if bad else next(walked) for bad in misnumbered]
 
 
@@ -295,12 +306,13 @@ def _misnumbered(trees) -> np.ndarray:
     return bad
 
 
-def _validate_forest(trees, m: MetricSpace) -> list:
+def _validate_forest(trees, m: MetricSpace, d, pair) -> list:
     """validated_distances of trees sharing terminals and aliases, as one forest.
 
     Node ids are offset tree by tree, so a tree's nodes keep their order, and
     each root is its own parent: one walk lifts every leaf of every tree.
     Arrays over pairs are trees x k x k; messages name each tree's own ids.
+    `d` is the terminals' submatrix of m.d and `pair` its u < v mask.
     """
     pts = np.asarray(trees[0].terminals, dtype=np.intp)
     n_trees, k = len(trees), len(pts)
@@ -338,11 +350,12 @@ def _validate_forest(trees, m: MetricSpace) -> list:
     for (nid, _, _), msg in sorted(found):  # ids grow tree by tree
         out[owner[nid]].append(msg)
     ancestors, T, cap = _pairwise(parent, level, off, leaf)
-    d = m.d[np.ix_(pts, pts)]
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
     #    breaks some cut iff it breaks the cut of its lowest-level common edge
     bad = [set() for _ in trees]
-    for g, a, b in np.argwhere(np.triu(d >= cap, 1)).tolist():
+    wide = d >= cap
+    wide &= pair
+    for g, a, b in np.argwhere(wide).tolist() if wide.any() else ():
         x, y = ancestors[1:, g, a], ancestors[1:, g, b]
         for anc in x[(x == y) & (x >= 0)].tolist():
             if d[a, b] >= pow2(int(level[anc])):
@@ -352,12 +365,14 @@ def _validate_forest(trees, m: MetricSpace) -> list:
                   for _, u, v, j, duv in sorted(cuts)]
     # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
     #    that pair is measured again by the path walk that defines T.
-    pair = np.triu(np.ones(d.shape, dtype=bool), 1)
-    if pair.any():
-        least = np.where(pair, T - d, np.inf).reshape(n_trees, -1).argmin(axis=1)
+    if k > 1:
+        slack = np.subtract(T, d, out=np.full(T.shape, np.inf), where=pair)
+        least = slack.reshape(n_trees, -1).argmin(axis=1)
         for g, (a, b) in enumerate(zip(*np.divmod(least, k))):
             T[g, a, b] = T[g, b, a] = tree_distance(trees[g], int(pts[a]), int(pts[b]))
-    for g, a, b in np.argwhere(pair & (T < d)).tolist():
+    short = T < d
+    short &= pair
+    for g, a, b in np.argwhere(short).tolist() if short.any() else ():
         out[g].append(f"expanding: T({pts[a]},{pts[b]})={T[g, a, b]:g} < d={d[a, b]:g}")
     # 5. per-level cuts partition the terminals (implicit singletons complete
     #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
@@ -447,7 +462,9 @@ def _pairwise(parent, level, roots, leaf):
     leaf); T[tree, a, b] is the leaf-to-leaf path length, each side summed
     leaf first as tree_distance sums it; cap[tree, a, b] is 2^(lowest edge
     level over the common ancestors below the root), inf when only the root
-    is common.
+    is common.  Both are read at the pair's count of shared depths through
+    one array of flat indices depth * trees * k + column, on b's side, then
+    on a's.
     """
     n_trees, k = leaf.shape
     cols = np.arange(leaf.size)
@@ -461,15 +478,25 @@ def _pairwise(parent, level, roots, leaf):
     to_ancestor = dist[steps.clip(0), cols].reshape(len(up), n_trees, k)
     # Shared ancestors form a prefix of both root paths, so counting the
     # shared depths below the root gives the depth of the lowest common one.
-    apart = np.where(ancestors >= 0, ancestors, -1 - cols).reshape(len(up), n_trees, k)  # padding matches nothing
-    lca = np.zeros((n_trees, k, k), dtype=np.intp)
+    # Two leaves are compared only within their tree, so its own node ids
+    # serve, with padding -1 - a that matches nothing: int16 unless a tree
+    # has 2^15 nodes or leaves; the count is uint8 unless the depth is 256.
+    narrow = max(int(np.diff(roots, append=len(parent)).max()), k) < 2**15
+    apart = np.where(ancestors >= 0, ancestors - root, -1 - cols % k).astype(np.int16 if narrow else np.intp)
+    apart = apart.reshape(len(up), n_trees, k)
+    lca = np.zeros((n_trees, k, k), dtype=np.uint8 if len(up) <= 256 else np.intp)
+    same = np.empty(lca.shape, dtype=bool)
     for a in apart[1:]:
-        lca += a[:, :, None] == a[:, None, :]
-    tree, a, b = np.arange(n_trees)[:, None, None], np.arange(k)[:, None], np.arange(k)
-    T = to_ancestor[lca, tree, a] + to_ancestor[lca, tree, b]
+        lca += np.equal(a[:, :, None], a[:, None, :], out=same)
+    at = np.multiply(lca, n_trees * k, dtype=np.intp)
+    at += cols.reshape(n_trees, 1, k)  # b's side
     ancestors = ancestors.reshape(len(up), n_trees, k)
     lowest = np.minimum.accumulate(level[ancestors[1:]], axis=0)  # down each root path
-    cap = np.concatenate([np.full((1, n_trees, k), np.inf), np.ldexp(1.0, lowest)])[lca, tree, b]
+    cap = np.concatenate([np.full((1, n_trees, k), np.inf), np.ldexp(1.0, lowest)]).take(at)
+    T = to_ancestor.take(at)
+    at -= cols.reshape(n_trees, 1, k)
+    at += cols.reshape(n_trees, k, 1)  # a's side
+    T += to_ancestor.take(at)  # a's + b's, as addition commutes
     return ancestors, T, cap
 
 
@@ -482,10 +509,27 @@ class Terminals:
     none), the one lookup every tree sampled from it shares (`Hst.columns`);
     `d` is the terminals' distance submatrix, which must be normalized
     (distinct positions at least 1 apart).  `levels` runs from the top
-    carving level down to 1, and `by_dist` and `row_d` hold each row of `d`
-    sorted: the points by distance, and the sorted distances.  `need` holds
-    per pair the fewest levels at which two leaves' nodes must differ for
-    their tree distance 2(2^L - 1) to reach d: the sampler's expanding test.
+    carving level L = floor(log2 max d) + 1 down to 1, and `by_dist` holds
+    each row of `d`'s points sorted by distance.
+
+    The radius count `within(beta)` reads each sorted distance split once by
+    np.frexp into its binade b and mantissa m in [1, 2), d = m 2^b (d = 0 is
+    m = 0 in binade -1).  The level-j radius is beta 2^(j-2) with 1 <= beta
+    < 2, so a distance in a binade below j - 2 is inside it, one in a higher
+    binade is outside, and one in binade j - 2 is inside iff m <= beta:
+    scaling by a power of two is exact, so this is d <= beta 2^(j-2) to the
+    bit.  `below` counts per level and point the distances inside at any
+    beta; a tree adds the count of the distances in the edge binade whose
+    mantissa is <= beta, one comparison and one bincount.
+
+    `need` holds per pair u < v the fewest levels L' at which two leaves'
+    nodes must differ for their tree distance 2(2^L' - 1) to reach d, and
+    1 <= need <= L: d >= 1 > 0, and d < 2^L <= 2(2^L - 1) as L >= 1.  Nodes
+    nest, so leaves whose nodes differ at a level differ at every level
+    below it, and they differ at need levels or more iff they differ at
+    level need, row L - need of the carving.  `split` holds, per pair, u's
+    and v's flat (row, point) index at that row: the sampler's expanding
+    test is two gathers.
     """
 
     def __init__(self, m: MetricSpace, points):
@@ -507,9 +551,30 @@ class Terminals:
         self.column = _column_map(self.terminals, self.aliases, m.n)
         self.levels = np.arange(floor_log2(float(d.max())) + 1 if len(pts) > 1 else 0, 0, -1)
         self.by_dist = np.argsort(d, axis=1)
-        self.row_d = np.take_along_axis(d, self.by_dist, axis=1)
-        span = 2.0 * (np.ldexp(1.0, np.arange(len(self.levels) + 1)) - 1.0)  # T for L = 0, 1, ...
-        self.need = np.searchsorted(span, d).astype(np.int16)  # span[L] >= d exactly when L >= need
+        k, n_levels = len(pts), len(self.levels)
+        # frexp's d = (m / 2) 2^e: binade e - 1, the edge binade of level e + 1;
+        # e <= L as d < 2^L, and cells e = L lie outside every radius
+        half, e = np.frexp(np.take_along_axis(d, self.by_dist, axis=1))
+        self._mantissa = 2.0 * half.ravel()
+        self._cell = (e * k + np.arange(k, dtype=np.int32)[:, None]).ravel()  # (e, point)
+        by_binade = np.bincount(self._cell, minlength=(n_levels + 1) * k).reshape(n_levels + 1, k)
+        below = np.zeros((n_levels, k), dtype=np.intp)  # row j - 1: the distances of e <= j - 2
+        np.cumsum(by_binade[:n_levels - 1], axis=0, out=below[1:])
+        self.below = below[::-1]  # rows as levels
+        u, v = np.triu_indices(k, 1)
+        span = 2.0 * (np.ldexp(1.0, np.arange(n_levels + 1)) - 1.0)  # T for L' = 0, 1, ...
+        d_uv = d[u, v]
+        e_uv = np.frexp(d_uv)[1]  # 2^(e-1) <= d < 2^e, so need is e - 1 or e
+        self.need = (e_uv - (span[e_uv - 1] >= d_uv)).astype(np.int16)
+        row = (n_levels - self.need.astype(np.intp)) * k
+        self.split = (row + u, row + v)
+
+    def within(self, beta: float) -> np.ndarray:
+        """Per level (rows as `levels`) and point, how many terminals lie
+        within radius beta 2^(j-2) of it, itself included, for 1 <= beta < 2:
+        `below` plus the edge-binade distances whose mantissa is <= beta."""
+        edge = np.bincount(self._cell[self._mantissa <= beta], minlength=self.below.size)
+        return self.below + edge[:self.below.size].reshape(self.below.shape)[::-1]
 
 
 def sample_frt(terms: Terminals, seed: int) -> Hst:
@@ -535,8 +600,7 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
     # (a radius takes in all or none of a run of equal distances, so the order
     # of ties does not matter).
     least = np.minimum.accumulate(rank[terms.by_dist], axis=1)
-    within = (terms.row_d <= beta * np.ldexp(1.0, levels - 2)[:, None, None]).sum(axis=2)
-    center = least[np.arange(k), within - 1]  # levels x points
+    center = least[np.arange(k), terms.within(beta) - 1]  # levels x points
     # A level-j node holds the points whose centers agree from the top level
     # down to j.  Sorted by that path, the points list each level's nodes in
     # (parent id, center rank) order, the order carving them one by one gives.
@@ -554,9 +618,10 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
             np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases,
             column=terms.column)
 
-    # T(u, v) = 2 (2^L - 1) for the L levels at which their nodes differ
-    gap = (by_point[:, :, None] != by_point[:, None, :]).sum(axis=0, dtype=np.int16)  # as need: L < 2^15
-    if not np.all(gap >= terms.need):
+    # T(u, v) = 2 (2^L' - 1) for the L' levels at which their nodes differ,
+    # which reaches d(u, v) iff they differ at level need (Terminals.split)
+    u, v = terms.split
+    if not np.all(by_point.take(u) != by_point.take(v)):
         t = _promote_one_level(t)
     return t
 
@@ -580,8 +645,10 @@ class Forest:
     node ids offset by the nodes of the trees before it.  Cut ids are offset
     the same way over each tree's n_nodes + k ids (its nodes, then its
     implicit singletons), tree g's from start[g].  `local` stacks the trees'
-    cut_ids rows into one trees x levels x k tensor, -1 past a tree's height,
-    and `cut_ids` holds it in forest ids; `cut_load`, `path_cuts`,
+    cut_ids rows into one trees x levels x (k + 1) tensor, -1 past a tree's
+    height and in the last column, where column -1 (a point in no tree) reads
+    no cut, so a lookup by point is one gather; `cut_ids` holds it in forest
+    ids.  `cut_load`, `path_cuts`,
     `class_cuts`, the extension, the tree oracles and the trace-reading tree
     checks read a forest, so each runs once for all its trees.
     """
@@ -615,9 +682,9 @@ class Forest:
     @cached_property
     def local(self) -> np.ndarray:
         heights = self.cut_levels[1]
-        out = np.full((len(self.trees), heights.max(), self.k), -1, dtype=np.intp)
+        out = np.full((len(self.trees), heights.max(), self.k + 1), -1, dtype=np.intp)
         for rows, t, h in zip(out, self.trees, heights.tolist()):
-            rows[:h] = t.cut_ids
+            rows[:h, :-1] = t.cut_ids
         return out
 
     @cached_property
@@ -627,15 +694,14 @@ class Forest:
     def cuts(self, points) -> np.ndarray:
         """Every tree's cut_ids columns of `points`, trees x levels x points as
         in `local`; a point not in the trees (or None) is in no cut, id -1."""
-        cols = self.columns(points)
-        return np.where(cols >= 0, self.local[:, :, cols], -1)
+        return self.local[:, :, self.columns(points)]
 
 
 def path_cuts(f: Forest, pairs):
     """(cut id, pair index) for every cut holding one end of a pair but not
     the other, in f's cut ids; an end outside the trees is in no cut."""
     cols = f.columns([p for pair in pairs for p in pair])
-    ends = np.where(cols >= 0, f.cut_ids[:, :, cols], -1).reshape(*f.cut_ids.shape[:2], -1, 2)
+    ends = f.cut_ids[:, :, cols].reshape(*f.cut_ids.shape[:2], -1, 2)
     crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (tree, level, pair, end)
     return ends[crossed], np.nonzero(crossed)[2]
 
@@ -667,8 +733,9 @@ def extend_singleton_levels(f: Forest) -> Forest:
     # their ids; only the implicit singletons move past the 2k chain nodes.
     # A one-leaf tree's root level drops to -1, so its base row goes.
     base = f.local
-    rows = np.concatenate([ext_leaf[:, None], ext_leaf[:, None] - 1,
-                           np.where(base >= n[:, None, None], base + 2 * k, base)], axis=1)
+    rows = np.full((len(trees), base.shape[1] + 2, k + 1), -1, dtype=np.intp)
+    rows[:, 0, :k], rows[:, 1, :k] = ext_leaf, ext_leaf - 1
+    rows[:, 2:] = np.where(base >= n[:, None, None], base + 2 * k, base)
     top = np.where(n > 1, [t.root_level for t in trees], -1)
     rows[top < 0, 2:] = -1
     levels = np.tile([-1, -2], k)
@@ -676,7 +743,7 @@ def extend_singleton_levels(f: Forest) -> Forest:
     for t, g_hang, g_leaf, g_rows, g_top in zip(trees, hang, ext_leaf, rows, top.tolist()):
         e = Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
                 t.terminals, g_leaf, t.aliases, t.column)
-        e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3]
+        e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3, :k]
         ext.append(e)
     out = Forest(ext)
     out.local, out.cut_levels = rows, np.array([np.full(len(trees), -2), top + 3])

@@ -361,14 +361,14 @@ def covers_from_tree(f: Forest, trace: RunTrace):
     sorted; a point's entry is its level-j cut in the tree if that cut meets
     X_j, else -1.  A level outside a tree's cut_levels, which only a forged
     trace names, is that tree's ValueError in `errors` (None where there is
-    none), and its covers read -1 from there on.  Every point's cuts in every
-    tree come from one f.cuts gather.
+    none), and its covers read -1 from there on.  Each level's cuts of every
+    point in every tree come from one gather on f.local's rows of that level.
     """
     forests = _forests(trace)
     occs = [o for forest in forests for o in forest["occ"]]
     points = sorted({p for p, _ in occs} | {p for forest in forests for _, edges in forest["A"]
                                              for e in edges for p in e})
-    cuts = f.cuts(points + [p for p, _ in occs])  # trees x levels x (points, then occurrences)
+    cols = f.columns(points + [p for p, _ in occs])  # points, then occurrences
     klass = np.array([c for _, c in occs], dtype=np.intp)
     tree, ids = np.arange(len(f.trees))[:, None], int((f.sizes + f.k).max())
     errors = [None] * len(f.trees)
@@ -377,7 +377,8 @@ def covers_from_tree(f: Forest, trace: RunTrace):
         for g, t in enumerate(f.trees):
             if j not in t.cut_levels and errors[g] is None:
                 errors[g] = ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
-        row = cuts[tree[:, 0], np.clip(j - f.cut_levels[0], 0, cuts.shape[1] - 1)]  # a tree without level j errs
+        level_row = np.clip(j - f.cut_levels[0], 0, f.local.shape[1] - 1)[:, None]  # a tree without level j errs
+        row = f.local[tree, level_row, cols]  # trees x (points, then occurrences), as f.cuts reads them
         own = np.where(np.array([e is None for e in errors])[:, None], row, -1)
         hit = np.zeros((len(f.trees), ids + 1), dtype=bool)  # per tree, the cuts meeting X_j; -1 is the last
         hit[tree, np.where(klass >= j, own[:, len(points):], -1)] = True

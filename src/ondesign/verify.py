@@ -345,6 +345,7 @@ def _sampled_trees(m, points, seeds):
         return [(None, [])] * len(seeds)
     terms = Terminals(m, points)
     trees = [sample_frt(terms, s) for s in seeds]
+    del terms  # its k x k arrays go before the validator's are made
     return [(None, [f"invalid tree: {bad[0]}"] + bad[1:]) if bad else (t, [])
             for t, bad in zip(trees, validate_hst(trees, m))]
 

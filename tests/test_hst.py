@@ -36,6 +36,8 @@ from ondesign.hst import (
 )
 from ondesign.generators import gen_euclidean, gen_graph_metric
 from ondesign.metric import MetricSpace, build_metric, floor_log2
+from ondesign.verify import tree_points
+from test_acceptance import PROBLEMS, _instance
 
 
 def test_two_terminal_minimal_shape(two_point_metric):
@@ -662,6 +664,88 @@ def test_validated_distances_match_path_walk():
         for t, (bad, T) in zip(trees, results, strict=True):
             assert bad == []
             assert [[tree_distance(t, u, v) for v in pts] for u in pts] == T.tolist()
+
+
+def _leveled_chain(depth, hang):
+    """A numbered tree: a chain of `depth` nodes below the root, node i at
+    edge level depth + 2 - i, with a terminal leaf hung beside the chain's
+    next node under each chain node in `hang` (ascending), and one more
+    below the chain's last node at level 1.  Terminal q is the q-th leaf."""
+    parent, level = [-1] + list(range(depth)), [0] + list(range(depth + 1, 1, -1))
+    for at in list(hang) + [depth]:
+        parent.append(at)
+        level.append(level[at] - 1)
+    return Hst(parent, level, range(len(hang) + 1), range(depth + 1, depth + len(hang) + 2))
+
+
+def _star(n_nodes, leaves):
+    """A numbered tree: a root with n_nodes - 1 level-1 children, of which
+    `leaves` (node ids) hold the terminals 0, 1, ... in order."""
+    return Hst([-1] + [0] * (n_nodes - 1), [0] + [1] * (n_nodes - 1), range(len(leaves)), leaves)
+
+
+@pytest.mark.parametrize("tree, why", [
+    (_leveled_chain(300, [100, 257, 280]), "pairs share 100, 257, 280 and 300 depths: past a uint8 count"),
+    # two pairs of leaves 2^16 apart, so a wrapped id joins more pairs than
+    # the validator's one re-measured pair of least slack
+    (_star(2**16 + 3, [1, 2, 2**16 + 1, 2**16 + 2]), "leaf ids 2^16 apart: one int16 id"),
+], ids=["deep", "wide"])
+def test_validated_distances_fall_back_to_wide_counters(tree, why):
+    # a tree too deep for the uint8 shared-depth count, or with too many
+    # nodes for int16 ids, alone and in a forest beside a shallow tree
+    k = len(tree.terminals)
+    m = line_metric(np.arange(k, dtype=float))
+    shallow = _star(k + 1, list(range(1, k + 1)))
+    for trees in ([tree], [tree, shallow], [shallow, tree]):
+        for t, (_, T) in zip(trees, validated_distances(trees, m), strict=True):
+            want = [[tree_distance(t, u, v) for v in range(k)] for u in range(k)]
+            assert T.tolist() == want, why
+
+
+def _ref_within(terms, beta):
+    """Terminals.within by its definition: one comparison per level."""
+    row_d = np.sort(terms.d, axis=1)
+    return (row_d <= beta * 2.0 ** (terms.levels - 2)[:, None, None]).sum(axis=2)
+
+
+def test_radius_count_matches_the_per_level_comparison_at_the_edges():
+    # distances of exactly 2^j (mantissa 1: on level j + 2's radius at
+    # beta = 1), mantissas 1.375, 1.5 and 1.71875 used as beta and one ulp
+    # either side, the top of beta's range, and 0 on the diagonal
+    m = line_metric([0, 1, 2, 4, 8, 11, 16, 27.5, 32, 48])
+    terms = Terminals(m, range(m.n))
+    assert {1.0, 1.375, 1.5, 1.71875} <= set((np.frexp(terms.d[terms.d > 0])[0] * 2).tolist())
+    betas = [1.0, np.nextafter(1.0, 2), np.nextafter(2.0, 0)]
+    for mantissa in (1.375, 1.5, 1.71875):
+        betas += [np.nextafter(mantissa, 0), mantissa, np.nextafter(mantissa, 2)]
+    betas += (2.0 ** np.random.default_rng(5).random(20)).tolist()
+    cases = [terms, Terminals(line_metric([0, 1]), [0, 1]), Terminals(gen_euclidean(30, seed=3)[0], range(30)),
+             Terminals(gen_graph_metric(30, seed=3), range(30))]
+    for case in cases:
+        for beta in betas:
+            want = _ref_within(case, beta)
+            assert case.within(beta).tolist() == want.tolist(), beta
+            assert (want[-1] == 1).all()  # the level-1 radius, beta / 2 < 1, holds only the point itself
+    assert [terms.within(1.0)[terms.levels.tolist().index(j), 0] for j in (3, 4)] == [3, 4]  # d = 2 and 4 inside
+
+
+def test_need_fits_the_levels_on_the_battery():
+    # d < 2^L <= 2(2^L - 1) for L >= 1, so a pair's fewest differing levels
+    # need is at most L and its expanding-test row L - need exists; need is
+    # the least L' whose tree distance 2(2^L' - 1) reaches d, also where d
+    # is exactly 2(2^L' - 1) = 2, 6, 14, 30 (the line)
+    line = line_metric([0, 1, 2, 4, 8, 11, 16, 27.5, 32, 48])
+    cases = [(m, tree_points(seq)) for m, seq, _ in (_instance(p, i) for p in PROBLEMS for i in range(100))]
+    for m, points in cases + [(line, range(line.n))]:
+        terms = Terminals(m, points)
+        n_levels, k = len(terms.levels), len(terms.terminals)
+        u, v = np.triu_indices(k, 1)
+        span = 2.0 * (2.0 ** np.arange(n_levels + 1) - 1.0)
+        assert terms.need.tolist() == np.searchsorted(span, terms.d[u, v]).tolist()
+        assert terms.need.max(initial=1) <= n_levels and terms.need.min(initial=1) >= 1
+        row, col = np.divmod(terms.split[1], k)
+        assert (row == n_levels - terms.need).all() and (col == v).all() and (terms.split[0] - u == row * k).all()
+    assert {2.0, 6.0, 14.0, 30.0} <= set(Terminals(line, range(line.n)).d.ravel().tolist())
 
 
 def test_sample_frt_matches_reference_sampler():
