@@ -13,6 +13,7 @@ from .metric import (
     solution_cost,
 )
 from .hst import (
+    Forest,
     Hst,
     Terminals,
     extend_singleton_levels,

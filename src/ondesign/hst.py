@@ -1,4 +1,4 @@
-"""HST embeddings: FRT-style sampling, validation, the cut-id matrix.
+"""HST embeddings: FRT-style sampling, validation, the forest of an instance's trees.
 
 A tree here is leveled: a level-j edge has length 2^(j-1), the cut below it
 (the terminals it separates from the root) has metric diameter < 2^j, and every
@@ -12,20 +12,21 @@ singletons by convention (forced by the min-distance-1 normalization).
 `terminals` and `leaf` per terminal column.  Every tree is built whole by
 `Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
 carving computes, and promotion and extension concatenate new chain nodes onto
-a tree's arrays (the extension for all trees of a forest at once).  A rule
-over a forest (edge lengths, root levels, numbering, the cut walk, the cut
-lookup) reads one tree as a forest of one.  `Hst.cut_ids` names the cut
-holding each terminal at each level; it is the only form a cut takes.  A
-`Forest` reads the trees of one terminal set (an instance's trials) as one:
-`Forest.cuts` reads every tree's cut ids at any points, every level at once;
-`path_cuts` lists the cuts of every tree that separate each pair of points,
-and `cut_load` counts them per cut with one bincount over the forest's cut
-ids (the tree oracles and the rent caps read a cut's load that way); and
-`class_cuts` groups the class-(j + shift) entries of a check by level-j cut
-in every tree at once, one np.unique over (tree, level, cut) keys, which is
-how the cut checks read the trees, once per instance (one grouping serves
-both PCST cut checks).  Walks of the tree (`tree_distance`, the PCST DP)
-read the arrays.
+a tree's arrays.  Nothing is written onto a tree afterwards; what its arrays
+determine (edge lengths, root level, cut levels) is derived from them.
+
+A `Forest` reads the trees of one terminal set (an instance's trials) as one,
+and owns what a walk of them finds: the cut tensor, which names the cut
+holding each terminal at each level of each tree and is the only form a cut
+takes, with each tree's lowest level, height and root level.  A single tree
+is read as a forest of one.  `Forest.cuts` reads every tree's cuts at any
+points with one gather; `path_cuts` lists the cuts of every tree that
+separate each pair of points, and `cut_load` counts them per cut (the tree
+oracles and the rent caps read a cut's load that way); `class_cuts` groups
+the class-(j + shift) entries of a check by level-j cut in every tree at
+once, which is how the cut checks read the trees (one grouping serves both
+PCST cut checks).  `tree_distance` is the scalar path walk in one tree of a
+forest.
 
 A terminal is a position: of the points a tree is sampled for, the lowest
 index at each position is the terminal, and every other point there is an
@@ -36,46 +37,22 @@ The lookup is one index into a point -> column array, `Hst.column`: the
 `Terminals` builds it once per instance and every tree sampled from it,
 promoted or extended shares it; a tree built by hand builds its own.
 
-Sampling reads a `Terminals`: what every tree for one set of points shares,
-built once per instance -- the terminals and aliases, the terminals'
-distance submatrix, the level range, each row sorted by distance, each
-sorted distance's binade and mantissa, and each pair's least count of
-differing levels.  Each tree then draws beta log-uniformly from [1,2) and a
-uniform permutation, and carves nested balls of radius beta*2^(j-2) per
-level: a point joins the first permutation element within the radius.  All
-levels come from the sorted rows (Cohen's least-element lists, as Blelloch,
-Gupta and Tangwongsan use them for FRT): the prefix-min of permutation rank
-along a sorted row makes a point's center at any radius one lookup, and
-the radius counts of every level come from one comparison of the edge
-binade's mantissas with beta and one bincount (`Terminals.within`; a
-distance in a lower binade is inside at every beta).  Points sorted by
-their centers from the top level down list every level's nodes in the
-order carving them one by one creates.  Two points whose nodes differ at L
-levels are 2(2^L - 1) apart in the tree, which gives the expanding test T
->= d for all pairs at once: L >= `Terminals.need`, the fewest such levels
-for the pair's d, holds iff their nodes differ at level need, as nodes nest
-(two gathers at `Terminals.split`).  When it fails, the whole tree is
-promoted one level ("rescale one level up"), with a level-1 singleton edge
-appended below each leaf so the bottom level stays 1.
+Sampling reads a `Terminals`, what every tree for one set of points shares,
+built once per instance; its docstring gives the radius count and the
+expanding test.  Each tree draws beta log-uniformly from [1,2) and a uniform
+permutation, and carves nested balls of radius beta*2^(j-2) per level: a
+point joins the first permutation element within the radius (Cohen's
+least-element lists, as Blelloch, Gupta and Tangwongsan use them for FRT).
+A tree that fails the expanding test is promoted one level ("rescale one
+level up"), with a level-1 singleton edge appended below each leaf so the
+bottom level stays 1.
 
 `validate_hst` does not trust the sampler and never reads a `Terminals`: it
-takes the trees of one terminal set, offsets their node ids into one forest,
-walks every leaf up through `parent`, and checks the leaf map, levels, cuts
-and distances with trees x k x k arrays against the metric: a uint8 count
-of each pair's shared depths (compared as int16 ids), at which flat
-gathers through one index array read the path lengths and cut caps.  That
-walk is
-the one producer of `cut_ids`: `_cut_rows` moves the ancestors it walked
-from depth rows to level rows, one trees x levels x k tensor of cut ids, and
-a tree the validator accepts keeps its rows of it (and its root level).  A
-`Forest` stacks its trees' rows back into that tensor, and
-`extend_singleton_levels` derives the extended forest's tensor from it, for
-all its trees at once.  So every check reads cuts the validator measured,
-and a tree no validation walked (one built by hand) is walked as a forest of
-one when its cuts are first read, after the numbering test (`Hst.numbered`).
-It returns one message list per tree; `validated_distances` also returns the
-pairwise tree distances it measured.  `tree_distance` is the scalar path
-walk that defines them.
+builds the `Forest` of the trees and checks the leaf map, levels, cuts and
+distances against the metric over the forest's walk.  It returns each tree's
+messages and tree distances with the forest of the trees it accepts, so
+every check reads cuts the validator measured; `extend_singleton_levels`
+derives the extended forest's cut tensor from its base forest's.
 """
 
 from __future__ import annotations
@@ -102,8 +79,9 @@ class Hst:
     and `aliases` when not given).  Node 0 is the root (parent -1), every
     other node's parent is an earlier node and every leaf is a node id; the
     constructor checks nothing, so a malformed tree reaches validate_hst as
-    built.  What the arrays determine is derived, not passed: an extended
-    tree is one whose edge levels reach -2 (see `cut_levels`).
+    built (a `Forest` of it raises).  What the arrays determine is derived,
+    not passed: an extended tree is one whose edge levels reach -2 (see
+    `cut_levels`).
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, aliases=(), column=None):
@@ -131,32 +109,8 @@ class Hst:
     @cached_property
     def cut_levels(self) -> range:
         """The levels of the charging checks, from min(0, lowest edge level) (-2
-        on an extended tree) to the root level: the rows of cut_ids."""
+        on an extended tree) to the root level: the rows of its cut tensor."""
         return range(int(self.edge_level.min(initial=0)), self.root_level + 1)
-
-    @cached_property
-    def numbered(self) -> bool:
-        """Whether the tree keeps the numbering rule above; validate_hst sets
-        it on every tree it walks.  Every walk of the tree reads it first."""
-        return not _misnumbered([self])[0]
-
-    @cached_property
-    def cut_ids(self) -> np.ndarray:
-        """Rows self.cut_levels, columns self.terminals: entry (j, q) is the
-        node whose parent edge is q's level-j edge, or n_nodes + q's column if
-        q's path has none (an implicit singleton).  Read once the tree is built
-        and valid; sorted, a row lists real nodes by id, then singletons.
-
-        validate_hst sets the rows of every tree it accepts from its forest
-        walk, and extend_singleton_levels derives an extended tree's from its
-        base tree's; a tree neither reached is walked here as a forest of one
-        (ValueError(MISNUMBERED) if it is not numbered).
-        """
-        if not self.numbered:
-            raise ValueError(MISNUMBERED)
-        parent, level, off, _, local, leaf = _forest([self])
-        return _cut_rows(_pairwise(parent, level, off, leaf)[0], level, local, np.array([self.n_nodes]),
-                         np.array([self.cut_levels.start]), np.array([len(self.cut_levels)]))[0]
 
     def columns(self, points) -> np.ndarray:
         """Each point's column in self.terminals (an alias's is its terminal's),
@@ -208,14 +162,13 @@ def _lengths(level, roots) -> np.ndarray:
     return out
 
 
-def tree_distance(t: Hst, u: int, v: int) -> float:
-    """Sum of edge lengths on the unique leaf-to-leaf path; 0 on one leaf.
-    ValueError(MISNUMBERED) on a tree that is not numbered."""
-    cols = t.columns([u, v]).tolist()
+def tree_distance(f: Forest, g: int, u: int, v: int) -> float:
+    """Sum of edge lengths on the unique leaf-to-leaf path in tree g of f; 0
+    on one leaf."""
+    cols = f.columns([u, v]).tolist()
     if min(cols) < 0:
         raise ValueError(f"{u} or {v} is not a leaf terminal")
-    if not t.numbered:
-        raise ValueError(MISNUMBERED)
+    t = f.trees[g]
     parent, level = t.parent.tolist(), t.edge_level.tolist()
     a, b = (int(t.leaf[c]) for c in cols)
     ancestors = {}
@@ -241,98 +194,95 @@ def _walk(parent, leaves, roots):
     return np.array(walk)
 
 
-# A forest walked at once holds at most this many pairs of terminals (trees x
-# k x k), or one tree: the pairwise arrays stay near their one-tree size.
+# The validator compares pairs of terminals in chunks of at most this many
+# (trees x k x k), or one tree: the pairwise arrays stay near their one-tree size.
 FOREST_PAIRS = 2**16
 MISNUMBERED = "numbering: node 0's parent must be -1, any other node's an earlier node, each leaf a node id"
 
 
-def validate_hst(trees, m: MetricSpace) -> list:
-    """Exhaustive check of the Definition-2 invariants: per tree, the list of
-    what it breaks, empty iff the tree is valid.
+class Validated(NamedTuple):
+    """validate_hst's result: per tree, `messages` (what it breaks, empty iff
+    it is valid) and `distances`, T[i, j] = tree_distance between its i-th
+    and j-th terminals on a tree whose leaf map is a bijection (None on a
+    misnumbered tree); `forest`, the valid trees as a Forest (None if none)."""
+
+    messages: list
+    distances: list
+    forest: Forest | None
+
+
+def validate_hst(trees, m: MetricSpace) -> Validated:
+    """Exhaustive check of the Definition-2 invariants on trees of one
+    terminal set (ValueError otherwise), compared with m.d.
 
     Independent of the sampler: everything is derived from each tree's
-    parent, edge_level, terminals, leaf and aliases, and compared with m.d.
-    The trees must share their terminals and aliases (see validated_distances).
-    """
-    return [bad for bad, _ in validated_distances(trees, m)]
-
-
-def validated_distances(trees, m: MetricSpace) -> list:
-    """Per tree, (its validate_hst messages, T) from one walk of the forest.
-
-    T[i, j] = tree_distance(t, u, v) for u, v the i-th and j-th terminals, on
-    a tree whose leaf map is a bijection.  The trees of one call share
-    `terminals` and `aliases` (ValueError otherwise), so one submatrix of m.d
-    serves them all; they are walked in forests of at most
-    max(1, FOREST_PAIRS // k^2) trees.  A tree numbered against the Hst rule
-    gets that one message and is not walked: its T is None.
+    parent, edge_level, terminals, leaf and aliases.  A tree numbered against
+    the Hst rule gets that one message and is left out of the forest the
+    others are walked as; the forest of the valid trees is that forest, or its
+    slice when some tree breaks something.
     """
     trees = list(trees)
-    if not trees:
-        return []
-    first = _one_terminal_set(trees, "validated")
-    misnumbered = _misnumbered(trees).tolist()
-    walk = [t for t, bad in zip(trees, misnumbered) if not bad]
-    for t in walk:
-        t.numbered = True
-    pts = np.asarray(first.terminals, dtype=np.intp)
-    d = m.d[np.ix_(pts, pts)]
-    pair = np.triu(np.ones(d.shape, dtype=bool), 1)  # u < v
-    group = max(1, FOREST_PAIRS // max(1, len(pts)) ** 2)
-    walked = iter([out for i in range(0, len(walk), group)
-                   for out in _validate_forest(walk[i:i + group], m, d, pair)])
-    return [([MISNUMBERED], None) if bad else next(walked) for bad in misnumbered]
-
-
-def _one_terminal_set(trees, what):
-    """trees[0], after checking that every tree shares its terminals and aliases."""
-    first = trees[0]
-    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
-        raise ValueError(f"trees {what} together must share terminals and aliases")
-    return first
+    misnumbered = [False] * len(trees)
+    try:
+        f = Forest(trees) if trees else None
+    except ValueError as exc:  # the forest tests every tree's numbering at once
+        if exc.args != (MISNUMBERED,):
+            raise
+        misnumbered = _misnumbered(trees).tolist()
+        walk = [t for t, bad in zip(trees, misnumbered) if not bad]
+        f = Forest(walk) if walk else None
+    found, walked = _validate_forest(f, m) if f else ([], [])
+    ok = np.flatnonzero([not msgs for msgs in found])
+    if 0 < len(ok) < len(found):
+        f = Forest([f.trees[g] for g in ok], (f.local[ok, :f.heights[ok].max()], f.lows[ok], f.root_levels[ok]))
+    results = iter(zip(found, walked))
+    checked = [([MISNUMBERED], None) if bad else next(results) for bad in misnumbered]
+    return Validated([msgs for msgs, _ in checked], [T for _, T in checked], f if len(ok) else None)
 
 
 def _misnumbered(trees) -> np.ndarray:
     """Per tree, whether it breaks the Hst numbering rule or has a leaf count
-    other than its terminals': one test over the trees' concatenated arrays."""
+    other than its terminals': one test over the trees' concatenated arrays.
+    ValueError unless the trees share terminals and aliases."""
+    first = trees[0]
+    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
+        raise ValueError("trees of one forest must share terminals and aliases")
     sizes, lens = np.array([[t.n_nodes, len(t.leaf)] for t in trees]).T
     owner, leaf_owner = (np.repeat(np.arange(len(trees)), c) for c in (sizes, lens))
     local = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[owner]
     parent, leaf = np.concatenate([t.parent for t in trees]), np.concatenate([t.leaf for t in trees])
-    bad = (sizes == 0) | (lens != len(trees[0].terminals))
+    bad = (sizes == 0) | (lens != len(first.terminals))
     bad[owner[np.where(local > 0, (parent < 0) | (parent >= local), parent != -1)]] = True
     bad[leaf_owner[(leaf < 0) | (leaf >= sizes[leaf_owner])]] = True
     return bad
 
 
-def _validate_forest(trees, m: MetricSpace, d, pair) -> list:
-    """validated_distances of trees sharing terminals and aliases, as one forest.
+def _validate_forest(f: Forest, m: MetricSpace):
+    """Per tree of f, its validate_hst messages and T, from the forest's walk.
 
-    Node ids are offset tree by tree, so a tree's nodes keep their order, and
-    each root is its own parent: one walk lifts every leaf of every tree.
-    Arrays over pairs are trees x k x k; messages name each tree's own ids.
-    `d` is the terminals' submatrix of m.d and `pair` its u < v mask.
+    Messages name each tree's own ids.  Node checks run over the whole forest
+    at once; pairs are compared in chunks of max(1, FOREST_PAIRS // k^2)
+    trees, as trees x k x k arrays.
     """
-    pts = np.asarray(trees[0].terminals, dtype=np.intp)
-    n_trees, k = len(trees), len(pts)
-    parent, level, off, owner, local, leaf = _forest(trees)
-    sizes = np.diff(off, append=len(parent))
-    out = [[] for _ in trees]
+    pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
+    n_trees, k = len(f.trees), f.k
+    parent, level, off, owner, local, leaf = f.nodes
+    ancestors = f.walk[0]
+    out = [[] for _ in f.trees]
     n = len(parent)
     kids = np.bincount(parent[local > 0], minlength=n)
     is_leaf = np.zeros(n, dtype=bool)
     is_leaf[leaf] = True
     # 1. leaves are exactly the terminals (bijection, childless leaves only)
-    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
+    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (f.sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
         out[owner[nid]].append(f"leaves: node {local[nid]} is both internal and a terminal leaf" if kids[nid]
                                else f"leaves: childless node {local[nid]} maps to no terminal")
-    terminals = set(trees[0].terminals)
+    terminals = set(f.trees[0].terminals)
     ranked = np.sort(leaf, axis=1)
     not_bijective = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (len(terminals) != k)
     # an alias is a non-terminal at its terminal's position
     aliases = [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
-               for a, p in trees[0].aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
+               for a, p in f.trees[0].aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
     for msgs, flag in zip(out, not_bijective.tolist()):
         msgs += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
@@ -349,31 +299,11 @@ def _validate_forest(trees, m: MetricSpace, d, pair) -> list:
               for p, c in zip(above[no_drop].tolist(), child[no_drop].tolist())]
     for (nid, _, _), msg in sorted(found):  # ids grow tree by tree
         out[owner[nid]].append(msg)
-    ancestors, T, cap = _pairwise(parent, level, off, leaf)
-    # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
-    #    breaks some cut iff it breaks the cut of its lowest-level common edge
-    bad = [set() for _ in trees]
-    wide = d >= cap
-    wide &= pair
-    for g, a, b in np.argwhere(wide).tolist() if wide.any() else ():
-        x, y = ancestors[1:, g, a], ancestors[1:, g, b]
-        for anc in x[(x == y) & (x >= 0)].tolist():
-            if d[a, b] >= pow2(int(level[anc])):
-                bad[g].add((int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
-    for msgs, cuts in zip(out, bad):
-        msgs += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
-                  for _, u, v, j, duv in sorted(cuts)]
-    # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
-    #    that pair is measured again by the path walk that defines T.
-    if k > 1:
-        slack = np.subtract(T, d, out=np.full(T.shape, np.inf), where=pair)
-        least = slack.reshape(n_trees, -1).argmin(axis=1)
-        for g, (a, b) in enumerate(zip(*np.divmod(least, k))):
-            T[g, a, b] = T[g, b, a] = tree_distance(trees[g], int(pts[a]), int(pts[b]))
-    short = T < d
-    short &= pair
-    for g, a, b in np.argwhere(short).tolist() if short.any() else ():
-        out[g].append(f"expanding: T({pts[a]},{pts[b]})={T[g, a, b]:g} < d={d[a, b]:g}")
+    # 3 and 4, over the pairs: cut diameters and distances, chunk by chunk
+    d = m.d[np.ix_(pts, pts)]
+    pair = np.triu(np.ones(d.shape, dtype=bool), 1)  # u < v
+    group = max(1, FOREST_PAIRS // max(1, k) ** 2)
+    distances = [T for g in range(0, n_trees, group) for T in _check_pairs(f, slice(g, g + group), d, pair, out)]
     # 5. per-level cuts partition the terminals (implicit singletons complete
     #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
     #    the set of points whose leaf walks pass its node; a walk passes a
@@ -392,21 +322,48 @@ def _validate_forest(trees, m: MetricSpace, d, pair) -> list:
     count = np.bincount((owner[member_node] * m.n + member_pt) * width + level[member_node] - lowest)
     twice = np.flatnonzero(count > 1)
     tree, j = twice // (m.n * width), twice % width + lowest
-    root_level = _root_levels(parent, level, off, owner, local)
-    broken = np.unique((tree * width + j - lowest)[(j >= 1) & (j <= root_level[tree])])
+    broken = np.unique((tree * width + j - lowest)[(j >= 1) & (j <= f.root_levels[tree])])
     for g, j in zip((broken // width).tolist(), (broken % width + lowest).tolist()):
         out[g].append(f"partition: level-{j} cuts do not partition the terminals")
     for nid in np.flatnonzero((level <= 0) & (local > 0) & (size != 1)).tolist():
         out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
-    # every tree that breaks nothing keeps its root level and the cuts this
-    # walk measured
-    lows = np.minimum(np.minimum.reduceat(level, off), 0)  # Hst.cut_levels' lowest
-    heights = np.maximum(root_level - lows + 1, 0)
-    rows = _cut_rows(ancestors, level, local, sizes, lows, heights)
-    for t, msgs, g_rows, top, h in zip(trees, out, rows, root_level.tolist(), heights.tolist()):
-        if not msgs:
-            t.root_level, t.cut_ids = top, g_rows[:h]
-    return list(zip(out, T))
+    return out, distances
+
+
+def _check_pairs(f: Forest, trees: slice, d, pair, out):
+    """Checks 3 and 4 of _validate_forest on a slice of f's trees: their
+    messages go to their lists in `out`; returns their T, trees x k x k.
+    `d` is the terminals' submatrix of m.d and `pair` its u < v mask."""
+    pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
+    _, level, _, _, local, _ = f.nodes
+    ancestors, first = f.walk[0], trees.start
+    T, cap = _pairwise(f, trees)
+    # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
+    #    breaks some cut iff it breaks the cut of its lowest-level common edge
+    bad = [set() for _ in T]
+    wide = d >= cap
+    wide &= pair
+    for g, a, b in np.argwhere(wide).tolist() if wide.any() else ():
+        x, y = ancestors[1:, first + g, a], ancestors[1:, first + g, b]
+        for anc in x[(x == y) & (x >= 0)].tolist():
+            if d[a, b] >= pow2(int(level[anc])):
+                bad[g].add((int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
+    for msgs, cuts in zip(out[trees], bad):
+        msgs += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
+                 for _, u, v, j, duv in sorted(cuts)]
+    # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
+    #    that pair is measured again by the path walk that defines T.
+    k = len(pts)
+    if k > 1:
+        slack = np.subtract(T, d, out=np.full(T.shape, np.inf), where=pair)
+        least = slack.reshape(len(T), -1).argmin(axis=1)
+        for g, (a, b) in enumerate(zip(*np.divmod(least, k))):
+            T[g, a, b] = T[g, b, a] = tree_distance(f, first + g, int(pts[a]), int(pts[b]))
+    short = T < d
+    short &= pair
+    for g, a, b in np.argwhere(short).tolist() if short.any() else ():
+        out[first + g].append(f"expanding: T({pts[a]},{pts[b]})={T[g, a, b]:g} < d={d[a, b]:g}")
+    return T
 
 
 def _root_levels(parent, level, off, owner, local) -> np.ndarray:
@@ -436,68 +393,60 @@ def _forest(trees):
     return parent, level, off, owner, local, leaf
 
 
-def _cut_rows(ancestors, level, local, sizes, lows, heights) -> np.ndarray:
-    """The forest's cut_ids as one trees x levels x k tensor, from its walk's
-    ancestors[depth, tree, q]: one scatter moves every ancestor below a root
-    from its depth row to its edge level's row, over rows of implicit
-    singletons n_nodes + q.  Tree g's rows are the first heights[g], from
-    level lows[g] up."""
-    k = ancestors.shape[2]
-    rows = np.empty((len(sizes), heights.max(), k), dtype=np.intp)
-    rows[:] = (sizes[:, None] + np.arange(k))[:, None]
+def _cut_rows(f: Forest) -> np.ndarray:
+    """f's cut tensor from its walk: one scatter moves every ancestor below a
+    root from its depth row to its edge level's row, over rows of implicit
+    singletons n_nodes + q, then -1 fills the rows past each tree's height
+    and the last column."""
+    ancestors, k = f.walk[0], f.k
+    _, level, _, _, local, _ = f.nodes
+    rows = np.full((len(f.trees), f.heights.max(), k + 1), -1, dtype=np.intp)
+    rows[:, :, :k] = (f.sizes[:, None] + np.arange(k))[:, None]
     below = ancestors[1:]
-    row = level[below] - lows[:, None]
-    on = (below >= 0) & (row >= 0) & (row < heights[:, None])
+    row = level[below] - f.lows[:, None]
+    on = (below >= 0) & (row >= 0) & (row < f.heights[:, None])
     _, tree, col = np.nonzero(on)
     rows[tree, row[on], col] = local[below[on]]
+    rows[np.arange(rows.shape[1]) >= f.heights[:, None]] = -1
     return rows
 
 
-def _pairwise(parent, level, roots, leaf):
-    """Walk every leaf of a forest up to its tree's root at once.
+def _pairwise(f: Forest, trees: slice):
+    """(T, cap) of a slice of f's trees, trees x k x k, from its walk.
 
-    `parent` holds each root as its own parent, `roots` the trees' roots and
-    `leaf` the trees x k leaves.  Returns (ancestors, T, cap): ancestors[depth,
-    tree, a] is leaf a's ancestor at that depth below the root (-1 past the
-    leaf); T[tree, a, b] is the leaf-to-leaf path length, each side summed
-    leaf first as tree_distance sums it; cap[tree, a, b] is 2^(lowest edge
-    level over the common ancestors below the root), inf when only the root
-    is common.  Both are read at the pair's count of shared depths through
-    one array of flat indices depth * trees * k + column, on b's side, then
-    on a's.
+    T[tree, a, b] is the leaf-to-leaf path length, each side summed leaf first
+    as tree_distance sums it; cap[tree, a, b] is 2^(lowest edge level over
+    the common ancestors below the root), inf when only the root is common.
+    Both are read at the pair's count of shared depths through one array of
+    flat indices depth * trees * k + column, on b's side, then on a's.
     """
-    n_trees, k = leaf.shape
-    cols = np.arange(leaf.size)
-    root = np.repeat(roots, k)
-    length = _lengths(level, roots)
-    up = _walk(parent, leaf.ravel(), root)
-    dist = np.zeros(up.shape)
-    np.cumsum(length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
-    steps = (up != root).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
-    ancestors = np.where(steps >= 0, up[steps.clip(0), cols], -1)
-    to_ancestor = dist[steps.clip(0), cols].reshape(len(up), n_trees, k)
+    _, level, off, *_ = f.nodes
+    ancestors, to_ancestor = (a[:, trees] for a in f.walk)
+    depth = 1 + int((ancestors[1:] >= 0).any(axis=(1, 2)).sum())  # these trees' rows
+    ancestors, to_ancestor = ancestors[:depth], np.ascontiguousarray(to_ancestor[:depth])
+    n_trees, k = ancestors.shape[1:]
+    cols = np.arange(n_trees * k)
     # Shared ancestors form a prefix of both root paths, so counting the
     # shared depths below the root gives the depth of the lowest common one.
     # Two leaves are compared only within their tree, so its own node ids
     # serve, with padding -1 - a that matches nothing: int16 unless a tree
     # has 2^15 nodes or leaves; the count is uint8 unless the depth is 256.
-    narrow = max(int(np.diff(roots, append=len(parent)).max()), k) < 2**15
-    apart = np.where(ancestors >= 0, ancestors - root, -1 - cols % k).astype(np.int16 if narrow else np.intp)
-    apart = apart.reshape(len(up), n_trees, k)
-    lca = np.zeros((n_trees, k, k), dtype=np.uint8 if len(up) <= 256 else np.intp)
+    narrow = max(int(f.sizes[trees].max()), k) < 2**15
+    apart = np.where(ancestors >= 0, ancestors - off[trees, None], -1 - np.arange(k))
+    apart = apart.astype(np.int16 if narrow else np.intp)
+    lca = np.zeros((n_trees, k, k), dtype=np.uint8 if depth <= 256 else np.intp)
     same = np.empty(lca.shape, dtype=bool)
     for a in apart[1:]:
         lca += np.equal(a[:, :, None], a[:, None, :], out=same)
     at = np.multiply(lca, n_trees * k, dtype=np.intp)
     at += cols.reshape(n_trees, 1, k)  # b's side
-    ancestors = ancestors.reshape(len(up), n_trees, k)
     lowest = np.minimum.accumulate(level[ancestors[1:]], axis=0)  # down each root path
     cap = np.concatenate([np.full((1, n_trees, k), np.inf), np.ldexp(1.0, lowest)]).take(at)
     T = to_ancestor.take(at)
     at -= cols.reshape(n_trees, 1, k)
     at += cols.reshape(n_trees, k, 1)  # a's side
     T += to_ancestor.take(at)  # a's + b's, as addition commutes
-    return ancestors, T, cap
+    return T, cap
 
 
 class Terminals:
@@ -640,27 +589,44 @@ def _promote_one_level(t: Hst) -> Hst:
 class Forest:
     """The trees of one terminal set (an instance's trials), read as one.
 
-    The trees share `terminals` and `aliases` (ValueError otherwise), so one
-    column lookup serves them all.  `nodes` is `_forest`'s arrays: tree g's
-    node ids offset by the nodes of the trees before it.  Cut ids are offset
-    the same way over each tree's n_nodes + k ids (its nodes, then its
-    implicit singletons), tree g's from start[g].  `local` stacks the trees'
-    cut_ids rows into one trees x levels x (k + 1) tensor, -1 past a tree's
-    height and in the last column, where column -1 (a point in no tree) reads
-    no cut, so a lookup by point is one gather; `cut_ids` holds it in forest
-    ids.  `cut_load`, `path_cuts`,
-    `class_cuts`, the extension, the tree oracles and the trace-reading tree
-    checks read a forest, so each runs once for all its trees.
+    The trees share `terminals` and `aliases`, so one column lookup serves
+    them all.  `nodes` is `_forest`'s arrays: tree g's node ids offset by the
+    nodes of the trees before it.  Cut ids are offset the same way over each
+    tree's n_nodes + k ids (its nodes, then its implicit singletons), tree
+    g's from start[g].
+
+    The forest owns what a walk of its trees finds.  `local` is the cut
+    tensor, trees x levels x (k + 1): row r of tree g is level lows[g] + r,
+    for heights[g] rows up to root_levels[g], and entry (g, r, q) is the node
+    whose parent edge is terminal q's level-(lows[g] + r) edge, or n_nodes +
+    q if q's path has none (an implicit singleton); sorted, a row lists real
+    nodes by id, then singletons.  It holds -1 past a tree's height and in
+    the last column, where column -1 (a point in no tree) reads no cut, so a
+    lookup by point is one gather.  Built from trees alone, the forest checks
+    their terminal set and numbering (ValueError(MISNUMBERED)) and walks
+    every leaf once (`walk`); `cuts`, (local, lows, root_levels), hands it
+    what a walk already found, as the validator and the extension do.
+    `cut_load`, `path_cuts`, `class_cuts`, the extension, the tree oracles
+    and the trace-reading tree checks read a forest, so each runs once for
+    all its trees.
     """
 
-    def __init__(self, trees):
+    def __init__(self, trees, cuts=None):
         self.trees = list(trees)
-        first = _one_terminal_set(self.trees, "read as a forest")
+        first = self.trees[0]
         self.columns, self.k = first.columns, len(first.terminals)
         self.sizes = np.array([t.n_nodes for t in self.trees])
         ids = self.sizes + self.k
         self.start = np.cumsum(ids) - ids
         self.n_ids = int(ids.sum())
+        if cuts is None:
+            if _misnumbered(self.trees).any():
+                raise ValueError(MISNUMBERED)
+            parent, level, off, owner, local, _ = self.nodes
+            cuts = None, np.minimum(np.minimum.reduceat(level, off), 0), _root_levels(parent, level, off, owner, local)
+        rows, self.lows, self.root_levels = cuts
+        self.heights = np.maximum(self.root_levels - self.lows + 1, 0)
+        self.local = _cut_rows(self) if rows is None else rows
 
     @cached_property
     def nodes(self):
@@ -674,26 +640,25 @@ class Forest:
         return _lengths(level, off)
 
     @cached_property
-    def cut_levels(self):
-        """(lows, heights): per tree, the start and length of its cut_levels,
-        so row r of tree g's `local` is level lows[g] + r."""
-        return np.array([(t.cut_levels.start, len(t.cut_levels)) for t in self.trees]).T
-
-    @cached_property
-    def local(self) -> np.ndarray:
-        heights = self.cut_levels[1]
-        out = np.full((len(self.trees), heights.max(), self.k + 1), -1, dtype=np.intp)
-        for rows, t, h in zip(out, self.trees, heights.tolist()):
-            rows[:h, :-1] = t.cut_ids
-        return out
-
-    @cached_property
-    def cut_ids(self) -> np.ndarray:
-        return np.where(self.local >= 0, self.local + self.start[:, None, None], -1)
+    def walk(self):
+        """(ancestors, to_ancestor), depth x trees x k: each leaf's ancestor at
+        each depth below its root (the root at depth 0, -1 past the leaf) and
+        the path length up to it, summed from the leaf up as tree_distance
+        sums it.  One walk lifts every leaf of every tree."""
+        parent, _, off, _, _, leaf = self.nodes
+        cols = np.arange(leaf.size)
+        root = np.repeat(off, self.k)
+        up = _walk(parent, leaf.ravel(), root)
+        dist = np.zeros(up.shape)
+        np.cumsum(self.length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
+        steps = (up != root).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
+        shape = (len(up),) + leaf.shape
+        return (np.where(steps >= 0, up[steps.clip(0), cols], -1).reshape(shape),
+                dist[steps.clip(0), cols].reshape(shape))
 
     def cuts(self, points) -> np.ndarray:
-        """Every tree's cut_ids columns of `points`, trees x levels x points as
-        in `local`; a point not in the trees (or None) is in no cut, id -1."""
+        """Every tree's cut tensor columns of `points`, trees x levels x
+        points; a point not in the trees (or None) is in no cut, id -1."""
         return self.local[:, :, self.columns(points)]
 
 
@@ -701,9 +666,10 @@ def path_cuts(f: Forest, pairs):
     """(cut id, pair index) for every cut holding one end of a pair but not
     the other, in f's cut ids; an end outside the trees is in no cut."""
     cols = f.columns([p for pair in pairs for p in pair])
-    ends = f.cut_ids[:, :, cols].reshape(*f.cut_ids.shape[:2], -1, 2)
+    ends = f.local[:, :, cols].reshape(*f.local.shape[:2], -1, 2)
     crossed = (ends[..., :1] != ends[..., 1:]) & (ends >= 0)  # (tree, level, pair, end)
-    return ends[crossed], np.nonzero(crossed)[2]
+    tree, _, which, _ = np.nonzero(crossed)
+    return ends[crossed] + f.start[tree], which
 
 
 def cut_load(f: Forest, pairs) -> np.ndarray:
@@ -720,9 +686,8 @@ def extend_singleton_levels(f: Forest) -> Forest:
     grows by at most (#leaves) * 3/8.
     """
     trees, k, n = f.trees, f.k, f.sizes
-    for t in trees:
-        if t.cut_levels.start < 0:
-            raise ValueError(f"tree already extended to {t.cut_levels.start}")
+    if (f.lows < 0).any():
+        raise ValueError(f"tree already extended to {f.lows[f.lows < 0][0]}")
     leaf = np.stack([t.leaf for t in trees])
     by_node = np.argsort(leaf, axis=1)
     chain = n[:, None] + 2 * np.arange(k)  # the level -1 node below each tree's q-th leaf by id
@@ -731,23 +696,18 @@ def extend_singleton_levels(f: Forest) -> Forest:
     np.put_along_axis(ext_leaf, by_node, chain + 1, axis=1)
     # The chains add levels -2 and -1 below the base rows, whose nodes keep
     # their ids; only the implicit singletons move past the 2k chain nodes.
-    # A one-leaf tree's root level drops to -1, so its base row goes.
+    # A one-leaf tree's root level drops to -1, so its base row goes (and
+    # with it the tensor's last row when every tree has one leaf).
     base = f.local
     rows = np.full((len(trees), base.shape[1] + 2, k + 1), -1, dtype=np.intp)
     rows[:, 0, :k], rows[:, 1, :k] = ext_leaf, ext_leaf - 1
     rows[:, 2:] = np.where(base >= n[:, None, None], base + 2 * k, base)
-    top = np.where(n > 1, [t.root_level for t in trees], -1)
+    top = np.where(n > 1, f.root_levels, -1)
     rows[top < 0, 2:] = -1
     levels = np.tile([-1, -2], k)
-    ext = []
-    for t, g_hang, g_leaf, g_rows, g_top in zip(trees, hang, ext_leaf, rows, top.tolist()):
-        e = Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
-                t.terminals, g_leaf, t.aliases, t.column)
-        e.root_level, e.cut_ids = g_top, g_rows[:g_top + 3, :k]
-        ext.append(e)
-    out = Forest(ext)
-    out.local, out.cut_levels = rows, np.array([np.full(len(trees), -2), top + 3])
-    return out
+    ext = [Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
+               t.terminals, g_leaf, t.aliases, t.column) for t, g_hang, g_leaf in zip(trees, hang, ext_leaf)]
+    return Forest(ext, (rows[:, :(top + 3).max()], np.full(len(trees), -2), top))
 
 
 class CutGroups(NamedTuple):
@@ -785,7 +745,7 @@ def class_cuts(f: Forest, by_class: dict, shift: int, root=None) -> CutGroups:
     contains it.  One gather reads every entry's cut in every tree, and
     one np.unique over (tree, level, cut) keys groups them.
     """
-    lows, heights = f.cut_levels
+    lows, heights = f.lows, f.heights
     tagged = [(j, e) for j in range(int(lows.min()), int((lows + heights).max()))
               for e in by_class.get(j + shift, ())]
     entries = [e for _, e in tagged]

@@ -359,7 +359,7 @@ def covers_from_tree(f: Forest, trace: RunTrace):
 
     `points` are the points the forests name (X_j entries and A_j endpoints),
     sorted; a point's entry is its level-j cut in the tree if that cut meets
-    X_j, else -1.  A level outside a tree's cut_levels, which only a forged
+    X_j, else -1.  A level outside a tree's cut levels, which only a forged
     trace names, is that tree's ValueError in `errors` (None where there is
     none), and its covers read -1 from there on.  Each level's cuts of every
     point in every tree come from one gather on f.local's rows of that level.
@@ -374,10 +374,10 @@ def covers_from_tree(f: Forest, trace: RunTrace):
     errors = [None] * len(f.trees)
     cover = {}
     for j in sorted({j for forest in forests for j, _ in forest["A"]}):
-        for g, t in enumerate(f.trees):
-            if j not in t.cut_levels and errors[g] is None:
-                errors[g] = ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
-        level_row = np.clip(j - f.cut_levels[0], 0, f.local.shape[1] - 1)[:, None]  # a tree without level j errs
+        for g in np.flatnonzero((j < f.lows) | (j > f.root_levels)).tolist():
+            if errors[g] is None:
+                errors[g] = ValueError(f"level {j} outside [{f.lows[g]}, {f.root_levels[g]}]")
+        level_row = np.clip(j - f.lows, 0, f.local.shape[1] - 1)[:, None]  # a tree without level j errs
         row = f.local[tree, level_row, cols]  # trees x (points, then occurrences), as f.cuts reads them
         own = np.where(np.array([e is None for e in errors])[:, None], row, -1)
         hit = np.zeros((len(f.trees), ids + 1), dtype=bool)  # per tree, the cuts meeting X_j; -1 is the last

@@ -70,9 +70,10 @@ def opt_tree_rob_single(f: Forest, r: int, M, load) -> list:
     col = f.columns([r])[0]
     if col < 0:
         raise ValueError(f"root {r} is not a leaf of the tree")
-    above = f.cut_ids[:, :, col]  # the edges above r
+    above = f.local[:, :, col]  # the edges above r
+    on = above >= 0
     capped = np.minimum(M, load)
-    capped[above[above >= 0]] = 0
+    capped[(above + f.start[:, None])[on]] = 0
     return _edge_sums(f, capped)
 
 

@@ -13,10 +13,11 @@ Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 Trees are sampled over the request points and the root: every trial's tree
 from the instance's one `hst.Terminals`, one `sample_frt` call per trial.
 From there the work is done once per instance, on all trials at once: one
-`validate_hst` call, then the tree oracles on the `hst.Forest` of the valid
-trees -- for the rent-or-buy style checks and PCST one
-`extend_singleton_levels` call (singleton levels down to -2) and one
-`cut_load` -- which read only those trees and the RequestSequence.  What
+`validate_hst` call, which returns the `hst.Forest` of the valid trees with
+the cuts its walk measured, then the tree oracles on that forest -- for the
+rent-or-buy style checks and PCST one `extend_singleton_levels` call
+(singleton levels down to -2) and one `cut_load` -- which read only those
+trees and the RequestSequence.  What
 reads the trace runs once per instance too, in `check_tree_bounds`, on the
 oracles' forest: the bounds against each trial's optimum and the per-tree
 checks (`check_cut_capacity`, `check_pcst_invariants`, whose one grouping of
@@ -47,7 +48,7 @@ from .cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from .hst import Forest, Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst, validated_distances
+from .hst import Terminals, cut_load, extend_singleton_levels, sample_frt, validate_hst
 from .metric import (
     MetricSpace,
     RequestSequence,
@@ -335,29 +336,29 @@ def check_tree_bounds(m, seq, trace, f, opt, load, guard=()):
 
 
 def _sampled_trees(m, points, seeds):
-    """Per seed, (tree, []) when its tree for `points` is valid, else (None,
-    the tree's validate_hst messages, the first marked "invalid tree").
+    """(per seed, [] when its tree for `points` is valid, else the tree's
+    validate_hst messages, the first marked "invalid tree"; the forest of the
+    valid trees, in seed order, or None).
 
     `points` is tree_points(seq); without points no tree is sampled.  The
     terminal set is built once and every tree is validated in one call.
     """
     if not points or not seeds:
-        return [(None, [])] * len(seeds)
+        return [[] for _ in seeds], None
     terms = Terminals(m, points)
     trees = [sample_frt(terms, s) for s in seeds]
     del terms  # its k x k arrays go before the validator's are made
-    return [(None, [f"invalid tree: {bad[0]}"] + bad[1:]) if bad else (t, [])
-            for t, bad in zip(trees, validate_hst(trees, m))]
+    checked = validate_hst(trees, m)
+    return [[f"invalid tree: {bad[0]}"] + bad[1:] if bad else [] for bad in checked.messages], checked.forest
 
 
-def _checked_trees(m, seq, trace, sampled, guard):
-    """check_tree_bounds' (violations, flags, ratios) per valid tree of
-    `sampled`, in trial order: the oracles, which read no trace (unguarded),
-    and the checks each run once, on the forest of the valid trees."""
-    valid = [t for t, _ in sampled if t is not None]
-    if not valid:
+def _checked_trees(m, seq, trace, f, guard):
+    """check_tree_bounds' (violations, flags, ratios) per tree of the forest
+    f of the valid trees (or None), in trial order: the oracles, which read
+    no trace (unguarded), and the checks each run once, on that forest."""
+    if f is None:
         return []
-    f, opt, load = SPECS[seq.problem].tree_oracles(seq, Forest(valid))
+    f, opt, load = SPECS[seq.problem].tree_oracles(seq, f)
     return check_tree_bounds(m, seq, trace, f, opt, load, guard)
 
 
@@ -414,17 +415,17 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
 
     seeds = [_tree_seed(seed, trial) for trial in range(trials)]
     try:
-        sampled = _sampled_trees(m, tree_points(seq), seeds)
+        sampled, f = _sampled_trees(m, tree_points(seq), seeds)
     except guard as exc:
-        sampled = [(None, [f"check error: {exc}"])] * trials
-    checked = iter(_checked_trees(m, seq, trace, sampled, guard))
+        sampled, f = [[f"check error: {exc}"]] * trials, None
+    checked = iter(_checked_trees(m, seq, trace, f, guard))
     ratios = {}
     flags = []
     tree_violations = []
     witness_seed = None
-    for trial, (t, viol) in enumerate(sampled):
+    for trial, viol in enumerate(sampled):
         fl, rat = [], {}
-        if t is not None:
+        if f is not None and not viol:
             viol, fl, rat = next(checked)
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)
@@ -461,14 +462,14 @@ def embed_report(m, points, trials=200, seed=0):
     """Sample `trials` HSTs for `points`; report validity rate and the mean
     stretch of each pair of their terminals (distinct positions)."""
     terms = Terminals(m, points)
-    results = validated_distances([sample_frt(terms, _tree_seed(seed, trial)) for trial in range(trials)], m)
-    invalid = sum(1 for bad, _ in results if bad)
+    checked = validate_hst([sample_frt(terms, _tree_seed(seed, trial)) for trial in range(trials)], m)
+    invalid = sum(1 for bad in checked.messages if bad)
     # pairs u < v, accumulated trial by trial
     u, v = np.triu_indices(len(terms.terminals), 1)
     sums = np.zeros(len(u))
-    for _, T in results:
+    for T in checked.distances:
         sums += T[u, v] / terms.d[u, v]
-    means = (sums / trials).tolist() if results else []
+    means = (sums / trials).tolist() if trials else []
     return {
         "k": len(terms.terminals),
         "trials": trials,

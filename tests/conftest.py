@@ -205,7 +205,7 @@ def per_tree(f, values):
 def ref_extend(t):
     """Reference for hst.extend_singleton_levels on one tree, in Python lists:
     below each leaf in node order a level -1 node, then a level -2 node that
-    takes the terminal.  Its cut_ids are left to the forest-of-one walk."""
+    takes the terminal.  Its cuts are left to the walk of a Forest of it."""
     from ondesign.hst import Hst
 
     parent, level, leaf = t.parent.tolist(), t.edge_level.tolist(), t.leaf.tolist()
@@ -219,11 +219,11 @@ def ref_extend(t):
 
 def ref_cut_load(t, pairs):
     """Reference for hst.cut_load on one tree: per cut id, the (level, pair)
-    crossings counted in Python over t.cut_ids; an end outside the tree is
-    in no cut."""
+    crossings counted in Python over brute_cut_ids(t); an end outside the
+    tree is in no cut."""
     load = [0] * (t.n_nodes + len(t.terminals))
     ends = [t.columns(pair).tolist() for pair in pairs]
-    for row in t.cut_ids.tolist():
+    for row in brute_cut_ids(t):
         for cols in ends:
             cu, cv = (row[c] if c >= 0 else -1 for c in cols)
             for c in (cu, cv) if cu != cv else ():
@@ -322,13 +322,20 @@ def brute_cuts_at_level(t, j):
     return cuts + [frozenset([p]) for p in sorted(t.terminals) if p not in covered]
 
 
-def brute_cut_ids(t):
-    """Reference for Hst.cut_ids: each terminal's leaf walked up through
-    parent in Python, its node at each level of the charge range written to
-    that level's row over the implicit singletons n_nodes + column."""
+def brute_levels(t):
+    """(lowest cut level, root level) of t: min(0, its edge levels), and the
+    level of the root's first child (0 on a tree of one node)."""
     parent, level = t.parent.tolist(), t.edge_level.tolist()
-    top = next((level[c] for c in range(1, t.n_nodes) if parent[c] == 0), 0)
-    low = min(0, *level)  # -2 on an extended tree
+    return min(0, *level), next((level[c] for c in range(1, t.n_nodes) if parent[c] == 0), 0)
+
+
+def brute_cut_ids(t):
+    """Reference for one tree's rows of a Forest's cut tensor: each
+    terminal's leaf walked up through parent in Python, its node at each
+    level of the charge range written to that level's row over the implicit
+    singletons n_nodes + column."""
+    parent, level = t.parent.tolist(), t.edge_level.tolist()
+    low, top = brute_levels(t)  # low is -2 on an extended tree
     rows = [[t.n_nodes + q for q in range(len(t.leaf))] for _ in range(low, top + 1)]
     for q, x in enumerate(t.leaf.tolist()):
         while x > 0:
@@ -338,10 +345,25 @@ def brute_cut_ids(t):
     return rows
 
 
+def check_forest_walk(f):
+    """f's cut tensor and per-tree levels hold what the references give each
+    of its trees, however f was built: brute_cut_ids' rows, -1 past the
+    tree's height and in the last column, and brute_levels' range; the
+    tensor has as many rows as the tallest tree."""
+    assert f.local.shape == (len(f.trees), f.heights.max(), f.k + 1)
+    for g, t in enumerate(f.trees):
+        low, top = brute_levels(t)
+        assert (f.lows[g], f.root_levels[g], f.heights[g]) == (low, top, top - low + 1)
+        assert t.cut_levels == range(low, top + 1)
+        assert f.local[g, :top - low + 1, :-1].tolist() == brute_cut_ids(t)
+        assert (f.local[g, top - low + 1:] == -1).all() and (f.local[g, :, -1] == -1).all()
+
+
 def id_cuts(t, j):
-    """The level-j cuts as terminal sets, grouped from Hst.cut_ids in cut-id order."""
+    """The level-j cuts as terminal sets, grouped from the cut ids of t as a
+    forest of one in cut-id order."""
     cuts = {}
-    for p, cut in zip(t.terminals, t.cut_ids[t.cut_levels.index(j)].tolist()):
+    for p, cut in zip(t.terminals, tree_cuts(t, t.terminals)[t.cut_levels.index(j)].tolist()):
         cuts.setdefault(cut, set()).add(p)
     return [frozenset(cuts[cut]) for cut in sorted(cuts)]
 
@@ -472,7 +494,8 @@ def brute_check_pcst_invariants(seq, trace, t):
 # ---------------------------------------------------------------------------
 # Per-tree references for the trace-reading tree checks, which run once per
 # instance on its forest: each check's body one tree at a time, reading the
-# tree through Hst.cuts, and the tree-by-tree dispatch of check_tree_bounds
+# tree as a forest of one (tree_cuts), and the tree-by-tree dispatch of
+# check_tree_bounds
 # ---------------------------------------------------------------------------
 
 def ref_class_cuts(t, by_class, shift, root=None):

@@ -302,7 +302,7 @@ def test_criterion_6_embedding_quality():
 
         t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**60)))
         trees += 1
-        if validate_hst([t], m)[0]:
+        if validate_hst([t], m).messages[0]:
             invalid += 1
     m32, _ = gen_euclidean(32, seed=999)
     rep = embed_report(m32, range(32), trials=200, seed=4)

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import (
     brute_cut,
-    brute_cut_ids,
     brute_cuts_at_level,
     brute_validate_hst,
+    check_forest_walk,
     ref_sample_frt,
     euclid,
     extend_one,
@@ -28,16 +28,21 @@ from ondesign.hst import (
     Terminals,
     _promote_one_level,
     class_cuts,
+    extend_singleton_levels,
     path_cuts,
     sample_frt,
     tree_distance,
     validate_hst,
-    validated_distances,
 )
 from ondesign.generators import gen_euclidean, gen_graph_metric
 from ondesign.metric import MetricSpace, build_metric, floor_log2
 from ondesign.verify import tree_points
 from test_acceptance import PROBLEMS, _instance
+
+
+def _distance(t, u, v):
+    """tree_distance in t as a forest of one."""
+    return tree_distance(Forest([t]), 0, u, v)
 
 
 def test_two_terminal_minimal_shape(two_point_metric):
@@ -46,15 +51,15 @@ def test_two_terminal_minimal_shape(two_point_metric):
         t = sample_frt(Terminals(two_point_metric, [0, 1]), seed)
         assert t.n_nodes == 3
         assert t.edge_level[1] == t.edge_level[2] == 1
-        assert tree_distance(t, 0, 1) == 2.0
-        assert validate_hst([t], two_point_metric)[0] == []
+        assert _distance(t, 0, 1) == 2.0
+        assert validate_hst([t], two_point_metric).messages[0] == []
 
 
 def test_single_terminal_degenerate(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0]), seed=3)
     assert t.n_nodes == 1
     assert t.terminals == (0,)
-    assert tree_distance(t, 0, 0) == 0.0
+    assert _distance(t, 0, 0) == 0.0
 
 
 def test_empty_terminals_rejected(two_point_metric):
@@ -82,11 +87,11 @@ def test_coincident_points_collapse_onto_one_terminal():
         [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), {1: [(1, "a"), (0, "b")]}, 0))
         assert [(j, cut, inside) for j, cut, _, inside in groups] == \
             [(1, int(tree_cuts(t, [0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
-        assert tree_distance(t, 1, 2) == tree_distance(t, 0, 2) and tree_distance(t, 1, 0) == 0.0
+        assert _distance(t, 1, 2) == _distance(t, 0, 2) and _distance(t, 1, 0) == 0.0
         assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_one(t), _promote_one_level(t)):
             assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
-            assert validate_hst([tree], m)[0] == []
+            assert validate_hst([tree], m).messages[0] == []
 
 
 def test_first_bad_pair_is_named():
@@ -107,7 +112,7 @@ def test_carving_radius_is_closed(seed, j):
     radius = beta * 2.0 ** (j - 2)
     m = line_metric([0.0, radius, 3.5 * radius])
     t = sample_frt(Terminals(m, range(3)), seed)
-    assert validate_hst([t], m)[0] == []
+    assert validate_hst([t], m).messages[0] == []
     assert frozenset({0, 1}) in id_cuts(t, j)
     assert frozenset({0, 1}) not in id_cuts(t, j - 1)
 
@@ -116,7 +121,7 @@ def test_line_four_points_valid():
     m = line_metric([0, 1, 2, 3])
     for seed in range(30):
         t = sample_frt(Terminals(m, range(4)), seed)
-        assert validate_hst([t], m)[0] == []
+        assert validate_hst([t], m).messages[0] == []
 
 
 def test_sampler_deterministic(two_point_metric):
@@ -130,7 +135,7 @@ def test_sampler_deterministic(two_point_metric):
 
 def test_validate_flags_shrunk_leaf_edges(two_point_metric):
     t = Hst([-1, 0, 0], [0, -1, -1], (0, 1), [1, 2])  # length 1/4 edges: T = 0.5 < d = 1
-    bad = validate_hst([t], two_point_metric)[0]
+    bad = validate_hst([t], two_point_metric).messages[0]
     assert any("expanding" in v for v in bad)
 
 
@@ -138,7 +143,7 @@ def test_validate_flags_cut_diameter():
     # two terminals at distance 3 below one level-1 edge: 3 >= 2^1
     m = line_metric([0, 3])
     t = Hst([-1, 0, 1, 1], [0, 1, 0, 0], (0, 1), [2, 3])
-    bad = validate_hst([t], m)[0]
+    bad = validate_hst([t], m).messages[0]
     assert any("cut diameter" in v for v in bad)
 
 
@@ -154,7 +159,7 @@ def test_validate_flags_cut_diameter():
 def test_validate_flags_leaf_map(arrays, message):
     m = line_metric([0, 1])
     t = Hst(*arrays)
-    bad = validate_hst([t], m)[0]
+    bad = validate_hst([t], m).messages[0]
     assert message in bad
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
@@ -186,7 +191,7 @@ VALIDATE_MESSAGES = {
 def test_validate_hst_message_fires(positions, arrays, message):
     m = line_metric(positions)
     t = Hst(*arrays)
-    bad = validate_hst([t], m)[0]
+    bad = validate_hst([t], m).messages[0]
     assert message in bad
     assert sorted(bad) == sorted(brute_validate_hst(t, m))
 
@@ -251,8 +256,8 @@ def test_extension_arithmetic(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     ext = extend_one(t)
     assert ext.length.sum() == pytest.approx(2 + 2 * (0.25 + 0.125))
-    assert tree_distance(ext, 0, 1) == pytest.approx(2.75)
-    assert validate_hst([ext], two_point_metric)[0] == []
+    assert _distance(ext, 0, 1) == pytest.approx(2.75)
+    assert validate_hst([ext], two_point_metric).messages[0] == []
     with pytest.raises(ValueError, match="^tree already extended to -2$"):
         extend_one(ext)
 
@@ -267,17 +272,17 @@ def test_extension_single_leaf(two_point_metric):
 def test_tree_distance_siblings_level2():
     m = line_metric([0, 3])
     t = Hst([-1, 0, 0], [0, 2, 2], (0, 1), [1, 2])
-    assert tree_distance(t, 0, 1) == 4.0
+    assert _distance(t, 0, 1) == 4.0
     # leaves hang at level 2 directly; the level-1 cuts are implicit singletons
     assert sorted(map(set, id_cuts(t, 1))) == [{0}, {1}]
-    assert validate_hst([t], m)[0] == []
+    assert validate_hst([t], m).messages[0] == []
 
 
 def test_unknown_leaf():
     m = line_metric([0, 1])
     t = sample_frt(Terminals(m, [0, 1]), seed=0)
     with pytest.raises(ValueError, match="^0 or 7 is not a leaf terminal$"):
-        tree_distance(t, 0, 7)
+        _distance(t, 0, 7)
 
 
 def _skipped_level_tree():
@@ -296,10 +301,11 @@ def test_cut_ids_group_into_the_reference_cuts():
         trees += [t, extend_one(t), _promote_one_level(t)]
     for t in trees:
         pts = t.terminals
-        assert t.cut_ids.shape == (len(t.cut_levels), len(pts))
+        cuts = tree_cuts(t, pts)
+        assert cuts.shape == (len(t.cut_levels), len(pts))
         for row, j in enumerate(t.cut_levels):
             assert id_cuts(t, j) == brute_cuts_at_level(t, j)
-            for q, (p, cut) in enumerate(zip(pts, t.cut_ids[row].tolist())):
+            for q, (p, cut) in enumerate(zip(pts, cuts[row].tolist())):
                 if cut < t.n_nodes:
                     assert t.edge_level[cut] == j and p in brute_cut(t, cut)
                 else:
@@ -310,14 +316,17 @@ def test_cut_ids_group_into_the_reference_cuts():
 
 
 def _copy(t):
-    """t rebuilt from its arrays: the same tree, with no cut rows set."""
+    """t rebuilt from its arrays: the same tree, as a new object."""
     return Hst(t.parent, t.edge_level, t.terminals, t.leaf, t.aliases)
 
 
 def test_cut_ids_are_the_parent_walk():
     # sampled (some promoted by the sampler), promoted and extended trees, on
-    # distinct, graph-closure and coincident points; each tree validated in a
-    # forest of many (k = 60: several forests), validated alone, or never
+    # distinct, graph-closure and coincident points: the forest validate_hst
+    # returns (pairs compared in one chunk, or in several at k = 60), the one
+    # of each tree validated alone, a Forest built from the trees, and the
+    # extension of each hold the reference cuts and levels, and the
+    # extension's derived tensor is the walk of the extended trees
     rng = np.random.default_rng(41)
     seen = {"promoted": 0, "aliased": 0, "forests": 0}
     for k in (1, 2, 3, 5, 9, 17, 30, 60):
@@ -334,17 +343,18 @@ def test_cut_ids_are_the_parent_walk():
             seen["promoted"] += sum(len(terms.levels) > 0 and t.root_level > terms.levels[0] for t in trees)
             seen["aliased"] += bool(terms.aliases)
             seen["forests"] += len(trees) > FOREST_PAIRS // len(terms.terminals) ** 2
-            alone = [_copy(t) for t in trees]
-            never = [_copy(t) for t in trees]
-            assert validate_hst(trees, m) == [[]] * len(trees)
-            for t in alone:
-                assert validate_hst([t], m) == [[]]
-            for group in (trees, alone, never):
-                set_by_validation = group is not never
-                assert all(("cut_ids" in vars(t)) is set_by_validation for t in group)
-                for t in group + [extend_one(t) for t in group]:
-                    assert t.cut_ids.tolist() == brute_cut_ids(t)
-                    assert t.cut_ids.shape == (len(t.cut_levels), len(t.terminals))
+            checked = validate_hst(trees, m)
+            assert checked.messages == [[]] * len(trees) and checked.forest.trees == trees
+            alone = [validate_hst([t], m) for t in trees]
+            assert all(one.messages == [[]] and one.forest.trees == [t] for one, t in zip(alone, trees))
+            for f in [checked.forest, Forest(trees)] + [one.forest for one in alone]:
+                check_forest_walk(f)
+                # the extension derives its tensor from f's: a fresh walk of
+                # the extended trees finds the same
+                ext, fresh = extend_singleton_levels(f), Forest([extend_one(t) for t in f.trees])
+                check_forest_walk(ext)
+                assert [ext.local.tolist(), ext.lows.tolist(), ext.root_levels.tolist()] == \
+                    [fresh.local.tolist(), fresh.lows.tolist(), fresh.root_levels.tolist()]
     assert seen["promoted"] > 20 and seen["aliased"] >= 7 and seen["forests"] >= 2
 
 
@@ -368,8 +378,8 @@ def test_cut_levels_are_read_off_the_edge_levels():
 
 
 def test_root_level_of_hand_built_trees_matches_the_validator():
-    # Hst.root_level, read as a forest of one, against the value validate_hst
-    # sets on each tree it accepts
+    # Hst.root_level, read as a forest of one, against the root level of the
+    # forest validate_hst returns and of a Forest built from the tree
     cases = [
         (_skipped_level_tree(), line_metric([0, 1, 3, 5]), 3),
         (Hst([-1], [0], (0,), [0]), line_metric([0]), 0),
@@ -377,9 +387,10 @@ def test_root_level_of_hand_built_trees_matches_the_validator():
         (Hst([-1, 0, 0, 1, 1, 2, 2], [0, 2, 2, 1, 1, 1, 1], range(4), [3, 4, 5, 6]), line_metric([0, 1, 4, 5]), 2),
     ]
     for t, m, level in cases:
-        validated = _copy(t)
-        assert validate_hst([validated], m) == [[]] and vars(validated)["root_level"] == level
-        assert t.root_level == level
+        checked = validate_hst([t], m)
+        assert checked.messages == [[]] and checked.forest.root_levels.tolist() == [level]
+        assert Forest([t]).root_levels.tolist() == [level] and t.root_level == level
+        check_forest_walk(checked.forest)
 
 
 def test_path_decomposition_consistency():
@@ -399,7 +410,7 @@ def test_path_decomposition_consistency():
                     if (u in cut) != (v in cut)
                 )
                 expect = 2 * ((2.0**sep - 1.0) + tail)
-                assert tree_distance(t, u, v) == pytest.approx(expect)
+                assert _distance(t, u, v) == pytest.approx(expect)
 
 
 def test_delta_cut_iff_on_path():
@@ -421,7 +432,7 @@ def test_expanding_and_diameter_many_random_instances():
         k = int(rng.integers(2, 12))
         m = build_metric(rng.random((k, 2)) * rng.uniform(1, 30), "points")
         t = sample_frt(Terminals(m, range(k)), int(rng.integers(0, 2**40)))
-        assert validate_hst([t], m)[0] == []
+        assert validate_hst([t], m).messages[0] == []
 
 
 def test_json_schema_fields(two_point_metric):
@@ -512,16 +523,18 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
             batches.setdefault((tree.terminals, tree.aliases), []).append(tree)
         assert len(batches[t.terminals, t.aliases]) >= 8
         for batch in batches.values():
-            for tree, got in zip(batch, validate_hst(batch, m), strict=True):
+            result = validate_hst(batch, m)
+            for tree, got in zip(batch, result.messages, strict=True):
                 assert sorted(got) == sorted(brute_validate_hst(tree, m))
-                # a tree that breaks nothing keeps the walk's cut rows, and
-                # a corrupted one that breaks something gets none
-                if not got:
-                    assert tree.cut_ids.tolist() == brute_cut_ids(tree)
-                elif any(tree is c for c in corrupted):
-                    assert "cut_ids" not in vars(tree)
                 checked += 1
                 flagged += bool(got)
+            # the forest holds the trees that break nothing, with their cuts
+            valid = [tree for tree, got in zip(batch, result.messages) if not got]
+            if valid:
+                assert result.forest.trees == valid
+                check_forest_walk(result.forest)
+            else:
+                assert result.forest is None
     assert checked > 500 and flagged > 100
 
 
@@ -538,36 +551,37 @@ def test_validate_batch_across_forests_matches_one_tree_calls(monkeypatch):
     assert len(trees) > 2 * (FOREST_PAIRS // 60**2)
     walked = []
 
-    def path_walk(t, u, v):
-        walked.append(t)
-        return tree_distance(t, u, v)
+    def path_walk(f, g, u, v):
+        walked.append(f.trees[g])
+        return tree_distance(f, g, u, v)
 
     monkeypatch.setattr("ondesign.hst.tree_distance", path_walk)
-    batch = validated_distances(trees, m)
+    batch = validate_hst(trees, m)
     assert walked == trees  # each tree's least-slack pair, measured on that tree
-    assert 0 < sum(bool(bad) for bad, _ in batch) < len(trees)
-    rows = [vars(tree).pop("cut_ids", None) for tree in trees]
-    assert [r is None for r in rows] == [bool(bad) for bad, _ in batch]
-    for tree, (bad, T), forest_rows in zip(trees, batch, rows, strict=True):
-        one_bad, one_T = validated_distances([tree], m)[0]
-        assert bad == one_bad
-        assert T.tobytes() == one_T.tobytes()
-        if not bad:
-            assert vars(tree)["cut_ids"].tolist() == forest_rows.tolist() == brute_cut_ids(tree)
+    assert 0 < sum(bool(bad) for bad in batch.messages) < len(trees)
+    assert batch.forest.trees == [tree for tree, bad in zip(trees, batch.messages) if not bad]
+    check_forest_walk(batch.forest)
+    for tree, bad, T in zip(trees, batch.messages, batch.distances, strict=True):
+        one = validate_hst([tree], m)
+        assert [bad] == one.messages
+        assert T.tobytes() == one.distances[0].tobytes()
+        assert (one.forest is None) == bool(bad)
 
 
 def test_validate_batch_needs_one_terminal_set():
     m = line_metric([0, 1, 3])
     trees = [sample_frt(Terminals(m, [0, 1]), 0), sample_frt(Terminals(m, [0, 2]), 0)]
-    with pytest.raises(ValueError, match="^trees validated together must share terminals and aliases$"):
+    with pytest.raises(ValueError, match="^trees of one forest must share terminals and aliases$"):
         validate_hst(trees, m)
+    with pytest.raises(ValueError, match="^trees of one forest must share terminals and aliases$"):
+        Forest(trees)
     # the same terminals with different aliases
     m2 = line_metric([0, 0, 1])
     trees = [sample_frt(Terminals(m2, [0, 1, 2]), 0), sample_frt(Terminals(m2, [0, 2]), 0)]
     assert trees[0].terminals == trees[1].terminals
-    with pytest.raises(ValueError, match="^trees validated together must share terminals and aliases$"):
-        validated_distances(trees, m2)
-    assert validate_hst([], m) == [] and validated_distances([], m) == []
+    with pytest.raises(ValueError, match="^trees of one forest must share terminals and aliases$"):
+        validate_hst(trees, m2)
+    assert validate_hst([], m) == ([], [], None)
 
 
 @pytest.fixture
@@ -605,25 +619,27 @@ def test_misnumbered_tree_gets_one_message_and_no_walk(hang_fails, parent, leaf)
     m = build_metric([[0, 0], [1, 0]], "points")
     bad = Hst(parent, [0] + [1] * (len(parent) - 1), [0, 1], leaf)
     good = sample_frt(Terminals(m, [0, 1]), 0)
-    assert validate_hst([bad], m) == [[message]]
-    results = validated_distances([good, bad, good], m)
-    assert results[1] == ([message], None)
-    alone_bad, alone_T = validated_distances([good], m)[0]
-    for bad_msgs, T in (results[0], results[2]):
-        assert bad_msgs == alone_bad == []
-        assert T.tobytes() == alone_T.tobytes()
+    assert validate_hst([bad], m) == ([[message]], [None], None)
+    results = validate_hst([good, bad, good], m)
+    assert (results.messages[1], results.distances[1]) == ([message], None)
+    assert results.forest.trees == [good, good]
+    alone = validate_hst([good], m)
+    for g in (0, 2):
+        assert results.messages[g] == alone.messages[0] == []
+        assert results.distances[g].tobytes() == alone.distances[0].tobytes()
 
 
 @pytest.mark.parametrize("parent, leaf", MISNUMBERED_TREES)
 def test_misnumbered_tree_walked_by_hand_raises(hang_fails, parent, leaf):
-    # a tree built by hand and never validated: its cut rows (the forest-of-one
-    # walk) and the path walk test the numbering first; the parent cycle hung
-    # both, the leaf out of range made both raise IndexError
+    # a tree built by hand and never validated: a Forest of it, alone or
+    # beside a numbered tree, tests the numbering before its walk (which
+    # every cut and tree_distance read); the parent cycle hung the walk, the
+    # leaf out of range made it raise IndexError
     bad = Hst(parent, [0] + [1] * (len(parent) - 1), [0, 1], leaf)
-    with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
-        bad.cut_ids
-    with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
-        tree_distance(bad, 0, 1)
+    good = sample_frt(Terminals(build_metric([[0, 0], [1, 0]], "points"), [0, 1]), 0)
+    for trees in ([bad], [good, bad]):
+        with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
+            Forest(trees)
 
 
 def test_validate_mixed_batch_puts_each_message_on_its_tree():
@@ -638,8 +654,8 @@ def test_validate_mixed_batch_puts_each_message_on_its_tree():
     valid += [_promote_one_level(valid[0]), extend_one(valid[1])]
     # the first tree's root level (1) is below the last broken one's levels
     trees = [broken[0], valid[0], broken[1], valid[1], broken[2], valid[2], valid[3], broken[3], broken[4], valid[4]]
-    alone = [validate_hst([_copy(t)], m)[0] for t in trees]
-    got = validate_hst(trees, m)
+    alone = [validate_hst([_copy(t)], m).messages[0] for t in trees]
+    got = validate_hst(trees, m).messages
     assert got == alone
     assert [sorted(msgs) for msgs in got] == [sorted(brute_validate_hst(t, m)) for t in trees]
     assert [bool(msgs) for msgs in got] == [any(t is b for b in broken) for t in trees]
@@ -658,12 +674,11 @@ def test_validated_distances_match_path_walk():
         terms = Terminals(m, range(k))
         trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**31, size=4).tolist()]
         trees += [extend_one(t) for t in trees[:2]]
-        results = validated_distances(trees, m)
-        assert [bad for bad, _ in results] == validate_hst(trees, m)
+        results = validate_hst(trees, m)
+        assert results.messages == [[]] * len(trees) and results.forest.trees == trees
         pts = terms.terminals
-        for t, (bad, T) in zip(trees, results, strict=True):
-            assert bad == []
-            assert [[tree_distance(t, u, v) for v in pts] for u in pts] == T.tolist()
+        for g, T in enumerate(results.distances):
+            assert [[tree_distance(results.forest, g, u, v) for v in pts] for u in pts] == T.tolist()
 
 
 def _leveled_chain(depth, hang):
@@ -697,8 +712,8 @@ def test_validated_distances_fall_back_to_wide_counters(tree, why):
     m = line_metric(np.arange(k, dtype=float))
     shallow = _star(k + 1, list(range(1, k + 1)))
     for trees in ([tree], [tree, shallow], [shallow, tree]):
-        for t, (_, T) in zip(trees, validated_distances(trees, m), strict=True):
-            want = [[tree_distance(t, u, v) for v in range(k)] for u in range(k)]
+        for t, T in zip(trees, validate_hst(trees, m).distances, strict=True):
+            want = [[_distance(t, u, v) for v in range(k)] for u in range(k)]
             assert T.tolist() == want, why
 
 

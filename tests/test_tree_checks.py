@@ -43,8 +43,8 @@ TRIALS = 20
 def _forest_facts(m, seq, seed):
     """What verify_run hands check_tree_bounds: the oracles' forest of the
     valid trees, their optima and the forest's cut load (or None)."""
-    sampled = _sampled_trees(m, tree_points(seq), [_tree_seed(seed, trial) for trial in range(TRIALS)])
-    return SPECS[seq.problem].tree_oracles(seq, Forest([t for t, _ in sampled if t is not None]))
+    _, f = _sampled_trees(m, tree_points(seq), [_tree_seed(seed, trial) for trial in range(TRIALS)])
+    return SPECS[seq.problem].tree_oracles(seq, f)
 
 
 def _tree_loads(f, load):

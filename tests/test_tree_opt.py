@@ -14,7 +14,7 @@ from conftest import (
     client_load,
     edge_len,
     extend_one,
-    brute_cut_ids,
+    check_forest_walk,
     per_tree,
     random_small_hst,
     ref_cut_load,
@@ -248,11 +248,11 @@ def _forest_batches(rng):
             terms = Terminals(m, points)
             trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**40, size=3).tolist()]
             trees[1:1] = [_promote_one_level(trees[0]), _promote_one_level(trees[-1])]
-            assert validate_hst(trees, m) == [[]] * len(trees)
+            assert validate_hst(trees, m).messages == [[]] * len(trees)
             yield points, trees
     m = build_metric([[0, 0], [0, 0], [3, 4], [0, 0]], "points")
     trees = [sample_frt(Terminals(m, [0, 1, 3]), seed) for seed in range(3)]
-    assert validate_hst(trees, m) == [[]] * 3 and trees[0].aliases == ((1, 0), (3, 0))
+    assert validate_hst(trees, m).messages == [[]] * 3 and trees[0].aliases == ((1, 0), (3, 0))
     yield [0, 1, 3], trees
 
 
@@ -271,8 +271,8 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
                 [a.tolist() for a in (ref.parent, ref.edge_level, ref.leaf)]
             assert (e.terminals, e.aliases, e.cut_levels, e.root_level) == \
                 (ref.terminals, ref.aliases, ref.cut_levels, ref.root_level)
-            assert e.cut_ids.tolist() == brute_cut_ids(ref)
             heights.add(len(t.cut_levels))
+        check_forest_walk(ext)
         terms = list(trees[0].terminals)
         outside = max(points) + 1
         pairs = [tuple(int(p) for p in rng.choice(terms, size=2)) for _ in range(int(rng.integers(1, 6)))]
