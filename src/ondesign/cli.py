@@ -165,11 +165,23 @@ def cmd_embed(args) -> int:
     return 4 if report["invalid_trees"] else 0
 
 
-def _count(text):
-    """An argparse type: an integer >= 0."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"{text} is below 0")
+def _count(text, low=0):
+    """An argparse type: an integer >= low."""
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"{text} is below {low}")
     return int(text)
+
+
+def _positive(text):
+    """An argparse type: an integer >= 1."""
+    return _count(text, 1)
+
+
+def _fraction(text):
+    """An argparse type: a float in [0, 1], so not NaN."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return float(text)
 
 
 def build_parser():
@@ -188,11 +200,11 @@ def build_parser():
     g.add_argument("--problem", choices=list(PROBLEMS), default="SteinerTree")
     g.add_argument("--n", type=_count, default=16)
     g.add_argument("--count", type=_count, default=8)
-    g.add_argument("--density", type=float, default=0.3)
+    g.add_argument("--density", type=_fraction, default=0.3)
     g.add_argument("--depth", type=int, default=3)
     g.add_argument("--M", type=float, default=2.0)
-    g.add_argument("--rmax", type=int, default=8)
-    g.add_argument("--facilities", type=int, default=4)
+    g.add_argument("--rmax", type=_positive, default=8)
+    g.add_argument("--facilities", type=_positive, default=4)
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="run an algorithm on an instance")
@@ -215,8 +227,8 @@ def build_parser():
     c.add_argument("--sizes", type=lambda s: [_count(x) for x in s.split(",")], default=[4, 6, 8, 10])
     c.add_argument("--n", type=_count, default=0)
     c.add_argument("--M", type=float, default=2.0)
-    c.add_argument("--rmax", type=int, default=3)
-    c.add_argument("--facilities", type=int, default=4)
+    c.add_argument("--rmax", type=_positive, default=3)
+    c.add_argument("--facilities", type=_positive, default=4)
     c.set_defaults(func=cmd_ratio)
 
     e = sub.add_parser("embed", help="HST sampling distortion report")

@@ -8,56 +8,22 @@ and 1/8 below each leaf), so a tree's lowest cut level is min(0, its lowest
 edge level); level 0 never carries edges, but its cuts are the terminal
 singletons by convention (forced by the min-distance-1 normalization).
 
-`Hst` holds a tree once, as arrays: `parent` and `edge_level` per node,
-`terminals` and `leaf` per terminal column.  Every tree is built whole by
-`Hst(parent, edge_level, terminals, leaf)`: the sampler passes the arrays its
-carving computes, and promotion and extension concatenate new chain nodes onto
-a tree's arrays.  Nothing is written onto a tree afterwards; what its arrays
-determine (edge lengths, root level, cut levels) is derived from them.
-
-A `Forest` reads the trees of one terminal set (an instance's trials) as one,
-and owns what a walk of them finds: the cut tensor, which names the cut
-holding each terminal at each level of each tree and is the only form a cut
-takes, with each tree's lowest level, height and root level.  A single tree
-is read as a forest of one.  `Forest.cuts` reads every tree's cuts at any
-points with one gather; `path_cuts` lists the cuts of every tree that
-separate each pair of points, and `cut_load` counts them per cut (the tree
-oracles and the rent caps read a cut's load that way); `class_cuts` groups
-the class-(j + shift) entries of a check by level-j cut in every tree at
-once, which is how the cut checks read the trees (one grouping serves both
-PCST cut checks).  `tree_distance` is the scalar path walk in one tree of a
-forest.
-
-A terminal is a position: of the points a tree is sampled for, the lowest
-index at each position is the terminal, and every other point there is an
-alias of it.  A tree of distinct positions has no aliases.  Every lookup by
-point (`Hst.columns`, `Forest.cuts`, `class_cuts`, `tree_distance`) resolves
-an alias to its terminal's column, so no caller maps coincident points itself.
-The lookup is one index into a point -> column array, `Hst.column`: the
-`Terminals` builds it once per instance and every tree sampled from it,
-promoted or extended shares it; a tree built by hand builds its own.
-
-Sampling reads a `Terminals`, what every tree for one set of points shares,
-built once per instance; its docstring gives the radius count and the
-expanding test.  Each tree draws beta log-uniformly from [1,2) and a uniform
-permutation, and carves nested balls of radius beta*2^(j-2) per level: a
-point joins the first permutation element within the radius (Cohen's
-least-element lists, as Blelloch, Gupta and Tangwongsan use them for FRT).
-A tree that fails the expanding test is promoted one level ("rescale one
-level up"), with a level-1 singleton edge appended below each leaf so the
-bottom level stays 1.
-
-`validate_hst` does not trust the sampler and never reads a `Terminals`: it
-builds the `Forest` of the trees and checks the leaf map, levels, cuts and
-distances against the metric over the forest's walk.  It returns each tree's
-messages and tree distances with the forest of the trees it accepts, so
-every check reads cuts the validator measured; `extend_singleton_levels`
-derives the extended forest's cut tensor from its base forest's.
+The pieces, each described in its own docstring:
+- `Hst`, one tree as plain arrays; a point is looked up through its shared
+  `column` map, so coincident points (aliases) share a terminal's leaf.
+- `Terminals` and `sample_frt`: what the trees of one point set share, and
+  one tree per seed, carved as least-element lists (Blelloch, Gupta and
+  Tangwongsan, SPAA 2012); `_promote_one_level` rescales a tree that fails
+  the expanding test.
+- `Forest`, the trees of one terminal set read as one, and the only place a
+  tree's levels and cuts are derived; `path_cuts`, `cut_load`, `class_cuts`
+  and `extend_singleton_levels` read a forest.
+- `validate_hst`, which trusts no sampler, and `tree_distance`, its scalar
+  re-measure of one pair.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import NamedTuple
 
@@ -79,9 +45,8 @@ class Hst:
     and `aliases` when not given).  Node 0 is the root (parent -1), every
     other node's parent is an earlier node and every leaf is a node id; the
     constructor checks nothing, so a malformed tree reaches validate_hst as
-    built (a `Forest` of it raises).  What the arrays determine is derived,
-    not passed: an extended tree is one whose edge levels reach -2 (see
-    `cut_levels`).
+    built (a `Forest` of it raises).  Its levels and cuts are read from a
+    `Forest` of it.
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, aliases=(), column=None):
@@ -97,20 +62,9 @@ class Hst:
         return len(self.parent)
 
     @cached_property
-    def root_level(self) -> int:
-        """Level of the edges below the root (0 for a single-leaf tree)."""
-        return int(_root_levels(*_forest([self])[:5])[0])
-
-    @cached_property
     def length(self) -> np.ndarray:
         """Edge length per node, 2^(level-1); 0.0 at the root, which has no edge."""
         return _lengths(self.edge_level, 0)
-
-    @cached_property
-    def cut_levels(self) -> range:
-        """The levels of the charging checks, from min(0, lowest edge level) (-2
-        on an extended tree) to the root level: the rows of its cut tensor."""
-        return range(int(self.edge_level.min(initial=0)), self.root_level + 1)
 
     def columns(self, points) -> np.ndarray:
         """Each point's column in self.terminals (an alias's is its terminal's),
@@ -118,25 +72,10 @@ class Hst:
         at = np.array([-1 if p is None else p for p in points], dtype=np.intp).view(np.uintp)
         return self.column[np.minimum(at, len(self.column) - 1)]  # a negative point wraps past the end
 
-    def to_json_dict(self) -> dict:
-        parent, length, leaf = self.parent.tolist(), self.length.tolist(), self.leaf.tolist()
-        points = list(self.terminals) + [a for a, _ in self.aliases]
-        nodes = [{"id": 0, "level": self.root_level, "parent": None, "edge_len": None}]
-        nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
-                  for nid, level in enumerate(self.edge_level.tolist()) if nid]
-        return {
-            "levels": self.root_level,
-            "nodes": nodes,
-            "leaf_map": {str(p): leaf[col] for p, col in zip(points, self.columns(points).tolist()) if col >= 0},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False  # so what the cached properties derive stays true
+    out.flags.writeable = False  # so the cached length stays true
     return out
 
 
@@ -165,10 +104,10 @@ def _lengths(level, roots) -> np.ndarray:
 def tree_distance(f: Forest, g: int, u: int, v: int) -> float:
     """Sum of edge lengths on the unique leaf-to-leaf path in tree g of f; 0
     on one leaf."""
-    cols = f.columns([u, v]).tolist()
+    t = f.trees[g]
+    cols = [-1 if p is None or not 0 <= p < len(t.column) else int(t.column[p]) for p in (u, v)]
     if min(cols) < 0:
         raise ValueError(f"{u} or {v} is not a leaf terminal")
-    t = f.trees[g]
     parent, level = t.parent.tolist(), t.edge_level.tolist()
     a, b = (int(t.leaf[c]) for c in cols)
     ancestors = {}
@@ -183,15 +122,6 @@ def tree_distance(f: Forest, g: int, u: int, v: int) -> float:
         dist += 2.0 ** (level[b] - 1)
         b = parent[b]
     return dist + ancestors[b]
-
-
-def _walk(parent, leaves, roots):
-    """Row s: each leaf's node s steps up through `parent`, in which a root is
-    its own parent; rows go on until every leaf's walk has reached its root."""
-    walk = [leaves]
-    while (walk[-1] != roots).any():
-        walk.append(parent[walk[-1]])
-    return np.array(walk)
 
 
 # The validator compares pairs of terminals in chunks of at most this many
@@ -222,43 +152,24 @@ def validate_hst(trees, m: MetricSpace) -> Validated:
     slice when some tree breaks something.
     """
     trees = list(trees)
-    misnumbered = [False] * len(trees)
-    try:
-        f = Forest(trees) if trees else None
-    except ValueError as exc:  # the forest tests every tree's numbering at once
-        if exc.args != (MISNUMBERED,):
-            raise
-        misnumbered = _misnumbered(trees).tolist()
-        walk = [t for t, bad in zip(trees, misnumbered) if not bad]
-        f = Forest(walk) if walk else None
-    found, walked = _validate_forest(f, m) if f else ([], [])
+    bad, nodes = _forest(trees) if trees else ([], None)
+    numbered = [t for t, misnumbered in zip(trees, bad) if not misnumbered]
+    f, found, walked = None, [], []
+    if numbered:
+        walk = _walk(nodes)
+        f = Forest(numbered, nodes=nodes, walk=walk)
+        found, walked = _validate_forest(f, walk, m)
     ok = np.flatnonzero([not msgs for msgs in found])
     if 0 < len(ok) < len(found):
-        f = Forest([f.trees[g] for g in ok], (f.local[ok, :f.heights[ok].max()], f.lows[ok], f.root_levels[ok]))
+        f = Forest([f.trees[g] for g in ok], f.local[ok, :f.heights[ok].max()])
     results = iter(zip(found, walked))
-    checked = [([MISNUMBERED], None) if bad else next(results) for bad in misnumbered]
+    checked = [([MISNUMBERED], None) if misnumbered else next(results) for misnumbered in bad]
     return Validated([msgs for msgs, _ in checked], [T for _, T in checked], f if len(ok) else None)
 
 
-def _misnumbered(trees) -> np.ndarray:
-    """Per tree, whether it breaks the Hst numbering rule or has a leaf count
-    other than its terminals': one test over the trees' concatenated arrays.
-    ValueError unless the trees share terminals and aliases."""
-    first = trees[0]
-    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
-        raise ValueError("trees of one forest must share terminals and aliases")
-    sizes, lens = np.array([[t.n_nodes, len(t.leaf)] for t in trees]).T
-    owner, leaf_owner = (np.repeat(np.arange(len(trees)), c) for c in (sizes, lens))
-    local = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[owner]
-    parent, leaf = np.concatenate([t.parent for t in trees]), np.concatenate([t.leaf for t in trees])
-    bad = (sizes == 0) | (lens != len(first.terminals))
-    bad[owner[np.where(local > 0, (parent < 0) | (parent >= local), parent != -1)]] = True
-    bad[leaf_owner[(leaf < 0) | (leaf >= sizes[leaf_owner])]] = True
-    return bad
-
-
-def _validate_forest(f: Forest, m: MetricSpace):
-    """Per tree of f, its validate_hst messages and T, from the forest's walk.
+def _validate_forest(f: Forest, walk, m: MetricSpace):
+    """Per tree of f, its validate_hst messages and T, from the walk of its
+    leaves that its cut tensor was read from (`_walk`).
 
     Messages name each tree's own ids.  Node checks run over the whole forest
     at once; pairs are compared in chunks of max(1, FOREST_PAIRS // k^2)
@@ -267,7 +178,7 @@ def _validate_forest(f: Forest, m: MetricSpace):
     pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
     n_trees, k = len(f.trees), f.k
     parent, level, off, owner, local, leaf = f.nodes
-    ancestors = f.walk[0]
+    ancestors = walk[0]
     out = [[] for _ in f.trees]
     n = len(parent)
     kids = np.bincount(parent[local > 0], minlength=n)
@@ -303,7 +214,8 @@ def _validate_forest(f: Forest, m: MetricSpace):
     d = m.d[np.ix_(pts, pts)]
     pair = np.triu(np.ones(d.shape, dtype=bool), 1)  # u < v
     group = max(1, FOREST_PAIRS // max(1, k) ** 2)
-    distances = [T for g in range(0, n_trees, group) for T in _check_pairs(f, slice(g, g + group), d, pair, out)]
+    distances = [T for g in range(0, n_trees, group)
+                 for T in _check_pairs(f, walk, slice(g, g + group), d, pair, out)]
     # 5. per-level cuts partition the terminals (implicit singletons complete
     #    any level a leaf's path skips); levels <= 0 are singletons.  A cut is
     #    the set of points whose leaf walks pass its node; a walk passes a
@@ -330,14 +242,14 @@ def _validate_forest(f: Forest, m: MetricSpace):
     return out, distances
 
 
-def _check_pairs(f: Forest, trees: slice, d, pair, out):
+def _check_pairs(f: Forest, walk, trees: slice, d, pair, out):
     """Checks 3 and 4 of _validate_forest on a slice of f's trees: their
     messages go to their lists in `out`; returns their T, trees x k x k.
     `d` is the terminals' submatrix of m.d and `pair` its u < v mask."""
     pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
     _, level, _, _, local, _ = f.nodes
-    ancestors, first = f.walk[0], trees.start
-    T, cap = _pairwise(f, trees)
+    ancestors, first = walk[0], trees.start
+    T, cap = _pairwise(f, walk, trees)
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
     #    breaks some cut iff it breaks the cut of its lowest-level common edge
     bad = [set() for _ in T]
@@ -367,7 +279,7 @@ def _check_pairs(f: Forest, trees: slice, d, pair, out):
 
 
 def _root_levels(parent, level, off, owner, local) -> np.ndarray:
-    """Per tree of a forest, Hst.root_level: the level of the root's first
+    """Per tree of a forest, its root level: the level of the root's first
     child, 0 for a tree of one node."""
     top = np.flatnonzero((local > 0) & (parent == off[owner]))  # the roots' children, by id
     first = top[np.flatnonzero(np.diff(owner[top], prepend=-1))]
@@ -377,28 +289,62 @@ def _root_levels(parent, level, off, owner, local) -> np.ndarray:
 
 
 def _forest(trees):
-    """The trees as one forest: (parent, level, off, owner, local, leaf).
+    """The trees as one forest, from one concatenation of their arrays:
+    (misnumbered, (parent, level, off, owner, local, leaf)).
 
-    Node ids are offset tree by tree, so a tree's nodes keep their order, and
-    each root is its own parent.  `off` holds each tree's root, `owner` and
-    `local` each node's tree and id in it, `leaf` the trees x k leaves.
+    `misnumbered` flags per tree a break of the Hst numbering rule, or an
+    edge level or leaf count other than its nodes' or terminals'; the node
+    arrays hold the other trees.  Node ids are offset tree by tree, so a
+    tree's nodes keep their order, and each root is its own parent.  `off`
+    holds each tree's root, `owner` and `local` each node's tree and id in
+    it, `leaf` the trees x k leaves.  ValueError unless the trees share
+    terminals and aliases.
     """
-    sizes = np.array([t.n_nodes for t in trees])
+    first, k = trees[0], len(trees[0].terminals)
+    if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
+        raise ValueError("trees of one forest must share terminals and aliases")
+    counts = np.array([[t.n_nodes, len(t.edge_level), len(t.leaf)] for t in trees]).T
+    parent, level, leaf = (np.concatenate([getattr(t, a) for t in trees]) for a in ("parent", "edge_level", "leaf"))
+    owner, level_owner, leaf_owner = (np.repeat(np.arange(len(trees)), c) for c in counts)
+    sizes = counts[0]
+    local = np.arange(len(parent)) - (np.cumsum(sizes) - sizes)[owner]
+    bad = (sizes == 0) | (counts[1] != sizes) | (counts[2] != k)
+    bad[owner[np.where(local > 0, (parent < 0) | (parent >= local), parent != -1)]] = True
+    bad[leaf_owner[(leaf < 0) | (leaf >= sizes[leaf_owner])]] = True
+    if bad.any():
+        parent, local = parent[~bad[owner]], local[~bad[owner]]
+        sizes, level, leaf = sizes[~bad], level[~bad[level_owner]], leaf[~bad[leaf_owner]]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
     off = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(trees)), sizes)
-    local = np.arange(sizes.sum()) - off[owner]
-    parent = np.maximum(np.concatenate([t.parent for t in trees]), 0) + off[owner]
-    level = np.concatenate([t.edge_level for t in trees])
-    leaf = np.stack([t.leaf for t in trees]) + off[:, None]
-    return parent, level, off, owner, local, leaf
+    leaf = leaf.reshape(len(sizes), k) + off[:, None]
+    return bad.tolist(), (np.maximum(parent, 0) + off[owner], level, off, owner, local, leaf)
 
 
-def _cut_rows(f: Forest) -> np.ndarray:
-    """f's cut tensor from its walk: one scatter moves every ancestor below a
-    root from its depth row to its edge level's row, over rows of implicit
-    singletons n_nodes + q, then -1 fills the rows past each tree's height
-    and the last column."""
-    ancestors, k = f.walk[0], f.k
+def _walk(nodes):
+    """(ancestors, to_ancestor) of a forest's node arrays, depth x trees x k:
+    each leaf's ancestor at each depth below its root (the root at depth 0,
+    -1 past the leaf) and the path length up to it, summed from the leaf up
+    as tree_distance sums it.  One walk lifts every leaf of every tree."""
+    parent, level, off, _, _, leaf = nodes
+    root = np.repeat(off, leaf.shape[1])
+    up = [leaf.ravel()]
+    while (up[-1] != root).any():  # a root is its own parent
+        up.append(parent[up[-1]])
+    up = np.array(up)
+    dist = np.zeros(up.shape)
+    np.cumsum(_lengths(level, off)[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
+    steps = (up != root).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
+    cols, shape = np.arange(leaf.size), (len(up),) + leaf.shape
+    return (np.where(steps >= 0, up[steps.clip(0), cols], -1).reshape(shape),
+            dist[steps.clip(0), cols].reshape(shape))
+
+
+def _cut_rows(f: Forest, walk) -> np.ndarray:
+    """f's cut tensor from the walk of its leaves: one scatter moves every
+    ancestor below a root from its depth row to its edge level's row, over
+    rows of implicit singletons n_nodes + q, then -1 fills the rows past
+    each tree's height and the last column."""
+    ancestors, k = walk[0], f.k
     _, level, _, _, local, _ = f.nodes
     rows = np.full((len(f.trees), f.heights.max(), k + 1), -1, dtype=np.intp)
     rows[:, :, :k] = (f.sizes[:, None] + np.arange(k))[:, None]
@@ -411,8 +357,8 @@ def _cut_rows(f: Forest) -> np.ndarray:
     return rows
 
 
-def _pairwise(f: Forest, trees: slice):
-    """(T, cap) of a slice of f's trees, trees x k x k, from its walk.
+def _pairwise(f: Forest, walk, trees: slice):
+    """(T, cap) of a slice of f's trees, trees x k x k, from their walk.
 
     T[tree, a, b] is the leaf-to-leaf path length, each side summed leaf first
     as tree_distance sums it; cap[tree, a, b] is 2^(lowest edge level over
@@ -421,7 +367,7 @@ def _pairwise(f: Forest, trees: slice):
     flat indices depth * trees * k + column, on b's side, then on a's.
     """
     _, level, off, *_ = f.nodes
-    ancestors, to_ancestor = (a[:, trees] for a in f.walk)
+    ancestors, to_ancestor = (a[:, trees] for a in walk)
     depth = 1 + int((ancestors[1:] >= 0).any(axis=(1, 2)).sum())  # these trees' rows
     ancestors, to_ancestor = ancestors[:depth], np.ascontiguousarray(to_ancestor[:depth])
     n_trees, k = ancestors.shape[1:]
@@ -595,66 +541,53 @@ class Forest:
     tree's n_nodes + k ids (its nodes, then its implicit singletons), tree
     g's from start[g].
 
-    The forest owns what a walk of its trees finds.  `local` is the cut
-    tensor, trees x levels x (k + 1): row r of tree g is level lows[g] + r,
-    for heights[g] rows up to root_levels[g], and entry (g, r, q) is the node
-    whose parent edge is terminal q's level-(lows[g] + r) edge, or n_nodes +
-    q if q's path has none (an implicit singleton); sorted, a row lists real
-    nodes by id, then singletons.  It holds -1 past a tree's height and in
-    the last column, where column -1 (a point in no tree) reads no cut, so a
-    lookup by point is one gather.  Built from trees alone, the forest checks
-    their terminal set and numbering (ValueError(MISNUMBERED)) and walks
-    every leaf once (`walk`); `cuts`, (local, lows, root_levels), hands it
-    what a walk already found, as the validator and the extension do.
-    `cut_load`, `path_cuts`, `class_cuts`, the extension, the tree oracles
-    and the trace-reading tree checks read a forest, so each runs once for
-    all its trees.
+    A forest is the one place a tree's levels and cuts are derived.  Tree
+    g's cut levels run from lows[g] = min(0, its lowest edge level) to its
+    root level root_levels[g] (`_root_levels`), heights[g] rows.  `local` is
+    the cut tensor, trees x levels x (k + 1): row r of tree g is level
+    lows[g] + r, and entry (g, r, q) is the node whose parent edge is
+    terminal q's level-(lows[g] + r) edge, or n_nodes + q if q's path has
+    none (an implicit singleton); sorted, a row lists real nodes by id, then
+    singletons.  It holds -1 past a tree's height and in the last column,
+    where column -1 (a point in no tree) reads no cut, so a lookup by point
+    is one gather.
+
+    Built from trees alone, the forest concatenates their arrays once
+    (`_forest`, which tests their terminal set and numbering:
+    ValueError(MISNUMBERED)) and reads `local` from one walk of every leaf
+    (`_walk`), which it does not keep.  The validator passes the node arrays
+    and walk it built; the extension and the validator's slice pass the
+    tensor they derived.  `cut_load`, `path_cuts`, `class_cuts`, the
+    extension, the tree oracles and the trace-reading tree checks read a
+    forest, so each runs once for all its trees.
     """
 
-    def __init__(self, trees, cuts=None):
+    def __init__(self, trees, local=None, nodes=None, walk=None):
         self.trees = list(trees)
         first = self.trees[0]
         self.columns, self.k = first.columns, len(first.terminals)
-        self.sizes = np.array([t.n_nodes for t in self.trees])
-        ids = self.sizes + self.k
-        self.start = np.cumsum(ids) - ids
-        self.n_ids = int(ids.sum())
-        if cuts is None:
-            if _misnumbered(self.trees).any():
+        if nodes is None:
+            misnumbered, nodes = _forest(self.trees)
+            if any(misnumbered):
                 raise ValueError(MISNUMBERED)
-            parent, level, off, owner, local, _ = self.nodes
-            cuts = None, np.minimum(np.minimum.reduceat(level, off), 0), _root_levels(parent, level, off, owner, local)
-        rows, self.lows, self.root_levels = cuts
+        self.nodes = nodes
+        parent, level, off, owner, ids, _ = nodes
+        self.sizes = np.bincount(owner, minlength=len(off))
+        n_ids = self.sizes + self.k
+        self.start = np.cumsum(n_ids) - n_ids
+        self.n_ids = int(n_ids.sum())
+        self.lows = np.minimum(np.minimum.reduceat(level, off), 0)
+        self.root_levels = _root_levels(parent, level, off, owner, ids)
         self.heights = np.maximum(self.root_levels - self.lows + 1, 0)
-        self.local = _cut_rows(self) if rows is None else rows
-
-    @cached_property
-    def nodes(self):
-        """_forest(trees): (parent, level, off, owner, local, leaf)."""
-        return _forest(self.trees)
+        if local is None:
+            local = _cut_rows(self, _walk(nodes) if walk is None else walk)
+        self.local = local
 
     @cached_property
     def length(self) -> np.ndarray:
         """Per forest node, Hst.length: 2^(level-1), 0.0 at a root."""
         _, level, off, *_ = self.nodes
         return _lengths(level, off)
-
-    @cached_property
-    def walk(self):
-        """(ancestors, to_ancestor), depth x trees x k: each leaf's ancestor at
-        each depth below its root (the root at depth 0, -1 past the leaf) and
-        the path length up to it, summed from the leaf up as tree_distance
-        sums it.  One walk lifts every leaf of every tree."""
-        parent, _, off, _, _, leaf = self.nodes
-        cols = np.arange(leaf.size)
-        root = np.repeat(off, self.k)
-        up = _walk(parent, leaf.ravel(), root)
-        dist = np.zeros(up.shape)
-        np.cumsum(self.length[up[:-1]], axis=0, out=dist[1:])  # in order, from the leaf up
-        steps = (up != root).sum(axis=0) - np.arange(len(up))[:, None]  # depth -> steps above the leaf
-        shape = (len(up),) + leaf.shape
-        return (np.where(steps >= 0, up[steps.clip(0), cols], -1).reshape(shape),
-                dist[steps.clip(0), cols].reshape(shape))
 
     def cuts(self, points) -> np.ndarray:
         """Every tree's cut tensor columns of `points`, trees x levels x
@@ -707,7 +640,7 @@ def extend_singleton_levels(f: Forest) -> Forest:
     levels = np.tile([-1, -2], k)
     ext = [Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
                t.terminals, g_leaf, t.aliases, t.column) for t, g_hang, g_leaf in zip(trees, hang, ext_leaf)]
-    return Forest(ext, (rows[:, :(top + 3).max()], np.full(len(trees), -2), top))
+    return Forest(ext, rows[:, :(top + 3).max()])
 
 
 class CutGroups(NamedTuple):

@@ -10,25 +10,13 @@ instance (root, M, requests, facilities) only from the RequestSequence.
 Runners and oracles are lambdas, so a call resolves each name when it happens.
 Shares are sums of 2^(j+1) over rent terminals (rho for PCST).
 
-Trees are sampled over the request points and the root: every trial's tree
-from the instance's one `hst.Terminals`, one `sample_frt` call per trial.
-From there the work is done once per instance, on all trials at once: one
-`validate_hst` call, which returns the `hst.Forest` of the valid trees with
-the cuts its walk measured, then the tree oracles on that forest -- for the
-rent-or-buy style checks and PCST one `extend_singleton_levels` call
-(singleton levels down to -2) and one `cut_load` -- which read only those
-trees and the RequestSequence.  What
-reads the trace runs once per instance too, in `check_tree_bounds`, on the
-oracles' forest: the bounds against each trial's optimum and the per-tree
-checks (`check_cut_capacity`, `check_pcst_invariants`, whose one grouping of
-the shares by cut `pcst_cut_lower_bound` reads, `covers_from_tree` and
-`check_metagraph_acyclic`).  Each derives what the trace alone determines
-once, reads every tree's cuts with one gather and returns one result per
-tree.  A check error on a forged trace lands on the trials it belongs to: one
-a tree raises (an A_j level outside its cuts, a point outside its cover) on
-that tree's trial, one raised off the trace alone on every valid trial.  The
-tree resolves coincident points to one leaf (see hst), so checks and oracles
-pass it the instance's points as they are.
+Trees are sampled over the request points and the root, and every step
+after sampling runs once per instance, on its trials as one `hst.Forest`:
+`_sampled_trees` samples and validates them, `_checked_trees` runs the
+problem's tree oracles and `check_tree_bounds` its per-tree checks; their
+docstrings say what each reads.  The tree resolves coincident points to one
+leaf (see hst), so checks and oracles pass it the instance's points as they
+are.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import deque
 
@@ -191,7 +192,7 @@ def extend_one(t):
 
 
 def tree_cuts(t, points):
-    """hst.Forest.cuts of t as a forest of one: rows t.cut_levels, a column per point."""
+    """hst.Forest.cuts of t as a forest of one: rows cut_levels(t), a column per point."""
     from ondesign.hst import Forest
 
     return Forest([t]).cuts(points)[0]
@@ -329,6 +330,26 @@ def brute_levels(t):
     return min(0, *level), next((level[c] for c in range(1, t.n_nodes) if parent[c] == 0), 0)
 
 
+def cut_levels(t):
+    """t's charge range, from its lowest cut level to its root level, as
+    brute_levels reads them."""
+    low, top = brute_levels(t)
+    return range(low, top + 1)
+
+
+def tree_json(t):
+    """t as sorted-key JSON text, the text PINNED_TREES hashes: its root
+    level, each node's level, parent and edge length, and each point's leaf."""
+    parent, length, leaf = t.parent.tolist(), t.length.tolist(), t.leaf.tolist()
+    top = brute_levels(t)[1]
+    points = list(t.terminals) + [a for a, _ in t.aliases]
+    nodes = [{"id": 0, "level": top, "parent": None, "edge_len": None}]
+    nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
+              for nid, level in enumerate(t.edge_level.tolist()) if nid]
+    leaf_map = {str(p): leaf[col] for p, col in zip(points, t.columns(points).tolist()) if col >= 0}
+    return json.dumps({"levels": top, "nodes": nodes, "leaf_map": leaf_map}, sort_keys=True)
+
+
 def brute_cut_ids(t):
     """Reference for one tree's rows of a Forest's cut tensor: each
     terminal's leaf walked up through parent in Python, its node at each
@@ -354,7 +375,6 @@ def check_forest_walk(f):
     for g, t in enumerate(f.trees):
         low, top = brute_levels(t)
         assert (f.lows[g], f.root_levels[g], f.heights[g]) == (low, top, top - low + 1)
-        assert t.cut_levels == range(low, top + 1)
         assert f.local[g, :top - low + 1, :-1].tolist() == brute_cut_ids(t)
         assert (f.local[g, top - low + 1:] == -1).all() and (f.local[g, :, -1] == -1).all()
 
@@ -363,7 +383,7 @@ def id_cuts(t, j):
     """The level-j cuts as terminal sets, grouped from the cut ids of t as a
     forest of one in cut-id order."""
     cuts = {}
-    for p, cut in zip(t.terminals, tree_cuts(t, t.terminals)[t.cut_levels.index(j)].tolist()):
+    for p, cut in zip(t.terminals, tree_cuts(t, t.terminals)[cut_levels(t).index(j)].tolist()):
         cuts.setdefault(cut, set()).add(p)
     return [frozenset(cuts[cut]) for cut in sorted(cuts)]
 
@@ -426,7 +446,7 @@ def brute_validate_hst(t, m):
             if tv < m.dist(u, v):
                 out.append(f"expanding: T({u},{v})={tv:g} < d={m.dist(u, v):g}")
     # 5. per-level cuts partition the terminals; levels <= 0 are singletons
-    for j in range(1, t.root_level + 1):
+    for j in range(1, brute_levels(t)[1] + 1):
         seen = [p for c in brute_cuts_at_level(t, j) for p in c]
         if len(seen) != len(set(seen)) or set(seen) != set(pts):
             out.append(f"partition: level-{j} cuts do not partition the terminals")
@@ -451,7 +471,7 @@ def brute_check_cut_capacity(seq, trace, t, shift):
             p = ends[-1] if rec.rent_endpoint == "t" else ends[0]
             rents.setdefault(rec.klass, []).append((rec.idx, p))
     out = []
-    for j in t.cut_levels:
+    for j in cut_levels(t):
         rows = rents.get(j + shift, [])
         for cut in brute_cuts_at_level(t, j) if rows else []:
             inside = [(ridx, p) for ridx, p in rows if p in cut]
@@ -479,7 +499,7 @@ def brute_check_pcst_invariants(seq, trace, t):
 
     out, flags = [], []
     by_class = {c: [(p, rho) for p, rho, _ in rows] for c, rows in positive_share_rows(seq, trace).items()}
-    for j in t.cut_levels:
+    for j in cut_levels(t):
         for cut in brute_cuts_at_level(t, j) if by_class.get(j + 1) else []:
             inside = sum(rho for p, rho in by_class[j + 1] if p in cut)
             if inside > 0 and seq.root in cut:
@@ -502,8 +522,9 @@ def ref_class_cuts(t, by_class, shift, root=None):
     """Reference for hst.class_cuts on one tree: (j, cut id, holds root,
     entries) for every level-j cut holding an entry of by_class[j + shift], by
     level and then by cut id, the entries of a cut in input order."""
-    lo = t.cut_levels[0]
-    entries = [(j, e) for j in t.cut_levels for e in by_class.get(j + shift, ())]
+    levels = cut_levels(t)
+    lo = levels.start
+    entries = [(j, e) for j in levels for e in by_class.get(j + shift, ())]
     cuts = tree_cuts(t, [e[0] for _, e in entries] + [root])
     own = cuts[np.array([j - lo for j, _ in entries], dtype=np.intp), np.arange(len(entries))].tolist()
     inside = {}
@@ -550,16 +571,16 @@ def ref_check_cut_capacity(seq, trace, t, shift, load):
 def ref_covers_from_tree(t, trace):
     """Reference for steiner.covers_from_tree on one tree: {j: {point: level-j
     cut id}} over the named points whose cut meets X_j; a level outside
-    t.cut_levels raises ValueError."""
+    cut_levels(t) raises ValueError."""
     forests = trace.summary.get("forests", [])
     occs = [o for forest in forests for o in forest["occ"]]
     points = sorted({p for p, _ in occs} | {p for f in forests for _, edges in f["A"] for e in edges for p in e})
-    cuts = tree_cuts(t, points + [p for p, _ in occs])
+    cuts, levels = tree_cuts(t, points + [p for p, _ in occs]), cut_levels(t)
     out = {}
     for j in sorted({j for forest in forests for j, _ in forest["A"]}):
-        if j not in t.cut_levels:
-            raise ValueError(f"level {j} outside [{t.cut_levels[0]}, {t.root_level}]")
-        row = cuts[j - t.cut_levels[0]].tolist()
+        if j not in levels:
+            raise ValueError(f"level {j} outside [{levels.start}, {levels.stop - 1}]")
+        row = cuts[j - levels.start].tolist()
         hit = {cut for cut, (_, c) in zip(row[len(points):], occs) if c >= j} - {-1}
         out[j] = {p: cut for p, cut in zip(points, row) if cut in hit}
     return out

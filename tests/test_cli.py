@@ -575,6 +575,10 @@ def test_embed_report_pinned(tmp_path):
     ["ratio", "--sizes", "-1", "--trials", "1"],  # an empty metric reached the greedy run
     ["ratio", "--problem", "SROB", "--M", "nan", "--sizes", "2", "--trials", "1"],
     ["gen", "--problem", "CFL", "--M", "inf"],
+    ["gen", "--rmax", "0"],  # ran as 1
+    ["ratio", "--problem", "CFL", "--facilities", "0", "--sizes", "2", "--trials", "1"],  # the root facility alone
+    ["gen", "--family", "graph", "--density", "nan"],  # ran as given
+    ["gen", "--family", "graph", "--density", "1.5"],
 ])
 def test_generator_arguments_out_of_range_exit_2(argv, capsys):
     try:
@@ -583,6 +587,13 @@ def test_generator_arguments_out_of_range_exit_2(argv, capsys):
         rc = exc.code
     assert rc == 2
     assert capsys.readouterr().err.startswith(("error: ", "usage: "))
+
+
+def test_generator_arguments_at_their_bounds_exit_0(tmp_path):
+    for density in ("0", "1"):
+        argv = ["gen", "--family", "graph", "--problem", "CFL", "--n", "6", "--density", density,
+                "--rmax", "1", "--facilities", "1", "--out", str(tmp_path / "inst.json")]
+        assert main(argv) == 0
 
 
 @pytest.mark.parametrize("doc", [None, [], 3, "x"])

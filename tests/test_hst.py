@@ -8,8 +8,10 @@ import pytest
 from conftest import (
     brute_cut,
     brute_cuts_at_level,
+    brute_levels,
     brute_validate_hst,
     check_forest_walk,
+    cut_levels,
     ref_sample_frt,
     euclid,
     extend_one,
@@ -20,7 +22,9 @@ from conftest import (
     ref_class_cuts,
     tree_cuts,
     tree_groups,
+    tree_json,
 )
+from ondesign import hst
 from ondesign.hst import (
     FOREST_PAIRS,
     Forest,
@@ -86,9 +90,9 @@ def test_coincident_points_collapse_onto_one_terminal():
         assert tree_cuts(t, [1, 2]).tolist() == tree_cuts(t, [0, 2]).tolist()
         [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), {1: [(1, "a"), (0, "b")]}, 0))
         assert [(j, cut, inside) for j, cut, _, inside in groups] == \
-            [(1, int(tree_cuts(t, [0])[t.cut_levels.index(1), 0]), [(1, "a"), (0, "b")])]
+            [(1, int(tree_cuts(t, [0])[cut_levels(t).index(1), 0]), [(1, "a"), (0, "b")])]
         assert _distance(t, 1, 2) == _distance(t, 0, 2) and _distance(t, 1, 0) == 0.0
-        assert json.loads(t.to_json())["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
+        assert json.loads(tree_json(t))["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_one(t), _promote_one_level(t)):
             assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
             assert validate_hst([tree], m).messages[0] == []
@@ -126,10 +130,10 @@ def test_line_four_points_valid():
 
 def test_sampler_deterministic(two_point_metric):
     m = euclid(np.random.default_rng(0).random((9, 2)))
-    a = sample_frt(Terminals(m, range(9)), seed=1234).to_json()
-    b = sample_frt(Terminals(m, range(9)), seed=1234).to_json()
+    a = tree_json(sample_frt(Terminals(m, range(9)), seed=1234))
+    b = tree_json(sample_frt(Terminals(m, range(9)), seed=1234))
     assert a == b
-    c = sample_frt(Terminals(m, range(9)), seed=1235).to_json()
+    c = tree_json(sample_frt(Terminals(m, range(9)), seed=1235))
     assert isinstance(json.loads(c), dict)
 
 
@@ -198,14 +202,14 @@ def test_validate_hst_message_fires(positions, arrays, message):
 
 def test_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # root, then leaves 1 and 2 at level 1
-    assert list(t.cut_levels) == [0, 1]
+    assert (Forest([t]).lows.tolist(), Forest([t]).root_levels.tolist()) == ([0], [1])
     assert tree_cuts(t, [0, 1]).tolist() == [[3, 4], [1, 2]]  # level 0: implicit singletons, n_nodes + column
     assert tree_cuts(t, [1, 7, None, 0, 1]).tolist() == [[4, -1, -1, 3, 4], [2, -1, -1, 1, 2]]
     assert tree_cuts(t, []).shape == (2, 0)
     aliased = Hst(t.parent, t.edge_level, t.terminals, t.leaf, aliases=[(5, 1)])  # 5 sits on 1
     assert tree_cuts(aliased, [5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
     ext = extend_one(t)
-    assert list(ext.cut_levels) == [-2, -1, 0, 1]
+    assert (Forest([ext]).lows.tolist(), Forest([ext]).root_levels.tolist()) == ([-2], [1])
     assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
     assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
     assert tree_cuts(ext, [1, 7, 0]).tolist() == [[6, -1, 4], [5, -1, 3], [8, -1, 7], [2, -1, 1]]  # chains 3-4, 5-6
@@ -226,17 +230,17 @@ def test_class_cuts_group_entries_by_reference_cut():
         m, t = random_small_hst(rng)
         points = list(t.terminals) + [m.n + 1, None]  # two points in no cut
         by_class = {c: [(points[int(i)], n) for n, i in enumerate(rng.integers(0, len(points), 6))]
-                    for c in range(-2, t.root_level + 3) if rng.random() < 0.7}
+                    for c in range(-2, brute_levels(t)[1] + 3) if rng.random() < 0.7}
         shift, root = int(rng.integers(0, 3)), points[int(rng.integers(0, len(points)))]
         expect = []
-        for j in t.cut_levels:
+        for j in cut_levels(t):
             for cut in brute_cuts_at_level(t, j):
                 inside = [e for e in by_class.get(j + shift, []) if e[0] in cut]
                 if inside:
                     expect.append((j, root in cut, inside))
         [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), by_class, shift, root))
         assert [(j, held, inside) for j, _, held, inside in groups] == expect
-        if t.cut_levels.start == 0:  # trees of one forest whose lowest and highest levels differ
+        if brute_levels(t)[0] == 0:  # trees of one forest whose lowest and highest levels differ
             f = Forest([extend_one(t), _promote_one_level(t), t])
             assert tree_groups(f, class_cuts(f, by_class, shift, root)) == \
                 [ref_class_cuts(u, by_class, shift, root) for u in f.trees]
@@ -246,7 +250,7 @@ def test_cuts_partition_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(20):
         m, t = random_small_hst(rng)
-        for j in t.cut_levels:
+        for j in cut_levels(t):
             cuts = id_cuts(t, j)
             pts = [p for c in cuts for p in c]
             assert sorted(pts) == sorted(t.terminals)
@@ -283,6 +287,10 @@ def test_unknown_leaf():
     t = sample_frt(Terminals(m, [0, 1]), seed=0)
     with pytest.raises(ValueError, match="^0 or 7 is not a leaf terminal$"):
         _distance(t, 0, 7)
+    # a negative point, one past the metric (and past the column map), None
+    for u, v in [(-1, 0), (1, -2), (0, m.n), (m.n + 5, 1), (None, 0), (1, None)]:
+        with pytest.raises(ValueError, match=f"^{u} or {v} is not a leaf terminal$"):
+            _distance(t, u, v)
 
 
 def _skipped_level_tree():
@@ -302,8 +310,8 @@ def test_cut_ids_group_into_the_reference_cuts():
     for t in trees:
         pts = t.terminals
         cuts = tree_cuts(t, pts)
-        assert cuts.shape == (len(t.cut_levels), len(pts))
-        for row, j in enumerate(t.cut_levels):
+        assert cuts.shape == (len(cut_levels(t)), len(pts))
+        for row, j in enumerate(cut_levels(t)):
             assert id_cuts(t, j) == brute_cuts_at_level(t, j)
             for q, (p, cut) in enumerate(zip(pts, cuts[row].tolist())):
                 if cut < t.n_nodes:
@@ -340,7 +348,7 @@ def test_cut_ids_are_the_parent_walk():
             terms = Terminals(m, points)
             trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**40, size=24).tolist()]
             trees += [_promote_one_level(t) for t in trees[:3]]
-            seen["promoted"] += sum(len(terms.levels) > 0 and t.root_level > terms.levels[0] for t in trees)
+            seen["promoted"] += sum(len(terms.levels) > 0 and brute_levels(t)[1] > terms.levels[0] for t in trees)
             seen["aliased"] += bool(terms.aliases)
             seen["forests"] += len(trees) > FOREST_PAIRS // len(terms.terminals) ** 2
             checked = validate_hst(trees, m)
@@ -361,7 +369,8 @@ def test_cut_ids_are_the_parent_walk():
 def test_cut_levels_are_read_off_the_edge_levels():
     # the charge range starts at -2 on an extended tree and at 0 on any other,
     # whatever built it (sampled, promoted, extended, one leaf among them), and
-    # again on the tree rebuilt from its arrays, which nothing has set
+    # again on the tree rebuilt from its arrays, which nothing has set; a
+    # forest of the tree reads its root level where brute_levels does
     rng = np.random.default_rng(71)
     cases = []  # (tree, extended)
     for k in (1, 2, 3, 5, 8, 13):
@@ -371,15 +380,19 @@ def test_cut_levels_are_read_off_the_edge_levels():
     for n in range(30):
         extended = n % 2 == 1
         cases.append((random_small_hst(rng, extended_chance=float(extended))[1], extended))
+    found = []
     for t, extended in cases:
-        assert t.cut_levels == range(-2 if extended else 0, t.root_level + 1)
-        assert _copy(t).cut_levels == t.cut_levels
-    assert range(-2, 0) in [t.cut_levels for t, extended in cases if extended]  # the extended one-leaf tree
+        f, rebuilt = Forest([t]), Forest([_copy(t)])
+        levels = range(int(f.lows[0]), int(f.root_levels[0]) + 1)
+        assert levels == range(-2 if extended else 0, brute_levels(t)[1] + 1)
+        assert (rebuilt.lows.tolist(), rebuilt.root_levels.tolist()) == (f.lows.tolist(), f.root_levels.tolist())
+        found.append((levels, extended))
+    assert (range(-2, 0), True) in found  # the extended one-leaf tree
 
 
 def test_root_level_of_hand_built_trees_matches_the_validator():
-    # Hst.root_level, read as a forest of one, against the root level of the
-    # forest validate_hst returns and of a Forest built from the tree
+    # the root level read by hand (brute_levels) against the root level of
+    # the forest validate_hst returns and of a Forest built from the tree
     cases = [
         (_skipped_level_tree(), line_metric([0, 1, 3, 5]), 3),
         (Hst([-1], [0], (0,), [0]), line_metric([0]), 0),
@@ -389,7 +402,7 @@ def test_root_level_of_hand_built_trees_matches_the_validator():
     for t, m, level in cases:
         checked = validate_hst([t], m)
         assert checked.messages == [[]] and checked.forest.root_levels.tolist() == [level]
-        assert Forest([t]).root_levels.tolist() == [level] and t.root_level == level
+        assert Forest([t]).root_levels.tolist() == [level] and brute_levels(t)[1] == level
         check_forest_walk(checked.forest)
 
 
@@ -400,12 +413,12 @@ def test_path_decomposition_consistency():
     for _ in range(25):
         m, t = random_small_hst(rng)
         pts = t.terminals
-        tail = sum(2.0 ** (j - 1) for j in range(t.cut_levels.start, 0))  # no level-0 edges
+        tail = sum(2.0 ** (j - 1) for j in range(brute_levels(t)[0], 0))  # no level-0 edges
         for i, u in enumerate(pts):
             for v in pts[i + 1:]:
                 sep = max(
                     j
-                    for j in range(1, t.root_level + 1)
+                    for j in range(1, brute_levels(t)[1] + 1)
                     for cut in id_cuts(t, j)
                     if (u in cut) != (v in cut)
                 )
@@ -437,15 +450,15 @@ def test_expanding_and_diameter_many_random_instances():
 
 def test_json_schema_fields(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
-    doc = t.to_json_dict()
+    doc = json.loads(tree_json(t))
     assert set(doc) == {"levels", "nodes", "leaf_map"}
-    assert doc["levels"] == 1
+    assert doc["levels"] == Forest([t]).root_levels[0] == 1
     assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
     assert set(doc["nodes"][1]) == {"id", "level", "parent", "edge_len"}
     assert doc["leaf_map"] == {"0": 1, "1": 2}
 
 
-# (family, k, metric seed, promoted, SHA-256 prefix of to_json() followed by
+# (family, k, metric seed, promoted, SHA-256 prefix of tree_json(t) followed by
 # the (leaf node, point) pairs in node order), recorded from the
 # one-ball-at-a-time sampler; the tree is sample_frt(Terminals(metric, range(k)), # 1000 * k + metric seed).
 PINNED_TREES = [
@@ -476,9 +489,9 @@ PINNED_TREES = [
 def test_sample_frt_pinned(family, k, seed, promoted, digest):
     m = gen_euclidean(k, seed=seed)[0] if family == "euclid" else gen_graph_metric(k, seed=seed)
     t = sample_frt(Terminals(m, range(k)), 1000 * k + seed)
-    text = t.to_json() + json.dumps(sorted(zip(t.leaf.tolist(), t.terminals)))
+    text = tree_json(t) + json.dumps(sorted(zip(t.leaf.tolist(), t.terminals)))
     assert hashlib.sha256(text.encode()).hexdigest()[:32] == digest
-    assert (t.root_level == floor_log2(m.diameter()) + 2) == promoted
+    assert (brute_levels(t)[1] == floor_log2(m.diameter()) + 2) == promoted
 
 
 def _corrupt(t, rng, kind):
@@ -642,6 +655,41 @@ def test_misnumbered_tree_walked_by_hand_raises(hang_fails, parent, leaf):
             Forest(trees)
 
 
+def test_validate_joins_and_walks_a_batch_once_and_keeps_no_walk(monkeypatch):
+    # a misnumbered tree among valid ones: one validate_hst call concatenates
+    # the trees' arrays once and walks the leaves once, and neither the
+    # forest it returns nor one built from trees holds a depth x trees x k walk
+    m = gen_euclidean(12, seed=4)[0]
+    good = [sample_frt(Terminals(m, range(12)), seed) for seed in range(5)]
+    parent = good[0].parent.copy()
+    parent[1] = 1  # its own parent
+    trees = good[:2] + [Hst(parent, good[0].edge_level, good[0].terminals, good[0].leaf)] + good[2:]
+    parents = [t.parent for t in trees]
+    joins, walks = [], []
+    concatenate, walk = np.concatenate, hst._walk
+
+    def counted_concatenate(arrays, *args, **kwargs):
+        arrays = arrays if isinstance(arrays, np.ndarray) else list(arrays)
+        joins.extend(a for a in arrays if any(a is p for p in parents))
+        return concatenate(arrays, *args, **kwargs)
+
+    def counted_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(np, "concatenate", counted_concatenate)
+    monkeypatch.setattr(hst, "_walk", counted_walk)
+    checked = validate_hst(trees, m)
+    assert (len(joins), len(walks)) == (len(trees), 1)  # each tree's parent array joined once
+    assert checked.messages == [[], [], [MISNUMBERED], [], [], []] and checked.forest.trees == good
+    monkeypatch.undo()
+    for f in (checked.forest, Forest(good)):
+        check_forest_walk(f)
+        held = [a for v in vars(f).values() for a in (v if isinstance(v, tuple) else (v,))
+                if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in held if a.ndim == 3 and a.shape[1:] == (len(f.trees), f.k)]
+
+
 def test_validate_mixed_batch_puts_each_message_on_its_tree():
     # the broken trees of VALIDATE_MESSAGES (partition, singletons, cut
     # diameter, expanding) and one that breaks the partition at two levels,
@@ -792,6 +840,6 @@ def test_sample_frt_matches_reference_sampler():
                 assert (t.terminals, t.aliases) == (ref.terminals, ref.aliases)
                 for got, want in ((t.parent, ref.parent), (t.edge_level, ref.edge_level), (t.leaf, ref.leaf)):
                     assert got.dtype == want.dtype and got.tolist() == want.tolist()
-                promoted += len(terms.levels) > 0 and t.root_level > terms.levels[0]
+                promoted += len(terms.levels) > 0 and brute_levels(t)[1] > terms.levels[0]
                 aliased += bool(t.aliases)
     assert promoted > 20 and aliased > 100

@@ -127,7 +127,7 @@ def _varied_instance():
     for i in range(SLICE):
         m, seq, seed = _instance("SteinerForest", i)
         f, opt, load = _forest_facts(m, seq, seed)
-        tops = [t.root_level for t in f.trees]
+        tops = f.root_levels.tolist()
         if len(set(tops)) > 1 and len(f.trees) == TRIALS:
             return m, seq, seed, run_problem(m, seq)[1], (f, opt, load), max(tops)
     raise AssertionError("no battery SteinerForest instance with differing root levels")
@@ -140,11 +140,11 @@ def test_a_level_outside_some_trees_is_a_check_error_of_those_trials_only():
         {"copies": 1, "A": [[top, [[p, q]]]], "occ": [[p, top], [q, top]], "zero_merges": []}])
     got = check_tree_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
     assert got == _ref_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
-    outside = [t.root_level < top for t in f.trees]
+    outside = (f.root_levels < top).tolist()
     assert 0 < sum(outside) < len(outside)
-    for t, (viol, flags, ratios), out in zip(f.trees, got, outside):
+    for root_level, (viol, flags, ratios), out in zip(f.root_levels.tolist(), got, outside):
         if out:  # the error is the trial's one violation, and its ratios are dropped
-            assert (viol, flags, ratios) == ([f"check error: level {top} outside [0, {t.root_level}]"], [], {})
+            assert (viol, flags, ratios) == ([f"check error: level {top} outside [0, {root_level}]"], [], {})
         else:
             assert not any(v.startswith("check error") for v in viol) and "cost_vs_tree" in ratios
     report = verify_run(m, seq, trials=TRIALS, seed=seed, forged_trace=forged)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     brute_cut,
+    brute_levels,
     brute_pcst_cut_lower_bound,
     brute_tree_pcst,
     brute_tree_rob_multi,
@@ -12,6 +13,7 @@ from conftest import (
     brute_tree_sf,
     brute_tree_sn,
     client_load,
+    cut_levels,
     edge_len,
     extend_one,
     check_forest_walk,
@@ -226,10 +228,10 @@ def test_pcst_cut_lower_bound_matches_reference():
         r = pts[int(rng.integers(len(pts)))]
         rows = {}
         for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
-            klass = int(rng.integers(-1, t.root_level + 2))
+            klass = int(rng.integers(-1, brute_levels(t)[1] + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
         lb = pcst_cut_lower_bound(class_cuts(Forest([t]), rows, 1, r))
-        assert lb == [brute_pcst_cut_lower_bound(t, r, rows, t.cut_levels)]
+        assert lb == [brute_pcst_cut_lower_bound(t, r, rows, cut_levels(t))]
 
 
 def _forest_batches(rng):
@@ -269,9 +271,8 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
             ref = ref_extend(t)
             assert [a.tolist() for a in (e.parent, e.edge_level, e.leaf)] == \
                 [a.tolist() for a in (ref.parent, ref.edge_level, ref.leaf)]
-            assert (e.terminals, e.aliases, e.cut_levels, e.root_level) == \
-                (ref.terminals, ref.aliases, ref.cut_levels, ref.root_level)
-            heights.add(len(t.cut_levels))
+            assert (e.terminals, e.aliases, brute_levels(e)) == (ref.terminals, ref.aliases, brute_levels(ref))
+            heights.add(len(cut_levels(t)))
         check_forest_walk(ext)
         terms = list(trees[0].terminals)
         outside = max(points) + 1
