@@ -9,13 +9,16 @@ virtual facility.  `OflState(m, seq)` reads the facilities and root of the
 validated instance, and `run_cfl` drives it: `arrive` serves one client and
 returns the entry of `seq.facilities` it virtually assigns to.
 
-The state keeps each client's distance row to the facilities.  All closed
-facilities' surpluses come from one clients x facilities matrix
-max(0, b_v - d(v, x)), summed down each column with a cumulative sum: that
-adds the clients in arrival order, as the scalar sum does, so a surplus that
-equals f_x exactly rounds the same way (a pairwise sum could differ in the
-last bit and flip the tie).  The first closed facility in `seq.facilities` order
-whose surplus covers its cost opens, and one np.minimum cuts every budget.
+The state keeps each client's distance row to the facilities and every
+facility's surplus, the cumulative sum of max(0, b_v - d(v, x)) down its
+column of the clients x facilities matrix: that adds the clients in arrival
+order, as the scalar sum does, so a surplus that equals f_x exactly rounds
+the same way (a pairwise sum could differ in the last bit and flip the tie).
+An arrival leaves every earlier budget as it was, so adding the new client's
+term to the running surplus is the cumsum's own next step, bit for bit.  An
+opening cuts the budgets, b_v := min(b_v, d(v, x)) in one np.minimum, which
+changes earlier terms, so only then is the full cumsum recomputed.  The first
+closed facility in `seq.facilities` order whose surplus covers its cost opens.
 
 The connected layer only ever opens a facility the virtual layer has already
 opened.  With x the nearest open facility and a_i = d(i, x): a client is
@@ -48,11 +51,12 @@ from .metric import (
     RunTrace,
     exceeds,
     floor_log2,
+    grown,
     pow2,
     same_cost,
 )
 from .rentorbuy import cost_share
-from .steiner import same_class_closer, within
+from .steiner import Pool, same_class_closer
 
 
 def _nearest_in(mask, row) -> int:
@@ -66,10 +70,12 @@ class OflState:
 
     def __init__(self, m: MetricSpace, seq: RequestSequence):
         self.m = m
-        # per entry of seq.facilities: its point, its cost and whether it is open
+        # per entry of seq.facilities: its point, its cost, whether it is
+        # open and its surplus over the clients so far
         self.points = np.array([p for p, _ in seq.facilities], dtype=np.intp)
         self.costs = np.array([c for _, c in seq.facilities], dtype=float)
         self.opened = self.points == seq.root
+        self.surplus = np.zeros(len(self.points))
         self.open_order = [seq.root]
         # per client in arrival order, grown by doubling: its distance to
         # every entry, and its budget
@@ -84,23 +90,20 @@ class OflState:
     def arrive(self, i: int) -> int:
         """Serve client i; return the entry of its virtual facility."""
         k = self.n_clients
-        if k == len(self._budget):
-            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
-            self._budget = np.concatenate([self._budget, np.empty_like(self._budget)])
+        self.rows, self._budget = grown(self.rows, k + 1), grown(self._budget, k + 1)
         row = self.rows[k] = self.m.d[i, self.points]
         self._budget[k] = row[_nearest_in(self.opened, row)]
         self.n_clients = k + 1
+        self.surplus += np.maximum(0.0, self._budget[k] - row)
         rows, budget = self.rows[:k + 1], self._budget[:k + 1]
         while not self.opened.all():
-            # cumsum adds in client order, as a Python sum would; a pairwise
-            # .sum() may round differently and flip a surplus == cost tie
-            surplus = np.cumsum(np.maximum(0.0, budget[:, None] - rows), axis=0)[-1]
-            hits = np.flatnonzero((surplus >= self.costs) & ~self.opened)
+            hits = np.flatnonzero((self.surplus >= self.costs) & ~self.opened)
             if not hits.size:
                 break
             self.opened[hits[0]] = True
             self.open_order.append(int(self.points[hits[0]]))
             np.minimum(budget, rows[:, hits[0]], out=budget)
+            self.surplus = np.cumsum(np.maximum(0.0, budget[:, None] - rows), axis=0)[-1]
         return _nearest_in(self.opened, row)
 
 
@@ -110,7 +113,7 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
     ofl = OflState(m, seq)
     built = ofl.points == seq.root  # F' over the entries of ofl.points
     sol.opened.add(seq.root)
-    rents = {}  # class j -> ([request idx], [point])
+    rents = {}  # class j -> Pool of its rent clients
     for idx, i in enumerate(seq.requests):
         e = ofl.arrive(i)
         row = ofl.rows[idx]  # d(i, .) over the entries of ofl.points
@@ -123,8 +126,8 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
             decision, cost = "virtual", a
         else:
             j = floor_log2(a)
-            ridx, pts = rents.setdefault(j, ([], []))
-            witnesses = tuple(ridx[k] for k in within(m, i, pts, pow2(j - 2)))
+            pool = rents.get(j)
+            witnesses = pool.witnesses(m, i, pow2(j - 2)) if pool else ()
             if len(witnesses) >= seq.M:
                 decision, cost = "buy", d_hat
                 if not built[e]:
@@ -135,8 +138,7 @@ def run_cfl(m: MetricSpace, seq: RequestSequence) -> tuple:
                     cost += float(ofl.costs[e]) + seq.M * m.dist(sigma_hat, x)
             else:
                 decision, cost = "rent", a
-                ridx.append(idx)
-                pts.append(i)
+                rents.setdefault(j, pool or Pool()).add(idx, i)
         sol.assignments[idx] = sigma_hat if decision == "buy" else x
         trace.add(
             RequestRecord(

@@ -65,6 +65,8 @@ def cmd_gen(args) -> int:
             m, _ = gen_euclidean(args.n, seed=args.seed)
         else:
             m = gen_graph_metric(args.n, density=args.density, seed=args.seed)
+        if PROBLEMS[args.problem].facilities and args.facilities > m.n:
+            raise SchemaError(f"--facilities {args.facilities} exceeds the {m.n} points")
         seq = gen_requests(args.problem, m, args.count, args.seed, _params(args))
     _write(args.out, _json(instance_to_dict(m, seq)))
     return 0

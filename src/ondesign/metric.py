@@ -60,6 +60,14 @@ def pow2(j: int) -> float:
     return math.ldexp(1.0, j)
 
 
+def grown(a: np.ndarray, n: int) -> np.ndarray:
+    """a, or a copy of it doubled along its first axis until it has n rows:
+    a buffer appended to one row at a time costs amortised O(1) per row."""
+    while len(a) < n:
+        a = np.concatenate([a, np.empty_like(a)])
+    return a
+
+
 class UnionFind:
     """Array-based union-find with path halving: bought components and meta-graph cycles."""
 

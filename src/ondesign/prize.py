@@ -24,7 +24,7 @@ from .metric import (
     floor_log2,
     pow2,
 )
-from .steiner import NearestSet, check_class_separation, within
+from .steiner import NearestSet, Pool, check_class_separation
 
 
 def run_pcst(m: MetricSpace, seq: RequestSequence) -> tuple:
@@ -32,7 +32,7 @@ def run_pcst(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     buys = NearestSet(m, seq.root)
-    classes = {}  # class j -> ([request idx], [point], [rho])
+    classes = {}  # class j -> (Pool of its terminals, [rho])
     for idx, (i, pi) in enumerate(seq.requests):
         z, a = buys.nearest(i)
         if a == 0.0:
@@ -41,15 +41,14 @@ def run_pcst(m: MetricSpace, seq: RequestSequence) -> tuple:
             trace.add(RequestRecord(idx=idx, decision="auto", attach=z, rho=0.0))
             continue
         j = floor_log2(a)
-        ridx, pts, rhos = classes.setdefault(j, ([], [], []))
-        near = within(m, i, pts, pow2(j - 1))
+        pool, rhos = classes.get(j) or classes.setdefault(j, (Pool(), []))
+        near = pool.within(m, i, pow2(j - 1))
         have = sum(rhos[k] for k in near)
         deficit = pow2(j + 1) - have
         buying = deficit <= 0 or pi >= deficit
         rho = 0.0 if deficit <= 0 else min(pi, deficit)
-        witnesses = tuple(ridx[k] for k in near) + (idx,)
-        ridx.append(idx)
-        pts.append(i)
+        witnesses = tuple(pool.idx[k] for k in near) + (idx,)
+        pool.add(idx, i)
         rhos.append(rho)
         if buying:
             sol.buy(i, z)

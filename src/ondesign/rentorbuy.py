@@ -31,14 +31,14 @@ from .metric import (
     floor_log2,
     pow2,
 )
-from .steiner import BcForest, NearestSet, run_greedy_st, within
+from .steiner import BcForest, NearestSet, Pool, run_greedy_st
 
 
 def run_srob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     buys = NearestSet(m, seq.root)  # Z, root first
-    rents = {}                      # class j -> ([request idx], [point])
+    rents = {}                      # class j -> Pool of its rent terminals
     for idx, i in enumerate(seq.requests):
         z, a = buys.nearest(i)
         if a == 0.0:
@@ -47,16 +47,15 @@ def run_srob(m: MetricSpace, seq: RequestSequence) -> tuple:
             trace.add(RequestRecord(idx=idx, decision="auto", attach=z))
             continue
         j = floor_log2(a)
-        ridx, pts = rents.setdefault(j, ([], []))
-        witnesses = tuple(ridx[k] for k in within(m, i, pts, pow2(j - 1)))
+        pool = rents.get(j)
+        witnesses = pool.witnesses(m, i, pow2(j - 1)) if pool else ()
         if len(witnesses) >= seq.M:
             sol.buy(i, z)
             buys.add(i)
             decision, cost = "buy", seq.M * a
         else:
             sol.rent(idx, i, z)
-            ridx.append(idx)
-            pts.append(i)
+            rents.setdefault(j, pool or Pool()).add(idx, i)
             decision, cost = "rent", a
         trace.add(RequestRecord(idx=idx, decision=decision, klass=j, cost=cost, witnesses=witnesses, attach=z))
     return sol, trace
@@ -66,7 +65,7 @@ def run_mrob(m: MetricSpace, seq: RequestSequence) -> tuple:
     sol = MultiGraphSolution()
     trace = RunTrace()
     bc = BcForest(m, 1)
-    rents = {}  # class j -> ([request idx], [point])
+    rents = {}  # class j -> Pool of its rent endpoints
     for idx, (s, t) in enumerate(seq.requests):
         d = m.dist(s, t)
         if d == 0.0:
@@ -74,13 +73,11 @@ def run_mrob(m: MetricSpace, seq: RequestSequence) -> tuple:
             continue
         j = floor_log2(d)
         radius = pow2(j - 2)
-        ridx, pts = rents.setdefault(j, ([], []))
-        ws = tuple(ridx[k] for k in within(m, s, pts, radius))
-        wt = tuple(ridx[k] for k in within(m, t, pts, radius))
+        pool = rents.get(j)
+        ws, wt = (pool.witnesses(m, s, radius), pool.witnesses(m, t, radius)) if pool else ((), ())
         if len(ws) < seq.M or len(wt) < seq.M:
             endpoint = "s" if len(ws) < seq.M else "t"
-            ridx.append(idx)
-            pts.append(s if endpoint == "s" else t)
+            rents.setdefault(j, pool or Pool()).add(idx, s if endpoint == "s" else t)
             sol.rent(idx, s, t)
             decision, cost, feasible = "rent", d, True
         else:

@@ -46,23 +46,26 @@ from .metric import (
     UnionFind,
     exceeds,
     floor_log2,
+    grown,
     max_flow,
     pow2,
 )
 
 
 class BcForest:
-    """Incremental Berman-Coulston state buying `copies` of each edge; reused by MROB and SN."""
+    """Incremental Berman-Coulston state buying `copies` of each edge; reused by MROB and SN.
+
+    The classified endpoints live in buffers grown by doubling, two rows per pair."""
 
     def __init__(self, m: MetricSpace, copies: int):
         self.m = m
         self.copies = copies
         self.comp = np.arange(m.n)  # component label per point
-        # the classified endpoints in arrival order: point, class c and the
-        # reach 2^(c+1) of its top level (none for c < 0)
-        self.ends = np.empty(0, dtype=np.intp)
-        self.classes = np.empty(0, dtype=np.intp)
-        self.reach = np.empty(0)
+        # the classified endpoints in arrival order: (point, class c) rows, as
+        # the summary's "occ", and the reach 2^(c+1) of its top level (none for c < 0)
+        self.n_ends = 0
+        self._occ = np.empty((16, 2), dtype=np.intp)
+        self._reach = np.empty(16)
         self.levels = {}   # j -> [(u, v)] positive-length edges added at level j
         self.zero_merges = []
 
@@ -90,13 +93,15 @@ class BcForest:
                 added.append((s, t, None))
             return None, added
         klass = floor_log2(self.m.dist(s, t))
-        self.ends = pts = np.append(self.ends, (s, t))
-        self.classes = np.append(self.classes, (klass, klass))
-        self.reach = np.append(self.reach, (pow2(klass + 1) if klass >= 0 else 0.0,) * 2)
+        n = self.n_ends = self.n_ends + 2
+        self._occ, self._reach = grown(self._occ, n), grown(self._reach, n)
+        self._occ[n - 2:n] = (s, klass), (t, klass)
+        self._reach[n - 2:n] = pow2(klass + 1) if klass >= 0 else 0.0
+        pts = self._occ[:n, 0]
         rows = self.m.d.take((s, t), axis=0).take(pts, axis=1)
         labels = self.comp[pts]  # its last two are s's and t's
         # entries some level j <= c reaches (d < 2^(j+1)) in another component
-        side, ks = np.nonzero((rows < self.reach) & (labels != labels[-2:, None]))
+        side, ks = np.nonzero((rows < self._reach[:n]) & (labels != labels[-2:, None]))
         dv = rows[side, ks]
         # first level: -1 if d = 0, else max(0, floor(log2 d)); none above klass
         level = np.where(dv == 0.0, -1, np.maximum(np.frexp(dv)[1] - 1, 0))
@@ -137,7 +142,7 @@ class BcForest:
         return {
             "copies": self.copies,
             "A": [[j, [list(e) for e in edges]] for j, edges in sorted(self.levels.items())],
-            "occ": [list(o) for o in zip(self.ends.tolist(), self.classes.tolist())],
+            "occ": self._occ[:self.n_ends].tolist(),
             "zero_merges": [list(e) for e in self.zero_merges],
         }
 
@@ -165,9 +170,27 @@ class NearestSet:
         return int(self.who[i]), float(self.near[i])
 
 
-def within(m: MetricSpace, x: int, points: list, radius: float) -> list:
-    """Positions in `points` of those at distance < radius from x, in order."""
-    return np.flatnonzero(m.d[x, points] < radius).tolist()
+class Pool:
+    """A class's witness pool: its members' request indices in arrival order,
+    and their points in an intp array grown by doubling."""
+
+    def __init__(self):
+        self.idx = []
+        self._points = np.empty(16, dtype=np.intp)
+
+    def add(self, idx: int, point: int) -> None:
+        n = len(self.idx)
+        self._points = grown(self._points, n + 1)
+        self._points[n] = point
+        self.idx.append(idx)
+
+    def within(self, m: MetricSpace, x: int, radius: float) -> list:
+        """Positions of the members at distance < radius from x, in order."""
+        return np.flatnonzero(m.d[x].take(self._points[:len(self.idx)]) < radius).tolist()
+
+    def witnesses(self, m: MetricSpace, x: int, radius: float) -> tuple:
+        """The request indices of the members at distance < radius from x."""
+        return tuple(self.idx[k] for k in self.within(m, x, radius))
 
 
 def run_greedy_st(m: MetricSpace, seq: RequestSequence) -> tuple:

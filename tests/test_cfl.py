@@ -62,6 +62,48 @@ def test_ofl_arrive_matches_scalar_reference(data):
         assert state.budgets.tolist() == ref.budgets
 
 
+def _surplus_per_arrival(state, clients):
+    """Serve `clients`, asserting after every arrival that the running surplus
+    is the column cumsum over every client so far, bit for bit; return the
+    arrivals at which a facility opened."""
+    opened_at = []
+    for t, i in enumerate(clients):
+        before = len(state.open_order)
+        state.arrive(i)
+        rows = state.rows[:state.n_clients]
+        want = np.cumsum(np.maximum(0, state.budgets[:, None] - rows), axis=0)[-1]
+        assert state.surplus.dtype == want.dtype and state.surplus.tobytes() == want.tobytes()
+        if len(state.open_order) > before:
+            opened_at.append(t)
+    return opened_at
+
+
+def test_ofl_running_surplus_across_openings_and_a_buffer_doubling():
+    # ten clients at 10 fill the cost-100 facility there; the next fifteen,
+    # at 20 with budget 10 to it, fill the cost-150 facility at 20 past the
+    # 16-client buffer
+    m = line_metric([0, 10, 20, 5])
+    state = OflState(m, _cfl([(0, 0.0), (1, 100.0), (2, 150.0)], [], M=0.0))
+    assert _surplus_per_arrival(state, [1] * 10 + [2] * 15 + [3] * 5) == [9, 24]
+    assert state.open_order == [0, 1, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ofl_running_surplus_is_the_column_cumsum(data):
+    """More than 16 clients on tie-rich metrics, so the buffers grow and
+    openings fall between arrivals."""
+    m = data.draw(tie_metrics())
+    point = st.integers(0, m.n - 1)
+    root = data.draw(point)
+    others = data.draw(st.lists(point.filter(lambda p: p != root), unique=True, max_size=6))
+    cost = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 12.0, 24.0])
+    facilities = [(root, 0.0)] + [(p, data.draw(cost)) for p in others]
+    clients = data.draw(st.lists(point, min_size=17, max_size=40))
+    seq = RequestSequence(problem="CFL", requests=tuple(clients), root=root, M=0.0, facilities=tuple(facilities))
+    _surplus_per_arrival(OflState(m, seq), clients)
+
+
 def test_ofl_surplus_equal_to_cost_opens():
     # the client at 4 has budget d(client, root) = 4 and surplus 4 - 0 at the
     # coincident facility 1, whose cost is exactly 4

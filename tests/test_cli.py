@@ -579,6 +579,8 @@ def test_embed_report_pinned(tmp_path):
     ["ratio", "--problem", "CFL", "--facilities", "0", "--sizes", "2", "--trials", "1"],  # the root facility alone
     ["gen", "--family", "graph", "--density", "nan"],  # ran as given
     ["gen", "--family", "graph", "--density", "1.5"],
+    ["gen", "--problem", "CFL", "--n", "6", "--facilities", "50"],  # wrote 6 facilities
+    ["gen", "--family", "graph", "--problem", "CFL", "--n", "6", "--facilities", "7"],
 ])
 def test_generator_arguments_out_of_range_exit_2(argv, capsys):
     try:
@@ -594,6 +596,9 @@ def test_generator_arguments_at_their_bounds_exit_0(tmp_path):
         argv = ["gen", "--family", "graph", "--problem", "CFL", "--n", "6", "--density", density,
                 "--rmax", "1", "--facilities", "1", "--out", str(tmp_path / "inst.json")]
         assert main(argv) == 0
+    out = tmp_path / "all.json"
+    assert main(["gen", "--problem", "CFL", "--n", "6", "--facilities", "6", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["facilities"]) == 6
 
 
 @pytest.mark.parametrize("doc", [None, [], 3, "x"])

@@ -24,6 +24,7 @@ from ondesign.metric import RequestSequence
 from ondesign.steiner import (
     BcForest,
     NearestSet,
+    Pool,
     check_bc_edge_property,
     check_class_separation,
     check_metagraph_acyclic,
@@ -134,6 +135,42 @@ def test_bc_add_pair_matches_scalar_reference(data):
     assert json.dumps(bc.summary()) == json.dumps(ref.summary())
     for u in range(m.n):
         assert [bc.connected(u, v) for v in range(m.n)] == [ref.uf.connected(u, v) for v in range(m.n)]
+
+
+def test_bc_summary_past_a_buffer_doubling():
+    """Eleven classified pairs (22 endpoints) outgrow the 16-entry endpoint
+    buffers once; the summary reads the same as with np.append per pair."""
+    m = line_metric([0, 1, 3, 7, 15, 2, 5, 11, 13, 4, 9, 6, 15, 30])
+    pairs = [(0, 4), (1, 2), (3, 7), (5, 6), (8, 9), (10, 11), (2, 8), (4, 12), (0, 13), (6, 10), (1, 9), (7, 13)]
+    bc = BcForest(m, 2)
+    added = [bc.add_pair(s, t) for s, t in pairs]
+    assert added[7] == (None, [(4, 12, None)]) and added[8] == (4, [(13, 4, 3)])
+    assert bc.summary() == {
+        "copies": 2,
+        "A": [[0, [[1, 0], [5, 1], [9, 2], [11, 3]]], [1, [[1, 2], [5, 6], [8, 4], [10, 3]]],
+              [2, [[3, 0], [3, 7]]], [3, [[0, 4], [13, 4]]]],
+        "occ": [[0, 3], [4, 3], [1, 1], [2, 1], [3, 2], [7, 2], [5, 1], [6, 1], [8, 3], [9, 3], [10, 1],
+                [11, 1], [2, 3], [8, 3], [0, 4], [13, 4], [6, 2], [10, 2], [1, 1], [9, 1], [7, 4], [13, 4]],
+        "zero_merges": [[4, 12]],
+    }
+
+
+def test_pool_within_past_a_doubling_matches_list_reference():
+    """A pool of 40 members (repeated points among them) outgrows its 16-entry
+    buffer twice; after every add, `within` gives the positions a list of
+    its points gives, and `witnesses` their request indices."""
+    rng = np.random.default_rng(8)
+    m = euclid(rng.random((25, 2)) * 8)
+    pool, idx, pts = Pool(), [], []
+    for r, p in enumerate(rng.integers(0, m.n, size=40).tolist()):
+        pool.add(3 * r, p)
+        idx.append(3 * r)
+        pts.append(p)
+        for x in range(0, m.n, 4):
+            for radius in (0.5, 2.0, 4.0, 16.0):
+                want = np.flatnonzero(m.d[x, pts] < radius).tolist()
+                assert pool.within(m, x, radius) == want
+                assert pool.witnesses(m, x, radius) == tuple(idx[k] for k in want)
 
 
 @settings(max_examples=300, deadline=None)
