@@ -127,6 +127,9 @@ def _ratio_row(m, seq, k, opt, seed) -> dict:
 
 
 def cmd_ratio(args) -> int:
+    points = max(min(args.sizes) + 1, args.n)  # the smallest metric drawn
+    if args.family != "diamond" and PROBLEMS[args.problem].facilities and args.facilities > points:
+        raise SchemaError(f"--facilities {args.facilities} exceeds the {points} points of the smallest size")
     rows = []
     try:
         if args.family == "diamond":

@@ -9,17 +9,15 @@ edge level); level 0 never carries edges, but its cuts are the terminal
 singletons by convention (forced by the min-distance-1 normalization).
 
 The pieces, each described in its own docstring:
-- `Hst`, one tree as plain arrays; a point is looked up through its shared
-  `column` map, so coincident points (aliases) share a terminal's leaf.
 - `Terminals` and `sample_frt`: what the trees of one point set share, and
-  one tree per seed, carved as least-element lists (Blelloch, Gupta and
-  Tangwongsan, SPAA 2012); `_promote_one_level` rescales a tree that fails
-  the expanding test.
-- `Forest`, the trees of one terminal set read as one, and the only place a
-  tree's levels and cuts are derived; `path_cuts`, `cut_load`, `class_cuts`
-  and `extend_singleton_levels` read a forest.
+  one tree per seed (an `Hst`, the sampler's output), carved as
+  least-element lists (Blelloch, Gupta and Tangwongsan, SPAA 2012);
+  `_promote_one_level` rescales a tree that fails the expanding test.
 - `validate_hst`, which trusts no sampler, and `tree_distance`, its scalar
-  re-measure of one pair.
+  re-measure of one pair; it returns the valid trees as a `Forest`.
+- `Forest`, the trees of one terminal set as one set of arrays, and the
+  only place a tree's levels and cuts are derived; `path_cuts`, `cut_load`,
+  `class_cuts` and `extend_singleton_levels` read a forest.
 """
 
 from __future__ import annotations
@@ -33,20 +31,19 @@ from .metric import MetricSpace, floor_log2, pow2
 
 
 class Hst:
-    """Rooted leveled tree over a terminal set (point indices of a metric).
+    """One sampled tree over a terminal set (point indices of a metric): the
+    sampler's output, read as a `Forest` once validated.
 
-    The tree is stored once, as read-only intp arrays.  Per node id (root 0):
-    `parent` (root -1) and `edge_level`, the level of the edge to the parent
-    (root 0).  Per terminal column: `terminals`, the points in ascending
-    order, and `leaf`, each terminal's leaf node.  `aliases` holds the
-    (point, terminal) pairs of the other points at a terminal's position, by
-    point, and `column` each point's terminal column (a `Terminals`' array,
-    passed by the sampler, promotion and extension; built from `terminals`
-    and `aliases` when not given).  Node 0 is the root (parent -1), every
-    other node's parent is an earlier node and every leaf is a node id; the
-    constructor checks nothing, so a malformed tree reaches validate_hst as
-    built (a `Forest` of it raises).  Its levels and cuts are read from a
-    `Forest` of it.
+    Stored as read-only intp arrays.  Per node id (root 0): `parent` (root
+    -1) and `edge_level`, the level of the edge to the parent (root 0).  Per
+    terminal column: `terminals`, the points in ascending order, and `leaf`,
+    each terminal's leaf node.  `aliases` holds the (point, terminal) pairs
+    of the other points at a terminal's position, by point, and `column`
+    each point's terminal column (a `Terminals`' array, passed by the sampler
+    and promotion; built from `terminals` and `aliases` when not given).
+    Node 0 is the root, every other node's parent is an earlier node and
+    every leaf is a node id; the constructor checks nothing, so a malformed
+    tree reaches validate_hst as built.
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, aliases=(), column=None):
@@ -61,21 +58,10 @@ class Hst:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    @cached_property
-    def length(self) -> np.ndarray:
-        """Edge length per node, 2^(level-1); 0.0 at the root, which has no edge."""
-        return _lengths(self.edge_level, 0)
-
-    def columns(self, points) -> np.ndarray:
-        """Each point's column in self.terminals (an alias's is its terminal's),
-        -1 for a point not in the tree (or None)."""
-        at = np.array([-1 if p is None else p for p in points], dtype=np.intp).view(np.uintp)
-        return self.column[np.minimum(at, len(self.column) - 1)]  # a negative point wraps past the end
-
 
 def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False  # so the cached length stays true
+    out.flags.writeable = False
     return out
 
 
@@ -104,17 +90,18 @@ def _lengths(level, roots) -> np.ndarray:
 def tree_distance(f: Forest, g: int, u: int, v: int) -> float:
     """Sum of edge lengths on the unique leaf-to-leaf path in tree g of f; 0
     on one leaf."""
-    t = f.trees[g]
-    cols = [-1 if p is None or not 0 <= p < len(t.column) else int(t.column[p]) for p in (u, v)]
+    cols = [-1 if p is None or not 0 <= p < len(f.column) else int(f.column[p]) for p in (u, v)]
     if min(cols) < 0:
         raise ValueError(f"{u} or {v} is not a leaf terminal")
-    parent, level = t.parent.tolist(), t.edge_level.tolist()
-    a, b = (int(t.leaf[c]) for c in cols)
+    parent, level, off, _, _, leaf = f.nodes
+    lo, hi = int(off[g]), int(off[g] + f.sizes[g])
+    parent, level = (parent[lo:hi] - lo).tolist(), level[lo:hi].tolist()  # tree g's own ids
+    a, b = (int(leaf[g, c]) - lo for c in cols)
     ancestors = {}
     dist = 0.0
     while a != 0:
         ancestors[a] = dist
-        dist += 2.0 ** (level[a] - 1)  # t.length[a], exactly
+        dist += 2.0 ** (level[a] - 1)  # f.length, exactly
         a = parent[a]
     ancestors[0] = dist
     dist = 0.0
@@ -148,20 +135,20 @@ def validate_hst(trees, m: MetricSpace) -> Validated:
     Independent of the sampler: everything is derived from each tree's
     parent, edge_level, terminals, leaf and aliases.  A tree numbered against
     the Hst rule gets that one message and is left out of the forest the
-    others are walked as; the forest of the valid trees is that forest, or its
-    slice when some tree breaks something.
+    others are walked as; the forest of the valid trees is that forest, or,
+    when some tree breaks something, one built from the valid ones.
     """
     trees = list(trees)
     bad, nodes = _forest(trees) if trees else ([], None)
-    numbered = [t for t, misnumbered in zip(trees, bad) if not misnumbered]
     f, found, walked = None, [], []
-    if numbered:
+    if not all(bad):
         walk = _walk(nodes)
-        f = Forest(numbered, nodes=nodes, walk=walk)
+        f = Forest(trees[0], nodes, walk=walk)
         found, walked = _validate_forest(f, walk, m)
     ok = np.flatnonzero([not msgs for msgs in found])
     if 0 < len(ok) < len(found):
-        f = Forest([f.trees[g] for g in ok], f.local[ok, :f.heights[ok].max()])
+        numbered = [t for t, misnumbered in zip(trees, bad) if not misnumbered]
+        f = Forest(f, _forest([numbered[g] for g in ok])[1], f.local[ok, :f.heights[ok].max()])
     results = iter(zip(found, walked))
     checked = [([MISNUMBERED], None) if misnumbered else next(results) for misnumbered in bad]
     return Validated([msgs for msgs, _ in checked], [T for _, T in checked], f if len(ok) else None)
@@ -175,11 +162,11 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
     at once; pairs are compared in chunks of max(1, FOREST_PAIRS // k^2)
     trees, as trees x k x k arrays.
     """
-    pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
-    n_trees, k = len(f.trees), f.k
+    pts = np.asarray(f.terminals, dtype=np.intp)
+    n_trees, k = f.n_trees, f.k
     parent, level, off, owner, local, leaf = f.nodes
     ancestors = walk[0]
-    out = [[] for _ in f.trees]
+    out = [[] for _ in range(n_trees)]
     n = len(parent)
     kids = np.bincount(parent[local > 0], minlength=n)
     is_leaf = np.zeros(n, dtype=bool)
@@ -188,12 +175,12 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
     for nid in np.flatnonzero((kids == 0) & ~is_leaf & (f.sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
         out[owner[nid]].append(f"leaves: node {local[nid]} is both internal and a terminal leaf" if kids[nid]
                                else f"leaves: childless node {local[nid]} maps to no terminal")
-    terminals = set(f.trees[0].terminals)
+    terminals = set(f.terminals)
     ranked = np.sort(leaf, axis=1)
     not_bijective = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (len(terminals) != k)
     # an alias is a non-terminal at its terminal's position
     aliases = [f"aliases: point {a} is not a non-terminal coincident with terminal {p}"
-               for a, p in f.trees[0].aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
+               for a, p in f.aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
     for msgs, flag in zip(out, not_bijective.tolist()):
         msgs += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
     # 2. siblings share an edge level; levels drop strictly toward the leaves;
@@ -246,7 +233,7 @@ def _check_pairs(f: Forest, walk, trees: slice, d, pair, out):
     """Checks 3 and 4 of _validate_forest on a slice of f's trees: their
     messages go to their lists in `out`; returns their T, trees x k x k.
     `d` is the terminals' submatrix of m.d and `pair` its u < v mask."""
-    pts = np.asarray(f.trees[0].terminals, dtype=np.intp)
+    pts = np.asarray(f.terminals, dtype=np.intp)
     _, level, _, _, local, _ = f.nodes
     ancestors, first = walk[0], trees.start
     T, cap = _pairwise(f, walk, trees)
@@ -289,16 +276,13 @@ def _root_levels(parent, level, off, owner, local) -> np.ndarray:
 
 
 def _forest(trees):
-    """The trees as one forest, from one concatenation of their arrays:
-    (misnumbered, (parent, level, off, owner, local, leaf)).
+    """(misnumbered, nodes): the trees' arrays, concatenated once into a
+    `Forest`'s node arrays.
 
     `misnumbered` flags per tree a break of the Hst numbering rule, or an
     edge level or leaf count other than its nodes' or terminals'; the node
-    arrays hold the other trees.  Node ids are offset tree by tree, so a
-    tree's nodes keep their order, and each root is its own parent.  `off`
-    holds each tree's root, `owner` and `local` each node's tree and id in
-    it, `leaf` the trees x k leaves.  ValueError unless the trees share
-    terminals and aliases.
+    arrays hold the other trees, each in its own node order.  ValueError
+    unless the trees share terminals and aliases.
     """
     first, k = trees[0], len(trees[0].terminals)
     if any(t.terminals != first.terminals or t.aliases != first.aliases for t in trees):
@@ -346,7 +330,7 @@ def _cut_rows(f: Forest, walk) -> np.ndarray:
     each tree's height and the last column."""
     ancestors, k = walk[0], f.k
     _, level, _, _, local, _ = f.nodes
-    rows = np.full((len(f.trees), f.heights.max(), k + 1), -1, dtype=np.intp)
+    rows = np.full((f.n_trees, f.heights.max(), k + 1), -1, dtype=np.intp)
     rows[:, :, :k] = (f.sizes[:, None] + np.arange(k))[:, None]
     below = ancestors[1:]
     row = level[below] - f.lows[:, None]
@@ -401,7 +385,7 @@ class Terminals:
     `terminals` holds the lowest index at each position of the points,
     ascending, and `aliases` a (point, terminal) pair for every other point;
     `column` maps each point of the metric to its terminal's column (-1 if
-    none), the one lookup every tree sampled from it shares (`Hst.columns`);
+    none), the one lookup every tree sampled from it shares (`Forest.columns`);
     `d` is the terminals' distance submatrix, which must be normalized
     (distinct positions at least 1 apart).  `levels` runs from the top
     carving level L = floor(log2 max d) + 1 down to 1, and `by_dist` holds
@@ -533,13 +517,16 @@ def _promote_one_level(t: Hst) -> Hst:
 
 
 class Forest:
-    """The trees of one terminal set (an instance's trials), read as one.
+    """The trees of one terminal set (an instance's trials), read as one: the
+    one form of a tree once validated.
 
-    The trees share `terminals` and `aliases`, so one column lookup serves
-    them all.  `nodes` is `_forest`'s arrays: tree g's node ids offset by the
-    nodes of the trees before it.  Cut ids are offset the same way over each
-    tree's n_nodes + k ids (its nodes, then its implicit singletons), tree
-    g's from start[g].
+    The trees share `terminals`, `aliases` and `column`, so one column lookup
+    serves them all.  `nodes` holds (parent, level, off, owner, local, leaf):
+    tree g's node ids offset by the nodes of the trees before it, its root
+    off[g] its own parent, `owner` and `local` each node's tree and id in
+    it, `leaf` the trees x k leaves.  Cut ids are offset the same way over
+    each tree's n_nodes + k ids (its nodes, then its implicit singletons),
+    tree g's from start[g].
 
     A forest is the one place a tree's levels and cuts are derived.  Tree
     g's cut levels run from lows[g] = min(0, its lowest edge level) to its
@@ -552,27 +539,18 @@ class Forest:
     where column -1 (a point in no tree) reads no cut, so a lookup by point
     is one gather.
 
-    Built from trees alone, the forest concatenates their arrays once
-    (`_forest`, which tests their terminal set and numbering:
-    ValueError(MISNUMBERED)) and reads `local` from one walk of every leaf
-    (`_walk`), which it does not keep.  The validator passes the node arrays
-    and walk it built; the extension and the validator's slice pass the
-    tensor they derived.  `cut_load`, `path_cuts`, `class_cuts`, the
-    extension, the tree oracles and the trace-reading tree checks read a
-    forest, so each runs once for all its trees.
+    `terms` is anything carrying the terminal set (a sampled tree, or the
+    forest a new one is derived from).  Unless given, `local` is read from
+    the walk of every leaf (`_walk`), which the forest does not keep.
+    `_forest` builds the node arrays of sampled trees.
     """
 
-    def __init__(self, trees, local=None, nodes=None, walk=None):
-        self.trees = list(trees)
-        first = self.trees[0]
-        self.columns, self.k = first.columns, len(first.terminals)
-        if nodes is None:
-            misnumbered, nodes = _forest(self.trees)
-            if any(misnumbered):
-                raise ValueError(MISNUMBERED)
-        self.nodes = nodes
+    def __init__(self, terms, nodes, local=None, walk=None):
+        self.terminals, self.aliases, self.column = terms.terminals, terms.aliases, terms.column
+        self.k, self.nodes = len(self.terminals), nodes
         parent, level, off, owner, ids, _ = nodes
-        self.sizes = np.bincount(owner, minlength=len(off))
+        self.n_trees = len(off)
+        self.sizes = np.bincount(owner, minlength=self.n_trees)
         n_ids = self.sizes + self.k
         self.start = np.cumsum(n_ids) - n_ids
         self.n_ids = int(n_ids.sum())
@@ -585,9 +563,15 @@ class Forest:
 
     @cached_property
     def length(self) -> np.ndarray:
-        """Per forest node, Hst.length: 2^(level-1), 0.0 at a root."""
+        """Edge length per node, 2^(level-1); 0.0 at a root, which has no edge."""
         _, level, off, *_ = self.nodes
         return _lengths(level, off)
+
+    def columns(self, points) -> np.ndarray:
+        """Each point's column in self.terminals (an alias's is its terminal's),
+        -1 for a point not in the trees (or None)."""
+        at = np.array([-1 if p is None else p for p in points], dtype=np.intp).view(np.uintp)
+        return self.column[np.minimum(at, len(self.column) - 1)]  # a negative point wraps past the end
 
     def cuts(self, points) -> np.ndarray:
         """Every tree's cut tensor columns of `points`, trees x levels x
@@ -616,31 +600,35 @@ def extend_singleton_levels(f: Forest) -> Forest:
 
     Edge lengths are 2^-2 and 2^-3; the terminal moves to the chain bottom, so
     the new levels' cuts are exactly the singletons and every tree optimum
-    grows by at most (#leaves) * 3/8.
+    grows by at most (#leaves) * 3/8.  Each tree's 2k chain nodes follow its
+    own, so a node id moves by 2k for every tree before it.
     """
-    trees, k, n = f.trees, f.k, f.sizes
+    k, n, n_trees = f.k, f.sizes, f.n_trees
     if (f.lows < 0).any():
         raise ValueError(f"tree already extended to {f.lows[f.lows < 0][0]}")
-    leaf = np.stack([t.leaf for t in trees])
+    parent, level, off, owner, local, leaf = f.nodes
+    shift = 2 * k * np.arange(n_trees)
+    ext_off = off + shift
     by_node = np.argsort(leaf, axis=1)
     chain = n[:, None] + 2 * np.arange(k)  # the level -1 node below each tree's q-th leaf by id
-    hang = np.stack([np.take_along_axis(leaf, by_node, axis=1), chain], axis=2).reshape(len(trees), 2 * k)
+    hang = np.stack([np.take_along_axis(leaf, by_node, axis=1) + shift[:, None], chain + ext_off[:, None]], axis=2)
     ext_leaf = np.empty_like(leaf)
     np.put_along_axis(ext_leaf, by_node, chain + 1, axis=1)
+    at = np.repeat(off + n, 2 * k)  # each tree's chain nodes go after its own
+    nodes = (np.insert(parent + shift[owner], at, hang.ravel()), np.insert(level, at, np.tile([-1, -2], k * n_trees)),
+             ext_off, np.repeat(np.arange(n_trees), n + 2 * k),
+             np.insert(local, at, (n[:, None] + np.arange(2 * k)).ravel()), ext_leaf + ext_off[:, None])
     # The chains add levels -2 and -1 below the base rows, whose nodes keep
     # their ids; only the implicit singletons move past the 2k chain nodes.
     # A one-leaf tree's root level drops to -1, so its base row goes (and
     # with it the tensor's last row when every tree has one leaf).
     base = f.local
-    rows = np.full((len(trees), base.shape[1] + 2, k + 1), -1, dtype=np.intp)
+    rows = np.full((n_trees, base.shape[1] + 2, k + 1), -1, dtype=np.intp)
     rows[:, 0, :k], rows[:, 1, :k] = ext_leaf, ext_leaf - 1
     rows[:, 2:] = np.where(base >= n[:, None, None], base + 2 * k, base)
     top = np.where(n > 1, f.root_levels, -1)
     rows[top < 0, 2:] = -1
-    levels = np.tile([-1, -2], k)
-    ext = [Hst(np.concatenate([t.parent, g_hang]), np.concatenate([t.edge_level, levels]),
-               t.terminals, g_leaf, t.aliases, t.column) for t, g_hang, g_leaf in zip(trees, hang, ext_leaf)]
-    return Forest(ext, rows[:, :(top + 3).max()])
+    return Forest(f, nodes, rows[:, :(top + 3).max()])
 
 
 class CutGroups(NamedTuple):
@@ -685,7 +673,7 @@ def class_cuts(f: Forest, by_class: dict, shift: int, root=None) -> CutGroups:
     cuts = f.cuts([e[0] for e in entries] + [root])
     row = np.array([j for j, _ in tagged], dtype=np.intp) - lows[:, None]  # trees x entries
     inside = (row >= 0) & (row < cuts.shape[1])
-    at = (np.arange(len(f.trees))[:, None], np.where(inside, row, 0))
+    at = (np.arange(f.n_trees)[:, None], np.where(inside, row, 0))
     cut, holder = cuts[at + (np.arange(len(entries)),)], cuts[at + (-1,)]  # and the root's cut
     on = inside & (cut >= 0)  # a cut id is -1 past a tree's height
     g, entry = np.nonzero(on)
@@ -693,4 +681,4 @@ def class_cuts(f: Forest, by_class: dict, shift: int, root=None) -> CutGroups:
     _, first, group = np.unique((g * width + row[on]) * ids + cut[on], return_index=True, return_inverse=True)
     g, row, cut = g[first], row[on][first], cut[on][first]
     return CutGroups(g, row + lows[g], cut + f.start[g], holder[on][first] == cut, group, entry, entries,
-                     len(f.trees))
+                     f.n_trees)

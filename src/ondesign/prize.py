@@ -105,7 +105,7 @@ def check_pcst_invariants(f: Forest, rows: dict, root):
     """
     cuts = class_cuts(f, rows, 1, root)
     share = cuts.total([rho for _, rho, _ in cuts.entries])
-    out, flags = [[] for _ in f.trees], [[] for _ in f.trees]
+    out, flags = [[] for _ in range(f.n_trees)], [[] for _ in range(f.n_trees)]
     for i in np.flatnonzero(cuts.holds_root | ~(share <= np.ldexp(1.0, cuts.level + 1))).tolist():
         j, s, g = int(cuts.level[i]), float(share[i]), cuts.tree[i]
         if cuts.holds_root[i]:

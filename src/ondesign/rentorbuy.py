@@ -200,7 +200,7 @@ def check_cut_capacity(seq: RequestSequence, trace: RunTrace, f: Forest, shift: 
             rents.setdefault(rec.klass, []).append((ends[-1] if rec.rent_endpoint == "t" else ends[0], rec.idx))
     cuts = class_cuts(f, rents, shift, seq.root)
     count, size = cuts.total(), load[cuts.cut]
-    out = [[] for _ in f.trees]
+    out = [[] for _ in range(f.n_trees)]
     for i in np.flatnonzero(cuts.holds_root | (count > cap_m) | (count > size)).tolist():
         msgs, j, n, w = out[cuts.tree[i]], int(cuts.level[i]), int(count[i]), int(size[i])
         if cuts.holds_root[i]:

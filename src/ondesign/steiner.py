@@ -393,8 +393,8 @@ def covers_from_tree(f: Forest, trace: RunTrace):
                                              for e in edges for p in e})
     cols = f.columns(points + [p for p, _ in occs])  # points, then occurrences
     klass = np.array([c for _, c in occs], dtype=np.intp)
-    tree, ids = np.arange(len(f.trees))[:, None], int((f.sizes + f.k).max())
-    errors = [None] * len(f.trees)
+    tree, ids = np.arange(f.n_trees)[:, None], int((f.sizes + f.k).max())
+    errors = [None] * f.n_trees
     cover = {}
     for j in sorted({j for forest in forests for j, _ in forest["A"]}):
         for g in np.flatnonzero((j < f.lows) | (j > f.root_levels)).tolist():
@@ -403,7 +403,7 @@ def covers_from_tree(f: Forest, trace: RunTrace):
         level_row = np.clip(j - f.lows, 0, f.local.shape[1] - 1)[:, None]  # a tree without level j errs
         row = f.local[tree, level_row, cols]  # trees x (points, then occurrences), as f.cuts reads them
         own = np.where(np.array([e is None for e in errors])[:, None], row, -1)
-        hit = np.zeros((len(f.trees), ids + 1), dtype=bool)  # per tree, the cuts meeting X_j; -1 is the last
+        hit = np.zeros((f.n_trees, ids + 1), dtype=bool)  # per tree, the cuts meeting X_j; -1 is the last
         hit[tree, np.where(klass >= j, own[:, len(points):], -1)] = True
         hit[:, -1] = False
         at = own[:, :len(points)]

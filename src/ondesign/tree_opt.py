@@ -6,12 +6,12 @@ edge's cut.  The single-source rent-or-buy value follows the root-relative
 form (edges whose cut contains the root are skipped); the prize-collecting
 value is the true tree optimum, computed by a DP on the tree re-rooted at r.
 
-Every oracle but the Steiner tree's reads an `hst.Forest`, the trees of one
-terminal set, and returns one value per tree: each step runs once for all
-the trees, every tree's arithmetic in its own order.  What crosses an edge
-is read off `hst.path_cuts`: a pair's ends sit in different level-j cuts
-exactly where their level-j edges lie on the path between them.  Edge terms
-are added one at a time in node-id order, per tree.  The PCST DP reads the
+Every oracle reads an `hst.Forest`, the trees of one terminal set, and
+returns one value per tree: each step runs once for all the trees, every
+tree's arithmetic in its own order.  What crosses an edge is read off
+`hst.path_cuts`: a pair's ends sit in different level-j cuts exactly where
+their level-j edges lie on the path between them.  Edge terms are added
+one at a time in node-id order, per tree.  The PCST DP reads the
 forest's node arrays, one edge level at a time.
 
 Points are resolved through the tree (see hst): coincident points share a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hst import Forest, Hst, cut_load, path_cuts
+from .hst import Forest, cut_load, path_cuts
 
 
 def _edge_sums(f: Forest, factor) -> list:
@@ -37,9 +37,9 @@ def _edge_sums(f: Forest, factor) -> list:
     return [sum(terms[a:b], 0.0) for a, b in zip(ends, ends[1:])]
 
 
-def opt_tree_steiner_tree(t: Hst) -> float:
+def opt_tree_steiner_tree(f: Forest) -> list:
     """All leaves are terminals, so the unique feasible solution is the tree."""
-    return float(t.length.sum())  # powers of two: exact in any order
+    return np.bincount(f.nodes[3], f.length, minlength=f.n_trees).tolist()  # powers of two: exact in any order
 
 
 def opt_tree_steiner_forest(f: Forest, pairs) -> list:

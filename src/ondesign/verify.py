@@ -93,7 +93,7 @@ from .tree_opt import (
 # ---------------------------------------------------------------------------
 
 def _oracles_st(seq, f):
-    return f, [opt_tree_steiner_tree(t) for t in f.trees], None
+    return f, opt_tree_steiner_tree(f), None
 
 
 def _oracles_sf(seq, f):
@@ -315,11 +315,11 @@ def check_tree_bounds(m, seq, trace, f, opt, load, guard=()):
     one raised off the trace alone, of every tree without an error of its own.
     """
     spec = SPECS[seq.problem]
-    tally = _Tally(spec.constants, len(f.trees), guard)
+    tally = _Tally(spec.constants, f.n_trees, guard)
     try:
         spec.tree_checks(tally, m, seq, trace, f, opt, load)
     except guard as exc:
-        tally.fail(range(len(f.trees)), exc)
+        tally.fail(range(f.n_trees), exc)
     return tally.results()
 
 

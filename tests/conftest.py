@@ -127,9 +127,9 @@ def brute_tree_rob_single(t, r, M, clients):
 
 def client_load(t, r, clients):
     """hst.cut_load of the (client, r) pairs, which tree_opt.opt_tree_rob_single reads."""
-    from ondesign.hst import Forest, cut_load
+    from ondesign.hst import cut_load
 
-    return cut_load(Forest([t]), [(p, r) for p in clients])
+    return cut_load(forest([t]), [(p, r) for p in clients])
 
 
 def brute_tree_pcst(t, r, penalties):
@@ -154,10 +154,11 @@ def ref_tree_pcst(t, r, penalties):
     re-rooted at r's leaf, over adjacency lists.  A node's re-rooted children
     are summed in adjacency order: its tree parent first (on r's root path),
     then its tree children by id."""
-    cols = t.columns([r] + [p for p, _ in penalties]).tolist()
+    cols = forest([t]).columns([r] + [p for p, _ in penalties]).tolist()
     if cols[0] < 0:
         raise ValueError(f"root {r} is not a leaf of the tree")
-    parent, length, leaf = t.parent.tolist(), t.length.tolist(), t.leaf.tolist()
+    parent, leaf = t.parent.tolist(), t.leaf.tolist()
+    length = [0.0] + [edge_len(t, nid) for nid in range(1, t.n_nodes)]
     pen_at = {}  # leaf node -> penalty
     for col, (_, pi) in zip(cols[1:], penalties):
         if pi < 0:
@@ -184,18 +185,46 @@ def ref_tree_pcst(t, r, penalties):
     return h[root]
 
 
+def forest(trees):
+    """The hst.Forest of sampled or hand-built trees, from hst._forest's node
+    arrays: ValueError(MISNUMBERED) if one breaks the numbering rule."""
+    from ondesign.hst import MISNUMBERED, Forest, _forest
+
+    trees = list(trees)
+    misnumbered, nodes = _forest(trees)
+    if any(misnumbered):
+        raise ValueError(MISNUMBERED)
+    return Forest(trees[0], nodes)
+
+
+def tree_views(f):
+    """Per tree of forest f, an Hst of its node arrays in its own ids."""
+    from ondesign.hst import Hst
+
+    parent, level, off, _, _, leaf = f.nodes
+    views = []
+    for g, (lo, hi) in enumerate(zip(off.tolist(), (off + f.sizes).tolist())):
+        own = parent[lo:hi] - lo
+        own[0] = -1
+        views.append(Hst(own, level[lo:hi], f.terminals, leaf[g] - lo, f.aliases, f.column))
+    return views
+
+
+def same_nodes(f, g):
+    """Whether forests f and g hold equal node arrays, dtype included."""
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(f.nodes, g.nodes, strict=True))
+
+
 def extend_one(t):
     """t extended to level -2: hst.extend_singleton_levels on the forest of t alone."""
-    from ondesign.hst import Forest, extend_singleton_levels
+    from ondesign.hst import extend_singleton_levels
 
-    return extend_singleton_levels(Forest([t])).trees[0]
+    return tree_views(extend_singleton_levels(forest([t])))[0]
 
 
 def tree_cuts(t, points):
     """hst.Forest.cuts of t as a forest of one: rows cut_levels(t), a column per point."""
-    from ondesign.hst import Forest
-
-    return Forest([t]).cuts(points)[0]
+    return forest([t]).cuts(points)[0]
 
 
 def per_tree(f, values):
@@ -223,7 +252,7 @@ def ref_cut_load(t, pairs):
     crossings counted in Python over brute_cut_ids(t); an end outside the
     tree is in no cut."""
     load = [0] * (t.n_nodes + len(t.terminals))
-    ends = [t.columns(pair).tolist() for pair in pairs]
+    ends = [forest([t]).columns(pair).tolist() for pair in pairs]
     for row in brute_cut_ids(t):
         for cols in ends:
             cu, cv = (row[c] if c >= 0 else -1 for c in cols)
@@ -340,13 +369,13 @@ def cut_levels(t):
 def tree_json(t):
     """t as sorted-key JSON text, the text PINNED_TREES hashes: its root
     level, each node's level, parent and edge length, and each point's leaf."""
-    parent, length, leaf = t.parent.tolist(), t.length.tolist(), t.leaf.tolist()
+    parent, leaf = t.parent.tolist(), t.leaf.tolist()
     top = brute_levels(t)[1]
     points = list(t.terminals) + [a for a, _ in t.aliases]
     nodes = [{"id": 0, "level": top, "parent": None, "edge_len": None}]
-    nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": length[nid]}
+    nodes += [{"id": nid, "level": level, "parent": parent[nid], "edge_len": edge_len(t, nid)}
               for nid, level in enumerate(t.edge_level.tolist()) if nid]
-    leaf_map = {str(p): leaf[col] for p, col in zip(points, t.columns(points).tolist()) if col >= 0}
+    leaf_map = {str(p): leaf[col] for p, col in zip(points, t.column[points].tolist()) if col >= 0}
     return json.dumps({"levels": top, "nodes": nodes, "leaf_map": leaf_map}, sort_keys=True)
 
 
@@ -371,8 +400,8 @@ def check_forest_walk(f):
     of its trees, however f was built: brute_cut_ids' rows, -1 past the
     tree's height and in the last column, and brute_levels' range; the
     tensor has as many rows as the tallest tree."""
-    assert f.local.shape == (len(f.trees), f.heights.max(), f.k + 1)
-    for g, t in enumerate(f.trees):
+    assert f.local.shape == (f.n_trees, f.heights.max(), f.k + 1)
+    for g, t in enumerate(tree_views(f)):
         low, top = brute_levels(t)
         assert (f.lows[g], f.root_levels[g], f.heights[g]) == (low, top, top - low + 1)
         assert f.local[g, :top - low + 1, :-1].tolist() == brute_cut_ids(t)
@@ -538,7 +567,7 @@ def ref_class_cuts(t, by_class, shift, root=None):
 def tree_groups(f, cuts):
     """hst.class_cuts' groups on forest f as ref_class_cuts lists them, per
     tree: (j, cut id in the tree, holds root, entries)."""
-    out = [[] for _ in f.trees]
+    out = [[] for _ in range(f.n_trees)]
     rows = zip(cuts.tree.tolist(), cuts.level.tolist(), cuts.cut.tolist(), cuts.holds_root.tolist())
     for i, (g, j, cut, held) in enumerate(rows):
         out[g].append((j, cut - int(f.start[g]), held, [cuts.entries[e] for e in cuts.entry[cuts.group == i].tolist()]))
@@ -708,20 +737,19 @@ def ref_check_tree_bounds(m, seq, trace, t, opt, load, guard=()):
 
 def cut_caps(seq, trace, t, shift):
     """rentorbuy.check_cut_capacity on t as a forest of one, with its cut load."""
-    from ondesign.hst import Forest, cut_load
+    from ondesign.hst import cut_load
     from ondesign.rentorbuy import check_cut_capacity
 
-    f = Forest([t])
+    f = forest([t])
     return check_cut_capacity(seq, trace, f, shift, cut_load(f, seq.pairs))[0]
 
 
 def tree_covers(t, trace):
     """steiner.covers_from_tree on t as a forest of one, in ref_covers_from_tree's
     form {j: {point: cut id}}; the tree's error raises."""
-    from ondesign.hst import Forest
     from ondesign.steiner import covers_from_tree
 
-    points, cover, errors = covers_from_tree(Forest([t]), trace)
+    points, cover, errors = covers_from_tree(forest([t]), trace)
     if errors[0] is not None:
         raise errors[0]
     return {j: {p: cut for p, cut in zip(points, cuts[0].tolist()) if cut >= 0} for j, cuts in cover.items()}
@@ -729,10 +757,9 @@ def tree_covers(t, trace):
 
 def tree_metagraph(t, trace):
     """steiner.check_metagraph_acyclic on t as a forest of one; the tree's error raises."""
-    from ondesign.hst import Forest
     from ondesign.steiner import check_metagraph_acyclic, covers_from_tree
 
-    out = check_metagraph_acyclic(trace, covers_from_tree(Forest([t]), trace))[0]
+    out = check_metagraph_acyclic(trace, covers_from_tree(forest([t]), trace))[0]
     if isinstance(out, Exception):
         raise out
     return out

@@ -27,13 +27,14 @@ from conftest import (
     client_load,
     cut_caps,
     extend_one,
+    forest,
     line_metric,
     random_small_hst,
     tree_metagraph,
 )
 from ondesign.exact import dreyfus_wagner_st, exact_mrob, exact_sf, exact_srob
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric, gen_requests
-from ondesign.hst import Forest, Terminals, cut_load, sample_frt
+from ondesign.hst import Terminals, cut_load, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, solution_cost
 from ondesign.prize import check_pcst_run_invariants
 from ondesign.rentorbuy import check_mrob_witnesses, check_srob_witnesses
@@ -209,11 +210,11 @@ def test_criterion_3_tree_oracle_exactness():
         r = int(pts[0])
         pen = [(int(p), float(rng.uniform(0, 8))) for p in pts if p != r]
         ok = (
-            math.isclose(opt_tree_steiner_forest(Forest([t]), pairs)[0], brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_steiner_network(Forest([t]), pairs, reqs)[0], brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), M)[0], brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0], brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
-            and math.isclose(opt_tree_pcst(Forest([t]), r, pen)[0], brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
+            math.isclose(opt_tree_steiner_forest(forest([t]), pairs)[0], brute_tree_sf(t, pairs), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_steiner_network(forest([t]), pairs, reqs)[0], brute_tree_sn(t, pairs, reqs), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), M)[0], brute_tree_rob_multi(t, pairs, M), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_rob_single(forest([t]), r, M, client_load(t, r, pts))[0], brute_tree_rob_single(t, r, M, pts), rel_tol=RTOL, abs_tol=1e-12)
+            and math.isclose(opt_tree_pcst(forest([t]), r, pen)[0], brute_tree_pcst(t, r, pen), rel_tol=RTOL, abs_tol=1e-12)
         )
         if not ok:
             announce("3 tree-oracle exactness", False, f"mismatch at trial {checked}")

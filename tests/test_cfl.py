@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefOflState, client_load, cut_caps, euclid, extend_one, line_metric, tie_metrics
+from conftest import client_load, cut_caps, euclid, extend_one, forest, line_metric, RefOflState, tie_metrics
 from ondesign.cfl import (
     OflState,
     cfl_buy_rent_cost,
@@ -11,7 +11,7 @@ from ondesign.cfl import (
     check_cfl_invariants,
     run_cfl,
 )
-from ondesign.hst import Forest, Terminals, sample_frt
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import MetricSpace, RequestSequence, check_feasible, solution_cost
 from ondesign.tree_opt import opt_tree_rob_single
 
@@ -204,7 +204,7 @@ def test_cfl_sharetree_prestudy_constant_16():
         sol, trace = run_cfl(m, seq)
         share = sum(2.0 ** (r.klass + 1) for r in trace.records if r.decision == "rent")
         t = extend_one(sample_frt(Terminals(m, clients + [0]), seed=trial))
-        opt = opt_tree_rob_single(Forest([t]), 0, M, client_load(t, 0, clients))[0]
+        opt = opt_tree_rob_single(forest([t]), 0, M, client_load(t, 0, clients))[0]
         if share > 0:
             assert opt > 0
             worst = max(worst, share / opt)

@@ -581,6 +581,8 @@ def test_embed_report_pinned(tmp_path):
     ["gen", "--family", "graph", "--density", "1.5"],
     ["gen", "--problem", "CFL", "--n", "6", "--facilities", "50"],  # wrote 6 facilities
     ["gen", "--family", "graph", "--problem", "CFL", "--n", "6", "--facilities", "7"],
+    ["ratio", "--problem", "CFL", "--facilities", "50", "--sizes", "2", "--trials", "1"],  # ran on 3 facilities
+    ["ratio", "--problem", "CFL", "--facilities", "6", "--sizes", "8,4", "--n", "5", "--trials", "1"],
 ])
 def test_generator_arguments_out_of_range_exit_2(argv, capsys):
     try:
@@ -599,6 +601,9 @@ def test_generator_arguments_at_their_bounds_exit_0(tmp_path):
     out = tmp_path / "all.json"
     assert main(["gen", "--problem", "CFL", "--n", "6", "--facilities", "6", "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["facilities"]) == 6
+    # ratio's smallest metric, max(min(--sizes) + 1, --n) points, holds as many facilities
+    for extra in (["--sizes", "2", "--facilities", "3"], ["--sizes", "8,4", "--n", "6", "--facilities", "6"]):
+        assert main(["ratio", "--problem", "CFL", "--trials", "1", *extra, "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("doc", [None, [], 3, "x"])

@@ -12,22 +12,26 @@ from conftest import (
     brute_validate_hst,
     check_forest_walk,
     cut_levels,
-    ref_sample_frt,
+    edge_len,
     euclid,
     extend_one,
+    forest,
     id_cuts,
     line_metric,
     path_edges,
     random_small_hst,
     ref_class_cuts,
+    ref_extend,
+    ref_sample_frt,
+    same_nodes,
     tree_cuts,
     tree_groups,
     tree_json,
+    tree_views,
 )
 from ondesign import hst
 from ondesign.hst import (
     FOREST_PAIRS,
-    Forest,
     Hst,
     Terminals,
     _promote_one_level,
@@ -46,7 +50,7 @@ from test_acceptance import PROBLEMS, _instance
 
 def _distance(t, u, v):
     """tree_distance in t as a forest of one."""
-    return tree_distance(Forest([t]), 0, u, v)
+    return tree_distance(forest([t]), 0, u, v)
 
 
 def test_two_terminal_minimal_shape(two_point_metric):
@@ -86,15 +90,15 @@ def test_coincident_points_collapse_onto_one_terminal():
         assert (t.terminals, t.aliases, base.aliases) == ((0, 2), ((1, 0),), ())
         assert [a.tolist() for a in (t.parent, t.edge_level, t.leaf)] == \
             [a.tolist() for a in (base.parent, base.edge_level, base.leaf)]
-        assert t.columns([1, 0, 2, 7]).tolist() == [0, 0, 1, -1]
+        assert forest([t]).columns([1, 0, 2, 7]).tolist() == [0, 0, 1, -1]
         assert tree_cuts(t, [1, 2]).tolist() == tree_cuts(t, [0, 2]).tolist()
-        [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), {1: [(1, "a"), (0, "b")]}, 0))
+        [groups] = tree_groups(forest([t]), class_cuts(forest([t]), {1: [(1, "a"), (0, "b")]}, 0))
         assert [(j, cut, inside) for j, cut, _, inside in groups] == \
             [(1, int(tree_cuts(t, [0])[cut_levels(t).index(1), 0]), [(1, "a"), (0, "b")])]
         assert _distance(t, 1, 2) == _distance(t, 0, 2) and _distance(t, 1, 0) == 0.0
         assert json.loads(tree_json(t))["leaf_map"] == {"0": int(t.leaf[0]), "1": int(t.leaf[0]), "2": int(t.leaf[1])}
         for tree in (t, extend_one(t), _promote_one_level(t)):
-            assert tree.aliases == ((1, 0),) and tree.columns([1]).tolist() == [0]
+            assert tree.aliases == ((1, 0),) and forest([tree]).columns([1]).tolist() == [0]
             assert validate_hst([tree], m).messages[0] == []
 
 
@@ -202,14 +206,14 @@ def test_validate_hst_message_fires(positions, arrays, message):
 
 def test_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # root, then leaves 1 and 2 at level 1
-    assert (Forest([t]).lows.tolist(), Forest([t]).root_levels.tolist()) == ([0], [1])
+    assert (forest([t]).lows.tolist(), forest([t]).root_levels.tolist()) == ([0], [1])
     assert tree_cuts(t, [0, 1]).tolist() == [[3, 4], [1, 2]]  # level 0: implicit singletons, n_nodes + column
     assert tree_cuts(t, [1, 7, None, 0, 1]).tolist() == [[4, -1, -1, 3, 4], [2, -1, -1, 1, 2]]
     assert tree_cuts(t, []).shape == (2, 0)
     aliased = Hst(t.parent, t.edge_level, t.terminals, t.leaf, aliases=[(5, 1)])  # 5 sits on 1
     assert tree_cuts(aliased, [5, 1, 0]).tolist() == [[4, 4, 3], [2, 2, 1]]
     ext = extend_one(t)
-    assert (Forest([ext]).lows.tolist(), Forest([ext]).root_levels.tolist()) == ([-2], [1])
+    assert (forest([ext]).lows.tolist(), forest([ext]).root_levels.tolist()) == ([-2], [1])
     assert sorted(map(set, id_cuts(ext, -1))) == [{0}, {1}]
     assert sorted(map(set, id_cuts(ext, -2))) == [{0}, {1}]
     assert tree_cuts(ext, [1, 7, 0]).tolist() == [[6, -1, 4], [5, -1, 3], [8, -1, 7], [2, -1, 1]]  # chains 3-4, 5-6
@@ -217,11 +221,11 @@ def test_cuts_examples(two_point_metric):
 
 def test_path_cuts_examples(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)  # {0}, {1}: cuts 1, 2 at level 1, 3, 4 at level 0
-    cut, which = path_cuts(Forest([t]), [(0, 1), (1, 1), (1, 7)])
+    cut, which = path_cuts(forest([t]), [(0, 1), (1, 1), (1, 7)])
     # a pair on one leaf crosses no cut; an end outside the tree (point 7) is
     # in none, so its pair crosses only the cuts of its other end
     assert sorted(zip(which.tolist(), cut.tolist())) == [(0, 1), (0, 2), (0, 3), (0, 4), (2, 2), (2, 4)]
-    assert path_cuts(Forest([t]), [])[0].tolist() == []
+    assert path_cuts(forest([t]), [])[0].tolist() == []
 
 
 def test_class_cuts_group_entries_by_reference_cut():
@@ -238,12 +242,12 @@ def test_class_cuts_group_entries_by_reference_cut():
                 inside = [e for e in by_class.get(j + shift, []) if e[0] in cut]
                 if inside:
                     expect.append((j, root in cut, inside))
-        [groups] = tree_groups(Forest([t]), class_cuts(Forest([t]), by_class, shift, root))
+        [groups] = tree_groups(forest([t]), class_cuts(forest([t]), by_class, shift, root))
         assert [(j, held, inside) for j, _, held, inside in groups] == expect
         if brute_levels(t)[0] == 0:  # trees of one forest whose lowest and highest levels differ
-            f = Forest([extend_one(t), _promote_one_level(t), t])
+            f = forest([extend_one(t), _promote_one_level(t), t])
             assert tree_groups(f, class_cuts(f, by_class, shift, root)) == \
-                [ref_class_cuts(u, by_class, shift, root) for u in f.trees]
+                [ref_class_cuts(u, by_class, shift, root) for u in tree_views(f)]
 
 
 def test_cuts_partition_random_trees():
@@ -259,7 +263,7 @@ def test_cuts_partition_random_trees():
 def test_extension_arithmetic(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     ext = extend_one(t)
-    assert ext.length.sum() == pytest.approx(2 + 2 * (0.25 + 0.125))
+    assert forest([ext]).length.sum() == pytest.approx(2 + 2 * (0.25 + 0.125))
     assert _distance(ext, 0, 1) == pytest.approx(2.75)
     assert validate_hst([ext], two_point_metric).messages[0] == []
     with pytest.raises(ValueError, match="^tree already extended to -2$"):
@@ -270,7 +274,7 @@ def test_extension_single_leaf(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0]), seed=0)
     ext = extend_one(t)
     assert ext.n_nodes == 3  # chain of two edges below the root leaf
-    assert ext.length.sum() == pytest.approx(0.375)
+    assert forest([ext]).length.sum() == pytest.approx(0.375)
 
 
 def test_tree_distance_siblings_level2():
@@ -291,6 +295,21 @@ def test_unknown_leaf():
     for u, v in [(-1, 0), (1, -2), (0, m.n), (m.n + 5, 1), (None, 0), (1, None)]:
         with pytest.raises(ValueError, match=f"^{u} or {v} is not a leaf terminal$"):
             _distance(t, u, v)
+
+
+def test_tree_distance_reads_tree_g_of_a_forest():
+    # trees of four node counts in one forest: tree g's distances are its
+    # own path sums, so each tree's node offset is read
+    m = line_metric([0, 1, 3, 5])
+    t = sample_frt(Terminals(m, range(4)), 0)
+    trees = [_skipped_level_tree(), t, extend_one(t), _promote_one_level(t)]
+    f = forest(trees)
+    assert len(set(f.sizes.tolist())) == len(trees)
+    for g, tree in enumerate(trees):
+        for u in range(4):
+            for v in range(4):
+                walked = sum(edge_len(tree, e) for e in path_edges(tree, u, v)) if u != v else 0.0
+                assert tree_distance(f, g, u, v) == _distance(tree, u, v) == walked
 
 
 def _skipped_level_tree():
@@ -352,15 +371,19 @@ def test_cut_ids_are_the_parent_walk():
             seen["aliased"] += bool(terms.aliases)
             seen["forests"] += len(trees) > FOREST_PAIRS // len(terms.terminals) ** 2
             checked = validate_hst(trees, m)
-            assert checked.messages == [[]] * len(trees) and checked.forest.trees == trees
+            assert checked.messages == [[]] * len(trees) and same_nodes(checked.forest, forest(trees))
             alone = [validate_hst([t], m) for t in trees]
-            assert all(one.messages == [[]] and one.forest.trees == [t] for one, t in zip(alone, trees))
-            for f in [checked.forest, Forest(trees)] + [one.forest for one in alone]:
+            assert all(one.messages == [[]] and same_nodes(one.forest, forest([t])) for one, t in zip(alone, trees))
+            for f in [checked.forest, forest(trees)] + [one.forest for one in alone]:
                 check_forest_walk(f)
-                # the extension derives its tensor from f's: a fresh walk of
-                # the extended trees finds the same
-                ext, fresh = extend_singleton_levels(f), Forest([extend_one(t) for t in f.trees])
+                # the extension derives its node arrays and tensor from f's:
+                # the forest of the extended trees, each extended alone and
+                # by the list reference, holds the same arrays, and a fresh
+                # walk of it finds the same tensor
+                ext, views = extend_singleton_levels(f), tree_views(f)
+                fresh = forest([extend_one(t) for t in views])
                 check_forest_walk(ext)
+                assert same_nodes(ext, fresh) and same_nodes(ext, forest([ref_extend(t) for t in views]))
                 assert [ext.local.tolist(), ext.lows.tolist(), ext.root_levels.tolist()] == \
                     [fresh.local.tolist(), fresh.lows.tolist(), fresh.root_levels.tolist()]
     assert seen["promoted"] > 20 and seen["aliased"] >= 7 and seen["forests"] >= 2
@@ -382,7 +405,7 @@ def test_cut_levels_are_read_off_the_edge_levels():
         cases.append((random_small_hst(rng, extended_chance=float(extended))[1], extended))
     found = []
     for t, extended in cases:
-        f, rebuilt = Forest([t]), Forest([_copy(t)])
+        f, rebuilt = forest([t]), forest([_copy(t)])
         levels = range(int(f.lows[0]), int(f.root_levels[0]) + 1)
         assert levels == range(-2 if extended else 0, brute_levels(t)[1] + 1)
         assert (rebuilt.lows.tolist(), rebuilt.root_levels.tolist()) == (f.lows.tolist(), f.root_levels.tolist())
@@ -402,7 +425,7 @@ def test_root_level_of_hand_built_trees_matches_the_validator():
     for t, m, level in cases:
         checked = validate_hst([t], m)
         assert checked.messages == [[]] and checked.forest.root_levels.tolist() == [level]
-        assert Forest([t]).root_levels.tolist() == [level] and brute_levels(t)[1] == level
+        assert forest([t]).root_levels.tolist() == [level] and brute_levels(t)[1] == level
         check_forest_walk(checked.forest)
 
 
@@ -452,7 +475,7 @@ def test_json_schema_fields(two_point_metric):
     t = sample_frt(Terminals(two_point_metric, [0, 1]), seed=0)
     doc = json.loads(tree_json(t))
     assert set(doc) == {"levels", "nodes", "leaf_map"}
-    assert doc["levels"] == Forest([t]).root_levels[0] == 1
+    assert doc["levels"] == forest([t]).root_levels[0] == 1
     assert {n["id"] for n in doc["nodes"]} == {0, 1, 2}
     assert set(doc["nodes"][1]) == {"id", "level", "parent", "edge_len"}
     assert doc["leaf_map"] == {"0": 1, "1": 2}
@@ -544,7 +567,7 @@ def test_validate_matches_reference_on_sampled_and_corrupted_trees():
             # the forest holds the trees that break nothing, with their cuts
             valid = [tree for tree, got in zip(batch, result.messages) if not got]
             if valid:
-                assert result.forest.trees == valid
+                assert same_nodes(result.forest, forest(valid))
                 check_forest_walk(result.forest)
             else:
                 assert result.forest is None
@@ -565,14 +588,15 @@ def test_validate_batch_across_forests_matches_one_tree_calls(monkeypatch):
     walked = []
 
     def path_walk(f, g, u, v):
-        walked.append(f.trees[g])
+        walked.append(tree_views(f)[g])
         return tree_distance(f, g, u, v)
 
     monkeypatch.setattr("ondesign.hst.tree_distance", path_walk)
     batch = validate_hst(trees, m)
-    assert walked == trees  # each tree's least-slack pair, measured on that tree
+    arrays = lambda t: [t.parent.tolist(), t.edge_level.tolist(), t.leaf.tolist()]
+    assert list(map(arrays, walked)) == list(map(arrays, trees))  # each tree's least-slack pair, on that tree
     assert 0 < sum(bool(bad) for bad in batch.messages) < len(trees)
-    assert batch.forest.trees == [tree for tree, bad in zip(trees, batch.messages) if not bad]
+    assert same_nodes(batch.forest, forest([tree for tree, bad in zip(trees, batch.messages) if not bad]))
     check_forest_walk(batch.forest)
     for tree, bad, T in zip(trees, batch.messages, batch.distances, strict=True):
         one = validate_hst([tree], m)
@@ -587,7 +611,7 @@ def test_validate_batch_needs_one_terminal_set():
     with pytest.raises(ValueError, match="^trees of one forest must share terminals and aliases$"):
         validate_hst(trees, m)
     with pytest.raises(ValueError, match="^trees of one forest must share terminals and aliases$"):
-        Forest(trees)
+        forest(trees)
     # the same terminals with different aliases
     m2 = line_metric([0, 0, 1])
     trees = [sample_frt(Terminals(m2, [0, 1, 2]), 0), sample_frt(Terminals(m2, [0, 2]), 0)]
@@ -635,7 +659,7 @@ def test_misnumbered_tree_gets_one_message_and_no_walk(hang_fails, parent, leaf)
     assert validate_hst([bad], m) == ([[message]], [None], None)
     results = validate_hst([good, bad, good], m)
     assert (results.messages[1], results.distances[1]) == ([message], None)
-    assert results.forest.trees == [good, good]
+    assert same_nodes(results.forest, forest([good, good]))
     alone = validate_hst([good], m)
     for g in (0, 2):
         assert results.messages[g] == alone.messages[0] == []
@@ -652,7 +676,7 @@ def test_misnumbered_tree_walked_by_hand_raises(hang_fails, parent, leaf):
     good = sample_frt(Terminals(build_metric([[0, 0], [1, 0]], "points"), [0, 1]), 0)
     for trees in ([bad], [good, bad]):
         with pytest.raises(ValueError, match=f"^{MISNUMBERED}$"):
-            Forest(trees)
+            forest(trees)
 
 
 def test_validate_joins_and_walks_a_batch_once_and_keeps_no_walk(monkeypatch):
@@ -681,13 +705,14 @@ def test_validate_joins_and_walks_a_batch_once_and_keeps_no_walk(monkeypatch):
     monkeypatch.setattr(hst, "_walk", counted_walk)
     checked = validate_hst(trees, m)
     assert (len(joins), len(walks)) == (len(trees), 1)  # each tree's parent array joined once
-    assert checked.messages == [[], [], [MISNUMBERED], [], [], []] and checked.forest.trees == good
+    assert checked.messages == [[], [], [MISNUMBERED], [], [], []]
     monkeypatch.undo()
-    for f in (checked.forest, Forest(good)):
+    assert same_nodes(checked.forest, forest(good))
+    for f in (checked.forest, forest(good)):
         check_forest_walk(f)
         held = [a for v in vars(f).values() for a in (v if isinstance(v, tuple) else (v,))
                 if isinstance(a, np.ndarray)]
-        assert not [a.shape for a in held if a.ndim == 3 and a.shape[1:] == (len(f.trees), f.k)]
+        assert not [a.shape for a in held if a.ndim == 3 and a.shape[1:] == (f.n_trees, f.k)]
 
 
 def test_validate_mixed_batch_puts_each_message_on_its_tree():
@@ -723,7 +748,7 @@ def test_validated_distances_match_path_walk():
         trees = [sample_frt(terms, seed) for seed in rng.integers(0, 2**31, size=4).tolist()]
         trees += [extend_one(t) for t in trees[:2]]
         results = validate_hst(trees, m)
-        assert results.messages == [[]] * len(trees) and results.forest.trees == trees
+        assert results.messages == [[]] * len(trees) and same_nodes(results.forest, forest(trees))
         pts = terms.terminals
         for g, T in enumerate(results.distances):
             assert [[tree_distance(results.forest, g, u, v) for v in pts] for u in pts] == T.tolist()

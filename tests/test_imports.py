@@ -125,6 +125,24 @@ def test_module_reads_no_private_name_of_another(module):
     assert private_imports((PACKAGE / module).read_text()) == []
 
 
+def imports_hst(source: str) -> bool:
+    """Whether the source imports `Hst` by name from a module of the package."""
+    return any(isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "ondesign")
+               and any(alias.name == "Hst" for alias in node.names) for node in ast.walk(ast.parse(source)))
+
+
+def test_hst_imports_are_found():
+    assert imports_hst("from .hst import Forest, Hst\n") and imports_hst("from ondesign.hst import Hst as H\n")
+    assert not imports_hst("from .hst import Forest\nimport numpy as np\n")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_hst_reads_the_sampler_tree(module):
+    # an Hst is the sampler's output: past validate_hst the trees are a
+    # Forest's arrays, so no other module reads one (__init__ re-exports it)
+    assert not imports_hst((PACKAGE / module).read_text()) or module == "hst.py"
+
+
 def scipy_modules_after(code: str) -> list:
     """The scipy modules a fresh interpreter has loaded after running code
     with the package's source on its path."""

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import brute_check_pcst_invariants, euclid, extend_one, line_metric, random_small_hst
-from ondesign.hst import Forest, Terminals, sample_frt
+from conftest import brute_check_pcst_invariants, euclid, extend_one, forest, line_metric, random_small_hst
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace, check_feasible
 from ondesign.prize import (
     check_pcst_invariants,
@@ -23,7 +23,7 @@ def _cut_checks(seq, trace, t):
     """(violations, flags, cut lower bound) of the PCST cut checks on t as a
     forest of one, the lower bound reading the invariants' grouping as verify
     does."""
-    viol, flags, cuts = check_pcst_invariants(Forest([t]), positive_share_rows(seq, trace), seq.root)
+    viol, flags, cuts = check_pcst_invariants(forest([t]), positive_share_rows(seq, trace), seq.root)
     return viol[0], flags[0], pcst_cut_lower_bound(cuts)[0]
 
 
@@ -97,7 +97,7 @@ def test_pcst_tree_invariants_and_bounds():
         viol, flags, lb = _cut_checks(seq, trace, t_ext)
         assert check_pcst_run_invariants(m, seq, trace) + viol == []
         share = total_share(trace)
-        opt = opt_tree_pcst(Forest([t_ext]), 0, reqs)[0]
+        opt = opt_tree_pcst(forest([t_ext]), 0, reqs)[0]
         assert share <= 8 * lb * (1 + 1e-9) + 1e-12
         assert share <= 8 * opt * (1 + 1e-9) + 1e-12
         assert trace.total_cost() <= 16 * opt * (1 + 1e-9) + 1e-12

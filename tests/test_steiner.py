@@ -6,19 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    extend_one,
-    RefBcForest,
     brute_cuts_at_level,
     euclid,
+    extend_one,
+    forest,
     line_metric,
     ref_max_flow,
     ref_same_class_closer,
+    RefBcForest,
     tie_metrics,
     tree_covers,
     tree_cuts,
     tree_metagraph,
 )
-from ondesign.hst import Forest, Terminals, sample_frt
+from ondesign.hst import Terminals, sample_frt
 from ondesign.metric import RequestRecord, RunTrace, check_feasible
 from ondesign.metric import RequestSequence
 from ondesign.steiner import (
@@ -304,7 +305,7 @@ def test_metagraph_invalid_cover():
     forged = _forged_forest([[0, 1]], [[0, 1], [1, 1]])
     t = sample_frt(Terminals(m, [0, 1, 2]), seed=0)
     assert sorted(tree_covers(t, forged)[1]) == [0, 1]  # only the cuts meeting X_1 = {0, 1}
-    points, cover, errors = covers_from_tree(Forest([t]), forged)
+    points, cover, errors = covers_from_tree(forest([t]), forged)
     cuts = cover[1].copy()
     cuts[0, points.index(1)] = -1  # a cover that leaves out an X_1 point
     [missed] = check_metagraph_acyclic(forged, (points, {1: cuts}, errors))

@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from conftest import (
+    forest,
     line_metric,
     per_tree,
     ref_check_cut_capacity,
@@ -17,9 +18,10 @@ from conftest import (
     ref_covers_from_tree,
     ref_pcst_cut_lower_bound,
     tree_groups,
+    tree_views,
 )
 from test_acceptance import PROBLEMS, _instance
-from ondesign.hst import Forest, Terminals, extend_singleton_levels, sample_frt
+from ondesign.hst import Terminals, extend_singleton_levels, sample_frt
 from ondesign.metric import RequestRecord, RequestSequence, RunTrace
 from ondesign.prize import check_pcst_invariants, positive_share_rows
 from ondesign.rentorbuy import check_cut_capacity
@@ -48,12 +50,12 @@ def _forest_facts(m, seq, seed):
 
 
 def _tree_loads(f, load):
-    return [None] * len(f.trees) if load is None else [part.tolist() for part in per_tree(f, load)]
+    return [None] * f.n_trees if load is None else [part.tolist() for part in per_tree(f, load)]
 
 
 def _ref_bounds(m, seq, trace, f, opt, load, guard=()):
     return [ref_check_tree_bounds(m, seq, trace, t, o, w, guard)
-            for t, o, w in zip(f.trees, opt, _tree_loads(f, load), strict=True)]
+            for t, o, w in zip(tree_views(f), opt, _tree_loads(f, load), strict=True)]
 
 
 def _with_forests(trace, forests):
@@ -102,19 +104,19 @@ def test_forest_checks_match_per_tree_references_on_the_battery(problem):
             for shift in (0, -1):
                 got = check_cut_capacity(seq, trace, f, shift, load)
                 assert got == [ref_check_cut_capacity(seq, trace, t, shift, w)
-                               for t, w in zip(f.trees, _tree_loads(f, load))]
+                               for t, w in zip(tree_views(f), _tree_loads(f, load))]
                 fired += sum(len(out) for out in got)
         if problem == "PCST":
             rows = positive_share_rows(seq, trace)
             viol, flags, cuts = check_pcst_invariants(f, rows, seq.root)
-            refs = [ref_class_cuts(t, rows, 1, seq.root) for t in f.trees]
+            refs = [ref_class_cuts(t, rows, 1, seq.root) for t in tree_views(f)]
             assert tree_groups(f, cuts) == refs
             assert list(zip(viol, flags)) == [ref_check_pcst_invariants(c) for c in refs]
             assert pcst_cut_lower_bound(cuts) == [ref_pcst_cut_lower_bound(c) for c in refs]
             fired += sum(len(out) for out in flags)
         if trace.summary.get("forests"):
             forged = _doubled(trace)
-            _same(_cover_dicts(covers_from_tree(f, forged)), [_ref_covers(t, forged) for t in f.trees])
+            _same(_cover_dicts(covers_from_tree(f, forged)), [_ref_covers(t, forged) for t in tree_views(f)])
             got = check_tree_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
             assert got == _ref_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
             fired += sum("meta-cycle" in v for out, _, _ in got for v in out)
@@ -128,7 +130,7 @@ def _varied_instance():
         m, seq, seed = _instance("SteinerForest", i)
         f, opt, load = _forest_facts(m, seq, seed)
         tops = f.root_levels.tolist()
-        if len(set(tops)) > 1 and len(f.trees) == TRIALS:
+        if len(set(tops)) > 1 and f.n_trees == TRIALS:
             return m, seq, seed, run_problem(m, seq)[1], (f, opt, load), max(tops)
     raise AssertionError("no battery SteinerForest instance with differing root levels")
 
@@ -180,9 +182,9 @@ def test_a_trace_error_is_a_check_error_of_every_valid_trial(problem):
         {"copies": 1, "A": [[99, [list(seq.pairs[0])]]], "occ": [], "zero_merges": []}])
     got = check_tree_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
     assert got == _ref_bounds(m, seq, forged, f, opt, load, _CHECK_ERRORS)
-    assert got == [(["check error: tuple index out of range"], [], {})] * len(f.trees)
+    assert got == [(["check error: tuple index out of range"], [], {})] * f.n_trees
     report = verify_run(m, seq, trials=TRIALS, seed=seed, forged_trace=forged)
-    assert report["tree_checks"]["fail"] == len(f.trees) and report["max_ratios"] == {}
+    assert report["tree_checks"]["fail"] == f.n_trees and report["max_ratios"] == {}
 
 
 def test_cut_sums_add_in_entry_order():
@@ -192,7 +194,7 @@ def test_cut_sums_add_in_entry_order():
     pis = [0.1, 0.2, 0.3]
     seq = RequestSequence(problem="PCST", requests=tuple((1, pi) for pi in pis), root=0)
     forged = RunTrace([RequestRecord(idx=i, decision="penalty", klass=3, cost=pi, rho=pi) for i, pi in enumerate(pis)])
-    f = extend_singleton_levels(Forest([sample_frt(Terminals(m, [0, 1]), seed) for seed in range(3)]))
+    f = extend_singleton_levels(forest([sample_frt(Terminals(m, [0, 1]), seed) for seed in range(3)]))
     _, _, cuts = check_pcst_invariants(f, positive_share_rows(seq, forged), seq.root)
     assert cuts.total([pi for _, _, pi in cuts.entries]).tolist() == [0.1 + 0.2 + 0.3] * 3 != [0.3 + 0.2 + 0.1] * 3
     assert pcst_cut_lower_bound(cuts) == [0.1 + 0.2 + 0.3] * 3

@@ -12,20 +12,21 @@ from conftest import (
     brute_tree_rob_single,
     brute_tree_sf,
     brute_tree_sn,
+    check_forest_walk,
     client_load,
     cut_levels,
     edge_len,
     extend_one,
-    check_forest_walk,
+    forest,
     per_tree,
     random_small_hst,
     ref_cut_load,
     ref_extend,
     ref_tree_pcst,
+    tree_views,
 )
 from ondesign.generators import gen_euclidean, gen_graph_metric
 from ondesign.hst import (
-    Forest,
     Hst,
     Terminals,
     _promote_one_level,
@@ -63,68 +64,69 @@ def three_leaf_star():
 
 def test_opt_st_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_steiner_tree(t) == 2.0
-    assert opt_tree_steiner_tree(extend_one(t)) == pytest.approx(2.75)
-    assert opt_tree_steiner_tree(four_leaf_binary()) == 8.0
+    assert opt_tree_steiner_tree(forest([t])) == [2.0]
+    assert opt_tree_steiner_tree(forest([extend_one(t)])) == [2.75]
+    assert opt_tree_steiner_tree(forest([four_leaf_binary()])) == [8.0]
+    assert opt_tree_steiner_tree(forest([t, extend_one(t), t])) == [2.0, 2.75, 2.0]
 
 
 def test_opt_sf_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_steiner_forest(Forest([t]), [(0, 1)])[0] == 2.0
+    assert opt_tree_steiner_forest(forest([t]), [(0, 1)])[0] == 2.0
     t4 = four_leaf_binary()
-    assert opt_tree_steiner_forest(Forest([t4]), [])[0] == 0.0
+    assert opt_tree_steiner_forest(forest([t4]), [])[0] == 0.0
     # siblings pair (0,1): only the two level-1 leaf edges
-    assert opt_tree_steiner_forest(Forest([t4]), [(0, 1)])[0] == 2.0
+    assert opt_tree_steiner_forest(forest([t4]), [(0, 1)])[0] == 2.0
     assert brute_tree_sf(t4, [(0, 1)]) == 2.0
 
 
 def test_opt_sn_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_steiner_network(Forest([t]), [(0, 1)], [5])[0] == 10.0
-    assert opt_tree_steiner_network(Forest([t]), [(0, 1), (0, 1)], [2, 7])[0] == 14.0
+    assert opt_tree_steiner_network(forest([t]), [(0, 1)], [5])[0] == 10.0
+    assert opt_tree_steiner_network(forest([t]), [(0, 1), (0, 1)], [2, 7])[0] == 14.0
     t4 = four_leaf_binary()
     # pair (0,1) crosses no level-2 edge: those contribute 0
-    assert opt_tree_steiner_network(Forest([t4]), [(0, 1)], [3])[0] == 6.0
+    assert opt_tree_steiner_network(forest([t4]), [(0, 1)], [3])[0] == 6.0
 
 
 def test_opt_rob_multi_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)]), 3)[0] == 2.0
-    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)] * 5), 3)[0] == 6.0
-    assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), [(0, 1)] * 5), 0)[0] == 0.0
+    assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), [(0, 1)]), 3)[0] == 2.0
+    assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), [(0, 1)] * 5), 3)[0] == 6.0
+    assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), [(0, 1)] * 5), 0)[0] == 0.0
 
 
 def test_opt_rob_single_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [0, 1]))[0] == 1.0  # root chain excluded
-    assert opt_tree_rob_single(Forest([t]), 0, 0.5, client_load(t, 0, [1]))[0] == 0.5
+    assert opt_tree_rob_single(forest([t]), 0, 4, client_load(t, 0, [0, 1]))[0] == 1.0  # root chain excluded
+    assert opt_tree_rob_single(forest([t]), 0, 0.5, client_load(t, 0, [1]))[0] == 0.5
     t3 = three_leaf_star()
-    assert opt_tree_rob_single(Forest([t3]), 0, 10, client_load(t3, 0, [1, 2]))[0] == 2.0
+    assert opt_tree_rob_single(forest([t3]), 0, 10, client_load(t3, 0, [1, 2]))[0] == 2.0
     with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
-        opt_tree_rob_single(Forest([t3]), 9, 1, client_load(t3, 9, [1]))[0]
+        opt_tree_rob_single(forest([t3]), 9, 1, client_load(t3, 9, [1]))[0]
 
 
 def test_opt_rob_single_weights(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [1, 1, 1]))[0] == 3.0
-    assert opt_tree_rob_single(Forest([t]), 0, 4, client_load(t, 0, [1] * 7))[0] == 4.0  # capped at M
+    assert opt_tree_rob_single(forest([t]), 0, 4, client_load(t, 0, [1, 1, 1]))[0] == 3.0
+    assert opt_tree_rob_single(forest([t]), 0, 4, client_load(t, 0, [1] * 7))[0] == 4.0  # capped at M
 
 
 def test_opt_pcst_examples(two_point_metric):
     t = minimal_tree(two_point_metric)
-    assert opt_tree_pcst(Forest([t]), 0, [(1, 0.5)])[0] == 0.5
-    assert opt_tree_pcst(Forest([t]), 0, [(1, 3.0)])[0] == 2.0
+    assert opt_tree_pcst(forest([t]), 0, [(1, 0.5)])[0] == 0.5
+    assert opt_tree_pcst(forest([t]), 0, [(1, 3.0)])[0] == 2.0
     t3 = three_leaf_star()
-    assert opt_tree_pcst(Forest([t3]), 0, [(1, 1.5), (2, 1.5)])[0] == 3.0
+    assert opt_tree_pcst(forest([t3]), 0, [(1, 1.5), (2, 1.5)])[0] == 3.0
     with pytest.raises(ValueError, match="^root 9 is not a leaf of the tree$"):
-        opt_tree_pcst(Forest([t3]), 9, [])[0]
+        opt_tree_pcst(forest([t3]), 9, [])[0]
 
 
 def test_pcst_coincident_penalties_accumulate(two_point_metric):
     t = minimal_tree(two_point_metric)
     # two occurrences at leaf 1: paying both (1.2) beats connecting (2.0)
-    assert opt_tree_pcst(Forest([t]), 0, [(1, 0.6), (1, 0.6)])[0] == pytest.approx(1.2)
-    assert opt_tree_pcst(Forest([t]), 0, [(1, 1.5), (1, 1.5)])[0] == 2.0
+    assert opt_tree_pcst(forest([t]), 0, [(1, 0.6), (1, 0.6)])[0] == pytest.approx(1.2)
+    assert opt_tree_pcst(forest([t]), 0, [(1, 1.5), (1, 1.5)])[0] == 2.0
 
 
 def test_oracles_match_brute_force_on_random_trees():
@@ -143,11 +145,11 @@ def test_oracles_match_brute_force_on_random_trees():
         pen = [(int(p), float(rng.uniform(0, 8))) for p in pts if p != r]
 
         # the references add the same edge terms in node-id order: equal to the bit
-        assert opt_tree_steiner_forest(Forest([t]), pairs)[0] == brute_tree_sf(t, pairs)
-        assert opt_tree_steiner_network(Forest([t]), pairs, reqs)[0] == brute_tree_sn(t, pairs, reqs)
-        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), M)[0] == brute_tree_rob_multi(t, pairs, M)
-        assert opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(brute_tree_rob_single(t, r, M, pts))
-        assert opt_tree_pcst(Forest([t]), r, pen)[0] == pytest.approx(brute_tree_pcst(t, r, pen))
+        assert opt_tree_steiner_forest(forest([t]), pairs)[0] == brute_tree_sf(t, pairs)
+        assert opt_tree_steiner_network(forest([t]), pairs, reqs)[0] == brute_tree_sn(t, pairs, reqs)
+        assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), M)[0] == brute_tree_rob_multi(t, pairs, M)
+        assert opt_tree_rob_single(forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(brute_tree_rob_single(t, r, M, pts))
+        assert opt_tree_pcst(forest([t]), r, pen)[0] == pytest.approx(brute_tree_pcst(t, r, pen))
 
 
 def test_pcst_matches_reference_dp_exactly():
@@ -160,7 +162,7 @@ def test_pcst_matches_reference_dp_exactly():
         pen = [(int(rng.choice(pts + [max(pts) + 1])), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
                for _ in range(int(rng.integers(0, 14)))]
         for r in pts:
-            assert opt_tree_pcst(Forest([t]), r, pen)[0] == ref_tree_pcst(t, r, pen)
+            assert opt_tree_pcst(forest([t]), r, pen)[0] == ref_tree_pcst(t, r, pen)
 
 
 def test_monotonicity_in_requests():
@@ -169,10 +171,10 @@ def test_monotonicity_in_requests():
         m, t = random_small_hst(rng, extended_chance=0.0)
         pts = list(t.terminals)
         pairs = [tuple(map(int, rng.choice(pts, size=2, replace=False))) for _ in range(3)]
-        assert opt_tree_steiner_forest(Forest([t]), pairs[:2])[0] <= opt_tree_steiner_forest(Forest([t]), pairs)[0]
-        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs[:2]), 2.0)[0] <= opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 2.0)[0]
+        assert opt_tree_steiner_forest(forest([t]), pairs[:2])[0] <= opt_tree_steiner_forest(forest([t]), pairs)[0]
+        assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs[:2]), 2.0)[0] <= opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), 2.0)[0]
         pen = [(int(p), 1.0) for p in pts[1:]]
-        assert opt_tree_pcst(Forest([t]), pts[0], pen[:1])[0] <= opt_tree_pcst(Forest([t]), pts[0], pen)[0]
+        assert opt_tree_pcst(forest([t]), pts[0], pen[:1])[0] <= opt_tree_pcst(forest([t]), pts[0], pen)[0]
 
 
 def test_rob_multi_sentinels():
@@ -188,16 +190,16 @@ def test_rob_multi_sentinels():
             for e in range(1, t.n_nodes)
             if any((s in brute_cut(t, e)) != (u in brute_cut(t, e)) for s, u in pairs)
         )
-        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 1)[0] == pytest.approx(ind)
-        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), 1)[0] == pytest.approx(
-            opt_tree_steiner_forest(Forest([t]), pairs)[0]
+        assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), 1)[0] == pytest.approx(ind)
+        assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), 1)[0] == pytest.approx(
+            opt_tree_steiner_forest(forest([t]), pairs)[0]
         )
         rent_all = sum(
             edge_len(t, e)
             * sum(1 for s, u in pairs if (s in brute_cut(t, e)) != (u in brute_cut(t, e)))
             for e in range(1, t.n_nodes)
         )
-        assert opt_tree_rob_multi(Forest([t]), cut_load(Forest([t]), pairs), math.inf)[0] == pytest.approx(rent_all)
+        assert opt_tree_rob_multi(forest([t]), cut_load(forest([t]), pairs), math.inf)[0] == pytest.approx(rent_all)
 
 
 def test_rob_single_vs_multi_cross_check():
@@ -216,7 +218,7 @@ def test_rob_single_vs_multi_cross_check():
                 continue  # restrict to edges not above r
             crossing = sum(1 for s, u in pairs if (s in cut) != (u in cut))
             multi += edge_len(t, e) * min(M, crossing)
-        assert opt_tree_rob_single(Forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(multi)
+        assert opt_tree_rob_single(forest([t]), r, M, client_load(t, r, pts))[0] == pytest.approx(multi)
 
 
 def test_pcst_cut_lower_bound_matches_reference():
@@ -230,7 +232,7 @@ def test_pcst_cut_lower_bound_matches_reference():
         for p in pts + [max(pts) + 1]:  # the last is no terminal: in no cut
             klass = int(rng.integers(-1, brute_levels(t)[1] + 2))
             rows.setdefault(klass, []).append((p, 1.0, float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 9)]))))
-        lb = pcst_cut_lower_bound(class_cuts(Forest([t]), rows, 1, r))
+        lb = pcst_cut_lower_bound(class_cuts(forest([t]), rows, 1, r))
         assert lb == [brute_pcst_cut_lower_bound(t, r, rows, cut_levels(t))]
 
 
@@ -265,9 +267,9 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
     rng = np.random.default_rng(61)
     heights = set()
     for points, trees in _forest_batches(rng):
-        base = Forest(trees)
+        base = forest(trees)
         ext = extend_singleton_levels(base)
-        for t, e in zip(trees, ext.trees, strict=True):
+        for t, e in zip(trees, tree_views(ext), strict=True):
             ref = ref_extend(t)
             assert [a.tolist() for a in (e.parent, e.edge_level, e.leaf)] == \
                 [a.tolist() for a in (ref.parent, ref.edge_level, ref.leaf)]
@@ -285,14 +287,14 @@ def test_forest_oracles_match_per_tree_references_bit_for_bit():
         pen = [(int(p), float(rng.choice([0.0, 0.3, 2.7, rng.uniform(0, 40)])))
                for p in rng.choice(points + [outside], size=int(rng.integers(0, 12)))]
         for f in (base, ext):
-            assert [opt_tree_steiner_tree(t) for t in f.trees] == \
-                [sum(edge_len(t, nid) for nid in range(1, t.n_nodes)) for t in f.trees]
+            views = tree_views(f)
+            assert opt_tree_steiner_tree(f) == [sum(edge_len(t, nid) for nid in range(1, t.n_nodes)) for t in views]
             assert [load.tolist() for load in per_tree(f, cut_load(f, load_pairs))] == \
-                [ref_cut_load(t, load_pairs) for t in f.trees]
-            assert opt_tree_steiner_forest(f, pairs) == [brute_tree_sf(t, pairs) for t in f.trees]
-            assert opt_tree_steiner_network(f, pairs, reqs) == [brute_tree_sn(t, pairs, reqs) for t in f.trees]
-            assert opt_tree_rob_multi(f, cut_load(f, pairs), M) == [brute_tree_rob_multi(t, pairs, M) for t in f.trees]
+                [ref_cut_load(t, load_pairs) for t in views]
+            assert opt_tree_steiner_forest(f, pairs) == [brute_tree_sf(t, pairs) for t in views]
+            assert opt_tree_steiner_network(f, pairs, reqs) == [brute_tree_sn(t, pairs, reqs) for t in views]
+            assert opt_tree_rob_multi(f, cut_load(f, pairs), M) == [brute_tree_rob_multi(t, pairs, M) for t in views]
             assert opt_tree_rob_single(f, r, M, cut_load(f, [(c, r) for c in clients])) == \
-                [brute_tree_rob_single(t, r, M, clients) for t in f.trees]
-            assert opt_tree_pcst(f, r, pen) == [ref_tree_pcst(t, r, pen) for t in f.trees]
+                [brute_tree_rob_single(t, r, M, clients) for t in views]
+            assert opt_tree_pcst(f, r, pen) == [ref_tree_pcst(t, r, pen) for t in views]
     assert len(heights) >= 6
