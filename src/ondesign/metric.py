@@ -139,7 +139,9 @@ class MetricSpace:
 
     `scale` is the factor the raw input was multiplied by, so raw distances are
     `d / scale`.  Coincident points (d = 0) are allowed; the min-distance-1
-    guarantee holds over distinct-position pairs only.
+    guarantee holds over distinct-position pairs only.  Every metric the
+    package builds is exactly symmetric, d == d.T bit for bit, so row d[c]
+    may stand for column d[:, c].
     """
 
     d: np.ndarray
@@ -694,8 +696,9 @@ def instance_from_dict(doc: dict):
     for key, shape in shapes.items():
         if not _fits(doc.get(key), shape, bounds):
             raise SchemaError(f"instance field {key} has the wrong type or range")
+    shape = fmt.shape
     for i, raw in enumerate(doc["requests"]):
-        if not _fits(raw, fmt.shape, bounds):
+        if not _fits(raw, shape, bounds):
             raise SchemaError(f"malformed request {i}: {raw!r}")
     facilities = doc.get("facilities")
     return m, RequestSequence(

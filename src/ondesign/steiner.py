@@ -150,19 +150,25 @@ class BcForest:
 class NearestSet:
     """A growing point set's nearest member to every point of m.
 
-    near[x] = d(x, who[x]).  Adding c reads column d[:, c] and moves a point
-    to c only when it is strictly closer, so a tie keeps the earliest member.
+    near[x] = d(x, who[x]).  Adding c reads row d[c], one contiguous read that
+    holds column d[:, c]'s bits because m.d is symmetric, and moves a point to
+    c only when it is strictly closer, so a tie keeps the earliest member.
+    Adding a member again returns at once: near[x] <= d(x, c) holds already.
     """
 
     def __init__(self, m: MetricSpace, first: int):
         self.d = m.d
-        self.near = m.d[:, first].copy()
+        self.near = m.d[first].copy()
         self.who = np.full(m.n, first)
+        self.member = np.arange(m.n) == first
 
     def add(self, c: int) -> None:
-        col = self.d[:, c]
-        closer = col < self.near
-        self.near[closer] = col[closer]
+        if self.member[c]:
+            return
+        self.member[c] = True
+        row = self.d[c]
+        closer = row < self.near
+        self.near[closer] = row[closer]
         self.who[closer] = c
 
     def nearest(self, i: int) -> tuple:

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import floyd_warshall
 from conftest import ref_max_flow, ref_validate_matrix
 from ondesign import metric
 from ondesign.errors import OndesignError, SchemaError
-from ondesign.generators import gen_euclidean, gen_graph_metric
+from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_graph_metric
 from ondesign.metric import (
     RTOL,
     MetricSpace,
@@ -374,6 +374,35 @@ def test_build_metric_idempotent_on_normalized():
             assert np.array(given).tobytes() == before
             if isinstance(given, np.ndarray):
                 assert not np.shares_memory(d, given) and given.flags.writeable
+
+
+def _bit_symmetric(m) -> bool:
+    return m.d.tobytes() == np.ascontiguousarray(m.d.T).tobytes()
+
+
+def test_every_built_metric_is_bit_symmetric():
+    """m.d equals m.d.T bit for bit for every metric the package builds, so a
+    row read stands for a column read (steiner.NearestSet): point lists in
+    1-70 coordinates, C and Fortran order, scales 1e-100 to 1e100, with
+    coincident rows; matrices, one of them rescaled; both generators; and
+    the diamond's closed form at every depth."""
+    rng = np.random.default_rng(35)
+    for dims in range(1, 71):
+        for scale in (1e-100, 1e-10, 1.0, 1e10, 1e100):
+            pts = rng.standard_normal((int(rng.integers(1, 30)), dims)) * scale
+            pts = np.concatenate([pts, pts[: int(rng.integers(0, len(pts) + 1))]])  # coincident rows
+            for arr in (pts, np.asfortranarray(pts)):
+                assert _bit_symmetric(build_metric(arr, "points"))
+    m, _ = gen_euclidean(40, seed=3)
+    assert _bit_symmetric(m)
+    assert _bit_symmetric(build_metric(m.d, "matrix"))
+    rescaled = build_metric(m.d * 3.7, "matrix")
+    assert rescaled.scale != 1.0 and _bit_symmetric(rescaled)
+    assert _bit_symmetric(build_metric([[0, 0, 2], [0, 0, 2], [2, 2, 0]], "matrix"))
+    for seed in range(3):
+        assert _bit_symmetric(gen_graph_metric(25, seed=seed))
+    for depth in range(11):
+        assert _bit_symmetric(gen_diamond_lb(depth)[0])
 
 
 def test_coincident_points_allowed():

@@ -7,20 +7,25 @@ scaling = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scaling)
 
 
-def test_prints_both_curves_at_tiny_sizes(monkeypatch, capsys):
+def test_prints_all_three_curves_at_tiny_sizes(monkeypatch, capsys):
     monkeypatch.setattr(scaling, "VERIFY_KS", (6, 10))
     monkeypatch.setattr(scaling, "ONLINE_NS", (13, 19))
+    monkeypatch.setattr(scaling, "DIAMOND_DEPTHS", (0, 2, 3))
     monkeypatch.setattr(scaling, "REPEATS", 1)
     assert scaling.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:4]] == ["6", "10"]
     assert lines[6].split()[:2] == ["problem", "stage"]
-    rows = lines[7:]
-    assert len(rows) == 2 * 7
+    rows = lines[7:21]
     for row, problem in zip(rows[::2], scaling.online_counts(1)):
         assert row.split()[:2] == [problem, "run"]
     for row in rows:
         assert len(row.split()) == 4 and all(float(x) >= 0 for x in row.split()[2:])
+    assert lines[21] == "" and lines[22].startswith("diamond:")
+    assert lines[23].split() == ["depth", "n", "run", "checks"]
+    diamond = [row.split() for row in lines[24:]]
+    assert [row[:2] for row in diamond] == [["0", "2"], ["2", "8"], ["3", "16"]]
+    assert all(float(x) >= 0 for row in diamond for x in row[2:])
 
 
 def test_request_counts_per_problem():

@@ -179,7 +179,9 @@ def test_pool_within_past_a_doubling_matches_list_reference():
 def test_nearest_set_matches_argmin_over_arrivals(data):
     """After every arrival, each point's nearest member is the brute argmin
     over the arrival list, ties to the earliest arrival, on metrics with
-    coincident points, repeated arrivals and equal distances."""
+    coincident points, repeated arrivals and equal distances.  Re-adding a
+    member returns before any write: with near and who frozen it raises
+    nothing, and their bytes stay as they were."""
     m = data.draw(tie_metrics())
     arrivals = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, max_size=14))
     near = NearestSet(m, arrivals[0])
@@ -192,6 +194,14 @@ def test_nearest_set_matches_argmin_over_arrivals(data):
             best = dists.index(min(dists))
             assert near.nearest(x) == (members[best], dists[best])
             assert all(type(v) is w for v, w in zip(near.nearest(x), (int, float)))
+        before = near.near.tobytes(), near.who.tobytes()
+        near.near.setflags(write=False)
+        near.who.setflags(write=False)
+        for c in members:
+            near.add(c)
+        assert (near.near.tobytes(), near.who.tobytes()) == before
+        near.near.setflags(write=True)
+        near.who.setflags(write=True)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,4 @@
-"""Print two scaling curves of the package, in-process, best of REPEATS.
+"""Print three scaling curves of the package, in-process, best of REPEATS.
 
     python tools/scaling.py
 
@@ -7,9 +7,11 @@ n = k + 1 Euclidean points, k = 40 ... 1,280.  online: for each problem, the
 run (`run_problem`) and its per-run checks (`per_run_checks`) on one
 Euclidean metric of n points, n = 301 / 601 / 1,201, with 2n requests for
 ST, SROB and PCST, n for SF, SN and MROB, and n/2 CFL clients with n/6
-facilities.  The curves show where the next superlinear term sits; they are
-printed only, no gate reads them.  The package is imported from this
-checkout's `src`.
+facilities.  diamond: the greedy Steiner tree run and its per-run checks on
+the recursive diamond (`gen_diamond_lb`, unvalidated) at depth 8 / 9 / 10,
+n = 512 / 1,024 / 2,048.  The curves show where the next superlinear term
+sits; they are printed only, no gate reads them.  The package is imported
+from this checkout's `src`.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ondesign.generators import gen_euclidean, gen_requests  # noqa: E402
+from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_requests  # noqa: E402
 from ondesign.verify import per_run_checks, run_problem, verify_run  # noqa: E402
 
 VERIFY_KS = (40, 80, 160, 320, 640, 1280)
 ONLINE_NS = (301, 601, 1201)
+DIAMOND_DEPTHS = (8, 9, 10)
 REPEATS = 3
 SEED = 5
 
@@ -55,6 +58,12 @@ def verify_curve(ks, repeats) -> dict:
     return out
 
 
+def _run_and_checks(m, seq, repeats) -> tuple:
+    """(run seconds, per-run check seconds) of one instance."""
+    run_s, (sol, trace) = _best(lambda: run_problem(m, seq), repeats)
+    return run_s, _best(lambda: per_run_checks(m, seq, sol, trace), repeats)[0]
+
+
 def online_curve(ns, repeats) -> dict:
     """(problem, n) -> (run seconds, per-run check seconds)."""
     out = {}
@@ -63,9 +72,16 @@ def online_curve(ns, repeats) -> dict:
         params = {"M": 2.0, "R_max": 16, "n_facilities": n // 6}
         for x, (problem, count) in enumerate(online_counts(n).items()):
             seq = gen_requests(problem, m, count, SEED + n + 1 + x, params)
-            run_s, (sol, trace) = _best(lambda: run_problem(m, seq), repeats)
-            check_s = _best(lambda: per_run_checks(m, seq, sol, trace), repeats)[0]
-            out[problem, n] = (run_s, check_s)
+            out[problem, n] = _run_and_checks(m, seq, repeats)
+    return out
+
+
+def diamond_curve(depths, repeats) -> dict:
+    """depth -> (n, run seconds, per-run check seconds)."""
+    out = {}
+    for depth in depths:
+        m, seq, _ = gen_diamond_lb(depth)
+        out[depth] = (m.n, *_run_and_checks(m, seq, repeats))
     return out
 
 
@@ -81,6 +97,10 @@ def main() -> int:
         for stage, col in (("run", 0), ("checks", 1)):
             cells = "".join(f"{curve[problem, n][col]:>11.4f}" for n in ONLINE_NS)
             print(f"{problem:<15} {stage:<6}" + cells)
+    print(f"\ndiamond: greedy Steiner tree run and per-run checks (best of {REPEATS})")
+    print(f"{'depth':>6} {'n':>6} {'run':>9} {'checks':>9}")
+    for depth, (n, run_s, check_s) in diamond_curve(DIAMOND_DEPTHS, REPEATS).items():
+        print(f"{depth:>6} {n:>6} {run_s:>9.4f} {check_s:>9.4f}")
     return 0
 
 
