@@ -43,7 +43,8 @@ class Hst:
     and promotion; built from `terminals` and `aliases` when not given).
     Node 0 is the root, every other node's parent is an earlier node and
     every leaf is a node id; the constructor checks nothing, so a malformed
-    tree reaches validate_hst as built.
+    tree reaches validate_hst as built.  It copies the arrays it is given;
+    the sampler's own are frozen in place (`_adopt`).
     """
 
     def __init__(self, parent, edge_level, terminals, leaf, aliases=(), column=None):
@@ -53,6 +54,17 @@ class Hst:
         self.leaf = _frozen(leaf)
         self.aliases = tuple(sorted(aliases))
         self.column = _column_map(self.terminals, self.aliases) if column is None else column
+
+    @classmethod
+    def _adopt(cls, parent, edge_level, leaf, terms) -> Hst:
+        """The tree over intp arrays that no one else holds (the sampler's),
+        frozen in place rather than copied, on terms' terminal set."""
+        t = cls.__new__(cls)
+        t.parent, t.edge_level, t.leaf = parent, edge_level, leaf
+        for a in (parent, edge_level, leaf):
+            a.setflags(write=False)
+        t.terminals, t.aliases, t.column = terms.terminals, terms.aliases, terms.column
+        return t
 
     @property
     def n_nodes(self) -> int:
@@ -161,6 +173,12 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
     Messages name each tree's own ids.  Node checks run over the whole forest
     at once; pairs are compared in chunks of max(1, FOREST_PAIRS // k^2)
     trees, as trees x k x k arrays.
+
+    Check 5 runs only when it can report: when some edge under a non-root
+    parent fails to drop a level (check 2's no_drop), a terminal is listed
+    twice, or a non-root node has level <= 0.  Otherwise levels rise strictly
+    up every leaf walk from level >= 1, so each listed point passes each
+    level at most once and no cut sits at a level <= 0.
     """
     pts = np.asarray(f.terminals, dtype=np.intp)
     n_trees, k = f.n_trees, f.k
@@ -168,11 +186,15 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
     ancestors = walk[0]
     out = [[] for _ in range(n_trees)]
     n = len(parent)
-    kids = np.bincount(parent[local > 0], minlength=n)
+    is_child = local > 0
+    child = np.flatnonzero(is_child)
+    above = parent[child]
+    kids = np.bincount(above, minlength=n)
     is_leaf = np.zeros(n, dtype=bool)
     is_leaf[leaf] = True
-    # 1. leaves are exactly the terminals (bijection, childless leaves only)
-    for nid in np.flatnonzero((kids == 0) & ~is_leaf & (f.sizes[owner] > 1) | is_leaf & (kids > 0)).tolist():
+    # 1. leaves are exactly the terminals (bijection, childless leaves only;
+    #    a childless root is a tree of one node)
+    for nid in np.flatnonzero((kids == 0) & ~is_leaf & is_child | is_leaf & (kids > 0)).tolist():
         out[owner[nid]].append(f"leaves: node {local[nid]} is both internal and a terminal leaf" if kids[nid]
                                else f"leaves: childless node {local[nid]} maps to no terminal")
     terminals = set(f.terminals)
@@ -183,16 +205,16 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
                for a, p in f.aliases if a in terminals or p not in terminals or m.d[a, p] != 0.0]
     for msgs, flag in zip(out, not_bijective.tolist()):
         msgs += ["leaves: terminal-to-leaf map is not a bijection"] * flag + aliases
-    # 2. siblings share an edge level; levels drop strictly toward the leaves;
-    #    length = 2^(level-1) holds by construction of _lengths
-    child = np.flatnonzero(local > 0)
-    above = parent[child]
-    lo, hi = np.full(n, level.max()), np.full(n, level.min())
-    np.minimum.at(lo, above, level[child])
-    np.maximum.at(hi, above, level[child])
+    # 2. siblings share an edge level (each child writes its level at its
+    #    parent, and one that reads back another has a sibling at another);
+    #    levels drop strictly toward the leaves; length = 2^(level-1) holds
+    #    by construction of _lengths
+    child_level = level[child]
+    written = np.empty(n, dtype=level.dtype)
+    written[above] = child_level
     found = [((nid, 0, 0), f"levels: children of node {local[nid]} at differing edge lengths")
-             for nid in np.flatnonzero((kids > 0) & (lo != hi)).tolist()]
-    no_drop = (local[above] != 0) & (level[child] >= level[above])
+             for nid in sorted(set(above[child_level != written[above]].tolist()))]
+    no_drop = (local[above] != 0) & (child_level >= level[above])
     found += [((p, 1, c), f"levels: edge level does not decrease at node {local[c]}")
               for p, c in zip(above[no_drop].tolist(), child[no_drop].tolist())]
     for (nid, _, _), msg in sorted(found):  # ids grow tree by tree
@@ -208,24 +230,25 @@ def _validate_forest(f: Forest, walk, m: MetricSpace):
     #    the set of points whose leaf walks pass its node; a walk passes a
     #    node once, so the (node, point) pairs are distinct unless a point is
     #    listed twice among the terminals.
-    below = ancestors[1:]  # the nodes under each tree's root
-    on_walk = below >= 0
-    members = below[on_walk] * m.n + np.broadcast_to(pts, below.shape)[on_walk]
-    if len(terminals) != k:
-        members = np.unique(members)
-    member_node, member_pt = members // m.n, members % m.n
-    size = np.bincount(member_node, minlength=n)
-    lowest, width = int(level.min()), int(level.max() - level.min()) + 1
-    # a level breaks when a terminal sits in two of its cuts: per tree, the
-    # broken levels from 1 to its root level, ascending
-    count = np.bincount((owner[member_node] * m.n + member_pt) * width + level[member_node] - lowest)
-    twice = np.flatnonzero(count > 1)
-    tree, j = twice // (m.n * width), twice % width + lowest
-    broken = np.unique((tree * width + j - lowest)[(j >= 1) & (j <= f.root_levels[tree])])
-    for g, j in zip((broken // width).tolist(), (broken % width + lowest).tolist()):
-        out[g].append(f"partition: level-{j} cuts do not partition the terminals")
-    for nid in np.flatnonzero((level <= 0) & (local > 0) & (size != 1)).tolist():
-        out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
+    if no_drop.any() or len(terminals) != k or (child_level <= 0).any():
+        below = ancestors[1:]  # the nodes under each tree's root
+        on_walk = below >= 0
+        members = below[on_walk] * m.n + np.broadcast_to(pts, below.shape)[on_walk]
+        if len(terminals) != k:
+            members = np.unique(members)
+        member_node, member_pt = members // m.n, members % m.n
+        size = np.bincount(member_node, minlength=n)
+        lowest, width = int(level.min()), int(level.max() - level.min()) + 1
+        # a level breaks when a terminal sits in two of its cuts: per tree,
+        # the broken levels from 1 to its root level, ascending
+        count = np.bincount((owner[member_node] * m.n + member_pt) * width + level[member_node] - lowest)
+        twice = np.flatnonzero(count > 1)
+        tree, j = twice // (m.n * width), twice % width + lowest
+        broken = np.unique((tree * width + j - lowest)[(j >= 1) & (j <= f.root_levels[tree])])
+        for g, j in zip((broken // width).tolist(), (broken % width + lowest).tolist()):
+            out[g].append(f"partition: level-{j} cuts do not partition the terminals")
+        for nid in np.flatnonzero((level <= 0) & is_child & (size != 1)).tolist():
+            out[owner[nid]].append(f"singletons: level-{level[nid]} cut has {size[nid]} terminals")
     return out, distances
 
 
@@ -239,25 +262,24 @@ def _check_pairs(f: Forest, walk, trees: slice, d, pair, out):
     T, cap = _pairwise(f, walk, trees)
     # 3. cut diameter: a level-j edge separates a set of diameter < 2^j; a pair
     #    breaks some cut iff it breaks the cut of its lowest-level common edge
-    bad = [set() for _ in T]
+    bad = set()
     wide = d >= cap
     wide &= pair
     for g, a, b in np.argwhere(wide).tolist() if wide.any() else ():
         x, y = ancestors[1:, first + g, a], ancestors[1:, first + g, b]
         for anc in x[(x == y) & (x >= 0)].tolist():
             if d[a, b] >= pow2(int(level[anc])):
-                bad[g].add((int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
-    for msgs, cuts in zip(out[trees], bad):
-        msgs += [f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge"
-                 for _, u, v, j, duv in sorted(cuts)]
+                bad.add((first + g, int(local[anc]), int(pts[a]), int(pts[b]), int(level[anc]), float(d[a, b])))
+    for g, _, u, v, j, duv in sorted(bad):
+        out[g].append(f"cut diameter: d({u},{v})={duv:g} >= 2^{j} under a level-{j} edge")
     # 4. expanding: T(u,v) >= d(u,v).  The pair of least slack decides it, so
     #    that pair is measured again by the path walk that defines T.
     k = len(pts)
     if k > 1:
         slack = np.subtract(T, d, out=np.full(T.shape, np.inf), where=pair)
-        least = slack.reshape(len(T), -1).argmin(axis=1)
-        for g, (a, b) in enumerate(zip(*np.divmod(least, k))):
-            T[g, a, b] = T[g, b, a] = tree_distance(f, first + g, int(pts[a]), int(pts[b]))
+        g, (a, b) = np.arange(len(T)), np.divmod(slack.reshape(len(T), -1).argmin(axis=1), k)
+        T[g, a, b] = T[g, b, a] = [tree_distance(f, first + x, f.terminals[y], f.terminals[z])
+                                   for x, y, z in zip(g.tolist(), a.tolist(), b.tolist())]
     short = T < d
     short &= pair
     for g, a, b in np.argwhere(short).tolist() if short.any() else ():
@@ -387,9 +409,9 @@ class Terminals:
     `column` maps each point of the metric to its terminal's column (-1 if
     none), the one lookup every tree sampled from it shares (`Forest.columns`);
     `d` is the terminals' distance submatrix, which must be normalized
-    (distinct positions at least 1 apart).  `levels` runs from the top
-    carving level L = floor(log2 max d) + 1 down to 1, and `by_dist` holds
-    each row of `d`'s points sorted by distance.
+    (distinct positions at least 1 apart), and `ids` its row numbers.
+    `levels` runs from the top carving level L = floor(log2 max d) + 1 down
+    to 1, and `by_dist` holds each row of `d`'s points sorted by distance.
 
     The radius count `within(beta)` reads each sorted distance split once by
     np.frexp into its binade b and mantissa m in [1, 2), d = m 2^b (d = 0 is
@@ -428,6 +450,7 @@ class Terminals:
             raise ValueError(f"metric not normalized: d({u},{v})={m.dist(u, v):g} < 1")
         self.terminals, self.d = tuple(pts), d
         self.column = _column_map(self.terminals, self.aliases, m.n)
+        self.ids = np.arange(len(pts))
         self.levels = np.arange(floor_log2(float(d.max())) + 1 if len(pts) > 1 else 0, 0, -1)
         self.by_dist = np.argsort(d, axis=1)
         k, n_levels = len(pts), len(self.levels)
@@ -472,35 +495,38 @@ def sample_frt(terms: Terminals, seed: int) -> Hst:
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     beta = 2.0 ** rng.random()
     rank = np.empty(k, dtype=np.intp)
-    rank[rng.permutation(k)] = np.arange(k)
+    rank[rng.permutation(k)] = terms.ids
 
     # Least-element lists: along each row sorted by distance, the prefix-min
     # of permutation rank is the first permutation element within any radius
     # (a radius takes in all or none of a run of equal distances, so the order
     # of ties does not matter).
-    least = np.minimum.accumulate(rank[terms.by_dist], axis=1)
-    center = least[np.arange(k), terms.within(beta) - 1]  # levels x points
+    least = rank.take(terms.by_dist)
+    np.minimum.accumulate(least, axis=1, out=least)
+    center = least[terms.ids, terms.within(beta) - 1]  # levels x points
     # A level-j node holds the points whose centers agree from the top level
     # down to j.  Sorted by that path, the points list each level's nodes in
     # (parent id, center rank) order, the order carving them one by one gives.
     order = np.lexsort(center[::-1])
-    path = center[:, order]
-    starts = np.ones(path.shape, dtype=bool)  # sorted point i opens a node at this level
-    starts[:, 1:] = np.logical_or.accumulate(path[:, 1:] != path[:, :-1], axis=0)
+    path = center.take(order, axis=1)
+    starts = np.empty(path.shape, dtype=bool)  # sorted point i opens a node at this level
+    starts[:, 0] = True
+    np.not_equal(path[:, 1:], path[:, :-1], out=starts[:, 1:])
+    np.logical_or.accumulate(starts[:, 1:], axis=0, out=starts[:, 1:])
     assert starts[-1].all()
     node = np.cumsum(starts).reshape(path.shape)  # node ids, level by level
-    above = np.zeros_like(node)
-    above[1:] = node[:-1]
+    # nodes nest, so the points of a node write one parent and one level
+    parent, edge_level = np.empty((2, node[-1, -1] + 1), dtype=np.intp)
+    parent[0], parent[node[0]], parent[node[1:]] = -1, 0, node[:-1]
+    edge_level[0], edge_level[node] = 0, levels[:, None]
     by_point = np.empty_like(node)
     by_point[:, order] = node
-    t = Hst(np.concatenate([[-1], above[starts]]),
-            np.concatenate([[0], np.repeat(levels, starts.sum(axis=1))]), pts, by_point[-1], aliases=aliases,
-            column=terms.column)
+    t = Hst._adopt(parent, edge_level, by_point[-1], terms)
 
     # T(u, v) = 2 (2^L' - 1) for the L' levels at which their nodes differ,
     # which reaches d(u, v) iff they differ at level need (Terminals.split)
     u, v = terms.split
-    if not np.all(by_point.take(u) != by_point.take(v)):
+    if not (by_point.take(u) != by_point.take(v)).all():
         t = _promote_one_level(t)
     return t
 
@@ -512,8 +538,11 @@ def _promote_one_level(t: Hst) -> Hst:
     by_node = np.argsort(t.leaf)
     leaf = np.empty(k, dtype=np.intp)
     leaf[by_node] = np.arange(n, n + k)
-    return Hst(np.concatenate([t.parent, t.leaf[by_node]]), np.concatenate([t.edge_level + (t.parent >= 0), [1] * k]),
-               t.terminals, leaf, t.aliases, t.column)
+    parent, edge_level = np.empty((2, n + k), dtype=np.intp)
+    parent[:n], parent[n:] = t.parent, t.leaf[by_node]
+    np.add(t.edge_level, t.parent >= 0, out=edge_level[:n])
+    edge_level[n:] = 1
+    return Hst._adopt(parent, edge_level, leaf, t)
 
 
 class Forest:

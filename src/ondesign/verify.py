@@ -417,7 +417,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
             viol, fl, rat = next(checked)
         for name, value in rat.items():
             ratios[name] = max(ratios.get(name, 0.0), value)
-        flags += [f"trial {trial}: {f}" for f in fl]
+        flags += [f"trial {trial}: {f}" for f in fl[:20 - len(flags)]]  # a report keeps the first 20
         if viol and witness_seed is None:
             witness_seed = seeds[trial]
         tree_violations += [f"trial {trial}: {v}" for v in viol]
@@ -435,7 +435,7 @@ def verify_run(m, seq, trials=20, seed=0, forged_trace=None):
         },
         "tree_checks": {"fail": len(tree_violations), "violations": tree_violations[:10]},
         "max_ratios": {k: round(v, 12) for k, v in sorted(ratios.items())},
-        "flags": flags[:20],
+        "flags": flags,
         "witness_seed": witness_seed,
     }
     report["violations"] = sum(c["fail"] for c in report["checks"].values()) + len(tree_violations)

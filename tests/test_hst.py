@@ -141,6 +141,30 @@ def test_sampler_deterministic(two_point_metric):
     assert isinstance(json.loads(c), dict)
 
 
+def test_sampled_trees_own_their_frozen_arrays():
+    # the sampler and promotion freeze the arrays they make instead of
+    # copying them; a tree built from a caller's array copies it
+    m = euclid(np.random.default_rng(3).random((12, 2)) * 10.0)
+    terms = Terminals(m, range(12))
+    trees = [sample_frt(terms, 1), sample_frt(terms, 2)]
+    trees.append(_promote_one_level(trees[0]))
+    shared = [a for a in (*vars(terms).values(), *terms.split) if isinstance(a, np.ndarray)]
+    own = [[getattr(t, name) for name in ("parent", "edge_level", "leaf")] for t in trees]
+    for i, t in enumerate(trees):
+        assert t.column is terms.column and not t.column.flags.writeable
+        for j, a in enumerate(own[i]):
+            assert a.dtype == np.intp and not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+            others = [b for x, arrays in enumerate(own) for y, b in enumerate(arrays) if (x, y) != (i, j)]
+            assert not any(np.shares_memory(a, b) for b in others + shared)
+    mine = np.array([-1, 0, 0])
+    t = Hst(mine, [0, 1, 1], (0, 1), np.array([1, 2]))
+    assert mine.flags.writeable and not np.shares_memory(t.parent, mine) and not t.parent.flags.writeable
+    mine[1] = 5
+    assert t.parent.tolist() == [-1, 0, 0]
+
+
 def test_validate_flags_shrunk_leaf_edges(two_point_metric):
     t = Hst([-1, 0, 0], [0, -1, -1], (0, 1), [1, 2])  # length 1/4 edges: T = 0.5 < d = 1
     bad = validate_hst([t], two_point_metric).messages[0]

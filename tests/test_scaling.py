@@ -7,10 +7,12 @@ scaling = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scaling)
 
 
-def test_prints_all_three_curves_at_tiny_sizes(monkeypatch, capsys):
+def test_prints_all_four_curves_at_tiny_sizes(monkeypatch, capsys):
     monkeypatch.setattr(scaling, "VERIFY_KS", (6, 10))
     monkeypatch.setattr(scaling, "ONLINE_NS", (13, 19))
     monkeypatch.setattr(scaling, "DIAMOND_DEPTHS", (0, 2, 3))
+    monkeypatch.setattr(scaling, "HST_KS", (1, 4))
+    monkeypatch.setattr(scaling, "HST_TREES", 3)
     monkeypatch.setattr(scaling, "REPEATS", 1)
     assert scaling.main() == 0
     lines = capsys.readouterr().out.splitlines()
@@ -23,9 +25,14 @@ def test_prints_all_three_curves_at_tiny_sizes(monkeypatch, capsys):
         assert len(row.split()) == 4 and all(float(x) >= 0 for x in row.split()[2:])
     assert lines[21] == "" and lines[22].startswith("diamond:")
     assert lines[23].split() == ["depth", "n", "run", "checks"]
-    diamond = [row.split() for row in lines[24:]]
+    diamond = [row.split() for row in lines[24:27]]
     assert [row[:2] for row in diamond] == [["0", "2"], ["2", "8"], ["3", "16"]]
     assert all(float(x) >= 0 for row in diamond for x in row[2:])
+    assert lines[27] == "" and lines[28].startswith("hst: 3 trees")
+    assert lines[29].split() == ["k", "sample_us", "validate_ms"]
+    hst_rows = [row.split() for row in lines[30:]]
+    assert [row[0] for row in hst_rows] == ["1", "4"]
+    assert all(len(row) == 3 and float(row[1]) > 0 and float(row[2]) > 0 for row in hst_rows)
 
 
 def test_request_counts_per_problem():

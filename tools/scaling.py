@@ -1,4 +1,4 @@
-"""Print three scaling curves of the package, in-process, best of REPEATS.
+"""Print four scaling curves of the package, in-process, best of REPEATS.
 
     python tools/scaling.py
 
@@ -9,9 +9,12 @@ Euclidean metric of n points, n = 301 / 601 / 1,201, with 2n requests for
 ST, SROB and PCST, n for SF, SN and MROB, and n/2 CFL clients with n/6
 facilities.  diamond: the greedy Steiner tree run and its per-run checks on
 the recursive diamond (`gen_diamond_lb`, unvalidated) at depth 8 / 9 / 10,
-n = 512 / 1,024 / 2,048.  The curves show where the next superlinear term
-sits; they are printed only, no gate reads them.  The package is imported
-from this checkout's `src`.
+n = 512 / 1,024 / 2,048.  hst: at the acceptance battery's sizes, k = 5 /
+10 / 20 / 40 Euclidean terminals, the microseconds per `sample_frt` tree and
+the milliseconds per `validate_hst` call on a forest of 20 trees, where
+fixed costs per numpy call dominate.  The curves show where the next
+superlinear term sits; they are printed only, no gate reads them.  The
+package is imported from this checkout's `src`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ondesign.generators import gen_diamond_lb, gen_euclidean, gen_requests  # noqa: E402
+from ondesign.hst import Terminals, sample_frt, validate_hst  # noqa: E402
 from ondesign.verify import per_run_checks, run_problem, verify_run  # noqa: E402
 
 VERIFY_KS = (40, 80, 160, 320, 640, 1280)
 ONLINE_NS = (301, 601, 1201)
 DIAMOND_DEPTHS = (8, 9, 10)
+HST_KS = (5, 10, 20, 40)
+HST_TREES = 20
 REPEATS = 3
 SEED = 5
 
@@ -85,6 +91,18 @@ def diamond_curve(depths, repeats) -> dict:
     return out
 
 
+def hst_curve(ks, repeats) -> dict:
+    """k -> (microseconds per sampled tree, milliseconds per validated
+    forest of HST_TREES trees) on k Euclidean terminals."""
+    out = {}
+    for k in ks:
+        m, _ = gen_euclidean(k, seed=SEED + k)
+        terms = Terminals(m, range(k))
+        sample_s, trees = _best(lambda: [sample_frt(terms, s) for s in range(HST_TREES)], repeats)
+        out[k] = (1e6 * sample_s / HST_TREES, 1e3 * _best(lambda: validate_hst(trees, m), repeats)[0])
+    return out
+
+
 def main() -> int:
     print(f"verify: SROB, 2 trees, n = k + 1 Euclidean points (best of {REPEATS})")
     print(f"{'k':>6} {'seconds':>9}")
@@ -101,6 +119,10 @@ def main() -> int:
     print(f"{'depth':>6} {'n':>6} {'run':>9} {'checks':>9}")
     for depth, (n, run_s, check_s) in diamond_curve(DIAMOND_DEPTHS, REPEATS).items():
         print(f"{depth:>6} {n:>6} {run_s:>9.4f} {check_s:>9.4f}")
+    print(f"\nhst: {HST_TREES} trees on k Euclidean terminals (best of {REPEATS})")
+    print(f"{'k':>6} {'sample_us':>10} {'validate_ms':>12}")
+    for k, (sample_us, validate_ms) in hst_curve(HST_KS, REPEATS).items():
+        print(f"{k:>6} {sample_us:>10.1f} {validate_ms:>12.3f}")
     return 0
 
 
